@@ -1,16 +1,17 @@
-//! Collection-engine throughput: events/sec of the sequential engine,
-//! the bucket-synchronous parallel engine, and the prefix-sharded
-//! engine, against a reconstruction of the pre-optimization poll loop.
+//! Collection-engine throughput: events/sec of the inline loop and of
+//! the sharded loop at several shard counts, against a reconstruction
+//! of the pre-optimization poll loop.
 //!
 //! Besides the criterion samples, this bench *always* (including
-//! `--test` smoke mode) runs each engine once over the same workload,
+//! `--test` smoke mode) runs each loop once over the same workload,
 //! asserts their feeds and stats are **bit-identical** (the determinism
-//! contract the parallel and sharded engines ship under), and writes
-//! the measured throughput + speedups to
+//! contract the sharded loop ships under), and writes the measured
+//! throughput + speedups to
 //! `target/bench-reports/BENCH_collection.json` as a CI artifact. The
-//! recorded `cpus` field qualifies the parallel numbers: thread/shard
-//! speedup needs cores, the constant-factor win over the legacy loop
-//! does not.
+//! sharded rows are compared with `first_sight` — the inline loop
+//! recording into the flat collector, the same work on one thread. The
+//! recorded `cpus` field qualifies them: shard speedup needs cores, the
+//! constant-factor win over the legacy loop does not.
 //!
 //! It also runs a **procedural-world scale slice**: a 1:100-of-the-paper
 //! world (~13 M nominal devices) collected through the same engine with
@@ -26,8 +27,8 @@ use netsim::world::{World, WorldConfig};
 use netsim::{DeviceId, Ideal};
 use ntppool::collector::VecSink;
 use ntppool::{
-    next_poll, poll_once, AddressCollector, Operator, PollReply, Pool, PoolServer, ServerId,
-    ShardSet,
+    next_poll, poll_once, AddressCollector, CollectorParts, Operator, PollReply, Pool, PoolServer,
+    ServerId,
 };
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -106,9 +107,9 @@ fn run_legacy(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> Outco
     out
 }
 
-/// The current engine at a given thread count.
-fn run_engine(world: &World, pool: &Pool, start: SimTime, end: SimTime, threads: usize) -> Outcome {
-    let run = ntppool::CollectionRun::new(world, pool, start, end).with_threads(threads);
+/// The current inline loop, feeding a closure.
+fn run_engine(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> Outcome {
+    let run = ntppool::CollectionRun::new(world, pool, start, end);
     let mut out = Outcome::default();
     let stats = run.run(|server, addr, t| out.feed.push((server, addr, t)));
     out.polls = stats.polls;
@@ -117,10 +118,11 @@ fn run_engine(world: &World, pool: &Pool, start: SimTime, end: SimTime, threads:
     out
 }
 
-/// First-sight collection through the sequential engine + the flat
-/// `AddressCollector`: the ground truth for the sharded engine, whose
-/// feed is the deduplicated first-sight stream rather than the raw
-/// observation stream the legacy comparison uses.
+/// First-sight collection through the inline loop + the flat
+/// `AddressCollector`: the ground truth and the like-for-like baseline
+/// for the sharded rows, whose feed is the deduplicated first-sight
+/// stream rather than the raw observation stream the legacy comparison
+/// uses.
 fn run_first_sight(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> Outcome {
     let sink = VecSink::default();
     let buf = sink.0.clone();
@@ -140,19 +142,22 @@ fn run_first_sight(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> 
     }
 }
 
-/// The prefix-sharded engine at a given shard count.
+/// begin → advance → finish at a given shard count (one shard runs the
+/// inline loop, more run the sharded one).
 fn run_sharded(world: &World, pool: &Pool, start: SimTime, end: SimTime, shards: usize) -> Outcome {
-    let recorded: Vec<ServerId> = pool
-        .servers()
-        .filter(|(_, s)| s.operator.collects())
-        .map(|(id, _)| id)
-        .collect();
     let sink = VecSink::default();
-    let buf = sink.0.clone();
-    let mut set = ShardSet::new(shards, recorded, Some(Box::new(sink)), 0);
     let run = ntppool::CollectionRun::new(world, pool, start, end);
-    let stats = run.run_sharded(&mut set);
-    let feed = buf
+    let mut ckpt = run.begin();
+    run.advance(
+        &mut ckpt,
+        end,
+        &mut CollectorParts::new(shards),
+        Box::new(sink.clone()),
+        &mut telemetry::Registry::new(),
+    );
+    let stats = ckpt.finish(&mut telemetry::Registry::new());
+    let feed = sink
+        .0
         .lock()
         .iter()
         .map(|o| (o.server, o.addr, o.seen))
@@ -205,24 +210,18 @@ fn collection_throughput(c: &mut Criterion) {
 
     // Untimed warmup so the first timed pass doesn't absorb cold-cache
     // and allocator start-up costs.
-    black_box(run_engine(&world, &pool, start, end, 1));
+    black_box(run_engine(&world, &pool, start, end));
 
     let (legacy, legacy_ns) = time(|| run_legacy(&world, &pool, start, end));
-    let (sequential, sequential_ns) = time(|| run_engine(&world, &pool, start, end, 1));
+    let (sequential, sequential_ns) = time(|| run_engine(&world, &pool, start, end));
     // The determinism contract, checked on the bench workload too: the
-    // rewritten engines reproduce the legacy loop bit for bit.
-    assert_eq!(sequential, legacy, "sequential engine diverged from legacy");
-    let mut parallel_ns = Vec::new();
-    for threads in [2usize, 4] {
-        let (parallel, ns) = time(|| run_engine(&world, &pool, start, end, threads));
-        assert_eq!(parallel, legacy, "{threads}-thread engine diverged");
-        parallel_ns.push((threads, ns));
-    }
+    // rewritten loop reproduces the legacy loop bit for bit.
+    assert_eq!(sequential, legacy, "inline loop diverged from legacy");
 
-    // Sharded engine: its feed is the first-sight stream, so it is
+    // Its feed is the first-sight stream, so the sharded rows are
     // checked against the flat collector's rather than the raw legacy
     // feed (poll counters still match legacy exactly).
-    let (first_sight, _) = time(|| run_first_sight(&world, &pool, start, end));
+    let (first_sight, first_sight_ns) = time(|| run_first_sight(&world, &pool, start, end));
     assert_eq!(first_sight.polls, legacy.polls);
     assert_eq!(first_sight.observed, legacy.observed);
     let mut sharded_ns = Vec::new();
@@ -241,19 +240,15 @@ fn collection_throughput(c: &mut Criterion) {
         events_per_sec(events, sequential_ns),
         speedup(sequential_ns),
     );
-    for &(threads, ns) in &parallel_ns {
-        println!(
-            "collection/throughput: {threads} threads {} ev/s ({:.2}x vs legacy)",
-            events_per_sec(events, ns),
-            speedup(ns),
-        );
-    }
-    let sharded_base_ns = sharded_ns[0].1;
+    println!(
+        "collection/throughput: first sight (inline loop + flat collector) {} ev/s",
+        events_per_sec(events, first_sight_ns),
+    );
     for &(shards, ns) in &sharded_ns {
         println!(
-            "collection/throughput: {shards} shards {} ev/s ({:.2}x vs 1-shard)",
+            "collection/throughput: {shards} shards {} ev/s ({:.2}x vs first sight)",
             events_per_sec(events, ns),
-            sharded_base_ns as f64 / ns.max(1) as f64,
+            first_sight_ns as f64 / ns.max(1) as f64,
         );
     }
 
@@ -276,7 +271,7 @@ fn collection_throughput(c: &mut Criterion) {
         Duration::hours(1)
     };
     let (proc_out, proc_ns) =
-        time(|| run_engine(&proc_world, &pool, start, SimTime(proc_slice.as_secs()), 1));
+        time(|| run_engine(&proc_world, &pool, start, SimTime(proc_slice.as_secs())));
     let proc_rss = resident_bytes();
     if let Some(rss) = proc_rss {
         assert!(
@@ -323,13 +318,12 @@ fn collection_throughput(c: &mut Criterion) {
             "  \"events\": {},\n",
             "  \"legacy_ns\": {},\n",
             "  \"sequential_ns\": {},\n",
-            "  \"parallel_2t_ns\": {},\n",
-            "  \"parallel_4t_ns\": {},\n",
+            "  \"first_sight_ns\": {},\n",
             "  \"sharded_ns\": {{\"shards_1\": {}, \"shards_2\": {}, \"shards_4\": {}, \"shards_8\": {}}},\n",
-            "  \"events_per_sec\": {{\"legacy\": {}, \"sequential\": {}, \"threads_2\": {}, \"threads_4\": {}, ",
+            "  \"events_per_sec\": {{\"legacy\": {}, \"sequential\": {}, \"first_sight\": {}, ",
             "\"shards_1\": {}, \"shards_2\": {}, \"shards_4\": {}, \"shards_8\": {}}},\n",
-            "  \"speedup_vs_legacy\": {{\"sequential\": {:.3}, \"threads_2\": {:.3}, \"threads_4\": {:.3}}},\n",
-            "  \"speedup_vs_sharded_1\": {{\"shards_2\": {:.3}, \"shards_4\": {:.3}, \"shards_8\": {:.3}}},\n",
+            "  \"speedup_vs_legacy\": {{\"sequential\": {:.3}}},\n",
+            "  \"speedup_vs_first_sight\": {{\"shards_1\": {:.3}, \"shards_2\": {:.3}, \"shards_4\": {:.3}, \"shards_8\": {:.3}}},\n",
             "  \"procedural\": {}\n",
             "}}\n"
         ),
@@ -340,26 +334,23 @@ fn collection_throughput(c: &mut Criterion) {
         events,
         legacy_ns,
         sequential_ns,
-        parallel_ns[0].1,
-        parallel_ns[1].1,
+        first_sight_ns,
         sharded_ns[0].1,
         sharded_ns[1].1,
         sharded_ns[2].1,
         sharded_ns[3].1,
         events_per_sec(events, legacy_ns),
         events_per_sec(events, sequential_ns),
-        events_per_sec(events, parallel_ns[0].1),
-        events_per_sec(events, parallel_ns[1].1),
+        events_per_sec(events, first_sight_ns),
         events_per_sec(events, sharded_ns[0].1),
         events_per_sec(events, sharded_ns[1].1),
         events_per_sec(events, sharded_ns[2].1),
         events_per_sec(events, sharded_ns[3].1),
         speedup(sequential_ns),
-        speedup(parallel_ns[0].1),
-        speedup(parallel_ns[1].1),
-        sharded_base_ns as f64 / sharded_ns[1].1.max(1) as f64,
-        sharded_base_ns as f64 / sharded_ns[2].1.max(1) as f64,
-        sharded_base_ns as f64 / sharded_ns[3].1.max(1) as f64,
+        first_sight_ns as f64 / sharded_ns[0].1.max(1) as f64,
+        first_sight_ns as f64 / sharded_ns[1].1.max(1) as f64,
+        first_sight_ns as f64 / sharded_ns[2].1.max(1) as f64,
+        first_sight_ns as f64 / sharded_ns[3].1.max(1) as f64,
         proc_json,
     );
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-reports");
@@ -373,13 +364,10 @@ fn collection_throughput(c: &mut Criterion) {
     );
 
     // Criterion samples over a one-day slice, so `cargo bench` timings
-    // track regressions in both engines.
+    // track regressions in both loops.
     let slice_end = SimTime(Duration::days(1).as_secs());
     c.bench_function("collection/sequential", |b| {
-        b.iter(|| black_box(run_engine(&world, &pool, start, slice_end, 1).polls))
-    });
-    c.bench_function("collection/parallel_4t", |b| {
-        b.iter(|| black_box(run_engine(&world, &pool, start, slice_end, 4).polls))
+        b.iter(|| black_box(run_engine(&world, &pool, start, slice_end).polls))
     });
     c.bench_function("collection/sharded_4", |b| {
         b.iter(|| black_box(run_sharded(&world, &pool, start, slice_end, 4).polls))

@@ -10,26 +10,24 @@
 //!   events in pop order, per-server RPS windows, outcome counters, and
 //!   the KoD-backoff histogram;
 //! * the collector's [`CollectorParts`] — the global [`store::Archive`]
-//!   and per-server dedup sets, serialized as compact segments;
+//!   and per-server dedup sets, serialized as compact segments (its
+//!   shard-local archives go into the shard section below);
 //! * the first-sight feed prefix, replayed into the scanner on resume;
 //! * the instrumented transport's [`TransportTotals`], exported next to
 //!   the post-resume remainder so `transport_*` metrics add up exactly;
-//! * (version 2) one [`ShardCheckpoint`] per engine shard — the shard's
-//!   cursor and its local dedup archive — when the run used the
-//!   prefix-sharded engine (`collection_shards ≥ 2`).
+//! * one cursor and one shard-local dedup archive per engine shard when
+//!   the run used the prefix-sharded engine (`collection_shards ≥ 2`);
+//!   none for a flat run.
 //!
-//! Version 1 files (written before sharding existed) still read: they
-//! carry no shard section and imply `collection_shards = 1`. A version
-//! 2 file whose shard section disagrees with the shard count in its own
-//! config fails with the typed [`StoreError::ShardMismatch`] — resuming
-//! it would silently re-home dedup state onto the wrong shards.
-//! Version 3 adds one byte for the world backend ([`WorldBackend`]);
-//! older files imply the materialized backend, the only one that
-//! existed when they were written. Version 4 adds two scenario bytes:
-//! the world's SNTP-IoT percentage and the study's actor roster
-//! ([`actors::ActorRoster`]); older files imply `0` and the baseline
-//! (research + covert) roster, which is exactly what those runs
-//! simulated.
+//! There is one format version (5); a file with any other number fails
+//! with the typed [`StoreError::BadVersion`] (nothing outside this
+//! repository ever wrote an older one). A file whose shard section
+//! disagrees with the shard count in its own config fails with the
+//! typed [`StoreError::ShardMismatch`] — resuming it would silently
+//! re-home dedup state onto the wrong shards. What a file cannot be
+//! checked against by itself — the pool and world its engine state
+//! indexes into — is checked when a session is restored from it
+//! ([`crate::StudySession::from_checkpoint`]).
 //!
 //! The format reuses the [`store::codec`] writer/reader and the
 //! [`store::segment`] set encoding, so every corruption mode — flipped
@@ -53,17 +51,8 @@ use v6addr::AddrSet;
 pub const CHECKPOINT_FILE: &str = "study.ckpt";
 
 const MAGIC: &[u8; 8] = b"TTSCKPT\0";
-const VERSION: u16 = 4;
-
-/// One engine shard's state in a version-2 checkpoint.
-pub struct ShardCheckpoint {
-    /// The shard's cursor: how far its loop ran. The bucket-synchronous
-    /// merge stops every shard at the same boundary, so all cursors
-    /// (and the collection cursor) must agree — the reader enforces it.
-    pub cursor: SimTime,
-    /// The shard-local first-sight dedup archive.
-    pub dedup: Archive,
-}
+/// The one format version this build reads and writes.
+const VERSION: u16 = 5;
 
 /// Everything [`crate::Study::checkpoint`] persists and
 /// [`crate::Study::resume`] restores.
@@ -72,31 +61,22 @@ pub struct CheckpointData {
     pub config: StudyConfig,
     /// The collection engine's frozen state.
     pub collection: CollectionCheckpoint,
-    /// The collector's dedup state (global archive + per-server sets).
+    /// The collector's dedup state: global archive, per-server sets,
+    /// and one shard-local archive per engine shard (none when flat).
     pub collector: CollectorParts,
     /// First-sight observations emitted before the stop, in feed order.
     pub feed_prefix: Vec<Observation>,
     /// Transport counters/histograms accumulated before the stop.
     pub transport: TransportTotals,
-    /// Per-shard engine state, one entry per shard when the run used
-    /// the sharded engine; empty for flat (`collection_shards = 1`)
-    /// runs and for version-1 files.
-    pub shards: Vec<ShardCheckpoint>,
 }
 
 /// Writes `data` to `dir/study.ckpt`, creating `dir` if needed.
 /// Returns the file path.
 pub fn write(data: &CheckpointData, dir: &Path) -> Result<PathBuf, StoreError> {
-    write_versioned(data, dir, VERSION)
-}
-
-/// [`write`] pinned to an explicit format version — the v1 path exists
-/// so the compat reader is tested against genuine v1 bytes.
-fn write_versioned(data: &CheckpointData, dir: &Path, version: u16) -> Result<PathBuf, StoreError> {
     let mut w = Writer::new();
     w.put_raw(MAGIC);
-    w.put_u16(version);
-    put_config(&mut w, &data.config, version);
+    w.put_u16(VERSION);
+    put_config(&mut w, &data.config);
     put_collection(&mut w, &data.collection);
     put_collector(&mut w, &data.collector);
     w.put_u64(data.feed_prefix.len() as u64);
@@ -106,12 +86,14 @@ fn write_versioned(data: &CheckpointData, dir: &Path, version: u16) -> Result<Pa
         w.put_u32(obs.server.0);
     }
     put_transport(&mut w, &data.transport);
-    if version >= 2 {
-        w.put_u64(data.shards.len() as u64);
-        for shard in &data.shards {
-            w.put_u64(shard.cursor.0);
-            w.put_bytes(&segment::encode(&shard.dedup.to_compact()));
-        }
+    // The bucket-synchronous merge stops every shard at the same
+    // boundary, so each shard's cursor is the collection cursor; it is
+    // stored per shard so the reader can refuse a file whose halves
+    // were stitched from different instants.
+    w.put_u64(data.collector.shards.len() as u64);
+    for dedup in &data.collector.shards {
+        w.put_u64(data.collection.cursor.0);
+        w.put_bytes(&segment::encode(&dedup.to_compact()));
     }
     w.seal();
     std::fs::create_dir_all(dir)?;
@@ -120,8 +102,7 @@ fn write_versioned(data: &CheckpointData, dir: &Path, version: u16) -> Result<Pa
     Ok(path)
 }
 
-/// Reads a checkpoint back from `dir/study.ckpt`. Accepts version 1
-/// (no shard section, `collection_shards` implied 1) and version 2.
+/// Reads a checkpoint back from `dir/study.ckpt`.
 pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
     let bytes = std::fs::read(dir.join(CHECKPOINT_FILE))?;
     let payload = Reader::verify_seal(&bytes, "checkpoint")?;
@@ -130,12 +111,12 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
         return Err(StoreError::BadMagic);
     }
     let version = r.u16()?;
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(StoreError::BadVersion(version));
     }
-    let config = read_config(&mut r, version)?;
+    let config = read_config(&mut r)?;
     let collection = read_collection(&mut r)?;
-    let collector = read_collector(&mut r)?;
+    let mut collector = read_collector(&mut r)?;
     let n = r.u64()?;
     let mut feed_prefix = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
@@ -146,18 +127,16 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
         });
     }
     let transport = read_transport(&mut r)?;
-    let mut shards = Vec::new();
-    if version >= 2 {
-        let n = r.u64()?;
-        shards.reserve(n.min(1 << 10) as usize);
-        for _ in 0..n {
-            let cursor = SimTime(r.u64()?);
-            let dedup = segment::decode(r.bytes()?)?;
-            shards.push(ShardCheckpoint {
-                cursor,
-                dedup: Archive::from_segments(vec![dedup], store::archive::DEFAULT_MEMTABLE_CAP),
-            });
-        }
+    let n = r.u64()?;
+    collector.shards.reserve(n.min(1 << 10) as usize);
+    let mut cursors_agree = true;
+    for _ in 0..n {
+        cursors_agree &= SimTime(r.u64()?) == collection.cursor;
+        let dedup = segment::decode(r.bytes()?)?;
+        collector.shards.push(Archive::from_segments(
+            vec![dedup],
+            store::archive::DEFAULT_MEMTABLE_CAP,
+        ));
     }
     if !r.is_done() {
         return Err(StoreError::Corrupt("trailing bytes after checkpoint"));
@@ -169,13 +148,13 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
     } else {
         0
     };
-    if shards.len() != expected {
+    if collector.shards.len() != expected {
         return Err(StoreError::ShardMismatch {
             expected: config.collection_shards.min(u32::MAX as usize) as u32,
-            found: shards.len().min(u32::MAX as usize) as u32,
+            found: collector.shards.len().min(u32::MAX as usize) as u32,
         });
     }
-    if shards.iter().any(|s| s.cursor != collection.cursor) {
+    if !cursors_agree {
         return Err(StoreError::Corrupt(
             "shard cursor disagrees with collection cursor",
         ));
@@ -186,11 +165,10 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
         collector,
         feed_prefix,
         transport,
-        shards,
     })
 }
 
-fn put_config(w: &mut Writer, cfg: &StudyConfig, version: u16) {
+fn put_config(w: &mut Writer, cfg: &StudyConfig) {
     let wc = &cfg.world;
     w.put_u64(wc.seed);
     w.put_u32(wc.households);
@@ -202,15 +180,11 @@ fn put_config(w: &mut Writer, cfg: &StudyConfig, version: u16) {
     w.put_u64(wc.rotation.as_secs());
     w.put_u64(wc.privacy_regen.as_secs());
     w.put_u8(u8::from(wc.cdn));
-    if version >= 3 {
-        w.put_u8(match wc.backend {
-            WorldBackend::Materialized => 0,
-            WorldBackend::Procedural => 1,
-        });
-    }
-    if version >= 4 {
-        w.put_u8(wc.sntp_iot_pct);
-    }
+    w.put_u8(match wc.backend {
+        WorldBackend::Materialized => 0,
+        WorldBackend::Procedural => 1,
+    });
+    w.put_u8(wc.sntp_iot_pct);
     w.put_u64(cfg.collection.as_secs());
     w.put_u64(cfg.hitlist_scan_offset.as_secs());
     w.put_u64(cfg.telescope_offset.as_secs());
@@ -221,21 +195,16 @@ fn put_config(w: &mut Writer, cfg: &StudyConfig, version: u16) {
         PipelineMode::Buffered => 0,
         PipelineMode::Streaming => 1,
     });
-    w.put_u64(cfg.collection_threads as u64);
-    if version >= 2 {
-        w.put_u64(cfg.collection_shards as u64);
-    }
+    w.put_u64(cfg.collection_shards as u64);
     w.put_u8(match cfg.fault {
         FaultProfile::Ideal => 0,
         FaultProfile::Lossy1Pct => 1,
         FaultProfile::Congested => 2,
     });
-    if version >= 4 {
-        w.put_u8(cfg.actors.bits());
-    }
+    w.put_u8(cfg.actors.bits());
 }
 
-fn read_config(r: &mut Reader<'_>, version: u16) -> Result<StudyConfig, StoreError> {
+fn read_config(r: &mut Reader<'_>) -> Result<StudyConfig, StoreError> {
     let world = WorldConfig {
         seed: r.u64()?,
         households: r.u32()?,
@@ -247,19 +216,12 @@ fn read_config(r: &mut Reader<'_>, version: u16) -> Result<StudyConfig, StoreErr
         rotation: Duration::secs(r.u64()?),
         privacy_regen: Duration::secs(r.u64()?),
         cdn: r.u8()? != 0,
-        // Versions 1/2 predate the procedural backend: every old run
-        // was materialized.
-        backend: if version >= 3 {
-            match r.u8()? {
-                0 => WorldBackend::Materialized,
-                1 => WorldBackend::Procedural,
-                _ => return Err(StoreError::Corrupt("unknown world backend")),
-            }
-        } else {
-            WorldBackend::Materialized
+        backend: match r.u8()? {
+            0 => WorldBackend::Materialized,
+            1 => WorldBackend::Procedural,
+            _ => return Err(StoreError::Corrupt("unknown world backend")),
         },
-        // Versions 1–3 predate the SNTP IoT knob: it was always off.
-        sntp_iot_pct: if version >= 4 { r.u8()? } else { 0 },
+        sntp_iot_pct: r.u8()?,
     };
     Ok(StudyConfig {
         world,
@@ -274,29 +236,16 @@ fn read_config(r: &mut Reader<'_>, version: u16) -> Result<StudyConfig, StoreErr
             1 => PipelineMode::Streaming,
             _ => return Err(StoreError::Corrupt("unknown pipeline mode")),
         },
-        collection_threads: usize::try_from(r.u64()?)
-            .map_err(|_| StoreError::Corrupt("thread count exceeds usize"))?,
-        // Version 1 predates the sharded engine: every v1 run was flat.
-        collection_shards: if version >= 2 {
-            usize::try_from(r.u64()?)
-                .map_err(|_| StoreError::Corrupt("shard count exceeds usize"))?
-        } else {
-            1
-        },
+        collection_shards: usize::try_from(r.u64()?)
+            .map_err(|_| StoreError::Corrupt("shard count exceeds usize"))?,
         fault: match r.u8()? {
             0 => FaultProfile::Ideal,
             1 => FaultProfile::Lossy1Pct,
             2 => FaultProfile::Congested,
             _ => return Err(StoreError::Corrupt("unknown fault profile")),
         },
-        // Versions 1–3 predate the actor roster: every old run used the
-        // paper's identified + covert pair.
-        actors: if version >= 4 {
-            ActorRoster::from_bits(r.u8()?)
-                .ok_or(StoreError::Corrupt("unknown actor roster bits"))?
-        } else {
-            ActorRoster::BASELINE
-        },
+        actors: ActorRoster::from_bits(r.u8()?)
+            .ok_or(StoreError::Corrupt("unknown actor roster bits"))?,
     })
 }
 
@@ -388,6 +337,7 @@ fn read_collector(r: &mut Reader<'_>) -> Result<CollectorParts, StoreError> {
         global,
         per_server,
         requests,
+        shards: Vec::new(),
     })
 }
 
@@ -489,8 +439,16 @@ mod tests {
                 delivered: 95,
                 rtt_seconds: rtt,
             },
-            shards: Vec::new(),
         }
+    }
+
+    /// Seals a tampered payload again, so that only the check under
+    /// test can object to it.
+    fn resealed(payload: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_raw(payload);
+        w.seal();
+        w.into_bytes()
     }
 
     /// `sample()` reshaped into a 4-shard run: the config asks for four
@@ -504,17 +462,14 @@ mod tests {
         for a in data.collector.global.iter() {
             locals[(u128::from(a) % 4) as usize].push(a);
         }
-        data.shards = locals
+        data.collector.shards = locals
             .into_iter()
             .map(|addrs| {
                 let mut dedup = Archive::new();
                 for a in addrs {
                     dedup.insert(a);
                 }
-                ShardCheckpoint {
-                    cursor: data.collection.cursor,
-                    dedup,
-                }
+                dedup
             })
             .collect();
         data
@@ -549,6 +504,7 @@ mod tests {
             assert_eq!(seta.overlap(setb), seta.len());
         }
         assert_eq!(back.collector.requests, data.collector.requests);
+        assert!(back.collector.shards.is_empty());
         assert_eq!(back.feed_prefix, data.feed_prefix);
         assert_eq!(back.transport, data.transport);
         std::fs::remove_dir_all(&dir).ok();
@@ -561,61 +517,41 @@ mod tests {
         write(&data, &dir).unwrap();
         let back = read(&dir).unwrap();
         assert_eq!(back.config, data.config);
-        assert_eq!(back.shards.len(), 4);
-        for (a, b) in data.shards.iter().zip(back.shards.iter()) {
-            assert_eq!(a.cursor, b.cursor);
-            assert_eq!(a.dedup.to_compact(), b.dedup.to_compact());
+        assert_eq!(back.collector.shards.len(), 4);
+        for (a, b) in data.collector.shards.iter().zip(&back.collector.shards) {
+            assert_eq!(a.to_compact(), b.to_compact());
         }
         // The shard-local archives partition the global one.
-        let total: usize = back.shards.iter().map(|s| s.dedup.len()).sum();
+        let total: usize = back.collector.shards.iter().map(Archive::len).sum();
         assert_eq!(total, back.collector.global.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One format: the header of every version this repository ever
+    /// wrote before (1–4), of none (0) and of the next (6) is refused
+    /// with the typed error, on an otherwise valid, sealed file.
     #[test]
-    fn version_1_files_still_read_as_flat_runs() {
-        let dir = std::env::temp_dir().join(format!("ckpt-v1-{}", std::process::id()));
-        // Genuine v1 bytes: no shard count in the config, no shard
-        // section at the tail.
-        write_versioned(&sample(), &dir, 1).unwrap();
-        let back = read(&dir).unwrap();
-        assert_eq!(back.config, sample().config);
-        assert_eq!(back.config.collection_shards, 1);
-        assert!(back.shards.is_empty());
-        assert_eq!(back.collection.cursor, sample().collection.cursor);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn version_2_files_read_with_materialized_backend() {
-        let dir = std::env::temp_dir().join(format!("ckpt-v2-{}", std::process::id()));
-        // Genuine v2 bytes: shard section present, no backend byte.
-        let data = sharded_sample();
-        write_versioned(&data, &dir, 2).unwrap();
-        let back = read(&dir).unwrap();
-        assert_eq!(back.config.world.backend, WorldBackend::Materialized);
-        assert_eq!(back.config, data.config);
-        assert_eq!(back.shards.len(), 4);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn version_3_files_read_with_baseline_scenario() {
-        let dir = std::env::temp_dir().join(format!("ckpt-v3-{}", std::process::id()));
-        // Genuine v3 bytes: backend byte present, no SNTP or roster
-        // bytes — a file written before the scenario knobs existed.
-        let data = sample();
-        write_versioned(&data, &dir, 3).unwrap();
-        let back = read(&dir).unwrap();
-        assert_eq!(back.config.world.sntp_iot_pct, 0);
-        assert_eq!(back.config.actors, ActorRoster::BASELINE);
-        assert_eq!(back.config, data.config);
+    fn any_other_version_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("ckpt-ver-{}", std::process::id()));
+        let path = write(&sample(), &dir).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let payload = &clean[..clean.len() - 8];
+        assert_eq!(payload[MAGIC.len()..][..2], VERSION.to_le_bytes());
+        for version in [0u16, 1, 2, 3, 4, 6] {
+            let mut bad = payload.to_vec();
+            bad[MAGIC.len()..][..2].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, resealed(&bad)).unwrap();
+            assert!(
+                matches!(read(&dir), Err(StoreError::BadVersion(v)) if v == version),
+                "version {version} not refused"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn scenario_knobs_survive_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("ckpt-v4-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("ckpt-knobs-{}", std::process::id()));
         let mut data = sample();
         data.config.world.sntp_iot_pct = 40;
         data.config.actors = ActorRoster::ALL;
@@ -644,7 +580,7 @@ mod tests {
 
         // Config says 4 shards but only 2 shard states were written.
         let mut data = sharded_sample();
-        data.shards.truncate(2);
+        data.collector.shards.truncate(2);
         write(&data, &dir).unwrap();
         assert!(matches!(
             read(&dir),
@@ -668,10 +604,18 @@ mod tests {
 
         // A shard whose cursor drifted from the collection cursor is
         // corrupt: the bucket-synchronous engine stops all shards at
-        // the same boundary.
-        let mut data = sharded_sample();
-        data.shards[2].cursor = SimTime(data.collection.cursor.0 + 1);
-        write(&data, &dir).unwrap();
+        // the same boundary. The writer cannot produce one, so patch the
+        // last shard's cursor (it sits in front of its length-prefixed
+        // segment, the final field of the payload) and seal again.
+        let data = sharded_sample();
+        let path = write(&data, &dir).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let mut bad = clean[..clean.len() - 8].to_vec();
+        let segment = segment::encode(&data.collector.shards[3].to_compact()).len();
+        let at = bad.len() - segment - 16;
+        assert_eq!(bad[at..][..8], data.collection.cursor.0.to_le_bytes());
+        bad[at..][..8].copy_from_slice(&(data.collection.cursor.0 + 1).to_le_bytes());
+        std::fs::write(&path, resealed(&bad)).unwrap();
         assert!(matches!(read(&dir), Err(StoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -703,10 +647,7 @@ mod tests {
         // Wrong magic (re-sealed so only the magic check can object).
         let mut bad = clean[..clean.len() - 8].to_vec();
         bad[0] = b'X';
-        let mut w = Writer::new();
-        w.put_raw(&bad);
-        w.seal();
-        std::fs::write(&path, w.into_bytes()).unwrap();
+        std::fs::write(&path, resealed(&bad)).unwrap();
         assert!(matches!(read(&dir), Err(StoreError::BadMagic)));
 
         // Missing file is an Io error.

@@ -46,20 +46,15 @@ pub struct StudyConfig {
     pub telescope: bool,
     /// How collection feeds the real-time scanner.
     pub pipeline: PipelineMode,
-    /// Worker threads for the collection run's bucket-synchronous
-    /// engine. `1` (the default) keeps the sequential engine; any value
-    /// produces **bit-identical** results (feed order, stats, and the
-    /// deterministic run report) — the knob only changes wall-clock
-    /// time, enforced by `tests/collection_parallel.rs`.
-    pub collection_threads: usize,
-    /// Shards for the collection run's prefix-sharded engine. `1` (the
-    /// default) keeps the flat collector; ≥ 2 partitions the pool by
-    /// dense server id across that many persistent worker threads, each
-    /// owning its shard's RPS windows, dedup archive, and counters.
-    /// Like the thread knob, any value produces **bit-identical**
-    /// results (enforced by `tests/shard_equivalence.rs`). Shards
-    /// subsume threads: when `collection_shards ≥ 2` the engine runs
-    /// one worker per shard and `collection_threads` is ignored.
+    /// Shards of the collection engine. `1` (the default) runs the
+    /// inline single-threaded poll loop over a flat collector; ≥ 2
+    /// partitions the pool by dense server id across that many
+    /// persistent worker threads, each owning its shard's RPS windows,
+    /// dedup archive, and counters. Any value produces
+    /// **bit-identical** results — feed order, stats, and the
+    /// deterministic run report (enforced by
+    /// `tests/shard_equivalence.rs`); the knob only changes wall-clock
+    /// time.
     pub collection_shards: usize,
     /// Network fault model every byte exchange crosses. The default
     /// [`FaultProfile::Ideal`] is bit-identical to direct calls; the
@@ -84,7 +79,6 @@ impl StudyConfig {
             rl_samples,
             telescope: true,
             pipeline: PipelineMode::default(),
-            collection_threads: 1,
             collection_shards: 1,
             fault: FaultProfile::default(),
             actors: ActorRoster::BASELINE,
@@ -140,13 +134,6 @@ impl StudyConfig {
     /// The same config with a different fault profile.
     pub fn with_fault(mut self, fault: FaultProfile) -> StudyConfig {
         self.fault = fault;
-        self
-    }
-
-    /// The same config with the collection run fanned out over
-    /// `threads` worker threads (clamped to ≥ 1).
-    pub fn with_collection_threads(mut self, threads: usize) -> StudyConfig {
-        self.collection_threads = threads.max(1);
         self
     }
 
@@ -208,24 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn collection_threads_default_and_builder() {
-        assert_eq!(StudyConfig::tiny(1).collection_threads, 1);
-        assert_eq!(StudyConfig::paper_milli(1).collection_threads, 1);
-        let par = StudyConfig::tiny(1).with_collection_threads(4);
-        assert_eq!(par.collection_threads, 4);
-        // Zero clamps to the sequential engine.
-        assert_eq!(
-            StudyConfig::tiny(1)
-                .with_collection_threads(0)
-                .collection_threads,
-            1
-        );
-        // Everything but the thread knob is untouched.
-        assert_eq!(par.collection, StudyConfig::tiny(1).collection);
-        assert_eq!(par.fault, StudyConfig::tiny(1).fault);
-    }
-
-    #[test]
     fn collection_shards_default_and_builder() {
         assert_eq!(StudyConfig::tiny(1).collection_shards, 1);
         assert_eq!(StudyConfig::paper_milli(1).collection_shards, 1);
@@ -240,7 +209,7 @@ mod tests {
         );
         // Everything but the shard knob is untouched.
         assert_eq!(sharded.collection, StudyConfig::tiny(1).collection);
-        assert_eq!(sharded.collection_threads, 1);
+        assert_eq!(sharded.fault, StudyConfig::tiny(1).fault);
     }
 
     #[test]

@@ -5,42 +5,39 @@
 //! [`StudySession::advance`] slices instead of running to completion in
 //! one call. The session owns exactly the state a study checkpoint
 //! persists — the engine's [`CollectionCheckpoint`], the collector's
-//! dedup parts, the shard archives, the feed prefix, and the
+//! dedup parts (shard archives included), the feed prefix, and the
 //! accumulated transport totals — so suspending one
 //! ([`StudySession::suspend`]) *is* writing a checkpoint, and restoring
 //! one ([`StudySession::from_checkpoint`]) is byte-equivalent to
 //! [`crate::Study::resume`].
 //!
-//! Slicing changes nothing observable: each `advance` drives the same
-//! engine the standalone run uses (`resume_until`, or
-//! `resume_sharded_until` under the sharded engine) from the saved
-//! cursor to the next stop, and per-slice transport totals merge into
-//! one running [`TransportTotals`]. Composing any sequence of slices —
-//! interleaved with suspends, restores, and a final
-//! [`StudySession::finish`] — yields a [`Study`] whose
-//! [`crate::Study::run_report`] is byte-identical to an uninterrupted
-//! [`Study::run`] of the same config (enforced by the tests below and
-//! by the service's eviction tests).
+//! Slicing changes nothing observable: each `advance` moves the same
+//! engine step the standalone run uses
+//! ([`CollectionRun::advance`]) from the saved cursor to the next stop,
+//! and per-slice transport totals merge into one running
+//! [`TransportTotals`]. Composing any sequence of slices — interleaved
+//! with suspends, restores, and a final [`StudySession::finish`] —
+//! yields a [`Study`] whose [`crate::Study::run_report`] is
+//! byte-identical to an uninterrupted [`Study::run`] of the same config
+//! (enforced by the tests below and by the service's eviction tests).
 //!
 //! The world is shared: sessions take an `Arc<World>` so any number of
 //! concurrent studies over the same `(WorldConfig, seed)` pay for one
 //! resident copy; [`StudySession::resident_bytes`] deliberately counts
 //! only the session's *marginal* state beyond that shared snapshot.
 
-use crate::checkpoint::{CheckpointData, ShardCheckpoint};
+use crate::checkpoint::CheckpointData;
 use crate::config::StudyConfig;
-use crate::study::{build_pool, build_transport, recorded_servers, study_start, Study};
+use crate::study::{build_pool, build_transport, study_start, Study};
 use netsim::time::{Duration, SimTime};
 use netsim::transport::Transport;
 use netsim::world::World;
 use netsim::{DeviceId, Instrumented, TransportTotals};
 use ntppool::collector::VecSink;
-use ntppool::{
-    AddressCollector, CollectionCheckpoint, CollectionRun, CollectorParts, Observation, Pool,
-    ServerId, ShardSet,
-};
+use ntppool::{CollectionCheckpoint, CollectionRun, CollectorParts, Observation, Pool, ServerId};
 use std::sync::Arc;
-use store::Archive;
+use store::{Archive, StoreError};
+use telemetry::Registry;
 
 /// Approximate heap bytes per entry of a `u128` hash set (value plus
 /// control byte) — the same convention the store benches compare
@@ -60,30 +57,25 @@ pub struct StudySession {
     end: SimTime,
     collection: CollectionCheckpoint,
     collector: CollectorParts,
-    /// Shard-local dedup archives in shard order; empty for flat runs.
-    shards: Vec<Archive>,
     feed_prefix: Vec<Observation>,
     transport_totals: TransportTotals,
 }
 
-/// Empty collector parts — the state before any observation.
-fn empty_parts() -> CollectorParts {
-    CollectorParts {
-        global: Archive::new(),
-        per_server: Vec::new(),
-        requests: Vec::new(),
-    }
-}
-
-/// A placeholder checkpoint for `mem::replace` while a slice runs.
-fn hollow(cursor: SimTime) -> CollectionCheckpoint {
-    CollectionCheckpoint {
-        cursor,
-        pending: Vec::new(),
-        rps: Vec::new(),
-        totals: [0; 5],
-        kod_backoff: telemetry::Histogram::new(),
-    }
+/// The deterministic setup both constructors share: the pool (tuned,
+/// with actors), the fault transport, and the collection window.
+fn setup(config: &StudyConfig, world: &World) -> (Pool, Box<dyn Transport>, SimTime, SimTime) {
+    assert_eq!(
+        world.config, config.world,
+        "shared world was generated from a different WorldConfig"
+    );
+    let (pool, _servers, _tuning, _actors) = build_pool(config, world);
+    let start = study_start(config);
+    (
+        pool,
+        build_transport(config),
+        start,
+        start + config.collection,
+    )
 }
 
 impl StudySession {
@@ -92,38 +84,11 @@ impl StudySession {
     /// processed yet). The snapshot must have been generated from this
     /// config's world parameters.
     pub fn new(config: StudyConfig, world: Arc<World>) -> StudySession {
-        assert_eq!(
-            world.config, config.world,
-            "shared world was generated from a different WorldConfig"
-        );
-        let (pool, _servers, _tuning, _actors) = build_pool(&config, &world);
-        let transport = build_transport(&config);
-        let start = study_start(&config);
-        let end = start + config.collection;
-
-        // Capture the engine's initial state by "running" to the window
-        // start: nothing fires before it, so this only materializes the
-        // seeded queue (and fresh RPS windows) as a checkpoint — the
-        // exact state `Study::checkpoint(config, ZERO, ..)` would save.
-        let expected = world.client_count_estimate();
-        let run = CollectionRun::with_transport(&world, &pool, start, end, transport.clone_box())
-            .with_threads(config.collection_threads);
-        let (collection, collector, shards) = if config.collection_shards > 1 {
-            let mut set = ShardSet::new(
-                config.collection_shards,
-                recorded_servers(&pool),
-                None,
-                expected,
-            );
-            let collection = run.run_sharded_until(start, &mut set);
-            let (parts, dedup) = set.into_parts();
-            (collection, parts, dedup)
-        } else {
-            let collection = run.run_until(start, |_, _, _| {});
-            (collection, empty_parts(), Vec::new())
-        };
-
+        let (pool, transport, start, end) = setup(&config, &world);
+        // No poll crosses a transport before the first `advance`.
+        let collection = CollectionRun::new(&world, &pool, start, end).begin();
         StudySession {
+            collector: CollectorParts::new(config.collection_shards),
             config,
             world,
             pool,
@@ -131,8 +96,6 @@ impl StudySession {
             start,
             end,
             collection,
-            collector,
-            shards,
             feed_prefix: Vec::new(),
             transport_totals: TransportTotals::zero(),
         }
@@ -140,37 +103,31 @@ impl StudySession {
 
     /// Restores a session from checkpoint state (in-memory or read back
     /// via [`crate::checkpoint::read`]) over a shared world snapshot —
-    /// the eviction/readmission path of the study service.
-    pub fn from_checkpoint(data: CheckpointData, world: Arc<World>) -> StudySession {
-        let CheckpointData {
-            config,
-            collection,
-            collector,
-            feed_prefix,
-            transport,
-            shards,
-        } = data;
-        assert_eq!(
-            world.config, config.world,
-            "shared world was generated from a different WorldConfig"
-        );
-        let (pool, _servers, _tuning, _actors) = build_pool(&config, &world);
-        let fault = build_transport(&config);
-        let start = study_start(&config);
-        let end = start + config.collection;
-        StudySession {
-            config,
+    /// the eviction/readmission path of the study service. This is the
+    /// one place checkpoint state meets the pool and world it will be
+    /// advanced over, so it is where the two are checked against each
+    /// other: a mismatch is [`StoreError::Corrupt`], never an index
+    /// panic inside the engine.
+    pub fn from_checkpoint(
+        data: CheckpointData,
+        world: Arc<World>,
+    ) -> Result<StudySession, StoreError> {
+        let (pool, transport, start, end) = setup(&data.config, &world);
+        data.collection
+            .validate(&world, &pool)
+            .map_err(StoreError::Corrupt)?;
+        Ok(StudySession {
+            config: data.config,
             world,
             pool,
-            transport: fault,
+            transport,
             start,
             end,
-            collection,
-            collector,
-            shards: shards.into_iter().map(|s| s.dedup).collect(),
-            feed_prefix,
-            transport_totals: transport,
-        }
+            collection: data.collection,
+            collector: data.collector,
+            feed_prefix: data.feed_prefix,
+            transport_totals: data.transport,
+        })
     }
 
     /// Drives collection forward by (up to) `slice` of simulated time,
@@ -179,50 +136,25 @@ impl StudySession {
         if self.done() {
             return true;
         }
-        let stop = (self.collection.cursor + slice).min(self.end);
-        let sink = VecSink::default();
-        let feed_buf = sink.0.clone();
+        let stop = self.collection.cursor + slice;
+        let feed = VecSink::default();
         let (coll_transport, coll_stats) = Instrumented::new(self.transport.clone_box());
-        let expected = self.world.client_count_estimate();
-        let ckpt = std::mem::replace(&mut self.collection, hollow(stop));
-        let parts = std::mem::replace(&mut self.collector, empty_parts());
-        let dedup = std::mem::take(&mut self.shards);
-        let pool = &self.pool;
         let run = CollectionRun::with_transport(
             &self.world,
-            pool,
+            &self.pool,
             self.start,
             self.end,
             Box::new(coll_transport),
-        )
-        .with_threads(self.config.collection_threads);
-        if self.config.collection_shards > 1 {
-            let mut set = ShardSet::from_parts(
-                parts,
-                dedup,
-                recorded_servers(pool),
-                Some(Box::new(sink)),
-                expected,
-            );
-            let next = run.resume_sharded_until(ckpt, stop, &mut set);
-            let (parts, dedup) = set.into_parts();
-            self.collection = next;
-            self.collector = parts;
-            self.shards = dedup;
-        } else {
-            let mut collector = AddressCollector::from_parts(parts, Some(Box::new(sink)), expected);
-            let next = run.resume_until(ckpt, stop, |server, addr, t| {
-                if matches!(
-                    pool.server(server).operator,
-                    ntppool::Operator::Study { .. }
-                ) {
-                    collector.record(server, addr, t);
-                }
-            });
-            self.collection = next;
-            self.collector = collector.into_parts();
-        }
-        self.feed_prefix.extend(feed_buf.lock().drain(..));
+        );
+        // The engine's volatile shape metrics are not session state.
+        run.advance(
+            &mut self.collection,
+            stop,
+            &mut self.collector,
+            Box::new(feed.clone()),
+            &mut Registry::new(),
+        );
+        self.feed_prefix.extend(feed.0.lock().drain(..));
         self.transport_totals.merge(&coll_stats.totals());
         self.done()
     }
@@ -263,31 +195,17 @@ impl StudySession {
             collector: self.collector.clone(),
             feed_prefix: self.feed_prefix.clone(),
             transport: self.transport_totals.clone(),
-            shards: self
-                .shards
-                .iter()
-                .map(|dedup| ShardCheckpoint {
-                    cursor: self.collection.cursor,
-                    dedup: dedup.clone(),
-                })
-                .collect(),
         }
     }
 
     /// [`StudySession::suspend`] by value — no state is cloned.
     pub fn into_checkpoint(self) -> CheckpointData {
-        let cursor = self.collection.cursor;
         CheckpointData {
             config: self.config,
             collection: self.collection,
             collector: self.collector,
             feed_prefix: self.feed_prefix,
             transport: self.transport_totals,
-            shards: self
-                .shards
-                .into_iter()
-                .map(|dedup| ShardCheckpoint { cursor, dedup })
-                .collect(),
         }
     }
 
@@ -310,7 +228,8 @@ impl StudySession {
     /// compacted.
     pub fn maintain(&mut self, max_segments: usize) -> u32 {
         let mut compacted = 0;
-        let archives = std::iter::once(&mut self.collector.global).chain(self.shards.iter_mut());
+        let CollectorParts { global, shards, .. } = &mut self.collector;
+        let archives = std::iter::once(global).chain(shards);
         for archive in archives {
             if archive.segments().len() > max_segments {
                 archive.optimize();
@@ -333,7 +252,7 @@ impl StudySession {
                 .map(|(_, set)| set.len() * HASH_SLOT_BYTES)
                 .sum::<usize>()
             + self.collector.requests.len() * std::mem::size_of::<(ServerId, u64)>();
-        let shards: usize = self.shards.iter().map(Archive::heap_bytes).sum();
+        let shards: usize = self.collector.shards.iter().map(Archive::heap_bytes).sum();
         let engine = self.collection.pending.len()
             * std::mem::size_of::<(SimTime, DeviceId, u64)>()
             + self.collection.rps.len() * std::mem::size_of::<Option<(u64, u64)>>();
@@ -430,7 +349,7 @@ mod tests {
         // In-memory restore, more slices, then finish early (the
         // remainder runs inside `finish`).
         drop(session);
-        let mut restored = StudySession::from_checkpoint(data, Arc::clone(&world));
+        let mut restored = StudySession::from_checkpoint(data, Arc::clone(&world)).unwrap();
         restored.advance(Duration::days(1));
         let study = restored.finish();
         assert_eq!(study.feed, baseline.feed);

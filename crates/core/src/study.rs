@@ -12,9 +12,10 @@
 //! the window, producing a [`Study::run_report`] **byte-identical** to
 //! an uninterrupted run's (enforced by `tests/checkpoint_resume.rs`).
 
-use crate::checkpoint::{self, CheckpointData, ShardCheckpoint};
+use crate::checkpoint::{self, CheckpointData};
 use crate::config::{PipelineMode, StudyConfig};
 use crate::metrics;
+use crate::session::StudySession;
 use actors::{attribute, org_directory, sourced_intel, ActorRoster, AttributionTable, Ecosystem};
 use hitlist::{Hitlist, HitlistConfig};
 use netsim::country::{Country, COLLECTOR_LOCATIONS};
@@ -26,13 +27,13 @@ use ntppool::collector::{FeedSink, VecSink};
 use ntppool::monitor::{tune_collecting_servers, TuneOutcome};
 use ntppool::{
     AddressCollector, CollectionCheckpoint, CollectionRun, CollectorParts, Observation, Operator,
-    Pool, PoolServer, RunStats, ServerId, ShardSet,
+    Pool, PoolServer, RunStats, ServerId,
 };
 use scanner::streaming::{feed_channel, MonitoredSender, FEED_CHANNEL_BOUND};
 use scanner::{BatchScan, RealTimeScanner, ScanPolicy, ScanStore, StreamingScanner};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use store::{Archive, StoreError};
+use store::StoreError;
 use telemetry::{PipelineMonitor, Registry, RunReport, Snapshot, SpanTimer};
 use telescope::{covert_actor, gt_actor, match_captures, Actor, TelescopeReport, Vantage};
 use v6addr::{AddrSet, OuiDb, Prefix};
@@ -119,18 +120,6 @@ struct ResumeState {
     collector: CollectorParts,
     feed_prefix: Vec<Observation>,
     transport: TransportTotals,
-    /// Shard-local dedup archives in shard order, for runs checkpointed
-    /// under the sharded engine; empty for flat runs.
-    shards: Vec<Archive>,
-}
-
-/// Servers whose observations the study records: its own 11 collecting
-/// servers (actor servers collect too, but are analysed via §5 capture
-/// matching instead).
-pub(crate) fn recorded_servers(pool: &Pool) -> impl Iterator<Item = ServerId> + '_ {
-    pool.servers()
-        .filter(|(_, s)| matches!(s.operator, Operator::Study { .. }))
-        .map(|(id, _)| id)
 }
 
 /// Domain separator for the stale-hitlist sample.
@@ -283,80 +272,38 @@ impl Study {
     /// Runs collection until `at` past the study start, then persists a
     /// checkpoint to `dir/study.ckpt` and returns its path. The rest of
     /// the pipeline does *not* run — [`Study::resume`] finishes it.
+    /// A [`StudySession`] advanced once and suspended: the file is the
+    /// same state a service eviction writes.
     pub fn checkpoint(
         config: StudyConfig,
         at: Duration,
         dir: &Path,
     ) -> Result<PathBuf, StoreError> {
-        let p = prelude(&config, None);
-        let (coll_transport, coll_stats) = Instrumented::new(p.transport.clone_box());
-        let run = CollectionRun::with_transport(
-            &p.world,
-            &p.pool,
-            p.start,
-            p.end,
-            Box::new(coll_transport),
-        )
-        .with_threads(config.collection_threads);
-        let sink = VecSink::default();
-        let feed_buf = sink.0.clone();
-        // Capacity hint only — the O(1) estimate never enumerates the
-        // client population (which a procedural world would have to
-        // derive end to end).
-        let expected = p.world.client_count_estimate();
-        let (collector, collection, shards) = if config.collection_shards > 1 {
-            let mut set = ShardSet::new(
-                config.collection_shards,
-                recorded_servers(&p.pool),
-                Some(Box::new(sink)),
-                expected,
-            );
-            let collection = run.run_sharded_until(p.start + at, &mut set);
-            let (parts, dedup) = set.into_parts();
-            let shards = dedup
-                .into_iter()
-                .map(|dedup| ShardCheckpoint {
-                    cursor: collection.cursor,
-                    dedup,
-                })
-                .collect();
-            (parts, collection, shards)
-        } else {
-            let mut collector = AddressCollector::sized_for(Some(Box::new(sink)), expected);
-            let pool = &p.pool;
-            let collection = run.run_until(p.start + at, |server, addr, t| {
-                if matches!(pool.server(server).operator, Operator::Study { .. }) {
-                    collector.record(server, addr, t);
-                }
-            });
-            (collector.into_parts(), collection, Vec::new())
-        };
-        let feed_prefix: Vec<Observation> = std::mem::take(&mut *feed_buf.lock());
-        let data = CheckpointData {
-            config,
-            collection,
-            collector,
-            feed_prefix,
-            transport: coll_stats.totals(),
-            shards,
-        };
-        checkpoint::write(&data, dir)
+        let world = world_for(&config, None);
+        let mut session = StudySession::new(config, world);
+        session.advance(at);
+        checkpoint::write(&session.into_checkpoint(), dir)
     }
 
     /// Restores a checkpoint written by [`Study::checkpoint`] and runs
     /// the study to completion. The resulting [`Study::run_report`] is
     /// byte-identical to an uninterrupted [`Study::run`] of the same
-    /// config.
+    /// config. A file that is sealed but does not fit the pool and
+    /// world its own config rebuilds is a typed error, as
+    /// [`StudySession::from_checkpoint`] reports it.
     pub fn resume(dir: &Path) -> Result<Study, StoreError> {
-        Ok(Study::run_resumed(checkpoint::read(dir)?, None))
+        let data = checkpoint::read(dir)?;
+        let world = world_for(&data.config, None);
+        Ok(StudySession::from_checkpoint(data, world)?.finish())
     }
 
     /// Finishes a study from in-memory checkpoint state: restores the
     /// collection stage from `data` and runs the remainder of the
-    /// pipeline, optionally over a shared world snapshot. This is
-    /// [`Study::resume`] without the disk round-trip — the study
-    /// service uses it to complete suspended sessions, and the report
-    /// is byte-identical to an uninterrupted run's either way.
+    /// pipeline, optionally over a shared world snapshot. This is what
+    /// [`StudySession::finish`] calls — the study service uses it to
+    /// complete suspended sessions, and the report is byte-identical to
+    /// an uninterrupted run's. State read from a file goes through
+    /// [`StudySession::from_checkpoint`] first.
     pub fn run_resumed(data: CheckpointData, world: Option<Arc<World>>) -> Study {
         let CheckpointData {
             config,
@@ -364,7 +311,6 @@ impl Study {
             collector,
             feed_prefix,
             transport,
-            shards,
         } = data;
         Study::run_with(
             config,
@@ -374,7 +320,6 @@ impl Study {
                 collector,
                 feed_prefix,
                 transport,
-                shards: shards.into_iter().map(|s| s.dedup).collect(),
             }),
         )
     }
@@ -406,7 +351,6 @@ impl Study {
             start,
             end,
             config.pipeline,
-            config.collection_threads,
             config.collection_shards,
             transport.as_ref(),
             resume,
@@ -600,20 +544,11 @@ impl Study {
 /// `stage=collection` / `stage=ntp_scan`); its deterministic entries are
 /// also mode-independent — streaming adds only volatile channel metrics.
 ///
-/// `threads` fans the collection run's per-bucket poll execution out
-/// over worker threads (see `CollectionRun::with_threads`); the feed the
-/// scanner consumes is emitted in the same order for any thread count,
-/// so the knob composes with either pipeline mode without touching a
-/// single deterministic bit.
-///
-/// `shards ≥ 2` switches to the prefix-sharded engine instead (see
-/// [`ntppool::shard`]): the pool is partitioned by dense server id, each
-/// shard owns its RPS windows, dedup archive, and counters on a
-/// persistent worker, and cross-shard state merges in event order at
-/// bucket boundaries. Shards subsume threads — the worker count is the
-/// shard count and `threads` is ignored. Feed, stats, and deterministic
-/// telemetry stay bit-identical for any shard count in either pipeline
-/// mode (enforced by `tests/shard_equivalence.rs`).
+/// `shards` is the collection engine's shard count (see
+/// [`ntppool::CollectionRun::advance`], which picks the poll loop from
+/// it): feed, stats, and deterministic telemetry are bit-identical for
+/// any shard count in either pipeline mode (enforced by
+/// `tests/shard_equivalence.rs`).
 ///
 /// With a [`ResumeState`], the collector restarts from its checkpointed
 /// dedup state, the engine replays its pending events from the saved
@@ -621,72 +556,6 @@ impl Study {
 /// replayed through (streaming) the scanner — after which the saved
 /// transport totals are exported next to the live remainder, making
 /// every deterministic metric equal to an uninterrupted run's.
-/// Runs the collection window (fresh or resumed) with the engine the
-/// shard knob selects, feeding first sights into `sink`, and returns a
-/// flat [`AddressCollector`] either way.
-///
-/// * `shards ≤ 1`: the flat collector driven by the bucket-synchronous
-///   engine (or the sequential one at `threads = 1`), recording via the
-///   study-server filter closure.
-/// * `shards ≥ 2`: a [`ShardSet`] driven by the prefix-sharded engine;
-///   the set is flattened back into an `AddressCollector` after the run
-///   (same observable state — the shards own disjoint servers).
-///
-/// A resumed run restores dedup state from `resume`: flat parts either
-/// way, plus the shard-local archives when sharded (the checkpoint
-/// reader already guaranteed their count matches the config).
-fn drive_collection(
-    run: CollectionRun<'_>,
-    pool: &Pool,
-    shards: usize,
-    sink: Box<dyn FeedSink>,
-    expected: usize,
-    resume: Option<(CollectionCheckpoint, CollectorParts, Vec<Archive>)>,
-    reg: &mut Registry,
-) -> (AddressCollector, RunStats) {
-    if shards > 1 {
-        let (ckpt, mut set) = match resume {
-            Some((c, parts, dedup)) => (
-                Some(c),
-                ShardSet::from_parts(parts, dedup, recorded_servers(pool), Some(sink), expected),
-            ),
-            None => (
-                None,
-                ShardSet::new(shards, recorded_servers(pool), Some(sink), expected),
-            ),
-        };
-        let run_stats = match ckpt {
-            Some(c) => run.resume_sharded_instrumented(c, &mut set, reg),
-            None => run.run_sharded_instrumented(&mut set, reg),
-        };
-        (set.into_collector(), run_stats)
-    } else {
-        let record = |collector: &mut AddressCollector, server, addr, t| {
-            if matches!(pool.server(server).operator, Operator::Study { .. }) {
-                collector.record(server, addr, t);
-            }
-            // Actor servers source addresses too, but only their scans
-            // of the telescope's vantage addresses are analysed (§5).
-        };
-        let (ckpt, mut collector) = match resume {
-            Some((c, parts, _)) => (
-                Some(c),
-                AddressCollector::from_parts(parts, Some(sink), expected),
-            ),
-            None => (None, AddressCollector::sized_for(Some(sink), expected)),
-        };
-        let run_stats = match ckpt {
-            Some(c) => run.resume_instrumented(c, reg, |server, addr, t| {
-                record(&mut collector, server, addr, t)
-            }),
-            None => run.run_instrumented(reg, |server, addr, t| {
-                record(&mut collector, server, addr, t)
-            }),
-        };
-        (collector, run_stats)
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_collection_and_scan(
     world: &World,
@@ -694,7 +563,6 @@ fn run_collection_and_scan(
     start: SimTime,
     end: SimTime,
     mode: PipelineMode,
-    threads: usize,
     shards: usize,
     transport: &dyn Transport,
     resume: Option<ResumeState>,
@@ -707,49 +575,36 @@ fn run_collection_and_scan(
 ) {
     let mut coll_reg = Registry::new();
     let (coll_transport, coll_stats) = Instrumented::new(transport.clone_box());
-    let run = CollectionRun::with_transport(world, pool, start, end, Box::new(coll_transport))
-        .with_threads(threads);
-    // Pre-size the per-server dedup sets from the device population
-    // instead of rehashing up from empty (each collecting server sees
-    // one location's slice of the world). The O(1) estimate is a
-    // capacity hint only — no path enumerates all clients to pre-size.
-    let expected = world.client_count_estimate();
-    let (ckpt, feed_prefix, saved_transport) = match resume {
-        Some(r) => (
-            Some((r.collection, r.collector, r.shards)),
-            r.feed_prefix,
-            Some(r.transport),
-        ),
-        None => (None, Vec::new(), None),
+    let run = CollectionRun::with_transport(world, pool, start, end, Box::new(coll_transport));
+    let (mut collection, mut parts, feed_prefix, saved_transport) = match resume {
+        Some(r) => (r.collection, r.collector, r.feed_prefix, Some(r.transport)),
+        None => (run.begin(), CollectorParts::new(shards), Vec::new(), None),
     };
-    let (collector, feed, run_stats, ntp_scan, scan_stats, scan_monitor) = match mode {
+    let (feed, ntp_scan, scan_stats, scan_monitor) = match mode {
         PipelineMode::Buffered => {
-            let sink = VecSink::default();
-            let feed_buf = sink.0.clone();
-            let (collector, run_stats) = drive_collection(
-                run,
-                pool,
-                shards,
-                Box::new(sink),
-                expected,
-                ckpt,
+            let tail = VecSink::default();
+            run.advance(
+                &mut collection,
+                end,
+                &mut parts,
+                Box::new(tail.clone()),
                 &mut coll_reg,
             );
             // The checkpointed prefix goes in front of the tail: the
             // scanner sees the same full feed as an uninterrupted run.
             let mut feed = feed_prefix;
-            feed.extend(feed_buf.lock().drain(..));
+            feed.extend(tail.0.lock().drain(..));
             let (scan_transport, stats) = Instrumented::new(transport.clone_box());
             let ntp_scan =
                 RealTimeScanner::with_transport(ScanPolicy::default(), Box::new(scan_transport))
                     .run(world, &feed);
-            (collector, feed, run_stats, ntp_scan, stats, None)
+            (feed, ntp_scan, stats, None)
         }
         PipelineMode::Streaming => std::thread::scope(|scope| {
             let (tx, rx) = feed_channel(FEED_CHANNEL_BOUND);
             let monitor = Arc::new(PipelineMonitor::new());
             let (scan_transport, stats) = Instrumented::new(transport.clone_box());
-            let scanner = StreamingScanner::spawn_instrumented(
+            let scanner = StreamingScanner::spawn(
                 scope,
                 ScanPolicy::default(),
                 world,
@@ -764,22 +619,22 @@ fn run_collection_and_scan(
             for obs in feed_prefix {
                 sink.on_first_sight(obs);
             }
-            let (mut collector, run_stats) = drive_collection(
-                run,
-                pool,
-                shards,
+            // `advance` drops the sink when collection is over, which
+            // disconnects the channel and lets the scanner's receive
+            // loop terminate once it drains.
+            run.advance(
+                &mut collection,
+                end,
+                &mut parts,
                 Box::new(sink),
-                expected,
-                ckpt,
                 &mut coll_reg,
             );
-            // Collection over: drop the sender so the scanner's receive
-            // loop terminates once the channel drains.
-            collector.detach_sink();
             let (ntp_scan, feed) = scanner.join();
-            (collector, feed, run_stats, ntp_scan, stats, Some(monitor))
+            (feed, ntp_scan, stats, Some(monitor))
         }),
     };
+    let run_stats = collection.finish(&mut coll_reg);
+    let collector = AddressCollector::from_parts(parts, None, 0);
     collector.export_into(&mut coll_reg);
     coll_stats.export_into(&mut coll_reg);
     if let Some(totals) = saved_transport {

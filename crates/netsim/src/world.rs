@@ -469,6 +469,23 @@ impl World {
         }
     }
 
+    /// [`World::meta`] for an id that did not come from this world (a
+    /// checkpoint file, say): `None` where `meta` would panic or, on the
+    /// materialized table, silently land on a neighbouring device.
+    pub fn try_meta(&self, id: DeviceId) -> Option<DeviceMeta> {
+        let statics = self.layout.static_base();
+        let exists = if id.0 < statics {
+            let (h, m) = (id.0 / HOUSEHOLD_STRIDE, id.0 % HOUSEHOLD_STRIDE);
+            m < match &self.model {
+                WorldModel::Materialized(t) => t.offsets[h as usize + 1] - t.offsets[h as usize],
+                WorldModel::Procedural(_) => u32::from(self.layout.household_profile(h).len),
+            }
+        } else {
+            id.0 - statics < self.layout.servers() + self.layout.routers()
+        };
+        exists.then(|| self.meta(id))
+    }
+
     /// Aliased (CDN) regions.
     pub fn aliased_regions(&self) -> &[AliasedRegion] {
         &self.aliased
@@ -709,6 +726,27 @@ mod tests {
             .filter(|(x, y)| x.kind == y.kind)
             .count();
         assert!(same < a.devices().len());
+    }
+
+    #[test]
+    fn try_meta_is_meta_inside_the_world_and_none_outside() {
+        for backend in [WorldBackend::Materialized, WorldBackend::Procedural] {
+            let w = World::generate(WorldConfig::tiny(11).with_backend(backend));
+            let mut ids = std::collections::HashSet::new();
+            w.for_each_device(|d| {
+                assert_eq!(w.try_meta(d.id), Some(w.meta(d.id)), "{backend:?}");
+                ids.insert(d.id);
+            });
+            // Everything else in (and just past) the id space: the gaps
+            // behind short households and the end of the static range.
+            let end = ids.iter().map(|id| id.0).max().unwrap() + HOUSEHOLD_STRIDE;
+            let outside = (0..end).map(DeviceId).filter(|id| !ids.contains(id));
+            assert!(outside.clone().count() > 0);
+            for id in outside {
+                assert_eq!(w.try_meta(id), None, "{backend:?} {id:?}");
+            }
+            assert_eq!(w.try_meta(DeviceId(u32::MAX)), None, "{backend:?}");
+        }
     }
 
     #[test]

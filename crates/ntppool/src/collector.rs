@@ -58,10 +58,12 @@ impl FeedSink for ChannelSink {
     }
 }
 
-/// The collector's dedup state, detached from its sink — what a study
-/// checkpoint persists and a resume restores. `Clone` so a suspended
-/// study session can snapshot its state without tearing it down.
-#[derive(Clone)]
+/// The collector's dedup state, detached from its sink — what
+/// [`CollectionRun::advance`](crate::CollectionRun::advance) records
+/// into, a study checkpoint persists and a resume restores. `Clone` so
+/// a suspended study session can snapshot its state without tearing it
+/// down.
+#[derive(Clone, Default)]
 pub struct CollectorParts {
     /// The global distinct-address archive.
     pub global: Archive,
@@ -69,6 +71,22 @@ pub struct CollectorParts {
     pub per_server: Vec<(ServerId, AddrSet)>,
     /// Raw request counts per server, sorted by server id.
     pub requests: Vec<(ServerId, u64)>,
+    /// Shard-local first-sight archives of the sharded engine, in shard
+    /// order. Their number *is* the engine's shard count; a flat
+    /// collector has none.
+    pub shards: Vec<Archive>,
+}
+
+impl CollectorParts {
+    /// The state before any observation, for a collection engine of
+    /// `shards` shards (one shard is the flat collector).
+    pub fn new(shards: usize) -> CollectorParts {
+        let locals = if shards > 1 { shards } else { 0 };
+        CollectorParts {
+            shards: (0..locals).map(|_| Archive::new()).collect(),
+            ..CollectorParts::default()
+        }
+    }
 }
 
 /// The address collector.
@@ -129,8 +147,9 @@ impl AddressCollector {
         }
     }
 
-    /// Rebuilds a collector from checkpointed [`CollectorParts`],
-    /// reattaching a (fresh) sink for the remainder of the run.
+    /// Rebuilds a flat collector from [`CollectorParts`], reattaching a
+    /// (fresh) sink for the remainder of the run. Shard-local archives
+    /// are an engine detail with no flat counterpart and are dropped.
     pub fn from_parts(
         parts: CollectorParts,
         sink: Option<Box<dyn FeedSink>>,
@@ -155,6 +174,7 @@ impl AddressCollector {
             global: self.global,
             per_server,
             requests,
+            shards: Vec::new(),
         }
     }
 
@@ -197,13 +217,6 @@ impl AddressCollector {
         let mut v: Vec<ServerId> = self.per_server.keys().copied().collect();
         v.sort();
         v.into_iter()
-    }
-
-    /// Drops the feed sink (disconnecting e.g. a channel's sender) while
-    /// keeping the collected sets. Call when collection ends so a
-    /// streaming consumer's receive loop can terminate.
-    pub fn detach_sink(&mut self) {
-        self.sink = None;
     }
 
     /// Exports the collector's totals into `registry`: the global

@@ -16,6 +16,8 @@
 //! * [`run`] — the event-driven collection simulation: every NTP client in
 //!   the world polls the pool on its schedule; packets are built and
 //!   parsed with [`wire::ntp`]; collecting servers record what they see.
+//!   One resumable step (`begin` → `advance` → `finish`) drives it.
+//! * [`shard`] — the worker loop `advance` runs for a sharded collector.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,4 +36,3 @@ pub use run::{
     next_poll, poll_once, CollectionCheckpoint, CollectionRun, PollOutcome, PollReply, RunStats,
 };
 pub use server::{NtpDaemon, Operator, PoolServer};
-pub use shard::{Shard, ShardSet};

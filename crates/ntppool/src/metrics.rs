@@ -25,18 +25,13 @@ pub const NTP_DISTINCT_ADDRESSES: Key = Key::bare("ntp_distinct_addresses");
 /// clients wait beyond their normal poll interval.
 pub const NTP_KOD_BACKOFF_SECONDS: Key = Key::bare("ntp_kod_backoff_seconds");
 
-/// Volatile: bucket rounds the parallel collection engine executed.
-/// Recorded only when the thread knob is ≥ 2 — which is exactly why it
-/// lives in the volatile bank: the deterministic report must stay
-/// bit-identical across thread counts, including the sequential engine
-/// that has no buckets at all.
+/// Volatile: bucket rounds the sharded collection loop executed. Lives
+/// in the volatile bank because the deterministic report must stay
+/// bit-identical across shard counts, including the inline loop that
+/// has no buckets at all.
 pub const NTP_COLLECTION_BUCKETS: Key = Key::bare("ntp_collection_buckets");
-/// Volatile histogram: events drained per parallel collection bucket.
+/// Volatile histogram: events drained per collection bucket.
 pub const NTP_BUCKET_EVENTS: Key = Key::bare("ntp_bucket_events");
-/// Volatile histogram: polls one worker executed in one bucket (one
-/// sample per worker per bucket; worker registries merge in worker
-/// order).
-pub const NTP_WORKER_POLLS: Key = Key::bare("ntp_worker_polls");
 
 /// Volatile gauge: shard count of the sharded collection engine. Set
 /// once per sharded drive; absent entirely on unsharded runs.

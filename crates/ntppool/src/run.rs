@@ -15,51 +15,37 @@
 //! from what the *client* got back. Clients honor `RATE` Kiss-o'-Death
 //! responses by backing off their next poll.
 //!
-//! # The bucket-synchronous parallel engine
+//! # One resumable step
 //!
-//! With [`CollectionRun::with_threads`] ≥ 2 the run switches from the
-//! single-threaded pop loop to a bucket-synchronous engine that drains
-//! the queue one *bucket* at a time and splits each bucket into four
-//! phases:
+//! A run is driven through one entry point and its two ends:
+//! [`CollectionRun::begin`] captures the engine state at the window
+//! start as a [`CollectionCheckpoint`], [`CollectionRun::advance`] moves
+//! a checkpoint forward to any stop inside the window, recording into a
+//! [`CollectorParts`], and [`CollectionCheckpoint::finish`] accounts the
+//! whole window into a registry. Any slicing of the window into
+//! `advance` calls — including suspending the checkpoint to disk in
+//! between — yields the same feed, totals and KoD histogram as one call
+//! to the window end. [`CollectionRun::run`] is the same three stages
+//! for a caller that consumes raw observations through a closure.
 //!
-//! 1. **pre-plan** (parallel): per-event pure work — device lookup,
-//!    address resolution through a per-worker
-//!    [`AddrResolver`](netsim::AddrResolver), zone-weighted server
-//!    selection. All of it depends only on `(device, seq, t)`, never on
-//!    other events.
-//! 2. **plan** (sequential, event order): per-server RPS ordinals — the
-//!    *only* order-dependent input. A server's KoD decision depends on
-//!    how many requests it already saw this simulated second, so the
-//!    ordinals must be assigned in exact pop order.
-//! 3. **execute** (parallel): the full wire exchange —
-//!    [`Packet`] emit (memoized per second) / parse, transport fault
-//!    hashing, [`PoolServer::handle_at_rate`]. Pure given the planned
-//!    `(server, ordinal, t)`, because transport fates are stateless
-//!    hashes of the link.
-//! 4. **apply** (sequential, event order): outcome counters, the
-//!    first-sight `observe` callback, the KoD-backoff histogram, and
-//!    next-poll scheduling.
-//!
-//! The bucket horizon is the minimum poll interval over scheduled
-//! clients: every follow-up scheduled from inside a bucket lands at
-//! least one interval later (KoD *widens* the gap), so no bucket can
-//! schedule into itself and phases 2/4 see the complete bucket. Feed
-//! order, [`RunStats`], and the deterministic telemetry bank are
-//! therefore **bit-identical** to the sequential engine for any thread
-//! count — the same guarantee shape as the batch scanner's sharded
-//! merge. Per-worker registries carry only volatile metrics and merge
-//! in worker order.
+//! `advance` picks the poll loop from the collector it is handed: a
+//! flat collector (no shard-local archives) runs the inline
+//! single-threaded loop below, a sharded one runs the worker loop in
+//! [`shard`](crate::shard). Both produce the same bytes; they differ
+//! only in host time.
 
+use crate::collector::{AddressCollector, CollectorParts, FeedSink};
 use crate::metrics;
 use crate::pool::{Pool, ServerId};
 use crate::server::PoolServer;
+use crate::shard::ShardSet;
 use netsim::engine::EventQueue;
 use netsim::time::{Duration, SimTime};
 use netsim::transport::{Delivery, Ideal, Link, Transport};
 use netsim::world::World;
 use netsim::DeviceId;
 use std::net::Ipv6Addr;
-use telemetry::Registry;
+use telemetry::{Histogram, Registry};
 use wire::ntp::{NtpTimestamp, Packet};
 
 /// The NTP service port.
@@ -297,16 +283,7 @@ impl Totals {
         }
     }
 
-    pub(crate) fn flush(self, local: &mut Registry) -> RunStats {
-        local.add(metrics::NTP_POLLS, self.polls);
-        local.add(metrics::NTP_RESPONSES, self.responses);
-        local.add(metrics::NTP_KOD, self.kod);
-        local.add(metrics::NTP_LOST, self.lost);
-        local.add(metrics::NTP_OBSERVED, self.observed);
-        RunStats::from_registry(local)
-    }
-
-    pub(crate) fn into_array(self) -> [u64; 5] {
+    fn into_array(self) -> [u64; 5] {
         [
             self.polls,
             self.responses,
@@ -316,7 +293,7 @@ impl Totals {
         ]
     }
 
-    pub(crate) fn from_array(a: [u64; 5]) -> Totals {
+    fn from_array(a: [u64; 5]) -> Totals {
         Totals {
             polls: a[0],
             responses: a[1],
@@ -325,17 +302,36 @@ impl Totals {
             observed: a[4],
         }
     }
+
+    /// Accounts a whole window into `registry`: the five outcome
+    /// counters plus the KoD-backoff histogram. Outcomes land in a
+    /// run-local registry first so the derived [`RunStats`] cannot pick
+    /// up counts from other stages sharing `registry`.
+    fn flush(self, kod_backoff: &Histogram, registry: &mut Registry) -> RunStats {
+        let mut local = Registry::new();
+        local.add(metrics::NTP_POLLS, self.polls);
+        local.add(metrics::NTP_RESPONSES, self.responses);
+        local.add(metrics::NTP_KOD, self.kod);
+        local.add(metrics::NTP_LOST, self.lost);
+        local.add(metrics::NTP_OBSERVED, self.observed);
+        if !kod_backoff.is_empty() {
+            local.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, kod_backoff);
+        }
+        let stats = RunStats::from_registry(&local);
+        registry.merge(&local);
+        stats
+    }
 }
 
-/// A mid-run snapshot of the collection engine, produced by
-/// [`CollectionRun::run_until`] and consumed by
-/// [`CollectionRun::resume_instrumented`].
+/// The collection engine's state at an instant of the window: what
+/// [`CollectionRun::begin`] produces, [`CollectionRun::advance`] moves
+/// forward, and a study checkpoint persists.
 ///
-/// `pending` holds the event queue drained **in pop order**: on resume
-/// it is re-scheduled as a batch, which assigns the pending events lower
-/// tie-break sequence numbers than any follow-up scheduled after the
-/// resume — exactly the relative order the uninterrupted run would have
-/// used, so the resumed feed is bit-identical.
+/// `pending` holds the event queue drained **in pop order**: the next
+/// `advance` re-schedules it as a batch, which assigns the pending
+/// events lower tie-break sequence numbers than any follow-up scheduled
+/// afterwards — exactly the relative order an uninterrupted run would
+/// have used, so a sliced feed is bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectionCheckpoint {
     /// The stop bound the prefix ran to (every processed event was
@@ -348,56 +344,81 @@ pub struct CollectionCheckpoint {
     /// Outcome counters so far: polls, responses, kod, lost, observed.
     pub totals: [u64; 5],
     /// KoD-backoff observations so far.
-    pub kod_backoff: telemetry::Histogram,
+    pub kod_backoff: Histogram,
 }
 
-/// One bucket event flowing through the plan → execute → apply phases
-/// of the parallel engine.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Planned {
-    /// Position within the popped bucket — the global event order the
-    /// sharded engine scatters its per-shard results back into.
-    pub(crate) idx: usize,
-    pub(crate) t: SimTime,
-    pub(crate) id: DeviceId,
-    pub(crate) seq: u64,
-    /// Filled by the parallel pre-plan phase.
-    pub(crate) interval: Duration,
-    pub(crate) addr: Ipv6Addr,
-    pub(crate) server: Option<ServerId>,
-    /// Filled by the sequential plan phase (RPS ordinal in event order).
-    pub(crate) rps: u64,
-    /// Filled by the parallel execute phase.
-    pub(crate) outcome: PollOutcome,
-}
+impl CollectionCheckpoint {
+    /// Ends the run: accounts every poll outcome since
+    /// [`CollectionRun::begin`] into `registry` under the `ntp_*` keys
+    /// (counters plus the KoD-backoff histogram). Nothing is flushed
+    /// before this call, so a run sliced and suspended any number of
+    /// times leaves the same registry as an uninterrupted one. The
+    /// returned [`RunStats`] is *derived from* those counters, so report
+    /// totals and legacy stats reconcile exactly.
+    pub fn finish(self, registry: &mut Registry) -> RunStats {
+        Totals::from_array(self.totals).flush(&self.kod_backoff, registry)
+    }
 
-impl Planned {
-    pub(crate) fn new(idx: usize, t: SimTime, id: DeviceId, seq: u64) -> Planned {
-        Planned {
-            idx,
-            t,
-            id,
-            seq,
-            interval: Duration::ZERO,
-            addr: Ipv6Addr::UNSPECIFIED,
-            server: None,
-            rps: 0,
-            outcome: PollOutcome {
-                server_saw: false,
-                reply: PollReply::None,
-            },
+    /// Checks a checkpoint that came from outside the program against
+    /// the world and pool it is about to be advanced over: the engine
+    /// indexes `rps` by server id and expects every pending device to
+    /// be a pool client of the world, so a mismatch must be refused
+    /// here, not met as a panic inside the poll loop.
+    pub fn validate(&self, world: &World, pool: &Pool) -> Result<(), &'static str> {
+        if self.rps.len() != pool.len() {
+            return Err("rps table does not match the pool");
         }
+        let is_client = |id| world.try_meta(id).is_some_and(|dev| dev.ntp.is_some());
+        if !self.pending.iter().all(|&(_, id, _)| is_client(id)) {
+            return Err("pending event names no pool client of the world");
+        }
+        Ok(())
     }
 }
 
-/// The resumable engine state a run drives forward: the event queue,
-/// per-server RPS windows, and the outcome totals. Everything else the
-/// engine touches (request memo, resolvers, worker scratch) is
-/// recomputable and lives on the stack of one `drive_*` call.
+/// The live form of a [`CollectionCheckpoint`]: the event queue,
+/// per-server RPS windows, outcome totals and the KoD histogram.
+/// Everything else the engine touches (request memo, resolvers, worker
+/// scratch) is recomputable and lives on the stack of one `drive_*`
+/// call.
 pub(crate) struct EngineState {
     pub(crate) queue: EventQueue<(DeviceId, u64)>,
     pub(crate) rps: RpsWindows,
     pub(crate) totals: Totals,
+    pub(crate) kod_backoff: Histogram,
+}
+
+impl EngineState {
+    /// Takes the engine state out of `ckpt` (the caller writes the
+    /// advanced state back with [`EngineState::into_checkpoint`]).
+    fn thaw(ckpt: &mut CollectionCheckpoint) -> EngineState {
+        let mut queue = EventQueue::new();
+        queue.schedule_batch(
+            std::mem::take(&mut ckpt.pending)
+                .into_iter()
+                .map(|(t, id, seq)| (t, (id, seq))),
+        );
+        EngineState {
+            queue,
+            rps: RpsWindows::from_parts(std::mem::take(&mut ckpt.rps)),
+            totals: Totals::from_array(ckpt.totals),
+            kod_backoff: std::mem::take(&mut ckpt.kod_backoff),
+        }
+    }
+
+    fn into_checkpoint(mut self, cursor: SimTime) -> CollectionCheckpoint {
+        let mut pending = Vec::with_capacity(self.queue.len());
+        while let Some((t, (id, seq))) = self.queue.pop() {
+            pending.push((t, id, seq));
+        }
+        CollectionCheckpoint {
+            cursor,
+            pending,
+            rps: self.rps.into_parts(),
+            totals: self.totals.into_array(),
+            kod_backoff: self.kod_backoff,
+        }
+    }
 }
 
 /// A collection run over a time window.
@@ -407,7 +428,6 @@ pub struct CollectionRun<'w> {
     pub(crate) start: SimTime,
     pub(crate) end: SimTime,
     pub(crate) transport: Box<dyn Transport>,
-    pub(crate) threads: usize,
 }
 
 impl<'w> CollectionRun<'w> {
@@ -430,186 +450,96 @@ impl<'w> CollectionRun<'w> {
             start,
             end,
             transport,
-            threads: 1,
         }
     }
 
-    /// The same run with per-bucket poll execution fanned out over
-    /// `threads` worker threads (clamped to ≥ 1; 1 keeps the sequential
-    /// engine). Feed order, stats, and deterministic telemetry are
-    /// **bit-identical** for any thread count — see the module docs for
-    /// the phase split that guarantees it.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The event queue seeded with every client's first poll.
-    pub(crate) fn seeded_queue(&self) -> EventQueue<(DeviceId, u64)> {
+    /// Engine state at the start of the window: every client's first
+    /// poll queued, fresh RPS windows, zero totals.
+    fn fresh_state(&self) -> EngineState {
         let mut queue = EventQueue::new();
         queue.schedule_batch(
             self.world
                 .ntp_clients()
                 .map(|(dev, cfg)| (self.start + cfg.phase, (dev.id, 0))),
         );
-        queue
-    }
-
-    /// Fresh engine state at the start of the window.
-    pub(crate) fn fresh_state(&self) -> EngineState {
         EngineState {
-            queue: self.seeded_queue(),
+            queue,
             rps: RpsWindows::for_pool(self.pool),
             totals: Totals::default(),
+            kod_backoff: Histogram::new(),
         }
     }
 
-    /// Advances the engine until every event before `stop` (clamped to
-    /// the window end) has been processed, dispatching to the
-    /// sequential or bucket-synchronous engine.
-    fn drive<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
+    /// The engine state at the window start, nothing processed yet:
+    /// cursor = `start`, every client's first poll pending.
+    pub fn begin(&self) -> CollectionCheckpoint {
+        self.fresh_state().into_checkpoint(self.start)
+    }
+
+    /// Moves `ckpt` forward until every event before `stop` has been
+    /// processed; `stop` is clamped into `[ckpt.cursor, end]`, so a stop
+    /// behind the cursor or past the window is a no-op or a run to the
+    /// end. Observations at the study's own servers are recorded into
+    /// `collector` (actor servers collect too, but only their scans of
+    /// the telescope's vantage addresses are analysed, §5), and global
+    /// first sights go to `sink`, which is dropped on return.
+    ///
+    /// Any sequence of stops composes to the same feed, totals and KoD
+    /// histogram as a single call to the window end — which is what
+    /// lets a scheduler interleave many studies in slices, and a
+    /// checkpoint file resume, without perturbing any of them.
+    ///
+    /// The collector's shard count selects the loop, and this is the
+    /// only place that choice is made: no shard-local archives run the
+    /// inline single-threaded loop, two or more run one persistent
+    /// worker per shard ([`shard`](crate::shard)). One shard is never
+    /// routed through the worker loop — it pays two channel round trips
+    /// per bucket and measures at half the inline loop's throughput.
+    /// `registry` receives the sharded loop's volatile shape metrics;
+    /// nothing deterministic is written before
+    /// [`CollectionCheckpoint::finish`].
+    pub fn advance(
         &self,
-        st: &mut EngineState,
+        ckpt: &mut CollectionCheckpoint,
         stop: SimTime,
-        local: &mut Registry,
-        observe: &mut F,
+        collector: &mut CollectorParts,
+        sink: Box<dyn FeedSink>,
+        registry: &mut Registry,
     ) {
-        let stop = stop.min(self.end);
-        if self.threads <= 1 {
-            self.drive_sequential(st, stop, local, observe);
-        } else {
-            self.drive_bucketed(st, stop, local, observe);
-        }
-    }
-
-    /// Runs the prefix of the window up to `stop` and returns the
-    /// engine state as a [`CollectionCheckpoint`]. The prefix's
-    /// deterministic side effects (the `observe` feed, outcome totals,
-    /// the KoD histogram) are captured in the checkpoint; nothing is
-    /// flushed to a registry — [`CollectionRun::resume_instrumented`]
-    /// accounts the whole run at the end so a resumed run's registry is
-    /// bit-identical to an uninterrupted one's.
-    pub fn run_until<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
-        &self,
-        stop: SimTime,
-        mut observe: F,
-    ) -> CollectionCheckpoint {
-        let stop = stop.min(self.end);
-        let mut local = Registry::new();
-        let mut st = self.fresh_state();
-        self.drive(&mut st, stop, &mut local, &mut observe);
-        let mut pending = Vec::with_capacity(st.queue.len());
-        while let Some((t, (id, seq))) = st.queue.pop() {
-            pending.push((t, id, seq));
-        }
-        CollectionCheckpoint {
-            cursor: stop,
-            pending,
-            rps: st.rps.into_parts(),
-            totals: st.totals.into_array(),
-            kod_backoff: local
-                .hist(metrics::NTP_KOD_BACKOFF_SECONDS)
-                .cloned()
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Continues a run from a [`CollectionCheckpoint`] to an
-    /// intermediate `stop` (clamped to the window end), returning the
-    /// advanced checkpoint. Slicing a window into any sequence of
-    /// `run_until` + `resume_until` calls yields the same feed,
-    /// cumulative totals, and KoD histogram as one uninterrupted
-    /// `run_until` to the final stop — which is what lets a scheduler
-    /// interleave many studies in bucket-sized slices without
-    /// perturbing any of them.
-    pub fn resume_until<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
-        &self,
-        ckpt: CollectionCheckpoint,
-        stop: SimTime,
-        mut observe: F,
-    ) -> CollectionCheckpoint {
         let stop = stop.min(self.end).max(ckpt.cursor);
-        let mut local = Registry::new();
-        if !ckpt.kod_backoff.is_empty() {
-            local.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, &ckpt.kod_backoff);
-        }
-        let mut queue = EventQueue::new();
-        queue.schedule_batch(ckpt.pending.into_iter().map(|(t, id, seq)| (t, (id, seq))));
-        let mut st = EngineState {
-            queue,
-            rps: RpsWindows::from_parts(ckpt.rps),
-            totals: Totals::from_array(ckpt.totals),
+        let mut st = EngineState::thaw(ckpt);
+        let parts = std::mem::take(collector);
+        // Capacity hint only: the O(1) estimate never enumerates the
+        // client population (a procedural world would have to derive it
+        // end to end).
+        let expected = self.world.client_count_estimate();
+        *collector = if parts.shards.is_empty() {
+            let mut flat = AddressCollector::from_parts(parts, Some(sink), expected);
+            self.drive_sequential(&mut st, stop, &mut |server, addr, t| {
+                if self.pool.server(server).operator.is_study() {
+                    flat.record(server, addr, t);
+                }
+            });
+            flat.into_parts()
+        } else {
+            let mut set = ShardSet::from_parts(parts, sink, expected);
+            self.drive_sharded(&mut st, stop, &mut set, registry);
+            set.into_parts()
         };
-        self.drive(&mut st, stop, &mut local, &mut observe);
-        let mut pending = Vec::with_capacity(st.queue.len());
-        while let Some((t, (id, seq))) = st.queue.pop() {
-            pending.push((t, id, seq));
-        }
-        CollectionCheckpoint {
-            cursor: stop,
-            pending,
-            rps: st.rps.into_parts(),
-            totals: st.totals.into_array(),
-            kod_backoff: local
-                .hist(metrics::NTP_KOD_BACKOFF_SECONDS)
-                .cloned()
-                .unwrap_or_default(),
-        }
+        *ckpt = st.into_checkpoint(stop);
     }
 
-    /// Continues a run from a [`CollectionCheckpoint`] to the window
-    /// end. Counters, the KoD histogram, and the returned [`RunStats`]
-    /// cover the **whole** window (prefix + remainder), merged into
-    /// `registry` exactly as one uninterrupted
-    /// [`run_instrumented`](CollectionRun::run_instrumented) would have.
-    pub fn resume_instrumented<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
-        &self,
-        ckpt: CollectionCheckpoint,
-        registry: &mut Registry,
-        mut observe: F,
-    ) -> RunStats {
-        let mut local = Registry::new();
-        if !ckpt.kod_backoff.is_empty() {
-            local.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, &ckpt.kod_backoff);
-        }
-        let mut queue = EventQueue::new();
-        queue.schedule_batch(ckpt.pending.into_iter().map(|(t, id, seq)| (t, (id, seq))));
-        let mut st = EngineState {
-            queue,
-            rps: RpsWindows::from_parts(ckpt.rps),
-            totals: Totals::from_array(ckpt.totals),
-        };
-        self.drive(&mut st, self.end, &mut local, &mut observe);
-        let stats = std::mem::take(&mut st.totals).flush(&mut local);
-        registry.merge(&local);
-        stats
-    }
-
-    /// Drives the simulation. `observe(server, addr, t)` fires for every
-    /// request that reaches a *collecting* server; the caller routes study
-    /// vs actor observations.
-    pub fn run<F: FnMut(ServerId, Ipv6Addr, SimTime)>(&self, observe: F) -> RunStats {
-        self.run_instrumented(&mut Registry::new(), observe)
-    }
-
-    /// [`run`](CollectionRun::run), accounting every poll outcome into
-    /// `registry` under the `ntp_*` keys (counters plus the KoD-backoff
-    /// histogram). The returned [`RunStats`] is *derived from* those
-    /// counters, so report totals and legacy stats reconcile exactly.
-    pub fn run_instrumented<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
-        &self,
-        registry: &mut Registry,
-        mut observe: F,
-    ) -> RunStats {
-        // Poll outcomes land in a run-local registry so the derived
-        // stats cannot pick up counts from other stages sharing
-        // `registry`; it is merged into the caller's at the end.
-        let mut local = Registry::new();
+    /// Drives the whole window for a closure consumer:
+    /// `observe(server, addr, t)` fires for every request that reaches a
+    /// *collecting* server, and the caller routes study vs actor
+    /// observations. The same begin → advance → finish as above on the
+    /// inline loop, minus the checkpoint in between: a closure cannot be
+    /// suspended, and draining a world-sized queue into pop order twice
+    /// for a checkpoint nobody reads would dominate a short window.
+    pub fn run<F: FnMut(ServerId, Ipv6Addr, SimTime)>(&self, mut observe: F) -> RunStats {
         let mut st = self.fresh_state();
-        self.drive(&mut st, self.end, &mut local, &mut observe);
-        let stats = std::mem::take(&mut st.totals).flush(&mut local);
-        registry.merge(&local);
-        stats
+        self.drive_sequential(&mut st, self.end, &mut observe);
+        st.totals.flush(&st.kod_backoff, &mut Registry::new())
     }
 
     /// Safe bucket horizon: the minimum poll interval over scheduled
@@ -628,10 +558,14 @@ impl<'w> CollectionRun<'w> {
         &self,
         st: &mut EngineState,
         stop: SimTime,
-        local: &mut Registry,
         observe: &mut F,
     ) {
-        let EngineState { queue, rps, totals } = st;
+        let EngineState {
+            queue,
+            rps,
+            totals,
+            kod_backoff,
+        } = st;
         let mut memo = RequestMemo::new();
         let mut resolver = self.world.addr_resolver();
         // The heap pops in time order, so the first event at or past
@@ -673,145 +607,9 @@ impl<'w> CollectionRun<'w> {
             if reply == PollReply::RateKod {
                 // The extra sim-time wait KoD imposed beyond the normal
                 // interval.
-                local.observe(
-                    metrics::NTP_KOD_BACKOFF_SECONDS,
-                    next.since(t).as_secs() - cfg.poll_interval.as_secs(),
-                );
+                kod_backoff.observe(next.since(t).as_secs() - cfg.poll_interval.as_secs());
             }
             queue.schedule(next, (id, seq + 1));
-        }
-    }
-
-    /// The bucket-synchronous parallel engine (module docs). Produces
-    /// bit-identical feed order, stats, and deterministic telemetry to
-    /// [`drive_sequential`](CollectionRun::drive_sequential).
-    fn drive_bucketed<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
-        &self,
-        st: &mut EngineState,
-        stop: SimTime,
-        local: &mut Registry,
-        observe: &mut F,
-    ) {
-        let EngineState { queue, rps, totals } = st;
-        let horizon = self.bucket_horizon();
-        let mut bucket: Vec<(SimTime, (DeviceId, u64))> = Vec::new();
-        let mut planned: Vec<Planned> = Vec::new();
-        let mut reschedule: Vec<(SimTime, (DeviceId, u64))> = Vec::new();
-        while let Some(t0) = queue.peek_time() {
-            if t0 >= stop {
-                break; // every remaining event is past the bound
-            }
-            // Clamping the bucket to `stop` is safe: bucket boundaries
-            // never affect the deterministic results, only how work is
-            // batched.
-            let bucket_end = SimTime(t0.as_secs().saturating_add(horizon)).min(stop);
-            bucket.clear();
-            queue.pop_bucket(bucket_end, &mut bucket);
-            local.vol_add(metrics::NTP_COLLECTION_BUCKETS, 1);
-            local.vol_observe(metrics::NTP_BUCKET_EVENTS, bucket.len() as u64);
-            planned.clear();
-            planned.extend(
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(t, (id, seq)))| Planned::new(i, t, id, seq)),
-            );
-            let workers = self.threads.min(planned.len()).max(1);
-            let chunk = planned.len().div_ceil(workers);
-
-            // Phase 1 — pre-plan (parallel): pure per-event work.
-            std::thread::scope(|scope| {
-                for part in planned.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        let mut resolver = self.world.addr_resolver();
-                        for p in part {
-                            let dev = self.world.meta(p.id);
-                            let cfg = dev.ntp.expect("scheduled device has NTP config");
-                            p.interval = cfg.poll_interval;
-                            p.addr = resolver.address_of_meta(&dev, p.t);
-                            p.server = self.pool.select(dev.country, u64::from(p.id.0), p.seq);
-                        }
-                    });
-                }
-            });
-
-            // Phase 2 — plan (sequential, event order): RPS ordinals,
-            // the one order-dependent input to KoD shedding.
-            for p in planned.iter_mut() {
-                if let Some(server_id) = p.server {
-                    p.rps = rps.ordinal(server_id, p.t.as_secs());
-                }
-            }
-
-            // Phase 3 — execute (parallel): the full wire exchange.
-            // Each worker owns a registry for its volatile metrics;
-            // they merge below in worker (chunk) order, so even a
-            // non-commutative metric would merge deterministically.
-            let worker_regs = std::thread::scope(|scope| {
-                let handles: Vec<_> = planned
-                    .chunks_mut(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let mut reg = Registry::new();
-                            let mut memo = RequestMemo::new();
-                            let mut executed = 0u64;
-                            for p in part {
-                                if let Some(server_id) = p.server {
-                                    p.outcome = poll_once_with_request(
-                                        self.pool.server(server_id),
-                                        self.transport.as_ref(),
-                                        p.addr,
-                                        server_addr(server_id),
-                                        p.t,
-                                        p.rps,
-                                        memo.request(p.t),
-                                    );
-                                    executed += 1;
-                                }
-                            }
-                            reg.vol_observe(metrics::NTP_WORKER_POLLS, executed);
-                            reg
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("collection worker panicked"))
-                    .collect::<Vec<Registry>>()
-            });
-            for reg in &worker_regs {
-                local.merge(reg);
-            }
-
-            // Phase 4 — apply (sequential, event order): counters, the
-            // first-sight feed, KoD histogram, next-poll scheduling.
-            reschedule.clear();
-            for p in planned.iter() {
-                totals.polls += 1;
-                let reply = match p.server {
-                    Some(server_id) => {
-                        totals.count_reply(p.outcome.reply);
-                        if p.outcome.server_saw && self.pool.server(server_id).operator.collects() {
-                            totals.observed += 1;
-                            observe(server_id, p.addr, p.t);
-                        }
-                        p.outcome.reply
-                    }
-                    None => {
-                        totals.lost += 1;
-                        PollReply::None
-                    }
-                };
-                let next = next_poll(p.t, p.interval, reply);
-                if reply == PollReply::RateKod {
-                    local.observe(
-                        metrics::NTP_KOD_BACKOFF_SECONDS,
-                        next.since(p.t).as_secs() - p.interval.as_secs(),
-                    );
-                }
-                reschedule.push((next, (p.id, p.seq + 1)));
-            }
-            queue.schedule_batch(reschedule.drain(..));
         }
     }
 }
@@ -1139,7 +937,7 @@ mod tests {
     }
 
     /// A pool whose collecting servers shed load aggressively, so the
-    /// parallel engine's KoD path is exercised end to end.
+    /// KoD path is exercised end to end.
     fn kod_pool() -> Pool {
         let mut pool = Pool::new();
         for (i, c) in country::COLLECTOR_LOCATIONS.iter().enumerate() {
@@ -1155,162 +953,82 @@ mod tests {
         pool
     }
 
-    fn run_with_threads(
-        world: &World,
-        pool: &Pool,
-        threads: usize,
-        transport: Box<dyn Transport>,
-    ) -> (RunStats, Vec<(ServerId, Ipv6Addr, SimTime)>, Registry) {
-        let run = CollectionRun::with_transport(
-            world,
-            pool,
-            SimTime(0),
-            SimTime(Duration::days(2).as_secs()),
-            transport,
-        )
-        .with_threads(threads);
-        let mut feed = Vec::new();
-        let mut reg = Registry::new();
-        let stats = run.run_instrumented(&mut reg, |s, a, t| feed.push((s, a, t)));
-        (stats, feed, reg)
-    }
-
+    /// The one resumable step, pinned over both loops: for every shard
+    /// count, with and without KoD traffic, begin → `advance` at uneven
+    /// stops → finish equals a single `run` in feed, stats and KoD
+    /// histogram. The collector is flattened and re-homed at every
+    /// stop, as a suspended study's would be.
     #[test]
-    fn parallel_engine_is_bit_identical_to_sequential() {
-        use netsim::transport::{FaultConfig, Faulty};
-        let world = World::generate(WorldConfig::tiny(9));
-        for pool in [study_pool(), kod_pool()] {
-            let (seq_stats, seq_feed, seq_reg) = run_with_threads(
-                &world,
-                &pool,
-                1,
-                Box::new(Faulty::new(FaultConfig::congested(5))),
-            );
-            for threads in [2usize, 4] {
-                let (stats, feed, reg) = run_with_threads(
-                    &world,
-                    &pool,
-                    threads,
-                    Box::new(Faulty::new(FaultConfig::congested(5))),
-                );
-                assert_eq!(stats, seq_stats, "{threads} threads");
-                assert_eq!(feed, seq_feed, "{threads} threads");
-                // Deterministic telemetry (counters + KoD histogram) is
-                // identical; only volatile bucket/worker metrics differ.
-                assert_eq!(
-                    reg.snapshot().deterministic(),
-                    seq_reg.snapshot().deterministic(),
-                    "{threads} threads"
-                );
-                assert!(reg.volatile_bank().counter(metrics::NTP_COLLECTION_BUCKETS) > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_engine_backs_off_kod_identically() {
-        let world = World::generate(WorldConfig::tiny(9));
-        let pool = kod_pool();
-        let (seq_stats, _, seq_reg) = run_with_threads(&world, &pool, 1, Box::new(Ideal));
-        assert!(seq_stats.kod > 0, "KoD pool never shed load");
-        let (par_stats, _, par_reg) = run_with_threads(&world, &pool, 4, Box::new(Ideal));
-        assert_eq!(par_stats, seq_stats);
-        let seq_hist = seq_reg.hist(metrics::NTP_KOD_BACKOFF_SECONDS).unwrap();
-        let par_hist = par_reg.hist(metrics::NTP_KOD_BACKOFF_SECONDS).unwrap();
-        assert_eq!(par_hist, seq_hist);
-        assert_eq!(seq_hist.count(), seq_stats.kod);
-    }
-
-    /// `run_until` + `resume_instrumented` must reproduce an
-    /// uninterrupted run bit for bit: feed, stats, and deterministic
-    /// telemetry — on both engines, with KoD traffic in the mix.
-    #[test]
-    fn run_until_then_resume_matches_uninterrupted() {
+    fn sliced_advance_equals_a_single_run_for_every_shard_count() {
+        use crate::collector::VecSink;
         let world = World::generate(WorldConfig::tiny(9));
         let end = SimTime(Duration::days(2).as_secs());
-        for pool in [study_pool(), kod_pool()] {
-            for threads in [1usize, 4] {
-                let make =
-                    || CollectionRun::new(&world, &pool, SimTime(0), end).with_threads(threads);
-                let mut base_feed = Vec::new();
-                let mut base_reg = Registry::new();
-                let base_stats = make().run_instrumented(&mut base_reg, |s, a, t| {
-                    base_feed.push((s, a, t));
-                });
-                // Checkpoint mid-window, at the window start (nothing
-                // processed), and at the end (everything processed).
-                for stop_secs in [0, Duration::hours(20).as_secs(), end.as_secs()] {
-                    let mut feed = Vec::new();
-                    let ckpt = make().run_until(SimTime(stop_secs), |s, a, t| {
-                        feed.push((s, a, t));
-                    });
-                    assert_eq!(ckpt.cursor, SimTime(stop_secs));
-                    let mut reg = Registry::new();
-                    let stats = make().resume_instrumented(ckpt, &mut reg, |s, a, t| {
-                        feed.push((s, a, t));
-                    });
-                    assert_eq!(stats, base_stats, "threads {threads} stop {stop_secs}");
-                    assert_eq!(feed, base_feed, "threads {threads} stop {stop_secs}");
-                    assert_eq!(
-                        reg.snapshot().deterministic(),
-                        base_reg.snapshot().deterministic(),
-                        "threads {threads} stop {stop_secs}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Slicing the window into many `run_until` + `resume_until` steps
-    /// must compose: the concatenated feed and the final resumed run are
-    /// bit-identical to the uninterrupted run, for any slice width.
-    #[test]
-    fn sliced_resume_until_composes_bit_identically() {
-        let world = World::generate(WorldConfig::tiny(9));
-        let end = SimTime(Duration::days(2).as_secs());
-        for pool in [study_pool(), kod_pool()] {
-            let make = || CollectionRun::new(&world, &pool, SimTime(0), end);
-            let mut base_feed = Vec::new();
+        for (pool, sheds) in [(study_pool(), false), (kod_pool(), true)] {
+            let run = CollectionRun::new(&world, &pool, SimTime(0), end);
+            // The reference feed and stats: a closure consumer
+            // recording into the flat collector.
+            let sink = VecSink::default();
+            let base_feed = sink.0.clone();
+            let mut flat = AddressCollector::with_sink(Box::new(sink));
+            let base_stats = run.run(|s, a, t| flat.record(s, a, t));
+            let base_feed = base_feed.lock().clone();
+            assert_eq!(base_stats.kod > 0, sheds, "KoD traffic");
+            // `run` keeps no registry; the reference histogram is one
+            // `advance` over the whole window.
             let mut base_reg = Registry::new();
-            let base_stats = make().run_instrumented(&mut base_reg, |s, a, t| {
-                base_feed.push((s, a, t));
-            });
-            for slice_secs in [Duration::hours(7).as_secs(), Duration::hours(19).as_secs()] {
-                let mut feed = Vec::new();
-                let mut ckpt = make().run_until(SimTime(slice_secs), |s, a, t| {
-                    feed.push((s, a, t));
-                });
-                let mut stop = slice_secs;
-                while stop < end.as_secs() {
-                    stop += slice_secs;
-                    ckpt = make().resume_until(ckpt, SimTime(stop), |s, a, t| {
-                        feed.push((s, a, t));
-                    });
+            let mut whole = run.begin();
+            run.advance(
+                &mut whole,
+                end,
+                &mut CollectorParts::new(1),
+                Box::new(VecSink::default()),
+                &mut Registry::new(),
+            );
+            assert_eq!(whole.finish(&mut base_reg), base_stats);
+            let kod_samples = base_reg
+                .hist(metrics::NTP_KOD_BACKOFF_SECONDS)
+                .map_or(0, |h| h.count());
+            assert_eq!(kod_samples, base_stats.kod);
+
+            // Off the bucket grid, behind the cursor, mid-window, and
+            // past the window end.
+            let stops = [
+                SimTime(Duration::hours(7).as_secs() + 13),
+                SimTime(Duration::hours(3).as_secs()),
+                SimTime(Duration::hours(29).as_secs()),
+                end + Duration::days(1),
+            ];
+            for shards in [1usize, 2, 4] {
+                let ctx = format!("{shards} shards, sheds {sheds}");
+                let feed = VecSink::default();
+                let mut parts = CollectorParts::new(shards);
+                let mut ckpt = run.begin();
+                assert_eq!(ckpt.cursor, SimTime(0));
+                for stop in stops {
+                    let (cursor, fed) = (ckpt.cursor, feed.0.lock().len());
+                    run.advance(
+                        &mut ckpt,
+                        stop,
+                        &mut parts,
+                        Box::new(feed.clone()),
+                        &mut Registry::new(),
+                    );
+                    assert_eq!(ckpt.cursor, stop.clamp(cursor, end), "{ctx}");
+                    if stop < cursor {
+                        assert_eq!(feed.0.lock().len(), fed, "{ctx}: fed while stopped");
+                    }
                 }
-                assert_eq!(ckpt.cursor, end, "slice {slice_secs}");
-                // Finishing an already-complete checkpoint must be a
-                // no-op that still produces the full-window accounting.
+                assert_eq!(parts.global.len(), base_feed.len(), "{ctx}");
                 let mut reg = Registry::new();
-                let stats = make().resume_instrumented(ckpt, &mut reg, |s, a, t| {
-                    feed.push((s, a, t));
-                });
-                assert_eq!(stats, base_stats, "slice {slice_secs}");
-                assert_eq!(feed, base_feed, "slice {slice_secs}");
+                assert_eq!(ckpt.finish(&mut reg), base_stats, "{ctx}");
+                assert_eq!(*feed.0.lock(), base_feed, "{ctx}");
                 assert_eq!(
                     reg.snapshot().deterministic(),
                     base_reg.snapshot().deterministic(),
-                    "slice {slice_secs}"
+                    "{ctx}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn with_threads_clamps_to_one() {
-        let world = World::generate(WorldConfig::tiny(9));
-        let pool = study_pool();
-        let run = CollectionRun::new(&world, &pool, SimTime(0), SimTime(1)).with_threads(0);
-        assert_eq!(run.threads, 1);
     }
 
     #[test]

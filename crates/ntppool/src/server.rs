@@ -28,6 +28,12 @@ impl Operator {
     pub fn collects(&self) -> bool {
         !matches!(self, Operator::Background)
     }
+
+    /// Is this one of the study's own collecting servers — the ones
+    /// whose observations the address collector records?
+    pub fn is_study(&self) -> bool {
+        matches!(self, Operator::Study { .. })
+    }
 }
 
 /// The NTP implementation a server runs. Real pool servers are a mix of

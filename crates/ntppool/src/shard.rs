@@ -1,11 +1,9 @@
-//! The prefix-sharded collection engine.
+//! The prefix-sharded collection loop.
 //!
-//! The bucket-synchronous engine in [`run`](crate::run) parallelizes the
-//! pre-plan and execute phases but keeps one global RPS table, one dedup
-//! archive, and one feed — its plan and apply phases are serial, which
-//! caps scaling well short of linear. This module shards the world by
-//! dense [`ServerId`] range instead: shard `w` of `S` owns every server
-//! with `id % S == w`, and with it that server's RPS window, its
+//! [`CollectionRun::advance`] runs this loop when the collector it is
+//! handed carries two or more shard-local archives. The world is
+//! sharded by dense [`ServerId`] range: shard `w` of `S` owns every
+//! server with `id % S == w`, and with it that server's RPS window, its
 //! per-server address sets, its request counters, and a shard-local
 //! first-sight [`Archive`]. Each shard runs its plan → execute → apply
 //! loop on a persistent worker thread; the main thread only routes
@@ -18,7 +16,7 @@
 //! server means each server's events land on exactly one shard, and the
 //! main thread routes them in popped (global event) order, so every
 //! server sees its events in the same relative order the sequential
-//! engine would process them — the ordinals, and therefore every KoD
+//! loop would process them — the ordinals, and therefore every KoD
 //! decision, are identical.
 //!
 //! # Hierarchical dedup and the bucket-boundary merge
@@ -33,27 +31,32 @@
 //! sink. The global first occurrence of an address is necessarily also
 //! its shard-local first occurrence, so it is always a candidate, and
 //! it carries the smallest event index for that address — the feed is
-//! bit-identical to the sequential engine's, in order and content.
+//! bit-identical to the sequential loop's, in order and content.
 //!
 //! Cross-shard state reconciles the same way, only at bucket
 //! boundaries: outcome totals are summed (commutative), the KoD-backoff
 //! histogram merges per-bucket counts (commutative), and next-poll
 //! reschedules are scattered back into event order before the batch
-//! re-schedule, so queue tie-breaking matches the sequential engine.
+//! re-schedule, so queue tie-breaking matches the sequential loop.
 //! Per-worker registries carry only volatile metrics and merge in shard
 //! order at the end of the drive.
+//!
+//! The bucket horizon is the minimum poll interval over scheduled
+//! clients: every follow-up scheduled from inside a bucket lands at
+//! least one interval later (KoD *widens* the gap), so no bucket can
+//! schedule into itself and the merge sees the complete bucket.
 
-use crate::collector::{AddressCollector, CollectorParts, FeedSink, Observation};
+use crate::collector::{CollectorParts, FeedSink, Observation};
 use crate::metrics;
 use crate::pool::ServerId;
 use crate::run::{
-    next_poll, poll_once_with_request, server_addr, CollectionCheckpoint, CollectionRun,
-    EngineState, Planned, PollReply, RequestMemo, RpsWindows, RunStats, Totals,
+    next_poll, poll_once_with_request, server_addr, CollectionRun, EngineState, PollReply,
+    RequestMemo, RpsWindows, Totals,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use netsim::time::SimTime;
+use netsim::time::{Duration, SimTime};
 use netsim::DeviceId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use store::Archive;
 use telemetry::{Histogram, Registry};
@@ -61,13 +64,9 @@ use v6addr::AddrSet;
 
 /// One shard of the collection world: the collector state for the
 /// servers it owns (`id % shard_count == index`).
-pub struct Shard {
+struct Shard {
     index: usize,
     count: usize,
-    /// Owned servers whose observations are *recorded* (the study
-    /// servers, as opposed to e.g. actor servers that collect but are
-    /// accounted elsewhere).
-    recorded: HashSet<ServerId>,
     /// Shard-local first-sight filter: an address the shard has already
     /// seen (through any of its servers) is never re-proposed to the
     /// global merge.
@@ -78,31 +77,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(index: usize, count: usize, hint: usize) -> Shard {
-        Shard {
-            index,
-            count,
-            recorded: HashSet::new(),
-            dedup: Archive::new(),
-            per_server: HashMap::new(),
-            requests: HashMap::new(),
-            hint,
-        }
-    }
-
-    /// The shard's position in its [`ShardSet`].
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// True when this shard owns `server`'s state.
-    pub fn owns(&self, server: ServerId) -> bool {
+    fn owns(&self, server: ServerId) -> bool {
         server.0 as usize % self.count == self.index
-    }
-
-    /// True when observations at `server` are recorded by this shard.
-    fn records(&self, server: ServerId) -> bool {
-        self.recorded.contains(&server)
     }
 
     /// Records one observed request against an owned server; returns
@@ -116,77 +93,45 @@ impl Shard {
             .insert(addr);
         self.dedup.insert(addr)
     }
-
-    /// Distinct addresses in the shard-local dedup archive.
-    pub fn dedup_len(&self) -> usize {
-        self.dedup.len()
-    }
 }
 
-/// The sharded collector: a [`Shard`] per worker plus the authoritative
-/// global archive and the feed sink, which only the main thread touches
-/// (at bucket boundaries, in event order).
-///
-/// This is the sharded counterpart of
-/// [`AddressCollector`] — [`into_collector`](ShardSet::into_collector)
-/// merges it back into one (shards own disjoint servers, so per-server
-/// state concatenates; the global archive is already the merged view).
-pub struct ShardSet {
+/// The sharded collector for the duration of one drive: a [`Shard`] per
+/// worker plus the authoritative global archive and the feed sink,
+/// which only the main thread touches (at bucket boundaries, in event
+/// order). Built from and flattened back into [`CollectorParts`] around
+/// every drive — shards own disjoint servers, so per-server state
+/// re-homes and concatenates without conflicts.
+pub(crate) struct ShardSet {
     shards: Vec<Shard>,
     global: Archive,
-    sink: Option<Box<dyn FeedSink>>,
-    expected: usize,
+    sink: Box<dyn FeedSink>,
 }
 
 impl ShardSet {
-    /// A fresh sharded collector. `recorded` lists the servers whose
-    /// observations are recorded (each lands on the shard that owns
-    /// it); `expected_devices` pre-sizes per-server sets as
-    /// [`AddressCollector::sized_for`] does.
-    pub fn new(
-        shard_count: usize,
-        recorded: impl IntoIterator<Item = ServerId>,
-        sink: Option<Box<dyn FeedSink>>,
-        expected_devices: usize,
-    ) -> ShardSet {
-        let count = shard_count.max(1);
-        let hint = expected_devices / 4;
-        let mut shards: Vec<Shard> = (0..count).map(|i| Shard::new(i, count, hint)).collect();
-        for s in recorded {
-            shards[s.0 as usize % count].recorded.insert(s);
-        }
-        ShardSet {
-            shards,
-            global: Archive::new(),
-            sink,
-            expected: expected_devices,
-        }
-    }
-
-    /// Rebuilds a sharded collector from checkpointed flat
-    /// [`CollectorParts`] plus the per-shard dedup archives (the shard
-    /// count is `dedup.len()`). Per-server state is re-homed onto the
-    /// shard owning each server — the same partition that produced it.
-    pub fn from_parts(
+    /// Re-homes flat [`CollectorParts`] onto one shard per shard-local
+    /// archive — the same partition that produced them.
+    /// `expected_devices` pre-sizes per-server sets as
+    /// [`AddressCollector::sized_for`](crate::AddressCollector::sized_for)
+    /// does.
+    pub(crate) fn from_parts(
         parts: CollectorParts,
-        dedup: Vec<Archive>,
-        recorded: impl IntoIterator<Item = ServerId>,
-        sink: Option<Box<dyn FeedSink>>,
+        sink: Box<dyn FeedSink>,
         expected_devices: usize,
     ) -> ShardSet {
-        let count = dedup.len().max(1);
-        let hint = expected_devices / 4;
-        let mut shards: Vec<Shard> = dedup
+        let count = parts.shards.len();
+        let mut shards: Vec<Shard> = parts
+            .shards
             .into_iter()
             .enumerate()
-            .map(|(i, d)| Shard {
-                dedup: d,
-                ..Shard::new(i, count, hint)
+            .map(|(index, dedup)| Shard {
+                index,
+                count,
+                dedup,
+                per_server: HashMap::new(),
+                requests: HashMap::new(),
+                hint: expected_devices / 4,
             })
             .collect();
-        for s in recorded {
-            shards[s.0 as usize % count].recorded.insert(s);
-        }
         for (s, set) in parts.per_server {
             shards[s.0 as usize % count].per_server.insert(s, set);
         }
@@ -197,30 +142,12 @@ impl ShardSet {
             shards,
             global: parts.global,
             sink,
-            expected: expected_devices,
         }
     }
 
-    /// Number of shards (= engine worker threads).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The authoritative global distinct-address archive.
-    pub fn global(&self) -> &Archive {
-        &self.global
-    }
-
-    /// Drops the feed sink (disconnecting e.g. a channel sender) while
-    /// keeping all collected state.
-    pub fn detach_sink(&mut self) {
-        self.sink = None;
-    }
-
-    /// Flattens into checkpointable [`CollectorParts`] plus the
-    /// per-shard dedup archives in shard order. Shards own disjoint
-    /// servers, so the per-server maps concatenate without conflicts.
-    pub fn into_parts(self) -> (CollectorParts, Vec<Archive>) {
+    /// Flattens back into [`CollectorParts`], shard-local archives in
+    /// shard order (drops the sink).
+    pub(crate) fn into_parts(self) -> CollectorParts {
         let mut per_server: Vec<(ServerId, AddrSet)> = Vec::new();
         let mut requests: Vec<(ServerId, u64)> = Vec::new();
         let mut dedup = Vec::with_capacity(self.shards.len());
@@ -231,24 +158,12 @@ impl ShardSet {
         }
         per_server.sort_by_key(|(s, _)| *s);
         requests.sort_by_key(|(s, _)| *s);
-        (
-            CollectorParts {
-                global: self.global,
-                per_server,
-                requests,
-            },
-            dedup,
-        )
-    }
-
-    /// Merges the shards back into a flat [`AddressCollector`] holding
-    /// identical observable state (global archive, per-server sets,
-    /// request counts) and the current sink.
-    pub fn into_collector(mut self) -> AddressCollector {
-        let sink = self.sink.take();
-        let expected = self.expected;
-        let (parts, _) = self.into_parts();
-        AddressCollector::from_parts(parts, sink, expected)
+        CollectorParts {
+            global: self.global,
+            per_server,
+            requests,
+            shards: dedup,
+        }
     }
 
     /// Publishes a candidate through the authoritative global archive;
@@ -256,20 +171,24 @@ impl ShardSet {
     /// in event-index order at bucket boundaries.
     fn publish(&mut self, obs: Observation) {
         if self.global.insert(obs.addr) {
-            if let Some(sink) = &mut self.sink {
-                sink.on_first_sight(obs);
-            }
+            self.sink.on_first_sight(obs);
         }
     }
 }
 
-impl std::fmt::Debug for ShardSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardSet")
-            .field("shards", &self.shards.len())
-            .field("distinct", &self.global.len())
-            .finish()
-    }
+/// One bucket event on its way through a shard worker.
+#[derive(Debug, Clone, Copy)]
+struct Planned {
+    /// Position within the popped bucket — the global event order the
+    /// per-shard results are scattered back into.
+    idx: usize,
+    t: SimTime,
+    id: DeviceId,
+    seq: u64,
+    /// Filled by the pre-plan round.
+    interval: Duration,
+    addr: Ipv6Addr,
+    server: Option<ServerId>,
 }
 
 /// Work sent to a shard worker.
@@ -329,27 +248,27 @@ fn shard_worker(
             ToWorker::Execute(mine) => {
                 reg.vol_observe(metrics::NTP_SHARD_EVENTS, mine.len() as u64);
                 let mut out = ShardOut::default();
-                for mut p in mine {
+                for p in mine {
                     let server_id = p.server.expect("routed events have a server");
                     debug_assert!(shard.owns(server_id));
                     // Plan: the RPS ordinal. The shard owns every event
                     // of its servers and receives them in global event
-                    // order, so this matches the sequential engine.
-                    p.rps = rps.ordinal(server_id, p.t.as_secs());
+                    // order, so this matches the sequential loop.
+                    let current_rps = rps.ordinal(server_id, p.t.as_secs());
                     let server = run.pool.server(server_id);
-                    p.outcome = poll_once_with_request(
+                    let outcome = poll_once_with_request(
                         server,
                         run.transport.as_ref(),
                         p.addr,
                         server_addr(server_id),
                         p.t,
-                        p.rps,
+                        current_rps,
                         memo.request(p.t),
                     );
-                    out.totals.count_reply(p.outcome.reply);
-                    if p.outcome.server_saw && server.operator.collects() {
+                    out.totals.count_reply(outcome.reply);
+                    if outcome.server_saw && server.operator.collects() {
                         out.totals.observed += 1;
-                        if shard.records(server_id) && shard.record(server_id, p.addr) {
+                        if server.operator.is_study() && shard.record(server_id, p.addr) {
                             out.candidates.push((
                                 p.idx,
                                 Observation {
@@ -360,8 +279,8 @@ fn shard_worker(
                             ));
                         }
                     }
-                    let next = next_poll(p.t, p.interval, p.outcome.reply);
-                    if p.outcome.reply == PollReply::RateKod {
+                    let next = next_poll(p.t, p.interval, outcome.reply);
+                    if outcome.reply == PollReply::RateKod {
                         out.kod_backoff
                             .observe(next.since(p.t).as_secs() - p.interval.as_secs());
                     }
@@ -376,142 +295,18 @@ fn shard_worker(
 }
 
 impl<'w> CollectionRun<'w> {
-    /// Drives the run with the sharded engine. The worker count equals
-    /// `set.shard_count()` — shards *are* the unit of parallelism here,
-    /// so [`with_threads`](CollectionRun::with_threads) does not apply.
-    /// Feed order, stats, and deterministic telemetry are bit-identical
-    /// to the sequential engine recording into an [`AddressCollector`]
-    /// restricted to the same recorded servers, for any shard count.
-    pub fn run_sharded(&self, set: &mut ShardSet) -> RunStats {
-        self.run_sharded_instrumented(set, &mut Registry::new())
-    }
-
-    /// [`run_sharded`](CollectionRun::run_sharded), accounting outcomes
-    /// into `registry` exactly as
-    /// [`run_instrumented`](CollectionRun::run_instrumented) does.
-    pub fn run_sharded_instrumented(
-        &self,
-        set: &mut ShardSet,
-        registry: &mut Registry,
-    ) -> RunStats {
-        let mut local = Registry::new();
-        let mut st = self.fresh_state();
-        self.drive_sharded(&mut st, self.end, set, &mut local);
-        let stats = std::mem::take(&mut st.totals).flush(&mut local);
-        registry.merge(&local);
-        stats
-    }
-
-    /// Sharded counterpart of [`run_until`](CollectionRun::run_until):
-    /// runs the window prefix up to `stop` and returns the engine state
-    /// as a [`CollectionCheckpoint`]. The per-shard dedup archives live
-    /// in `set` — flatten them with [`ShardSet::into_parts`] alongside
-    /// the checkpoint.
-    pub fn run_sharded_until(&self, stop: SimTime, set: &mut ShardSet) -> CollectionCheckpoint {
-        let stop = stop.min(self.end);
-        let mut local = Registry::new();
-        let mut st = self.fresh_state();
-        self.drive_sharded(&mut st, stop, set, &mut local);
-        let mut pending = Vec::with_capacity(st.queue.len());
-        while let Some((t, (id, seq))) = st.queue.pop() {
-            pending.push((t, id, seq));
-        }
-        CollectionCheckpoint {
-            cursor: stop,
-            pending,
-            rps: st.rps.into_parts(),
-            totals: st.totals.into_array(),
-            kod_backoff: local
-                .hist(metrics::NTP_KOD_BACKOFF_SECONDS)
-                .cloned()
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Sharded counterpart of
-    /// [`resume_until`](CollectionRun::resume_until): continues from a
-    /// checkpoint (with `set` rebuilt via [`ShardSet::from_parts`]) to
-    /// an intermediate `stop`, returning the advanced checkpoint. Any
-    /// slicing of the window composes bit-identically with one
-    /// uninterrupted sharded run, which is what lets a multi-study
-    /// scheduler time-slice sharded collections.
-    pub fn resume_sharded_until(
-        &self,
-        ckpt: CollectionCheckpoint,
-        stop: SimTime,
-        set: &mut ShardSet,
-    ) -> CollectionCheckpoint {
-        let stop = stop.min(self.end).max(ckpt.cursor);
-        let mut local = Registry::new();
-        if !ckpt.kod_backoff.is_empty() {
-            local.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, &ckpt.kod_backoff);
-        }
-        let mut queue = netsim::engine::EventQueue::new();
-        queue.schedule_batch(ckpt.pending.into_iter().map(|(t, id, seq)| (t, (id, seq))));
-        let mut st = EngineState {
-            queue,
-            rps: RpsWindows::from_parts(ckpt.rps),
-            totals: Totals::from_array(ckpt.totals),
-        };
-        self.drive_sharded(&mut st, stop, set, &mut local);
-        let mut pending = Vec::with_capacity(st.queue.len());
-        while let Some((t, (id, seq))) = st.queue.pop() {
-            pending.push((t, id, seq));
-        }
-        CollectionCheckpoint {
-            cursor: stop,
-            pending,
-            rps: st.rps.into_parts(),
-            totals: st.totals.into_array(),
-            kod_backoff: local
-                .hist(metrics::NTP_KOD_BACKOFF_SECONDS)
-                .cloned()
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Sharded counterpart of
-    /// [`resume_instrumented`](CollectionRun::resume_instrumented):
-    /// continues from a checkpoint (with `set` rebuilt via
-    /// [`ShardSet::from_parts`]) to the window end. Counters and stats
-    /// cover the whole window, bit-identical to an uninterrupted
-    /// sharded run.
-    pub fn resume_sharded_instrumented(
-        &self,
-        ckpt: CollectionCheckpoint,
-        set: &mut ShardSet,
-        registry: &mut Registry,
-    ) -> RunStats {
-        let mut local = Registry::new();
-        if !ckpt.kod_backoff.is_empty() {
-            local.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, &ckpt.kod_backoff);
-        }
-        let mut queue = netsim::engine::EventQueue::new();
-        queue.schedule_batch(ckpt.pending.into_iter().map(|(t, id, seq)| (t, (id, seq))));
-        let mut st = EngineState {
-            queue,
-            rps: RpsWindows::from_parts(ckpt.rps),
-            totals: Totals::from_array(ckpt.totals),
-        };
-        self.drive_sharded(&mut st, self.end, set, &mut local);
-        let stats = std::mem::take(&mut st.totals).flush(&mut local);
-        registry.merge(&local);
-        stats
-    }
-
     /// The sharded drive loop: persistent workers, two channel round
     /// trips per bucket (pre-plan on contiguous slices, then execute on
     /// shard-routed events), and the event-order merge at each bucket
     /// boundary (module docs).
-    fn drive_sharded(
+    pub(crate) fn drive_sharded(
         &self,
         st: &mut EngineState,
         stop: SimTime,
         set: &mut ShardSet,
         local: &mut Registry,
     ) {
-        let stop = stop.min(self.end);
-        let count = set.shard_count();
+        let count = set.shards.len();
         local.vol_gauge_max(metrics::NTP_COLLECTION_SHARDS, count as u64);
         let horizon = self.bucket_horizon();
         let shards = std::mem::take(&mut set.shards);
@@ -556,7 +351,15 @@ impl<'w> CollectionRun<'w> {
                     let planned: Vec<Planned> = part
                         .iter()
                         .enumerate()
-                        .map(|(i, &(t, (id, seq)))| Planned::new(w * chunk + i, t, id, seq))
+                        .map(|(i, &(t, (id, seq)))| Planned {
+                            idx: w * chunk + i,
+                            t,
+                            id,
+                            seq,
+                            interval: Duration::ZERO,
+                            addr: Ipv6Addr::UNSPECIFIED,
+                            server: None,
+                        })
                         .collect();
                     to_txs[w]
                         .send(ToWorker::PrePlan(planned))
@@ -606,7 +409,7 @@ impl<'w> CollectionRun<'w> {
                     st.totals.lost += out.totals.lost;
                     st.totals.observed += out.totals.observed;
                     if !out.kod_backoff.is_empty() {
-                        local.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, &out.kod_backoff);
+                        st.kod_backoff.merge(&out.kod_backoff);
                     }
                     for (idx, next, id, seq) in out.resched {
                         slots[idx] = Some((next, id, seq));
@@ -655,166 +458,49 @@ mod tests {
     use crate::pool::Pool;
     use crate::server::{Operator, PoolServer};
     use netsim::country;
-    use netsim::time::Duration;
     use netsim::world::{World, WorldConfig};
 
-    fn study_pool(max_rps: u64) -> Pool {
+    /// Flattening the shard set and re-homing it keeps every shard's
+    /// dedup state: replaying the whole feed against the rebuilt set
+    /// proposes nothing new. (Feed, stats and histogram identity with
+    /// the sequential loop is pinned in `run.rs`, over both loops.)
+    #[test]
+    fn parts_roundtrip_rehomes_state() {
+        let world = World::generate(WorldConfig::tiny(5));
         let mut pool = Pool::with_background();
         for (i, c) in country::COLLECTOR_LOCATIONS.iter().enumerate() {
             pool.add(PoolServer {
                 netspeed: 50_000,
-                max_rps,
                 operator: Operator::Study {
                     location_index: i as u8,
                 },
                 ..PoolServer::background(*c)
             });
         }
-        pool
-    }
-
-    fn recorded(pool: &Pool) -> Vec<ServerId> {
-        pool.servers()
-            .filter(|(_, s)| s.operator.collects())
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// The sequential engine + flat collector, the ground truth every
-    /// shard count must reproduce bit-for-bit.
-    fn baseline(
-        world: &World,
-        pool: &Pool,
-        end: SimTime,
-    ) -> (RunStats, Vec<Observation>, Registry) {
-        let sink = VecSink::default();
-        let buf = sink.0.clone();
-        let mut collector = AddressCollector::with_sink(Box::new(sink));
-        let mut reg = Registry::new();
-        let run = CollectionRun::new(world, pool, SimTime(0), end);
-        let stats = run.run_instrumented(&mut reg, |server, addr, t| {
-            collector.record(server, addr, t);
-        });
-        let feed = buf.lock().clone();
-        (stats, feed, reg)
-    }
-
-    fn sharded(
-        world: &World,
-        pool: &Pool,
-        end: SimTime,
-        shards: usize,
-    ) -> (RunStats, Vec<Observation>, Registry, AddressCollector) {
-        let sink = VecSink::default();
-        let buf = sink.0.clone();
-        let mut set = ShardSet::new(shards, recorded(pool), Some(Box::new(sink)), 0);
-        let mut reg = Registry::new();
-        let run = CollectionRun::new(world, pool, SimTime(0), end);
-        let stats = run.run_sharded_instrumented(&mut set, &mut reg);
-        let feed = buf.lock().clone();
-        (stats, feed, reg, set.into_collector())
-    }
-
-    #[test]
-    fn sharded_engine_is_bit_identical_to_sequential() {
-        let world = World::generate(WorldConfig::tiny(23));
-        let pool = study_pool(0);
-        let end = SimTime(0) + Duration::days(2);
-        let (base_stats, base_feed, base_reg) = baseline(&world, &pool, end);
-        for shards in [1, 2, 4, 8] {
-            let (stats, feed, reg, collector) = sharded(&world, &pool, end, shards);
-            assert_eq!(stats, base_stats, "{shards} shards");
-            assert_eq!(feed, base_feed, "{shards} shards");
-            assert_eq!(
-                reg.snapshot().deterministic(),
-                base_reg.snapshot().deterministic(),
-                "{shards} shards"
-            );
-            assert_eq!(collector.global().len(), base_feed.len(), "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_kod_backoff_matches_sequential() {
-        let world = World::generate(WorldConfig::tiny(23));
-        let pool = study_pool(1); // aggressive shedding: KoDs guaranteed
         let end = SimTime(0) + Duration::days(1);
-        let (base_stats, _, base_reg) = baseline(&world, &pool, end);
-        assert!(base_stats.kod > 0, "test needs KoD traffic");
-        for shards in [2, 8] {
-            let (stats, _, reg, _) = sharded(&world, &pool, end, shards);
-            assert_eq!(stats, base_stats, "{shards} shards");
-            assert_eq!(
-                reg.hist(metrics::NTP_KOD_BACKOFF_SECONDS),
-                base_reg.hist(metrics::NTP_KOD_BACKOFF_SECONDS),
-                "{shards} shards"
-            );
-        }
-    }
-
-    /// Time-slicing a sharded run through `run_sharded_until` +
-    /// `resume_sharded_until` (flattening and rebuilding the shard set
-    /// at every boundary, as an evicted study would) must compose
-    /// bit-identically with the uninterrupted sharded run.
-    #[test]
-    fn sliced_sharded_resume_composes_bit_identically() {
-        let world = World::generate(WorldConfig::tiny(23));
-        let end = SimTime(0) + Duration::days(1);
-        for max_rps in [0, 1] {
-            let pool = study_pool(max_rps);
-            let (base_stats, base_feed, base_reg) = baseline(&world, &pool, end);
-            let make = || CollectionRun::new(&world, &pool, SimTime(0), end);
-            let sink = VecSink::default();
-            let buf = sink.0.clone();
-            let mut set = ShardSet::new(4, recorded(&pool), Some(Box::new(sink)), 0);
-            let slice = Duration::hours(5).as_secs();
-            let mut ckpt = make().run_sharded_until(SimTime(slice), &mut set);
-            let mut stop = slice;
-            while stop < end.as_secs() {
-                stop += slice;
-                // Suspend + rebuild across the boundary, as eviction does.
-                let (parts, dedup) = set.into_parts();
-                let resink = VecSink(buf.clone());
-                set =
-                    ShardSet::from_parts(parts, dedup, recorded(&pool), Some(Box::new(resink)), 0);
-                ckpt = make().resume_sharded_until(ckpt, SimTime(stop), &mut set);
-            }
-            assert_eq!(ckpt.cursor, end, "max_rps {max_rps}");
-            let mut reg = Registry::new();
-            let stats = make().resume_sharded_instrumented(ckpt, &mut set, &mut reg);
-            assert_eq!(stats, base_stats, "max_rps {max_rps}");
-            assert_eq!(buf.lock().clone(), base_feed, "max_rps {max_rps}");
-            assert_eq!(
-                reg.snapshot().deterministic(),
-                base_reg.snapshot().deterministic(),
-                "max_rps {max_rps}"
-            );
-        }
-    }
-
-    #[test]
-    fn parts_roundtrip_rehomes_state() {
-        let world = World::generate(WorldConfig::tiny(5));
-        let pool = study_pool(0);
-        let end = SimTime(0) + Duration::days(1);
-        let (_, feed, _, _) = sharded(&world, &pool, end, 4);
-        // Run again, flatten, rebuild, and make sure dedup state
-        // survives: replaying the whole feed proposes nothing new.
-        let sink = VecSink::default();
-        let mut set = ShardSet::new(4, recorded(&pool), Some(Box::new(sink)), 0);
         let run = CollectionRun::new(&world, &pool, SimTime(0), end);
-        run.run_sharded(&mut set);
-        let (parts, dedup) = set.into_parts();
-        assert_eq!(dedup.len(), 4);
+        let feed = VecSink::default();
+        let mut parts = CollectorParts::new(4);
+        run.advance(
+            &mut run.begin(),
+            end,
+            &mut parts,
+            Box::new(feed.clone()),
+            &mut Registry::new(),
+        );
+        assert_eq!(parts.shards.len(), 4);
+        let feed = feed.0.lock().clone();
+        assert!(!feed.is_empty());
+
         let replay = VecSink::default();
-        let replay_buf = replay.0.clone();
-        let mut set =
-            ShardSet::from_parts(parts, dedup, recorded(&pool), Some(Box::new(replay)), 0);
+        let mut set = ShardSet::from_parts(parts, Box::new(replay.clone()), 0);
         for obs in &feed {
             set.publish(*obs);
         }
-        assert!(replay_buf.lock().is_empty(), "restored dedup re-fed");
-        let collector = set.into_collector();
-        assert_eq!(collector.global().len(), feed.len());
+        assert!(replay.0.lock().is_empty(), "restored dedup re-fed");
+        let parts = set.into_parts();
+        assert_eq!(parts.global.len(), feed.len());
+        let local: usize = parts.shards.iter().map(Archive::len).sum();
+        assert!(local >= feed.len(), "shard-local archives lost addresses");
     }
 }

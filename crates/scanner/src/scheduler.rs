@@ -11,7 +11,6 @@ use netsim::time::SimTime;
 use netsim::transport::Transport;
 use netsim::world::World;
 use ntppool::Observation;
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 /// The real-time scanner: consumes the collector's first-sight feed.
@@ -90,86 +89,6 @@ impl BatchScan {
         }
         self.engine.into_store()
     }
-
-    /// Parallel batch scan: shards the target list over `threads` worker
-    /// threads, each with a proportional share of the packet budget, and
-    /// merges shard results **in shard order**, so the output is
-    /// deterministic and independent of scheduling.
-    ///
-    /// Targets are deduplicated (first occurrence wins) before sharding:
-    /// the per-shard cooldown maps cannot see cross-shard duplicates, so
-    /// a repeated address split across shards would otherwise be
-    /// double-scanned.
-    ///
-    /// The real study runs zgrab2 the same way: many workers splitting
-    /// one global rate budget.
-    pub fn run_parallel(
-        policy: ScanPolicy,
-        world: &World,
-        addrs: &[Ipv6Addr],
-        start: SimTime,
-        threads: usize,
-    ) -> ScanStore {
-        BatchScan::run_parallel_with(policy, world, addrs, start, threads, &netsim::Ideal)
-    }
-
-    /// [`run_parallel`](BatchScan::run_parallel) over an explicit
-    /// transport. Each shard gets its own `clone_box` of the transport;
-    /// fault decisions are a stateless hash of the link, so sharding
-    /// cannot change which probes are lost.
-    pub fn run_parallel_with(
-        policy: ScanPolicy,
-        world: &World,
-        addrs: &[Ipv6Addr],
-        start: SimTime,
-        threads: usize,
-        transport: &dyn Transport,
-    ) -> ScanStore {
-        let mut seen = HashSet::with_capacity(addrs.len());
-        let unique: Vec<Ipv6Addr> = addrs.iter().copied().filter(|a| seen.insert(*a)).collect();
-        let threads = threads.max(1).min(unique.len().max(1));
-        let budgets = shard_budgets(policy.rate_pps, threads);
-        let chunk = unique.len().div_ceil(threads);
-        let mut shards: Vec<ScanStore> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (part, pps) in unique.chunks(chunk.max(1)).zip(budgets) {
-                let p = ScanPolicy {
-                    rate_pps: pps,
-                    ..policy.clone()
-                };
-                let shard_transport = transport.clone_box();
-                handles.push(scope.spawn(move || {
-                    BatchScan::with_transport(p, shard_transport).run(
-                        world,
-                        part.iter().copied(),
-                        start,
-                    )
-                }));
-            }
-            for h in handles {
-                shards.push(h.join().expect("scan shard panicked"));
-            }
-        });
-        let mut out = ScanStore::new();
-        for s in shards {
-            out.merge(s);
-        }
-        out
-    }
-}
-
-/// Splits a packet budget over `shards` workers: every worker gets the
-/// integer share, and the remainder is spread one pps at a time over the
-/// leading shards instead of being dropped. Each share is floored at
-/// 1 pps so no shard stalls forever.
-pub fn shard_budgets(rate_pps: u64, shards: usize) -> Vec<u64> {
-    let shards = shards.max(1);
-    let base = rate_pps / shards as u64;
-    let remainder = (rate_pps % shards as u64) as usize;
-    (0..shards)
-        .map(|i| (base + u64::from(i < remainder)).max(1))
-        .collect()
 }
 
 #[cfg(test)]
@@ -244,102 +163,6 @@ mod tests {
         assert_eq!(store.targets(), 100);
         assert_eq!(store.attempts(Protocol::Http), 100);
         assert_eq!(store.attempts(Protocol::Coap), 100);
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential_results() {
-        let w = world();
-        let t = SimTime(500);
-        let addrs: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
-            .take(200)
-            .map(|d| w.address_of(d.id, t))
-            .collect();
-        let seq = BatchScan::new(ScanPolicy::default()).run(&w, addrs.iter().copied(), t);
-        let par = BatchScan::run_parallel(ScanPolicy::default(), &w, &addrs, t, 4);
-        assert_eq!(par.targets(), seq.targets());
-        for p in Protocol::ALL {
-            assert_eq!(par.attempts(p), seq.attempts(p), "{p}");
-            assert_eq!(par.addrs(p), seq.addrs(p), "{p}");
-            assert_eq!(par.fingerprints(p), seq.fingerprints(p), "{p}");
-        }
-        // Determinism across repeated parallel runs, including record
-        // order (shard-ordered merge).
-        let par2 = BatchScan::run_parallel(ScanPolicy::default(), &w, &addrs, t, 4);
-        assert_eq!(par.records(), par2.records());
-    }
-
-    #[test]
-    fn parallel_scan_degenerate_inputs() {
-        let w = world();
-        let empty = BatchScan::run_parallel(ScanPolicy::default(), &w, &[], SimTime(0), 8);
-        assert_eq!(empty.targets(), 0);
-        let one: Vec<Ipv6Addr> = vec![w.address_of(w.devices()[0].id, SimTime(0))];
-        let s = BatchScan::run_parallel(ScanPolicy::default(), &w, &one, SimTime(0), 16);
-        assert_eq!(s.targets(), 1);
-    }
-
-    #[test]
-    fn parallel_scan_dedups_cross_shard_duplicates() {
-        let w = world();
-        let t = SimTime(500);
-        let base: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
-            .take(40)
-            .map(|d| w.address_of(d.id, t))
-            .collect();
-        // Append a full second copy: with 4 shards, each duplicate lands
-        // in a different shard than its original.
-        let mut doubled = base.clone();
-        doubled.extend(base.iter().copied());
-        let par = BatchScan::run_parallel(ScanPolicy::default(), &w, &doubled, t, 4);
-        let seq = BatchScan::new(ScanPolicy::default()).run(&w, base.iter().copied(), t);
-        assert_eq!(par.targets(), base.len() as u64);
-        for p in Protocol::ALL {
-            assert_eq!(par.attempts(p), seq.attempts(p), "{p}");
-            assert_eq!(par.addrs(p), seq.addrs(p), "{p}");
-        }
-    }
-
-    #[test]
-    fn parallel_faulty_scan_matches_sequential_faulty_scan() {
-        use netsim::transport::{FaultConfig, Faulty};
-        let w = world();
-        let t = SimTime(500);
-        let addrs: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
-            .take(150)
-            .map(|d| w.address_of(d.id, t))
-            .collect();
-        let transport = || Box::new(Faulty::new(FaultConfig::lossy_1pct(99)));
-        let seq = BatchScan::with_transport(ScanPolicy::default(), transport()).run(
-            &w,
-            addrs.iter().copied(),
-            t,
-        );
-        let par =
-            BatchScan::run_parallel_with(ScanPolicy::default(), &w, &addrs, t, 4, &*transport());
-        // Stateless-hash faults make loss independent of sharding, so the
-        // responsive sets agree exactly.
-        assert_eq!(par.targets(), seq.targets());
-        for p in Protocol::ALL {
-            assert_eq!(par.addrs(p), seq.addrs(p), "{p}");
-        }
-        assert_eq!(par.failures_total(), seq.failures_total());
-    }
-
-    #[test]
-    fn shard_budgets_preserve_the_total() {
-        assert_eq!(shard_budgets(10, 4), vec![3, 3, 2, 2]);
-        assert_eq!(shard_budgets(10, 4).iter().sum::<u64>(), 10);
-        assert_eq!(shard_budgets(7, 7), vec![1; 7]);
-        assert_eq!(shard_budgets(100_000, 3).iter().sum::<u64>(), 100_000);
-        // Sub-thread budgets floor at 1 pps rather than stalling shards.
-        assert_eq!(shard_budgets(2, 4), vec![1, 1, 1, 1]);
-        assert_eq!(shard_budgets(0, 2), vec![1, 1]);
     }
 
     #[test]

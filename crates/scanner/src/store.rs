@@ -149,14 +149,6 @@ impl ScanStore {
     pub fn telemetry(&self) -> &Registry {
         &self.registry
     }
-
-    /// Merges another store (used to combine shard results). Record
-    /// vectors concatenate in call order; the metric registries merge
-    /// commutatively, so counter totals are shard-order independent.
-    pub fn merge(&mut self, other: ScanStore) {
-        self.records.extend(other.records);
-        self.registry.merge(&other.registry);
-    }
 }
 
 #[cfg(test)]
@@ -246,35 +238,6 @@ mod tests {
         ));
         // One distinct responsive address out of 1000 targets.
         assert!((s.hit_rate() - 0.001).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines_everything() {
-        let mut a = ScanStore::new();
-        a.note_target();
-        a.note_attempt(Protocol::Http);
-        a.note_failure(Protocol::Ssh, FailureCause::Timeout);
-        a.push(rec(
-            "2001:db8::1",
-            Protocol::Http,
-            ServiceResult::Http {
-                status: 200,
-                title: None,
-            },
-        ));
-        let mut b = ScanStore::new();
-        b.note_target();
-        b.note_attempt(Protocol::Http);
-        b.note_failure(Protocol::Ssh, FailureCause::Timeout);
-        b.note_failure(Protocol::Coap, FailureCause::Malformed);
-        a.merge(b);
-        assert_eq!(a.targets(), 2);
-        assert_eq!(a.attempts(Protocol::Http), 2);
-        assert_eq!(a.records().len(), 1);
-        assert_eq!(a.failures(FailureCause::Timeout), 2);
-        assert_eq!(a.failures(FailureCause::Malformed), 1);
-        assert_eq!(a.failures_for(Protocol::Ssh, FailureCause::Timeout), 2);
-        assert_eq!(a.failures_total(), 3);
     }
 
     #[test]

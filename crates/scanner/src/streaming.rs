@@ -15,30 +15,20 @@
 //! order. The equivalence is enforced by tests here and at the study
 //! level.
 //!
-//! The producer side upholds the same contract even when collection
-//! itself is parallel: `CollectionRun`'s bucket-synchronous engine
-//! (any `StudyConfig::collection_threads`) applies observations in its
-//! sequential *apply* phase, and the prefix-sharded engine
-//! (`StudyConfig::collection_shards`) publishes candidates through its
-//! global archive in event-index order at bucket boundaries — either
-//! way, first sights enter this channel in the exact event order the
-//! sequential engine would produce. A streaming scanner therefore never
-//! needs to know — or care — how many workers or shards fed it
-//! (`tests/collection_parallel.rs` and `tests/shard_equivalence.rs`
-//! cross both pipeline modes with thread/shard counts to pin this).
-//!
-//! Parallel producers do change the feed's *shape*: a sharded run
-//! publishes its whole bucket's first sights in one burst at the
-//! boundary rather than trickling them out mid-bucket. The consumer
-//! loop drains whatever has accumulated in one batch between probe
-//! computations, so boundary bursts don't pay one channel sync per
-//! observation.
+//! The producer side upholds the same contract for any
+//! `StudyConfig::collection_shards`: the inline loop emits first sights
+//! as it processes events, and the sharded loop publishes candidates
+//! through its global archive in event-index order at bucket boundaries
+//! — either way, first sights enter this channel in the same event
+//! order. A streaming scanner therefore never needs to know — or care —
+//! how many shards fed it (`tests/shard_equivalence.rs` crosses both
+//! pipeline modes with shard counts to pin this).
 
 use crate::engine::ScanPolicy;
 use crate::scheduler::RealTimeScanner;
 use crate::store::ScanStore;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
-use netsim::transport::{Ideal, Transport};
+use netsim::transport::Transport;
 use netsim::world::World;
 use ntppool::Observation;
 use std::sync::Arc;
@@ -116,56 +106,13 @@ pub struct StreamingScanner<'scope> {
 }
 
 impl<'scope> StreamingScanner<'scope> {
-    /// Starts the scanner thread inside `scope`. The thread drains `rx`
-    /// in order until every sender is dropped.
+    /// Starts the scanner thread inside `scope`, probing through
+    /// `transport`. The thread drains `rx` in order until every sender
+    /// is dropped, reporting the time it spends waiting on an empty
+    /// channel to `monitor` — volatile stall metrics only; consumption
+    /// order, and therefore the resulting [`ScanStore`], does not depend
+    /// on them.
     pub fn spawn<'env>(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        policy: ScanPolicy,
-        world: &'env World,
-        rx: Receiver<Observation>,
-    ) -> StreamingScanner<'scope> {
-        StreamingScanner::spawn_with_transport(scope, policy, world, rx, Box::new(Ideal))
-    }
-
-    /// [`spawn`](StreamingScanner::spawn) probing through an explicit
-    /// transport.
-    pub fn spawn_with_transport<'env>(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        policy: ScanPolicy,
-        world: &'env World,
-        rx: Receiver<Observation>,
-        transport: Box<dyn Transport>,
-    ) -> StreamingScanner<'scope> {
-        let handle = scope.spawn(move || {
-            let mut scanner = RealTimeScanner::with_transport(policy, transport);
-            let mut feed = Vec::new();
-            let mut batch = Vec::new();
-            // Batched drain: block for the first observation, then take
-            // everything else already buffered in one sweep. Bucket-
-            // boundary bursts from sharded producers cost one blocking
-            // recv per batch instead of one per observation; consumption
-            // order is still exactly channel order.
-            while let Ok(first) = rx.recv() {
-                batch.push(first);
-                while let Ok(next) = rx.try_recv() {
-                    batch.push(next);
-                }
-                for obs in batch.drain(..) {
-                    scanner.feed(world, obs);
-                    feed.push(obs);
-                }
-            }
-            (scanner.finish(), feed)
-        });
-        StreamingScanner { handle }
-    }
-
-    /// [`spawn_with_transport`](StreamingScanner::spawn_with_transport)
-    /// reporting consumer stalls to a shared [`PipelineMonitor`]. The
-    /// consumption order — and therefore the resulting [`ScanStore`] —
-    /// is identical to the unmonitored spawn; only volatile stall
-    /// metrics are added.
-    pub fn spawn_instrumented<'env>(
         scope: &'scope thread::Scope<'scope, 'env>,
         policy: ScanPolicy,
         world: &'env World,
@@ -211,6 +158,7 @@ impl<'scope> StreamingScanner<'scope> {
 mod tests {
     use super::*;
     use netsim::time::SimTime;
+    use netsim::transport::Ideal;
     use netsim::world::{World, WorldConfig};
     use ntppool::ServerId;
 
@@ -226,37 +174,18 @@ mod tests {
             .collect()
     }
 
+    /// The streamed store equals the buffered one over the same feed,
+    /// and everything the monitor exports is volatile: the
+    /// deterministic report is untouched by the stall accounting.
     #[test]
-    fn streaming_matches_buffered_run() {
-        let w = World::generate(WorldConfig::tiny(21));
-        let feed = feed_for(&w);
-        let buffered = RealTimeScanner::new(ScanPolicy::default()).run(&w, &feed);
-        let (streamed, replay) = std::thread::scope(|scope| {
-            let (tx, rx) = feed_channel(8);
-            let scanner = StreamingScanner::spawn(scope, ScanPolicy::default(), &w, rx);
-            for obs in &feed {
-                tx.send(*obs).expect("scanner alive");
-            }
-            drop(tx);
-            scanner.join()
-        });
-        assert_eq!(replay, feed);
-        assert_eq!(streamed.records(), buffered.records());
-        assert_eq!(streamed.targets(), buffered.targets());
-        for p in crate::result::Protocol::ALL {
-            assert_eq!(streamed.attempts(p), buffered.attempts(p));
-        }
-    }
-
-    #[test]
-    fn instrumented_spawn_matches_plain_and_reports_volatile_only() {
+    fn streaming_matches_buffered_run_and_reports_volatile_only() {
         let w = World::generate(WorldConfig::tiny(21));
         let feed = feed_for(&w);
         let buffered = RealTimeScanner::new(ScanPolicy::default()).run(&w, &feed);
         let monitor = Arc::new(PipelineMonitor::new());
         let (streamed, replay) = std::thread::scope(|scope| {
             let (tx, rx) = feed_channel(4);
-            let scanner = StreamingScanner::spawn_instrumented(
+            let scanner = StreamingScanner::spawn(
                 scope,
                 ScanPolicy::default(),
                 &w,
@@ -273,9 +202,11 @@ mod tests {
         });
         assert_eq!(replay, feed);
         assert_eq!(streamed.records(), buffered.records());
+        assert_eq!(streamed.targets(), buffered.targets());
+        for p in crate::result::Protocol::ALL {
+            assert_eq!(streamed.attempts(p), buffered.attempts(p));
+        }
         assert_eq!(monitor.fed(), feed.len() as u64);
-        // Everything the monitor exports is volatile: the deterministic
-        // report is untouched by instrumentation.
         let mut reg = telemetry::Registry::new();
         monitor.export_into(&mut reg);
         assert!(reg.snapshot().deterministic().is_empty());
@@ -286,7 +217,14 @@ mod tests {
         let w = World::generate(WorldConfig::tiny(21));
         let (store, feed) = std::thread::scope(|scope| {
             let (tx, rx) = feed_channel(1);
-            let scanner = StreamingScanner::spawn(scope, ScanPolicy::default(), &w, rx);
+            let scanner = StreamingScanner::spawn(
+                scope,
+                ScanPolicy::default(),
+                &w,
+                rx,
+                Box::new(Ideal),
+                Arc::new(PipelineMonitor::new()),
+            );
             drop(tx);
             scanner.join()
         });

@@ -492,7 +492,7 @@ impl StudyService {
                     let world = self.world(&wc);
                     let data = checkpoint::read(&self.study_dir(i as u32))?;
                     self.slots[i] =
-                        Slot::Active(Box::new(StudySession::from_checkpoint(data, world)));
+                        Slot::Active(Box::new(StudySession::from_checkpoint(data, world)?));
                     self.reg.add(metrics::SERVICE_RESUMES, 1);
                     stats.admitted += 1;
                 }

@@ -2,15 +2,17 @@
 //! and resumed from disk must be **bit-identical** to an uninterrupted
 //! run — same first-sight feed, same `RunStats`, same collected set,
 //! and a byte-identical canonical-JSON run report — across both
-//! pipeline modes, thread counts, and fault profiles.
+//! pipeline modes, both collection loops (1 and 4 shards), and fault
+//! profiles.
 
 use netsim::time::Duration;
 use netsim::transport::FaultProfile;
-use timetoscan::{PipelineMode, Study, StudyConfig};
+use netsim::DeviceId;
+use timetoscan::{checkpoint, PipelineMode, StoreError, Study, StudyConfig};
 
 const SEED: u64 = 31;
 const MODES: [PipelineMode; 2] = [PipelineMode::Buffered, PipelineMode::Streaming];
-const THREADS: [usize; 2] = [1, 4];
+const SHARDS: [usize; 2] = [1, 4];
 const FAULTS: [FaultProfile; 2] = [FaultProfile::Ideal, FaultProfile::Lossy1Pct];
 
 fn ckpt_dir(tag: &str) -> std::path::PathBuf {
@@ -20,16 +22,16 @@ fn ckpt_dir(tag: &str) -> std::path::PathBuf {
 /// The full matrix: checkpoint at half the window, resume, and compare
 /// every observable against the uninterrupted run of the same config.
 #[test]
-fn resume_matches_uninterrupted_across_modes_threads_faults() {
+fn resume_matches_uninterrupted_across_modes_shards_faults() {
     for fault in FAULTS {
         for mode in MODES {
-            for threads in THREADS {
+            for shards in SHARDS {
                 let cfg = StudyConfig::tiny(SEED)
                     .with_pipeline(mode)
                     .with_fault(fault)
-                    .with_collection_threads(threads);
+                    .with_collection_shards(shards);
                 let half = Duration::secs(cfg.collection.as_secs() / 2);
-                let tag = format!("{mode:?}-{threads}-{}", fault.name());
+                let tag = format!("{mode:?}-{shards}-{}", fault.name());
                 let dir = ckpt_dir(&tag);
                 Study::checkpoint(cfg.clone(), half, &dir).expect("checkpoint writes");
                 let resumed = Study::resume(&dir).expect("checkpoint resumes");
@@ -85,5 +87,37 @@ fn resume_missing_checkpoint_is_io_error() {
     let dir = ckpt_dir("missing");
     std::fs::remove_dir_all(&dir).ok();
     let err = Study::resume(&dir).err().expect("resume must fail");
-    assert!(matches!(err, timetoscan::StoreError::Io(_)), "{err:?}");
+    assert!(matches!(err, StoreError::Io(_)), "{err:?}");
+}
+
+/// A sealed, well-formed checkpoint whose engine state does not fit the
+/// pool and world its own config rebuilds — an RPS table shorter than
+/// the pool, a pending event for a device past the world — is a typed
+/// [`StoreError::Corrupt`] on resume, never an index panic in the poll
+/// loop.
+#[test]
+fn resume_rejects_engine_state_that_does_not_fit_pool_or_world() {
+    let cfg = StudyConfig::tiny(SEED + 2);
+    let half = Duration::secs(cfg.collection.as_secs() / 2);
+    let dir = ckpt_dir("unfit");
+    Study::checkpoint(cfg, half, &dir).expect("checkpoint writes");
+
+    let mut data = checkpoint::read(&dir).expect("clean checkpoint reads");
+    let slot = data.collection.rps.pop().expect("pool has servers");
+    checkpoint::write(&data, &dir).expect("tampered checkpoint writes");
+    match Study::resume(&dir) {
+        Err(StoreError::Corrupt(_)) => {}
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("short rps table resumed"),
+    }
+
+    data.collection.rps.push(slot);
+    data.collection.pending[0].1 = DeviceId(u32::MAX);
+    checkpoint::write(&data, &dir).expect("tampered checkpoint writes");
+    match Study::resume(&dir) {
+        Err(StoreError::Corrupt(_)) => {}
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("out-of-world pending event resumed"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,16 +1,12 @@
 //! Acceptance tests for the telemetry subsystem: the deterministic
-//! [`RunReport`] is **byte-identical** across pipeline modes and shard
-//! layouts under an injected-fault transport, and its counters reconcile
-//! exactly with the legacy accounting they replaced.
+//! [`RunReport`] is **byte-identical** across pipeline modes under an
+//! injected-fault transport, and its counters reconcile exactly with
+//! the legacy accounting they replaced.
 //!
 //! [`RunReport`]: telemetry::RunReport
 
-use netsim::time::SimTime;
 use netsim::transport::FaultProfile;
-use netsim::world::{World, WorldConfig};
 use scanner::result::{FailureCause, Protocol};
-use scanner::{BatchScan, ScanPolicy};
-use std::net::Ipv6Addr;
 use timetoscan::{PipelineMode, Study, StudyConfig};
 
 fn lossy(seed: u64, mode: PipelineMode) -> Study {
@@ -111,60 +107,5 @@ fn report_counters_reconcile_with_legacy_values() {
         det.counter_total("transport_answered")
             + det.counter_total("transport_unanswered")
             + det.counter_total("transport_lost")
-    );
-}
-
-#[test]
-fn parallel_shard_metrics_match_sequential() {
-    let w = World::generate(WorldConfig::tiny(33));
-    let t = SimTime(500);
-    let addrs: Vec<Ipv6Addr> = w
-        .devices()
-        .iter()
-        .take(200)
-        .map(|d| w.address_of(d.id, t))
-        .collect();
-    let transport = FaultProfile::Lossy1Pct.build(99);
-    let seq = BatchScan::with_transport(ScanPolicy::default(), transport.clone_box()).run(
-        &w,
-        addrs.iter().copied(),
-        t,
-    );
-    let par =
-        BatchScan::run_parallel_with(ScanPolicy::default(), &w, &addrs, t, 4, transport.as_ref());
-    // Shard merges are commutative counter/histogram folds, so the
-    // merged telemetry equals the sequential run's — not just totals,
-    // every key.
-    assert_eq!(
-        seq.telemetry().snapshot(),
-        par.telemetry().snapshot(),
-        "parallel shard metric totals must equal sequential"
-    );
-    // And thread count is irrelevant.
-    let par8 =
-        BatchScan::run_parallel_with(ScanPolicy::default(), &w, &addrs, t, 8, transport.as_ref());
-    assert_eq!(par.telemetry().snapshot(), par8.telemetry().snapshot());
-}
-
-#[test]
-fn sequential_and_parallel_study_scans_agree_under_faults() {
-    // The full-study variant: run the hitlist scan both ways on top of a
-    // lossy study and compare the deterministic snapshots.
-    let study = lossy(44, PipelineMode::Buffered);
-    let transport =
-        FaultProfile::Lossy1Pct.build(netsim::mix2(study.config.world.seed, 0x7472_616e_7370_6f72));
-    let addrs: Vec<Ipv6Addr> = study.hitlist.full.sorted();
-    let t = study.window().0 + study.config.hitlist_scan_offset;
-    let par = BatchScan::run_parallel_with(
-        ScanPolicy::default(),
-        &study.world,
-        &addrs,
-        t,
-        3,
-        transport.as_ref(),
-    );
-    assert_eq!(
-        par.telemetry().snapshot(),
-        study.hitlist_scan.telemetry().snapshot()
     );
 }

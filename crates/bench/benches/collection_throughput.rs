@@ -1,6 +1,5 @@
 //! Collection-engine throughput: events/sec of the inline loop and of
-//! the sharded loop at several shard counts, against a reconstruction
-//! of the pre-optimization poll loop.
+//! the sharded loop at several shard counts.
 //!
 //! Besides the criterion samples, this bench *always* (including
 //! `--test` smoke mode) runs each loop once over the same workload,
@@ -10,8 +9,7 @@
 //! `target/bench-reports/BENCH_collection.json` as a CI artifact. The
 //! sharded rows are compared with `first_sight` — the inline loop
 //! recording into the flat collector, the same work on one thread. The
-//! recorded `cpus` field qualifies them: shard speedup needs cores, the
-//! constant-factor win over the legacy loop does not.
+//! recorded `cpus` field qualifies them: shard speedup needs cores.
 //!
 //! It also runs a **procedural-world scale slice**: a 1:100-of-the-paper
 //! world (~13 M nominal devices) collected through the same engine with
@@ -21,16 +19,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::country;
-use netsim::engine::EventQueue;
 use netsim::time::{Duration, SimTime};
 use netsim::world::{World, WorldConfig};
-use netsim::{DeviceId, Ideal};
 use ntppool::collector::VecSink;
-use ntppool::{
-    next_poll, poll_once, AddressCollector, CollectorParts, Operator, PollReply, Pool, PoolServer,
-    ServerId,
-};
-use std::collections::HashMap;
+use ntppool::{AddressCollector, CollectorParts, Operator, Pool, PoolServer, ServerId};
 use std::hint::black_box;
 use std::net::Ipv6Addr;
 use std::time::Instant;
@@ -58,56 +50,7 @@ struct Outcome {
     feed: Vec<(ServerId, Ipv6Addr, SimTime)>,
 }
 
-/// A faithful reconstruction of the pre-optimization sequential loop:
-/// one heap pop per event, a fresh 48-byte request emitted per poll, a
-/// `HashMap` RPS window, and full per-poll address resolution. This is
-/// the baseline the recorded speedups are measured against.
-fn run_legacy(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> Outcome {
-    let mut out = Outcome::default();
-    let mut queue: EventQueue<(DeviceId, u64)> = EventQueue::new();
-    let mut rps: HashMap<ServerId, (u64, u64)> = HashMap::new();
-    for (dev, cfg) in world.ntp_clients() {
-        queue.schedule(start + cfg.phase, (dev.id, 0));
-    }
-    while let Some((t, (id, seq))) = queue.pop() {
-        if t >= end {
-            continue;
-        }
-        let dev = world.meta(id);
-        let cfg = dev.ntp.expect("scheduled device has NTP config");
-        out.polls += 1;
-        let addr = world.address_of_meta(&dev, t);
-        let mut reply = PollReply::None;
-        if let Some(server_id) = pool.select(dev.country, u64::from(id.0), seq) {
-            let server = pool.server(server_id);
-            let window = rps.entry(server_id).or_insert((u64::MAX, 0));
-            if window.0 != t.as_secs() {
-                *window = (t.as_secs(), 0);
-            }
-            window.1 += 1;
-            let outcome = poll_once(
-                server,
-                &Ideal,
-                addr,
-                ntppool::run::server_addr(server_id),
-                t,
-                window.1,
-            );
-            reply = outcome.reply;
-            if reply == PollReply::Time {
-                out.responses += 1;
-            }
-            if outcome.server_saw && server.operator.collects() {
-                out.observed += 1;
-                out.feed.push((server_id, addr, t));
-            }
-        }
-        queue.schedule(next_poll(t, cfg.poll_interval, reply), (id, seq + 1));
-    }
-    out
-}
-
-/// The current inline loop, feeding a closure.
+/// The inline loop, feeding a closure every raw observation.
 fn run_engine(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> Outcome {
     let run = ntppool::CollectionRun::new(world, pool, start, end);
     let mut out = Outcome::default();
@@ -121,8 +64,7 @@ fn run_engine(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> Outco
 /// First-sight collection through the inline loop + the flat
 /// `AddressCollector`: the ground truth and the like-for-like baseline
 /// for the sharded rows, whose feed is the deduplicated first-sight
-/// stream rather than the raw observation stream the legacy comparison
-/// uses.
+/// stream rather than the raw observation stream.
 fn run_first_sight(world: &World, pool: &Pool, start: SimTime, end: SimTime) -> Outcome {
     let sink = VecSink::default();
     let buf = sink.0.clone();
@@ -212,18 +154,14 @@ fn collection_throughput(c: &mut Criterion) {
     // and allocator start-up costs.
     black_box(run_engine(&world, &pool, start, end));
 
-    let (legacy, legacy_ns) = time(|| run_legacy(&world, &pool, start, end));
     let (sequential, sequential_ns) = time(|| run_engine(&world, &pool, start, end));
-    // The determinism contract, checked on the bench workload too: the
-    // rewritten loop reproduces the legacy loop bit for bit.
-    assert_eq!(sequential, legacy, "inline loop diverged from legacy");
 
-    // Its feed is the first-sight stream, so the sharded rows are
-    // checked against the flat collector's rather than the raw legacy
-    // feed (poll counters still match legacy exactly).
+    // The sharded loop's feed is the first-sight stream, so its rows
+    // are checked against the flat collector's rather than the raw
+    // feed (poll counters match the raw run exactly).
     let (first_sight, first_sight_ns) = time(|| run_first_sight(&world, &pool, start, end));
-    assert_eq!(first_sight.polls, legacy.polls);
-    assert_eq!(first_sight.observed, legacy.observed);
+    assert_eq!(first_sight.polls, sequential.polls);
+    assert_eq!(first_sight.observed, sequential.observed);
     let mut sharded_ns = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let (sharded, ns) = time(|| run_sharded(&world, &pool, start, end, shards));
@@ -231,14 +169,11 @@ fn collection_throughput(c: &mut Criterion) {
         sharded_ns.push((shards, ns));
     }
 
-    let events = legacy.polls;
+    let events = sequential.polls;
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup = |ns: u128| legacy_ns as f64 / ns.max(1) as f64;
     println!(
-        "collection/throughput: {events} events, {cpus} cpus — legacy {} ev/s, sequential {} ev/s ({:.2}x)",
-        events_per_sec(events, legacy_ns),
+        "collection/throughput: {events} events, {cpus} cpus — sequential {} ev/s",
         events_per_sec(events, sequential_ns),
-        speedup(sequential_ns),
     );
     println!(
         "collection/throughput: first sight (inline loop + flat collector) {} ev/s",
@@ -316,13 +251,11 @@ fn collection_throughput(c: &mut Criterion) {
             "  \"days\": {},\n",
             "  \"cpus\": {},\n",
             "  \"events\": {},\n",
-            "  \"legacy_ns\": {},\n",
             "  \"sequential_ns\": {},\n",
             "  \"first_sight_ns\": {},\n",
             "  \"sharded_ns\": {{\"shards_1\": {}, \"shards_2\": {}, \"shards_4\": {}, \"shards_8\": {}}},\n",
-            "  \"events_per_sec\": {{\"legacy\": {}, \"sequential\": {}, \"first_sight\": {}, ",
+            "  \"events_per_sec\": {{\"sequential\": {}, \"first_sight\": {}, ",
             "\"shards_1\": {}, \"shards_2\": {}, \"shards_4\": {}, \"shards_8\": {}}},\n",
-            "  \"speedup_vs_legacy\": {{\"sequential\": {:.3}}},\n",
             "  \"speedup_vs_first_sight\": {{\"shards_1\": {:.3}, \"shards_2\": {:.3}, \"shards_4\": {:.3}, \"shards_8\": {:.3}}},\n",
             "  \"procedural\": {}\n",
             "}}\n"
@@ -332,21 +265,18 @@ fn collection_throughput(c: &mut Criterion) {
         days,
         cpus,
         events,
-        legacy_ns,
         sequential_ns,
         first_sight_ns,
         sharded_ns[0].1,
         sharded_ns[1].1,
         sharded_ns[2].1,
         sharded_ns[3].1,
-        events_per_sec(events, legacy_ns),
         events_per_sec(events, sequential_ns),
         events_per_sec(events, first_sight_ns),
         events_per_sec(events, sharded_ns[0].1),
         events_per_sec(events, sharded_ns[1].1),
         events_per_sec(events, sharded_ns[2].1),
         events_per_sec(events, sharded_ns[3].1),
-        speedup(sequential_ns),
         first_sight_ns as f64 / sharded_ns[0].1.max(1) as f64,
         first_sight_ns as f64 / sharded_ns[1].1.max(1) as f64,
         first_sight_ns as f64 / sharded_ns[2].1.max(1) as f64,

@@ -634,7 +634,7 @@ fn run_collection_and_scan(
         }),
     };
     let run_stats = collection.finish(&mut coll_reg);
-    let collector = AddressCollector::from_parts(parts, None, 0);
+    let collector = AddressCollector::from_parts(parts, None);
     collector.export_into(&mut coll_reg);
     coll_stats.export_into(&mut coll_reg);
     if let Some(totals) = saved_transport {

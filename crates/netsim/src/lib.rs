@@ -34,7 +34,7 @@
 //! * [`world`] — the assembled world: device populations per AS, reverse
 //!   address lookup at a point in time, and the probe dispatcher that
 //!   parses scanner bytes and produces response bytes.
-//! * [`engine`] — a binary-heap discrete-event queue used to drive NTP
+//! * [`engine`] — a calendar-queue discrete-event scheduler used to drive NTP
 //!   polling chronologically.
 //! * [`transport`] — the byte-exchange layer between any client and the
 //!   world: an [`transport::Ideal`] pass-through and a

@@ -749,8 +749,8 @@ impl Layout {
     }
 
     /// Deterministic O(1) estimate of the pool-client population —
-    /// a capacity hint only (collector/shard pre-sizing), never an
-    /// observable quantity. Identical across backends by construction:
+    /// an order of magnitude only, never an observable quantity.
+    /// Identical across backends by construction:
     /// it reads nothing but the configured counts.
     pub fn client_count_estimate(&self) -> usize {
         // Households average 4.5 devices, nearly all pool clients;

@@ -575,10 +575,11 @@ impl World {
         }
     }
 
-    /// Deterministic O(1) estimate of the pool-client population. A
-    /// **capacity hint only** (collector/shard pre-sizing) — never an
-    /// observable quantity, so it may differ from the exact count but is
-    /// identical across backends by construction.
+    /// Deterministic O(1) estimate of the pool-client population. An
+    /// **order of magnitude only** (for a caller sizing something ahead
+    /// of an enumeration) — never an observable quantity, so it may
+    /// differ from the exact count but is identical across backends by
+    /// construction.
     pub fn client_count_estimate(&self) -> usize {
         self.layout.client_count_estimate()
     }

@@ -7,9 +7,10 @@
 //! mirroring how the study's zgrab2 pipeline deduplicates its input.
 //!
 //! The global set is a [`store::Archive`] — the memtable + compact-segment
-//! store built for the paper's 3 B-address scale — and the per-server
-//! `AddrSet`s are pre-sized from the expected device population instead of
-//! growing from empty through repeated rehashes.
+//! store built for the paper's 3 B-address scale. The per-server
+//! `AddrSet`s grow from empty: a server sees a location's slice of the
+//! clients that poll inside the window, far fewer than the device
+//! population.
 
 use crate::pool::ServerId;
 use netsim::time::SimTime;
@@ -95,9 +96,6 @@ pub struct AddressCollector {
     per_server: HashMap<ServerId, AddrSet>,
     requests: HashMap<ServerId, u64>,
     sink: Option<Box<dyn FeedSink>>,
-    /// Capacity hint for per-server sets, derived from the expected
-    /// device population.
-    per_server_hint: usize,
 }
 
 impl std::fmt::Debug for AddressCollector {
@@ -123,7 +121,6 @@ impl AddressCollector {
             per_server: HashMap::new(),
             requests: HashMap::new(),
             sink: None,
-            per_server_hint: 0,
         }
     }
 
@@ -135,14 +132,15 @@ impl AddressCollector {
         }
     }
 
-    /// Collector pre-sized for an expected device population: each
-    /// collecting server serves one location's slice of the world, so
-    /// per-server sets start at a quarter of the population instead of
-    /// rehashing their way up from empty.
-    pub fn sized_for(sink: Option<Box<dyn FeedSink>>, expected_devices: usize) -> AddressCollector {
+    /// Collector with an optional sink. The population argument no
+    /// longer reserves anything: a quarter of it per collecting server
+    /// was 25× what a 45-minute window of the 1:100 world puts there.
+    pub fn sized_for(
+        sink: Option<Box<dyn FeedSink>>,
+        _expected_devices: usize,
+    ) -> AddressCollector {
         AddressCollector {
             sink,
-            per_server_hint: expected_devices / 4,
             ..AddressCollector::new()
         }
     }
@@ -150,17 +148,12 @@ impl AddressCollector {
     /// Rebuilds a flat collector from [`CollectorParts`], reattaching a
     /// (fresh) sink for the remainder of the run. Shard-local archives
     /// are an engine detail with no flat counterpart and are dropped.
-    pub fn from_parts(
-        parts: CollectorParts,
-        sink: Option<Box<dyn FeedSink>>,
-        expected_devices: usize,
-    ) -> AddressCollector {
+    pub fn from_parts(parts: CollectorParts, sink: Option<Box<dyn FeedSink>>) -> AddressCollector {
         AddressCollector {
             global: parts.global,
             per_server: parts.per_server.into_iter().collect(),
             requests: parts.requests.into_iter().collect(),
             sink,
-            per_server_hint: expected_devices / 4,
         }
     }
 
@@ -181,11 +174,7 @@ impl AddressCollector {
     /// Records one observed request.
     pub fn record(&mut self, server: ServerId, addr: Ipv6Addr, at: SimTime) {
         *self.requests.entry(server).or_insert(0) += 1;
-        let hint = self.per_server_hint;
-        self.per_server
-            .entry(server)
-            .or_insert_with(|| AddrSet::with_capacity(hint))
-            .insert(addr);
+        self.per_server.entry(server).or_default().insert(addr);
         if self.global.insert(addr) {
             if let Some(sink) = &mut self.sink {
                 sink.on_first_sight(Observation {
@@ -318,7 +307,7 @@ mod tests {
         let parts = c.into_parts();
         let sink = VecSink::default();
         let buf = sink.0.clone();
-        let mut c = AddressCollector::from_parts(parts, Some(Box::new(sink)), 100);
+        let mut c = AddressCollector::from_parts(parts, Some(Box::new(sink)));
         // Re-sighting anything already collected stays silent.
         c.record(ServerId(0), a("2001:db8::5"), SimTime(99));
         assert!(buf.lock().is_empty());

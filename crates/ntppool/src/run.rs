@@ -509,12 +509,8 @@ impl<'w> CollectionRun<'w> {
         let stop = stop.min(self.end).max(ckpt.cursor);
         let mut st = EngineState::thaw(ckpt);
         let parts = std::mem::take(collector);
-        // Capacity hint only: the O(1) estimate never enumerates the
-        // client population (a procedural world would have to derive it
-        // end to end).
-        let expected = self.world.client_count_estimate();
         *collector = if parts.shards.is_empty() {
-            let mut flat = AddressCollector::from_parts(parts, Some(sink), expected);
+            let mut flat = AddressCollector::from_parts(parts, Some(sink));
             self.drive_sequential(&mut st, stop, &mut |server, addr, t| {
                 if self.pool.server(server).operator.is_study() {
                     flat.record(server, addr, t);
@@ -522,7 +518,7 @@ impl<'w> CollectionRun<'w> {
             });
             flat.into_parts()
         } else {
-            let mut set = ShardSet::from_parts(parts, sink, expected);
+            let mut set = ShardSet::from_parts(parts, sink);
             self.drive_sharded(&mut st, stop, &mut set, registry);
             set.into_parts()
         };
@@ -534,8 +530,9 @@ impl<'w> CollectionRun<'w> {
     /// *collecting* server, and the caller routes study vs actor
     /// observations. The same begin → advance → finish as above on the
     /// inline loop, minus the checkpoint in between: a closure cannot be
-    /// suspended, and draining a world-sized queue into pop order twice
-    /// for a checkpoint nobody reads would dominate a short window.
+    /// suspended, and a checkpoint nobody reads would put every pending
+    /// event of the world through the queue's ordered part twice more
+    /// (`begin` and `advance` each drain it into pop order).
     pub fn run<F: FnMut(ServerId, Ipv6Addr, SimTime)>(&self, mut observe: F) -> RunStats {
         let mut st = self.fresh_state();
         self.drive_sequential(&mut st, self.end, &mut observe);
@@ -568,7 +565,7 @@ impl<'w> CollectionRun<'w> {
         } = st;
         let mut memo = RequestMemo::new();
         let mut resolver = self.world.addr_resolver();
-        // The heap pops in time order, so the first event at or past
+        // The queue pops in time order, so the first event at or past
         // `stop` means every remaining event is too — they stay queued
         // (for a checkpoint) instead of being drained.
         while queue.peek_time().is_some_and(|t0| t0 < stop) {

@@ -73,7 +73,6 @@ struct Shard {
     dedup: Archive,
     per_server: HashMap<ServerId, AddrSet>,
     requests: HashMap<ServerId, u64>,
-    hint: usize,
 }
 
 impl Shard {
@@ -86,11 +85,7 @@ impl Shard {
     /// `true` on shard-local first sight of the address.
     fn record(&mut self, server: ServerId, addr: Ipv6Addr) -> bool {
         *self.requests.entry(server).or_insert(0) += 1;
-        let hint = self.hint;
-        self.per_server
-            .entry(server)
-            .or_insert_with(|| AddrSet::with_capacity(hint))
-            .insert(addr);
+        self.per_server.entry(server).or_default().insert(addr);
         self.dedup.insert(addr)
     }
 }
@@ -110,14 +105,7 @@ pub(crate) struct ShardSet {
 impl ShardSet {
     /// Re-homes flat [`CollectorParts`] onto one shard per shard-local
     /// archive — the same partition that produced them.
-    /// `expected_devices` pre-sizes per-server sets as
-    /// [`AddressCollector::sized_for`](crate::AddressCollector::sized_for)
-    /// does.
-    pub(crate) fn from_parts(
-        parts: CollectorParts,
-        sink: Box<dyn FeedSink>,
-        expected_devices: usize,
-    ) -> ShardSet {
+    pub(crate) fn from_parts(parts: CollectorParts, sink: Box<dyn FeedSink>) -> ShardSet {
         let count = parts.shards.len();
         let mut shards: Vec<Shard> = parts
             .shards
@@ -129,7 +117,6 @@ impl ShardSet {
                 dedup,
                 per_server: HashMap::new(),
                 requests: HashMap::new(),
-                hint: expected_devices / 4,
             })
             .collect();
         for (s, set) in parts.per_server {
@@ -493,7 +480,7 @@ mod tests {
         assert!(!feed.is_empty());
 
         let replay = VecSink::default();
-        let mut set = ShardSet::from_parts(parts, Box::new(replay.clone()), 0);
+        let mut set = ShardSet::from_parts(parts, Box::new(replay.clone()));
         for obs in &feed {
             set.publish(*obs);
         }

@@ -11,12 +11,10 @@
 
 use timetoscan::experiments::{fig4, table3};
 use timetoscan::{Study, StudyConfig};
+use timetoscan_repro::{exit_usage, seed_arg};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
+    let seed = seed_arg(std::env::args().nth(1), 7).unwrap_or_else(|e| exit_usage(&e));
     let study = Study::run(StudyConfig::small(seed));
     let derived = study.derived();
 

@@ -2,20 +2,23 @@
 //! table and figure.
 //!
 //! ```sh
-//! cargo run --release --example quickstart [seed] [tiny|small|medium]
+//! cargo run --release --example quickstart [seed] [tiny|small|medium|paper-milli]
 //! ```
 
 use timetoscan::{experiments, Study, StudyConfig};
+use timetoscan_repro::{exit_usage, seed_arg};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
-    let preset = args.next().unwrap_or_else(|| "tiny".to_string());
-    let config = match preset.as_str() {
+    let seed = seed_arg(args.next(), 42).unwrap_or_else(|e| exit_usage(&e));
+    let config = match args.next().as_deref().unwrap_or("tiny") {
+        "tiny" => StudyConfig::tiny(seed),
         "small" => StudyConfig::small(seed),
         "medium" => StudyConfig::medium(seed),
         "paper-milli" => StudyConfig::paper_milli(seed),
-        _ => StudyConfig::tiny(seed),
+        other => exit_usage(&format!(
+            "unknown preset {other:?}; accepted presets: tiny, small, medium, paper-milli"
+        )),
     };
 
     eprintln!(

@@ -8,12 +8,10 @@
 use analysis::outdated::{assess, PatchStatus};
 use timetoscan::experiments::{fig2, fig3, keyreuse, security};
 use timetoscan::{Study, StudyConfig};
+use timetoscan_repro::{exit_usage, seed_arg};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11);
+    let seed = seed_arg(std::env::args().nth(1), 11).unwrap_or_else(|e| exit_usage(&e));
     let study = Study::run(StudyConfig::small(seed));
     let derived = study.derived();
 

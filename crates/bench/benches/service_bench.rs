@@ -16,9 +16,9 @@ use netsim::time::Duration;
 use service::{ServiceConfig, StudyService};
 use std::hint::black_box;
 use std::time::Instant;
-use timetoscan::{FaultProfile, PipelineMode, SetKind, StudyConfig};
+use timetoscan::{ActorRoster, FaultProfile, SetKind, StudyConfig};
 
-/// The study matrix: one world, varied fault profile, pipeline mode,
+/// The study matrix: one world, varied fault profile, actor roster,
 /// and engine shape — the shape a research group actually submits.
 fn matrix(smoke: bool) -> Vec<StudyConfig> {
     let base = |seed| {
@@ -30,13 +30,11 @@ fn matrix(smoke: bool) -> Vec<StudyConfig> {
     };
     vec![
         base(41),
-        base(41).with_pipeline(PipelineMode::Buffered),
+        base(41).with_actors(ActorRoster::ALL),
         base(41)
             .with_fault(FaultProfile::Lossy1Pct)
             .with_collection_shards(2),
-        base(41)
-            .with_pipeline(PipelineMode::Buffered)
-            .with_collection_shards(3),
+        base(41).with_collection_shards(3),
     ]
 }
 

@@ -63,27 +63,11 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, u128) {
     (v, start.elapsed().as_nanos())
 }
 
-/// Spill fanout used by both compaction-schedule reconstructions,
-/// matching [`store::archive::DEFAULT_FANOUT`].
+/// Spill fanout of the compaction-schedule reconstruction, matching
+/// [`store::archive::DEFAULT_FANOUT`].
 const SPILL_FANOUT: usize = 8;
 
-/// The pre-optimization compaction schedule, via the public
-/// [`CompactSet`] API: each spilled run is appended, and once the
-/// fanout is exceeded a full k-way union re-encodes **every** segment
-/// into one.
-fn legacy_compaction(runs: &[CompactSet]) -> Vec<CompactSet> {
-    let mut segments: Vec<CompactSet> = Vec::new();
-    for run in runs {
-        segments.push(run.clone());
-        if segments.len() > SPILL_FANOUT {
-            let refs: Vec<&CompactSet> = segments.iter().collect();
-            segments = vec![CompactSet::union_all(&refs)];
-        }
-    }
-    segments
-}
-
-/// The current archive's size-tiered schedule: segments bucket into
+/// The archive's size-tiered schedule: segments bucket into
 /// power-of-two size classes, and a class is k-way merged only once it
 /// holds `fanout` segments (cascading upward), so each address is
 /// re-encoded once per tier level instead of every `fanout`-th spill.
@@ -149,16 +133,11 @@ fn store_bench(c: &mut Criterion) {
         ar
     });
     assert_eq!(archive.len(), hash.len(), "archive dedup diverged");
-    // Before/after for the spill rewrite, measuring exactly the path
-    // that changed: the same ~256 pre-sorted, globally deduplicated
-    // runs (a memtable 1/256 of the feed — a long study spills *many*
-    // times) pushed through the old full-recompaction schedule vs the
-    // new size-tiered one. Insert probes are excluded on purpose — they
-    // are identical code either way and would drown the freeze cost.
-    // The schedules only separate with spill count: full recompaction
-    // re-encodes the whole archive every `fanout` spills (quadratic in
-    // spills), tiered merging re-encodes each address O(log spills)
-    // times.
+    // The spill path on its own: ~256 pre-sorted, globally
+    // deduplicated runs (a memtable 1/256 of the feed — a long study
+    // spills *many* times) pushed through the size-tiered schedule,
+    // which re-encodes each address O(log spills) times. Insert probes
+    // are excluded on purpose — they would drown the freeze cost.
     let spill_cap = (feed.len() / 256).max(64);
     let runs: Vec<CompactSet> = {
         let mut seen: HashSet<u128> = HashSet::new();
@@ -180,24 +159,17 @@ fn store_bench(c: &mut Criterion) {
         runs
     };
     let (tiered, tiered_ns) = time(|| tiered_compaction(&runs));
-    let (legacy_segments, legacy_ns) = time(|| legacy_compaction(&runs));
     let seg_total = |segs: &[CompactSet]| segs.iter().map(CompactSet::len).sum::<usize>();
     assert_eq!(
         seg_total(&tiered),
         hash.len(),
         "tiered schedule lost addresses"
     );
-    assert_eq!(
-        seg_total(&legacy_segments),
-        hash.len(),
-        "legacy schedule lost addresses"
-    );
 
     // --- K-way merge ingest: one `union_all` across every spilled run
-    // is the inner loop both compaction schedules share, now a
-    // `BinaryHeap` min-merge (O(log k) per element instead of an O(k)
-    // min-scan). Recorded so the artifact tracks the merge's ingest
-    // rate across that rewrite and any future one.
+    // is the compaction schedule's inner loop, a `BinaryHeap`
+    // min-merge (O(log k) per element). Recorded so the artifact tracks
+    // the merge's ingest rate across any future rewrite.
     let (kway_merged, kway_ns) = time(|| {
         let refs: Vec<&CompactSet> = runs.iter().collect();
         CompactSet::union_all(&refs)
@@ -329,11 +301,9 @@ fn store_bench(c: &mut Criterion) {
         per_sec(feed.len(), archive_ns),
     );
     println!(
-        "store/spill ({} runs of {spill_cap}): tiered {} ns, full-recompaction {} ns ({:.2}x speedup)",
+        "store/spill ({} runs of {spill_cap}): tiered {} ns",
         runs.len(),
         tiered_ns,
-        legacy_ns,
-        legacy_ns as f64 / tiered_ns.max(1) as f64,
     );
     println!(
         "store/kway-merge: {} streams -> {} addresses in {} ns ({} addr/s)",
@@ -378,7 +348,7 @@ fn store_bench(c: &mut Criterion) {
             "  \"compression_ratio\": {:.3},\n",
             "  \"insert_ns\": {{\"hashset\": {}, \"archive\": {}}},\n",
             "  \"inserts_per_sec\": {{\"hashset\": {}, \"archive\": {}}},\n",
-            "  \"spill\": {{\"memtable_cap\": {}, \"runs\": {}, \"tiered_ns\": {}, \"full_recompaction_ns\": {}, \"speedup\": {:.3}}},\n",
+            "  \"spill\": {{\"memtable_cap\": {}, \"runs\": {}, \"tiered_ns\": {}}},\n",
             "  \"kway_merge\": {{\"streams\": {}, \"addresses\": {}, \"union_all_ns\": {}, \"addresses_per_sec\": {}}},\n",
             "  \"overlap_shared\": {},\n",
             "  \"overlap_ns\": {{\"compact\": {}, \"hashset\": {}}},\n",
@@ -401,8 +371,6 @@ fn store_bench(c: &mut Criterion) {
         spill_cap,
         runs.len(),
         tiered_ns,
-        legacy_ns,
-        legacy_ns as f64 / tiered_ns.max(1) as f64,
         runs.len(),
         kway_merged.len(),
         kway_ns,

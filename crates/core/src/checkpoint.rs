@@ -19,7 +19,10 @@
 //!   the run used the prefix-sharded engine (`collection_shards ≥ 2`);
 //!   none for a flat run.
 //!
-//! There is one format version (5); a file with any other number fails
+//! [`write()`] replaces the file atomically (scratch file, then rename),
+//! so an interrupted write never costs the previous checkpoint.
+//!
+//! There is one format version (6); a file with any other number fails
 //! with the typed [`StoreError::BadVersion`] (nothing outside this
 //! repository ever wrote an older one). A file whose shard section
 //! disagrees with the shard count in its own config fails with the
@@ -34,12 +37,14 @@
 //! byte, truncation, wrong magic — surfaces as a typed
 //! [`StoreError`], never a panic.
 
-use crate::config::{PipelineMode, StudyConfig};
+use crate::config::StudyConfig;
 use actors::ActorRoster;
 use netsim::transport::FaultProfile;
 use netsim::world::{WorldBackend, WorldConfig};
 use netsim::{DeviceId, Duration, SimTime, TransportTotals};
 use ntppool::{CollectionCheckpoint, CollectorParts, Observation, ServerId};
+use std::fs::File;
+use std::io::Write;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
 use store::codec::{Reader, Writer};
@@ -50,9 +55,19 @@ use v6addr::AddrSet;
 /// File name of the checkpoint inside its directory.
 pub const CHECKPOINT_FILE: &str = "study.ckpt";
 
+/// Name a checkpoint is written under before it replaces
+/// [`CHECKPOINT_FILE`]. Nothing ever reads it.
+const CHECKPOINT_TMP: &str = "study.ckpt.tmp";
+
 const MAGIC: &[u8; 8] = b"TTSCKPT\0";
 /// The one format version this build reads and writes.
-const VERSION: u16 = 5;
+const VERSION: u16 = 6;
+
+/// Longest collection window a checkpoint may name (a century; the
+/// paper's is four weeks). [`crate::study::study_start`] places the
+/// window some 27 window lengths after the epoch, so the bound keeps
+/// every instant derived from a decoded config clear of `u64` overflow.
+const MAX_COLLECTION: Duration = Duration::days(36_500);
 
 /// Everything [`crate::Study::checkpoint`] persists and
 /// [`crate::Study::resume`] restores.
@@ -72,6 +87,10 @@ pub struct CheckpointData {
 
 /// Writes `data` to `dir/study.ckpt`, creating `dir` if needed.
 /// Returns the file path.
+///
+/// The bytes are made durable under a scratch name in `dir` and then
+/// renamed over `study.ckpt`, so a crash at any step leaves that name
+/// holding either the previous checkpoint or this one, whole.
 pub fn write(data: &CheckpointData, dir: &Path) -> Result<PathBuf, StoreError> {
     let mut w = Writer::new();
     w.put_raw(MAGIC);
@@ -98,7 +117,14 @@ pub fn write(data: &CheckpointData, dir: &Path) -> Result<PathBuf, StoreError> {
     w.seal();
     std::fs::create_dir_all(dir)?;
     let path = dir.join(CHECKPOINT_FILE);
-    std::fs::write(&path, w.into_bytes())?;
+    let tmp = dir.join(CHECKPOINT_TMP);
+    let mut file = File::create(&tmp)?;
+    file.write_all(&w.into_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, &path)?;
+    // The rename is durable once the directory entry is.
+    File::open(dir)?.sync_all()?;
     Ok(path)
 }
 
@@ -191,10 +217,6 @@ fn put_config(w: &mut Writer, cfg: &StudyConfig) {
     w.put_u64(cfg.target_rps.to_bits());
     w.put_u32(cfg.rl_samples);
     w.put_u8(u8::from(cfg.telescope));
-    w.put_u8(match cfg.pipeline {
-        PipelineMode::Buffered => 0,
-        PipelineMode::Streaming => 1,
-    });
     w.put_u64(cfg.collection_shards as u64);
     w.put_u8(match cfg.fault {
         FaultProfile::Ideal => 0,
@@ -223,19 +245,25 @@ fn read_config(r: &mut Reader<'_>) -> Result<StudyConfig, StoreError> {
         },
         sntp_iot_pct: r.u8()?,
     };
+    let collection = Duration::secs(r.u64()?);
+    let hitlist_scan_offset = Duration::secs(r.u64()?);
+    let telescope_offset = Duration::secs(r.u64()?);
+    if collection > MAX_COLLECTION {
+        return Err(StoreError::Corrupt("collection window out of range"));
+    }
+    if hitlist_scan_offset > collection || telescope_offset > collection {
+        return Err(StoreError::Corrupt(
+            "stage offset past the collection window",
+        ));
+    }
     Ok(StudyConfig {
         world,
-        collection: Duration::secs(r.u64()?),
-        hitlist_scan_offset: Duration::secs(r.u64()?),
-        telescope_offset: Duration::secs(r.u64()?),
+        collection,
+        hitlist_scan_offset,
+        telescope_offset,
         target_rps: f64::from_bits(r.u64()?),
         rl_samples: r.u32()?,
         telescope: r.u8()? != 0,
-        pipeline: match r.u8()? {
-            0 => PipelineMode::Buffered,
-            1 => PipelineMode::Streaming,
-            _ => return Err(StoreError::Corrupt("unknown pipeline mode")),
-        },
         collection_shards: usize::try_from(r.u64()?)
             .map_err(|_| StoreError::Corrupt("shard count exceeds usize"))?,
         fault: match r.u8()? {
@@ -528,7 +556,7 @@ mod tests {
     }
 
     /// One format: the header of every version this repository ever
-    /// wrote before (1–4), of none (0) and of the next (6) is refused
+    /// wrote before (1–5), of none (0) and of the next (7) is refused
     /// with the typed error, on an otherwise valid, sealed file.
     #[test]
     fn any_other_version_is_a_typed_error() {
@@ -537,7 +565,7 @@ mod tests {
         let clean = std::fs::read(&path).unwrap();
         let payload = &clean[..clean.len() - 8];
         assert_eq!(payload[MAGIC.len()..][..2], VERSION.to_le_bytes());
-        for version in [0u16, 1, 2, 3, 4, 6] {
+        for version in [0u16, 1, 2, 3, 4, 5, 7] {
             let mut bad = payload.to_vec();
             bad[MAGIC.len()..][..2].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, resealed(&bad)).unwrap();
@@ -560,6 +588,25 @@ mod tests {
         assert_eq!(back.config.world.sntp_iot_pct, 40);
         assert_eq!(back.config.actors, ActorRoster::ALL);
         assert_eq!(back.config, data.config);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A window no run could finish, or a stage scheduled after it, is
+    /// refused at decode: the study's instants are sums and multiples
+    /// of these fields.
+    #[test]
+    fn out_of_range_window_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("ckpt-window-{}", std::process::id()));
+        let mut data = sample();
+        data.config.telescope_offset = data.config.collection + Duration::secs(1);
+        write(&data, &dir).unwrap();
+        assert!(matches!(read(&dir), Err(StoreError::Corrupt(_))));
+        data.config.collection = MAX_COLLECTION + Duration::secs(1);
+        write(&data, &dir).unwrap();
+        assert!(matches!(read(&dir), Err(StoreError::Corrupt(_))));
+        data.config.collection = MAX_COLLECTION;
+        write(&data, &dir).unwrap();
+        assert_eq!(read(&dir).unwrap().config, data.config);
         std::fs::remove_dir_all(&dir).ok();
     }
 

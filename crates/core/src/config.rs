@@ -5,25 +5,6 @@ use netsim::time::Duration;
 use netsim::transport::FaultProfile;
 use netsim::world::WorldConfig;
 
-/// How the collection stage hands addresses to the real-time scanner.
-///
-/// Both modes produce **bit-identical** results (enforced by
-/// `tests/streaming_equivalence.rs`): the feed is ordered either way and
-/// the scanner consumes it in order. They differ only in *when* scanning
-/// happens relative to collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Buffer the whole first-sight feed, then scan it after the
-    /// collection run finishes. Simple, single-threaded.
-    Buffered,
-    /// Stream observations through a bounded channel into a scanner
-    /// thread that runs concurrently with collection — the shape of the
-    /// real study, where zgrab2 probes addresses minutes after first
-    /// sight (§4.1).
-    #[default]
-    Streaming,
-}
-
 /// Full configuration of one study run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudyConfig {
@@ -44,8 +25,6 @@ pub struct StudyConfig {
     pub rl_samples: u32,
     /// Run the telescope + actor experiment.
     pub telescope: bool,
-    /// How collection feeds the real-time scanner.
-    pub pipeline: PipelineMode,
     /// Shards of the collection engine. `1` (the default) runs the
     /// inline single-threaded poll loop over a flat collector; ≥ 2
     /// partitions the pool by dense server id across that many
@@ -78,7 +57,6 @@ impl StudyConfig {
             target_rps,
             rl_samples,
             telescope: true,
-            pipeline: PipelineMode::default(),
             collection_shards: 1,
             fault: FaultProfile::default(),
             actors: ActorRoster::BASELINE,
@@ -125,12 +103,6 @@ impl StudyConfig {
         StudyConfig::base(WorldConfig::paper_centi(seed), 400.0, 14)
     }
 
-    /// The same config with a different pipeline mode.
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> StudyConfig {
-        self.pipeline = pipeline;
-        self
-    }
-
     /// The same config with a different fault profile.
     pub fn with_fault(mut self, fault: FaultProfile) -> StudyConfig {
         self.fault = fault;
@@ -171,19 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_is_the_default_pipeline() {
-        assert_eq!(StudyConfig::tiny(1).pipeline, PipelineMode::Streaming);
-        assert_eq!(
-            StudyConfig::paper_milli(1).pipeline,
-            PipelineMode::Streaming
-        );
-        let buffered = StudyConfig::tiny(1).with_pipeline(PipelineMode::Buffered);
-        assert_eq!(buffered.pipeline, PipelineMode::Buffered);
-        // Everything but the pipeline mode is untouched.
-        assert_eq!(buffered.collection, StudyConfig::tiny(1).collection);
-    }
-
-    #[test]
     fn ideal_is_the_default_fault_profile() {
         assert_eq!(StudyConfig::tiny(1).fault, FaultProfile::Ideal);
         assert_eq!(StudyConfig::paper_milli(1).fault, FaultProfile::Ideal);
@@ -191,7 +150,7 @@ mod tests {
         assert_eq!(lossy.fault, FaultProfile::Lossy1Pct);
         // Everything but the fault profile is untouched.
         assert_eq!(lossy.collection, StudyConfig::tiny(1).collection);
-        assert_eq!(lossy.pipeline, StudyConfig::tiny(1).pipeline);
+        assert_eq!(lossy.collection_shards, 1);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! println!("{}", timetoscan::experiments::security::render(&derived));
 //! ```
 //!
-//! The pipeline is staged: collector → bounded channel → streaming
-//! scanner (or a buffered fallback, [`config::PipelineMode`]) → the
-//! [`derived`] memoization layer → experiments. Every experiment lives
-//! in [`experiments`], one module per paper artefact, each with a
-//! `compute(&Derived) -> …` returning typed rows and a
+//! The pipeline is staged: collector → first-sight feed → real-time
+//! scanner → the [`derived`] memoization layer → experiments. Every
+//! experiment lives in [`experiments`], one module per paper artefact,
+//! each with a `compute(&Derived) -> …` returning typed rows and a
 //! `render(&Derived) -> String` producing the table as text; [`Derived`]
 //! derefs to [`Study`] and computes shared artifacts (title clusters,
 //! SSH host parses, fingerprint indexes, network groupings) exactly
@@ -39,7 +38,7 @@ pub mod study;
 
 pub use actors::ActorRoster;
 pub use checkpoint::CheckpointData;
-pub use config::{PipelineMode, StudyConfig};
+pub use config::StudyConfig;
 pub use derived::{Derived, DerivedCellStats, DerivedCells, SetKind, Source};
 pub use netsim::transport::FaultProfile;
 pub use session::StudySession;

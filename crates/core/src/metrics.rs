@@ -5,15 +5,13 @@
 //! per-stage registries and stamped with a `stage` label when
 //! [`crate::Study::run`] merges them. The keys here are the few metrics
 //! that belong to the study itself: the stage spans (simulated time, so
-//! deterministic), the deterministic feed count recorded identically in
-//! both pipeline modes, and the derived-memoization counters.
+//! deterministic), the deterministic feed count, and the
+//! derived-memoization counters.
 
 use telemetry::Key;
 
 /// Deterministic: first-sight observations handed from collection to
-/// the real-time scanner. Recorded at the study level in **both**
-/// pipeline modes (the streaming channel's own counters are volatile —
-/// only streaming mode has a channel at all).
+/// the real-time scanner.
 pub const PIPELINE_FEED_OBSERVATIONS: Key = Key::bare("pipeline_feed_observations");
 /// Deterministic: addresses in the R&L comparison sample.
 pub const RL_SAMPLE_ADDRESSES: Key = Key::bare("rl_sample_addresses");

@@ -106,12 +106,17 @@ impl StudySession {
     /// the eviction/readmission path of the study service. This is the
     /// one place checkpoint state meets the pool and world it will be
     /// advanced over, so it is where the two are checked against each
-    /// other: a mismatch is [`StoreError::Corrupt`], never an index
-    /// panic inside the engine.
+    /// other: a mismatch — a config naming another world included — is
+    /// [`StoreError::Corrupt`], never an index panic inside the engine.
     pub fn from_checkpoint(
         data: CheckpointData,
         world: Arc<World>,
     ) -> Result<StudySession, StoreError> {
+        if world.config != data.config.world {
+            return Err(StoreError::Corrupt(
+                "checkpoint config names a different world",
+            ));
+        }
         let (pool, transport, start, end) = setup(&data.config, &world);
         data.collection
             .validate(&world, &pool)
@@ -137,7 +142,8 @@ impl StudySession {
             return true;
         }
         let stop = self.collection.cursor + slice;
-        let feed = VecSink::default();
+        // First sights land behind the prefix, in the same buffer.
+        let feed = VecSink::with_prefix(std::mem::take(&mut self.feed_prefix));
         let (coll_transport, coll_stats) = Instrumented::new(self.transport.clone_box());
         let run = CollectionRun::with_transport(
             &self.world,
@@ -154,7 +160,7 @@ impl StudySession {
             Box::new(feed.clone()),
             &mut Registry::new(),
         );
-        self.feed_prefix.extend(feed.0.lock().drain(..));
+        self.feed_prefix = feed.take();
         self.transport_totals.merge(&coll_stats.totals());
         self.done()
     }

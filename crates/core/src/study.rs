@@ -1,9 +1,11 @@
 //! The end-to-end study pipeline.
 //!
-//! The collection → scan stage runs in one of two [`PipelineMode`]s:
-//! *buffered* (collect the whole feed, then scan) or *streaming* (a
-//! scanner thread drains a bounded channel while collection produces).
-//! Both yield bit-identical results; see [`crate::config::PipelineMode`].
+//! Collection and the NTP-fed scan are one straight-line path: the
+//! collection run records its first-sight feed, then the real-time
+//! scanner replays it. "Real time" is a property of *simulated* time —
+//! every probe is scheduled 10 s … 10 min after its observation's
+//! `seen` instant — so nothing is gained by scanning on a second host
+//! thread (DESIGN.md §3 records the measurement).
 //!
 //! Long-horizon runs can stop mid-collection and continue later:
 //! [`Study::checkpoint`] persists the engine cursor, the collector's
@@ -13,7 +15,7 @@
 //! an uninterrupted run's (enforced by `tests/checkpoint_resume.rs`).
 
 use crate::checkpoint::{self, CheckpointData};
-use crate::config::{PipelineMode, StudyConfig};
+use crate::config::StudyConfig;
 use crate::metrics;
 use crate::session::StudySession;
 use actors::{attribute, org_directory, sourced_intel, ActorRoster, AttributionTable, Ecosystem};
@@ -23,18 +25,17 @@ use netsim::time::{Duration, SimTime};
 use netsim::transport::Transport;
 use netsim::world::World;
 use netsim::{mix2, Asn, BgpEvent, BgpFeed, Instrumented, TransportTotals};
-use ntppool::collector::{FeedSink, VecSink};
+use ntppool::collector::VecSink;
 use ntppool::monitor::{tune_collecting_servers, TuneOutcome};
 use ntppool::{
     AddressCollector, CollectionCheckpoint, CollectionRun, CollectorParts, Observation, Operator,
     Pool, PoolServer, RunStats, ServerId,
 };
-use scanner::streaming::{feed_channel, MonitoredSender, FEED_CHANNEL_BOUND};
-use scanner::{BatchScan, RealTimeScanner, ScanPolicy, ScanStore, StreamingScanner};
+use scanner::{BatchScan, RealTimeScanner, ScanPolicy, ScanStore};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use store::StoreError;
-use telemetry::{PipelineMonitor, Registry, RunReport, Snapshot, SpanTimer};
+use telemetry::{Registry, RunReport, Snapshot, SpanTimer};
 use telescope::{covert_actor, gt_actor, match_captures, Actor, TelescopeReport, Vantage};
 use v6addr::{AddrSet, OuiDb, Prefix};
 
@@ -87,9 +88,10 @@ pub struct Study {
     /// OUI registry used by the vendor analyses.
     pub oui_db: OuiDb,
     /// Telemetry from the whole run: every stage's metrics, stamped with
-    /// a `stage` label. Deterministic entries are bit-identical across
-    /// pipeline modes; volatile ones (channel depth, stall times) exist
-    /// only in streaming mode and are excluded from [`Study::run_report`].
+    /// a `stage` label. Deterministic entries are bit-identical for
+    /// equal configs at any shard count; volatile ones (the sharded
+    /// engine's shape metrics, memo hit counts) are excluded from
+    /// [`Study::run_report`].
     pub telemetry: Snapshot,
     /// Study-scoped memo cells for the derived compact sets — shared by
     /// every [`Study::derived`] wrapper, seedable by a serving layer
@@ -350,15 +352,11 @@ impl Study {
             &pool,
             start,
             end,
-            config.pipeline,
             config.collection_shards,
             transport.as_ref(),
             resume,
         );
         span.finish(&mut study_reg, end.as_secs());
-        // The feed count is deterministic (first-sight order is), so it
-        // is recorded here — identically in both pipeline modes — rather
-        // than by the streaming channel's (volatile) instrumentation.
         study_reg.add(metrics::PIPELINE_FEED_OBSERVATIONS, feed.len() as u64);
 
         // --- Hitlist build + batch scan in the last week. ---
@@ -370,7 +368,7 @@ impl Study {
         let hitlist = Hitlist::build(&world, hitlist_t, &HitlistConfig::for_world(&world));
         // Scan in sorted address order: the token bucket turns submission
         // order into probe times, so sorting keeps the store bit-identical
-        // across runs (and across pipeline modes).
+        // across runs.
         let (hl_transport, hl_stats) = Instrumented::new(transport.clone_box());
         let hitlist_scan = BatchScan::with_transport(ScanPolicy::default(), Box::new(hl_transport))
             .run(&world, hitlist.full.sorted(), hitlist_t);
@@ -508,8 +506,8 @@ impl Study {
     /// The canonical deterministic run report: the study's metadata plus
     /// every *deterministic* metric, serializing to canonical JSON.
     ///
-    /// Byte-identical for equal configs regardless of pipeline mode —
-    /// which is why the metadata deliberately excludes the mode itself.
+    /// Byte-identical for equal configs regardless of the collection
+    /// shard count — which is why the metadata deliberately excludes it.
     pub fn run_report(&self) -> RunReport {
         let seed = self.config.world.seed.to_string();
         let days = (self.config.collection.as_secs() / 86_400).to_string();
@@ -526,43 +524,29 @@ impl Study {
     }
 }
 
-/// Runs the collection window and the real-time NTP-fed scan in the
-/// requested [`PipelineMode`].
+/// Runs the collection window, then the real-time NTP-fed scan over
+/// the first-sight feed it recorded.
 ///
-/// * [`PipelineMode::Buffered`]: the collector's first-sight feed is
-///   buffered in a [`VecSink`], then replayed through
-///   [`RealTimeScanner::run`] after collection ends.
-/// * [`PipelineMode::Streaming`]: a [`StreamingScanner`] thread drains a
-///   bounded channel ([`FEED_CHANNEL_BOUND`]) while the collection run
-///   produces first sights; detaching the sink disconnects the channel
-///   and lets the scanner finish.
-///
-/// Both paths return the same `(collector, feed, run_stats, ntp_scan)`
-/// bit for bit: the feed is emitted in the same deterministic order and
-/// consumed in order by a single scanner either way. The returned
-/// [`Snapshot`] carries the collection- and scan-stage metrics (stamped
-/// `stage=collection` / `stage=ntp_scan`); its deterministic entries are
-/// also mode-independent — streaming adds only volatile channel metrics.
+/// Returns `(collector, feed, run_stats, ntp_scan)` plus a [`Snapshot`]
+/// carrying the collection- and scan-stage metrics (stamped
+/// `stage=collection` / `stage=ntp_scan`).
 ///
 /// `shards` is the collection engine's shard count (see
 /// [`ntppool::CollectionRun::advance`], which picks the poll loop from
 /// it): feed, stats, and deterministic telemetry are bit-identical for
-/// any shard count in either pipeline mode (enforced by
-/// `tests/shard_equivalence.rs`).
+/// any shard count (enforced by `tests/shard_equivalence.rs`).
 ///
 /// With a [`ResumeState`], the collector restarts from its checkpointed
 /// dedup state, the engine replays its pending events from the saved
-/// cursor, and the feed prefix is stitched in front of (buffered) or
-/// replayed through (streaming) the scanner — after which the saved
+/// cursor, and the remainder of the window is recorded behind the
+/// checkpointed feed prefix, in the same `Vec` — after which the saved
 /// transport totals are exported next to the live remainder, making
 /// every deterministic metric equal to an uninterrupted run's.
-#[allow(clippy::too_many_arguments)]
 fn run_collection_and_scan(
     world: &World,
     pool: &Pool,
     start: SimTime,
     end: SimTime,
-    mode: PipelineMode,
     shards: usize,
     transport: &dyn Transport,
     resume: Option<ResumeState>,
@@ -580,59 +564,20 @@ fn run_collection_and_scan(
         Some(r) => (r.collection, r.collector, r.feed_prefix, Some(r.transport)),
         None => (run.begin(), CollectorParts::new(shards), Vec::new(), None),
     };
-    let (feed, ntp_scan, scan_stats, scan_monitor) = match mode {
-        PipelineMode::Buffered => {
-            let tail = VecSink::default();
-            run.advance(
-                &mut collection,
-                end,
-                &mut parts,
-                Box::new(tail.clone()),
-                &mut coll_reg,
-            );
-            // The checkpointed prefix goes in front of the tail: the
-            // scanner sees the same full feed as an uninterrupted run.
-            let mut feed = feed_prefix;
-            feed.extend(tail.0.lock().drain(..));
-            let (scan_transport, stats) = Instrumented::new(transport.clone_box());
-            let ntp_scan =
-                RealTimeScanner::with_transport(ScanPolicy::default(), Box::new(scan_transport))
-                    .run(world, &feed);
-            (feed, ntp_scan, stats, None)
-        }
-        PipelineMode::Streaming => std::thread::scope(|scope| {
-            let (tx, rx) = feed_channel(FEED_CHANNEL_BOUND);
-            let monitor = Arc::new(PipelineMonitor::new());
-            let (scan_transport, stats) = Instrumented::new(transport.clone_box());
-            let scanner = StreamingScanner::spawn(
-                scope,
-                ScanPolicy::default(),
-                world,
-                rx,
-                Box::new(scan_transport),
-                Arc::clone(&monitor),
-            );
-            let mut sink = MonitoredSender::new(tx, Arc::clone(&monitor));
-            // Replay the checkpointed prefix through the channel before
-            // collection restarts: the scanner consumes the identical
-            // full feed an uninterrupted streaming run would.
-            for obs in feed_prefix {
-                sink.on_first_sight(obs);
-            }
-            // `advance` drops the sink when collection is over, which
-            // disconnects the channel and lets the scanner's receive
-            // loop terminate once it drains.
-            run.advance(
-                &mut collection,
-                end,
-                &mut parts,
-                Box::new(sink),
-                &mut coll_reg,
-            );
-            let (ntp_scan, feed) = scanner.join();
-            (feed, ntp_scan, stats, Some(monitor))
-        }),
-    };
+    // The sink starts out holding the checkpointed prefix, so the
+    // scanner sees the same full feed as an uninterrupted run.
+    let sink = VecSink::with_prefix(feed_prefix);
+    run.advance(
+        &mut collection,
+        end,
+        &mut parts,
+        Box::new(sink.clone()),
+        &mut coll_reg,
+    );
+    let feed = sink.take();
+    let (scan_transport, scan_stats) = Instrumented::new(transport.clone_box());
+    let ntp_scan = RealTimeScanner::with_transport(ScanPolicy::default(), Box::new(scan_transport))
+        .run(world, &feed);
     let run_stats = collection.finish(&mut coll_reg);
     let collector = AddressCollector::from_parts(parts, None);
     collector.export_into(&mut coll_reg);
@@ -645,9 +590,6 @@ fn run_collection_and_scan(
     let mut scan_reg = Registry::new();
     scan_reg.merge(ntp_scan.telemetry());
     scan_stats.export_into(&mut scan_reg);
-    if let Some(monitor) = scan_monitor {
-        monitor.export_into(&mut scan_reg); // volatile channel metrics
-    }
     let mut snap = coll_reg.snapshot_with(&[("stage", "collection")]);
     snap.merge(&scan_reg.snapshot_with(&[("stage", "ntp_scan")]));
     (collector, feed, run_stats, ntp_scan, snap)

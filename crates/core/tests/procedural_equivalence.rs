@@ -1,6 +1,6 @@
 //! The procedural world backend is an exact stand-in for the
 //! materialized one: on a shared config, every combination of shard
-//! count, fault profile, and pipeline mode produces **byte-identical**
+//! count and fault profile produces **byte-identical**
 //! first-sight feeds, run statistics, and canonical JSON run reports
 //! regardless of which backend derived the devices.
 //!
@@ -11,15 +11,14 @@
 
 use netsim::transport::FaultProfile;
 use netsim::world::WorldBackend;
-use timetoscan::{PipelineMode, Study, StudyConfig};
+use timetoscan::{Study, StudyConfig};
 
 /// Run the shared tiny config once per backend with the given engine
 /// knobs and require bit-identical outputs.
-fn assert_backends_agree(shards: usize, fault: FaultProfile, pipeline: PipelineMode) {
+fn assert_backends_agree(shards: usize, fault: FaultProfile) {
     let base = StudyConfig::tiny(23)
         .with_collection_shards(shards)
-        .with_fault(fault)
-        .with_pipeline(pipeline);
+        .with_fault(fault);
 
     let mut materialized_cfg = base.clone();
     materialized_cfg.world.backend = WorldBackend::Materialized;
@@ -29,7 +28,7 @@ fn assert_backends_agree(shards: usize, fault: FaultProfile, pipeline: PipelineM
     let materialized = Study::run(materialized_cfg);
     let procedural = Study::run(procedural_cfg);
 
-    let tag = format!("shards={shards} fault={fault:?} pipeline={pipeline:?}");
+    let tag = format!("shards={shards} fault={fault:?}");
     assert_eq!(
         materialized.feed, procedural.feed,
         "first-sight feed diverged ({tag})"
@@ -46,41 +45,21 @@ fn assert_backends_agree(shards: usize, fault: FaultProfile, pipeline: PipelineM
 }
 
 #[test]
-fn flat_ideal_buffered() {
-    assert_backends_agree(1, FaultProfile::Ideal, PipelineMode::Buffered);
+fn flat_ideal() {
+    assert_backends_agree(1, FaultProfile::Ideal);
 }
 
 #[test]
-fn flat_ideal_streaming() {
-    assert_backends_agree(1, FaultProfile::Ideal, PipelineMode::Streaming);
+fn flat_lossy() {
+    assert_backends_agree(1, FaultProfile::Lossy1Pct);
 }
 
 #[test]
-fn flat_lossy_buffered() {
-    assert_backends_agree(1, FaultProfile::Lossy1Pct, PipelineMode::Buffered);
+fn sharded_ideal() {
+    assert_backends_agree(4, FaultProfile::Ideal);
 }
 
 #[test]
-fn flat_lossy_streaming() {
-    assert_backends_agree(1, FaultProfile::Lossy1Pct, PipelineMode::Streaming);
-}
-
-#[test]
-fn sharded_ideal_buffered() {
-    assert_backends_agree(4, FaultProfile::Ideal, PipelineMode::Buffered);
-}
-
-#[test]
-fn sharded_ideal_streaming() {
-    assert_backends_agree(4, FaultProfile::Ideal, PipelineMode::Streaming);
-}
-
-#[test]
-fn sharded_lossy_buffered() {
-    assert_backends_agree(4, FaultProfile::Lossy1Pct, PipelineMode::Buffered);
-}
-
-#[test]
-fn sharded_lossy_streaming() {
-    assert_backends_agree(4, FaultProfile::Lossy1Pct, PipelineMode::Streaming);
+fn sharded_lossy() {
+    assert_backends_agree(4, FaultProfile::Lossy1Pct);
 }

@@ -32,8 +32,7 @@ pub struct Observation {
     pub server: ServerId,
 }
 
-/// Sink for first-sight observations, shareable with a concurrently
-/// running scanner.
+/// Sink for first-sight observations.
 pub trait FeedSink: Send + Sync {
     /// Called once per distinct address.
     fn on_first_sight(&mut self, obs: Observation);
@@ -43,19 +42,22 @@ pub trait FeedSink: Send + Sync {
 #[derive(Debug, Default, Clone)]
 pub struct VecSink(pub Arc<Mutex<Vec<Observation>>>);
 
-impl FeedSink for VecSink {
-    fn on_first_sight(&mut self, obs: Observation) {
-        self.0.lock().push(obs);
+impl VecSink {
+    /// A sink that appends behind `prefix` — the feed a resumed run has
+    /// already emitted — so prefix and remainder share one buffer.
+    pub fn with_prefix(prefix: Vec<Observation>) -> VecSink {
+        VecSink(Arc::new(Mutex::new(prefix)))
+    }
+
+    /// Moves the buffered feed out, leaving the sink empty.
+    pub fn take(&self) -> Vec<Observation> {
+        std::mem::take(&mut *self.0.lock())
     }
 }
 
-/// A sink that forwards into a crossbeam channel (live pipeline mode).
-pub struct ChannelSink(pub crossbeam::channel::Sender<Observation>);
-
-impl FeedSink for ChannelSink {
+impl FeedSink for VecSink {
     fn on_first_sight(&mut self, obs: Observation) {
-        // A disconnected consumer just means collection outlives scanning.
-        let _ = self.0.send(obs);
+        self.0.lock().push(obs);
     }
 }
 
@@ -270,17 +272,6 @@ mod tests {
         assert_eq!(feed[0].seen, SimTime(5));
         assert_eq!(feed[0].server, ServerId(0));
         assert_eq!(feed[1].addr, a("2001:db8::2"));
-    }
-
-    #[test]
-    fn channel_sink_delivers() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let mut c = AddressCollector::with_sink(Box::new(ChannelSink(tx)));
-        c.record(ServerId(0), a("2001:db8::7"), SimTime(1));
-        drop(c);
-        let got: Vec<Observation> = rx.iter().collect();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].addr, a("2001:db8::7"));
     }
 
     #[test]

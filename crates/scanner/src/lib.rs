@@ -5,10 +5,8 @@
 //! built on the [`wire`] formats, a token-bucket rate limiter capped at
 //! the study's 100 000 packets/second, per-protocol probe delays and a
 //! 3-day re-scan cooldown (Appendix A.2.1), a real-time scheduler fed by
-//! the NTP collector's first-sight stream — either buffered
-//! ([`RealTimeScanner::run`]) or live on its own thread
-//! ([`streaming::StreamingScanner`]) — and a batch mode for hitlist
-//! scans.
+//! the NTP collector's first-sight feed ([`RealTimeScanner`]), and a
+//! batch mode for hitlist scans ([`BatchScan`]).
 //!
 //! Everything operates in simulation time against a [`netsim::World`];
 //! probe and response bytes are the same the production scanner would put
@@ -24,10 +22,8 @@ pub mod ratelimit;
 pub mod result;
 pub mod scheduler;
 pub mod store;
-pub mod streaming;
 
 pub use engine::{Engine, RetryPolicy, ScanPolicy};
 pub use result::{CertMeta, FailureCause, ProbeOutcome, Protocol, ScanRecord, ServiceResult};
 pub use scheduler::{BatchScan, RealTimeScanner};
 pub use store::ScanStore;
-pub use streaming::StreamingScanner;

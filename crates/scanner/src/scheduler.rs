@@ -1,9 +1,10 @@
 //! Scan scheduling front-ends over the shared [`Engine`]: the real-time
 //! NTP-fed scanner and the batch hitlist scan.
 //!
-//! The policy and probing core live in [`crate::engine`]; the streaming
-//! (channel-fed) variant of the real-time scanner lives in
-//! [`crate::streaming`].
+//! The policy and probing core live in [`crate::engine`]. "Real time"
+//! is simulated time: each probe is scheduled relative to its
+//! observation's `seen` instant, so replaying a recorded feed probes
+//! exactly what a scanner running beside the collector would.
 
 use crate::engine::{Engine, ScanPolicy};
 use crate::store::ScanStore;
@@ -38,7 +39,7 @@ impl RealTimeScanner {
         self.engine.scan_target(world, obs.addr, obs.seen);
     }
 
-    /// Runs over a whole buffered feed.
+    /// Runs over a whole feed, in feed order.
     pub fn run(mut self, world: &World, feed: &[Observation]) -> ScanStore {
         for obs in feed {
             self.feed(world, *obs);

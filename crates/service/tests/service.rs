@@ -1,11 +1,11 @@
 //! Service-level equivalence tests: every report the service hands out
 //! must be byte-identical to the report of an uninterrupted standalone
-//! [`Study::run`] of the same config — across pipeline modes, shard
-//! counts, and any number of budget-forced evictions.
+//! [`Study::run`] of the same config — across shard counts, actor
+//! rosters, and any number of budget-forced evictions.
 
 use netsim::time::Duration;
 use service::{ServiceConfig, StudyService};
-use timetoscan::{FaultProfile, PipelineMode, SetKind, Study, StudyConfig};
+use timetoscan::{ActorRoster, FaultProfile, SetKind, Study, StudyConfig};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("service-test-{name}-{}", std::process::id()));
@@ -14,18 +14,16 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// The study matrix: one world (seed 31), varied fault profile,
-/// pipeline mode, and engine shape — the shape a research group
+/// actor roster, and engine shape — the shape a research group
 /// actually submits.
 fn matrix() -> Vec<StudyConfig> {
     vec![
         StudyConfig::tiny(31),
-        StudyConfig::tiny(31).with_pipeline(PipelineMode::Buffered),
+        StudyConfig::tiny(31).with_actors(ActorRoster::ALL),
         StudyConfig::tiny(31)
             .with_fault(FaultProfile::Lossy1Pct)
             .with_collection_shards(2),
-        StudyConfig::tiny(31)
-            .with_pipeline(PipelineMode::Buffered)
-            .with_collection_shards(3),
+        StudyConfig::tiny(31).with_collection_shards(3),
     ]
 }
 
@@ -110,7 +108,7 @@ fn tight_budget_evicts_and_restores_bit_identically() {
     // max_resident_bytes = 1 forces an eviction pass every tick (only
     // the lowest-id active session survives it), so every study except
     // the first is suspended and resumed mid-window repeatedly, across
-    // both pipeline modes and flat + sharded engines.
+    // flat + sharded engines.
     let dir = temp_dir("evict");
     let mut svc = StudyService::new(ServiceConfig {
         slice: Duration::hours(30),
@@ -262,7 +260,7 @@ fn service_report_is_canonical_and_deterministic() {
         let mut svc =
             StudyService::new(ServiceConfig::unbounded(&dir, Duration::days(2))).expect("service");
         let a = svc.submit(StudyConfig::tiny(5));
-        let b = svc.submit(StudyConfig::tiny(5).with_pipeline(PipelineMode::Buffered));
+        let b = svc.submit(StudyConfig::tiny(5).with_collection_shards(2));
         svc.run_to_completion().expect("run to completion");
         if queries {
             let _ = svc.report_json(a);

@@ -2,7 +2,7 @@
 //!
 //! Completed collections freeze their [`CompactSet`]s here; studies that
 //! reference the same content — the same world/seed collected under a
-//! different pipeline mode, or a hitlist baseline shared by every study
+//! different shard count, or a hitlist baseline shared by every study
 //! against one world — open it **once** and share the decoded set
 //! behind an `Arc`. Segments are content-addressed: a [`SegmentId`] is
 //! the FNV-1a-64 of the canonical [`segment`] encoding, so identical

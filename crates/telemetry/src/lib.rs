@@ -9,23 +9,22 @@
 //! Design constraints, in order:
 //!
 //! 1. **Determinism.** A [`Snapshot`] taken from the same simulated run
-//!    is *byte-identical* regardless of pipeline mode (buffered vs
-//!    streaming) or sharding (sequential vs parallel). Three rules make
-//!    that hold:
+//!    is *byte-identical* regardless of sharding (sequential vs
+//!    parallel). Three rules make that hold:
 //!    * deterministic metrics never read the wall clock — every duration
 //!      is simulation time ([`SpanTimer`] takes explicit instants);
 //!    * every aggregation is **commutative** (counters add, gauges take
 //!      the max, histograms add bucket-wise), so per-shard
 //!      [`Registry`] sinks merge to the same totals in any order;
-//!    * anything scheduling-dependent (channel depth, stall times) is
-//!      recorded as a **volatile** metric and excluded from the
-//!      deterministic snapshot and the [`RunReport`].
+//!    * anything scheduling-dependent (per-shard event counts, memo
+//!      hit rates) is recorded as a **volatile** metric and excluded
+//!      from the deterministic snapshot and the [`RunReport`].
 //! 2. **Lock-cheap.** The hot path ([`Registry::inc`]) is a `HashMap`
 //!    bump keyed by a fully-`'static` [`Key`] — no locks, no label
 //!    allocation. Each thread/shard owns its registry; merging happens
-//!    once, at the end. The [`shared`] module provides the few
-//!    cross-thread sinks (atomic counters/histograms) the transport
-//!    wrappers and the streaming channel monitor need.
+//!    once, at the end. The [`shared`] module provides the one
+//!    cross-thread sink (an atomic histogram) the transport wrappers
+//!    need.
 //! 3. **Static label sets.** Hot-path keys carry
 //!    `&'static [("label", "value")]` slices (stage × protocol ×
 //!    fault-cause). Owned labels exist only on [`Snapshot`] entries,
@@ -51,5 +50,5 @@ pub use hist::Histogram;
 pub use key::{Key, OwnedKey};
 pub use registry::{Bank, Registry, SpanTimer};
 pub use report::RunReport;
-pub use shared::{AtomicHistogram, PipelineMonitor};
+pub use shared::AtomicHistogram;
 pub use snapshot::{Snapshot, Value};

@@ -188,11 +188,6 @@ impl Registry {
         self.vol.observe(key, v);
     }
 
-    /// Merges a whole histogram into the volatile bank.
-    pub fn vol_merge_hist(&mut self, key: Key, h: &Histogram) {
-        self.vol.merge_hist(key, h);
-    }
-
     /// Deterministic counter value under `key` (0 when absent).
     pub fn counter(&self, key: Key) -> u64 {
         self.det.counter(key)

@@ -6,13 +6,12 @@ use crate::json;
 use crate::snapshot::Snapshot;
 
 /// The end-of-run artifact: string metadata describing the run (seed,
-/// fault profile, scale — everything *except* the pipeline mode and
-/// shard count, which by design must not change the report) and the
-/// deterministic subset of the merged metric snapshot.
+/// fault profile, scale — everything *except* the shard count, which
+/// by design must not change the report) and the deterministic subset
+/// of the merged metric snapshot.
 ///
 /// Serializes to canonical JSON — two equal reports are byte-identical,
-/// which is what the buffered-vs-streaming and sequential-vs-parallel
-/// equivalence tests compare.
+/// which is what the sequential-vs-parallel equivalence tests compare.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunReport {
     /// Run metadata, sorted by key.
@@ -116,7 +115,7 @@ mod tests {
             false,
         );
         snap.record(
-            OwnedKey::with_labels("pipeline_channel_depth_max", &[]),
+            OwnedKey::with_labels("ntp_collection_shards", &[]),
             Value::Gauge(4),
             true,
         );

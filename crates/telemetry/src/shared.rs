@@ -1,18 +1,15 @@
 //! Cross-thread metric sinks.
 //!
 //! Most of the pipeline records into thread-local [`crate::Registry`]s,
-//! but two places genuinely share state across threads: transport
-//! wrappers cloned into parallel shards, and the streaming channel
-//! monitor straddling the producer and consumer threads. These sinks
-//! are plain relaxed atomics — every operation is commutative
-//! (add / min / max), so totals are scheduling-independent even though
-//! interleavings are not.
+//! but one place genuinely shares state across threads: transport
+//! wrappers cloned into parallel shards. Their sink is plain relaxed
+//! atomics — every operation is commutative (add / min / max), so
+//! totals are scheduling-independent even though interleavings are
+//! not.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hist::{bucket_index, Histogram, BUCKETS};
-use crate::key::Key;
-use crate::registry::Registry;
 
 /// A log2 histogram over atomics, mirroring [`Histogram`]. The sum is a
 /// `u64` (no 128-bit atomics) — callers record simulation-scale values,
@@ -77,94 +74,6 @@ impl AtomicHistogram {
     }
 }
 
-/// Observes the streaming feed channel from both sides: depth
-/// high-watermark and producer/consumer stall spans. Everything it
-/// exports is **volatile** — channel depth and stall times depend on
-/// thread scheduling, so they are excluded from deterministic reports
-/// by construction.
-#[derive(Debug, Default)]
-pub struct PipelineMonitor {
-    fed: AtomicU64,
-    depth_max: AtomicU64,
-    producer_stalls: AtomicU64,
-    consumer_stalls: AtomicU64,
-    producer_stall_nanos: AtomicHistogram,
-    consumer_stall_nanos: AtomicHistogram,
-}
-
-/// Volatile: observations that crossed the feed channel (streaming only).
-pub const PIPELINE_CHANNEL_FED: Key = Key::bare("pipeline_channel_fed");
-/// Volatile: channel depth high-watermark.
-pub const PIPELINE_CHANNEL_DEPTH_MAX: Key = Key::bare("pipeline_channel_depth_max");
-/// Volatile: times the producer found the channel full.
-pub const PIPELINE_PRODUCER_STALLS: Key = Key::bare("pipeline_producer_stalls");
-/// Volatile: times the consumer found the channel empty.
-pub const PIPELINE_CONSUMER_STALLS: Key = Key::bare("pipeline_consumer_stalls");
-/// Volatile: wall-clock nanoseconds the producer spent blocked.
-pub const PIPELINE_PRODUCER_STALL_NANOS: Key = Key::bare("pipeline_producer_stall_nanos");
-/// Volatile: wall-clock nanoseconds the consumer spent blocked.
-pub const PIPELINE_CONSUMER_STALL_NANOS: Key = Key::bare("pipeline_consumer_stall_nanos");
-
-impl PipelineMonitor {
-    /// A fresh monitor.
-    pub fn new() -> PipelineMonitor {
-        PipelineMonitor::default()
-    }
-
-    /// Notes one observation pushed through the channel.
-    pub fn note_fed(&self) {
-        self.fed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Notes the channel depth seen at a send (keeps the maximum).
-    pub fn note_depth(&self, depth: u64) {
-        self.depth_max.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Notes a producer stall of `nanos` wall-clock nanoseconds.
-    pub fn note_producer_stall(&self, nanos: u64) {
-        self.producer_stalls.fetch_add(1, Ordering::Relaxed);
-        self.producer_stall_nanos.observe(nanos);
-    }
-
-    /// Notes a consumer stall of `nanos` wall-clock nanoseconds.
-    pub fn note_consumer_stall(&self, nanos: u64) {
-        self.consumer_stalls.fetch_add(1, Ordering::Relaxed);
-        self.consumer_stall_nanos.observe(nanos);
-    }
-
-    /// Observations fed so far.
-    pub fn fed(&self) -> u64 {
-        self.fed.load(Ordering::Relaxed)
-    }
-
-    /// Exports the monitor's state into `registry`'s volatile bank.
-    /// Call after the pipeline threads have joined.
-    pub fn export_into(&self, registry: &mut Registry) {
-        registry.vol_add(PIPELINE_CHANNEL_FED, self.fed.load(Ordering::Relaxed));
-        registry.vol_gauge_max(
-            PIPELINE_CHANNEL_DEPTH_MAX,
-            self.depth_max.load(Ordering::Relaxed),
-        );
-        registry.vol_add(
-            PIPELINE_PRODUCER_STALLS,
-            self.producer_stalls.load(Ordering::Relaxed),
-        );
-        registry.vol_add(
-            PIPELINE_CONSUMER_STALLS,
-            self.consumer_stalls.load(Ordering::Relaxed),
-        );
-        registry.vol_merge_hist(
-            PIPELINE_PRODUCER_STALL_NANOS,
-            &self.producer_stall_nanos.snapshot(),
-        );
-        registry.vol_merge_hist(
-            PIPELINE_CONSUMER_STALL_NANOS,
-            &self.consumer_stall_nanos.snapshot(),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,24 +107,5 @@ mod tests {
         assert_eq!(snap.count(), 400);
         assert_eq!(snap.min(), 0);
         assert_eq!(snap.max(), 3099);
-    }
-
-    #[test]
-    fn monitor_exports_only_volatile_metrics() {
-        let m = PipelineMonitor::new();
-        m.note_fed();
-        m.note_fed();
-        m.note_depth(12);
-        m.note_producer_stall(500);
-        m.note_consumer_stall(200);
-        let mut r = Registry::new();
-        m.export_into(&mut r);
-        let snap = r.snapshot();
-        assert!(snap.deterministic().is_empty());
-        assert_eq!(snap.counter_total("pipeline_channel_fed"), 2);
-        assert_eq!(
-            snap.gauge(&PIPELINE_CHANNEL_DEPTH_MAX.to_owned_with(&[])),
-            12
-        );
     }
 }

@@ -1,17 +1,17 @@
 //! Adversarial-ecosystem scenarios: every actor roster must produce a
-//! **byte-identical** canonical run report across shard counts and both
-//! pipeline modes (plus a fault-profile cross-check), and the blind
-//! attribution pass must separate the archetypes it saw.
+//! **byte-identical** canonical run report across shard counts (plus a
+//! fault-profile cross-check), and the blind attribution pass must
+//! separate the archetypes it saw.
 //!
 //! The ecosystem runs after collection on its own tick clock, a pure
-//! function of `(config, world)` — nothing about engine shape, worker
-//! fan-out, or pipeline buffering may leak into a single deterministic
-//! bit of its capture, its telemetry, or the attribution table.
+//! function of `(config, world)` — nothing about engine shape or
+//! worker fan-out may leak into a single deterministic bit of its
+//! capture, its telemetry, or the attribution table.
 
 use actors::ActorRoster;
 use netsim::transport::FaultProfile;
 use telemetry::OwnedKey;
-use timetoscan::{PipelineMode, Study, StudyConfig};
+use timetoscan::{Study, StudyConfig};
 
 const SEED: u64 = 31;
 
@@ -19,40 +19,30 @@ const SEED: u64 = 31;
 /// archetype alone on top of it, and the full ecosystem.
 const ROSTERS: [ActorRoster; 3] = [ActorRoster::BASELINE, ActorRoster::ALL, ActorRoster::NONE];
 
-fn cfg(roster: ActorRoster, mode: PipelineMode, shards: usize) -> StudyConfig {
+fn cfg(roster: ActorRoster, shards: usize) -> StudyConfig {
     StudyConfig::tiny(SEED)
         .with_actors(roster)
-        .with_pipeline(mode)
         .with_collection_shards(shards)
 }
 
 #[test]
 fn reports_are_byte_identical_across_engine_shapes() {
     for roster in ROSTERS {
-        let base = Study::run(cfg(roster, PipelineMode::Buffered, 1));
-        let base_report = base.run_report().to_json();
-        for (mode, shards) in [
-            (PipelineMode::Streaming, 1),
-            (PipelineMode::Buffered, 4),
-            (PipelineMode::Streaming, 4),
-        ] {
-            let study = Study::run(cfg(roster, mode, shards));
-            assert_eq!(
-                study.run_report().to_json(),
-                base_report,
-                "roster {roster}: {mode:?} @ {shards} shards diverged"
-            );
-        }
+        let base = Study::run(cfg(roster, 1));
+        let sharded = Study::run(cfg(roster, 4));
+        assert_eq!(
+            sharded.run_report().to_json(),
+            base.run_report().to_json(),
+            "roster {roster}: 4 shards diverged"
+        );
     }
 }
 
 #[test]
 fn reports_are_byte_identical_under_faults() {
-    let lossy = |mode: PipelineMode, shards: usize| {
-        cfg(ActorRoster::ALL, mode, shards).with_fault(FaultProfile::Lossy1Pct)
-    };
-    let base = Study::run(lossy(PipelineMode::Buffered, 1));
-    let other = Study::run(lossy(PipelineMode::Streaming, 4));
+    let lossy = |shards: usize| cfg(ActorRoster::ALL, shards).with_fault(FaultProfile::Lossy1Pct);
+    let base = Study::run(lossy(1));
+    let other = Study::run(lossy(4));
     assert_eq!(
         other.run_report().to_json(),
         base.run_report().to_json(),
@@ -62,7 +52,7 @@ fn reports_are_byte_identical_under_faults() {
 
 #[test]
 fn attribution_separates_the_full_roster() {
-    let study = Study::run(cfg(ActorRoster::ALL, PipelineMode::Streaming, 1));
+    let study = Study::run(cfg(ActorRoster::ALL, 1));
     let table = study.attribution.as_ref().expect("telescope ran");
     let cm = &table.confusion;
 
@@ -108,7 +98,7 @@ fn attribution_separates_the_full_roster() {
 fn baseline_roster_matches_the_legacy_telescope() {
     // The default roster is the paper's pair — the legacy §5 matcher
     // must still fully attribute the primary telescope's capture.
-    let study = Study::run(cfg(ActorRoster::BASELINE, PipelineMode::Streaming, 1));
+    let study = Study::run(cfg(ActorRoster::BASELINE, 1));
     let report = study.telescope.as_ref().expect("telescope ran");
     assert_eq!(report.unmatched_packets, 0);
     assert_eq!(report.actors.len(), 2);
@@ -123,7 +113,7 @@ fn baseline_roster_matches_the_legacy_telescope() {
 
 #[test]
 fn empty_roster_yields_an_empty_capture() {
-    let study = Study::run(cfg(ActorRoster::NONE, PipelineMode::Buffered, 1));
+    let study = Study::run(cfg(ActorRoster::NONE, 1));
     let report = study.telescope.as_ref().expect("telescope ran");
     assert_eq!(report.matched_packets, 0);
     assert_eq!(report.unmatched_packets, 0);

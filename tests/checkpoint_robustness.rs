@@ -1,0 +1,152 @@
+//! Robustness of the v6 checkpoint file: whatever happens to the bytes
+//! of a valid `study.ckpt` — cut short, a byte flipped, a byte flipped
+//! and the seal recomputed, a write interrupted half way — reading it
+//! back is a typed [`StoreError`] or a usable value, never a panic,
+//! and never the loss of the previous good checkpoint.
+
+use netsim::time::Duration;
+use netsim::world::World;
+use std::path::PathBuf;
+use std::sync::Arc;
+use store::codec::fnv1a;
+use timetoscan::checkpoint::{self, CHECKPOINT_FILE};
+use timetoscan::{StoreError, Study, StudyConfig, StudySession};
+
+const SEED: u64 = 37;
+
+/// Magic (8) + version (2) + the encoded `StudyConfig` (51 bytes of
+/// world, 47 of study): the region where every byte is a field of its
+/// own. [`Fixture::new`] checks the offset against the file.
+const CONFIG_END: usize = 108;
+
+fn config() -> StudyConfig {
+    StudyConfig::tiny(SEED).with_collection_shards(2)
+}
+
+/// One sharded checkpoint ten minutes into the window — every section is
+/// populated, and the file is small enough to mutate at every offset.
+struct Fixture {
+    dir: PathBuf,
+    clean: Vec<u8>,
+}
+
+impl Fixture {
+    fn new(tag: &str) -> Fixture {
+        let dir = std::env::temp_dir().join(format!("ttscan-robust-{tag}-{}", std::process::id()));
+        let path = Study::checkpoint(config(), Duration::mins(10), &dir).expect("writes");
+        let clean = std::fs::read(path).expect("reads");
+        let data = checkpoint::read(&dir).expect("clean checkpoint decodes");
+        assert!(!data.feed_prefix.is_empty() && data.collector.shards.len() == 2);
+        assert_eq!(
+            clean[CONFIG_END..][..8],
+            data.collection.cursor.0.to_le_bytes(),
+            "the collection section starts where the config ends"
+        );
+        Fixture { dir, clean }
+    }
+
+    /// Replaces the checkpoint file with `bytes` and reads it back.
+    fn read(&self, bytes: &[u8]) -> Result<checkpoint::CheckpointData, StoreError> {
+        std::fs::write(self.dir.join(CHECKPOINT_FILE), bytes).expect("test file writes");
+        checkpoint::read(&self.dir)
+    }
+}
+
+impl Drop for Fixture {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
+#[test]
+fn truncation_at_every_length_is_a_typed_error() {
+    let fx = Fixture::new("cut");
+    for cut in 0..fx.clean.len() {
+        assert!(
+            fx.read(&fx.clean[..cut]).is_err(),
+            "truncation to {cut} bytes decoded"
+        );
+    }
+}
+
+#[test]
+fn any_flipped_byte_fails_the_seal() {
+    let fx = Fixture::new("flip");
+    let mut bytes = fx.clean.clone();
+    for i in 0..bytes.len() {
+        bytes[i] ^= 0x20;
+        assert!(
+            matches!(fx.read(&bytes), Err(StoreError::Checksum(_))),
+            "flip at {i} undetected"
+        );
+        bytes[i] ^= 0x20;
+    }
+}
+
+/// With the seal recomputed only the decoder and the session's own
+/// checks stand between a mutated field and the engine: each must
+/// answer with a value or a typed error. Restoring goes over the
+/// world of the *original* config, as the service does for an evicted
+/// study — a file that now names another world is refused, not run.
+#[test]
+fn resealed_mutations_decode_or_fail_typed() {
+    let fx = Fixture::new("reseal");
+    let world = Arc::new(World::generate(config().world));
+    let payload_len = fx.clean.len() - 8;
+    let mut bytes = fx.clean.clone();
+    let (mut restored, mut refused) = (0, 0);
+    for i in (0..CONFIG_END).chain((CONFIG_END..payload_len).step_by(101)) {
+        for mask in [0x01u8, 0x80, 0xff] {
+            bytes[i] ^= mask;
+            let seal = fnv1a(&bytes[..payload_len]).to_le_bytes();
+            bytes[payload_len..].copy_from_slice(&seal);
+            if let Ok(data) = fx.read(&bytes) {
+                match StudySession::from_checkpoint(data, Arc::clone(&world)) {
+                    Ok(_) => restored += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+            bytes[i] ^= mask;
+        }
+    }
+    // Both outcomes occur: a flipped seed names another world, a
+    // flipped sample count is a different but runnable study.
+    assert!(restored > 0 && refused > 0, "{restored} / {refused}");
+}
+
+/// A write that died before its rename leaves a scratch file behind —
+/// whole, cut short, or garbage. The checkpoint next to it still reads
+/// and resumes as the state it held, and the next successful write
+/// clears the scratch file away.
+#[test]
+fn interrupted_write_keeps_the_previous_checkpoint() {
+    let fx = Fixture::new("torn");
+    let tmp = fx.dir.join("study.ckpt.tmp");
+    let old = checkpoint::read(&fx.dir).expect("reads");
+    let baseline = Study::run(config()).run_report().to_json();
+
+    // The state a later write of the same study would have held.
+    let later_dir = fx.dir.join("later");
+    let later_path = Study::checkpoint(config(), Duration::hours(5), &later_dir).expect("writes");
+    let later_bytes = std::fs::read(later_path).expect("reads");
+    let later = checkpoint::read(&later_dir).expect("reads");
+
+    for leftover in [
+        &later_bytes[..],
+        &later_bytes[..later_bytes.len() / 2],
+        b"not a checkpoint",
+    ] {
+        std::fs::write(&tmp, leftover).expect("test file writes");
+        let back = checkpoint::read(&fx.dir).expect("the old checkpoint still reads");
+        assert_eq!(back.collection.cursor, old.collection.cursor);
+        assert_eq!(back.feed_prefix, old.feed_prefix);
+        let resumed = Study::resume(&fx.dir).expect("the old checkpoint still resumes");
+        assert_eq!(resumed.run_report().to_json(), baseline);
+    }
+
+    checkpoint::write(&later, &fx.dir).expect("writes over the leftover");
+    assert!(!tmp.exists(), "a finished write left its scratch file");
+    let back = checkpoint::read(&fx.dir).expect("reads");
+    assert_eq!(back.collection.cursor, later.collection.cursor);
+    assert_eq!(back.feed_prefix, later.feed_prefix);
+}

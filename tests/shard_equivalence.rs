@@ -2,10 +2,10 @@
 //! (`StudyConfig::collection_shards` ≥ 2) must be **bit-identical** to
 //! the flat sequential engine — same first-sight feed in the same
 //! order, same `RunStats`, same KoD-backoff histogram, and a
-//! byte-identical canonical-JSON run report — across shard counts,
-//! fault profiles, and both pipeline modes. Shards move work across
-//! threads and merge cross-shard state only at bucket boundaries;
-//! none of that may touch a deterministic bit.
+//! byte-identical canonical-JSON run report — across shard counts and
+//! fault profiles. Shards move work across threads and merge
+//! cross-shard state only at bucket boundaries; none of that may touch
+//! a deterministic bit.
 //!
 //! Also covers the sharded checkpoint/resume path (including a stop
 //! that lands mid-bucket, off the engine's bucket grid) and the typed
@@ -14,61 +14,54 @@
 use netsim::time::Duration;
 use netsim::transport::FaultProfile;
 use timetoscan::checkpoint;
-use timetoscan::{PipelineMode, StoreError, Study, StudyConfig};
+use timetoscan::{StoreError, Study, StudyConfig};
 
 const SEED: u64 = 23;
-const SHARDS: [usize; 4] = [1, 2, 4, 8];
-const MODES: [PipelineMode; 2] = [PipelineMode::Buffered, PipelineMode::Streaming];
+const SHARDS: [usize; 3] = [2, 4, 8];
 
 fn ckpt_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ttscan-shard-{tag}-{}", std::process::id()))
 }
 
-/// Runs a study per (mode, shards) cell and asserts everything
-/// deterministic matches the flat sequential buffered baseline.
+/// Runs a study per shard count and asserts everything deterministic
+/// matches the flat sequential baseline.
 fn assert_shard_equivalence(fault: FaultProfile) {
-    let cfg = |mode: PipelineMode, shards: usize| {
+    let cfg = |shards: usize| {
         StudyConfig::tiny(SEED)
             .with_fault(fault)
-            .with_pipeline(mode)
             .with_collection_shards(shards)
     };
-    let base = Study::run(cfg(PipelineMode::Buffered, 1));
+    let base = Study::run(cfg(1));
     let base_report = base.run_report().to_json();
     let base_det = base.telemetry.deterministic();
-    for mode in MODES {
-        for shards in SHARDS {
-            if mode == PipelineMode::Buffered && shards == 1 {
-                continue; // the baseline itself
-            }
-            let study = Study::run(cfg(mode, shards));
-            let ctx = format!("{} {mode:?} @ {shards} shards", fault.name());
-            assert_eq!(study.feed, base.feed, "{ctx}: feed differs");
-            assert_eq!(study.run_stats, base.run_stats, "{ctx}: stats differ");
-            assert_eq!(
-                study.ntp_scan.records(),
-                base.ntp_scan.records(),
-                "{ctx}: scan records differ"
-            );
-            assert_eq!(
-                study.collector.global().len(),
-                base.collector.global().len(),
-                "{ctx}: collected set differs"
-            );
-            // The whole deterministic bank — poll counters and the
-            // KoD-backoff histogram — matches; shard-dependent metrics
-            // are confined to the volatile bank.
-            assert_eq!(
-                study.telemetry.deterministic(),
-                base_det,
-                "{ctx}: deterministic telemetry differs"
-            );
-            assert_eq!(
-                study.run_report().to_json(),
-                base_report,
-                "{ctx}: run report differs"
-            );
-        }
+    for shards in SHARDS {
+        let study = Study::run(cfg(shards));
+        let ctx = format!("{} @ {shards} shards", fault.name());
+        assert_eq!(study.feed, base.feed, "{ctx}: feed differs");
+        assert_eq!(study.run_stats, base.run_stats, "{ctx}: stats differ");
+        assert_eq!(
+            study.ntp_scan.records(),
+            base.ntp_scan.records(),
+            "{ctx}: scan records differ"
+        );
+        assert_eq!(
+            study.collector.global().len(),
+            base.collector.global().len(),
+            "{ctx}: collected set differs"
+        );
+        // The whole deterministic bank — poll counters and the
+        // KoD-backoff histogram — matches; shard-dependent metrics
+        // are confined to the volatile bank.
+        assert_eq!(
+            study.telemetry.deterministic(),
+            base_det,
+            "{ctx}: deterministic telemetry differs"
+        );
+        assert_eq!(
+            study.run_report().to_json(),
+            base_report,
+            "{ctx}: run report differs"
+        );
     }
 }
 
@@ -93,35 +86,28 @@ fn study_run_report_is_shard_and_mode_invariant_congested() {
 /// baseline, by the invariance tests above.
 #[test]
 fn sharded_checkpoint_mid_bucket_resumes_bit_identically() {
-    for mode in MODES {
-        let cfg = StudyConfig::tiny(SEED)
-            .with_fault(FaultProfile::Lossy1Pct)
-            .with_pipeline(mode)
-            .with_collection_shards(4);
-        let at = Duration::secs(cfg.collection.as_secs() / 2 + 13);
-        let dir = ckpt_dir(&format!("midbucket-{mode:?}"));
-        Study::checkpoint(cfg.clone(), at, &dir).expect("checkpoint writes");
-        let resumed = Study::resume(&dir).expect("checkpoint resumes");
-        let baseline = Study::run(cfg);
-        std::fs::remove_dir_all(&dir).ok();
+    let cfg = StudyConfig::tiny(SEED)
+        .with_fault(FaultProfile::Lossy1Pct)
+        .with_collection_shards(4);
+    let at = Duration::secs(cfg.collection.as_secs() / 2 + 13);
+    let dir = ckpt_dir("midbucket");
+    Study::checkpoint(cfg.clone(), at, &dir).expect("checkpoint writes");
+    let resumed = Study::resume(&dir).expect("checkpoint resumes");
+    let baseline = Study::run(cfg);
+    std::fs::remove_dir_all(&dir).ok();
 
-        let ctx = format!("{mode:?}");
-        assert_eq!(resumed.feed, baseline.feed, "{ctx}: feed diverged");
-        assert_eq!(
-            resumed.run_stats, baseline.run_stats,
-            "{ctx}: stats diverged"
-        );
-        assert_eq!(
-            resumed.collector.global().len(),
-            baseline.collector.global().len(),
-            "{ctx}: collected set diverged"
-        );
-        assert_eq!(
-            resumed.run_report().to_json(),
-            baseline.run_report().to_json(),
-            "{ctx}: run report diverged"
-        );
-    }
+    assert_eq!(resumed.feed, baseline.feed, "feed diverged");
+    assert_eq!(resumed.run_stats, baseline.run_stats, "stats diverged");
+    assert_eq!(
+        resumed.collector.global().len(),
+        baseline.collector.global().len(),
+        "collected set diverged"
+    );
+    assert_eq!(
+        resumed.run_report().to_json(),
+        baseline.run_report().to_json(),
+        "run report diverged"
+    );
 }
 
 /// Resuming a checkpoint whose config was re-pointed at a different

@@ -1,5 +1,5 @@
 //! Acceptance tests for the telemetry subsystem: the deterministic
-//! [`RunReport`] is **byte-identical** across pipeline modes under an
+//! [`RunReport`] is **byte-identical** across runs under an
 //! injected-fault transport, and its counters reconcile exactly with
 //! the legacy accounting they replaced.
 //!
@@ -7,31 +7,21 @@
 
 use netsim::transport::FaultProfile;
 use scanner::result::{FailureCause, Protocol};
-use timetoscan::{PipelineMode, Study, StudyConfig};
+use timetoscan::{Study, StudyConfig};
 
-fn lossy(seed: u64, mode: PipelineMode) -> Study {
-    Study::run(
-        StudyConfig::tiny(seed)
-            .with_fault(FaultProfile::Lossy1Pct)
-            .with_pipeline(mode),
-    )
+fn lossy(seed: u64) -> Study {
+    Study::run(StudyConfig::tiny(seed).with_fault(FaultProfile::Lossy1Pct))
 }
 
 #[test]
 fn run_report_is_byte_identical_across_pipeline_modes() {
-    let buffered = lossy(41, PipelineMode::Buffered);
-    let streaming = lossy(41, PipelineMode::Streaming);
-    let a = buffered.run_report().to_json();
-    let b = streaming.run_report().to_json();
-    assert_eq!(a, b);
+    let first = lossy(41);
+    let second = lossy(41);
+    let a = first.run_report().to_json();
+    assert_eq!(a, second.run_report().to_json());
     assert!(a.contains("\"fault_profile\":\"lossy_1pct\""));
-    // The streaming run *does* record its channel metrics — they are
-    // volatile, which is exactly why they stay out of the report.
-    assert!(streaming
-        .telemetry
-        .iter()
-        .any(|(k, e)| e.volatile && k.name == "pipeline_channel_fed"));
-    assert!(!buffered
+    // A flat run has nothing scheduling-dependent to count.
+    assert!(!first
         .telemetry
         .iter()
         .any(|(_, e)| e.volatile && matches!(&e.value, telemetry::Value::Counter(_))));
@@ -39,7 +29,7 @@ fn run_report_is_byte_identical_across_pipeline_modes() {
 
 #[test]
 fn run_report_roundtrips_and_renders() {
-    let study = lossy(43, PipelineMode::Streaming);
+    let study = lossy(43);
     let report = study.run_report();
     let json = report.to_json();
     let parsed = telemetry::RunReport::from_json(&json).expect("canonical JSON parses");
@@ -50,7 +40,7 @@ fn run_report_roundtrips_and_renders() {
 
 #[test]
 fn report_counters_reconcile_with_legacy_values() {
-    let study = lossy(42, PipelineMode::Streaming);
+    let study = lossy(42);
     let det = study.telemetry.deterministic();
     // Collection: RunStats is *derived from* these counters, so they
     // agree by construction — this asserts the wiring kept it that way.

@@ -11,11 +11,11 @@
 //! recording into the flat collector, the same work on one thread. The
 //! recorded `cpus` field qualifies them: shard speedup needs cores.
 //!
-//! It also runs a **procedural-world scale slice**: a 1:100-of-the-paper
-//! world (~13 M nominal devices) collected through the same engine with
-//! no device table ever materialized, asserting resident memory stays
-//! under [`PROCEDURAL_RESIDENT_BOUND`] and recording the measured
-//! events/sec + resident bytes under the artifact's `procedural` key.
+//! It also runs a **scale slice**: a 1:100-of-the-paper world (~13 M
+//! nominal devices) collected through the same engine, asserting
+//! resident memory stays under [`PROCEDURAL_RESIDENT_BOUND`] (the world
+//! stores no device) and recording the measured events/sec + resident
+//! bytes under the artifact's `procedural` key.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::country;
@@ -131,10 +131,10 @@ fn resident_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Hard ceiling for the procedural scale run's resident memory. A
-/// materialized world of the same nominal size needs tens of bytes per
-/// device times ~13 M devices *before* the engine allocates anything;
-/// the procedural backend keeps the whole run comfortably under this.
+/// Hard ceiling for the scale run's resident memory. A device table of
+/// the same nominal size would need tens of bytes per device times
+/// ~13 M devices *before* the engine allocates anything; deriving
+/// devices on demand keeps the whole run comfortably under this.
 const PROCEDURAL_RESIDENT_BOUND: u64 = 2 * 1024 * 1024 * 1024;
 
 /// The throughput measurement + equivalence guard + artifact writer.
@@ -187,18 +187,17 @@ fn collection_throughput(c: &mut Criterion) {
         );
     }
 
-    // Procedural scale run: a 1:100-of-the-paper world (~13 M nominal
-    // devices) that is never materialized — clients stream out of the
-    // derivation layer and only touched devices ever exist. The
-    // resident-memory assert is the point of the exercise: collection
-    // cost is O(observed), not O(generated).
+    // Scale run: a 1:100-of-the-paper world (~13 M nominal devices) —
+    // clients stream out of the derivation layer and only touched
+    // devices ever exist. The resident-memory assert is the point of
+    // the exercise: collection cost is O(observed), not O(declared).
     let proc_world = World::generate(WorldConfig::paper_centi(bench::BENCH_SEED));
     let proc_devices = proc_world.device_count();
     let baseline_devices = world.device_count();
     assert!(
         proc_devices >= 20 * baseline_devices,
-        "procedural world must dwarf the largest materialized bench world \
-         ({proc_devices} vs {baseline_devices} devices)"
+        "the scale world must declare at least 20x the devices of the \
+         throughput world ({proc_devices} vs {baseline_devices})"
     );
     let proc_slice = if smoke {
         Duration::mins(15)

@@ -18,15 +18,11 @@ fn bench_probe_roundtrip(c: &mut Criterion) {
         b.iter(|| black_box(probers::probe(&world, black_box(cdn), Protocol::Http, t)))
     });
     // A silent address (the dominant case: 99%+ of probes).
-    let silent = world.address_of(
-        world
-            .devices()
-            .iter()
-            .find(|d| d.kind == netsim::DeviceKind::AndroidPhone)
-            .unwrap()
-            .id,
-        t,
-    );
+    let phone = world
+        .metas()
+        .find(|d| d.kind == netsim::DeviceKind::AndroidPhone)
+        .unwrap();
+    let silent = world.address_of_meta(&phone, t);
     c.bench_function("pipeline/probe_silent_host", |b| {
         b.iter(|| black_box(probers::probe(&world, black_box(silent), Protocol::Http, t)))
     });
@@ -51,10 +47,9 @@ fn bench_address_resolution(c: &mut Criterion) {
     let world = World::generate(WorldConfig::tiny(5));
     let t = SimTime(100_000);
     let addrs: Vec<std::net::Ipv6Addr> = world
-        .devices()
-        .iter()
+        .metas()
         .take(256)
-        .map(|d| world.address_of(d.id, t))
+        .map(|d| world.address_of_meta(&d, t))
         .collect();
     c.bench_function("pipeline/device_at_256", |b| {
         b.iter(|| {

@@ -22,7 +22,7 @@
 //! [`write()`] replaces the file atomically (scratch file, then rename),
 //! so an interrupted write never costs the previous checkpoint.
 //!
-//! There is one format version (6); a file with any other number fails
+//! There is one format version (7); a file with any other number fails
 //! with the typed [`StoreError::BadVersion`] (nothing outside this
 //! repository ever wrote an older one). A file whose shard section
 //! disagrees with the shard count in its own config fails with the
@@ -40,7 +40,7 @@
 use crate::config::StudyConfig;
 use actors::ActorRoster;
 use netsim::transport::FaultProfile;
-use netsim::world::{WorldBackend, WorldConfig};
+use netsim::world::WorldConfig;
 use netsim::{DeviceId, Duration, SimTime, TransportTotals};
 use ntppool::{CollectionCheckpoint, CollectorParts, Observation, ServerId};
 use std::fs::File;
@@ -61,7 +61,7 @@ const CHECKPOINT_TMP: &str = "study.ckpt.tmp";
 
 const MAGIC: &[u8; 8] = b"TTSCKPT\0";
 /// The one format version this build reads and writes.
-const VERSION: u16 = 6;
+const VERSION: u16 = 7;
 
 /// Longest collection window a checkpoint may name (a century; the
 /// paper's is four weeks). [`crate::study::study_start`] places the
@@ -206,10 +206,6 @@ fn put_config(w: &mut Writer, cfg: &StudyConfig) {
     w.put_u64(wc.rotation.as_secs());
     w.put_u64(wc.privacy_regen.as_secs());
     w.put_u8(u8::from(wc.cdn));
-    w.put_u8(match wc.backend {
-        WorldBackend::Materialized => 0,
-        WorldBackend::Procedural => 1,
-    });
     w.put_u8(wc.sntp_iot_pct);
     w.put_u64(cfg.collection.as_secs());
     w.put_u64(cfg.hitlist_scan_offset.as_secs());
@@ -238,13 +234,10 @@ fn read_config(r: &mut Reader<'_>) -> Result<StudyConfig, StoreError> {
         rotation: Duration::secs(r.u64()?),
         privacy_regen: Duration::secs(r.u64()?),
         cdn: r.u8()? != 0,
-        backend: match r.u8()? {
-            0 => WorldBackend::Materialized,
-            1 => WorldBackend::Procedural,
-            _ => return Err(StoreError::Corrupt("unknown world backend")),
-        },
         sntp_iot_pct: r.u8()?,
     };
+    // `Study::resume` generates whatever world the file names.
+    world.validate().map_err(StoreError::Corrupt)?;
     let collection = Duration::secs(r.u64()?);
     let hitlist_scan_offset = Duration::secs(r.u64()?);
     let telescope_offset = Duration::secs(r.u64()?);
@@ -556,7 +549,7 @@ mod tests {
     }
 
     /// One format: the header of every version this repository ever
-    /// wrote before (1–5), of none (0) and of the next (7) is refused
+    /// wrote before (1–6), of none (0) and of the next (8) is refused
     /// with the typed error, on an otherwise valid, sealed file.
     #[test]
     fn any_other_version_is_a_typed_error() {
@@ -565,7 +558,7 @@ mod tests {
         let clean = std::fs::read(&path).unwrap();
         let payload = &clean[..clean.len() - 8];
         assert_eq!(payload[MAGIC.len()..][..2], VERSION.to_le_bytes());
-        for version in [0u16, 1, 2, 3, 4, 5, 7] {
+        for version in [0u16, 1, 2, 3, 4, 5, 6, 8] {
             let mut bad = payload.to_vec();
             bad[MAGIC.len()..][..2].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, resealed(&bad)).unwrap();
@@ -607,17 +600,6 @@ mod tests {
         data.config.collection = MAX_COLLECTION;
         write(&data, &dir).unwrap();
         assert_eq!(read(&dir).unwrap().config, data.config);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn procedural_backend_survives_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("ckpt-proc-{}", std::process::id()));
-        let mut data = sample();
-        data.config.world.backend = WorldBackend::Procedural;
-        write(&data, &dir).unwrap();
-        let back = read(&dir).unwrap();
-        assert_eq!(back.config.world.backend, WorldBackend::Procedural);
         std::fs::remove_dir_all(&dir).ok();
     }
 

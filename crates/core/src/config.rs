@@ -96,9 +96,9 @@ impl StudyConfig {
     }
 
     /// The bench/CI scale preset (≈ 1:100 of the paper's household
-    /// population, ~13 M devices). Uses the **procedural** world
-    /// backend: no device table is ever materialized, so the world
-    /// costs O(observed) memory regardless of its nominal size.
+    /// population, ~13 M devices). Like every preset it stores no
+    /// device: the world costs O(observed) memory regardless of its
+    /// nominal size.
     pub fn paper_centi(seed: u64) -> StudyConfig {
         StudyConfig::base(WorldConfig::paper_centi(seed), 400.0, 14)
     }
@@ -191,20 +191,6 @@ mod tests {
         assert!(
             StudyConfig::paper_centi(1).world.households
                 > StudyConfig::paper_milli(1).world.households
-        );
-    }
-
-    #[test]
-    fn paper_centi_is_procedural() {
-        use netsim::world::WorldBackend;
-        assert_eq!(
-            StudyConfig::paper_centi(1).world.backend,
-            WorldBackend::Procedural
-        );
-        // Every other preset keeps the materialized oracle backend.
-        assert_eq!(
-            StudyConfig::paper_milli(1).world.backend,
-            WorldBackend::Materialized
         );
     }
 }

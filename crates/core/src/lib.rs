@@ -43,4 +43,4 @@ pub use derived::{Derived, DerivedCellStats, DerivedCells, SetKind, Source};
 pub use netsim::transport::FaultProfile;
 pub use session::StudySession;
 pub use store::StoreError;
-pub use study::Study;
+pub use study::{Study, StudyDigest};

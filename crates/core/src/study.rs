@@ -34,6 +34,7 @@ use ntppool::{
 use scanner::{BatchScan, RealTimeScanner, ScanPolicy, ScanStore};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use store::codec::{fnv1a, fnv1a_extend};
 use store::StoreError;
 use telemetry::{Registry, RunReport, Snapshot, SpanTimer};
 use telescope::{covert_actor, gt_actor, match_captures, Actor, TelescopeReport, Vantage};
@@ -97,6 +98,20 @@ pub struct Study {
     /// every [`Study::derived`] wrapper, seedable by a serving layer
     /// (see [`crate::derived::DerivedCells`]).
     pub derived_cells: Arc<crate::derived::DerivedCells>,
+}
+
+/// FNV-1a digests of everything deterministic a finished study prints
+/// (see [`Study::digest`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StudyDigest {
+    /// The canonical [`RunReport`] JSON followed by
+    /// [`crate::experiments::render_all`] — the definition the repo
+    /// benchmark prints as `sim_digest`.
+    pub combined: u64,
+    /// The run report JSON alone.
+    pub report: u64,
+    /// The rendered tables alone.
+    pub tables: u64,
 }
 
 /// Everything deterministic the study sets up *before* collection:
@@ -521,6 +536,20 @@ impl Study {
             ],
             &self.telemetry,
         )
+    }
+
+    /// Digests the run report and every rendered table. Equal configs
+    /// digest equally at any shard count; the halves are also digested
+    /// on their own so a mismatch names which one moved
+    /// (`tests/golden_digests.rs` pins them).
+    pub fn digest(&self) -> StudyDigest {
+        let report = fnv1a(self.run_report().to_json().as_bytes());
+        let tables = crate::experiments::render_all(&self.derived());
+        StudyDigest {
+            combined: fnv1a_extend(report, tables.as_bytes()),
+            report,
+            tables: fnv1a(tables.as_bytes()),
+        }
     }
 }
 

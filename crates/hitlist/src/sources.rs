@@ -5,7 +5,7 @@
 //! a real source would see — DNS names, certificates, router interfaces —
 //! modelled as per-archetype inclusion probabilities.
 
-use netsim::device::{Attachment, Device};
+use netsim::device::{Attachment, DeviceMeta};
 use netsim::time::SimTime;
 use netsim::world::World;
 use netsim::{mix2, DeviceKind};
@@ -59,7 +59,7 @@ fn rdns_probability(kind: DeviceKind) -> f64 {
     }
 }
 
-fn stable_coin(world: &World, dev: &Device, salt: u64, p: f64) -> bool {
+fn stable_coin(world: &World, dev: &DeviceMeta, salt: u64, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
@@ -76,13 +76,13 @@ impl Source for DnsSource {
     }
 
     fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet) {
-        world.for_each_device(|dev| {
-            if stable_coin(world, dev, 0xD45, dns_probability(dev.kind)) {
+        for dev in world.metas() {
+            if stable_coin(world, &dev, 0xD45, dns_probability(dev.kind)) {
                 // Dynamic-DNS names resolve to the *current* address; the
                 // daily hitlist build snapshots it at t.
-                out.insert(world.address_of(dev.id, t));
+                out.insert(world.address_of_meta(&dev, t));
             }
-        });
+        }
     }
 }
 
@@ -95,15 +95,15 @@ impl Source for RdnsSource {
     }
 
     fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet) {
-        world.for_each_device(|dev| {
+        for dev in world.metas() {
             // Zone walking only covers statically numbered space; a
             // household device's PTR (if any) churns with its prefix.
             if matches!(dev.attachment, Attachment::Static { .. })
-                && stable_coin(world, dev, 0x12d5, rdns_probability(dev.kind))
+                && stable_coin(world, &dev, 0x12d5, rdns_probability(dev.kind))
             {
-                out.insert(world.address_of(dev.id, t));
+                out.insert(world.address_of_meta(&dev, t));
             }
-        });
+        }
     }
 }
 
@@ -116,11 +116,11 @@ impl Source for TracerouteSource {
     }
 
     fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet) {
-        world.for_each_device(|dev| {
-            if dev.kind == DeviceKind::CoreRouter && stable_coin(world, dev, 0x7124, 0.9) {
-                out.insert(world.address_of(dev.id, t));
+        for dev in world.metas() {
+            if dev.kind == DeviceKind::CoreRouter && stable_coin(world, &dev, 0x7124, 0.9) {
+                out.insert(world.address_of_meta(&dev, t));
             }
-        });
+        }
     }
 }
 

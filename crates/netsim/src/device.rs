@@ -75,7 +75,7 @@ pub struct NtpClientCfg {
 /// One simulated device.
 #[derive(Debug, Clone)]
 pub struct Device {
-    /// Identifier (index into the world's device table).
+    /// Identifier (the device's encoded coordinates, see [`crate::procgen`]).
     pub id: DeviceId,
     /// Archetype.
     pub kind: DeviceKind,
@@ -119,8 +119,8 @@ impl Device {
 
 /// The addressing-relevant summary of a device: everything except its
 /// service stack, all `Copy`. Hot paths (the collection engine, client
-/// enumeration) work on metas so the procedural world backend can derive
-/// them on the stack without allocating a [`Device`].
+/// enumeration) work on metas so the world can derive them on the stack
+/// without allocating a [`Device`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceMeta {
     /// Identifier.

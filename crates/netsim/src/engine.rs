@@ -6,7 +6,7 @@
 //! the scanner consume collected addresses "in real time" (paper §3.1)
 //! while prefixes churn underneath it.
 //!
-//! Time is cut into slots of [`SLOT_SECS`] seconds. Only the events of
+//! Time is cut into slots of `SLOT_SECS` seconds. Only the events of
 //! the current slot are kept ordered (a binary heap small enough to stay
 //! in cache); an event of a later slot is appended, unsorted, to that
 //! slot's bucket in a ring indexed by `slot % RING`, and a bucket is

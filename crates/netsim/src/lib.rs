@@ -29,11 +29,11 @@
 //!   events over the topology's allocations) that BGP-signal-adaptive
 //!   scanners consume.
 //! * [`procgen`] — pure per-coordinate derivation of households, devices
-//!   and prefixes from `(seed, AS, index, member)`, shared by both world
-//!   backends.
-//! * [`world`] — the assembled world: device populations per AS, reverse
-//!   address lookup at a point in time, and the probe dispatcher that
-//!   parses scanner bytes and produces response bytes.
+//!   and prefixes from `(seed, AS, index, member)`.
+//! * [`world`] — the assembled world: the O(#ASes) layout plus a bounded
+//!   cache of derived devices, reverse address lookup at a point in
+//!   time, and the probe dispatcher that parses scanner bytes and
+//!   produces response bytes.
 //! * [`engine`] — a calendar-queue discrete-event scheduler used to drive NTP
 //!   polling chronologically.
 //! * [`transport`] — the byte-exchange layer between any client and the
@@ -73,7 +73,7 @@ pub use peeringdb::OrgId;
 pub use time::{Duration, SimTime};
 pub use topology::{AsInfo, Asn, Topology};
 pub use transport::{Delivery, FaultConfig, FaultProfile, Faulty, Ideal, Link, Transport};
-pub use world::{AddrResolver, World, WorldBackend, WorldConfig};
+pub use world::{AddrResolver, World, WorldConfig};
 
 /// Deterministic 64-bit mix used everywhere the simulation needs a
 /// pseudo-random but reproducible value derived from identifiers

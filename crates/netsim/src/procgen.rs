@@ -9,16 +9,15 @@
 //!
 //! * [`Layout::household_profile`] — CPE archetype + member archetypes of
 //!   household `h`, from the household RNG domain;
-//! * [`Layout::device_meta`] — the cheap, `Copy` summary of a device
-//!   (kind, AS, attachment, addressing, NTP config) without building its
-//!   service stack;
-//! * [`Layout::derive_device`] — the full [`Device`] including services,
-//!   TLS keys and banners, from the service RNG domain.
+//! * [`Layout::try_device_meta`] — the cheap, `Copy` summary of a
+//!   device (kind, AS, attachment, addressing, NTP config) without
+//!   building its service stack;
+//! * [`Layout::device_from_meta`] — the full [`Device`]: the meta plus
+//!   services, TLS keys and banners from the service RNG domain.
 //!
-//! Both world backends ([`crate::world::World`]) consume these functions:
-//! the materialized backend calls them eagerly in one pass, the
-//! procedural backend calls them lazily per lookup — so their worlds are
-//! **bit-identical by construction**.
+//! [`crate::world::World`] is a thin shell over these functions: it
+//! calls them per lookup (behind a bounded cache) or per enumeration
+//! step, and stores no device.
 //!
 //! ## Coordinate scheme
 //!
@@ -72,12 +71,18 @@ pub const POLL_INTERVAL: Duration = Duration::hours(6);
 /// [`crate::world::WorldConfig::sntp_iot_pct`] use it.
 pub const SNTP_POLL_INTERVAL: Duration = Duration::hours(1);
 
+/// Most ASes of one type a world may declare. [`Layout::build`] numbers
+/// each type's /32 allocations upward from its own base, and the ranges
+/// must stay apart: the hosting range would reach the CDN's /32 at
+/// index 378 624.
+pub(crate) const MAX_ASES_PER_TYPE: u32 = 1 << 16;
+
 /// Households per eyeball AS cap: keeps the delegation-pool slot space
 /// `(count*4).clamp(8, 0xffff - POOL_BASE)` collision-free.
-const MAX_HOUSEHOLDS_PER_AS: u32 = 12_000;
+pub(crate) const MAX_HOUSEHOLDS_PER_AS: u32 = 12_000;
 
 /// Static hosts per AS cap: the /48 index `idx/4` must fit in 16 bits.
-const MAX_STATIC_PER_AS: u32 = 4 * 0x1_0000;
+pub(crate) const MAX_STATIC_PER_AS: u32 = 4 * 0x1_0000;
 
 // Per-aspect RNG domains. Separating streams is what makes
 // `device_meta` derivable without touching the (much more expensive)
@@ -576,38 +581,32 @@ impl Layout {
         }
     }
 
-    /// Meta of any device by id. Panics on an id outside the world,
-    /// like the dense-index lookup it replaces.
-    pub fn device_meta(&self, id: DeviceId) -> DeviceMeta {
+    /// Meta of any device by id, `None` for an id outside the world (a
+    /// member slot its household does not fill, or past the static
+    /// range). Derives the household profile once.
+    pub fn try_device_meta(&self, id: DeviceId) -> Option<DeviceMeta> {
         let v = id.0;
         let s0 = self.static_base();
         if v < s0 {
             let (h, m) = (v / HOUSEHOLD_STRIDE, (v % HOUSEHOLD_STRIDE) as u8);
             let profile = self.household_profile(h);
-            assert!(m < profile.len, "no member {m} in household {h}");
-            self.member_meta(&profile, m)
+            (m < profile.len).then(|| self.member_meta(&profile, m))
         } else {
             let idx = v - s0;
-            assert!(
-                idx < self.servers + self.routers,
-                "device id {v} out of range"
-            );
-            self.static_meta(idx)
+            (idx < self.servers + self.routers).then(|| self.static_meta(idx))
         }
     }
 
-    /// The full device — meta plus its derived service stack.
-    pub fn derive_device(&self, id: DeviceId) -> Device {
-        let meta = self.device_meta(id);
-        let services = self.derive_services(id, meta.kind);
+    /// The full device — `meta` plus its derived service stack.
+    pub fn device_from_meta(&self, meta: DeviceMeta) -> Device {
         Device {
-            id,
+            id: meta.id,
             kind: meta.kind,
             asn: meta.asn,
             country: meta.country,
             attachment: meta.attachment,
             addressing: meta.addressing,
-            services,
+            services: self.derive_services(meta.id, meta.kind),
             ntp: meta.ntp,
         }
     }
@@ -711,10 +710,12 @@ impl Layout {
         self.net64_of(meta, t).host(u128::from(meta.iid_at(t).0))
     }
 
-    /// Structural inverse of the address plan: the device id whose /64
-    /// contains `addr` at `t`, if any. The caller still has to verify
-    /// the interface identifier — a stale or never-assigned IID resolves
-    /// to nothing.
+    /// Structural inverse of the address plan, pure arithmetic: the
+    /// *candidate* device id whose /64 contains `addr` at `t`. In
+    /// eyeball space the candidate may name a member slot its household
+    /// does not fill ([`try_device_meta`](Layout::try_device_meta) says
+    /// so), and the caller still has to verify the interface identifier
+    /// — a stale or never-assigned IID resolves to nothing.
     pub fn locate(&self, topology: &Topology, addr: Ipv6Addr, t: SimTime) -> Option<DeviceId> {
         let bits = u128::from(addr);
         let asn = topology.origin(addr)?;
@@ -738,20 +739,15 @@ impl Layout {
                 return None;
             }
             let idx = plan.house_at(slot48 - POOL_BASE, self.epoch(t))?;
-            let h = plan.base + idx;
-            let profile = self.household_profile(h);
-            if sub64 >= u32::from(profile.len) {
-                return None;
-            }
-            return Some(DeviceId(h * HOUSEHOLD_STRIDE + sub64));
+            return (sub64 < HOUSEHOLD_STRIDE)
+                .then(|| DeviceId((plan.base + idx) * HOUSEHOLD_STRIDE + sub64));
         }
         None
     }
 
     /// Deterministic O(1) estimate of the pool-client population —
-    /// an order of magnitude only, never an observable quantity.
-    /// Identical across backends by construction:
-    /// it reads nothing but the configured counts.
+    /// an order of magnitude only, never an observable quantity: it
+    /// reads nothing but the configured counts.
     pub fn client_count_estimate(&self) -> usize {
         // Households average 4.5 devices, nearly all pool clients;
         // servers/routers almost never are.
@@ -1020,9 +1016,10 @@ mod tests {
         // Member 1 always exists (every household has the CPE plus at
         // least one LAN device).
         let id = DeviceId(1);
-        assert_eq!(layout.device_meta(id), layout.device_meta(id));
-        let d1 = layout.derive_device(id);
-        let d2 = layout.derive_device(id);
+        let meta = layout.try_device_meta(id).unwrap();
+        assert_eq!(layout.try_device_meta(id), Some(meta));
+        let d1 = layout.device_from_meta(meta);
+        let d2 = layout.device_from_meta(meta);
         assert_eq!(d1.services, d2.services);
     }
 }

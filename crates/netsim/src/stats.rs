@@ -91,8 +91,8 @@ mod tests {
     fn stats_are_consistent() {
         let w = World::generate(WorldConfig::tiny(13));
         let s = WorldStats::of(&w);
-        assert_eq!(s.total_devices(), w.devices().len() as u64);
-        assert_eq!(s.households, w.households().len() as u64);
+        assert_eq!(s.total_devices(), w.device_count());
+        assert_eq!(s.households, u64::from(w.household_count()));
         assert!(s.pool_clients > 0);
         assert!(s.pool_clients <= s.total_devices());
         assert!(s.reachable_devices < s.total_devices());

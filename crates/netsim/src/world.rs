@@ -16,43 +16,34 @@
 //! The world resolves an address *at a time* to a device and dispatches
 //! probe bytes to its service stack.
 //!
-//! ## Backends
+//! ## One representation
 //!
-//! Worlds come in two shapes behind the same API
-//! ([`WorldConfig::backend`]):
+//! A world stores nothing per device. Every household, device and
+//! prefix is a pure function of its coordinates ([`crate::procgen`]);
+//! the world holds the O(#ASes) [`Layout`] plus a small bounded cache of
+//! derived devices, so its memory is bounded by what a study *observes*,
+//! not by what the config *declares*.
 //!
-//! * [`WorldBackend::Materialized`] — every [`Device`] is built up front
-//!   into a dense table. O(devices) memory; the equivalence oracle.
-//! * [`WorldBackend::Procedural`] — devices are derived on demand from
-//!   their coordinates via [`crate::procgen`], memoized in a small
-//!   bounded cache. O(#ASes + cache) memory, so world size is bounded by
-//!   what the study *observes*, not what the config *declares*.
-//!
-//! Both backends run the identical per-coordinate derivation, so for any
-//! config the materialized backend can hold, all observable behaviour —
-//! addresses, responses, NTP client schedules — is bit-identical between
-//! them (enforced by tests).
+//! Resolving an address is **locate → cache → verify**:
+//! [`Layout::locate`] inverts the address plan arithmetically to a
+//! candidate device id, the cache returns that device (deriving it on a
+//! miss; a member slot its household does not fill derives to nothing
+//! and is not cached), and the interface identifier is checked against
+//! the device's addressing. A scan sends all of a target's probes back
+//! to back, so every attempt after the first is a cache hit.
 
 use crate::device::{Attachment, Device, DeviceId, DeviceMeta, NtpClientCfg};
-use crate::procgen::{Layout, HOUSEHOLD_STRIDE, POLL_INTERVAL, SNTP_POLL_INTERVAL};
+use crate::procgen::{
+    Layout, HOUSEHOLD_STRIDE, MAX_ASES_PER_TYPE, MAX_HOUSEHOLDS_PER_AS, MAX_STATIC_PER_AS,
+    POLL_INTERVAL, SNTP_POLL_INTERVAL,
+};
 use crate::services::ServiceSet;
 use crate::time::{Duration, SimTime};
-use crate::topology::{Asn, Topology};
+use crate::topology::Topology;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::{Arc, Mutex};
 use v6addr::{Iid, Prefix};
-
-/// Which world representation backs the [`World`] API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WorldBackend {
-    /// Materialize every device up front (O(devices) memory). The
-    /// equivalence oracle for small configs.
-    Materialized,
-    /// Derive devices on demand from coordinates (O(#ASes) memory plus a
-    /// bounded cache). Required for paper-scale worlds.
-    Procedural,
-}
 
 /// Size/behaviour preset for world generation.
 ///
@@ -81,8 +72,6 @@ pub struct WorldConfig {
     pub privacy_regen: Duration,
     /// Model the aliased CDN prefix.
     pub cdn: bool,
-    /// World representation (derivation is identical either way).
-    pub backend: WorldBackend,
     /// Percentage (0–100) of eligible IoT devices
     /// ([`crate::DeviceKind::is_sntp_iot`]) that run a bare SNTP client
     /// polling the pool on a short *fixed* interval
@@ -94,6 +83,36 @@ pub struct WorldConfig {
 }
 
 impl WorldConfig {
+    /// Checks the sizes [`World::generate`] relies on, for a config
+    /// that did not come from a preset (a checkpoint file, say): a
+    /// config that passes generates without panicking and in memory
+    /// bounded by its AS counts.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        for (population, ases, per_as) in [
+            (self.households, self.eyeball_ases, MAX_HOUSEHOLDS_PER_AS),
+            (self.servers, self.hosting_ases, MAX_STATIC_PER_AS),
+            (self.routers, self.nsp_ases, MAX_STATIC_PER_AS),
+        ] {
+            if ases > MAX_ASES_PER_TYPE {
+                return Err("world declares more than 65 536 ASes of one type");
+            }
+            // Also refuses a population with no AS to live in.
+            if u64::from(population) > u64::from(ases) * u64::from(per_as) {
+                return Err("world population exceeds what its ASes can hold");
+            }
+        }
+        let ids = u64::from(self.households) * u64::from(HOUSEHOLD_STRIDE)
+            + u64::from(self.servers)
+            + u64::from(self.routers);
+        if ids > u64::from(u32::MAX) {
+            return Err("world device ids do not fit 32 bits");
+        }
+        if self.sntp_iot_pct > 100 {
+            return Err("sntp_iot_pct above 100");
+        }
+        Ok(())
+    }
+
     /// Minimal world for unit tests (hundreds of devices).
     pub fn tiny(seed: u64) -> WorldConfig {
         WorldConfig {
@@ -107,7 +126,6 @@ impl WorldConfig {
             rotation: Duration::days(1),
             privacy_regen: Duration::days(1),
             cdn: true,
-            backend: WorldBackend::Materialized,
             sntp_iot_pct: 0,
         }
     }
@@ -151,8 +169,7 @@ impl WorldConfig {
         }
     }
 
-    /// Procedural-only world (≈ 1:100 of the paper, ~13 M devices):
-    /// too large to materialize, cheap to derive.
+    /// The bench/CI scale world (≈ 1:100 of the paper, ~13 M devices).
     pub fn paper_centi(seed: u64) -> WorldConfig {
         WorldConfig {
             households: 2_300_000,
@@ -161,15 +178,8 @@ impl WorldConfig {
             eyeball_ases: 1_200,
             hosting_ases: 800,
             nsp_ases: 150,
-            backend: WorldBackend::Procedural,
             ..WorldConfig::tiny(seed)
         }
-    }
-
-    /// The same world with a different representation.
-    pub fn with_backend(mut self, backend: WorldBackend) -> WorldConfig {
-        self.backend = backend;
-        self
     }
 
     /// The same world with `pct`% (clamped to 100) of eligible IoT
@@ -180,17 +190,6 @@ impl WorldConfig {
     }
 }
 
-/// One eyeball household: a CPE plus LAN members sharing a delegated /48.
-#[derive(Debug, Clone)]
-pub struct Household {
-    /// Owning eyeball AS.
-    pub asn: Asn,
-    /// Index within the AS's delegation pool.
-    pub index_in_as: u32,
-    /// Member devices; element 0 is the CPE.
-    pub members: Vec<DeviceId>,
-}
-
 /// An aliased region: a whole prefix that answers on every address
 /// (CDN/hyperscaler front-end).
 #[derive(Debug, Clone)]
@@ -199,75 +198,6 @@ pub struct AliasedRegion {
     pub prefix: Prefix,
     /// Shared service surface of every address inside.
     pub services: ServiceSet,
-}
-
-/// Dense device table plus household index (the classic representation).
-struct MaterializedModel {
-    /// Devices in ascending-id order.
-    devices: Vec<Device>,
-    households: Vec<Household>,
-    /// Dense index of household `h`'s first member is `offsets[h]`; the
-    /// static range starts at `offsets[households.len()]`.
-    offsets: Vec<u32>,
-}
-
-impl MaterializedModel {
-    fn build(layout: &Layout) -> MaterializedModel {
-        let hh_count = layout.households();
-        let mut devices = Vec::new();
-        let mut households = Vec::with_capacity(hh_count as usize);
-        let mut offsets = Vec::with_capacity(hh_count as usize + 1);
-        for h in 0..hh_count {
-            offsets.push(devices.len() as u32);
-            let profile = layout.household_profile(h);
-            let (plan, _) = layout.eyeball_of_house(h);
-            let mut members = Vec::with_capacity(usize::from(profile.len));
-            for m in 0..profile.len {
-                let meta = layout.member_meta(&profile, m);
-                devices.push(device_from_meta(layout, meta));
-                members.push(meta.id);
-            }
-            households.push(Household {
-                asn: profile.asn,
-                index_in_as: h - plan.base,
-                members,
-            });
-        }
-        offsets.push(devices.len() as u32);
-        for i in 0..layout.servers() + layout.routers() {
-            devices.push(device_from_meta(layout, layout.static_meta(i)));
-        }
-        MaterializedModel {
-            devices,
-            households,
-            offsets,
-        }
-    }
-
-    /// Dense index of an encoded device id.
-    fn dense(&self, layout: &Layout, id: DeviceId) -> usize {
-        let v = id.0;
-        let s0 = layout.static_base();
-        if v < s0 {
-            let (h, m) = (v / HOUSEHOLD_STRIDE, v % HOUSEHOLD_STRIDE);
-            (self.offsets[h as usize] + m) as usize
-        } else {
-            (self.offsets[self.households.len()] + (v - s0)) as usize
-        }
-    }
-}
-
-fn device_from_meta(layout: &Layout, meta: DeviceMeta) -> Device {
-    Device {
-        id: meta.id,
-        kind: meta.kind,
-        asn: meta.asn,
-        country: meta.country,
-        attachment: meta.attachment,
-        addressing: meta.addressing,
-        services: layout.derive_services(meta.id, meta.kind),
-        ntp: meta.ntp,
-    }
 }
 
 /// Bounded memoization for derived devices: two generational banks; when
@@ -309,17 +239,6 @@ impl DeviceCache {
     }
 }
 
-/// Derive-on-demand representation: nothing per-device is stored beyond
-/// the bounded cache.
-struct ProceduralModel {
-    cache: Mutex<DeviceCache>,
-}
-
-enum WorldModel {
-    Materialized(MaterializedModel),
-    Procedural(ProceduralModel),
-}
-
 /// The simulated Internet.
 pub struct World {
     /// Generation config.
@@ -328,96 +247,56 @@ pub struct World {
     pub topology: Topology,
     layout: Layout,
     aliased: Vec<AliasedRegion>,
-    model: WorldModel,
+    /// Shared by every reader of the world (service workers included):
+    /// derive outside the lock, insert under it.
+    cache: Mutex<DeviceCache>,
 }
 
 impl World {
-    /// Generates a world from a config. Deterministic in `config`:
-    /// both backends derive devices through the same per-coordinate
-    /// functions ([`crate::procgen`]), so all observable behaviour is
-    /// bit-identical between them.
+    /// Generates a world from a config. Deterministic in `config`, and
+    /// O(#ASes): no device is derived until something asks for it.
     pub fn generate(config: WorldConfig) -> World {
         let (layout, topology, aliased) = Layout::build(&config);
-        let model = match config.backend {
-            WorldBackend::Materialized => {
-                WorldModel::Materialized(MaterializedModel::build(&layout))
-            }
-            WorldBackend::Procedural => WorldModel::Procedural(ProceduralModel {
-                cache: Mutex::new(DeviceCache::new()),
-            }),
-        };
         World {
             config,
             topology,
             layout,
             aliased,
-            model,
+            cache: Mutex::new(DeviceCache::new()),
         }
     }
 
-    /// All devices, as a slice. Only the materialized backend holds a
-    /// device table; use [`for_each_device`](World::for_each_device) or
-    /// [`meta`](World::meta) for backend-agnostic access.
-    ///
-    /// # Panics
-    /// On a procedural world.
-    pub fn devices(&self) -> &[Device] {
-        match &self.model {
-            WorldModel::Materialized(m) => &m.devices,
-            WorldModel::Procedural(_) => {
-                panic!("devices(): procedural worlds have no device table; use for_each_device")
-            }
-        }
+    /// The meta of every device in ascending-id order (households, then
+    /// servers, then routers), derived lazily: enumeration never holds
+    /// more than one household profile.
+    pub fn metas(&self) -> impl Iterator<Item = DeviceMeta> + '_ {
+        let layout = &self.layout;
+        let members = (0..layout.households()).flat_map(move |h| {
+            let profile = layout.household_profile(h);
+            (0..profile.len).map(move |m| layout.member_meta(&profile, m))
+        });
+        let statics = (0..layout.servers() + layout.routers()).map(move |i| layout.static_meta(i));
+        members.chain(statics)
     }
 
-    /// All households, as a slice.
-    ///
-    /// # Panics
-    /// On a procedural world (use [`household_count`](World::household_count)
-    /// and [`household_members`](World::household_members)).
-    pub fn households(&self) -> &[Household] {
-        match &self.model {
-            WorldModel::Materialized(m) => &m.households,
-            WorldModel::Procedural(_) => {
-                panic!("households(): procedural worlds have no household table")
-            }
-        }
-    }
-
-    /// Visits every device in ascending-id order. Works on both
-    /// backends; the procedural one derives each device transiently, so
-    /// memory stays O(1) regardless of world size.
+    /// Visits every device, service stack included, in ascending-id
+    /// order. Each device is derived transiently, so memory stays O(1)
+    /// regardless of world size; callers that never read
+    /// [`Device::services`] should walk [`metas`](World::metas) instead.
     pub fn for_each_device(&self, mut f: impl FnMut(&Device)) {
-        match &self.model {
-            WorldModel::Materialized(m) => m.devices.iter().for_each(f),
-            WorldModel::Procedural(_) => {
-                for h in 0..self.layout.households() {
-                    let profile = self.layout.household_profile(h);
-                    for m in 0..profile.len {
-                        let meta = self.layout.member_meta(&profile, m);
-                        f(&device_from_meta(&self.layout, meta));
-                    }
-                }
-                for i in 0..self.layout.servers() + self.layout.routers() {
-                    f(&device_from_meta(&self.layout, self.layout.static_meta(i)));
-                }
-            }
+        for meta in self.metas() {
+            f(&self.layout.device_from_meta(meta));
         }
     }
 
-    /// Total device count. O(1) on a materialized world, O(households)
-    /// on a procedural one (member counts must be derived).
+    /// Total device count. O(households): member counts must be derived,
+    /// member metas need not be.
     pub fn device_count(&self) -> u64 {
-        match &self.model {
-            WorldModel::Materialized(m) => m.devices.len() as u64,
-            WorldModel::Procedural(_) => {
-                let mut n = u64::from(self.layout.servers() + self.layout.routers());
-                for h in 0..self.layout.households() {
-                    n += u64::from(self.layout.household_profile(h).len);
-                }
-                n
-            }
-        }
+        let layout = &self.layout;
+        u64::from(layout.servers() + layout.routers())
+            + (0..layout.households())
+                .map(|h| u64::from(layout.household_profile(h).len))
+                .sum::<u64>()
     }
 
     /// Number of households.
@@ -427,63 +306,48 @@ impl World {
 
     /// Member device ids of household `h`; element 0 is the CPE.
     pub fn household_members(&self, h: u32) -> Vec<DeviceId> {
-        match &self.model {
-            WorldModel::Materialized(m) => m.households[h as usize].members.clone(),
-            WorldModel::Procedural(_) => self.layout.household_profile(h).member_ids().collect(),
-        }
+        self.layout.household_profile(h).member_ids().collect()
     }
 
-    /// A device by id, with its full service stack. The procedural
-    /// backend derives it on demand (memoized, bounded).
+    /// The cached device `id`, derived (and cached) on a miss; `None`,
+    /// with the cache untouched, for an id outside the world.
+    fn lookup(&self, id: DeviceId) -> Option<Arc<Device>> {
+        if let Some(d) = self.cache.lock().expect("device cache poisoned").get(id) {
+            return Some(d);
+        }
+        // Derive outside the lock; a concurrent double-derive is benign
+        // (both derive the identical device).
+        let dev = Arc::new(self.layout.device_from_meta(self.try_meta(id)?));
+        self.cache
+            .lock()
+            .expect("device cache poisoned")
+            .insert(id, Arc::clone(&dev));
+        Some(dev)
+    }
+
+    /// A device by id, with its full service stack, derived on demand
+    /// (memoized, bounded).
     ///
     /// # Panics
     /// On an id outside the world.
     pub fn device(&self, id: DeviceId) -> Arc<Device> {
-        match &self.model {
-            WorldModel::Materialized(m) => Arc::new(m.devices[m.dense(&self.layout, id)].clone()),
-            WorldModel::Procedural(p) => {
-                if let Some(d) = p.cache.lock().expect("device cache poisoned").get(id) {
-                    return d;
-                }
-                // Derive outside the lock; a concurrent double-derive is
-                // benign (both derive the identical device).
-                let dev = Arc::new(self.layout.derive_device(id));
-                p.cache
-                    .lock()
-                    .expect("device cache poisoned")
-                    .insert(id, Arc::clone(&dev));
-                dev
-            }
-        }
+        self.lookup(id)
+            .unwrap_or_else(|| panic!("device id {} outside the world", id.0))
     }
 
-    /// A device's cheap summary (no service stack). This is the hot-path
-    /// accessor: on both backends it allocates nothing.
+    /// A device's cheap summary (no service stack); allocates nothing.
     ///
     /// # Panics
     /// On an id outside the world.
     pub fn meta(&self, id: DeviceId) -> DeviceMeta {
-        match &self.model {
-            WorldModel::Materialized(m) => m.devices[m.dense(&self.layout, id)].meta(),
-            WorldModel::Procedural(_) => self.layout.device_meta(id),
-        }
+        self.try_meta(id)
+            .unwrap_or_else(|| panic!("device id {} outside the world", id.0))
     }
 
     /// [`World::meta`] for an id that did not come from this world (a
-    /// checkpoint file, say): `None` where `meta` would panic or, on the
-    /// materialized table, silently land on a neighbouring device.
+    /// checkpoint file, say): `None` where `meta` would panic.
     pub fn try_meta(&self, id: DeviceId) -> Option<DeviceMeta> {
-        let statics = self.layout.static_base();
-        let exists = if id.0 < statics {
-            let (h, m) = (id.0 / HOUSEHOLD_STRIDE, id.0 % HOUSEHOLD_STRIDE);
-            m < match &self.model {
-                WorldModel::Materialized(t) => t.offsets[h as usize + 1] - t.offsets[h as usize],
-                WorldModel::Procedural(_) => u32::from(self.layout.household_profile(h).len),
-            }
-        } else {
-            id.0 - statics < self.layout.servers() + self.layout.routers()
-        };
-        exists.then(|| self.meta(id))
+        self.layout.try_device_meta(id)
     }
 
     /// Aliased (CDN) regions.
@@ -512,19 +376,13 @@ impl World {
         self.layout.net64_of(meta, t)
     }
 
-    /// The id of the device holding `addr` at `t`, with the interface
-    /// identifier verified (a stale address resolves to nothing —
-    /// exactly the staleness the paper's §6 warns about).
-    fn resolve(&self, addr: Ipv6Addr, t: SimTime) -> Option<DeviceId> {
-        let id = self.layout.locate(&self.topology, addr, t)?;
-        let meta = self.meta(id);
-        (meta.iid_at(t) == Iid(u128::from(addr) as u64)).then_some(id)
-    }
-
-    /// Resolves an address at time `t` to the device holding it,
-    /// verifying the interface identifier.
+    /// The device holding `addr` at `t`: the address plan inverted to a
+    /// candidate id, that device fetched through the cache, and the
+    /// interface identifier verified (a stale address resolves to
+    /// nothing — exactly the staleness the paper's §6 warns about).
     pub fn device_at(&self, addr: Ipv6Addr, t: SimTime) -> Option<Arc<Device>> {
-        self.resolve(addr, t).map(|id| self.device(id))
+        let dev = self.lookup(self.layout.locate(&self.topology, addr, t)?)?;
+        (dev.iid_at(t) == Iid(u128::from(addr) as u64)).then_some(dev)
     }
 
     /// Dispatches probe bytes to whatever answers `addr:port` at `t`.
@@ -536,50 +394,20 @@ impl World {
                 return region.services.respond(port, probe);
             }
         }
-        let id = self.resolve(addr, t)?;
-        match &self.model {
-            // Avoid the Arc round-trip on the materialized fast path.
-            WorldModel::Materialized(m) => m.devices[m.dense(&self.layout, id)]
-                .services
-                .respond(port, probe),
-            WorldModel::Procedural(_) => self.device(id).services.respond(port, probe),
-        }
+        self.device_at(addr, t)?.services.respond(port, probe)
     }
 
     /// Devices that run an NTP pool client, with their configs, in
-    /// ascending-id order (the order is part of feed determinism). The
-    /// procedural backend derives lazily: enumeration never materializes
-    /// the population.
-    pub fn ntp_clients(&self) -> Box<dyn Iterator<Item = (DeviceMeta, NtpClientCfg)> + '_> {
-        match &self.model {
-            WorldModel::Materialized(m) => Box::new(
-                m.devices
-                    .iter()
-                    .filter_map(|d| d.ntp.map(|c| (d.meta(), c))),
-            ),
-            WorldModel::Procedural(_) => {
-                let layout = &self.layout;
-                let households = (0..layout.households()).flat_map(move |h| {
-                    let profile = layout.household_profile(h);
-                    (0..profile.len).filter_map(move |m| {
-                        let meta = layout.member_meta(&profile, m);
-                        meta.ntp.map(|c| (meta, c))
-                    })
-                });
-                let statics = (0..layout.servers() + layout.routers()).filter_map(move |i| {
-                    let meta = layout.static_meta(i);
-                    meta.ntp.map(|c| (meta, c))
-                });
-                Box::new(households.chain(statics))
-            }
-        }
+    /// ascending-id order (the order is part of feed determinism).
+    pub fn ntp_clients(&self) -> impl Iterator<Item = (DeviceMeta, NtpClientCfg)> + '_ {
+        self.metas()
+            .filter_map(|meta| meta.ntp.map(|cfg| (meta, cfg)))
     }
 
     /// Deterministic O(1) estimate of the pool-client population. An
     /// **order of magnitude only** (for a caller sizing something ahead
     /// of an enumeration) — never an observable quantity, so it may
-    /// differ from the exact count but is identical across backends by
-    /// construction.
+    /// differ from the exact count.
     pub fn client_count_estimate(&self) -> usize {
         self.layout.client_count_estimate()
     }
@@ -597,20 +425,11 @@ impl World {
     }
 
     /// A deterministic order-of-magnitude estimate of this world's heap
-    /// footprint, for admission budgeting when snapshots are pooled. A
-    /// materialized world is dominated by its device table; a procedural
-    /// world by its bounded device cache. An accounting quantity only —
-    /// never observable in reports.
+    /// footprint, for admission budgeting when snapshots are pooled: the
+    /// bound of its device cache, whatever the world's nominal size. An
+    /// accounting quantity only — never observable in reports.
     pub fn approx_heap_bytes(&self) -> usize {
-        let per_device = std::mem::size_of::<Device>();
-        match &self.model {
-            WorldModel::Materialized(m) => {
-                m.devices.len() * per_device
-                    + m.households.len() * std::mem::size_of::<Household>()
-                    + m.offsets.len() * std::mem::size_of::<u32>()
-            }
-            WorldModel::Procedural(_) => DeviceCache::CAP * per_device,
-        }
+        DeviceCache::CAP * std::mem::size_of::<Device>()
     }
 
     /// A fresh [`AddrResolver`] over this world.
@@ -663,7 +482,7 @@ impl AddrResolver<'_> {
     /// in hand — the collection engine derives the meta once per event
     /// and addresses it here without a second lookup.
     pub fn address_of_meta(&mut self, meta: &DeviceMeta, t: SimTime) -> Ipv6Addr {
-        let layout = self.world.layout();
+        let layout = &self.world.layout;
         let net64 = match meta.attachment {
             Attachment::Static { net64 } => net64,
             Attachment::Household { household, member } => {
@@ -693,13 +512,6 @@ impl AddrResolver<'_> {
     }
 }
 
-impl World {
-    /// The procedural layout shared by both backends.
-    pub(crate) fn layout(&self) -> &Layout {
-        &self.layout
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,48 +525,55 @@ mod tests {
     fn generation_is_deterministic() {
         let a = World::generate(WorldConfig::tiny(5));
         let b = World::generate(WorldConfig::tiny(5));
-        assert_eq!(a.devices().len(), b.devices().len());
-        for (x, y) in a.devices().iter().zip(b.devices()) {
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.asn, y.asn);
-        }
+        assert!(a.metas().eq(b.metas()));
         let c = World::generate(WorldConfig::tiny(6));
         // Different seed ⇒ (almost surely) different population layout.
         let same = a
-            .devices()
-            .iter()
-            .zip(c.devices())
+            .metas()
+            .zip(c.metas())
             .filter(|(x, y)| x.kind == y.kind)
             .count();
-        assert!(same < a.devices().len());
+        assert!((same as u64) < a.device_count());
+    }
+
+    #[test]
+    fn every_preset_validates() {
+        // The bounds themselves are exercised through re-sealed
+        // checkpoint files in `tests/checkpoint_robustness.rs`.
+        for cfg in [
+            WorldConfig::tiny(1),
+            WorldConfig::small(1),
+            WorldConfig::medium(1),
+            WorldConfig::paper_milli(1),
+            WorldConfig::paper_centi(1),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()));
+        }
     }
 
     #[test]
     fn try_meta_is_meta_inside_the_world_and_none_outside() {
-        for backend in [WorldBackend::Materialized, WorldBackend::Procedural] {
-            let w = World::generate(WorldConfig::tiny(11).with_backend(backend));
-            let mut ids = std::collections::HashSet::new();
-            w.for_each_device(|d| {
-                assert_eq!(w.try_meta(d.id), Some(w.meta(d.id)), "{backend:?}");
-                ids.insert(d.id);
-            });
-            // Everything else in (and just past) the id space: the gaps
-            // behind short households and the end of the static range.
-            let end = ids.iter().map(|id| id.0).max().unwrap() + HOUSEHOLD_STRIDE;
-            let outside = (0..end).map(DeviceId).filter(|id| !ids.contains(id));
-            assert!(outside.clone().count() > 0);
-            for id in outside {
-                assert_eq!(w.try_meta(id), None, "{backend:?} {id:?}");
-            }
-            assert_eq!(w.try_meta(DeviceId(u32::MAX)), None, "{backend:?}");
+        let w = tiny();
+        let ids: std::collections::HashSet<DeviceId> = w.metas().map(|m| m.id).collect();
+        for &id in &ids {
+            assert_eq!(w.try_meta(id), Some(w.meta(id)));
         }
+        // Everything else in (and just past) the id space: the gaps
+        // behind short households and the end of the static range.
+        let end = ids.iter().map(|id| id.0).max().unwrap() + HOUSEHOLD_STRIDE;
+        let outside = (0..end).map(DeviceId).filter(|id| !ids.contains(id));
+        assert!(outside.clone().count() > 0);
+        for id in outside {
+            assert_eq!(w.try_meta(id), None, "{id:?}");
+        }
+        assert_eq!(w.try_meta(DeviceId(u32::MAX)), None);
     }
 
     #[test]
     fn addresses_resolve_back_to_device() {
         let w = tiny();
         for t in [SimTime(0), SimTime(100_000), SimTime(2_000_000)] {
-            for dev in w.devices().iter().take(300) {
+            for dev in w.metas().take(300) {
                 let addr = w.address_of(dev.id, t);
                 let found = w
                     .device_at(addr, t)
@@ -771,8 +590,7 @@ mod tests {
         // prefix rotates away (unless the pool cycled back, impossible in
         // one epoch with step != 0 mod space).
         let dev = w
-            .devices()
-            .iter()
+            .metas()
             .find(|d| matches!(d.attachment, Attachment::Household { .. }))
             .unwrap();
         let addr0 = w.address_of(dev.id, SimTime(0));
@@ -788,8 +606,7 @@ mod tests {
     fn static_servers_are_stable() {
         let w = tiny();
         let dev = w
-            .devices()
-            .iter()
+            .metas()
             .find(|d| matches!(d.attachment, Attachment::Static { .. }))
             .unwrap();
         let a = w.address_of(dev.id, SimTime(0));
@@ -838,19 +655,15 @@ mod tests {
     #[test]
     fn population_composition_sane() {
         let w = tiny();
-        let total = w.devices().len();
+        let total = w.metas().count();
         assert!(total > 500, "only {total} devices");
-        let eyeball = w.devices().iter().filter(|d| d.kind.is_eyeball()).count();
+        let eyeball = w.metas().filter(|d| d.kind.is_eyeball()).count();
         let servers = total - eyeball;
         assert!(eyeball > servers, "eyeball {eyeball} vs static {servers}");
         // Germany-heavy AVM: at least some FritzBoxes exist.
         // Europe is ~10 % of the client-weighted household mass, so a
         // tiny world still carries a handful of FritzBoxes.
-        let fritz = w
-            .devices()
-            .iter()
-            .filter(|d| d.kind == DeviceKind::FritzBox)
-            .count();
+        let fritz = w.metas().filter(|d| d.kind == DeviceKind::FritzBox).count();
         assert!(fritz >= 4, "only {fritz} FritzBoxes");
         // Consumer devices overwhelmingly run pool clients; servers
         // mostly do not (provider/distro time sources).
@@ -863,12 +676,11 @@ mod tests {
     #[test]
     fn household_members_share_48_at_same_time() {
         let w = tiny();
-        let hh = &w.households()[0];
         let t = SimTime(50_000);
-        let nets: Vec<Prefix> = hh
-            .members
-            .iter()
-            .map(|&m| Prefix::of(w.address_of(m, t), 48))
+        let nets: Vec<Prefix> = w
+            .household_members(0)
+            .into_iter()
+            .map(|m| Prefix::of(w.address_of(m, t), 48))
             .collect();
         assert!(
             nets.windows(2).all(|w| w[0] == w[1]),
@@ -894,7 +706,7 @@ mod tests {
             SimTime(40 * day),
         ];
         for t in times {
-            for dev in w.devices() {
+            for dev in w.metas() {
                 assert_eq!(
                     resolver.address_of(dev.id, t),
                     w.address_of(dev.id, t),
@@ -912,7 +724,7 @@ mod tests {
         let mut sharded = w.shard_resolver();
         let day = Duration::days(1).as_secs();
         for t in [SimTime(7), SimTime(day + 3), SimTime(5 * day)] {
-            for dev in w.devices() {
+            for dev in w.metas() {
                 assert_eq!(
                     sharded.address_of(dev.id, t),
                     plain.address_of(dev.id, t),
@@ -923,57 +735,63 @@ mod tests {
         }
     }
 
+    /// Eyeball /64s past the household's member count — and past the
+    /// eight slots a household can have — hold nobody, and asking does
+    /// not spend a cache entry on them.
     #[test]
-    fn procedural_backend_matches_materialized() {
-        let mat = World::generate(WorldConfig::tiny(11));
-        let proc_ = World::generate(WorldConfig::tiny(11).with_backend(WorldBackend::Procedural));
-        assert_eq!(mat.device_count(), proc_.device_count());
-        let day = Duration::days(1).as_secs();
-        for t in [SimTime(0), SimTime(day + 3), SimTime(40 * day)] {
-            for dev in mat.devices() {
-                let meta = proc_.meta(dev.id);
-                assert_eq!(dev.meta(), meta, "meta of {:?}", dev.id);
-                assert_eq!(
-                    mat.address_of(dev.id, t),
-                    proc_.address_of(dev.id, t),
-                    "address of {:?} at {t}",
-                    dev.id
-                );
-                let full = proc_.device(dev.id);
-                assert_eq!(dev.services, full.services, "services of {:?}", dev.id);
-            }
+    fn unfilled_member_slots_resolve_to_nothing_and_stay_uncached() {
+        let w = tiny();
+        let t = SimTime(50_000);
+        let members = (0..w.household_count())
+            .map(|h| w.household_members(h))
+            .find(|m| m.len() < HOUSEHOLD_STRIDE as usize)
+            .expect("a household with a free slot");
+        let cpe = u128::from(w.address_of(members[0], t));
+        assert!(w.device_at(Ipv6Addr::from(cpe), t).is_some());
+        let cached = |w: &World| {
+            let cache = w.cache.lock().unwrap();
+            cache.cur.len() + cache.prev.len()
+        };
+        let before = cached(&w);
+        let probe = wire::http::Request::scanner_get("t").emit();
+        for sub64 in [members.len() as u128, 7, 8, 9, 0xffff] {
+            let addr = Ipv6Addr::from((cpe & !(0xffff << 64)) | (sub64 << 64));
+            assert!(w.device_at(addr, t).is_none(), "{addr} resolved");
+            assert!(w.respond(addr, 80, &probe, t).is_none());
         }
-        // Client enumeration yields the same sequence.
-        let a: Vec<_> = mat.ntp_clients().map(|(d, c)| (d.id, c)).collect();
-        let b: Vec<_> = proc_.ntp_clients().map(|(d, c)| (d.id, c)).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn procedural_enumeration_matches_device_table() {
-        let mat = World::generate(WorldConfig::tiny(3));
-        let proc_ = World::generate(WorldConfig::tiny(3).with_backend(WorldBackend::Procedural));
-        let mut ids = Vec::new();
-        proc_.for_each_device(|d| ids.push(d.id));
-        let expected: Vec<_> = mat.devices().iter().map(|d| d.id).collect();
-        assert_eq!(ids, expected);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
+        assert_eq!(cached(&w), before);
     }
 
     #[test]
     fn device_cache_is_bounded() {
-        let w = World::generate(WorldConfig::tiny(7).with_backend(WorldBackend::Procedural));
-        let mut seen = 0usize;
-        w.for_each_device(|d| {
-            let _ = w.device(d.id);
+        let w = World::generate(WorldConfig::tiny(7));
+        let mut seen = 0;
+        for meta in w.metas() {
+            w.device(meta.id);
             seen += 1;
-        });
+        }
         assert!(seen > 500);
-        if let WorldModel::Procedural(p) = &w.model {
-            let cache = p.cache.lock().unwrap();
-            assert!(cache.cur.len() + cache.prev.len() <= DeviceCache::CAP);
-        } else {
-            panic!("expected procedural model");
+        let cache = w.cache.lock().unwrap();
+        assert!(cache.cur.len() + cache.prev.len() <= DeviceCache::CAP);
+    }
+
+    /// A device revisited after more than [`DeviceCache::CAP`] other
+    /// lookups has left the cache, and what is derived for it the second
+    /// time equals both the first and an uncached derivation.
+    #[test]
+    fn an_evicted_device_derives_identically() {
+        let w = World::generate(WorldConfig::small(5));
+        let mut ids = w.metas().map(|m| m.id);
+        let id = ids.next().unwrap();
+        let first = w.device(id);
+        let others = ids.take(DeviceCache::CAP + 1).map(|o| w.device(o));
+        assert!(others.count() > DeviceCache::CAP, "world too small");
+        let again = w.device(id);
+        assert!(!Arc::ptr_eq(&first, &again), "never left the cache");
+        let fresh = w.layout.device_from_meta(w.meta(id));
+        for dev in [&first, &again] {
+            assert_eq!(dev.meta(), fresh.meta());
+            assert_eq!(dev.services, fresh.services);
         }
     }
 }

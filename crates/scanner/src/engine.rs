@@ -263,7 +263,7 @@ mod tests {
     fn engine_respects_cooldown_and_counts_targets() {
         let w = World::generate(WorldConfig::tiny(33));
         let t = SimTime(1_000);
-        let addr = w.address_of(w.devices()[0].id, t);
+        let addr = w.address_of(w.household_members(0)[0], t);
         let mut engine = Engine::new(ScanPolicy::default());
         engine.scan_target(&w, addr, t);
         engine.scan_target(&w, addr, t + Duration::hours(1)); // in cooldown
@@ -278,10 +278,9 @@ mod tests {
         let w = World::generate(WorldConfig::tiny(33));
         let t = SimTime(1_000);
         let addrs: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
+            .metas()
             .take(50)
-            .map(|d| w.address_of(d.id, t))
+            .map(|d| w.address_of_meta(&d, t))
             .collect();
         let mut engine = Engine::new(ScanPolicy::default());
         for a in &addrs {
@@ -313,10 +312,9 @@ mod tests {
         let w = World::generate(WorldConfig::tiny(33));
         let t = SimTime(1_000);
         let addrs: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
+            .metas()
             .take(120)
-            .map(|d| w.address_of(d.id, t))
+            .map(|d| w.address_of_meta(&d, t))
             .collect();
         let run = |loss: f64, attempts: u32| {
             let policy = ScanPolicy {
@@ -356,10 +354,9 @@ mod tests {
         let w = World::generate(WorldConfig::tiny(33));
         let t = SimTime(1_000);
         let addrs: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
+            .metas()
             .take(60)
-            .map(|d| w.address_of(d.id, t))
+            .map(|d| w.address_of_meta(&d, t))
             .collect();
         let run = || {
             let transport = Box::new(Faulty::new(FaultConfig::congested(5)));

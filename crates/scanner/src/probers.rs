@@ -230,8 +230,8 @@ mod tests {
         let w = world();
         let t = SimTime(1000);
         let mut hits = 0;
-        for dev in w.devices() {
-            let addr = w.address_of(dev.id, t);
+        for dev in w.metas() {
+            let addr = w.address_of_meta(&dev, t);
             for proto in Protocol::ALL {
                 if let Some(result) = probe(&w, addr, proto, t) {
                     hits += 1;
@@ -253,8 +253,8 @@ mod tests {
         let w = world();
         let t = SimTime(0);
         let pi = w
-            .devices()
-            .iter()
+            .metas()
+            .map(|m| w.device(m.id))
             .find(|d| d.kind == DeviceKind::RaspberryPi && d.services.ssh.is_some())
             .expect("no exposed Pi in tiny world");
         let addr = w.address_of(pi.id, t);
@@ -313,8 +313,8 @@ mod tests {
     fn stale_address_is_silent() {
         let w = world();
         let dev = w
-            .devices()
-            .iter()
+            .metas()
+            .map(|m| w.device(m.id))
             .find(|d| d.kind == DeviceKind::FritzBox && d.services.http.is_some())
             .expect("no exposed FritzBox");
         let t0 = SimTime(0);

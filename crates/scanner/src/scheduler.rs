@@ -125,9 +125,8 @@ mod tests {
         let w = world();
         let t = SimTime(1_000);
         let feed: Vec<Observation> = w
-            .devices()
-            .iter()
-            .map(|d| obs(w.address_of(d.id, t), t))
+            .metas()
+            .map(|d| obs(w.address_of_meta(&d, t), t))
             .collect();
         let store = RealTimeScanner::new(ScanPolicy::default()).run(&w, &feed);
         assert_eq!(store.targets(), feed.len() as u64);
@@ -141,7 +140,7 @@ mod tests {
     fn cooldown_suppresses_rescan() {
         let w = world();
         let t = SimTime(1_000);
-        let addr = w.address_of(w.devices()[0].id, t);
+        let addr = w.address_of(w.household_members(0)[0], t);
         let mut scanner = RealTimeScanner::new(ScanPolicy::default());
         scanner.feed(&w, obs(addr, t));
         scanner.feed(&w, obs(addr, t + Duration::hours(1))); // within cooldown
@@ -155,10 +154,9 @@ mod tests {
         let w = world();
         let t = SimTime(500);
         let addrs: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
+            .metas()
             .take(100)
-            .map(|d| w.address_of(d.id, t))
+            .map(|d| w.address_of_meta(&d, t))
             .collect();
         let store = BatchScan::new(ScanPolicy::default()).run(&w, addrs.iter().copied(), t);
         assert_eq!(store.targets(), 100);
@@ -175,10 +173,9 @@ mod tests {
             ..ScanPolicy::default()
         };
         let addrs: Vec<Ipv6Addr> = w
-            .devices()
-            .iter()
+            .metas()
             .take(20)
-            .map(|d| w.address_of(d.id, t))
+            .map(|d| w.address_of_meta(&d, t))
             .collect();
         let store = BatchScan::new(policy).run(&w, addrs, t);
         // All 20×8 probes attempted despite the 5 pps budget.

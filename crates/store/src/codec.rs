@@ -12,12 +12,15 @@ pub const MAX_VARINT_LEN: usize = 19;
 
 /// FNV-1a 64-bit hash of `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b)` is the hash of `a` followed by `b`.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }

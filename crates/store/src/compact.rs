@@ -6,7 +6,7 @@
 //! Addresses are sorted as `u128` and cut into blocks of at most
 //! [`BLOCK_CAP`] entries. A block stores its first address raw (16
 //! little-endian bytes) followed by LEB128 varints of the strictly
-//! positive deltas between consecutive addresses. One [`Fence`] per
+//! positive deltas between consecutive addresses. One `Fence` per
 //! block — `(first, last, count, byte offset)` — lives in a parallel
 //! vector, so `contains` is a binary search over fences plus a decode of
 //! at most one block, and ordered iteration is a straight walk of the

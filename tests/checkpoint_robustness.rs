@@ -1,4 +1,4 @@
-//! Robustness of the v6 checkpoint file: whatever happens to the bytes
+//! Robustness of the v7 checkpoint file: whatever happens to the bytes
 //! of a valid `study.ckpt` — cut short, a byte flipped, a byte flipped
 //! and the seal recomputed, a write interrupted half way — reading it
 //! back is a typed [`StoreError`] or a usable value, never a panic,
@@ -14,10 +14,13 @@ use timetoscan::{StoreError, Study, StudyConfig, StudySession};
 
 const SEED: u64 = 37;
 
-/// Magic (8) + version (2) + the encoded `StudyConfig` (51 bytes of
-/// world, 47 of study): the region where every byte is a field of its
-/// own. [`Fixture::new`] checks the offset against the file.
-const CONFIG_END: usize = 108;
+/// Magic (8) + version (2): where the encoded `StudyConfig` starts.
+const CONFIG_START: usize = 10;
+
+/// The config is 50 bytes of world and 47 of study: up to here every
+/// byte is a field of its own. [`Fixture::new`] checks the offset
+/// against the file.
+const CONFIG_END: usize = CONFIG_START + 50 + 47;
 
 fn config() -> StudyConfig {
     StudyConfig::tiny(SEED).with_collection_shards(2)
@@ -50,6 +53,13 @@ impl Fixture {
         std::fs::write(self.dir.join(CHECKPOINT_FILE), bytes).expect("test file writes");
         checkpoint::read(&self.dir)
     }
+}
+
+/// Recomputes the trailing seal over mutated payload bytes.
+fn reseal(bytes: &mut [u8]) {
+    let payload_len = bytes.len() - 8;
+    let seal = fnv1a(&bytes[..payload_len]).to_le_bytes();
+    bytes[payload_len..].copy_from_slice(&seal);
 }
 
 impl Drop for Fixture {
@@ -98,8 +108,7 @@ fn resealed_mutations_decode_or_fail_typed() {
     for i in (0..CONFIG_END).chain((CONFIG_END..payload_len).step_by(101)) {
         for mask in [0x01u8, 0x80, 0xff] {
             bytes[i] ^= mask;
-            let seal = fnv1a(&bytes[..payload_len]).to_le_bytes();
-            bytes[payload_len..].copy_from_slice(&seal);
+            reseal(&mut bytes);
             if let Ok(data) = fx.read(&bytes) {
                 match StudySession::from_checkpoint(data, Arc::clone(&world)) {
                     Ok(_) => restored += 1,
@@ -112,6 +121,66 @@ fn resealed_mutations_decode_or_fail_typed() {
     // Both outcomes occur: a flipped seed names another world, a
     // flipped sample count is a different but runnable study.
     assert!(restored > 0 && refused > 0, "{restored} / {refused}");
+}
+
+/// A re-sealed file whose *world* sizes were pushed past what
+/// `World::generate` can lay out is refused at decode — the typed
+/// error comes back before `Study::resume` generates anything.
+#[test]
+fn resealed_world_fields_past_their_bounds_are_refused() {
+    let fx = Fixture::new("world");
+    let world = config().world;
+    // Offsets of the `u32` size fields inside the encoded world, which
+    // opens with the `u64` seed.
+    let [households, servers, routers, eyeball_ases, hosting_ases, nsp_ases] =
+        [8, 12, 16, 20, 24, 28].map(|o| CONFIG_START + o);
+    let sntp_iot_pct = CONFIG_START + 49;
+    let u32s = |fields: &[(usize, u32)]| -> Vec<(usize, Vec<u8>)> {
+        fields
+            .iter()
+            .map(|&(at, v)| (at, v.to_le_bytes().to_vec()))
+            .collect()
+    };
+    let cases = [
+        // More than its ASes can hold (12 000 households, 4 × 65 536
+        // static hosts per AS), up to a count no world could.
+        u32s(&[(households, world.eyeball_ases * 12_000 + 1)]),
+        u32s(&[(households, u32::MAX)]),
+        u32s(&[(servers, world.hosting_ases * (4 << 16) + 1)]),
+        u32s(&[(routers, world.nsp_ases * (4 << 16) + 1)]),
+        // No AS for a population to live in.
+        u32s(&[(eyeball_ases, 0)]),
+        u32s(&[(hosting_ases, 0)]),
+        u32s(&[(nsp_ases, 0)]),
+        // An AS range that runs into the next type's allocations.
+        u32s(&[(eyeball_ases, (1 << 16) + 1)]),
+        u32s(&[(hosting_ases, (1 << 16) + 1)]),
+        u32s(&[(nsp_ases, u32::MAX)]),
+        // Within every per-AS cap, but device ids overflow 32 bits.
+        u32s(&[(eyeball_ases, 1 << 16), (households, 600_000_000)]),
+        vec![(sntp_iot_pct, vec![101])],
+    ];
+    for case in &cases {
+        let mut bytes = fx.clean.clone();
+        for (at, value) in case {
+            bytes[*at..][..value.len()].copy_from_slice(value);
+        }
+        reseal(&mut bytes);
+        assert!(
+            matches!(fx.read(&bytes), Err(StoreError::Corrupt(_))),
+            "{case:?} decoded"
+        );
+        assert!(matches!(
+            Study::resume(&fx.dir),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+    // The same edit inside the bounds is a different, readable world.
+    let mut bytes = fx.clean.clone();
+    bytes[households..][..4].copy_from_slice(&(world.households + 1).to_le_bytes());
+    reseal(&mut bytes);
+    let data = fx.read(&bytes).expect("in-bounds world decodes");
+    assert_eq!(data.config.world.households, world.households + 1);
 }
 
 /// A write that died before its rename leaves a scratch file behind —

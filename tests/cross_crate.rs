@@ -13,7 +13,7 @@ fn every_listening_service_answers_its_prober() {
     let world = World::generate(WorldConfig::tiny(77));
     let t = SimTime(3_600);
     let mut exercised = std::collections::HashSet::new();
-    for dev in world.devices() {
+    world.for_each_device(|dev| {
         let addr = world.address_of(dev.id, t);
         for proto in Protocol::ALL {
             if dev.services.listens_on(proto.port()) {
@@ -43,7 +43,8 @@ fn every_listening_service_answers_its_prober() {
                 );
             }
         }
-    }
+    });
+
     // A healthy world exercises many (kind, protocol) pairs.
     assert!(exercised.len() >= 10, "only {:?}", exercised);
 }

@@ -424,14 +424,6 @@ impl World {
         }
     }
 
-    /// A deterministic order-of-magnitude estimate of this world's heap
-    /// footprint, for admission budgeting when snapshots are pooled: the
-    /// bound of its device cache, whatever the world's nominal size. An
-    /// accounting quantity only — never observable in reports.
-    pub fn approx_heap_bytes(&self) -> usize {
-        DeviceCache::CAP * std::mem::size_of::<Device>()
-    }
-
     /// A fresh [`AddrResolver`] over this world.
     pub fn addr_resolver(&self) -> AddrResolver<'_> {
         AddrResolver {

@@ -427,18 +427,16 @@ impl StudyService {
     }
 
     /// Number of currently resident (active) sessions.
-    pub fn active_count(&self) -> usize {
+    fn active_count(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| matches!(s, Slot::Active(_)))
             .count()
     }
 
-    /// Summed marginal resident bytes of the active sessions (the
-    /// shared world snapshots are counted by
-    /// [`StudyService::world_resident_bytes`] instead — once, not per
-    /// study).
-    pub fn resident_bytes(&self) -> usize {
+    /// Summed marginal resident bytes of the active sessions; the
+    /// shared world snapshots are not counted.
+    fn resident_bytes(&self) -> usize {
         self.slots
             .iter()
             .filter_map(|s| match s {
@@ -446,11 +444,6 @@ impl StudyService {
                 _ => None,
             })
             .sum()
-    }
-
-    /// Heap bytes of the resident world snapshots.
-    pub fn world_resident_bytes(&self) -> usize {
-        self.worlds.values().map(|w| w.approx_heap_bytes()).sum()
     }
 
     /// Usage counters of the shared segment pool.

@@ -94,6 +94,30 @@ fn concurrent_studies_over_one_world_match_standalone() {
     let hits_after = svc.run_report().metrics.counter_total("service_cache_hits");
     assert_eq!(hits_after, hits_before + 1);
 
+    // Steady state: every repeated query is answered from the report
+    // table, the resident segments or the overlap memo. A serving layer
+    // that re-derived per query would sit near a zero hit rate.
+    for _ in 0..20 {
+        for (i, &a) in ids.iter().enumerate() {
+            svc.report_json(a).expect("completed");
+            for kind in SetKind::ALL {
+                svc.set(a, kind).expect("io").expect("completed");
+            }
+            for &b in &ids[i + 1..] {
+                svc.overlap(a, b, SetKind::Ours)
+                    .expect("io")
+                    .expect("completed");
+            }
+        }
+    }
+    let metrics = svc.run_report().metrics;
+    let hits = metrics.counter_total("service_cache_hits");
+    let queries = hits + metrics.counter_total("service_cache_misses");
+    assert!(
+        hits as f64 / queries as f64 > 0.9,
+        "cache hit rate {hits}/{queries}: the serving layer is not memoizing"
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

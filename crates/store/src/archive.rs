@@ -321,17 +321,6 @@ impl Archive {
         &self.segments
     }
 
-    /// The current memtable spill threshold (grows under sustained
-    /// ingest for archives built with [`Archive::new`]).
-    pub fn memtable_cap(&self) -> usize {
-        self.memtable_cap
-    }
-
-    /// Resident bytes of the bloom filter tables alone.
-    pub fn bloom_bytes(&self) -> usize {
-        self.blooms.iter().map(Bloom::heap_bytes).sum()
-    }
-
     /// Ordered (ascending) iteration over every address.
     pub fn iter(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
         let mut mem: Vec<u128> = self.memtable.iter().copied().collect();
@@ -593,27 +582,27 @@ mod tests {
     #[test]
     fn adaptive_cap_grows_under_sustained_ingest_and_stays_bounded() {
         let mut ar = Archive::new();
-        assert_eq!(ar.memtable_cap(), DEFAULT_MEMTABLE_CAP);
+        assert_eq!(ar.memtable_cap, DEFAULT_MEMTABLE_CAP);
         // Drive spills directly: every freeze of a non-empty memtable
         // counts toward growth, regardless of how full it was.
         for s in 0..SPILLS_PER_GROWTH as u128 {
             ar.memtable.insert(s);
             ar.freeze();
         }
-        assert_eq!(ar.memtable_cap(), DEFAULT_MEMTABLE_CAP * 2);
+        assert_eq!(ar.memtable_cap, DEFAULT_MEMTABLE_CAP * 2);
         // Growth saturates at MAX_MEMTABLE_CAP no matter how sustained
         // the ingest gets.
         for s in 0..200u128 {
             ar.memtable.insert(1000 + s);
             ar.freeze();
         }
-        assert_eq!(ar.memtable_cap(), MAX_MEMTABLE_CAP);
+        assert_eq!(ar.memtable_cap, MAX_MEMTABLE_CAP);
         // Fixed-cap archives never adapt.
         let mut fixed = Archive::with_memtable_cap(8);
         for i in 0..100u128 {
             fixed.insert(addr(i));
         }
-        assert_eq!(fixed.memtable_cap(), 8);
+        assert_eq!(fixed.memtable_cap, 8);
     }
 
     #[test]

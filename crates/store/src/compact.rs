@@ -666,18 +666,67 @@ mod tests {
         assert_eq!(a.network_count(0), 1);
     }
 
+    /// The collected population in miniature (Figure 1): 30 % privacy
+    /// addresses (random IIDs), 20 % EUI-64 under eight vendor OUIs, 50 %
+    /// small-integer IIDs, over 16 × 16 /64s so sorted deltas cluster the
+    /// way per-network populations do. Duplicates included, like a feed
+    /// replayed across prefix rotations.
+    fn paper_shaped_feed() -> Vec<u128> {
+        const OUIS: [u64; 8] = [
+            0x3c_a62f, 0xcc_ce1e, 0x98_9bcb, 0x00_1f3f, 0xb8_27eb, 0x28_9e97, 0x74_42a1, 0x5c_4979,
+        ];
+        // splitmix64 (`store` has no `netsim` to borrow a mixer from).
+        let mut state = 0x0053_544f_5245_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let x = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^ (x >> 31)
+        };
+        (0..100_000)
+            .map(|_| {
+                let r = next();
+                let net = (0x2a00 + u128::from(r % 16)) << 112 | u128::from((r >> 8) % 16) << 64;
+                let iid = match r % 10 {
+                    0..=2 => next(),
+                    // ff:fe stuffing and the u-bit flipped.
+                    3 | 4 => {
+                        let oui = OUIS[(r >> 4) as usize % OUIS.len()] ^ 0x02_0000;
+                        oui << 40 | 0xfffe << 24 | next() & 0xff_ffff
+                    }
+                    _ => (r >> 16) & 0x0fff,
+                };
+                net | u128::from(iid)
+            })
+            .collect()
+    }
+
     #[test]
     fn compact_beats_hashset_on_dense_runs() {
         let base = 0x2001_0db8_u128 << 96;
-        let addrs: Vec<u128> = (0..10_000u128).map(|i| base | (i * 3)).collect();
-        let set: CompactSet = addrs.iter().copied().collect();
-        let hashset: std::collections::HashSet<u128> = addrs.iter().copied().collect();
-        let hs_bytes = hashset.capacity() * (std::mem::size_of::<u128>() + 1);
-        assert!(
-            set.heap_bytes() * 4 <= hs_bytes,
-            "{} vs {}",
-            set.heap_bytes(),
-            hs_bytes
-        );
+        let dense: Vec<u128> = (0..10_000u128).map(|i| base | (i * 3)).collect();
+        for addrs in [dense, paper_shaped_feed()] {
+            let hashset: std::collections::HashSet<u128> = addrs.iter().copied().collect();
+            let hs_bytes = hashset.capacity() * (std::mem::size_of::<u128>() + 1);
+            let set: CompactSet = addrs.iter().copied().collect();
+            let mut archive = crate::Archive::new();
+            for &a in &addrs {
+                archive.insert(Ipv6Addr::from(a));
+            }
+            archive.optimize();
+            assert_eq!(archive.len(), hashset.len());
+            // The archive adds a bloom byte per address to the set's ~4;
+            // against a table this close to its resize point (86 % load
+            // on the paper feed) that is 3.8x, not 4x.
+            for (what, bytes, fraction) in [
+                ("CompactSet", set.heap_bytes(), 4),
+                ("optimized Archive", archive.heap_bytes(), 3),
+            ] {
+                assert!(
+                    bytes * fraction <= hs_bytes,
+                    "{what} {bytes} B exceeds 1/{fraction} of the HashSet baseline {hs_bytes} B"
+                );
+            }
+        }
     }
 }

@@ -11,8 +11,11 @@
 //!    end-user addresses go stale immediately").
 //! 5. **Faults × retries** — sweep transport loss rate against the retry
 //!    budget: how much of the success-rate gap do retries claw back?
+//!
+//! ```sh
+//! cargo run --release --example ablations [seed]
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::time::Duration;
 use netsim::transport::{FaultConfig, Faulty};
 use ntppool::monitor;
@@ -20,7 +23,8 @@ use scanner::probers;
 use scanner::result::Protocol;
 use scanner::{RetryPolicy, ScanPolicy};
 use std::collections::HashSet;
-use std::hint::black_box;
+use timetoscan::{Study, StudyConfig};
+use timetoscan_repro::{exit_usage, seed_arg};
 
 fn ablation_dedup(study: &timetoscan::Study) {
     println!("== Ablation: dedup key (SSH hosts) ==");
@@ -215,30 +219,14 @@ fn ablation_faults_vs_retries(study: &timetoscan::Study) {
     println!("(retries re-draw the loss hash per attempt; a 3-attempt budget recovers nearly the whole gap at 1% loss)\n");
 }
 
-fn bench(c: &mut Criterion) {
-    let study = bench::bench_study();
+fn main() {
+    // 2024 is the seed EXPERIMENTS.md's ablation numbers were taken at.
+    let seed = seed_arg(std::env::args().nth(1), 2024).unwrap_or_else(|e| exit_usage(&e));
+    let study = Study::run(StudyConfig::small(seed));
     ablation_dedup(&study);
     ablation_cluster_threshold(&study);
     ablation_netspeed(&study);
     ablation_staleness(&study);
     ablation_tga_on_ntp(&study);
     ablation_faults_vs_retries(&study);
-    c.bench_function("ablations/staleness_probe", |b| {
-        let obs = study.feed[0];
-        b.iter(|| {
-            black_box(probers::probe(
-                &study.world,
-                obs.addr,
-                Protocol::Http,
-                obs.seen + Duration::days(3),
-            ))
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = bench::criterion();
-    targets = bench
-}
-criterion_main!(benches);

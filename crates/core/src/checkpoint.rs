@@ -9,10 +9,11 @@
 //! * the collection engine's [`CollectionCheckpoint`] — cursor, pending
 //!   events in pop order, per-server RPS windows, outcome counters, and
 //!   the KoD-backoff histogram;
-//! * the collector's [`CollectorParts`] — the global [`store::Archive`]
+//! * the [`AddressCollector`] itself — the global [`store::Archive`]
 //!   and per-server dedup sets, serialized as compact segments (its
 //!   shard-local archives go into the shard section below);
-//! * the first-sight feed prefix, replayed into the scanner on resume;
+//! * the first-sight feed so far, which the rest of the window is
+//!   appended to and the scanner replays whole;
 //! * the instrumented transport's [`TransportTotals`], exported next to
 //!   the post-resume remainder so `transport_*` metrics add up exactly;
 //! * one cursor and one shard-local dedup archive per engine shard when
@@ -27,10 +28,12 @@
 //! repository ever wrote an older one). A file whose shard section
 //! disagrees with the shard count in its own config fails with the
 //! typed [`StoreError::ShardMismatch`] — resuming it would silently
-//! re-home dedup state onto the wrong shards. What a file cannot be
-//! checked against by itself — the pool and world its engine state
-//! indexes into — is checked when a session is restored from it
-//! ([`crate::StudySession::from_checkpoint`]).
+//! re-home dedup state onto the wrong shards. Per-server tables whose
+//! server ids are not strictly ascending are [`StoreError::Corrupt`]:
+//! the collector binary-searches them. What a file cannot be checked
+//! against by itself — the pool and world its engine state indexes
+//! into, the window its cursor must lie in — is checked when a session
+//! is restored from it ([`crate::StudySession::from_checkpoint`]).
 //!
 //! The format reuses the [`store::codec`] writer/reader and the
 //! [`store::segment`] set encoding, so every corruption mode — flipped
@@ -42,7 +45,7 @@ use actors::ActorRoster;
 use netsim::transport::FaultProfile;
 use netsim::world::WorldConfig;
 use netsim::{DeviceId, Duration, SimTime, TransportTotals};
-use ntppool::{CollectionCheckpoint, CollectorParts, Observation, ServerId};
+use ntppool::{AddressCollector, CollectionCheckpoint, Observation, ServerId};
 use std::fs::File;
 use std::io::Write;
 use std::net::Ipv6Addr;
@@ -70,15 +73,17 @@ const VERSION: u16 = 7;
 const MAX_COLLECTION: Duration = Duration::days(36_500);
 
 /// Everything [`crate::Study::checkpoint`] persists and
-/// [`crate::Study::resume`] restores.
+/// [`crate::Study::resume`] restores — and, resident, the whole state a
+/// [`crate::StudySession`] moves forward.
+#[derive(Clone)]
 pub struct CheckpointData {
     /// The study configuration the prefix ran under.
     pub config: StudyConfig,
     /// The collection engine's frozen state.
     pub collection: CollectionCheckpoint,
-    /// The collector's dedup state: global archive, per-server sets,
-    /// and one shard-local archive per engine shard (none when flat).
-    pub collector: CollectorParts,
+    /// The collector: global archive, per-server sets, and one
+    /// shard-local archive per engine shard (none when flat).
+    pub collector: AddressCollector,
     /// First-sight observations emitted before the stop, in feed order.
     pub feed_prefix: Vec<Observation>,
     /// Transport counters/histograms accumulated before the stop.
@@ -324,22 +329,34 @@ fn read_collection(r: &mut Reader<'_>) -> Result<CollectionCheckpoint, StoreErro
     })
 }
 
-fn put_collector(w: &mut Writer, parts: &CollectorParts) {
-    w.put_bytes(&segment::encode(&parts.global.to_compact()));
-    w.put_u64(parts.per_server.len() as u64);
-    for (server, set) in &parts.per_server {
+fn put_collector(w: &mut Writer, collector: &AddressCollector) {
+    w.put_bytes(&segment::encode(&collector.global.to_compact()));
+    w.put_u64(collector.per_server.len() as u64);
+    for (server, set) in &collector.per_server {
         w.put_u32(server.0);
         let compact: CompactSet = set.iter().collect();
         w.put_bytes(&segment::encode(&compact));
     }
-    w.put_u64(parts.requests.len() as u64);
-    for (server, n) in &parts.requests {
+    w.put_u64(collector.requests.len() as u64);
+    for (server, n) in &collector.requests {
         w.put_u32(server.0);
         w.put_u64(*n);
     }
 }
 
-fn read_collector(r: &mut Reader<'_>) -> Result<CollectorParts, StoreError> {
+/// Refuses a per-server table the collector's binary search would
+/// mis-read: ids out of order, or one id twice.
+fn strictly_ascending<T>(table: &[(ServerId, T)]) -> Result<(), StoreError> {
+    if table.windows(2).all(|w| w[0].0 < w[1].0) {
+        Ok(())
+    } else {
+        Err(StoreError::Corrupt(
+            "per-server table not strictly ascending by server id",
+        ))
+    }
+}
+
+fn read_collector(r: &mut Reader<'_>) -> Result<AddressCollector, StoreError> {
     let global = segment::decode(r.bytes()?)?;
     let global = Archive::from_segments(vec![global], store::archive::DEFAULT_MEMTABLE_CAP);
     let n = r.u64()?;
@@ -354,7 +371,9 @@ fn read_collector(r: &mut Reader<'_>) -> Result<CollectorParts, StoreError> {
     for _ in 0..n {
         requests.push((ServerId(r.u32()?), r.u64()?));
     }
-    Ok(CollectorParts {
+    strictly_ascending(&per_server)?;
+    strictly_ascending(&requests)?;
+    Ok(AddressCollector {
         global,
         per_server,
         requests,
@@ -419,7 +438,6 @@ fn read_hist(r: &mut Reader<'_>) -> Result<Histogram, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntppool::AddressCollector;
 
     fn sample() -> CheckpointData {
         let mut collector = AddressCollector::sized_for(None, 64);
@@ -445,7 +463,7 @@ mod tests {
                 totals: [100, 90, 3, 7, 88],
                 kod_backoff: kod,
             },
-            collector: collector.into_parts(),
+            collector,
             feed_prefix: vec![Observation {
                 addr: "2001:db8::5".parse().unwrap(),
                 seen: SimTime(60),

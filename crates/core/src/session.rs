@@ -1,25 +1,32 @@
-//! Cooperative, slice-resumable study sessions.
+//! The one study driver: cooperative, slice-resumable sessions.
 //!
-//! A [`StudySession`] is the unit the study service schedules: one
-//! study's collection stage, held resident between bucket-sized
-//! [`StudySession::advance`] slices instead of running to completion in
-//! one call. The session owns exactly the state a study checkpoint
-//! persists — the engine's [`CollectionCheckpoint`], the collector's
-//! dedup parts (shard archives included), the feed prefix, and the
+//! Every run is a [`StudySession`]: opened on the collection window
+//! ([`StudySession::new`], or [`StudySession::from_checkpoint`] for a
+//! suspended one), moved forward in any slicing by
+//! [`StudySession::advance`], and completed by
+//! [`StudySession::finish`], which runs whatever is left of the window
+//! and then NTP scan → hitlist → telescope/actors. [`Study::run`] is a
+//! session finished straight away; the study service holds sessions
+//! resident between bucket-sized slices.
+//!
+//! The session holds exactly one [`CheckpointData`] — the engine's
+//! [`CollectionCheckpoint`](ntppool::CollectionCheckpoint), the
+//! collector (shard archives included), the feed so far and the
 //! accumulated transport totals — so suspending one
-//! ([`StudySession::suspend`]) *is* writing a checkpoint, and restoring
-//! one ([`StudySession::from_checkpoint`]) is byte-equivalent to
-//! [`crate::Study::resume`].
+//! ([`StudySession::suspend`]) *is* cloning a checkpoint. Next to it
+//! sits what every session rebuilds from the config instead of
+//! persisting: the shared world, the tuned pool with its actors, the
+//! fault transport and the window. They are built once, by the
+//! constructors.
 //!
-//! Slicing changes nothing observable: each `advance` moves the same
-//! engine step the standalone run uses
-//! ([`CollectionRun::advance`]) from the saved cursor to the next stop,
-//! and per-slice transport totals merge into one running
+//! Slicing changes nothing observable: each `advance` moves the one
+//! engine step ([`CollectionRun::advance`]) from the saved cursor to the
+//! next stop, and per-slice transport totals merge into one running
 //! [`TransportTotals`]. Composing any sequence of slices — interleaved
 //! with suspends, restores, and a final [`StudySession::finish`] —
 //! yields a [`Study`] whose [`crate::Study::run_report`] is
-//! byte-identical to an uninterrupted [`Study::run`] of the same config
-//! (enforced by the tests below and by the service's eviction tests).
+//! byte-identical to a single-slice run of the same config (enforced
+//! by the tests below and by the service's eviction tests).
 //!
 //! The world is shared: sessions take an `Arc<World>` so any number of
 //! concurrent studies over the same `(WorldConfig, seed)` pay for one
@@ -28,54 +35,46 @@
 
 use crate::checkpoint::CheckpointData;
 use crate::config::StudyConfig;
-use crate::study::{build_pool, build_transport, study_start, Study};
+use crate::metrics;
+use crate::study::{
+    build_pool, build_transport, rl_window, stale_hitlist, study_start, PoolSetup, Study,
+};
+use actors::{attribute, org_directory, ActorRoster, Ecosystem};
+use hitlist::{Hitlist, HitlistConfig};
 use netsim::time::{Duration, SimTime};
 use netsim::transport::Transport;
 use netsim::world::World;
-use netsim::{DeviceId, Instrumented, TransportTotals};
-use ntppool::collector::VecSink;
-use ntppool::{CollectionCheckpoint, CollectionRun, CollectorParts, Observation, Pool, ServerId};
+use netsim::{Asn, BgpEvent, BgpFeed, DeviceId, Instrumented, TransportTotals};
+use ntppool::{AddressCollector, CollectionRun, Observation, ServerId};
+use scanner::{BatchScan, RealTimeScanner, ScanPolicy};
 use std::sync::Arc;
 use store::{Archive, StoreError};
-use telemetry::Registry;
+use telemetry::{Registry, SpanTimer};
+use telescope::{match_captures, Vantage};
+use v6addr::{OuiDb, Prefix};
 
 /// Approximate heap bytes per entry of a `u128` hash set (value plus
 /// control byte) — the same convention the store benches compare
 /// archive footprints against.
 const HASH_SLOT_BYTES: usize = 17;
 
-/// One study's collection stage, resident between cooperative slices.
+/// One study, resident between cooperative slices of its collection
+/// stage.
 pub struct StudySession {
-    config: StudyConfig,
+    /// Everything a checkpoint persists.
+    data: CheckpointData,
     world: Arc<World>,
-    pool: Pool,
-    /// The config's fault transport — the prototype each slice wraps in
+    setup: PoolSetup,
+    /// The config's fault transport — the prototype each stage wraps in
     /// a fresh [`Instrumented`] sink. Stateless across exchanges, so
     /// re-wrapping per slice changes no behaviour.
     transport: Box<dyn Transport>,
     start: SimTime,
     end: SimTime,
-    collection: CollectionCheckpoint,
-    collector: CollectorParts,
-    feed_prefix: Vec<Observation>,
-    transport_totals: TransportTotals,
-}
-
-/// The deterministic setup both constructors share: the pool (tuned,
-/// with actors), the fault transport, and the collection window.
-fn setup(config: &StudyConfig, world: &World) -> (Pool, Box<dyn Transport>, SimTime, SimTime) {
-    assert_eq!(
-        world.config, config.world,
-        "shared world was generated from a different WorldConfig"
-    );
-    let (pool, _servers, _tuning, _actors) = build_pool(config, world);
-    let start = study_start(config);
-    (
-        pool,
-        build_transport(config),
-        start,
-        start + config.collection,
-    )
+    /// The sharded loop's volatile shape metrics over the slices this
+    /// session ran. Not persisted: they describe host-side scheduling
+    /// and are excluded from [`Study::run_report`].
+    shape: Registry,
 }
 
 impl StudySession {
@@ -84,30 +83,33 @@ impl StudySession {
     /// processed yet). The snapshot must have been generated from this
     /// config's world parameters.
     pub fn new(config: StudyConfig, world: Arc<World>) -> StudySession {
-        let (pool, transport, start, end) = setup(&config, &world);
+        assert_eq!(
+            world.config, config.world,
+            "shared world was generated from a different WorldConfig"
+        );
+        let setup = build_pool(&config, &world);
+        let start = study_start(&config);
         // No poll crosses a transport before the first `advance`.
-        let collection = CollectionRun::new(&world, &pool, start, end).begin();
-        StudySession {
-            collector: CollectorParts::new(config.collection_shards),
-            config,
-            world,
-            pool,
-            transport,
-            start,
-            end,
-            collection,
+        let run = CollectionRun::new(&world, &setup.pool, start, start + config.collection);
+        let data = CheckpointData {
+            collection: run.begin(),
+            collector: AddressCollector::with_shards(config.collection_shards),
             feed_prefix: Vec::new(),
-            transport_totals: TransportTotals::zero(),
-        }
+            transport: TransportTotals::zero(),
+            config,
+        };
+        StudySession::over(data, world, setup)
     }
 
     /// Restores a session from checkpoint state (in-memory or read back
     /// via [`crate::checkpoint::read`]) over a shared world snapshot —
     /// the eviction/readmission path of the study service. This is the
-    /// one place checkpoint state meets the pool and world it will be
-    /// advanced over, so it is where the two are checked against each
-    /// other: a mismatch — a config naming another world included — is
-    /// [`StoreError::Corrupt`], never an index panic inside the engine.
+    /// one place checkpoint state meets the pool, world and window it
+    /// will be advanced over, so it is where they are checked against
+    /// each other: a mismatch — a config naming another world, a cursor
+    /// outside the window — is [`StoreError::Corrupt`], never an index
+    /// panic inside the engine or a study that silently covers a
+    /// different span.
     pub fn from_checkpoint(
         data: CheckpointData,
         world: Arc<World>,
@@ -117,22 +119,31 @@ impl StudySession {
                 "checkpoint config names a different world",
             ));
         }
-        let (pool, transport, start, end) = setup(&data.config, &world);
+        let setup = build_pool(&data.config, &world);
         data.collection
-            .validate(&world, &pool)
+            .validate(&world, &setup.pool)
             .map_err(StoreError::Corrupt)?;
-        Ok(StudySession {
-            config: data.config,
-            world,
-            pool,
-            transport,
+        let session = StudySession::over(data, world, setup);
+        if !(session.start..=session.end).contains(&session.cursor()) {
+            return Err(StoreError::Corrupt(
+                "collection cursor outside the study window",
+            ));
+        }
+        Ok(session)
+    }
+
+    /// A session over `data`, next to what its config rebuilds.
+    fn over(data: CheckpointData, world: Arc<World>, setup: PoolSetup) -> StudySession {
+        let start = study_start(&data.config);
+        StudySession {
+            transport: build_transport(&data.config),
             start,
-            end,
-            collection: data.collection,
-            collector: data.collector,
-            feed_prefix: data.feed_prefix,
-            transport_totals: data.transport,
-        })
+            end: start + data.config.collection,
+            data,
+            world,
+            setup,
+            shape: Registry::new(),
+        }
     }
 
     /// Drives collection forward by (up to) `slice` of simulated time,
@@ -141,38 +152,35 @@ impl StudySession {
         if self.done() {
             return true;
         }
-        let stop = self.collection.cursor + slice;
-        // First sights land behind the prefix, in the same buffer.
-        let feed = VecSink::with_prefix(std::mem::take(&mut self.feed_prefix));
+        let stop = self.data.collection.cursor + slice;
         let (coll_transport, coll_stats) = Instrumented::new(self.transport.clone_box());
         let run = CollectionRun::with_transport(
             &self.world,
-            &self.pool,
+            &self.setup.pool,
             self.start,
             self.end,
             Box::new(coll_transport),
         );
-        // The engine's volatile shape metrics are not session state.
+        // First sights land behind the feed so far, in the same buffer.
         run.advance(
-            &mut self.collection,
+            &mut self.data.collection,
             stop,
-            &mut self.collector,
-            Box::new(feed.clone()),
-            &mut Registry::new(),
+            &mut self.data.collector,
+            &mut self.data.feed_prefix,
+            &mut self.shape,
         );
-        self.feed_prefix = feed.take();
-        self.transport_totals.merge(&coll_stats.totals());
+        self.data.transport.merge(&coll_stats.totals());
         self.done()
     }
 
     /// Whether the collection window has been fully processed.
     pub fn done(&self) -> bool {
-        self.collection.cursor >= self.end
+        self.data.collection.cursor >= self.end
     }
 
     /// The engine cursor: simulated time processed so far.
     pub fn cursor(&self) -> SimTime {
-        self.collection.cursor
+        self.data.collection.cursor
     }
 
     /// The collection window.
@@ -182,7 +190,7 @@ impl StudySession {
 
     /// The session's config.
     pub fn config(&self) -> &StudyConfig {
-        &self.config
+        &self.data.config
     }
 
     /// The shared world snapshot.
@@ -195,46 +203,233 @@ impl StudySession {
     /// stays usable; pair with [`StudySession::into_checkpoint`] when
     /// tearing it down.
     pub fn suspend(&self) -> CheckpointData {
-        CheckpointData {
-            config: self.config.clone(),
-            collection: self.collection.clone(),
-            collector: self.collector.clone(),
-            feed_prefix: self.feed_prefix.clone(),
-            transport: self.transport_totals.clone(),
-        }
+        self.data.clone()
     }
 
     /// [`StudySession::suspend`] by value — no state is cloned.
     pub fn into_checkpoint(self) -> CheckpointData {
-        CheckpointData {
-            config: self.config,
-            collection: self.collection,
-            collector: self.collector,
-            feed_prefix: self.feed_prefix,
-            transport: self.transport_totals,
+        self.data
+    }
+
+    /// Completes the study: runs whatever is left of the collection
+    /// window, then the rest of the pipeline — the real-time NTP-fed
+    /// scan over the feed, the hitlist build and batch scan, the
+    /// telescope and the actor ecosystem — over the pool and world the
+    /// session already holds. The result is byte-identical at any
+    /// cursor position and for any slicing that led here.
+    pub fn finish(mut self) -> Study {
+        // One window-long slice reaches the end from any cursor.
+        self.advance(self.data.config.collection);
+        let StudySession {
+            data,
+            world,
+            setup,
+            transport,
+            start,
+            end,
+            shape: mut coll_reg,
+        } = self;
+        let CheckpointData {
+            config,
+            collection,
+            mut collector,
+            feed_prefix: feed,
+            transport: coll_transport,
+        } = data;
+        let PoolSetup {
+            pool,
+            study_servers,
+            tuning,
+            actors,
+        } = setup;
+        // The shard-local filters are engine state; a finished study
+        // has no use for them.
+        collector.shards = Vec::new();
+
+        // Study-level metrics: stage spans (simulated time), the feed
+        // count, set sizes. Stage-internal metrics are recorded into
+        // per-stage registries and merged with a `stage` label.
+        let mut study_reg = Registry::new();
+
+        // --- R&L emulation: an earlier, longer collection (Table 1). ---
+        let rl_span = SpanTimer::start(metrics::SPAN_RL, SimTime::EPOCH.as_secs());
+        let rl_end = SimTime::EPOCH + rl_window(&config);
+        let rl_set =
+            ntppool::run::sample_addresses(&world, SimTime::EPOCH, rl_end, config.rl_samples);
+        rl_span.finish(&mut study_reg, rl_end.as_secs());
+        study_reg.add(metrics::RL_SAMPLE_ADDRESSES, rl_set.len() as u64);
+
+        // --- Four weeks of collection, then the real-time scan as a
+        // replay of its feed: "real time" is *simulated* time (a probe
+        // 10 s … 10 min after each observation's `seen` instant), so a
+        // second host thread buys nothing (DESIGN.md §3). ---
+        SpanTimer::start(metrics::SPAN_COLLECTION, start.as_secs())
+            .finish(&mut study_reg, end.as_secs());
+        study_reg.add(metrics::PIPELINE_FEED_OBSERVATIONS, feed.len() as u64);
+        let (scan_transport, scan_stats) = Instrumented::new(transport.clone_box());
+        let ntp_scan =
+            RealTimeScanner::with_transport(ScanPolicy::default(), Box::new(scan_transport))
+                .run(&world, &feed);
+        // The first deterministic accounting of the stage: totals and
+        // transport counters summed over every slice, persisted ones
+        // included, equal a single-slice run's.
+        let run_stats = collection.finish(&mut coll_reg);
+        collector.export_into(&mut coll_reg);
+        coll_transport.export_into(&mut coll_reg);
+        let mut scan_reg = Registry::new();
+        scan_reg.merge(ntp_scan.telemetry());
+        scan_stats.export_into(&mut scan_reg);
+        let mut telemetry = coll_reg.snapshot_with(&[("stage", "collection")]);
+        telemetry.merge(&scan_reg.snapshot_with(&[("stage", "ntp_scan")]));
+
+        // --- Hitlist build + batch scan in the last week. ---
+        let span = SpanTimer::start(
+            metrics::SPAN_HITLIST,
+            (start + config.hitlist_scan_offset).as_secs(),
+        );
+        let hitlist_t = start + config.hitlist_scan_offset;
+        let hitlist = Hitlist::build(&world, hitlist_t, &HitlistConfig::for_world(&world));
+        // Scan in sorted address order: the token bucket turns submission
+        // order into probe times, so sorting keeps the store bit-identical
+        // across runs.
+        let (hl_transport, hl_stats) = Instrumented::new(transport.clone_box());
+        let hitlist_scan = BatchScan::with_transport(ScanPolicy::default(), Box::new(hl_transport))
+            .run(&world, hitlist.full.sorted(), hitlist_t);
+        span.finish(&mut study_reg, end.as_secs());
+        study_reg.add(metrics::HITLIST_ADDRESSES, hitlist.full.len() as u64);
+        let mut hl_reg = Registry::new();
+        hl_reg.merge(hitlist_scan.telemetry());
+        hl_stats.export_into(&mut hl_reg);
+        telemetry.merge(&hl_reg.snapshot_with(&[("stage", "hitlist_scan")]));
+
+        // --- Telescope + adversarial ecosystem (§5). ---
+        let telescope_run = config.telescope.then(|| {
+            let mut tel_reg = Registry::new();
+            let (tel_transport, tel_stats) = Instrumented::new(transport.clone_box());
+            let sweep_start = start + config.telescope_offset;
+            let gap = Duration::secs(7);
+            let span = SpanTimer::start(metrics::SPAN_TELESCOPE, sweep_start.as_secs());
+            // Two vantages: the paper's single telescope plus a second
+            // sweeping 12 h later, giving the attribution pass a
+            // vantage-overlap feature.
+            let mut primary = Vantage::new("3fff:909::/48".parse().unwrap());
+            primary.query_all_instrumented(&pool, &tel_transport, sweep_start, gap, &mut tel_reg);
+            let sweep_end = sweep_start + Duration::secs(gap.as_secs() * primary.queried() as u64);
+            let mut secondary = Vantage::new("3fff:90a::/48".parse().unwrap());
+            secondary.query_all_via(
+                &pool,
+                &tel_transport,
+                sweep_start + Duration::hours(12),
+                gap,
+            );
+            span.finish(&mut tel_reg, sweep_end.as_secs());
+            let vantages = [primary, secondary];
+
+            // The route-event feed the BGP-adaptive archetype watches:
+            // synthesized AS flaps plus injected events for the vantage
+            // prefixes — both announced when the sweep starts, and the
+            // secondary flapping once mid-campaign.
+            let mut feed = BgpFeed::synthesize(&world, (start, end));
+            for v in &vantages {
+                feed.push(BgpEvent {
+                    time: sweep_start,
+                    prefix: v.prefix,
+                    asn: Asn(0),
+                    announce: true,
+                });
+            }
+            for (hours, announce) in [(36, false), (40, true)] {
+                feed.push(BgpEvent {
+                    time: sweep_start + Duration::hours(hours),
+                    prefix: vantages[1].prefix,
+                    asn: Asn(0),
+                    announce,
+                });
+            }
+            feed.seal();
+
+            // The stale public-hitlist snapshot the hitlist-reuse actor
+            // bought (built only when that archetype runs).
+            let stale = if config.actors.contains(ActorRoster::HITLIST_REUSE) {
+                stale_hitlist(&world, &pool, &vantages, start)
+            } else {
+                Vec::new()
+            };
+
+            // Drive every rostered machine on the shared tick clock.
+            let prefixes: Vec<Prefix> = vantages.iter().map(|v| v.prefix).collect();
+            let outcome = Ecosystem::assemble(
+                config.actors,
+                &actors,
+                &vantages,
+                &pool,
+                &stale,
+                &feed,
+                sweep_start,
+            )
+            .run(sweep_start, &feed, &prefixes);
+
+            // The paper's §5 matcher sees the primary telescope's slice
+            // of the capture, exactly as before the ecosystem existed.
+            let log = outcome.capture_within(vantages[0].prefix);
+            let report = match_captures(&vantages[0], &pool, &log, &actors);
+            tel_reg.add(
+                telescope::metrics::TELESCOPE_CAPTURES,
+                outcome.records.len() as u64,
+            );
+            tel_reg.add(
+                telescope::metrics::TELESCOPE_ATTRIBUTED,
+                report.matched_packets,
+            );
+
+            // Blind attribution over the combined capture, scored
+            // against the emitting machines.
+            let table = attribute(&outcome, &prefixes, &feed, &org_directory(&actors));
+            outcome.export_into(&mut tel_reg);
+            table.export_into(&mut tel_reg);
+
+            tel_stats.export_into(&mut tel_reg);
+            telemetry.merge(&tel_reg.snapshot_with(&[("stage", "telescope")]));
+            (report, table)
+        });
+        let (telescope, attribution) = match telescope_run {
+            Some((r, t)) => (Some(r), Some(t)),
+            None => (None, None),
+        };
+        telemetry.merge(&study_reg.snapshot());
+
+        Study {
+            config,
+            world,
+            pool,
+            study_servers,
+            collector,
+            feed,
+            rl_set,
+            hitlist,
+            ntp_scan,
+            hitlist_scan,
+            telescope,
+            attribution,
+            actors,
+            run_stats,
+            tuning,
+            oui_db: OuiDb::builtin(),
+            telemetry,
+            derived_cells: Arc::new(crate::derived::DerivedCells::new()),
         }
     }
 
-    /// Completes the study: finishes any remaining collection and runs
-    /// the rest of the pipeline (scans, hitlist, telescope) over the
-    /// shared world. Byte-identical to an uninterrupted
-    /// [`Study::run`] of the same config, at any cursor position.
-    pub fn finish(self) -> Study {
-        let world = Arc::clone(&self.world);
-        Study::run_resumed(self.into_checkpoint(), Some(world))
-    }
-
     /// Background maintenance between slices: compacts any dedup
-    /// archive (the flat collector's global archive and each shard's)
-    /// that has fragmented past `max_segments` sealed segments into a
-    /// single merged segment ([`Archive::optimize`]). Membership is
-    /// untouched — only layout changes — so observables stay
-    /// bit-identical; the payoff is fewer segments to probe per lookup
-    /// and a smaller resident footprint. Returns the number of archives
-    /// compacted.
+    /// archive (the collector's global archive and each shard's) that
+    /// has fragmented past `max_segments` sealed segments into a single
+    /// merged segment ([`Archive::optimize`]). Membership is untouched —
+    /// only layout changes — so observables stay bit-identical; the
+    /// payoff is fewer segments to probe per lookup and a smaller
+    /// resident footprint. Returns the number of archives compacted.
     pub fn maintain(&mut self, max_segments: usize) -> u32 {
         let mut compacted = 0;
-        let CollectorParts { global, shards, .. } = &mut self.collector;
+        let AddressCollector { global, shards, .. } = &mut self.data.collector;
         let archives = std::iter::once(global).chain(shards);
         for archive in archives {
             if archive.segments().len() > max_segments {
@@ -250,20 +445,24 @@ impl StudySession {
     /// this study adds on top of the shared world snapshot (which is
     /// deliberately excluded: it is counted once, not per study).
     pub fn resident_bytes(&self) -> usize {
-        let collector = self.collector.global.heap_bytes()
-            + self
-                .collector
+        let CheckpointData {
+            collection,
+            collector,
+            feed_prefix,
+            ..
+        } = &self.data;
+        let tables = collector.global.heap_bytes()
+            + collector
                 .per_server
                 .iter()
                 .map(|(_, set)| set.len() * HASH_SLOT_BYTES)
                 .sum::<usize>()
-            + self.collector.requests.len() * std::mem::size_of::<(ServerId, u64)>();
-        let shards: usize = self.collector.shards.iter().map(Archive::heap_bytes).sum();
-        let engine = self.collection.pending.len()
-            * std::mem::size_of::<(SimTime, DeviceId, u64)>()
-            + self.collection.rps.len() * std::mem::size_of::<Option<(u64, u64)>>();
-        let feed = self.feed_prefix.len() * std::mem::size_of::<Observation>();
-        collector + shards + engine + feed
+            + collector.requests.len() * std::mem::size_of::<(ServerId, u64)>();
+        let shards: usize = collector.shards.iter().map(Archive::heap_bytes).sum();
+        let engine = collection.pending.len() * std::mem::size_of::<(SimTime, DeviceId, u64)>()
+            + collection.rps.len() * std::mem::size_of::<Option<(u64, u64)>>();
+        let feed = feed_prefix.len() * std::mem::size_of::<Observation>();
+        tables + shards + engine + feed
     }
 }
 
@@ -283,10 +482,10 @@ const _: () = {
 impl std::fmt::Debug for StudySession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StudySession")
-            .field("seed", &self.config.world.seed)
-            .field("cursor", &self.collection.cursor)
+            .field("seed", &self.data.config.world.seed)
+            .field("cursor", &self.data.collection.cursor)
             .field("end", &self.end)
-            .field("distinct", &self.collector.global.len())
+            .field("distinct", &self.data.collector.global.len())
             .field("resident_bytes", &self.resident_bytes())
             .finish()
     }
@@ -302,7 +501,8 @@ mod tests {
     }
 
     /// Slicing the collection window (uneven slices, flat engine) and
-    /// finishing produces a byte-identical run report.
+    /// finishing produces the run report of `Study::run`, which is the
+    /// same session advanced once.
     #[test]
     fn sliced_session_matches_uninterrupted_run() {
         let cfg = StudyConfig::tiny(21);
@@ -359,9 +559,24 @@ mod tests {
         restored.advance(Duration::days(1));
         let study = restored.finish();
         assert_eq!(study.feed, baseline.feed);
-        assert_eq!(
-            study.run_report().to_json(),
-            baseline.run_report().to_json()
-        );
+        let report = study.run_report().to_json();
+        assert_eq!(report, baseline.run_report().to_json());
+
+        // The sharded loop's shape metrics of the restored session's two
+        // slices ride along into the study, as `Study::run` keeps them —
+        // volatile, so the report leaves them out.
+        for name in [
+            "ntp_collection_buckets",
+            "ntp_bucket_events",
+            "ntp_collection_shards",
+            "ntp_shard_events",
+            "ntp_shard_candidates",
+        ] {
+            for (run, study) in [("sliced", &study), ("single-slice", &baseline)] {
+                let mut entries = study.telemetry.iter().filter(|(k, _)| k.name == name);
+                assert!(entries.any(|(_, e)| e.volatile), "{run}: no {name}");
+            }
+            assert!(!report.contains(name), "{name} leaked into the report");
+        }
     }
 }

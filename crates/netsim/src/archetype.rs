@@ -17,11 +17,10 @@ use crate::services::{
 };
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wire::tls::{Certificate, Version};
 
 /// Device archetypes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum DeviceKind {
     // --- consumer CPE / home-network gear (eyeball population) ---

@@ -8,11 +8,10 @@
 //! there collects orders of magnitude more addresses than one in the
 //! Netherlands.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A continent (NTP Pool continental zone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Continent {
     /// Europe.
     Europe,
@@ -29,7 +28,7 @@ pub enum Continent {
 }
 
 /// A country, identified by its ISO 3166-1 alpha-2 code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Country(pub [u8; 2]);
 
 impl Country {

@@ -10,14 +10,11 @@
 use crate::time::{Duration, SimTime};
 use crate::topology::Asn;
 use crate::{archetype::DeviceKind, country::Country, mix2, services::ServiceSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use v6addr::{Eui64, Iid, Mac, Prefix};
 
 /// Dense device identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {

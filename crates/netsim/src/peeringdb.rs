@@ -6,11 +6,10 @@
 //! over the topology; the labels themselves are assigned at world
 //! generation, mirroring how real ASes self-describe in the PeeringDB.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// PeeringDB `info_type` values used by the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AsType {
     /// Cable/DSL/ISP — end-user "eyeball" access networks.
     CableDslIsp,
@@ -71,7 +70,7 @@ const ORG_NAMES: &[&str] = &[
 /// directory shared by `netsim` and the telescope attribution layer.
 /// Comparing two `OrgId`s is an integer compare; the display name is
 /// recovered with [`OrgId::name`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OrgId(pub u16);
 
 impl OrgId {

@@ -6,7 +6,6 @@
 //! occur. Conversions to Unix time use [`STUDY_EPOCH_UNIX`] so NTP
 //! timestamps on the simulated wire are era-correct.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -14,15 +13,11 @@ use std::ops::{Add, AddAssign, Sub};
 pub const STUDY_EPOCH_UNIX: u64 = 1_721_433_600;
 
 /// A point in simulated time, seconds since the study epoch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time in seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl Duration {

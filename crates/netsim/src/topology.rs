@@ -9,16 +9,13 @@
 
 use crate::country::Country;
 use crate::peeringdb::AsType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv6Addr;
 use v6addr::Prefix;
 
 /// An autonomous system number.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -28,7 +25,7 @@ impl fmt::Display for Asn {
 }
 
 /// Registry record of one AS.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsInfo {
     /// The AS number.
     pub asn: Asn,

@@ -1,10 +1,18 @@
 //! Address collection: what the modified NTP servers log.
 //!
 //! The collector keeps, per collecting server, the set of distinct client
-//! addresses (Table 7 / Figure 4) plus a global set (Table 1), and emits a
-//! **first-sight feed**: every address is handed to the real-time scanner
-//! exactly once, when first observed — re-observations only bump counters,
-//! mirroring how the study's zgrab2 pipeline deduplicates its input.
+//! addresses (Table 7 / Figure 4) plus a global set (Table 1), and reports
+//! **first sights**: [`AddressCollector::record`] returns an
+//! [`Observation`] exactly once per address, when it is first observed —
+//! re-observations only bump counters, mirroring how the study's zgrab2
+//! pipeline deduplicates its input. The caller appends those to the feed,
+//! a plain `Vec<Observation>` it owns.
+//!
+//! There is one collector type, and it is plain data: the value
+//! [`CollectionRun::advance`](crate::CollectionRun::advance) records
+//! into is the value a study checkpoint stores and a finished study
+//! exposes. A study runs eleven collecting servers, so the per-server
+//! tables are vectors sorted by server id and looked up by binary search.
 //!
 //! The global set is a [`store::Archive`] — the memtable + compact-segment
 //! store built for the paper's 3 B-address scale. The per-server
@@ -14,10 +22,7 @@
 
 use crate::pool::ServerId;
 use netsim::time::SimTime;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
-use std::sync::Arc;
 use store::Archive;
 use v6addr::AddrSet;
 
@@ -32,72 +37,20 @@ pub struct Observation {
     pub server: ServerId,
 }
 
-/// Sink for first-sight observations.
-pub trait FeedSink: Send + Sync {
-    /// Called once per distinct address.
-    fn on_first_sight(&mut self, obs: Observation);
-}
-
-/// A sink that simply buffers the feed.
-#[derive(Debug, Default, Clone)]
-pub struct VecSink(pub Arc<Mutex<Vec<Observation>>>);
-
-impl VecSink {
-    /// A sink that appends behind `prefix` — the feed a resumed run has
-    /// already emitted — so prefix and remainder share one buffer.
-    pub fn with_prefix(prefix: Vec<Observation>) -> VecSink {
-        VecSink(Arc::new(Mutex::new(prefix)))
-    }
-
-    /// Moves the buffered feed out, leaving the sink empty.
-    pub fn take(&self) -> Vec<Observation> {
-        std::mem::take(&mut *self.0.lock())
-    }
-}
-
-impl FeedSink for VecSink {
-    fn on_first_sight(&mut self, obs: Observation) {
-        self.0.lock().push(obs);
-    }
-}
-
-/// The collector's dedup state, detached from its sink — what
-/// [`CollectionRun::advance`](crate::CollectionRun::advance) records
-/// into, a study checkpoint persists and a resume restores. `Clone` so
-/// a suspended study session can snapshot its state without tearing it
-/// down.
+/// The address collector: the dedup state of a collection run. `Clone`
+/// so a suspended study session can snapshot it without tearing it down.
 #[derive(Clone, Default)]
-pub struct CollectorParts {
+pub struct AddressCollector {
     /// The global distinct-address archive.
     pub global: Archive,
-    /// Distinct addresses per server, sorted by server id.
+    /// Distinct addresses per server, strictly ascending by server id.
     pub per_server: Vec<(ServerId, AddrSet)>,
-    /// Raw request counts per server, sorted by server id.
+    /// Raw request counts per server, strictly ascending by server id.
     pub requests: Vec<(ServerId, u64)>,
     /// Shard-local first-sight archives of the sharded engine, in shard
     /// order. Their number *is* the engine's shard count; a flat
     /// collector has none.
     pub shards: Vec<Archive>,
-}
-
-impl CollectorParts {
-    /// The state before any observation, for a collection engine of
-    /// `shards` shards (one shard is the flat collector).
-    pub fn new(shards: usize) -> CollectorParts {
-        let locals = if shards > 1 { shards } else { 0 };
-        CollectorParts {
-            shards: (0..locals).map(|_| Archive::new()).collect(),
-            ..CollectorParts::default()
-        }
-    }
-}
-
-/// The address collector.
-pub struct AddressCollector {
-    global: Archive,
-    per_server: HashMap<ServerId, AddrSet>,
-    requests: HashMap<ServerId, u64>,
-    sink: Option<Box<dyn FeedSink>>,
 }
 
 impl std::fmt::Debug for AddressCollector {
@@ -109,83 +62,60 @@ impl std::fmt::Debug for AddressCollector {
     }
 }
 
-impl Default for AddressCollector {
-    fn default() -> Self {
-        Self::new()
-    }
+/// `server`'s entry in a table sorted by server id, inserted at its
+/// place on first use.
+fn slot<T: Default>(table: &mut Vec<(ServerId, T)>, server: ServerId) -> &mut T {
+    let at = match table.binary_search_by_key(&server, |(s, _)| *s) {
+        Ok(at) => at,
+        Err(at) => {
+            table.insert(at, (server, T::default()));
+            at
+        }
+    };
+    &mut table[at].1
+}
+
+fn lookup<T>(table: &[(ServerId, T)], server: ServerId) -> Option<&T> {
+    let at = table.binary_search_by_key(&server, |(s, _)| *s).ok()?;
+    Some(&table[at].1)
 }
 
 impl AddressCollector {
-    /// Collector without a feed sink.
+    /// The flat collector before any observation.
     pub fn new() -> AddressCollector {
+        AddressCollector::default()
+    }
+
+    /// The state before any observation, for a collection engine of
+    /// `shards` shards (one shard is the flat collector).
+    pub fn with_shards(shards: usize) -> AddressCollector {
+        let locals = if shards > 1 { shards } else { 0 };
         AddressCollector {
-            global: Archive::new(),
-            per_server: HashMap::new(),
-            requests: HashMap::new(),
-            sink: None,
+            shards: (0..locals).map(|_| Archive::new()).collect(),
+            ..AddressCollector::default()
         }
     }
 
-    /// Collector forwarding first sights into `sink`.
-    pub fn with_sink(sink: Box<dyn FeedSink>) -> AddressCollector {
-        AddressCollector {
-            sink: Some(sink),
-            ..AddressCollector::new()
-        }
+    /// [`AddressCollector::new`] under the signature the frozen
+    /// benchmark calls. Both arguments are ignored: there is no sink to
+    /// attach since the feed became `record`'s return value, and the
+    /// population stopped reserving anything when a quarter of it per
+    /// collecting server proved 25× what a 45-minute window of the
+    /// 1:100 world puts there.
+    pub fn sized_for(_sink: Option<()>, _expected_devices: usize) -> AddressCollector {
+        AddressCollector::new()
     }
 
-    /// Collector with an optional sink. The population argument no
-    /// longer reserves anything: a quarter of it per collecting server
-    /// was 25× what a 45-minute window of the 1:100 world puts there.
-    pub fn sized_for(
-        sink: Option<Box<dyn FeedSink>>,
-        _expected_devices: usize,
-    ) -> AddressCollector {
-        AddressCollector {
-            sink,
-            ..AddressCollector::new()
-        }
-    }
-
-    /// Rebuilds a flat collector from [`CollectorParts`], reattaching a
-    /// (fresh) sink for the remainder of the run. Shard-local archives
-    /// are an engine detail with no flat counterpart and are dropped.
-    pub fn from_parts(parts: CollectorParts, sink: Option<Box<dyn FeedSink>>) -> AddressCollector {
-        AddressCollector {
-            global: parts.global,
-            per_server: parts.per_server.into_iter().collect(),
-            requests: parts.requests.into_iter().collect(),
-            sink,
-        }
-    }
-
-    /// Extracts the dedup state for checkpointing (drops the sink).
-    pub fn into_parts(self) -> CollectorParts {
-        let mut per_server: Vec<(ServerId, AddrSet)> = self.per_server.into_iter().collect();
-        per_server.sort_by_key(|(s, _)| *s);
-        let mut requests: Vec<(ServerId, u64)> = self.requests.into_iter().collect();
-        requests.sort_by_key(|(s, _)| *s);
-        CollectorParts {
-            global: self.global,
-            per_server,
-            requests,
-            shards: Vec::new(),
-        }
-    }
-
-    /// Records one observed request.
-    pub fn record(&mut self, server: ServerId, addr: Ipv6Addr, at: SimTime) {
-        *self.requests.entry(server).or_insert(0) += 1;
-        self.per_server.entry(server).or_default().insert(addr);
-        if self.global.insert(addr) {
-            if let Some(sink) = &mut self.sink {
-                sink.on_first_sight(Observation {
-                    addr,
-                    seen: at,
-                    server,
-                });
-            }
-        }
+    /// Records one observed request; returns the observation when it is
+    /// the global first sight of `addr`.
+    pub fn record(&mut self, server: ServerId, addr: Ipv6Addr, at: SimTime) -> Option<Observation> {
+        *slot(&mut self.requests, server) += 1;
+        slot(&mut self.per_server, server).insert(addr);
+        self.global.insert(addr).then_some(Observation {
+            addr,
+            seen: at,
+            server,
+        })
     }
 
     /// The global distinct-address archive.
@@ -195,19 +125,17 @@ impl AddressCollector {
 
     /// Distinct addresses per server.
     pub fn per_server(&self, server: ServerId) -> Option<&AddrSet> {
-        self.per_server.get(&server)
+        lookup(&self.per_server, server)
     }
 
     /// Total raw requests a server received.
     pub fn requests(&self, server: ServerId) -> u64 {
-        self.requests.get(&server).copied().unwrap_or(0)
+        lookup(&self.requests, server).copied().unwrap_or(0)
     }
 
-    /// Servers with any recorded data.
+    /// Servers with any recorded data, ascending.
     pub fn servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        let mut v: Vec<ServerId> = self.per_server.keys().copied().collect();
-        v.sort();
-        v.into_iter()
+        self.per_server.iter().map(|(server, _)| *server)
     }
 
     /// Exports the collector's totals into `registry`: the global
@@ -260,13 +188,11 @@ mod tests {
 
     #[test]
     fn feed_fires_once_per_address() {
-        let sink = VecSink::default();
-        let buf = sink.0.clone();
-        let mut c = AddressCollector::with_sink(Box::new(sink));
-        c.record(ServerId(0), a("2001:db8::1"), SimTime(5));
-        c.record(ServerId(1), a("2001:db8::1"), SimTime(9)); // re-sight
-        c.record(ServerId(0), a("2001:db8::2"), SimTime(12));
-        let feed = buf.lock().clone();
+        let mut c = AddressCollector::new();
+        let mut feed = Vec::new();
+        feed.extend(c.record(ServerId(0), a("2001:db8::1"), SimTime(5)));
+        feed.extend(c.record(ServerId(1), a("2001:db8::1"), SimTime(9))); // re-sight
+        feed.extend(c.record(ServerId(0), a("2001:db8::2"), SimTime(12)));
         assert_eq!(feed.len(), 2);
         assert_eq!(feed[0].addr, a("2001:db8::1"));
         assert_eq!(feed[0].seen, SimTime(5));
@@ -282,30 +208,29 @@ mod tests {
         assert_eq!(c.global().len(), 0);
     }
 
-    /// Round-tripping through `into_parts`/`from_parts` preserves the
-    /// dedup state exactly: replaying the tail of a run against the
-    /// restored collector fires the same first sights.
+    /// The collector is its own checkpoint parts: a clone taken mid-run
+    /// carries the dedup state exactly, so continuing on it re-feeds
+    /// nothing already collected and fires for what is new.
     #[test]
     fn parts_roundtrip_preserves_dedup() {
         let mut c = AddressCollector::sized_for(None, 100);
         for i in 0..50u32 {
-            c.record(
-                ServerId(i % 3),
+            // Servers arrive out of id order; the tables stay sorted.
+            let first = c.record(
+                ServerId(2 - i % 3),
                 a(&format!("2001:db8::{:x}", i + 1)),
                 SimTime(u64::from(i)),
             );
+            assert!(first.is_some());
         }
-        let parts = c.into_parts();
-        let sink = VecSink::default();
-        let buf = sink.0.clone();
-        let mut c = AddressCollector::from_parts(parts, Some(Box::new(sink)));
+        assert_eq!(c.servers().map(|s| s.0).collect::<Vec<_>>(), [0, 1, 2]);
+        let mut c = c.clone();
         // Re-sighting anything already collected stays silent.
-        c.record(ServerId(0), a("2001:db8::5"), SimTime(99));
-        assert!(buf.lock().is_empty());
+        assert_eq!(c.record(ServerId(0), a("2001:db8::5"), SimTime(99)), None);
         // A genuinely new address fires.
-        c.record(ServerId(1), a("2001:db8::ffff"), SimTime(100));
-        assert_eq!(buf.lock().len(), 1);
+        let fresh = c.record(ServerId(1), a("2001:db8::ffff"), SimTime(100));
+        assert_eq!(fresh.map(|obs| obs.seen), Some(SimTime(100)));
         assert_eq!(c.global().len(), 51);
-        assert_eq!(c.requests(ServerId(0)), 18);
+        assert_eq!(c.requests(ServerId(0)), 17);
     }
 }

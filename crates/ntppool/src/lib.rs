@@ -30,7 +30,7 @@ pub mod run;
 pub mod server;
 pub mod shard;
 
-pub use collector::{AddressCollector, CollectorParts, Observation};
+pub use collector::{AddressCollector, Observation};
 pub use pool::{Pool, ServerId};
 pub use run::{
     next_poll, poll_once, CollectionCheckpoint, CollectionRun, PollOutcome, PollReply, RunStats,

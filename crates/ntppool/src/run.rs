@@ -20,9 +20,10 @@
 //! A run is driven through one entry point and its two ends:
 //! [`CollectionRun::begin`] captures the engine state at the window
 //! start as a [`CollectionCheckpoint`], [`CollectionRun::advance`] moves
-//! a checkpoint forward to any stop inside the window, recording into a
-//! [`CollectorParts`], and [`CollectionCheckpoint::finish`] accounts the
-//! whole window into a registry. Any slicing of the window into
+//! a checkpoint forward to any stop inside the window, recording into an
+//! [`AddressCollector`] and appending first sights to the caller's feed,
+//! and [`CollectionCheckpoint::finish`] accounts the whole window into a
+//! registry. Any slicing of the window into
 //! `advance` calls — including suspending the checkpoint to disk in
 //! between — yields the same feed, totals and KoD histogram as one call
 //! to the window end. [`CollectionRun::run`] is the same three stages
@@ -34,7 +35,7 @@
 //! [`shard`](crate::shard). Both produce the same bytes; they differ
 //! only in host time.
 
-use crate::collector::{AddressCollector, CollectorParts, FeedSink};
+use crate::collector::{AddressCollector, Observation};
 use crate::metrics;
 use crate::pool::{Pool, ServerId};
 use crate::server::PoolServer;
@@ -482,7 +483,7 @@ impl<'w> CollectionRun<'w> {
     /// end. Observations at the study's own servers are recorded into
     /// `collector` (actor servers collect too, but only their scans of
     /// the telescope's vantage addresses are analysed, §5), and global
-    /// first sights go to `sink`, which is dropped on return.
+    /// first sights are appended to `feed`, in event order.
     ///
     /// Any sequence of stops composes to the same feed, totals and KoD
     /// histogram as a single call to the window end — which is what
@@ -502,26 +503,23 @@ impl<'w> CollectionRun<'w> {
         &self,
         ckpt: &mut CollectionCheckpoint,
         stop: SimTime,
-        collector: &mut CollectorParts,
-        sink: Box<dyn FeedSink>,
+        collector: &mut AddressCollector,
+        feed: &mut Vec<Observation>,
         registry: &mut Registry,
     ) {
         let stop = stop.min(self.end).max(ckpt.cursor);
         let mut st = EngineState::thaw(ckpt);
-        let parts = std::mem::take(collector);
-        *collector = if parts.shards.is_empty() {
-            let mut flat = AddressCollector::from_parts(parts, Some(sink));
+        if collector.shards.is_empty() {
             self.drive_sequential(&mut st, stop, &mut |server, addr, t| {
                 if self.pool.server(server).operator.is_study() {
-                    flat.record(server, addr, t);
+                    feed.extend(collector.record(server, addr, t));
                 }
             });
-            flat.into_parts()
         } else {
-            let mut set = ShardSet::from_parts(parts, sink);
+            let mut set = ShardSet::split(collector, feed);
             self.drive_sharded(&mut st, stop, &mut set, registry);
-            set.into_parts()
-        };
+            set.rejoin();
+        }
         *ckpt = st.into_checkpoint(stop);
     }
 
@@ -677,7 +675,9 @@ mod tests {
             SimTime(Duration::days(2).as_secs()),
         );
         let mut collector = AddressCollector::new();
-        let stats = run.run(|s, a, t| collector.record(s, a, t));
+        let stats = run.run(|s, a, t| {
+            collector.record(s, a, t);
+        });
         assert!(stats.polls > 0);
         assert_eq!(stats.polls, stats.responses);
         assert!(stats.observed > 0);
@@ -699,7 +699,9 @@ mod tests {
                 SimTime(Duration::hours(30).as_secs()),
             );
             let mut c = AddressCollector::new();
-            run.run(|s, a, t| c.record(s, a, t));
+            run.run(|s, a, t| {
+                c.record(s, a, t);
+            });
             c.into_global().to_compact()
         };
         let a = collect();
@@ -723,7 +725,9 @@ mod tests {
                     SimTime(Duration::days(*days).as_secs()),
                 );
                 let mut c = AddressCollector::new();
-                run.run(|s, a, t| c.record(s, a, t));
+                run.run(|s, a, t| {
+                    c.record(s, a, t);
+                });
                 c.global().len()
             })
             .collect();
@@ -746,7 +750,9 @@ mod tests {
             SimTime(Duration::days(24).as_secs()),
         );
         let mut c = AddressCollector::new();
-        run.run(|s, a, t| c.record(s, a, t));
+        run.run(|s, a, t| {
+            c.record(s, a, t);
+        });
         let ours = c.into_global().to_compact();
         let rl: store::CompactSet = rl.iter().collect();
         // Same world ⇒ heavy /32 (AS-level) overlap…
@@ -769,7 +775,9 @@ mod tests {
         let window = SimTime(Duration::days(2).as_secs());
         let collect = |run: CollectionRun| {
             let mut c = AddressCollector::new();
-            let stats = run.run(|s, a, t| c.record(s, a, t));
+            let stats = run.run(|s, a, t| {
+                c.record(s, a, t);
+            });
             (stats, c.into_global().to_compact())
         };
         let (direct_stats, direct) = collect(CollectionRun::new(&world, &pool, SimTime(0), window));
@@ -802,7 +810,9 @@ mod tests {
                 Box::new(Faulty::new(FaultConfig::loss_only(3, 0.2))),
             );
             let mut c = AddressCollector::new();
-            let stats = run.run(|s, a, t| c.record(s, a, t));
+            let stats = run.run(|s, a, t| {
+                c.record(s, a, t);
+            });
             (stats, c.into_global().to_compact())
         };
         let (stats, addrs) = collect();
@@ -822,7 +832,6 @@ mod tests {
 
     #[test]
     fn kod_client_is_collected_exactly_once_at_first_sight() {
-        use crate::collector::VecSink;
         // A collecting study server that sheds load above 1 rps.
         let server = PoolServer {
             netspeed: 50_000,
@@ -832,12 +841,11 @@ mod tests {
         };
         let sid = ServerId(7);
         let client: Ipv6Addr = "2001:db8:1::42".parse().unwrap();
-        let sink = VecSink::default();
-        let buf = sink.0.clone();
-        let mut collector = AddressCollector::with_sink(Box::new(sink));
+        let mut collector = AddressCollector::new();
+        let mut seen = Vec::new();
         let mut record_if_saw = |outcome: PollOutcome, t: SimTime| {
             if outcome.server_saw && server.operator.collects() {
-                collector.record(sid, client, t);
+                seen.extend(collector.record(sid, client, t));
             }
         };
         // Poll under load: the client is KoD'd, but the request arrived —
@@ -853,7 +861,6 @@ mod tests {
         assert_eq!(ok.reply, PollReply::Time);
         record_if_saw(ok, t1);
         // First sight fired exactly once, at the KoD'd poll.
-        let seen = buf.lock().clone();
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].addr, client);
         assert_eq!(seen[0].seen, t0);
@@ -953,22 +960,19 @@ mod tests {
     /// The one resumable step, pinned over both loops: for every shard
     /// count, with and without KoD traffic, begin → `advance` at uneven
     /// stops → finish equals a single `run` in feed, stats and KoD
-    /// histogram. The collector is flattened and re-homed at every
-    /// stop, as a suspended study's would be.
+    /// histogram. The one collector is split over the shards and
+    /// rejoined at every stop, as a suspended study's would be.
     #[test]
     fn sliced_advance_equals_a_single_run_for_every_shard_count() {
-        use crate::collector::VecSink;
         let world = World::generate(WorldConfig::tiny(9));
         let end = SimTime(Duration::days(2).as_secs());
         for (pool, sheds) in [(study_pool(), false), (kod_pool(), true)] {
             let run = CollectionRun::new(&world, &pool, SimTime(0), end);
             // The reference feed and stats: a closure consumer
             // recording into the flat collector.
-            let sink = VecSink::default();
-            let base_feed = sink.0.clone();
-            let mut flat = AddressCollector::with_sink(Box::new(sink));
-            let base_stats = run.run(|s, a, t| flat.record(s, a, t));
-            let base_feed = base_feed.lock().clone();
+            let mut flat = AddressCollector::new();
+            let mut base_feed = Vec::new();
+            let base_stats = run.run(|s, a, t| base_feed.extend(flat.record(s, a, t)));
             assert_eq!(base_stats.kod > 0, sheds, "KoD traffic");
             // `run` keeps no registry; the reference histogram is one
             // `advance` over the whole window.
@@ -977,8 +981,8 @@ mod tests {
             run.advance(
                 &mut whole,
                 end,
-                &mut CollectorParts::new(1),
-                Box::new(VecSink::default()),
+                &mut AddressCollector::new(),
+                &mut Vec::new(),
                 &mut Registry::new(),
             );
             assert_eq!(whole.finish(&mut base_reg), base_stats);
@@ -997,28 +1001,28 @@ mod tests {
             ];
             for shards in [1usize, 2, 4] {
                 let ctx = format!("{shards} shards, sheds {sheds}");
-                let feed = VecSink::default();
-                let mut parts = CollectorParts::new(shards);
+                let mut feed = Vec::new();
+                let mut collector = AddressCollector::with_shards(shards);
                 let mut ckpt = run.begin();
                 assert_eq!(ckpt.cursor, SimTime(0));
                 for stop in stops {
-                    let (cursor, fed) = (ckpt.cursor, feed.0.lock().len());
+                    let (cursor, fed) = (ckpt.cursor, feed.len());
                     run.advance(
                         &mut ckpt,
                         stop,
-                        &mut parts,
-                        Box::new(feed.clone()),
+                        &mut collector,
+                        &mut feed,
                         &mut Registry::new(),
                     );
                     assert_eq!(ckpt.cursor, stop.clamp(cursor, end), "{ctx}");
                     if stop < cursor {
-                        assert_eq!(feed.0.lock().len(), fed, "{ctx}: fed while stopped");
+                        assert_eq!(feed.len(), fed, "{ctx}: fed while stopped");
                     }
                 }
-                assert_eq!(parts.global.len(), base_feed.len(), "{ctx}");
+                assert_eq!(collector.global.len(), base_feed.len(), "{ctx}");
                 let mut reg = Registry::new();
                 assert_eq!(ckpt.finish(&mut reg), base_stats, "{ctx}");
-                assert_eq!(*feed.0.lock(), base_feed, "{ctx}");
+                assert_eq!(feed, base_feed, "{ctx}");
                 assert_eq!(
                     reg.snapshot().deterministic(),
                     base_reg.snapshot().deterministic(),

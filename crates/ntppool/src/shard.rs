@@ -5,9 +5,10 @@
 //! sharded by dense [`ServerId`] range: shard `w` of `S` owns every
 //! server with `id % S == w`, and with it that server's RPS window, its
 //! per-server address sets, its request counters, and a shard-local
-//! first-sight [`Archive`]. Each shard runs its plan → execute → apply
-//! loop on a persistent worker thread; the main thread only routes
-//! events and merges results at bucket boundaries.
+//! first-sight [`store::Archive`] — for the length of one drive, a flat
+//! [`AddressCollector`] of its own. Each shard runs its plan → execute →
+//! apply loop on a persistent worker thread; the main thread only
+//! routes events and merges results at bucket boundaries.
 //!
 //! # Why server-sharding preserves bit-determinism
 //!
@@ -27,8 +28,8 @@
 //! re-sights and emits surviving observations as **candidates** tagged
 //! with their global event index. At the bucket boundary the main
 //! thread replays all candidates in event-index order through the
-//! authoritative global archive and publishes the survivors to the feed
-//! sink. The global first occurrence of an address is necessarily also
+//! authoritative global archive and appends the survivors to the feed.
+//! The global first occurrence of an address is necessarily also
 //! its shard-local first occurrence, so it is always a candidate, and
 //! it carries the smallest event index for that address — the feed is
 //! bit-identical to the sequential loop's, in order and content.
@@ -46,119 +47,81 @@
 //! least one interval later (KoD *widens* the gap), so no bucket can
 //! schedule into itself and the merge sees the complete bucket.
 
-use crate::collector::{CollectorParts, FeedSink, Observation};
+use crate::collector::{AddressCollector, Observation};
 use crate::metrics;
 use crate::pool::ServerId;
 use crate::run::{
     next_poll, poll_once_with_request, server_addr, CollectionRun, EngineState, PollReply,
     RequestMemo, RpsWindows, Totals,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use netsim::time::{Duration, SimTime};
 use netsim::DeviceId;
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
-use store::Archive;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use telemetry::{Histogram, Registry};
-use v6addr::AddrSet;
 
-/// One shard of the collection world: the collector state for the
-/// servers it owns (`id % shard_count == index`).
-struct Shard {
-    index: usize,
-    count: usize,
-    /// Shard-local first-sight filter: an address the shard has already
-    /// seen (through any of its servers) is never re-proposed to the
-    /// global merge.
-    dedup: Archive,
-    per_server: HashMap<ServerId, AddrSet>,
-    requests: HashMap<ServerId, u64>,
+/// The sharded collector for the duration of one drive. Each worker
+/// gets a flat [`AddressCollector`] of its own holding the state of the
+/// servers it owns (`id % shard_count == index`): their per-server
+/// tables, and as its `global` the shard-local first-sight filter — an
+/// address the shard has already seen (through any of its servers) is
+/// never re-proposed to the global merge. The authoritative global
+/// archive and the feed stay borrowed from the caller; only the main
+/// thread touches them (at bucket boundaries, in event order).
+pub(crate) struct ShardSet<'a> {
+    shards: Vec<AddressCollector>,
+    collector: &'a mut AddressCollector,
+    feed: &'a mut Vec<Observation>,
 }
 
-impl Shard {
-    /// True when this shard owns `server`'s state.
-    fn owns(&self, server: ServerId) -> bool {
-        server.0 as usize % self.count == self.index
-    }
-
-    /// Records one observed request against an owned server; returns
-    /// `true` on shard-local first sight of the address.
-    fn record(&mut self, server: ServerId, addr: Ipv6Addr) -> bool {
-        *self.requests.entry(server).or_insert(0) += 1;
-        self.per_server.entry(server).or_default().insert(addr);
-        self.dedup.insert(addr)
-    }
-}
-
-/// The sharded collector for the duration of one drive: a [`Shard`] per
-/// worker plus the authoritative global archive and the feed sink,
-/// which only the main thread touches (at bucket boundaries, in event
-/// order). Built from and flattened back into [`CollectorParts`] around
-/// every drive — shards own disjoint servers, so per-server state
-/// re-homes and concatenates without conflicts.
-pub(crate) struct ShardSet {
-    shards: Vec<Shard>,
-    global: Archive,
-    sink: Box<dyn FeedSink>,
-}
-
-impl ShardSet {
-    /// Re-homes flat [`CollectorParts`] onto one shard per shard-local
-    /// archive — the same partition that produced them.
-    pub(crate) fn from_parts(parts: CollectorParts, sink: Box<dyn FeedSink>) -> ShardSet {
-        let count = parts.shards.len();
-        let mut shards: Vec<Shard> = parts
-            .shards
+impl<'a> ShardSet<'a> {
+    /// Moves `collector`'s per-server state onto one shard per
+    /// shard-local archive — the same partition that produced it.
+    pub(crate) fn split(
+        collector: &'a mut AddressCollector,
+        feed: &'a mut Vec<Observation>,
+    ) -> ShardSet<'a> {
+        let mut shards: Vec<AddressCollector> = std::mem::take(&mut collector.shards)
             .into_iter()
-            .enumerate()
-            .map(|(index, dedup)| Shard {
-                index,
-                count,
-                dedup,
-                per_server: HashMap::new(),
-                requests: HashMap::new(),
+            .map(|global| AddressCollector {
+                global,
+                ..AddressCollector::default()
             })
             .collect();
-        for (s, set) in parts.per_server {
-            shards[s.0 as usize % count].per_server.insert(s, set);
+        // Draining in id order keeps every shard's tables sorted.
+        let count = shards.len();
+        for (s, set) in collector.per_server.drain(..) {
+            shards[s.0 as usize % count].per_server.push((s, set));
         }
-        for (s, n) in parts.requests {
-            shards[s.0 as usize % count].requests.insert(s, n);
+        for (s, n) in collector.requests.drain(..) {
+            shards[s.0 as usize % count].requests.push((s, n));
         }
         ShardSet {
             shards,
-            global: parts.global,
-            sink,
+            collector,
+            feed,
         }
     }
 
-    /// Flattens back into [`CollectorParts`], shard-local archives in
-    /// shard order (drops the sink).
-    pub(crate) fn into_parts(self) -> CollectorParts {
-        let mut per_server: Vec<(ServerId, AddrSet)> = Vec::new();
-        let mut requests: Vec<(ServerId, u64)> = Vec::new();
-        let mut dedup = Vec::with_capacity(self.shards.len());
+    /// Moves the shards' state back into the collector, shard-local
+    /// archives in shard order — shards own disjoint servers, so the
+    /// tables concatenate without conflicts.
+    pub(crate) fn rejoin(self) {
         for shard in self.shards {
-            per_server.extend(shard.per_server);
-            requests.extend(shard.requests);
-            dedup.push(shard.dedup);
+            self.collector.per_server.extend(shard.per_server);
+            self.collector.requests.extend(shard.requests);
+            self.collector.shards.push(shard.global);
         }
-        per_server.sort_by_key(|(s, _)| *s);
-        requests.sort_by_key(|(s, _)| *s);
-        CollectorParts {
-            global: self.global,
-            per_server,
-            requests,
-            shards: dedup,
-        }
+        self.collector.per_server.sort_by_key(|(s, _)| *s);
+        self.collector.requests.sort_by_key(|(s, _)| *s);
     }
 
     /// Publishes a candidate through the authoritative global archive;
-    /// feeds the sink on global first sight. Main-thread only, called
-    /// in event-index order at bucket boundaries.
+    /// appends it to the feed on global first sight. Main-thread only,
+    /// called in event-index order at bucket boundaries.
     fn publish(&mut self, obs: Observation) {
-        if self.global.insert(obs.addr) {
-            self.sink.on_first_sight(obs);
+        if self.collector.global.insert(obs.addr) {
+            self.feed.push(obs);
         }
     }
 }
@@ -212,11 +175,11 @@ enum FromWorker {
 /// until the main thread hangs up, then returns its state for merging.
 fn shard_worker(
     run: &CollectionRun<'_>,
-    mut shard: Shard,
+    mut shard: AddressCollector,
     mut rps: RpsWindows,
     to_rx: Receiver<ToWorker>,
     from_tx: Sender<FromWorker>,
-) -> (Shard, RpsWindows, Registry) {
+) -> (AddressCollector, RpsWindows, Registry) {
     let mut resolver = run.world.shard_resolver();
     let mut memo = RequestMemo::new();
     let mut reg = Registry::new();
@@ -237,7 +200,6 @@ fn shard_worker(
                 let mut out = ShardOut::default();
                 for p in mine {
                     let server_id = p.server.expect("routed events have a server");
-                    debug_assert!(shard.owns(server_id));
                     // Plan: the RPS ordinal. The shard owns every event
                     // of its servers and receives them in global event
                     // order, so this matches the sequential loop.
@@ -255,15 +217,11 @@ fn shard_worker(
                     out.totals.count_reply(outcome.reply);
                     if outcome.server_saw && server.operator.collects() {
                         out.totals.observed += 1;
-                        if server.operator.is_study() && shard.record(server_id, p.addr) {
-                            out.candidates.push((
-                                p.idx,
-                                Observation {
-                                    addr: p.addr,
-                                    seen: p.t,
-                                    server: server_id,
-                                },
-                            ));
+                        if server.operator.is_study() {
+                            // A shard-local first sight is a candidate
+                            // for the global one.
+                            let first = shard.record(server_id, p.addr, p.t);
+                            out.candidates.extend(first.map(|obs| (p.idx, obs)));
                         }
                     }
                     let next = next_poll(p.t, p.interval, outcome.reply);
@@ -290,7 +248,7 @@ impl<'w> CollectionRun<'w> {
         &self,
         st: &mut EngineState,
         stop: SimTime,
-        set: &mut ShardSet,
+        set: &mut ShardSet<'_>,
         local: &mut Registry,
     ) {
         let count = set.shards.len();
@@ -298,13 +256,13 @@ impl<'w> CollectionRun<'w> {
         let horizon = self.bucket_horizon();
         let shards = std::mem::take(&mut set.shards);
 
-        let results: Vec<(Shard, RpsWindows, Registry)> = std::thread::scope(|scope| {
+        let results: Vec<(AddressCollector, RpsWindows, Registry)> = std::thread::scope(|scope| {
             let mut to_txs: Vec<Sender<ToWorker>> = Vec::with_capacity(count);
             let mut from_rxs: Vec<Receiver<FromWorker>> = Vec::with_capacity(count);
             let mut handles = Vec::with_capacity(count);
             for shard in shards {
-                let (to_tx, to_rx) = unbounded();
-                let (from_tx, from_rx) = unbounded();
+                let (to_tx, to_rx) = channel();
+                let (from_tx, from_rx) = channel();
                 // Each worker advances only its own servers' slots of a
                 // full-size window table, so indexing never remaps.
                 let rps = RpsWindows::from_parts(st.rps.windows.clone());
@@ -427,6 +385,10 @@ impl<'w> CollectionRun<'w> {
         // Merge worker state back in shard order: owned RPS slots into
         // the dense table, shards into the set, volatile registries.
         for (w, (shard, rps, reg)) in results.into_iter().enumerate() {
+            debug_assert!(
+                shard.servers().all(|s| s.0 as usize % count == w),
+                "shard {w} recorded a server it does not own"
+            );
             for (sid, slot) in rps.windows.into_iter().enumerate() {
                 if sid % count == w {
                     st.rps.windows[sid] = slot;
@@ -441,15 +403,14 @@ impl<'w> CollectionRun<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::VecSink;
     use crate::pool::Pool;
     use crate::server::{Operator, PoolServer};
     use netsim::country;
     use netsim::world::{World, WorldConfig};
 
-    /// Flattening the shard set and re-homing it keeps every shard's
-    /// dedup state: replaying the whole feed against the rebuilt set
-    /// proposes nothing new. (Feed, stats and histogram identity with
+    /// Rejoining the shard set and splitting it again keeps every
+    /// shard's dedup state: replaying the whole feed against the rebuilt
+    /// set proposes nothing new. (Feed, stats and histogram identity with
     /// the sequential loop is pinned in `run.rs`, over both loops.)
     #[test]
     fn parts_roundtrip_rehomes_state() {
@@ -466,28 +427,35 @@ mod tests {
         }
         let end = SimTime(0) + Duration::days(1);
         let run = CollectionRun::new(&world, &pool, SimTime(0), end);
-        let feed = VecSink::default();
-        let mut parts = CollectorParts::new(4);
+        let mut feed = Vec::new();
+        let mut collector = AddressCollector::with_shards(4);
         run.advance(
             &mut run.begin(),
             end,
-            &mut parts,
-            Box::new(feed.clone()),
+            &mut collector,
+            &mut feed,
             &mut Registry::new(),
         );
-        assert_eq!(parts.shards.len(), 4);
-        let feed = feed.0.lock().clone();
+        assert_eq!(collector.shards.len(), 4);
         assert!(!feed.is_empty());
+        let servers: Vec<ServerId> = collector.servers().collect();
+        assert!(servers.windows(2).all(|w| w[0] < w[1]), "{servers:?}");
 
-        let replay = VecSink::default();
-        let mut set = ShardSet::from_parts(parts, Box::new(replay.clone()));
+        let mut replay = Vec::new();
+        let mut set = ShardSet::split(&mut collector, &mut replay);
         for obs in &feed {
             set.publish(*obs);
         }
-        assert!(replay.0.lock().is_empty(), "restored dedup re-fed");
-        let parts = set.into_parts();
-        assert_eq!(parts.global.len(), feed.len());
-        let local: usize = parts.shards.iter().map(Archive::len).sum();
+        // Every shard got back the servers it owns, and only those.
+        for (w, shard) in set.shards.iter().enumerate() {
+            assert!(shard.servers().all(|s| s.0 as usize % 4 == w));
+            assert_eq!(shard.per_server.len(), shard.requests.len());
+        }
+        set.rejoin();
+        assert!(replay.is_empty(), "restored dedup re-fed");
+        assert_eq!(collector.servers().collect::<Vec<_>>(), servers);
+        assert_eq!(collector.global.len(), feed.len());
+        let local: usize = collector.shards.iter().map(|a| a.len()).sum();
         assert!(local >= feed.len(), "shard-local archives lost addresses");
     }
 }

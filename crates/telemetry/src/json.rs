@@ -1,10 +1,11 @@
 //! Canonical JSON writing and a minimal reader.
 //!
-//! The workspace's vendored `serde` is a no-op marker stub, so report
-//! serialization is hand-rolled here. The writer is *canonical*: object
-//! keys come pre-sorted (snapshots are `BTreeMap`-backed), there is no
-//! whitespace, and all numbers are unsigned integers — equal snapshots
-//! therefore serialize to byte-identical strings. The reader accepts
+//! The workspace builds offline with no serialization framework, so the
+//! one text format it emits — run reports — is written by hand here. The
+//! writer is *canonical*: object keys come pre-sorted (snapshots are
+//! `BTreeMap`-backed), there is no whitespace, and all numbers are
+//! unsigned integers — equal snapshots therefore serialize to
+//! byte-identical strings. The reader accepts
 //! exactly that dialect (plus insignificant whitespace) and is only as
 //! general as the round-trip needs.
 

@@ -7,13 +7,12 @@
 //! address, which the paper's Appendix B exploits to rank device vendors.
 
 use crate::mac::Mac;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv6Addr;
 
 /// A 64-bit EUI-64 identifier as it appears in the low 64 bits of an IPv6
 /// address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Eui64(pub u64);
 
 impl Eui64 {
@@ -95,7 +94,7 @@ pub fn extract_mac(addr: Ipv6Addr) -> Option<Mac> {
 
 /// Result of classifying an address's MAC embedding, matching the paper's
 /// Figure 4 categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacEmbedding {
     /// No `ff:fe` marker — not an EUI-64 IID.
     None,

@@ -16,12 +16,11 @@
 //! client addresses skew towards Eui64 and high entropy.
 
 use crate::entropy::nybble_entropy;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv6Addr;
 
 /// A raw 64-bit interface identifier.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Iid(pub u64);
 
 impl Iid {
@@ -59,7 +58,7 @@ pub const LOW_ENTROPY_THRESHOLD: f64 = 0.35;
 pub const HIGH_ENTROPY_THRESHOLD: f64 = 0.65;
 
 /// Structural class of an interface identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IidClass {
     /// All 64 bits zero.
     Zero,
@@ -152,7 +151,7 @@ pub fn classify_raw(iid: Iid) -> IidClass {
 
 /// A histogram of IID classes over a collection of addresses; the data
 /// behind Figure 1.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IidDistribution {
     counts: [u64; 7],
     total: u64,

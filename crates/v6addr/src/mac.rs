@@ -5,12 +5,11 @@
 //! their IPv6 address (see [`crate::eui64`]). Appendix B of the paper uses
 //! this to rank device manufacturers behind NTP-collected addresses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A 48-bit IEEE MAC address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Mac(pub [u8; 6]);
 
 impl Mac {
@@ -127,7 +126,7 @@ impl FromStr for Mac {
 }
 
 /// A 24-bit organisationally unique identifier (the vendor part of a MAC).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Oui(pub [u8; 3]);
 
 impl Oui {

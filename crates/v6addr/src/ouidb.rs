@@ -9,11 +9,10 @@
 //! the real 35k-entry database.
 
 use crate::mac::Oui;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One registry entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OuiEntry {
     /// The assigned OUI.
     pub oui: Oui,

@@ -5,7 +5,6 @@
 //! routing and AS assignment happen on allocation prefixes, and aliased
 //! regions (CDN front-ends) are whole prefixes that answer on every address.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv6Addr;
 use std::str::FromStr;
@@ -15,7 +14,7 @@ use std::str::FromStr;
 /// The host bits of the stored address are always zero; constructors
 /// canonicalise their input, so two `Prefix` values compare equal iff they
 /// denote the same network.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     bits: u128,
     len: u8,

@@ -4,7 +4,7 @@
 //! back is a typed [`StoreError`] or a usable value, never a panic,
 //! and never the loss of the previous good checkpoint.
 
-use netsim::time::Duration;
+use netsim::time::{Duration, SimTime};
 use netsim::world::World;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -218,4 +218,72 @@ fn interrupted_write_keeps_the_previous_checkpoint() {
     let back = checkpoint::read(&fx.dir).expect("reads");
     assert_eq!(back.collection.cursor, later.collection.cursor);
     assert_eq!(back.feed_prefix, later.feed_prefix);
+}
+
+/// Two things a sealed file is not taken at its word for. The
+/// collector binary-searches its per-server tables, so `read` refuses
+/// any that are not strictly ascending by server id; and every run is a
+/// session over the window its config spans, so `from_checkpoint`
+/// refuses a cursor outside it (past the end it would finish a study
+/// that skipped the rest of its collection). Each edit is made on the
+/// decoded state and written back — sealed, cursors of both shards in
+/// step — so only the check under test can object.
+#[test]
+fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
+    let fx = Fixture::new("order");
+    let world = Arc::new(World::generate(config().world));
+    type Edit<'a> = &'a dyn Fn(&mut checkpoint::CheckpointData);
+    let rewrite = |edit: Edit| {
+        let mut data = fx.read(&fx.clean).expect("clean checkpoint decodes");
+        edit(&mut data);
+        checkpoint::write(&data, &fx.dir).expect("edited checkpoint writes");
+        checkpoint::read(&fx.dir)
+    };
+    let clean = rewrite(&|_| {}).expect("an unedited rewrite decodes");
+    assert!(clean.collector.per_server.len() >= 2 && clean.collector.requests.len() >= 2);
+
+    let tables: [(&str, Edit); 3] = [
+        ("one server twice", &|d| {
+            d.collector.per_server[1].0 = d.collector.per_server[0].0;
+        }),
+        ("sets descending", &|d| d.collector.per_server.swap(0, 1)),
+        ("counts descending", &|d| d.collector.requests.swap(0, 1)),
+    ];
+    for (what, edit) in tables {
+        assert!(
+            matches!(rewrite(edit), Err(StoreError::Corrupt(_))),
+            "{what}: decoded"
+        );
+        assert!(
+            matches!(Study::resume(&fx.dir), Err(StoreError::Corrupt(_))),
+            "{what}: resumed"
+        );
+    }
+
+    let (start, end) = StudySession::from_checkpoint(clean, Arc::clone(&world))
+        .expect("the clean checkpoint restores")
+        .window();
+    for (cursor, inside) in [
+        (start, true),
+        (end, true),
+        (SimTime(start.0 - 1), false),
+        (SimTime(end.0 + 1), false),
+        (SimTime(u64::MAX), false),
+    ] {
+        let data = rewrite(&|d| d.collection.cursor = cursor).expect("any cursor decodes");
+        let restored = StudySession::from_checkpoint(data, Arc::clone(&world));
+        match restored {
+            Ok(session) => assert!(inside && session.cursor() == cursor, "{cursor} restored"),
+            Err(e) => assert!(
+                !inside && matches!(e, StoreError::Corrupt(_)),
+                "{cursor}: {e}"
+            ),
+        }
+        if !inside {
+            assert!(matches!(
+                Study::resume(&fx.dir),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+    }
 }

@@ -10,8 +10,7 @@
 use netsim::country::COLLECTOR_LOCATIONS;
 use netsim::time::{Duration, SimTime};
 use netsim::world::{World, WorldConfig};
-use ntppool::collector::VecSink;
-use ntppool::{AddressCollector, CollectionRun, CollectorParts, Operator, Pool, PoolServer};
+use ntppool::{AddressCollector, CollectionRun, Operator, Pool, PoolServer};
 use telemetry::Registry;
 
 /// Study servers only, each shedding load above one request a second.
@@ -38,10 +37,9 @@ fn sliced_advance_equals_run_under_kod() {
     let run = CollectionRun::new(&world, &pool, SimTime(0), end);
 
     // Reference: the closure consumer recording into a flat collector.
-    let base_feed = VecSink::default();
-    let mut flat = AddressCollector::with_sink(Box::new(base_feed.clone()));
-    let base_stats = run.run(|s, a, t| flat.record(s, a, t));
-    let base_feed = base_feed.0.lock().clone();
+    let mut flat = AddressCollector::new();
+    let mut base_feed = Vec::new();
+    let base_stats = run.run(|s, a, t| base_feed.extend(flat.record(s, a, t)));
     assert!(base_stats.kod > 0, "the pool sheds no load");
     assert!(!base_feed.is_empty());
     // `run` keeps no registry; the reference histogram is one `advance`
@@ -51,8 +49,8 @@ fn sliced_advance_equals_run_under_kod() {
     run.advance(
         &mut whole,
         end,
-        &mut CollectorParts::new(1),
-        Box::new(VecSink::default()),
+        &mut AddressCollector::new(),
+        &mut Vec::new(),
         &mut Registry::new(),
     );
     assert_eq!(whole.finish(&mut base_reg), base_stats);
@@ -70,22 +68,22 @@ fn sliced_advance_equals_run_under_kod() {
         end + Duration::days(1),
     ];
     for shards in [1usize, 2] {
-        let feed = VecSink::default();
-        let mut parts = CollectorParts::new(shards);
+        let mut feed = Vec::new();
+        let mut collector = AddressCollector::with_shards(shards);
         let mut ckpt = run.begin();
         for stop in stops {
             run.advance(
                 &mut ckpt,
                 stop,
-                &mut parts,
-                Box::new(feed.clone()),
+                &mut collector,
+                &mut feed,
                 &mut Registry::new(),
             );
         }
         assert_eq!(ckpt.cursor, end, "{shards} shards");
         let mut reg = Registry::new();
         assert_eq!(ckpt.finish(&mut reg), base_stats, "{shards} shards");
-        assert_eq!(*feed.0.lock(), base_feed, "{shards} shards");
+        assert_eq!(feed, base_feed, "{shards} shards");
         assert_eq!(
             reg.snapshot().deterministic(),
             base_reg.snapshot().deterministic(),
@@ -111,15 +109,15 @@ fn zero_length_advance_keeps_pending_order() {
     );
     for shards in [1usize, 2] {
         let mut ckpt = begun.clone();
-        let feed = VecSink::default();
+        let mut feed = Vec::new();
         run.advance(
             &mut ckpt,
             SimTime(0),
-            &mut CollectorParts::new(shards),
-            Box::new(feed.clone()),
+            &mut AddressCollector::with_shards(shards),
+            &mut feed,
             &mut Registry::new(),
         );
         assert_eq!(ckpt, begun, "{shards} shards");
-        assert!(feed.0.lock().is_empty(), "{shards} shards");
+        assert!(feed.is_empty(), "{shards} shards");
     }
 }

@@ -76,7 +76,9 @@ fn collected_addresses_trace_back_to_pool_clients() {
     });
     let run = CollectionRun::new(&world, &pool, SimTime(0), SimTime(86_400));
     let mut collector = AddressCollector::new();
-    run.run(|s, a, t| collector.record(s, a, t));
+    run.run(|s, a, t| {
+        collector.record(s, a, t);
+    });
     assert!(collector.global().len() > 50);
     // Every collected address resolves to a pool-client device at some
     // point within the window.

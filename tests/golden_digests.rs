@@ -11,8 +11,10 @@
 //! `BLESS=1 cargo test --test golden_digests` rewrites the file; a PR
 //! that does so says why in CHANGES.md.
 
+use netsim::time::Duration;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+use store::codec::fnv1a;
 use telemetry::json::{self, Json};
 use timetoscan::{FaultProfile, Study, StudyConfig, StudyDigest};
 
@@ -32,7 +34,7 @@ fn load() -> Goldens {
     let halves = |v: &Json| {
         let obj = v.as_obj().expect("a golden is an object");
         obj.iter()
-            .map(|(k, v)| (k.clone(), v.as_str().expect("hex string").to_owned()))
+            .map(|(k, v)| (k.clone(), v.as_str().expect("a string").to_owned()))
             .collect()
     };
     let obj = doc.as_obj().expect("the golden file is an object");
@@ -65,16 +67,9 @@ fn halves_of(d: StudyDigest) -> BTreeMap<String, String> {
     .collect()
 }
 
-/// Runs `config` once per shard count and holds every run to the one
-/// golden under `key`.
-fn assert_golden(key: &str, config: StudyConfig, shard_counts: &[usize]) {
-    let runs: Vec<(usize, BTreeMap<String, String>)> = shard_counts
-        .iter()
-        .map(|&shards| {
-            let study = Study::run(config.clone().with_collection_shards(shards));
-            (shards, halves_of(study.digest()))
-        })
-        .collect();
+/// Holds every `(label, value)` in `runs` to the one golden under `key`
+/// (`BLESS=1` first replaces that golden with the first run's value).
+fn check_golden(key: &str, runs: &[(String, BTreeMap<String, String>)]) {
     let _guard = GOLDEN_FILE.lock().unwrap();
     let mut goldens = load();
     if std::env::var_os("BLESS").is_some() {
@@ -84,16 +79,26 @@ fn assert_golden(key: &str, config: StudyConfig, shard_counts: &[usize]) {
     let want = goldens
         .get(key)
         .unwrap_or_else(|| panic!("no golden for {key}; run with BLESS=1"));
-    for (shards, got) in &runs {
-        let moved: Vec<&str> = ["report", "tables"]
-            .into_iter()
-            .filter(|half| got[*half] != want[*half])
-            .collect();
+    for (label, got) in runs {
+        let moved: Vec<&String> = got.keys().filter(|k| got.get(*k) != want.get(*k)).collect();
         assert!(
             got == want,
-            "{key} at {shards} shard(s): {moved:?} moved\n got {got:?}\nwant {want:?}"
+            "{key} at {label}: {moved:?} moved\n got {got:?}\nwant {want:?}"
         );
     }
+}
+
+/// Runs `config` once per shard count and holds every run to the one
+/// golden under `key`.
+fn assert_golden(key: &str, config: StudyConfig, shard_counts: &[usize]) {
+    let runs: Vec<(String, BTreeMap<String, String>)> = shard_counts
+        .iter()
+        .map(|&shards| {
+            let study = Study::run(config.clone().with_collection_shards(shards));
+            (format!("{shards} shard(s)"), halves_of(study.digest()))
+        })
+        .collect();
+    check_golden(key, &runs);
 }
 
 #[test]
@@ -110,4 +115,32 @@ fn tiny_lossy_matches_its_golden_at_1_and_4_shards() {
 #[test]
 fn small_matches_its_golden() {
     assert_golden("small/42/ideal", StudyConfig::small(42), &[1]);
+}
+
+/// The checkpoint file is a format other builds must read back, so its
+/// bytes are pinned too: length and FNV-1a of the `study.ckpt` a
+/// three-day `tiny` prefix writes, per shard count (the shard section
+/// differs). Captured at e66004c, before the collector and the session
+/// were reshaped; a layout change re-blesses these together with a
+/// `checkpoint::VERSION` bump, never on its own.
+#[test]
+fn tiny_checkpoint_bytes_match_their_goldens_at_1_2_and_4_shards() {
+    for shards in [1usize, 2, 4] {
+        let dir = std::env::temp_dir().join(format!("golden-ckpt-{shards}-{}", std::process::id()));
+        let config = StudyConfig::tiny(23).with_collection_shards(shards);
+        let path = Study::checkpoint(config, Duration::days(3), &dir).expect("checkpoint writes");
+        let bytes = std::fs::read(path).expect("checkpoint reads");
+        std::fs::remove_dir_all(&dir).ok();
+        let got = [
+            ("bytes", bytes.len().to_string()),
+            ("fnv1a", format!("{:016x}", fnv1a(&bytes))),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_owned(), v))
+        .collect();
+        check_golden(
+            &format!("ckpt/tiny/23/3d/{shards}"),
+            &[("the written file".to_owned(), got)],
+        );
+    }
 }

@@ -24,7 +24,7 @@
 //!
 //! Every emission is a pure function of construction inputs and the
 //! tick clock — no wall-clock, no global RNG — so an ecosystem run is
-//! bit-identical across shard counts and worker counts.
+//! bit-identical at any service worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,7 +46,7 @@ impl TickCtx<'_> {
 /// A per-tick scanner state machine. The ecosystem driver calls
 /// [`Machine::tick`] once per simulated tick, in fixed machine order, so
 /// every emission is a pure function of `(construction inputs, tick
-/// clock)` — deterministic at any shard/worker count.
+/// clock)` — deterministic at any worker count.
 pub trait Machine {
     /// The archetype's canonical attribution label (ground truth).
     fn label(&self) -> &'static str;

@@ -10,25 +10,20 @@
 //!   events in pop order, per-server RPS windows, outcome counters, and
 //!   the KoD-backoff histogram;
 //! * the [`AddressCollector`] itself — the global [`store::Archive`]
-//!   and per-server dedup sets, serialized as compact segments (its
-//!   shard-local archives go into the shard section below);
+//!   and per-server dedup sets, serialized as compact segments;
 //! * the first-sight feed so far, which the rest of the window is
 //!   appended to and the scanner replays whole;
 //! * the instrumented transport's [`TransportTotals`], exported next to
-//!   the post-resume remainder so `transport_*` metrics add up exactly;
-//! * one cursor and one shard-local dedup archive per engine shard when
-//!   the run used the prefix-sharded engine (`collection_shards ≥ 2`);
-//!   none for a flat run.
+//!   the post-resume remainder so `transport_*` metrics add up exactly.
 //!
 //! [`write()`] replaces the file atomically (scratch file, then rename),
 //! so an interrupted write never costs the previous checkpoint.
 //!
-//! There is one format version (7); a file with any other number fails
+//! There is one format version (8); a file with any other number fails
 //! with the typed [`StoreError::BadVersion`] (nothing outside this
-//! repository ever wrote an older one). A file whose shard section
-//! disagrees with the shard count in its own config fails with the
-//! typed [`StoreError::ShardMismatch`] — resuming it would silently
-//! re-home dedup state onto the wrong shards. Per-server tables whose
+//! repository ever wrote an older one). Nothing in the file describes
+//! how the run was executed, so any build that reads the version can
+//! resume it. Per-server tables whose
 //! server ids are not strictly ascending are [`StoreError::Corrupt`]:
 //! the collector binary-searches them. What a file cannot be checked
 //! against by itself — the pool and world its engine state indexes
@@ -64,7 +59,7 @@ const CHECKPOINT_TMP: &str = "study.ckpt.tmp";
 
 const MAGIC: &[u8; 8] = b"TTSCKPT\0";
 /// The one format version this build reads and writes.
-const VERSION: u16 = 7;
+const VERSION: u16 = 8;
 
 /// Longest collection window a checkpoint may name (a century; the
 /// paper's is four weeks). [`crate::study::study_start`] places the
@@ -81,8 +76,7 @@ pub struct CheckpointData {
     pub config: StudyConfig,
     /// The collection engine's frozen state.
     pub collection: CollectionCheckpoint,
-    /// The collector: global archive, per-server sets, and one
-    /// shard-local archive per engine shard (none when flat).
+    /// The collector: global archive and per-server sets.
     pub collector: AddressCollector,
     /// First-sight observations emitted before the stop, in feed order.
     pub feed_prefix: Vec<Observation>,
@@ -110,15 +104,6 @@ pub fn write(data: &CheckpointData, dir: &Path) -> Result<PathBuf, StoreError> {
         w.put_u32(obs.server.0);
     }
     put_transport(&mut w, &data.transport);
-    // The bucket-synchronous merge stops every shard at the same
-    // boundary, so each shard's cursor is the collection cursor; it is
-    // stored per shard so the reader can refuse a file whose halves
-    // were stitched from different instants.
-    w.put_u64(data.collector.shards.len() as u64);
-    for dedup in &data.collector.shards {
-        w.put_u64(data.collection.cursor.0);
-        w.put_bytes(&segment::encode(&dedup.to_compact()));
-    }
     w.seal();
     std::fs::create_dir_all(dir)?;
     let path = dir.join(CHECKPOINT_FILE);
@@ -147,7 +132,7 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
     }
     let config = read_config(&mut r)?;
     let collection = read_collection(&mut r)?;
-    let mut collector = read_collector(&mut r)?;
+    let collector = read_collector(&mut r)?;
     let n = r.u64()?;
     let mut feed_prefix = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
@@ -158,37 +143,8 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
         });
     }
     let transport = read_transport(&mut r)?;
-    let n = r.u64()?;
-    collector.shards.reserve(n.min(1 << 10) as usize);
-    let mut cursors_agree = true;
-    for _ in 0..n {
-        cursors_agree &= SimTime(r.u64()?) == collection.cursor;
-        let dedup = segment::decode(r.bytes()?)?;
-        collector.shards.push(Archive::from_segments(
-            vec![dedup],
-            store::archive::DEFAULT_MEMTABLE_CAP,
-        ));
-    }
     if !r.is_done() {
         return Err(StoreError::Corrupt("trailing bytes after checkpoint"));
-    }
-    // A sharded run writes one shard state per configured shard; a flat
-    // run writes none. Anything else means the file's halves disagree.
-    let expected = if config.collection_shards > 1 {
-        config.collection_shards
-    } else {
-        0
-    };
-    if collector.shards.len() != expected {
-        return Err(StoreError::ShardMismatch {
-            expected: config.collection_shards.min(u32::MAX as usize) as u32,
-            found: collector.shards.len().min(u32::MAX as usize) as u32,
-        });
-    }
-    if !cursors_agree {
-        return Err(StoreError::Corrupt(
-            "shard cursor disagrees with collection cursor",
-        ));
     }
     Ok(CheckpointData {
         config,
@@ -218,7 +174,6 @@ fn put_config(w: &mut Writer, cfg: &StudyConfig) {
     w.put_u64(cfg.target_rps.to_bits());
     w.put_u32(cfg.rl_samples);
     w.put_u8(u8::from(cfg.telescope));
-    w.put_u64(cfg.collection_shards as u64);
     w.put_u8(match cfg.fault {
         FaultProfile::Ideal => 0,
         FaultProfile::Lossy1Pct => 1,
@@ -262,8 +217,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<StudyConfig, StoreError> {
         target_rps: f64::from_bits(r.u64()?),
         rl_samples: r.u32()?,
         telescope: r.u8()? != 0,
-        collection_shards: usize::try_from(r.u64()?)
-            .map_err(|_| StoreError::Corrupt("shard count exceeds usize"))?,
         fault: match r.u8()? {
             0 => FaultProfile::Ideal,
             1 => FaultProfile::Lossy1Pct,
@@ -377,7 +330,6 @@ fn read_collector(r: &mut Reader<'_>) -> Result<AddressCollector, StoreError> {
         global,
         per_server,
         requests,
-        shards: Vec::new(),
     })
 }
 
@@ -490,30 +442,6 @@ mod tests {
         w.into_bytes()
     }
 
-    /// `sample()` reshaped into a 4-shard run: the config asks for four
-    /// shards and the global dedup state is scattered across four
-    /// shard-local archives keyed by `addr % 4` (any partition works —
-    /// the format doesn't care how addresses were assigned).
-    fn sharded_sample() -> CheckpointData {
-        let mut data = sample();
-        data.config = data.config.with_collection_shards(4);
-        let mut locals = vec![Vec::new(); 4];
-        for a in data.collector.global.iter() {
-            locals[(u128::from(a) % 4) as usize].push(a);
-        }
-        data.collector.shards = locals
-            .into_iter()
-            .map(|addrs| {
-                let mut dedup = Archive::new();
-                for a in addrs {
-                    dedup.insert(a);
-                }
-                dedup
-            })
-            .collect();
-        data
-    }
-
     #[test]
     fn roundtrip_preserves_every_field() {
         let dir = std::env::temp_dir().join(format!("ckpt-rt-{}", std::process::id()));
@@ -543,31 +471,13 @@ mod tests {
             assert_eq!(seta.overlap(setb), seta.len());
         }
         assert_eq!(back.collector.requests, data.collector.requests);
-        assert!(back.collector.shards.is_empty());
         assert_eq!(back.feed_prefix, data.feed_prefix);
         assert_eq!(back.transport, data.transport);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn sharded_roundtrip_preserves_per_shard_state() {
-        let dir = std::env::temp_dir().join(format!("ckpt-shard-rt-{}", std::process::id()));
-        let data = sharded_sample();
-        write(&data, &dir).unwrap();
-        let back = read(&dir).unwrap();
-        assert_eq!(back.config, data.config);
-        assert_eq!(back.collector.shards.len(), 4);
-        for (a, b) in data.collector.shards.iter().zip(&back.collector.shards) {
-            assert_eq!(a.to_compact(), b.to_compact());
-        }
-        // The shard-local archives partition the global one.
-        let total: usize = back.collector.shards.iter().map(Archive::len).sum();
-        assert_eq!(total, back.collector.global.len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// One format: the header of every version this repository ever
-    /// wrote before (1–6), of none (0) and of the next (8) is refused
+    /// wrote before (1–7), of none (0) and of the next (9) is refused
     /// with the typed error, on an otherwise valid, sealed file.
     #[test]
     fn any_other_version_is_a_typed_error() {
@@ -576,7 +486,7 @@ mod tests {
         let clean = std::fs::read(&path).unwrap();
         let payload = &clean[..clean.len() - 8];
         assert_eq!(payload[MAGIC.len()..][..2], VERSION.to_le_bytes());
-        for version in [0u16, 1, 2, 3, 4, 5, 6, 8] {
+        for version in [0u16, 1, 2, 3, 4, 5, 6, 7, 9] {
             let mut bad = payload.to_vec();
             bad[MAGIC.len()..][..2].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, resealed(&bad)).unwrap();
@@ -618,52 +528,6 @@ mod tests {
         data.config.collection = MAX_COLLECTION;
         write(&data, &dir).unwrap();
         assert_eq!(read(&dir).unwrap().config, data.config);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_count_mismatch_is_a_typed_error_never_a_panic() {
-        let dir = std::env::temp_dir().join(format!("ckpt-shard-mm-{}", std::process::id()));
-
-        // Config says 4 shards but only 2 shard states were written.
-        let mut data = sharded_sample();
-        data.collector.shards.truncate(2);
-        write(&data, &dir).unwrap();
-        assert!(matches!(
-            read(&dir),
-            Err(StoreError::ShardMismatch {
-                expected: 4,
-                found: 2
-            })
-        ));
-
-        // Config says flat but a shard section is present.
-        let mut data = sharded_sample();
-        data.config.collection_shards = 1;
-        write(&data, &dir).unwrap();
-        assert!(matches!(
-            read(&dir),
-            Err(StoreError::ShardMismatch {
-                expected: 1,
-                found: 4
-            })
-        ));
-
-        // A shard whose cursor drifted from the collection cursor is
-        // corrupt: the bucket-synchronous engine stops all shards at
-        // the same boundary. The writer cannot produce one, so patch the
-        // last shard's cursor (it sits in front of its length-prefixed
-        // segment, the final field of the payload) and seal again.
-        let data = sharded_sample();
-        let path = write(&data, &dir).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        let mut bad = clean[..clean.len() - 8].to_vec();
-        let segment = segment::encode(&data.collector.shards[3].to_compact()).len();
-        let at = bad.len() - segment - 16;
-        assert_eq!(bad[at..][..8], data.collection.cursor.0.to_le_bytes());
-        bad[at..][..8].copy_from_slice(&(data.collection.cursor.0 + 1).to_le_bytes());
-        std::fs::write(&path, resealed(&bad)).unwrap();
-        assert!(matches!(read(&dir), Err(StoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

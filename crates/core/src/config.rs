@@ -25,16 +25,6 @@ pub struct StudyConfig {
     pub rl_samples: u32,
     /// Run the telescope + actor experiment.
     pub telescope: bool,
-    /// Shards of the collection engine. `1` (the default) runs the
-    /// inline single-threaded poll loop over a flat collector; ≥ 2
-    /// partitions the pool by dense server id across that many
-    /// persistent worker threads, each owning its shard's RPS windows,
-    /// dedup archive, and counters. Any value produces
-    /// **bit-identical** results — feed order, stats, and the
-    /// deterministic run report (enforced by
-    /// `tests/shard_equivalence.rs`); the knob only changes wall-clock
-    /// time.
-    pub collection_shards: usize,
     /// Network fault model every byte exchange crosses. The default
     /// [`FaultProfile::Ideal`] is bit-identical to direct calls; the
     /// presets degrade the path for robustness experiments.
@@ -57,7 +47,6 @@ impl StudyConfig {
             target_rps,
             rl_samples,
             telescope: true,
-            collection_shards: 1,
             fault: FaultProfile::default(),
             actors: ActorRoster::BASELINE,
         }
@@ -109,11 +98,10 @@ impl StudyConfig {
         self
     }
 
-    /// The same config with the collection run partitioned over
-    /// `shards` engine shards (clamped to ≥ 1; 1 keeps the flat
-    /// collector).
-    pub fn with_collection_shards(mut self, shards: usize) -> StudyConfig {
-        self.collection_shards = shards.max(1);
+    /// The config unchanged, under the signature the frozen benchmark
+    /// calls. The argument is ignored: there is one collection loop,
+    /// and the sharded one this used to select never measured faster.
+    pub fn with_collection_shards(self, _shards: usize) -> StudyConfig {
         self
     }
 
@@ -150,25 +138,12 @@ mod tests {
         assert_eq!(lossy.fault, FaultProfile::Lossy1Pct);
         // Everything but the fault profile is untouched.
         assert_eq!(lossy.collection, StudyConfig::tiny(1).collection);
-        assert_eq!(lossy.collection_shards, 1);
     }
 
     #[test]
-    fn collection_shards_default_and_builder() {
-        assert_eq!(StudyConfig::tiny(1).collection_shards, 1);
-        assert_eq!(StudyConfig::paper_milli(1).collection_shards, 1);
-        let sharded = StudyConfig::tiny(1).with_collection_shards(4);
-        assert_eq!(sharded.collection_shards, 4);
-        // Zero clamps to the flat collector.
-        assert_eq!(
-            StudyConfig::tiny(1)
-                .with_collection_shards(0)
-                .collection_shards,
-            1
-        );
-        // Everything but the shard knob is untouched.
-        assert_eq!(sharded.collection, StudyConfig::tiny(1).collection);
-        assert_eq!(sharded.fault, StudyConfig::tiny(1).fault);
+    fn with_collection_shards_changes_nothing() {
+        let cfg = StudyConfig::tiny(1);
+        assert_eq!(cfg.clone().with_collection_shards(4), cfg);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! plus the derived-layer memoization tally.
 //!
 //! Only the *deterministic* snapshot is rendered, so this section — like
-//! every other experiment — is byte-identical across shard counts.
+//! every other experiment — is byte-identical across runs of one config.
 
 use crate::report::{fmt_int, TextTable};
 use crate::Derived;

@@ -11,7 +11,7 @@
 //!
 //! The session holds exactly one [`CheckpointData`] — the engine's
 //! [`CollectionCheckpoint`](ntppool::CollectionCheckpoint), the
-//! collector (shard archives included), the feed so far and the
+//! collector, the feed so far and the
 //! accumulated transport totals — so suspending one
 //! ([`StudySession::suspend`]) *is* cloning a checkpoint. Next to it
 //! sits what every session rebuilds from the config instead of
@@ -48,7 +48,7 @@ use netsim::{Asn, BgpEvent, BgpFeed, DeviceId, Instrumented, TransportTotals};
 use ntppool::{AddressCollector, CollectionRun, Observation, ServerId};
 use scanner::{BatchScan, RealTimeScanner, ScanPolicy};
 use std::sync::Arc;
-use store::{Archive, StoreError};
+use store::StoreError;
 use telemetry::{Registry, SpanTimer};
 use telescope::{match_captures, Vantage};
 use v6addr::{OuiDb, Prefix};
@@ -71,10 +71,6 @@ pub struct StudySession {
     transport: Box<dyn Transport>,
     start: SimTime,
     end: SimTime,
-    /// The sharded loop's volatile shape metrics over the slices this
-    /// session ran. Not persisted: they describe host-side scheduling
-    /// and are excluded from [`Study::run_report`].
-    shape: Registry,
 }
 
 impl StudySession {
@@ -93,7 +89,7 @@ impl StudySession {
         let run = CollectionRun::new(&world, &setup.pool, start, start + config.collection);
         let data = CheckpointData {
             collection: run.begin(),
-            collector: AddressCollector::with_shards(config.collection_shards),
+            collector: AddressCollector::new(),
             feed_prefix: Vec::new(),
             transport: TransportTotals::zero(),
             config,
@@ -142,7 +138,6 @@ impl StudySession {
             data,
             world,
             setup,
-            shape: Registry::new(),
         }
     }
 
@@ -167,7 +162,6 @@ impl StudySession {
             stop,
             &mut self.data.collector,
             &mut self.data.feed_prefix,
-            &mut self.shape,
         );
         self.data.transport.merge(&coll_stats.totals());
         self.done()
@@ -227,12 +221,11 @@ impl StudySession {
             transport,
             start,
             end,
-            shape: mut coll_reg,
         } = self;
         let CheckpointData {
             config,
             collection,
-            mut collector,
+            collector,
             feed_prefix: feed,
             transport: coll_transport,
         } = data;
@@ -242,10 +235,6 @@ impl StudySession {
             tuning,
             actors,
         } = setup;
-        // The shard-local filters are engine state; a finished study
-        // has no use for them.
-        collector.shards = Vec::new();
-
         // Study-level metrics: stage spans (simulated time), the feed
         // count, set sizes. Stage-internal metrics are recorded into
         // per-stage registries and merged with a `stage` label.
@@ -273,6 +262,7 @@ impl StudySession {
         // The first deterministic accounting of the stage: totals and
         // transport counters summed over every slice, persisted ones
         // included, equal a single-slice run's.
+        let mut coll_reg = Registry::new();
         let run_stats = collection.finish(&mut coll_reg);
         collector.export_into(&mut coll_reg);
         coll_transport.export_into(&mut coll_reg);
@@ -420,28 +410,24 @@ impl StudySession {
         }
     }
 
-    /// Background maintenance between slices: compacts any dedup
-    /// archive (the collector's global archive and each shard's) that
-    /// has fragmented past `max_segments` sealed segments into a single
-    /// merged segment ([`Archive::optimize`]). Membership is untouched —
-    /// only layout changes — so observables stay bit-identical; the
-    /// payoff is fewer segments to probe per lookup and a smaller
-    /// resident footprint. Returns the number of archives compacted.
+    /// Background maintenance between slices: compacts the collector's
+    /// dedup archive into a single merged segment
+    /// ([`store::Archive::optimize`]) once it has fragmented past
+    /// `max_segments` sealed segments. Membership is untouched — only
+    /// layout changes — so observables stay bit-identical; the payoff
+    /// is fewer segments to probe per lookup and a smaller resident
+    /// footprint. Returns the number of archives compacted (0 or 1).
     pub fn maintain(&mut self, max_segments: usize) -> u32 {
-        let mut compacted = 0;
-        let AddressCollector { global, shards, .. } = &mut self.data.collector;
-        let archives = std::iter::once(global).chain(shards);
-        for archive in archives {
-            if archive.segments().len() > max_segments {
-                archive.optimize();
-                compacted += 1;
-            }
+        let global = &mut self.data.collector.global;
+        if global.segments().len() <= max_segments {
+            return 0;
         }
-        compacted
+        global.optimize();
+        1
     }
 
     /// Approximate heap bytes of the session's *marginal* state — the
-    /// dedup archives, pending events, RPS windows, and buffered feed
+    /// dedup archive, pending events, RPS windows, and buffered feed
     /// this study adds on top of the shared world snapshot (which is
     /// deliberately excluded: it is counted once, not per study).
     pub fn resident_bytes(&self) -> usize {
@@ -458,11 +444,10 @@ impl StudySession {
                 .map(|(_, set)| set.len() * HASH_SLOT_BYTES)
                 .sum::<usize>()
             + collector.requests.len() * std::mem::size_of::<(ServerId, u64)>();
-        let shards: usize = collector.shards.iter().map(Archive::heap_bytes).sum();
         let engine = collection.pending.len() * std::mem::size_of::<(SimTime, DeviceId, u64)>()
             + collection.rps.len() * std::mem::size_of::<Option<(u64, u64)>>();
         let feed = feed_prefix.len() * std::mem::size_of::<Observation>();
-        tables + shards + engine + feed
+        tables + engine + feed
     }
 }
 
@@ -500,7 +485,7 @@ mod tests {
         Arc::new(World::generate(config.world.clone()))
     }
 
-    /// Slicing the collection window (uneven slices, flat engine) and
+    /// Slicing the collection window (uneven slices) and
     /// finishing produces the run report of `Study::run`, which is the
     /// same session advanced once.
     #[test]
@@ -530,11 +515,10 @@ mod tests {
 
     /// A session suspended mid-window restores bit-identically — both
     /// in memory (`from_checkpoint`) and through the on-disk checkpoint
-    /// file (`Study::resume`) — under the sharded engine.
+    /// file (`Study::resume`).
     #[test]
     fn suspend_and_restore_mid_window_is_bit_identical() {
-        let mut cfg = StudyConfig::tiny(22);
-        cfg.collection_shards = 2;
+        let cfg = StudyConfig::tiny(22);
         let world = shared_world(&cfg);
         let baseline = Study::run(cfg.clone());
 
@@ -559,24 +543,9 @@ mod tests {
         restored.advance(Duration::days(1));
         let study = restored.finish();
         assert_eq!(study.feed, baseline.feed);
-        let report = study.run_report().to_json();
-        assert_eq!(report, baseline.run_report().to_json());
-
-        // The sharded loop's shape metrics of the restored session's two
-        // slices ride along into the study, as `Study::run` keeps them —
-        // volatile, so the report leaves them out.
-        for name in [
-            "ntp_collection_buckets",
-            "ntp_bucket_events",
-            "ntp_collection_shards",
-            "ntp_shard_events",
-            "ntp_shard_candidates",
-        ] {
-            for (run, study) in [("sliced", &study), ("single-slice", &baseline)] {
-                let mut entries = study.telemetry.iter().filter(|(k, _)| k.name == name);
-                assert!(entries.any(|(_, e)| e.volatile), "{run}: no {name}");
-            }
-            assert!(!report.contains(name), "{name} leaked into the report");
-        }
+        assert_eq!(
+            study.run_report().to_json(),
+            baseline.run_report().to_json()
+        );
     }
 }

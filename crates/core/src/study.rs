@@ -82,9 +82,8 @@ pub struct Study {
     pub oui_db: OuiDb,
     /// Telemetry from the whole run: every stage's metrics, stamped with
     /// a `stage` label. Deterministic entries are bit-identical for
-    /// equal configs at any shard count; volatile ones (the sharded
-    /// engine's shape metrics, memo hit counts) are excluded from
-    /// [`Study::run_report`].
+    /// equal configs; volatile ones (memo hit counts) are excluded
+    /// from [`Study::run_report`].
     pub telemetry: Snapshot,
     /// Study-scoped memo cells for the derived compact sets — shared by
     /// every [`Study::derived`] wrapper, seedable by a serving layer
@@ -248,8 +247,8 @@ impl Study {
     /// The canonical deterministic run report: the study's metadata plus
     /// every *deterministic* metric, serializing to canonical JSON.
     ///
-    /// Byte-identical for equal configs regardless of the collection
-    /// shard count — which is why the metadata deliberately excludes it.
+    /// Byte-identical for equal configs, however the run was sliced,
+    /// suspended or scheduled.
     pub fn run_report(&self) -> RunReport {
         let seed = self.config.world.seed.to_string();
         let days = (self.config.collection.as_secs() / 86_400).to_string();
@@ -266,7 +265,7 @@ impl Study {
     }
 
     /// Digests the run report and every rendered table. Equal configs
-    /// digest equally at any shard count; the halves are also digested
+    /// digest equally; the halves are also digested
     /// on their own so a mismatch names which one moved
     /// (`tests/golden_digests.rs` pins them).
     pub fn digest(&self) -> StudyDigest {

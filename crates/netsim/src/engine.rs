@@ -130,8 +130,8 @@ impl<E> EventQueue<E> {
 
     /// Schedules a batch of `(at, event)` pairs in iteration order —
     /// equivalent to calling [`schedule`](EventQueue::schedule) per pair
-    /// (same sequence numbers, same FIFO ties), but lets the sharded
-    /// collection loop push one bucket's reschedules in a single call.
+    /// (same sequence numbers, same FIFO ties): how a run queues every
+    /// client's first poll and re-queues a checkpoint's pending events.
     pub fn schedule_batch(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
         for (at, event) in events {
             self.schedule(at, event);
@@ -144,21 +144,6 @@ impl<E> EventQueue<E> {
         let entry = self.due.pop()?;
         self.len -= 1;
         Some((entry.at, entry.event))
-    }
-
-    /// Pops every event strictly before `horizon` into `out` (appended in
-    /// exact pop order: time, then insertion sequence) and returns how
-    /// many were drained. This is the batch primitive of the sharded
-    /// collection loop: the caller picks a horizon no event inside the
-    /// bucket can schedule into, drains the bucket, fans the expensive
-    /// work out, and re-schedules the follow-ups via
-    /// [`schedule_batch`](EventQueue::schedule_batch).
-    pub fn pop_bucket(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let before = out.len();
-        while self.peek_time().is_some_and(|t| t < horizon) {
-            out.push(self.pop().expect("peeked event present"));
-        }
-        out.len() - before
     }
 
     /// Timestamp of the earliest pending event. Takes `&mut self`
@@ -252,31 +237,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
-    }
-
-    #[test]
-    fn pop_bucket_drains_in_pop_order_and_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(12), "late");
-        q.schedule(SimTime(3), "a");
-        q.schedule(SimTime(3), "b");
-        q.schedule(SimTime(7), "c");
-        q.schedule(SimTime(10), "boundary");
-        let mut bucket = Vec::new();
-        // Horizon is exclusive: the event *at* the horizon stays queued.
-        let n = q.pop_bucket(SimTime(10), &mut bucket);
-        assert_eq!(n, 3);
-        assert_eq!(
-            bucket,
-            vec![(SimTime(3), "a"), (SimTime(3), "b"), (SimTime(7), "c")]
-        );
-        assert_eq!(q.len(), 2);
-        // Draining appends; counts are per call.
-        let n = q.pop_bucket(SimTime(100), &mut bucket);
-        assert_eq!(n, 2);
-        assert_eq!(bucket.len(), 5);
-        assert!(q.is_empty());
-        assert_eq!(q.pop_bucket(SimTime(1_000), &mut bucket), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! behaviour.
 //!
 //! The stats sink is an `Arc` of relaxed atomics shared across
-//! [`Transport::clone_box`], so parallel shards cloning the transport
+//! [`Transport::clone_box`], so threads cloning the transport
 //! all account into the same totals — and because every atomic op is
 //! commutative (add / min / max), those totals are identical to a
 //! sequential run's. Exchange *outcomes* themselves are decided by the
@@ -176,7 +176,7 @@ pub struct Instrumented {
 
 impl Instrumented {
     /// Wraps `inner`, returning the wrapper and the shared stats handle
-    /// (which survives `clone_box`, so per-shard clones share it).
+    /// (which survives `clone_box`, so clones share it).
     pub fn new(inner: Box<dyn Transport>) -> (Instrumented, Arc<TransportStats>) {
         let stats = Arc::new(TransportStats::new());
         (

@@ -16,9 +16,10 @@
 //!   unchanged.
 //! * [`Faulty`] — loss, latency jitter, and truncation derived from a
 //!   **seeded stateless hash** of `(src, dst, port, attempt)`. No
-//!   internal state means fault decisions are order-independent: flat
-//!   and sharded collection stay bit-identical even under faults, and
-//!   repeated runs reproduce the same packet fates.
+//!   internal state means fault decisions are order-independent:
+//!   sliced, resumed and uninterrupted collection stay bit-identical
+//!   even under faults, and repeated runs reproduce the same packet
+//!   fates.
 //!
 //! A forward-lost probe never reaches the responder — a collecting NTP
 //! server cannot record a client whose packet was dropped — while a

@@ -35,7 +35,6 @@
 use crate::device::{Attachment, Device, DeviceId, DeviceMeta, NtpClientCfg};
 use crate::procgen::{
     Layout, HOUSEHOLD_STRIDE, MAX_ASES_PER_TYPE, MAX_HOUSEHOLDS_PER_AS, MAX_STATIC_PER_AS,
-    POLL_INTERVAL, SNTP_POLL_INTERVAL,
 };
 use crate::services::ServiceSet;
 use crate::time::{Duration, SimTime};
@@ -412,18 +411,6 @@ impl World {
         self.layout.client_count_estimate()
     }
 
-    /// The minimum poll interval over every pool client — the collection
-    /// engine's bucket horizon, O(1) by construction: clients use the
-    /// uniform daemon interval, except fixed-interval SNTP IoT clients
-    /// when the [`WorldConfig::sntp_iot_pct`] knob is enabled.
-    pub fn poll_floor(&self) -> Duration {
-        if self.config.sntp_iot_pct > 0 {
-            SNTP_POLL_INTERVAL.min(POLL_INTERVAL)
-        } else {
-            POLL_INTERVAL
-        }
-    }
-
     /// A fresh [`AddrResolver`] over this world.
     pub fn addr_resolver(&self) -> AddrResolver<'_> {
         AddrResolver {
@@ -431,14 +418,6 @@ impl World {
             epoch: None,
             shifts: Vec::new(),
         }
-    }
-
-    /// An [`AddrResolver`] view for one worker of a sharded collection
-    /// engine. Resolution is bit-identical to
-    /// [`addr_resolver`](World::addr_resolver); each worker owns its own
-    /// view so the per-epoch cache needs no locking.
-    pub fn shard_resolver(&self) -> AddrResolver<'_> {
-        self.addr_resolver()
     }
 }
 
@@ -448,12 +427,10 @@ impl World {
 /// Resolving a household address redoes the rotation-slot arithmetic on
 /// every call, even though the per-AS rotation shift only changes once
 /// per rotation *epoch*. The resolver caches all per-AS shifts for the
-/// current epoch (O(#ASes), recomputed on epoch change), so a bucket of
+/// current epoch (O(#ASes), recomputed on epoch change), so a run of
 /// same-epoch polls pays one multiply-mod per AS instead of one per
 /// poll. Addresses are **bit-identical** to [`World::address_of`] for
-/// every device and time (enforced by tests); each worker of the
-/// parallel collection engine owns its own resolver, so the cache needs
-/// no locking.
+/// every device and time (enforced by tests).
 pub struct AddrResolver<'w> {
     world: &'w World,
     /// Rotation epoch the cached shifts were computed for.
@@ -702,24 +679,6 @@ mod tests {
                 assert_eq!(
                     resolver.address_of(dev.id, t),
                     w.address_of(dev.id, t),
-                    "device {:?} at {t}",
-                    dev.id
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_resolver_matches_plain_resolver() {
-        let w = tiny();
-        let mut plain = w.addr_resolver();
-        let mut sharded = w.shard_resolver();
-        let day = Duration::days(1).as_secs();
-        for t in [SimTime(7), SimTime(day + 3), SimTime(5 * day)] {
-            for dev in w.metas() {
-                assert_eq!(
-                    sharded.address_of(dev.id, t),
-                    plain.address_of(dev.id, t),
                     "device {:?} at {t}",
                     dev.id
                 );

@@ -47,10 +47,6 @@ pub struct AddressCollector {
     pub per_server: Vec<(ServerId, AddrSet)>,
     /// Raw request counts per server, strictly ascending by server id.
     pub requests: Vec<(ServerId, u64)>,
-    /// Shard-local first-sight archives of the sharded engine, in shard
-    /// order. Their number *is* the engine's shard count; a flat
-    /// collector has none.
-    pub shards: Vec<Archive>,
 }
 
 impl std::fmt::Debug for AddressCollector {
@@ -81,19 +77,9 @@ fn lookup<T>(table: &[(ServerId, T)], server: ServerId) -> Option<&T> {
 }
 
 impl AddressCollector {
-    /// The flat collector before any observation.
+    /// The collector before any observation.
     pub fn new() -> AddressCollector {
         AddressCollector::default()
-    }
-
-    /// The state before any observation, for a collection engine of
-    /// `shards` shards (one shard is the flat collector).
-    pub fn with_shards(shards: usize) -> AddressCollector {
-        let locals = if shards > 1 { shards } else { 0 };
-        AddressCollector {
-            shards: (0..locals).map(|_| Archive::new()).collect(),
-            ..AddressCollector::default()
-        }
     }
 
     /// [`AddressCollector::new`] under the signature the frozen

@@ -17,7 +17,6 @@
 //!   the world polls the pool on its schedule; packets are built and
 //!   parsed with [`wire::ntp`]; collecting servers record what they see.
 //!   One resumable step (`begin` → `advance` → `finish`) drives it.
-//! * [`shard`] — the worker loop `advance` runs for a sharded collector.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +27,6 @@ pub mod monitor;
 pub mod pool;
 pub mod run;
 pub mod server;
-pub mod shard;
 
 pub use collector::{AddressCollector, Observation};
 pub use pool::{Pool, ServerId};

@@ -25,26 +25,6 @@ pub const NTP_DISTINCT_ADDRESSES: Key = Key::bare("ntp_distinct_addresses");
 /// clients wait beyond their normal poll interval.
 pub const NTP_KOD_BACKOFF_SECONDS: Key = Key::bare("ntp_kod_backoff_seconds");
 
-/// Volatile: bucket rounds the sharded collection loop executed. Lives
-/// in the volatile bank because the deterministic report must stay
-/// bit-identical across shard counts, including the inline loop that
-/// has no buckets at all.
-pub const NTP_COLLECTION_BUCKETS: Key = Key::bare("ntp_collection_buckets");
-/// Volatile histogram: events drained per collection bucket.
-pub const NTP_BUCKET_EVENTS: Key = Key::bare("ntp_bucket_events");
-
-/// Volatile gauge: shard count of the sharded collection engine. Set
-/// once per sharded drive; absent entirely on unsharded runs.
-pub const NTP_COLLECTION_SHARDS: Key = Key::bare("ntp_collection_shards");
-/// Volatile histogram: events one shard executed in one bucket (one
-/// sample per shard per bucket).
-pub const NTP_SHARD_EVENTS: Key = Key::bare("ntp_shard_events");
-/// Volatile: shard-local first sights forwarded to the bucket-boundary
-/// publish stage. The count varies with the shard count — a shard only
-/// dedups the servers it owns — which is exactly why it must stay out
-/// of the deterministic bank.
-pub const NTP_SHARD_CANDIDATES: Key = Key::bare("ntp_shard_candidates");
-
 /// Dynamic counter key: raw requests one collecting server received.
 pub fn server_requests(server: u32) -> OwnedKey {
     OwnedKey::with_labels("ntp_server_requests", &[("server", &server.to_string())])

@@ -27,19 +27,19 @@
 //! `advance` calls — including suspending the checkpoint to disk in
 //! between — yields the same feed, totals and KoD histogram as one call
 //! to the window end. [`CollectionRun::run`] is the same three stages
-//! for a caller that consumes raw observations through a closure.
+//! for a caller that consumes raw observations through a closure. Both
+//! run the one poll loop there is: single-threaded, one pop per event.
 //!
-//! `advance` picks the poll loop from the collector it is handed: a
-//! flat collector (no shard-local archives) runs the inline
-//! single-threaded loop below, a sharded one runs the worker loop in
-//! [`shard`](crate::shard). Both produce the same bytes; they differ
-//! only in host time.
+//! The only order-dependent state of that loop is the per-server RPS
+//! ordinal that decides a `RATE` KoD: it is assigned in per-server
+//! event order, and transport fates are stateless hashes of the link.
+//! A future split across processes has to preserve exactly that
+//! (DESIGN.md, "One collection engine").
 
 use crate::collector::{AddressCollector, Observation};
 use crate::metrics;
 use crate::pool::{Pool, ServerId};
 use crate::server::PoolServer;
-use crate::shard::ShardSet;
 use netsim::engine::EventQueue;
 use netsim::time::{Duration, SimTime};
 use netsim::transport::{Delivery, Ideal, Link, Transport};
@@ -224,30 +224,20 @@ impl RequestMemo {
 /// the servers' KoD load shedding. Indexed by `ServerId.0` (pool ids
 /// are dense), with `None` until a server first sees traffic — no
 /// sentinel second needed.
-pub(crate) struct RpsWindows {
-    pub(crate) windows: Vec<Option<(u64, u64)>>,
+struct RpsWindows {
+    windows: Vec<Option<(u64, u64)>>,
 }
 
 impl RpsWindows {
-    pub(crate) fn for_pool(pool: &Pool) -> RpsWindows {
+    fn for_pool(pool: &Pool) -> RpsWindows {
         RpsWindows {
             windows: vec![None; pool.len()],
         }
     }
 
-    /// The raw per-server windows, for checkpointing.
-    pub(crate) fn into_parts(self) -> Vec<Option<(u64, u64)>> {
-        self.windows
-    }
-
-    /// Rebuilds windows saved by [`RpsWindows::into_parts`].
-    pub(crate) fn from_parts(windows: Vec<Option<(u64, u64)>>) -> RpsWindows {
-        RpsWindows { windows }
-    }
-
     /// The server's 1-based request ordinal within second `sec`,
     /// advancing the window (and resetting it when the second moves).
-    pub(crate) fn ordinal(&mut self, server: ServerId, sec: u64) -> u64 {
+    fn ordinal(&mut self, server: ServerId, sec: u64) -> u64 {
         let slot = &mut self.windows[server.0 as usize];
         match slot {
             Some((s, n)) if *s == sec => {
@@ -267,16 +257,16 @@ impl RpsWindows {
 /// the study, and a batched flush keeps telemetry off it (same pattern
 /// as the transport's atomic sinks).
 #[derive(Default)]
-pub(crate) struct Totals {
-    pub(crate) polls: u64,
-    pub(crate) responses: u64,
-    pub(crate) kod: u64,
-    pub(crate) lost: u64,
-    pub(crate) observed: u64,
+struct Totals {
+    polls: u64,
+    responses: u64,
+    kod: u64,
+    lost: u64,
+    observed: u64,
 }
 
 impl Totals {
-    pub(crate) fn count_reply(&mut self, reply: PollReply) {
+    fn count_reply(&mut self, reply: PollReply) {
         match reply {
             PollReply::Time => self.responses += 1,
             PollReply::RateKod => self.kod += 1,
@@ -379,14 +369,13 @@ impl CollectionCheckpoint {
 
 /// The live form of a [`CollectionCheckpoint`]: the event queue,
 /// per-server RPS windows, outcome totals and the KoD histogram.
-/// Everything else the engine touches (request memo, resolvers, worker
-/// scratch) is recomputable and lives on the stack of one `drive_*`
-/// call.
-pub(crate) struct EngineState {
-    pub(crate) queue: EventQueue<(DeviceId, u64)>,
-    pub(crate) rps: RpsWindows,
-    pub(crate) totals: Totals,
-    pub(crate) kod_backoff: Histogram,
+/// Everything else the engine touches (request memo, address resolver)
+/// is recomputable and lives on the stack of one `drive` call.
+struct EngineState {
+    queue: EventQueue<(DeviceId, u64)>,
+    rps: RpsWindows,
+    totals: Totals,
+    kod_backoff: Histogram,
 }
 
 impl EngineState {
@@ -401,7 +390,9 @@ impl EngineState {
         );
         EngineState {
             queue,
-            rps: RpsWindows::from_parts(std::mem::take(&mut ckpt.rps)),
+            rps: RpsWindows {
+                windows: std::mem::take(&mut ckpt.rps),
+            },
             totals: Totals::from_array(ckpt.totals),
             kod_backoff: std::mem::take(&mut ckpt.kod_backoff),
         }
@@ -415,7 +406,7 @@ impl EngineState {
         CollectionCheckpoint {
             cursor,
             pending,
-            rps: self.rps.into_parts(),
+            rps: self.rps.windows,
             totals: self.totals.into_array(),
             kod_backoff: self.kod_backoff,
         }
@@ -424,11 +415,11 @@ impl EngineState {
 
 /// A collection run over a time window.
 pub struct CollectionRun<'w> {
-    pub(crate) world: &'w World,
-    pub(crate) pool: &'w Pool,
-    pub(crate) start: SimTime,
-    pub(crate) end: SimTime,
-    pub(crate) transport: Box<dyn Transport>,
+    world: &'w World,
+    pool: &'w Pool,
+    start: SimTime,
+    end: SimTime,
+    transport: Box<dyn Transport>,
 }
 
 impl<'w> CollectionRun<'w> {
@@ -488,68 +479,41 @@ impl<'w> CollectionRun<'w> {
     /// Any sequence of stops composes to the same feed, totals and KoD
     /// histogram as a single call to the window end — which is what
     /// lets a scheduler interleave many studies in slices, and a
-    /// checkpoint file resume, without perturbing any of them.
-    ///
-    /// The collector's shard count selects the loop, and this is the
-    /// only place that choice is made: no shard-local archives run the
-    /// inline single-threaded loop, two or more run one persistent
-    /// worker per shard ([`shard`](crate::shard)). One shard is never
-    /// routed through the worker loop — it pays two channel round trips
-    /// per bucket and measures at half the inline loop's throughput.
-    /// `registry` receives the sharded loop's volatile shape metrics;
-    /// nothing deterministic is written before
-    /// [`CollectionCheckpoint::finish`].
+    /// checkpoint file resume, without perturbing any of them. No
+    /// metric is written before [`CollectionCheckpoint::finish`].
     pub fn advance(
         &self,
         ckpt: &mut CollectionCheckpoint,
         stop: SimTime,
         collector: &mut AddressCollector,
         feed: &mut Vec<Observation>,
-        registry: &mut Registry,
     ) {
         let stop = stop.min(self.end).max(ckpt.cursor);
         let mut st = EngineState::thaw(ckpt);
-        if collector.shards.is_empty() {
-            self.drive_sequential(&mut st, stop, &mut |server, addr, t| {
-                if self.pool.server(server).operator.is_study() {
-                    feed.extend(collector.record(server, addr, t));
-                }
-            });
-        } else {
-            let mut set = ShardSet::split(collector, feed);
-            self.drive_sharded(&mut st, stop, &mut set, registry);
-            set.rejoin();
-        }
+        self.drive(&mut st, stop, &mut |server, addr, t| {
+            if self.pool.server(server).operator.is_study() {
+                feed.extend(collector.record(server, addr, t));
+            }
+        });
         *ckpt = st.into_checkpoint(stop);
     }
 
     /// Drives the whole window for a closure consumer:
     /// `observe(server, addr, t)` fires for every request that reaches a
     /// *collecting* server, and the caller routes study vs actor
-    /// observations. The same begin → advance → finish as above on the
-    /// inline loop, minus the checkpoint in between: a closure cannot be
+    /// observations. The same begin → advance → finish as above,
+    /// minus the checkpoint in between: a closure cannot be
     /// suspended, and a checkpoint nobody reads would put every pending
     /// event of the world through the queue's ordered part twice more
     /// (`begin` and `advance` each drain it into pop order).
     pub fn run<F: FnMut(ServerId, Ipv6Addr, SimTime)>(&self, mut observe: F) -> RunStats {
         let mut st = self.fresh_state();
-        self.drive_sequential(&mut st, self.end, &mut observe);
+        self.drive(&mut st, self.end, &mut observe);
         st.totals.flush(&st.kod_backoff, &mut Registry::new())
     }
 
-    /// Safe bucket horizon: the minimum poll interval over scheduled
-    /// clients. Every follow-up scheduled from inside a bucket lands
-    /// at least one interval after its event (KoD widens the gap
-    /// KOD_BACKOFF_FACTOR×), so a bucket spanning at most the minimum
-    /// interval can never schedule into itself. The world's poll floor
-    /// is O(1) — every pool client uses the uniform interval — so this
-    /// never enumerates the client population.
-    pub(crate) fn bucket_horizon(&self) -> u64 {
-        self.world.poll_floor().as_secs().max(1)
-    }
-
-    /// The single-threaded engine: one pop per event, everything inline.
-    fn drive_sequential<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
+    /// The poll loop: one pop per event, everything inline.
+    fn drive<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
         &self,
         st: &mut EngineState,
         stop: SimTime,
@@ -957,19 +921,17 @@ mod tests {
         pool
     }
 
-    /// The one resumable step, pinned over both loops: for every shard
-    /// count, with and without KoD traffic, begin → `advance` at uneven
-    /// stops → finish equals a single `run` in feed, stats and KoD
-    /// histogram. The one collector is split over the shards and
-    /// rejoined at every stop, as a suspended study's would be.
+    /// The one resumable step, with and without KoD traffic: begin →
+    /// `advance` at uneven stops → finish equals a single `run` in
+    /// feed, stats and KoD histogram.
     #[test]
-    fn sliced_advance_equals_a_single_run_for_every_shard_count() {
+    fn sliced_advance_equals_a_single_run() {
         let world = World::generate(WorldConfig::tiny(9));
         let end = SimTime(Duration::days(2).as_secs());
         for (pool, sheds) in [(study_pool(), false), (kod_pool(), true)] {
             let run = CollectionRun::new(&world, &pool, SimTime(0), end);
             // The reference feed and stats: a closure consumer
-            // recording into the flat collector.
+            // recording into a collector of its own.
             let mut flat = AddressCollector::new();
             let mut base_feed = Vec::new();
             let base_stats = run.run(|s, a, t| base_feed.extend(flat.record(s, a, t)));
@@ -983,7 +945,6 @@ mod tests {
                 end,
                 &mut AddressCollector::new(),
                 &mut Vec::new(),
-                &mut Registry::new(),
             );
             assert_eq!(whole.finish(&mut base_reg), base_stats);
             let kod_samples = base_reg
@@ -991,44 +952,36 @@ mod tests {
                 .map_or(0, |h| h.count());
             assert_eq!(kod_samples, base_stats.kod);
 
-            // Off the bucket grid, behind the cursor, mid-window, and
-            // past the window end.
+            // Off any grid, behind the cursor, mid-window, and past the
+            // window end.
             let stops = [
                 SimTime(Duration::hours(7).as_secs() + 13),
                 SimTime(Duration::hours(3).as_secs()),
                 SimTime(Duration::hours(29).as_secs()),
                 end + Duration::days(1),
             ];
-            for shards in [1usize, 2, 4] {
-                let ctx = format!("{shards} shards, sheds {sheds}");
-                let mut feed = Vec::new();
-                let mut collector = AddressCollector::with_shards(shards);
-                let mut ckpt = run.begin();
-                assert_eq!(ckpt.cursor, SimTime(0));
-                for stop in stops {
-                    let (cursor, fed) = (ckpt.cursor, feed.len());
-                    run.advance(
-                        &mut ckpt,
-                        stop,
-                        &mut collector,
-                        &mut feed,
-                        &mut Registry::new(),
-                    );
-                    assert_eq!(ckpt.cursor, stop.clamp(cursor, end), "{ctx}");
-                    if stop < cursor {
-                        assert_eq!(feed.len(), fed, "{ctx}: fed while stopped");
-                    }
+            let ctx = format!("sheds {sheds}");
+            let mut feed = Vec::new();
+            let mut collector = AddressCollector::new();
+            let mut ckpt = run.begin();
+            assert_eq!(ckpt.cursor, SimTime(0));
+            for stop in stops {
+                let (cursor, fed) = (ckpt.cursor, feed.len());
+                run.advance(&mut ckpt, stop, &mut collector, &mut feed);
+                assert_eq!(ckpt.cursor, stop.clamp(cursor, end), "{ctx}");
+                if stop < cursor {
+                    assert_eq!(feed.len(), fed, "{ctx}: fed while stopped");
                 }
-                assert_eq!(collector.global.len(), base_feed.len(), "{ctx}");
-                let mut reg = Registry::new();
-                assert_eq!(ckpt.finish(&mut reg), base_stats, "{ctx}");
-                assert_eq!(feed, base_feed, "{ctx}");
-                assert_eq!(
-                    reg.snapshot().deterministic(),
-                    base_reg.snapshot().deterministic(),
-                    "{ctx}"
-                );
             }
+            assert_eq!(collector.global.len(), base_feed.len(), "{ctx}");
+            let mut reg = Registry::new();
+            assert_eq!(ckpt.finish(&mut reg), base_stats, "{ctx}");
+            assert_eq!(feed, base_feed, "{ctx}");
+            assert_eq!(
+                reg.snapshot().deterministic(),
+                base_reg.snapshot().deterministic(),
+                "{ctx}"
+            );
         }
     }
 

@@ -2,8 +2,8 @@
 //! resident world.
 //!
 //! A research group reproducing the paper rarely runs one study: it
-//! runs a *matrix* — the same world under several fault profiles,
-//! actor rosters, different shard counts — and each standalone
+//! runs a *matrix* — the same world under several fault profiles
+//! and actor rosters — and each standalone
 //! [`Study::run`](timetoscan::Study::run) regenerates the world and re-materializes every
 //! derived set from scratch. At paper scale the world snapshot is the
 //! dominant resident cost, so N concurrent studies paid N× for data
@@ -57,8 +57,8 @@
 //!
 //! Everything observable is bit-identical to standalone runs: every
 //! completed study's [`Study::run_report`](timetoscan::Study::run_report) equals the report an
-//! uninterrupted `Study::run` of the same config produces, across any
-//! shard count, any number of forced evictions, and any worker count
+//! uninterrupted `Study::run` of the same config produces, across
+//! any number of forced evictions and any worker count
 //! (enforced by `tests/service.rs`). The
 //! service's own telemetry — admissions, evictions, resumes,
 //! completions, query and cache counters — is itself deterministic and

@@ -1,6 +1,6 @@
 //! Service-level equivalence tests: every report the service hands out
 //! must be byte-identical to the report of an uninterrupted standalone
-//! [`Study::run`] of the same config — across shard counts, actor
+//! [`Study::run`] of the same config — across fault profiles, actor
 //! rosters, and any number of budget-forced evictions.
 
 use netsim::time::Duration;
@@ -13,17 +13,14 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The study matrix: one world (seed 31), varied fault profile,
-/// actor roster, and engine shape — the shape a research group
-/// actually submits.
+/// The study matrix: one world (seed 31), varied fault profile and
+/// actor roster — the shape a research group actually submits.
 fn matrix() -> Vec<StudyConfig> {
     vec![
         StudyConfig::tiny(31),
         StudyConfig::tiny(31).with_actors(ActorRoster::ALL),
-        StudyConfig::tiny(31)
-            .with_fault(FaultProfile::Lossy1Pct)
-            .with_collection_shards(2),
-        StudyConfig::tiny(31).with_collection_shards(3),
+        StudyConfig::tiny(31).with_fault(FaultProfile::Lossy1Pct),
+        StudyConfig::tiny(31).with_fault(FaultProfile::Congested),
     ]
 }
 
@@ -284,7 +281,7 @@ fn service_report_is_canonical_and_deterministic() {
         let mut svc =
             StudyService::new(ServiceConfig::unbounded(&dir, Duration::days(2))).expect("service");
         let a = svc.submit(StudyConfig::tiny(5));
-        let b = svc.submit(StudyConfig::tiny(5).with_collection_shards(2));
+        let b = svc.submit(StudyConfig::tiny(5).with_fault(FaultProfile::Lossy1Pct));
         svc.run_to_completion().expect("run to completion");
         if queries {
             let _ = svc.report_json(a);

@@ -29,11 +29,8 @@
 
 use crate::bloom::Bloom;
 use crate::compact::CompactSet;
-use crate::error::StoreError;
-use crate::segment;
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default (initial) memtable spill threshold.
@@ -49,10 +46,6 @@ const SPILLS_PER_GROWTH: u32 = 4;
 /// Default per-size-class fanout before tiered compaction merges the
 /// class.
 pub const DEFAULT_FANOUT: usize = 8;
-
-/// Archive manifest magic bytes.
-const MANIFEST_MAGIC: [u8; 8] = *b"NTP6ARCH";
-const MANIFEST_VERSION: u16 = 1;
 
 /// Power-of-two size class of a segment: `log2` of the smallest power
 /// of two covering `len`. Segments in one class are within 2x of each
@@ -363,57 +356,6 @@ impl Archive {
                 .sum::<usize>()
             + self.blooms.iter().map(Bloom::heap_bytes).sum::<usize>()
     }
-
-    /// Freezes the memtable and writes every segment plus a sealed
-    /// manifest into `dir` (created if absent).
-    pub fn flush(&mut self, dir: &Path) -> Result<(), StoreError> {
-        self.freeze();
-        std::fs::create_dir_all(dir)?;
-        let mut w = crate::codec::Writer::new();
-        w.put_raw(&MANIFEST_MAGIC);
-        w.put_u16(MANIFEST_VERSION);
-        w.put_u64(self.memtable_cap as u64);
-        w.put_u64(self.segments.len() as u64);
-        for (i, seg) in self.segments.iter().enumerate() {
-            w.put_u64(seg.len() as u64);
-            segment::write_file(&dir.join(format!("seg-{i:04}.seg")), seg)?;
-        }
-        w.seal();
-        std::fs::write(dir.join("MANIFEST"), w.into_bytes())?;
-        Ok(())
-    }
-
-    /// Reopens an archive flushed with [`Archive::flush`], validating
-    /// the manifest seal and every segment checksum.
-    pub fn open(dir: &Path) -> Result<Archive, StoreError> {
-        let manifest = std::fs::read(dir.join("MANIFEST"))?;
-        let payload = crate::codec::Reader::verify_seal(&manifest, "archive manifest")?;
-        let mut r = crate::codec::Reader::new(payload);
-        if r.take(8)? != MANIFEST_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = r.u16()?;
-        if version != MANIFEST_VERSION {
-            return Err(StoreError::BadVersion(version));
-        }
-        let cap = r.u64()? as usize;
-        let count = r.u64()? as usize;
-        let mut segments = Vec::with_capacity(count);
-        for i in 0..count {
-            let len = r.u64()? as usize;
-            let seg = segment::read_file(&dir.join(format!("seg-{i:04}.seg")))?;
-            if seg.len() != len {
-                return Err(StoreError::Corrupt(
-                    "segment length disagrees with manifest",
-                ));
-            }
-            segments.push(seg);
-        }
-        if !r.is_done() {
-            return Err(StoreError::Corrupt("trailing bytes after manifest"));
-        }
-        Ok(Archive::from_segments(segments, cap))
-    }
 }
 
 impl std::fmt::Debug for Archive {
@@ -603,30 +545,5 @@ mod tests {
             fixed.insert(addr(i));
         }
         assert_eq!(fixed.memtable_cap, 8);
-    }
-
-    #[test]
-    fn flush_open_roundtrip() {
-        let dir = std::env::temp_dir().join("store-archive-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut ar = Archive::with_memtable_cap(16);
-        for i in 0..200u128 {
-            ar.insert(addr(i * 31));
-        }
-        ar.flush(&dir).unwrap();
-        let back = Archive::open(&dir).unwrap();
-        assert_eq!(back.len(), ar.len());
-        assert_eq!(
-            back.iter().collect::<Vec<_>>(),
-            ar.iter().collect::<Vec<_>>()
-        );
-        // Corrupt one segment byte: open must fail with a typed error.
-        let seg0 = dir.join("seg-0000.seg");
-        let mut bytes = std::fs::read(&seg0).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&seg0, &bytes).unwrap();
-        assert!(Archive::open(&dir).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

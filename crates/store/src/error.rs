@@ -26,15 +26,6 @@ pub enum StoreError {
     Checksum(&'static str),
     /// The bytes decoded but violate a structural invariant.
     Corrupt(&'static str),
-    /// A checkpoint's per-shard state disagrees with the shard count in
-    /// the configuration it carries: resuming it would silently re-home
-    /// dedup state onto the wrong shards.
-    ShardMismatch {
-        /// Shard count the embedded configuration asks for.
-        expected: u32,
-        /// Shard states actually present in the checkpoint.
-        found: u32,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -51,12 +42,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::Checksum(what) => write!(f, "checksum mismatch in {what}"),
             StoreError::Corrupt(what) => write!(f, "corrupt data: {what}"),
-            StoreError::ShardMismatch { expected, found } => {
-                write!(
-                    f,
-                    "shard count mismatch: config expects {expected} shards, checkpoint has {found}"
-                )
-            }
         }
     }
 }

@@ -211,16 +211,6 @@ fn validate(set: &CompactSet, sums: &[(usize, u64)]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Writes a set to `path` in segment format.
-pub fn write_file(path: &Path, set: &CompactSet) -> Result<(), StoreError> {
-    Ok(std::fs::write(path, encode(set))?)
-}
-
-/// Reads and validates a segment file.
-pub fn read_file(path: &Path) -> Result<CompactSet, StoreError> {
-    decode(&std::fs::read(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +287,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mapped.seg");
         let set = sample();
-        write_file(&path, &set).unwrap();
+        std::fs::write(&path, encode(&set)).unwrap();
         let mapped = map_file(&path).unwrap();
         // Same observable set, different backing.
         assert_eq!(mapped, set);
@@ -361,22 +351,10 @@ mod tests {
         let path = dir.join("truncated.seg");
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         assert!(map_file(&path).is_err());
-        // Missing file surfaces as Io, mirroring `read_file`.
+        // A missing file surfaces as Io.
         assert!(matches!(
             map_file(&dir.join("missing.seg")),
             Err(StoreError::Io(_))
         ));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("store-segment-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.seg");
-        let set = sample();
-        write_file(&path, &set).unwrap();
-        assert_eq!(read_file(&path).unwrap(), set);
-        std::fs::remove_file(&path).unwrap();
-        assert!(matches!(read_file(&path), Err(StoreError::Io(_))));
     }
 }

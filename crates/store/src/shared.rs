@@ -1,10 +1,10 @@
 //! A shared pool of sealed, read-only segments.
 //!
 //! Completed collections freeze their [`CompactSet`]s here; studies that
-//! reference the same content — the same world/seed collected under a
-//! different shard count, or a hitlist baseline shared by every study
-//! against one world — open it **once** and share the decoded set
-//! behind an `Arc`. Segments are content-addressed: a [`SegmentId`] is
+//! reference the same content — the same study submitted twice, or a
+//! hitlist baseline shared by every study against one world — open it
+//! **once** and share the decoded set behind an `Arc`. Segments are
+//! content-addressed: a [`SegmentId`] is
 //! the FNV-1a-64 of the canonical [`segment`] encoding, so identical
 //! sets frozen by different studies land on one file and one resident
 //! copy, and an id can be revalidated against its bytes on every open.
@@ -24,6 +24,8 @@ use crate::compact::CompactSet;
 use crate::error::StoreError;
 use crate::{codec, segment};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,6 +39,12 @@ impl SegmentId {
     /// The pool file name for this id.
     fn file_name(&self) -> String {
         format!("{:016x}.seg", self.0)
+    }
+
+    /// The name this id's bytes are written under before they become
+    /// [`SegmentId::file_name`]. Nothing ever reads it.
+    fn scratch_name(&self) -> String {
+        format!("{:016x}.seg.tmp", self.0)
     }
 }
 
@@ -67,6 +75,9 @@ pub struct PoolStats {
 pub struct SegmentPool {
     dir: PathBuf,
     cache: Mutex<HashMap<SegmentId, Arc<CompactSet>>>,
+    /// Held while a segment file is written: scratch names are per
+    /// content, so two freezes of equal content must not interleave.
+    writing: Mutex<()>,
     cache_hits: AtomicU64,
     file_opens: AtomicU64,
     freeze_dedups: AtomicU64,
@@ -80,6 +91,7 @@ impl SegmentPool {
         Ok(SegmentPool {
             dir,
             cache: Mutex::new(HashMap::new()),
+            writing: Mutex::new(()),
             cache_hits: AtomicU64::new(0),
             file_opens: AtomicU64::new(0),
             freeze_dedups: AtomicU64::new(0),
@@ -97,14 +109,30 @@ impl SegmentPool {
     /// heap copy the caller froze can be dropped, leaving the fence
     /// index as the segment's only resident cost. Freezing equal sets —
     /// from any number of studies — converges on one file and one `Arc`.
+    ///
+    /// The bytes are made durable under a scratch name in the pool
+    /// directory and then renamed to the content-addressed one, so a
+    /// freeze cut short at any step leaves that name absent or holding
+    /// the whole segment — never a torn file that every later freeze of
+    /// equal content would take for already written. (The directory is
+    /// not synced: the pool is a cache, and a rename lost to a crash is
+    /// a segment frozen again.)
     pub fn freeze(&self, set: &CompactSet) -> Result<SegmentId, StoreError> {
         let bytes = segment::encode(set);
         let id = SegmentId(codec::fnv1a(&bytes));
         let path = self.dir.join(id.file_name());
-        if path.exists() {
-            self.freeze_dedups.fetch_add(1, Ordering::Relaxed);
-        } else {
-            std::fs::write(&path, &bytes)?;
+        {
+            let _writing = self.writing.lock().expect("segment pool writer poisoned");
+            if path.exists() {
+                self.freeze_dedups.fetch_add(1, Ordering::Relaxed);
+            } else {
+                let scratch = self.dir.join(id.scratch_name());
+                let mut file = File::create(&scratch)?;
+                file.write_all(&bytes)?;
+                file.sync_all()?;
+                drop(file);
+                std::fs::rename(&scratch, &path)?;
+            }
         }
         let mut cache = self.cache.lock().expect("segment pool cache poisoned");
         if let std::collections::hash_map::Entry::Vacant(slot) = cache.entry(id) {
@@ -248,6 +276,41 @@ mod tests {
             assert!(stats.resident_bytes < set.heap_bytes());
         } else {
             assert_eq!(stats.mapped_segments, 0);
+        }
+    }
+
+    /// A freeze that died before its rename leaves a scratch file behind
+    /// — whole, cut short, or garbage — and nothing under the segment's
+    /// own name: the id is unknown, not corrupt. The next freeze of that
+    /// content is a first freeze like any other, and clears the scratch
+    /// file away.
+    #[test]
+    fn interrupted_freeze_never_poisons_its_content_id() {
+        let set = sample(800, 53);
+        let bytes = segment::encode(&set);
+        let id = SegmentId(codec::fnv1a(&bytes));
+        for (i, leftover) in [&bytes[..], &bytes[..bytes.len() / 2], b"not a segment"]
+            .into_iter()
+            .enumerate()
+        {
+            let p = pool(&format!("torn-{i}"));
+            // Spelled out: the name is a contract with what an earlier
+            // build may have left in the directory.
+            let scratch = p.dir().join(format!("{:016x}.seg.tmp", id.0));
+            std::fs::write(&scratch, leftover).unwrap();
+            assert!(!p.dir().join(id.file_name()).exists());
+            assert!(matches!(p.open(id), Err(StoreError::Io(_))));
+
+            assert_eq!(p.freeze(&set).unwrap(), id);
+            assert!(!scratch.exists(), "a finished freeze left its scratch file");
+            assert_eq!(std::fs::read(p.dir().join(id.file_name())).unwrap(), bytes);
+            assert_eq!(p.stats().freeze_dedups, 0);
+            assert!(p.evict(id));
+            assert_eq!(*p.open(id).unwrap(), set);
+            // A second pool over the directory dedups onto the whole file.
+            let p2 = SegmentPool::new(p.dir()).unwrap();
+            assert_eq!(p2.freeze(&set).unwrap(), id);
+            assert_eq!(p2.stats().freeze_dedups, 1);
         }
     }
 

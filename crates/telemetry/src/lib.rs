@@ -9,14 +9,14 @@
 //! Design constraints, in order:
 //!
 //! 1. **Determinism.** A [`Snapshot`] taken from the same simulated run
-//!    is *byte-identical* regardless of sharding (sequential vs
-//!    parallel). Three rules make that hold:
+//!    is *byte-identical* regardless of how the run was spread over
+//!    threads. Three rules make that hold:
 //!    * deterministic metrics never read the wall clock — every duration
 //!      is simulation time ([`SpanTimer`] takes explicit instants);
 //!    * every aggregation is **commutative** (counters add, gauges take
 //!      the max, histograms add bucket-wise), so per-shard
 //!      [`Registry`] sinks merge to the same totals in any order;
-//!    * anything scheduling-dependent (per-shard event counts, memo
+//!    * anything scheduling-dependent (wall-clock spans, memo
 //!      hit rates) is recorded as a **volatile** metric and excluded
 //!      from the deterministic snapshot and the [`RunReport`].
 //! 2. **Lock-cheap.** The hot path ([`Registry::inc`]) is a `HashMap`

@@ -6,12 +6,11 @@ use crate::json;
 use crate::snapshot::Snapshot;
 
 /// The end-of-run artifact: string metadata describing the run (seed,
-/// fault profile, scale — everything *except* the shard count, which
-/// by design must not change the report) and the deterministic subset
-/// of the merged metric snapshot.
+/// fault profile, scale) and the deterministic subset of the merged
+/// metric snapshot.
 ///
 /// Serializes to canonical JSON — two equal reports are byte-identical,
-/// which is what the sequential-vs-parallel equivalence tests compare.
+/// which is what the golden-digest and resume tests compare.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunReport {
     /// Run metadata, sorted by key.
@@ -114,11 +113,7 @@ mod tests {
             Value::Counter(9),
             false,
         );
-        snap.record(
-            OwnedKey::with_labels("ntp_collection_shards", &[]),
-            Value::Gauge(4),
-            true,
-        );
+        snap.record(OwnedKey::with_labels("depth", &[]), Value::Gauge(4), true);
         let report = RunReport::new(&[("seed", "2024"), ("fault", "lossy_1pct")], &snap);
         assert_eq!(report.metrics.len(), 1);
 

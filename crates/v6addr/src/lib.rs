@@ -11,8 +11,8 @@
 //! * [`mac`] / [`eui64`] — MAC addresses, OUIs, and the EUI-64 embedding
 //!   used by SLAAC hosts (Appendix B of the paper).
 //! * [`ouidb`] — an IEEE-style OUI → manufacturer registry.
-//! * [`set`] — address sets with network aggregation, overlap statistics and
-//!   per-group density measures (median IPs per /48 and per AS, Table 1).
+//! * [`set`] — the deduplicating address hash set collection inserts
+//!   into, with address- and network-level overlap counts.
 //! * [`entropy`] — nybble-entropy measures used for IID classification and
 //!   the entropy-based target-generation baseline.
 //!

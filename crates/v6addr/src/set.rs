@@ -1,13 +1,13 @@
-//! Address sets with aggregation, overlap and density statistics.
+//! A deduplicating hash set of addresses, with overlap counts.
 //!
-//! [`AddrSet`] backs every dataset-level number in the paper's Table 1:
-//! distinct addresses, distinct /48 networks, overlaps between datasets,
-//! and the median number of addresses per /48 or per AS ("density", the
-//! signal that NTP-sourced data covers client networks more deeply than
-//! the hitlist).
+//! [`AddrSet`] is the mutable set collection inserts into (per-server
+//! address sets, the R&L sample, hitlist sources). Dataset-level
+//! statistics — distinct /48 networks, per-network density, overlaps
+//! between datasets (the paper's Table 1) — are computed on
+//! `store::CompactSet`, which every analysis converts to.
 
 use crate::prefix::Prefix;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 /// A deduplicating set of IPv6 addresses.
@@ -20,13 +20,6 @@ impl AddrSet {
     /// Empty set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set with pre-allocated capacity.
-    pub fn with_capacity(n: usize) -> Self {
-        AddrSet {
-            addrs: HashSet::with_capacity(n),
-        }
     }
 
     /// Inserts an address; returns `true` if it was new.
@@ -58,20 +51,11 @@ impl AddrSet {
     /// Ordered iteration is the default on purpose: the backing store is
     /// a `HashSet`, and letting its unspecified order leak made every
     /// consumer (dataset stats, vendor rankings, hitlist filtering) a
-    /// latent determinism hazard. The sort costs `O(n log n)` per call;
-    /// use [`AddrSet::iter_unordered`] in the rare hot path where order
-    /// provably cannot escape.
+    /// latent determinism hazard. The sort costs `O(n log n)` per call.
     pub fn iter(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
         let mut v: Vec<u128> = self.addrs.iter().copied().collect();
         v.sort_unstable();
         v.into_iter().map(Ipv6Addr::from)
-    }
-
-    /// Iterates addresses in unspecified (hash) order, without the sort.
-    /// Only safe where the result is order-insensitive (e.g. feeding a
-    /// commutative aggregate).
-    pub fn iter_unordered(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
-        self.addrs.iter().map(|&b| Ipv6Addr::from(b))
     }
 
     /// Addresses sorted ascending (stable output for reports and tests).
@@ -79,57 +63,6 @@ impl AddrSet {
         let mut v: Vec<u128> = self.addrs.iter().copied().collect();
         v.sort_unstable();
         v.into_iter().map(Ipv6Addr::from).collect()
-    }
-
-    /// Distinct enclosing networks at `len` bits (e.g. `networks(48)` for
-    /// Table 1's "/48 networks" row).
-    pub fn networks(&self, len: u8) -> HashSet<Prefix> {
-        let mask = Prefix::netmask(len);
-        self.addrs
-            .iter()
-            .map(|&b| Prefix::new(Ipv6Addr::from(b & mask), len))
-            .collect()
-    }
-
-    /// Number of distinct /`len` networks.
-    pub fn network_count(&self, len: u8) -> usize {
-        let mask = Prefix::netmask(len);
-        let nets: HashSet<u128> = self.addrs.iter().map(|&b| b & mask).collect();
-        nets.len()
-    }
-
-    /// Addresses per /`len` network.
-    pub fn network_density(&self, len: u8) -> HashMap<Prefix, u64> {
-        let mask = Prefix::netmask(len);
-        let mut out: HashMap<Prefix, u64> = HashMap::new();
-        for &b in &self.addrs {
-            *out.entry(Prefix::new(Ipv6Addr::from(b & mask), len))
-                .or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// Median addresses per /`len` network (`None` for an empty set).
-    ///
-    /// Uses the usual even-count convention (mean of the two central
-    /// values), which is how the paper arrives at fractional medians such
-    /// as 708.5 IPs per AS.
-    pub fn median_network_density(&self, len: u8) -> Option<f64> {
-        median_u64(self.network_density(len).values().copied())
-    }
-
-    /// Groups addresses by an arbitrary key (e.g. origin AS) and returns
-    /// per-key counts.
-    pub fn group_counts<K, F>(&self, key: F) -> HashMap<K, u64>
-    where
-        K: std::hash::Hash + Eq,
-        F: Fn(Ipv6Addr) -> K,
-    {
-        let mut out: HashMap<K, u64> = HashMap::new();
-        for &b in &self.addrs {
-            *out.entry(key(Ipv6Addr::from(b))).or_insert(0) += 1;
-        }
-        out
     }
 
     /// Number of addresses shared with `other`.
@@ -180,50 +113,7 @@ impl AddrSet {
     pub fn extend_from(&mut self, other: &AddrSet) {
         self.addrs.extend(other.addrs.iter().copied());
     }
-
-    /// Serialises to the hitlist interchange format: one lowercase
-    /// address per line, sorted ascending, trailing newline. This is the
-    /// format the TUM hitlist publishes and downstream scanners consume.
-    pub fn to_text(&self) -> String {
-        let mut out = String::with_capacity(self.len() * 20);
-        for a in self.sorted() {
-            out.push_str(&a.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the one-address-per-line format. Blank lines and `#`
-    /// comments are skipped; any other unparsable line is an error
-    /// reporting its (1-based) line number.
-    pub fn from_text(text: &str) -> Result<AddrSet, ParseSetError> {
-        let mut set = AddrSet::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let addr: Ipv6Addr = line.parse().map_err(|_| ParseSetError { line: i + 1 })?;
-            set.insert(addr);
-        }
-        Ok(set)
-    }
 }
-
-/// Error from [`AddrSet::from_text`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseSetError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-}
-
-impl std::fmt::Display for ParseSetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid IPv6 address on line {}", self.line)
-    }
-}
-
-impl std::error::Error for ParseSetError {}
 
 impl FromIterator<Ipv6Addr> for AddrSet {
     fn from_iter<I: IntoIterator<Item = Ipv6Addr>>(iter: I) -> Self {
@@ -281,38 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn network_counts() {
-        let s = set(&[
-            "2001:db8:1::1",
-            "2001:db8:1::2",
-            "2001:db8:1:55::3",
-            "2001:db8:2::1",
-        ]);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.network_count(48), 2);
-        assert_eq!(s.network_count(64), 3);
-        assert_eq!(s.network_count(32), 1);
-        let nets = s.networks(48);
-        assert!(nets.contains(&"2001:db8:1::/48".parse().unwrap()));
-        assert!(nets.contains(&"2001:db8:2::/48".parse().unwrap()));
-    }
-
-    #[test]
-    fn density_and_median() {
-        let s = set(&[
-            "2001:db8:1::1",
-            "2001:db8:1::2",
-            "2001:db8:1::3",
-            "2001:db8:2::1",
-        ]);
-        let d = s.network_density(48);
-        assert_eq!(d[&"2001:db8:1::/48".parse().unwrap()], 3);
-        assert_eq!(d[&"2001:db8:2::/48".parse().unwrap()], 1);
-        // Median of [1, 3] = 2.0 (even-count mean).
-        assert_eq!(s.median_network_density(48), Some(2.0));
-    }
-
-    #[test]
     fn median_conventions() {
         assert_eq!(median_u64([]), None);
         assert_eq!(median_u64([5]), Some(5.0));
@@ -336,10 +194,6 @@ mod tests {
         let s = set(&["2001:db8::3", "2001:db8::1", "ff::", "::1", "2001:db8::2"]);
         let via_iter: Vec<Ipv6Addr> = s.iter().collect();
         assert_eq!(via_iter, s.sorted());
-        // The unordered escape hatch still visits everything.
-        let mut unordered: Vec<Ipv6Addr> = s.iter_unordered().collect();
-        unordered.sort();
-        assert_eq!(unordered, via_iter);
     }
 
     /// Equivalence of the sorted-merge `network_overlap` against the
@@ -377,14 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn group_counts_by_key() {
-        let s = set(&["2001:db8:1::1", "2001:db8:1::2", "2001:db8:2::1"]);
-        let groups = s.group_counts(|addr| Prefix::of(addr, 48));
-        assert_eq!(groups[&"2001:db8:1::/48".parse().unwrap()], 2);
-        assert_eq!(groups[&"2001:db8:2::/48".parse().unwrap()], 1);
-    }
-
-    #[test]
     fn extend_and_union() {
         let mut x = set(&["2001:db8::1"]);
         let y = set(&["2001:db8::1", "2001:db8::2"]);
@@ -405,30 +251,9 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip() {
-        let s = set(&["2001:db8::3", "2001:db8::1", "2001:db8::2"]);
-        let text = s.to_text();
-        assert_eq!(text, "2001:db8::1\n2001:db8::2\n2001:db8::3\n");
-        let back = AddrSet::from_text(&text).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.overlap(&s), 3);
-    }
-
-    #[test]
-    fn from_text_skips_comments_and_reports_errors() {
-        let parsed = AddrSet::from_text("# header\n\n2001:db8::1\n  2001:db8::2  \n").unwrap();
-        assert_eq!(parsed.len(), 2);
-        let err = AddrSet::from_text("2001:db8::1\nnot-an-address\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.to_string().contains("line 2"));
-    }
-
-    #[test]
     fn empty_set_stats() {
         let s = AddrSet::new();
         assert!(s.is_empty());
-        assert_eq!(s.network_count(48), 0);
-        assert_eq!(s.median_network_density(48), None);
         assert_eq!(s.overlap(&s.clone()), 0);
     }
 }

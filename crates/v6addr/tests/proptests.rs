@@ -92,22 +92,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&h));
     }
 
-    /// AddrSet network counts never exceed address counts and are
-    /// monotone in prefix length.
-    #[test]
-    fn addrset_network_monotonicity(addrs in proptest::collection::vec(any::<u128>(), 0..200)) {
-        let set: v6addr::AddrSet = addrs.iter().map(|&b| Ipv6Addr::from(b)).collect();
-        let n48 = set.network_count(48);
-        let n56 = set.network_count(56);
-        let n64 = set.network_count(64);
-        prop_assert!(n48 <= n56);
-        prop_assert!(n56 <= n64);
-        prop_assert!(n64 <= set.len());
-        // Densities sum back to the address count.
-        let total: u64 = set.network_density(48).values().sum();
-        prop_assert_eq!(total as usize, set.len());
-    }
-
     /// Overlap is symmetric and bounded by the smaller set.
     #[test]
     fn overlap_symmetry(

@@ -1,58 +1,59 @@
-//! Adversarial-ecosystem scenarios: every actor roster must produce a
-//! **byte-identical** canonical run report across shard counts (plus a
-//! fault-profile cross-check), and the blind attribution pass must
-//! separate the archetypes it saw.
+//! Adversarial-ecosystem scenarios: every actor roster's study is held
+//! to its golden digest (plus a fault-profile cross-check), and the
+//! blind attribution pass must separate the archetypes it saw.
 //!
 //! The ecosystem runs after collection on its own tick clock, a pure
-//! function of `(config, world)` — nothing about engine shape or
-//! worker fan-out may leak into a single deterministic bit of its
+//! function of `(config, world)` — the goldens were checked at 1 and 4
+//! collection shards while a sharded loop existed, so nothing about how
+//! collection is executed leaks into a single deterministic bit of its
 //! capture, its telemetry, or the attribution table.
+
+mod golden;
 
 use actors::ActorRoster;
 use netsim::transport::FaultProfile;
+use std::sync::OnceLock;
 use telemetry::OwnedKey;
 use timetoscan::{Study, StudyConfig};
 
 const SEED: u64 = 31;
 
-/// The rosters each scenario pins: the paper's pair, each ecosystem
-/// archetype alone on top of it, and the full ecosystem.
-const ROSTERS: [ActorRoster; 3] = [ActorRoster::BASELINE, ActorRoster::ALL, ActorRoster::NONE];
+/// The rosters each scenario pins: the paper's pair, the full
+/// ecosystem, and nobody.
+const ROSTERS: [(ActorRoster, &str); 3] = [
+    (ActorRoster::BASELINE, "baseline"),
+    (ActorRoster::ALL, "all"),
+    (ActorRoster::NONE, "none"),
+];
 
-fn cfg(roster: ActorRoster, shards: usize) -> StudyConfig {
-    StudyConfig::tiny(SEED)
-        .with_actors(roster)
-        .with_collection_shards(shards)
+fn cfg(roster: ActorRoster) -> StudyConfig {
+    StudyConfig::tiny(SEED).with_actors(roster)
+}
+
+/// The ideal-transport study of a pinned roster, run once for all the
+/// tests below.
+fn study(roster: ActorRoster) -> &'static Study {
+    static STUDIES: [OnceLock<Study>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let at = ROSTERS.iter().position(|(r, _)| *r == roster);
+    STUDIES[at.expect("a pinned roster")].get_or_init(|| Study::run(cfg(roster)))
 }
 
 #[test]
 fn reports_are_byte_identical_across_engine_shapes() {
-    for roster in ROSTERS {
-        let base = Study::run(cfg(roster, 1));
-        let sharded = Study::run(cfg(roster, 4));
-        assert_eq!(
-            sharded.run_report().to_json(),
-            base.run_report().to_json(),
-            "roster {roster}: 4 shards diverged"
-        );
+    for (roster, name) in ROSTERS {
+        golden::check_study(&format!("tiny/{SEED}/ideal/{name}"), study(roster));
     }
 }
 
 #[test]
 fn reports_are_byte_identical_under_faults() {
-    let lossy = |shards: usize| cfg(ActorRoster::ALL, shards).with_fault(FaultProfile::Lossy1Pct);
-    let base = Study::run(lossy(1));
-    let other = Study::run(lossy(4));
-    assert_eq!(
-        other.run_report().to_json(),
-        base.run_report().to_json(),
-        "lossy full-roster run diverged across engine shapes"
-    );
+    let lossy = Study::run(cfg(ActorRoster::ALL).with_fault(FaultProfile::Lossy1Pct));
+    golden::check_study(&format!("tiny/{SEED}/lossy_1pct/all"), &lossy);
 }
 
 #[test]
 fn attribution_separates_the_full_roster() {
-    let study = Study::run(cfg(ActorRoster::ALL, 1));
+    let study = study(ActorRoster::ALL);
     let table = study.attribution.as_ref().expect("telescope ran");
     let cm = &table.confusion;
 
@@ -98,7 +99,7 @@ fn attribution_separates_the_full_roster() {
 fn baseline_roster_matches_the_legacy_telescope() {
     // The default roster is the paper's pair — the legacy §5 matcher
     // must still fully attribute the primary telescope's capture.
-    let study = Study::run(cfg(ActorRoster::BASELINE, 1));
+    let study = study(ActorRoster::BASELINE);
     let report = study.telescope.as_ref().expect("telescope ran");
     assert_eq!(report.unmatched_packets, 0);
     assert_eq!(report.actors.len(), 2);
@@ -113,7 +114,7 @@ fn baseline_roster_matches_the_legacy_telescope() {
 
 #[test]
 fn empty_roster_yields_an_empty_capture() {
-    let study = Study::run(cfg(ActorRoster::NONE, 1));
+    let study = study(ActorRoster::NONE);
     let report = study.telescope.as_ref().expect("telescope ran");
     assert_eq!(report.matched_packets, 0);
     assert_eq!(report.unmatched_packets, 0);

@@ -1,8 +1,8 @@
 //! Checkpoint/resume equivalence: a study checkpointed mid-collection
 //! and resumed from disk must be **bit-identical** to an uninterrupted
 //! run — same first-sight feed, same `RunStats`, same collected set,
-//! and a byte-identical canonical-JSON run report — across both
-//! collection loops (1 and 4 shards) and fault profiles.
+//! and a byte-identical canonical-JSON run report — across fault
+//! profiles.
 
 use netsim::time::Duration;
 use netsim::transport::FaultProfile;
@@ -10,51 +10,46 @@ use netsim::DeviceId;
 use timetoscan::{checkpoint, StoreError, Study, StudyConfig};
 
 const SEED: u64 = 31;
-const SHARDS: [usize; 2] = [1, 4];
 const FAULTS: [FaultProfile; 2] = [FaultProfile::Ideal, FaultProfile::Lossy1Pct];
 
 fn ckpt_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ttscan-ckpt-{tag}-{}", std::process::id()))
 }
 
-/// The full matrix: checkpoint at half the window, resume, and compare
+/// Per fault profile: checkpoint at half the window, resume, and compare
 /// every observable against the uninterrupted run of the same config.
 #[test]
 fn resume_matches_uninterrupted_across_modes_shards_faults() {
     for fault in FAULTS {
-        for shards in SHARDS {
-            let cfg = StudyConfig::tiny(SEED)
-                .with_fault(fault)
-                .with_collection_shards(shards);
-            let half = Duration::secs(cfg.collection.as_secs() / 2);
-            let tag = format!("{shards}-{}", fault.name());
-            let dir = ckpt_dir(&tag);
-            Study::checkpoint(cfg.clone(), half, &dir).expect("checkpoint writes");
-            let resumed = Study::resume(&dir).expect("checkpoint resumes");
-            let baseline = Study::run(cfg);
-            std::fs::remove_dir_all(&dir).ok();
+        let cfg = StudyConfig::tiny(SEED).with_fault(fault);
+        let half = Duration::secs(cfg.collection.as_secs() / 2);
+        let tag = fault.name();
+        let dir = ckpt_dir(tag);
+        Study::checkpoint(cfg.clone(), half, &dir).expect("checkpoint writes");
+        let resumed = Study::resume(&dir).expect("checkpoint resumes");
+        let baseline = Study::run(cfg);
+        std::fs::remove_dir_all(&dir).ok();
 
-            assert_eq!(resumed.feed, baseline.feed, "feed diverged [{tag}]");
-            assert_eq!(
-                resumed.run_stats, baseline.run_stats,
-                "run stats diverged [{tag}]"
-            );
-            assert_eq!(
-                resumed.collector.global().len(),
-                baseline.collector.global().len(),
-                "collected set diverged [{tag}]"
-            );
-            assert_eq!(
-                resumed.ntp_scan.records().len(),
-                baseline.ntp_scan.records().len(),
-                "scan records diverged [{tag}]"
-            );
-            assert_eq!(
-                resumed.run_report().to_json(),
-                baseline.run_report().to_json(),
-                "run report diverged [{tag}]"
-            );
-        }
+        assert_eq!(resumed.feed, baseline.feed, "feed diverged [{tag}]");
+        assert_eq!(
+            resumed.run_stats, baseline.run_stats,
+            "run stats diverged [{tag}]"
+        );
+        assert_eq!(
+            resumed.collector.global().len(),
+            baseline.collector.global().len(),
+            "collected set diverged [{tag}]"
+        );
+        assert_eq!(
+            resumed.ntp_scan.records().len(),
+            baseline.ntp_scan.records().len(),
+            "scan records diverged [{tag}]"
+        );
+        assert_eq!(
+            resumed.run_report().to_json(),
+            baseline.run_report().to_json(),
+            "run report diverged [{tag}]"
+        );
     }
 }
 

@@ -1,4 +1,4 @@
-//! Robustness of the v7 checkpoint file: whatever happens to the bytes
+//! Robustness of the v8 checkpoint file: whatever happens to the bytes
 //! of a valid `study.ckpt` — cut short, a byte flipped, a byte flipped
 //! and the seal recomputed, a write interrupted half way — reading it
 //! back is a typed [`StoreError`] or a usable value, never a panic,
@@ -17,16 +17,16 @@ const SEED: u64 = 37;
 /// Magic (8) + version (2): where the encoded `StudyConfig` starts.
 const CONFIG_START: usize = 10;
 
-/// The config is 50 bytes of world and 47 of study: up to here every
+/// The config is 50 bytes of world and 39 of study: up to here every
 /// byte is a field of its own. [`Fixture::new`] checks the offset
 /// against the file.
-const CONFIG_END: usize = CONFIG_START + 50 + 47;
+const CONFIG_END: usize = CONFIG_START + 50 + 39;
 
 fn config() -> StudyConfig {
-    StudyConfig::tiny(SEED).with_collection_shards(2)
+    StudyConfig::tiny(SEED)
 }
 
-/// One sharded checkpoint ten minutes into the window — every section is
+/// One checkpoint ten minutes into the window — every section is
 /// populated, and the file is small enough to mutate at every offset.
 struct Fixture {
     dir: PathBuf,
@@ -39,7 +39,7 @@ impl Fixture {
         let path = Study::checkpoint(config(), Duration::mins(10), &dir).expect("writes");
         let clean = std::fs::read(path).expect("reads");
         let data = checkpoint::read(&dir).expect("clean checkpoint decodes");
-        assert!(!data.feed_prefix.is_empty() && data.collector.shards.len() == 2);
+        assert!(!data.feed_prefix.is_empty());
         assert_eq!(
             clean[CONFIG_END..][..8],
             data.collection.cursor.0.to_le_bytes(),
@@ -226,8 +226,8 @@ fn interrupted_write_keeps_the_previous_checkpoint() {
 /// session over the window its config spans, so `from_checkpoint`
 /// refuses a cursor outside it (past the end it would finish a study
 /// that skipped the rest of its collection). Each edit is made on the
-/// decoded state and written back — sealed, cursors of both shards in
-/// step — so only the check under test can object.
+/// decoded state and written back, sealed, so only the check under
+/// test can object.
 #[test]
 fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
     let fx = Fixture::new("order");

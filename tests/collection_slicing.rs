@@ -1,11 +1,10 @@
 //! The collection engine's one resumable step, pinned where Tier-1 runs
 //! it: on a pool that sheds load (so KoD backoff reschedules clients at
 //! 4× their interval), begin → `advance` at uneven stops → finish equals
-//! a single `run` in feed, statistics and KoD histogram, inline and
-//! sharded; and a checkpoint pushed through a zero-length `advance`
-//! comes back with its pending events in the same order — the event
-//! queue's (time, insertion order) contract seen from its only
-//! production caller.
+//! a single `run` in feed, statistics and KoD histogram; and a
+//! checkpoint pushed through a zero-length `advance` comes back with
+//! its pending events in the same order — the event queue's (time,
+//! insertion order) contract seen from its only production caller.
 
 use netsim::country::COLLECTOR_LOCATIONS;
 use netsim::time::{Duration, SimTime};
@@ -36,7 +35,7 @@ fn sliced_advance_equals_run_under_kod() {
     let end = SimTime(Duration::days(2).as_secs());
     let run = CollectionRun::new(&world, &pool, SimTime(0), end);
 
-    // Reference: the closure consumer recording into a flat collector.
+    // Reference: the closure consumer recording into its own collector.
     let mut flat = AddressCollector::new();
     let mut base_feed = Vec::new();
     let base_stats = run.run(|s, a, t| base_feed.extend(flat.record(s, a, t)));
@@ -51,7 +50,6 @@ fn sliced_advance_equals_run_under_kod() {
         end,
         &mut AddressCollector::new(),
         &mut Vec::new(),
-        &mut Registry::new(),
     );
     assert_eq!(whole.finish(&mut base_reg), base_stats);
     let kod_samples = base_reg
@@ -59,7 +57,7 @@ fn sliced_advance_equals_run_under_kod() {
         .map_or(0, |h| h.count());
     assert_eq!(kod_samples, base_stats.kod);
 
-    // Off any bucket or slot grid, behind the cursor, mid-window, and
+    // Off any calendar-slot grid, behind the cursor, mid-window, and
     // past the window end.
     let stops = [
         SimTime(Duration::hours(7).as_secs() + 13),
@@ -67,29 +65,20 @@ fn sliced_advance_equals_run_under_kod() {
         SimTime(Duration::hours(29).as_secs() + 64),
         end + Duration::days(1),
     ];
-    for shards in [1usize, 2] {
-        let mut feed = Vec::new();
-        let mut collector = AddressCollector::with_shards(shards);
-        let mut ckpt = run.begin();
-        for stop in stops {
-            run.advance(
-                &mut ckpt,
-                stop,
-                &mut collector,
-                &mut feed,
-                &mut Registry::new(),
-            );
-        }
-        assert_eq!(ckpt.cursor, end, "{shards} shards");
-        let mut reg = Registry::new();
-        assert_eq!(ckpt.finish(&mut reg), base_stats, "{shards} shards");
-        assert_eq!(feed, base_feed, "{shards} shards");
-        assert_eq!(
-            reg.snapshot().deterministic(),
-            base_reg.snapshot().deterministic(),
-            "{shards} shards"
-        );
+    let mut feed = Vec::new();
+    let mut collector = AddressCollector::new();
+    let mut ckpt = run.begin();
+    for stop in stops {
+        run.advance(&mut ckpt, stop, &mut collector, &mut feed);
     }
+    assert_eq!(ckpt.cursor, end);
+    let mut reg = Registry::new();
+    assert_eq!(ckpt.finish(&mut reg), base_stats);
+    assert_eq!(feed, base_feed);
+    assert_eq!(
+        reg.snapshot().deterministic(),
+        base_reg.snapshot().deterministic()
+    );
 }
 
 #[test]
@@ -107,17 +96,14 @@ fn zero_length_advance_keeps_pending_order() {
             .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
         "first polls are scheduled in device order, so pending sorts by (time, device)"
     );
-    for shards in [1usize, 2] {
-        let mut ckpt = begun.clone();
-        let mut feed = Vec::new();
-        run.advance(
-            &mut ckpt,
-            SimTime(0),
-            &mut AddressCollector::with_shards(shards),
-            &mut feed,
-            &mut Registry::new(),
-        );
-        assert_eq!(ckpt, begun, "{shards} shards");
-        assert!(feed.is_empty(), "{shards} shards");
-    }
+    let mut ckpt = begun.clone();
+    let mut feed = Vec::new();
+    run.advance(
+        &mut ckpt,
+        SimTime(0),
+        &mut AddressCollector::new(),
+        &mut feed,
+    );
+    assert_eq!(ckpt, begun);
+    assert!(feed.is_empty());
 }

@@ -39,11 +39,6 @@ impl Model {
     fn peek_time(&self) -> Option<SimTime> {
         self.pending.first().map(|&(t, _, _)| t)
     }
-
-    fn pop_bucket(&mut self, horizon: SimTime) -> Vec<(SimTime, u32)> {
-        let n = self.pending.iter().take_while(|e| e.0 < horizon).count();
-        self.pending.drain(..n).map(|(t, _, e)| (t, e)).collect()
-    }
 }
 
 /// A time (or horizon) from two random words. Most draws cluster where
@@ -107,16 +102,13 @@ proptest! {
                     }
                 }
                 6 | 7 => {
+                    // The collection loop's stop rule: pop while the
+                    // head is before a horizon.
                     let horizon = pick_time(a, b, last_popped);
-                    // Appends behind what the caller already holds.
-                    let mut out = vec![(SimTime(7), u32::MAX)];
-                    let n = queue.pop_bucket(horizon, &mut out);
-                    let want = model.pop_bucket(horizon);
-                    assert_eq!(n, want.len(), "step {step}: pop_bucket({horizon}) count");
-                    assert_eq!(out[0], (SimTime(7), u32::MAX), "step {step}: pop_bucket clobbered");
-                    assert_eq!(&out[1..], &want[..], "step {step}: pop_bucket({horizon})");
-                    if let Some(&(t, _)) = want.last() {
-                        last_popped = t;
+                    while queue.peek_time().is_some_and(|t| t < horizon) {
+                        let popped = queue.pop();
+                        assert_eq!(popped, model.pop(), "step {step}: pop before {horizon}");
+                        last_popped = popped.expect("peeked event pops").0;
                     }
                 }
                 8 => {

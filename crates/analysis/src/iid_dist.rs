@@ -1,11 +1,10 @@
 //! Figure 1: address structure (IID classes) and AS-type shares.
 
-use netsim::peeringdb::AsType;
-use netsim::topology::Topology;
-use std::net::Ipv6Addr;
 use v6addr::IidDistribution;
 
-/// The Figure 1 data for one dataset.
+/// The Figure 1 data for one dataset, read off its
+/// [`SetProfile`](crate::set_profile::SetProfile) by
+/// [`SetProfile::structure`](crate::set_profile::SetProfile::structure).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AddressStructure {
     /// IID class distribution.
@@ -14,83 +13,4 @@ pub struct AddressStructure {
     pub eyeball_as_share: f64,
     /// Addresses counted.
     pub total: u64,
-}
-
-/// Computes Figure 1's data over any stream of addresses (an
-/// [`v6addr::AddrSet`] iterator, a [`store::CompactSet`] iterator, a raw
-/// feed, …). Single pass; only the addresses seen matter, not their
-/// container.
-pub fn address_structure<I>(addrs: I, topology: &Topology) -> AddressStructure
-where
-    I: IntoIterator<Item = Ipv6Addr>,
-{
-    let mut iid = IidDistribution::new();
-    let mut eyeball = 0u64;
-    let mut total = 0u64;
-    for addr in addrs {
-        iid.add(addr);
-        total += 1;
-        if topology.as_type_of(addr) == AsType::CableDslIsp {
-            eyeball += 1;
-        }
-    }
-    AddressStructure {
-        iid,
-        eyeball_as_share: if total == 0 {
-            0.0
-        } else {
-            eyeball as f64 / total as f64
-        },
-        total,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::country;
-    use netsim::topology::{AsInfo, Asn};
-    use v6addr::{AddrSet, IidClass};
-
-    #[test]
-    fn structure_over_mixed_set() {
-        let mut topo = Topology::new();
-        topo.register(AsInfo {
-            asn: Asn(1),
-            name: "isp".into(),
-            kind: AsType::CableDslIsp,
-            country: country::DE,
-            allocations: vec!["2a00::/32".parse().unwrap()],
-        });
-        topo.register(AsInfo {
-            asn: Asn(2),
-            name: "dc".into(),
-            kind: AsType::Hosting,
-            country: country::US,
-            allocations: vec!["2600::/32".parse().unwrap()],
-        });
-        let set: AddrSet = [
-            "2a00::a1f3:9c42:7e5b:d608", // eyeball, high entropy
-            "2600::1",                   // hosting, low byte
-            "2600::",                    // hosting, zero
-            "2600:0:1::53",              // hosting, low byte
-        ]
-        .iter()
-        .map(|s| s.parse::<Ipv6Addr>().unwrap())
-        .collect();
-        let s = address_structure(set.iter(), &topo);
-        assert_eq!(s.total, 4);
-        assert!((s.eyeball_as_share - 0.25).abs() < 1e-12);
-        assert_eq!(s.iid.count(IidClass::LowByte), 2);
-        assert_eq!(s.iid.count(IidClass::Zero), 1);
-        assert_eq!(s.iid.count(IidClass::HighEntropy), 1);
-    }
-
-    #[test]
-    fn empty_set() {
-        let topo = Topology::new();
-        let s = address_structure(AddrSet::new().iter(), &topo);
-        assert_eq!(s.total, 0);
-        assert_eq!(s.eyeball_as_share, 0.0);
-    }
 }

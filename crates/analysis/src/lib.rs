@@ -15,7 +15,8 @@
 //! | [`iid_dist`] | IID structure + AS-type shares (Figure 1) |
 //! | [`eui64_vendors`] | EUI-64 vendor ranking + per-server provenance (Table 4, Figure 4) |
 //! | [`network_groups`] | per-network/AS/country aggregation (Tables 5, 6) |
-//! | [`overlap`] | dataset comparison (Table 1) |
+//! | [`set_profile`] | one-pass per-dataset group-bys behind Table 1 and Figure 1 |
+//! | [`overlap`] | dataset comparison rows (Table 1) |
 //! | [`keyreuse`] | secret-reuse analysis (§6) |
 //! | [`security`] | combined secure-share (the 43.5 % vs 28.4 % takeaway) |
 //! | [`attribution`] | scanner-attribution confusion matrix (§5 extension) |
@@ -34,6 +35,7 @@ pub mod network_groups;
 pub mod outdated;
 pub mod overlap;
 pub mod security;
+pub mod set_profile;
 pub mod ssh_os;
 pub mod title_cluster;
 pub mod tls_posture;

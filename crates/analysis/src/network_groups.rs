@@ -26,46 +26,48 @@ pub struct NetworkCounts {
     pub countries: u64,
 }
 
-/// Computes all aggregation levels over an address iterator.
-pub fn network_counts<'a, I>(addrs: I, topology: &Topology) -> NetworkCounts
+/// Computes all aggregation levels over an address iterator (duplicates
+/// allowed): sort, dedup, then one pass in which every network boundary
+/// shows in the highest bit that differs from the previous address.
+/// Origin and country are functions of the /32, so they are looked up
+/// once per /32 run.
+pub fn network_counts<I>(addrs: I, topology: &Topology) -> NetworkCounts
 where
-    I: IntoIterator<Item = &'a Ipv6Addr>,
+    I: IntoIterator<Item = Ipv6Addr>,
 {
     let geo = GeoDb::new(topology);
-    let mut a = HashSet::new();
-    let (mut n32, mut n48, mut n56, mut n64) = (
-        HashSet::new(),
-        HashSet::new(),
-        HashSet::new(),
-        HashSet::new(),
-    );
-    let mut ases = HashSet::new();
-    let mut countries = HashSet::new();
-    for addr in addrs {
-        if !a.insert(*addr) {
-            continue;
+    let mut sorted: Vec<u128> = addrs.into_iter().map(u128::from).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut c = NetworkCounts {
+        addrs: sorted.len() as u64,
+        ..NetworkCounts::default()
+    };
+    let (mut ases, mut countries) = (Vec::new(), Vec::new());
+    let mut prev = None;
+    for &a in &sorted {
+        // The first address opens a network at every level.
+        let differ = prev.map_or(u128::MAX, |p| a ^ p);
+        c.nets64 += u64::from(differ >> 64 != 0);
+        c.nets56 += u64::from(differ >> 72 != 0);
+        c.nets48 += u64::from(differ >> 80 != 0);
+        if differ >> 96 != 0 {
+            c.nets32 += 1;
+            let addr = Ipv6Addr::from(a);
+            ases.extend(topology.origin(addr));
+            countries.extend(geo.lookup(addr));
         }
-        let bits = u128::from(*addr);
-        n32.insert(bits & Prefix::netmask(32));
-        n48.insert(bits & Prefix::netmask(48));
-        n56.insert(bits & Prefix::netmask(56));
-        n64.insert(bits & Prefix::netmask(64));
-        if let Some(asn) = topology.origin(*addr) {
-            ases.insert(asn);
-        }
-        if let Some(c) = geo.lookup(*addr) {
-            countries.insert(c);
-        }
+        prev = Some(a);
     }
-    NetworkCounts {
-        addrs: a.len() as u64,
-        nets32: n32.len() as u64,
-        nets48: n48.len() as u64,
-        nets56: n56.len() as u64,
-        nets64: n64.len() as u64,
-        ases: ases.len() as u64,
-        countries: countries.len() as u64,
-    }
+    c.ases = distinct(ases);
+    c.countries = distinct(countries);
+    c
+}
+
+fn distinct<T: Ord>(mut found: Vec<T>) -> u64 {
+    found.sort_unstable();
+    found.dedup();
+    found.len() as u64
 }
 
 /// Table 6 view: group labels counted by IPs and by /48, /56, /64
@@ -149,7 +151,7 @@ mod tests {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-        let c = network_counts(addrs.iter(), &topo);
+        let c = network_counts(addrs.iter().copied(), &topo);
         assert_eq!(c.addrs, 4);
         assert_eq!(c.nets32, 2);
         assert_eq!(c.nets48, 2);
@@ -159,11 +161,66 @@ mod tests {
         assert_eq!(c.countries, 2);
     }
 
+    /// The boundary-counting pass against one `HashSet` per level, over
+    /// a pseudo-random population with duplicates, two routed /32s and
+    /// unrouted space.
+    #[test]
+    fn counts_match_hashset_reference() {
+        let topo = topo();
+        let mut state = 0xbeef_u128;
+        let mut step = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 32
+        };
+        let bases = [0x2a00u128 << 112, 0x2600u128 << 112, 0x3fffu128 << 112];
+        let addrs: Vec<Ipv6Addr> = (0..600)
+            .map(|_| {
+                let r = step();
+                // Two bits of freedom at each of /48, /56 and /64, four in the IID.
+                let low = (r & 3) << 80 | (r >> 2 & 3) << 72 | (r >> 4 & 3) << 64 | (r >> 6 & 15);
+                Ipv6Addr::from(bases[(r >> 10) as usize % 3] | low)
+            })
+            .collect();
+        let distinct: HashSet<Ipv6Addr> = addrs.iter().copied().collect();
+        assert!(distinct.len() < addrs.len(), "population has duplicates");
+        let nets = |len: u8| {
+            distinct
+                .iter()
+                .map(|a| u128::from(*a) & Prefix::netmask(len))
+                .collect::<HashSet<_>>()
+                .len() as u64
+        };
+        let expect = NetworkCounts {
+            addrs: distinct.len() as u64,
+            nets32: nets(32),
+            nets48: nets(48),
+            nets56: nets(56),
+            nets64: nets(64),
+            ases: distinct
+                .iter()
+                .filter_map(|a| topo.origin(*a))
+                .collect::<HashSet<_>>()
+                .len() as u64,
+            countries: distinct
+                .iter()
+                .filter_map(|a| topo.country_of(*a))
+                .collect::<HashSet<_>>()
+                .len() as u64,
+        };
+        assert_eq!(network_counts(addrs.iter().copied(), &topo), expect);
+        assert_eq!(
+            network_counts(std::iter::empty(), &topo),
+            NetworkCounts::default()
+        );
+    }
+
     #[test]
     fn unrouted_addresses_count_networks_only() {
         let topo = topo();
         let addrs: Vec<Ipv6Addr> = vec!["3fff::1".parse().unwrap()];
-        let c = network_counts(addrs.iter(), &topo);
+        let c = network_counts(addrs.iter().copied(), &topo);
         assert_eq!(c.addrs, 1);
         assert_eq!(c.ases, 0);
         assert_eq!(c.countries, 0);

@@ -1,15 +1,15 @@
 //! Dataset comparison (paper Table 1): distinct counts, overlaps and
 //! density medians across address sets.
 //!
-//! Operates on [`CompactSet`]s: every count here is a single pass over
-//! sorted streams (run-length for per-network densities, two-pointer
-//! merges for overlaps), so comparing two datasets allocates nothing
-//! proportional to their size beyond the sets themselves.
-
-use netsim::topology::Topology;
-use std::collections::HashMap;
-use store::CompactSet;
-use v6addr::set::median_u64;
+//! These are the row types only. Every number in them except the shared
+//! address count is read off two [`SetProfile`]s — the per-/48 and
+//! per-AS group-bys one decode pass over each dataset leaves behind —
+//! by [`SetProfile::stats`] and [`SetProfile::overlap`]; shared
+//! addresses are one `CompactSet::overlap_count` per pair.
+//!
+//! [`SetProfile`]: crate::set_profile::SetProfile
+//! [`SetProfile::stats`]: crate::set_profile::SetProfile::stats
+//! [`SetProfile::overlap`]: crate::set_profile::SetProfile::overlap
 
 /// One dataset column of Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,25 +28,6 @@ pub struct DatasetStats {
     pub median_per_as: f64,
 }
 
-/// Computes a dataset's column.
-pub fn dataset_stats(label: &str, set: &CompactSet, topology: &Topology) -> DatasetStats {
-    let mut per_as: HashMap<u32, u64> = HashMap::new();
-    for addr in set.iter() {
-        if let Some(asn) = topology.origin(addr) {
-            *per_as.entry(asn.0).or_insert(0) += 1;
-        }
-    }
-    let per_48: Vec<u64> = set.masked_counts(48).map(|(_, n)| n).collect();
-    DatasetStats {
-        label: label.to_string(),
-        addresses: set.len() as u64,
-        nets48: per_48.len() as u64,
-        ases: per_as.len() as u64,
-        median_per_48: median_u64(per_48.iter().copied()).unwrap_or(0.0),
-        median_per_as: median_u64(per_as.values().copied()).unwrap_or(0.0),
-    }
-}
-
 /// Overlap of one dataset against a reference (the paper's "⋯ overlap"
 /// rows, reference = "Our Data").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,141 +38,4 @@ pub struct OverlapStats {
     pub nets48: u64,
     /// Shared origin ASes.
     pub ases: u64,
-}
-
-/// Computes overlaps between `ours` and `other` in one sorted-merge pass
-/// per row — no intermediate hash sets.
-pub fn overlap_stats(ours: &CompactSet, other: &CompactSet, topology: &Topology) -> OverlapStats {
-    let as_list = |s: &CompactSet| -> Vec<u32> {
-        let mut v: Vec<u32> = s
-            .iter()
-            .filter_map(|a| topology.origin(a))
-            .map(|asn| asn.0)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let (a, b) = (as_list(ours), as_list(other));
-    let (mut i, mut j, mut ases) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                ases += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    OverlapStats {
-        addresses: ours.overlap_count(other) as u64,
-        nets48: ours.network_overlap(other, 48) as u64,
-        ases,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::country;
-    use netsim::peeringdb::AsType;
-    use netsim::topology::{AsInfo, Asn};
-    use std::net::Ipv6Addr;
-
-    fn topo() -> Topology {
-        let mut t = Topology::new();
-        for (i, p) in ["2a00::/32", "2a01::/32", "2600::/32"].iter().enumerate() {
-            t.register(AsInfo {
-                asn: Asn(i as u32 + 1),
-                name: format!("as{i}"),
-                kind: AsType::CableDslIsp,
-                country: country::DE,
-                allocations: vec![p.parse().unwrap()],
-            });
-        }
-        t
-    }
-
-    fn set(addrs: &[&str]) -> CompactSet {
-        addrs
-            .iter()
-            .map(|s| s.parse::<Ipv6Addr>().unwrap())
-            .collect()
-    }
-
-    #[test]
-    fn stats_and_medians() {
-        let topo = topo();
-        let s = set(&[
-            "2a00:0:1::1",
-            "2a00:0:1::2",
-            "2a00:0:1::3",
-            "2a00:0:2::1",
-            "2a01:0:1::1",
-        ]);
-        let d = dataset_stats("test", &s, &topo);
-        assert_eq!(d.addresses, 5);
-        assert_eq!(d.nets48, 3);
-        assert_eq!(d.ases, 2);
-        // /48 densities: [3, 1, 1] → median 1; AS densities: [4, 1] → 2.5.
-        assert_eq!(d.median_per_48, 1.0);
-        assert_eq!(d.median_per_as, 2.5);
-    }
-
-    #[test]
-    fn overlaps() {
-        let topo = topo();
-        let ours = set(&["2a00:0:1::1", "2a00:0:2::1", "2a01:0:1::1"]);
-        let other = set(&["2a00:0:1::1", "2a00:0:1::9", "2600:0:1::1"]);
-        let o = overlap_stats(&ours, &other, &topo);
-        assert_eq!(o.addresses, 1);
-        assert_eq!(o.nets48, 1);
-        assert_eq!(o.ases, 1); // only AS 1 shared
-    }
-
-    /// The sorted-merge rewrite must reproduce the old two-HashSet
-    /// outputs exactly; this pins them over a pseudo-random pair.
-    #[test]
-    fn overlaps_match_hashset_reference() {
-        use std::collections::HashSet;
-        let topo = topo();
-        let mut state = 0xfeed_u128;
-        let mut step = || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1);
-            state
-        };
-        let bases = [0x2a00u128 << 112, 0x2a01u128 << 112, 0x2600u128 << 112];
-        let draw = |r: u128| bases[(r % 3) as usize] | (r >> 64 & 0xffff_ffff);
-        let ours_raw: Vec<u128> = (0..400).map(|_| draw(step())).collect();
-        let other_raw: Vec<u128> = (0..400).map(|_| draw(step())).collect();
-        let ours: CompactSet = ours_raw.iter().copied().map(Ipv6Addr::from).collect();
-        let other: CompactSet = other_raw.iter().copied().map(Ipv6Addr::from).collect();
-        let o = overlap_stats(&ours, &other, &topo);
-        let href = |v: &[u128]| -> HashSet<u128> { v.iter().copied().collect() };
-        let (ha, hb) = (href(&ours_raw), href(&other_raw));
-        assert_eq!(o.addresses, ha.intersection(&hb).count() as u64);
-        let hn = |s: &HashSet<u128>| -> HashSet<u128> { s.iter().map(|a| a >> 80 << 80).collect() };
-        assert_eq!(o.nets48, hn(&ha).intersection(&hn(&hb)).count() as u64);
-        let has = |s: &HashSet<u128>| -> HashSet<u32> {
-            s.iter()
-                .filter_map(|&a| topo.origin(Ipv6Addr::from(a)))
-                .map(|asn| asn.0)
-                .collect()
-        };
-        assert_eq!(o.ases, has(&ha).intersection(&has(&hb)).count() as u64);
-    }
-
-    #[test]
-    fn empty_sets() {
-        let topo = topo();
-        let d = dataset_stats("empty", &CompactSet::default(), &topo);
-        assert_eq!(d.addresses, 0);
-        assert_eq!(d.median_per_48, 0.0);
-        let o = overlap_stats(&CompactSet::default(), &CompactSet::default(), &topo);
-        assert_eq!(o.addresses, 0);
-    }
 }

@@ -9,14 +9,22 @@
 //! `&Derived`, which [derefs](std::ops::Deref) to `&Study` for raw
 //! access.
 //!
-//! The exactly-once contract is observable: [`Derived::stats`] returns
-//! build counters, and `crates/core/tests/experiments.rs` asserts that
-//! rendering the full report twice still builds each artifact once.
+//! Two kinds of cell are not the wrapper's but the study's own
+//! ([`DerivedCells`], shared by every wrapper): the four [`CompactSet`]s
+//! and, next to each, its [`SetProfile`] — the per-/48, per-AS, AS-type
+//! and IID group-bys of one decode pass, which Table 1, Figure 1 and the
+//! takeaways are arithmetic on.
+//!
+//! The exactly-once contract is observable: [`Derived::stats`] and
+//! [`DerivedCells::stats`] return build counters, and
+//! `crates/core/tests/experiments.rs` asserts that rendering the full
+//! report twice still builds each artifact once.
 
 use crate::Study;
 use analysis::access_control::{amqp_brokers, mqtt_brokers, Broker};
 use analysis::coap_groups::{coap_devices, CoapDevice};
 use analysis::network_groups::{network_counts, NetworkCounts};
+use analysis::set_profile::SetProfile;
 use analysis::ssh_os::{unique_ssh_hosts, SshHost};
 use analysis::title_cluster::{
     group_titles, http_titles_by_addr, https_title_groups_dual, unique_https_titles, DualTitleGroup,
@@ -134,12 +142,14 @@ impl Counters {
     }
 }
 
-/// Study-scoped counters for the compact-set cells, snapshot via
-/// [`DerivedCells::stats`].
+/// Study-scoped counters for the compact-set and profile cells,
+/// snapshot via [`DerivedCells::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DerivedCellStats {
     /// Sets materialized from study data.
     pub builds: u32,
+    /// [`SetProfile`]s computed (one decode pass each). At most 4.
+    pub profile_builds: u32,
     /// Cells pre-populated with an already-materialized set (e.g. one
     /// reopened from a shared segment pool) instead of being rebuilt.
     pub seeded: u32,
@@ -149,7 +159,8 @@ pub struct DerivedCellStats {
     pub rebuilds: u32,
 }
 
-/// The four [`SetKind`] compact-set memo cells, owned by the [`Study`]
+/// The four [`SetKind`] compact-set memo cells and, next to each, the
+/// [`SetProfile`] that is a pure function of it — owned by the [`Study`]
 /// itself rather than by any one [`Derived`] wrapper.
 ///
 /// Historically the cells lived inside `Derived`, so every
@@ -159,10 +170,17 @@ pub struct DerivedCellStats {
 /// them here (behind an `Arc`, shared by every wrapper) makes the
 /// exactly-once contract study-scoped, lets a service seed cells from
 /// its shared segment cache, and counts any rebuild that does happen.
+///
+/// A profile is filled on first use by [`Derived::set_profile`] from
+/// whatever set its cell holds (built or seeded). Being study-scoped it
+/// is not a wrapper artifact: it appears in [`DerivedCellStats`], never
+/// in [`DerivedStats`] or [`Derived::memo_misses`].
 #[derive(Default)]
 pub struct DerivedCells {
     sets: [OnceLock<Arc<CompactSet>>; 4],
+    profiles: [OnceLock<SetProfile>; 4],
     builds: AtomicU32,
+    profile_builds: AtomicU32,
     seeded: AtomicU32,
     rebuilds: AtomicU32,
     prior_built: [AtomicBool; 4],
@@ -211,6 +229,7 @@ impl DerivedCells {
     pub fn stats(&self) -> DerivedCellStats {
         DerivedCellStats {
             builds: self.builds.load(Ordering::Relaxed),
+            profile_builds: self.profile_builds.load(Ordering::Relaxed),
             seeded: self.seeded.load(Ordering::Relaxed),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
         }
@@ -354,8 +373,8 @@ impl<'a> Derived<'a> {
             Protocol::ALL
                 .iter()
                 .map(|p| {
-                    let addrs: Vec<Ipv6Addr> = store.addrs(*p).into_iter().collect();
-                    (*p, network_counts(addrs.iter(), topo))
+                    let addrs = store.by_protocol(*p).map(|r| r.addr);
+                    (*p, network_counts(addrs, topo))
                 })
                 .collect()
         })
@@ -382,6 +401,18 @@ impl<'a> Derived<'a> {
                 .derived_cells
                 .get_or_build(kind, || self.build_set(kind)),
         )
+    }
+
+    /// The per-/48, per-AS, AS-type and IID group-bys of one address set
+    /// — what Table 1, Figure 1 and the takeaways are arithmetic on —
+    /// from one decode pass over [`Derived::compact_set`], computed once
+    /// **per study** like the set itself.
+    pub fn set_profile(&self, kind: SetKind) -> &SetProfile {
+        let cells = &self.study.derived_cells;
+        cells.profiles[kind.idx()].get_or_init(|| {
+            Counters::bump(&cells.profile_builds);
+            SetProfile::build(self.compact_set(kind), &self.study.world.topology)
+        })
     }
 
     fn build_set(&self, kind: SetKind) -> CompactSet {

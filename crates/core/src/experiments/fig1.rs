@@ -3,7 +3,7 @@
 
 use crate::report::{fmt_pct, TextTable};
 use crate::{Derived, SetKind};
-use analysis::iid_dist::{address_structure, AddressStructure};
+use analysis::iid_dist::AddressStructure;
 use v6addr::IidClass;
 
 /// Computed Figure 1 data: one structure per dataset.
@@ -19,10 +19,9 @@ pub struct Fig1 {
     pub full: AddressStructure,
 }
 
-/// Computes Figure 1.
+/// Computes Figure 1 from the four memoized set profiles.
 pub fn compute(study: &Derived) -> Fig1 {
-    let topo = &study.world.topology;
-    let over = |kind| address_structure(study.compact_set(kind).iter(), topo);
+    let over = |kind| study.set_profile(kind).structure();
     Fig1 {
         ours: over(SetKind::Ours),
         rl: over(SetKind::Rl),

@@ -3,7 +3,7 @@
 
 use crate::report::{fmt_int, TextTable};
 use crate::{Derived, SetKind};
-use analysis::overlap::{dataset_stats, overlap_stats, DatasetStats, OverlapStats};
+use analysis::overlap::{DatasetStats, OverlapStats};
 
 /// The computed table.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,21 +24,25 @@ pub struct Table1 {
     pub overlap_full: OverlapStats,
 }
 
-/// Computes Table 1.
+/// Computes Table 1 from the four memoized set profiles; the sets
+/// themselves are decoded only for the three shared-address counts.
 pub fn compute(study: &Derived) -> Table1 {
-    let ours = study.compact_set(SetKind::Ours);
-    let rl = study.compact_set(SetKind::Rl);
-    let public = study.compact_set(SetKind::HitlistPublic);
-    let full = study.compact_set(SetKind::HitlistFull);
-    let topo = &study.world.topology;
+    let profile = |kind| study.set_profile(kind);
+    let ours = profile(SetKind::Ours);
+    let overlap = |kind| {
+        let shared = study
+            .compact_set(SetKind::Ours)
+            .overlap_count(study.compact_set(kind));
+        ours.overlap(profile(kind), shared as u64)
+    };
     Table1 {
-        ours: dataset_stats("Our Data", ours, topo),
-        rl: dataset_stats("Rye and Levin (emulated)", rl, topo),
-        public: dataset_stats("TUM public", public, topo),
-        full: dataset_stats("TUM full", full, topo),
-        overlap_rl: overlap_stats(ours, rl, topo),
-        overlap_public: overlap_stats(ours, public, topo),
-        overlap_full: overlap_stats(ours, full, topo),
+        ours: ours.stats("Our Data"),
+        rl: profile(SetKind::Rl).stats("Rye and Levin (emulated)"),
+        public: profile(SetKind::HitlistPublic).stats("TUM public"),
+        full: profile(SetKind::HitlistFull).stats("TUM full"),
+        overlap_rl: overlap(SetKind::Rl),
+        overlap_public: overlap(SetKind::HitlistPublic),
+        overlap_full: overlap(SetKind::HitlistFull),
     }
 }
 

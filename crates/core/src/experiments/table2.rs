@@ -89,31 +89,39 @@ fn family_keys(study: &Derived, src: Source, f: &Family) -> Option<HashSet<[u8; 
     Some(keys)
 }
 
+fn row(study: &Derived, f: &Family) -> Row {
+    let our_keys_set = family_keys(study, Source::Ntp, f);
+    let tum_keys_set = family_keys(study, Source::Hitlist, f);
+    let key_overlap = match (&our_keys_set, &tum_keys_set) {
+        (Some(a), Some(b)) => Some(a.intersection(b).count() as u64),
+        _ => None,
+    };
+    Row {
+        label: f.label.to_string(),
+        our_addrs: family_addrs(&study.ntp_scan, f),
+        our_tls: f.tls.map(|t| study.ntp_scan.addrs_with_tls(t).len() as u64),
+        our_keys: our_keys_set.map(|s| s.len() as u64),
+        tum_addrs: family_addrs(&study.hitlist_scan, f),
+        tum_tls: f
+            .tls
+            .map(|t| study.hitlist_scan.addrs_with_tls(t).len() as u64),
+        tum_keys: tum_keys_set.map(|s| s.len() as u64),
+        key_overlap,
+    }
+}
+
 /// Computes Table 2.
 pub fn compute(study: &Derived) -> Vec<Row> {
-    FAMILIES
+    FAMILIES.iter().map(|f| row(study, f)).collect()
+}
+
+/// Table 2's CoAP row alone — the one family the takeaways quote.
+pub fn coap_row(study: &Derived) -> Row {
+    let coap = FAMILIES
         .iter()
-        .map(|f| {
-            let our_keys_set = family_keys(study, Source::Ntp, f);
-            let tum_keys_set = family_keys(study, Source::Hitlist, f);
-            let key_overlap = match (&our_keys_set, &tum_keys_set) {
-                (Some(a), Some(b)) => Some(a.intersection(b).count() as u64),
-                _ => None,
-            };
-            Row {
-                label: f.label.to_string(),
-                our_addrs: family_addrs(&study.ntp_scan, f),
-                our_tls: f.tls.map(|t| study.ntp_scan.addrs_with_tls(t).len() as u64),
-                our_keys: our_keys_set.map(|s| s.len() as u64),
-                tum_addrs: family_addrs(&study.hitlist_scan, f),
-                tum_tls: f
-                    .tls
-                    .map(|t| study.hitlist_scan.addrs_with_tls(t).len() as u64),
-                tum_keys: tum_keys_set.map(|s| s.len() as u64),
-                key_overlap,
-            }
-        })
-        .collect()
+        .find(|f| f.plain == Protocol::Coap)
+        .expect("Table 2 has a CoAP family");
+    row(study, coap)
 }
 
 fn opt(v: Option<u64>) -> String {

@@ -7,14 +7,10 @@ use crate::Derived;
 /// Renders every takeaway with measured values.
 pub fn render(study: &Derived) -> String {
     let f1 = super::fig1::compute(study);
-    let t2 = super::table2::compute(study);
+    let coap = super::table2::coap_row(study);
     let sec = super::security::compute(study);
     let t3 = super::table3::compute(study);
 
-    let coap = t2
-        .iter()
-        .find(|r| r.label.starts_with("CoAP"))
-        .expect("CoAP row");
     let new_devices = super::table3::new_device_count(study);
     let fritz = super::table3::our_title_count(&t3.titles, "FRITZ!Box 7590");
     let our_certs: u64 = t3.titles.iter().map(|g| g.our_hosts).sum();

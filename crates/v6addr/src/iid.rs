@@ -15,9 +15,9 @@
 //! The hitlist skews towards Zero/LowByte (infrastructure); NTP-collected
 //! client addresses skew towards Eui64 and high entropy.
 
-use crate::entropy::nybble_entropy;
 use std::fmt;
 use std::net::Ipv6Addr;
+use std::sync::OnceLock;
 
 /// A raw 64-bit interface identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -139,7 +139,7 @@ pub fn classify_raw(iid: Iid) -> IidClass {
     if crate::eui64::Eui64(v).has_fffe_marker() {
         return IidClass::Eui64;
     }
-    let h = nybble_entropy(&iid.bytes());
+    let h = iid_entropy(v);
     if h < LOW_ENTROPY_THRESHOLD {
         IidClass::LowEntropy
     } else if h < HIGH_ENTROPY_THRESHOLD {
@@ -147,6 +147,34 @@ pub fn classify_raw(iid: Iid) -> IidClass {
     } else {
         IidClass::HighEntropy
     }
+}
+
+/// [`nybble_entropy`](crate::entropy::nybble_entropy) of an IID's eight
+/// bytes, bit for bit. Sixteen nybbles leave a histogram bin only the
+/// seventeen values `c / 16`, so the `p·log2 p` terms come from a table
+/// (filled by the general definition's own expression and subtracted in
+/// its bin order) instead of up to sixteen `log2` calls.
+fn iid_entropy(v: u64) -> f64 {
+    static TERMS: OnceLock<[f64; 17]> = OnceLock::new();
+    let terms = TERMS.get_or_init(|| {
+        let mut terms = [0.0; 17];
+        for (c, term) in terms.iter_mut().enumerate().skip(1) {
+            let p = c as f64 / 16.0;
+            *term = p * p.log2();
+        }
+        terms
+    });
+    let mut hist = [0usize; 16];
+    for shift in (0..64).step_by(4) {
+        hist[(v >> shift & 0xf) as usize] += 1;
+    }
+    let mut h = 0.0;
+    for &c in &hist {
+        if c > 0 {
+            h -= terms[c];
+        }
+    }
+    (h / 4.0).clamp(0.0, 1.0)
 }
 
 /// A histogram of IID classes over a collection of addresses; the data
@@ -222,8 +250,50 @@ impl IidDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entropy::nybble_entropy;
     use crate::eui64::Eui64;
     use crate::mac::Mac;
+    use proptest::prelude::*;
+
+    fn assert_entropy_is_the_general_definition(v: u64) {
+        assert_eq!(
+            iid_entropy(v).to_bits(),
+            nybble_entropy(&v.to_be_bytes()).to_bits(),
+            "{v:016x}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn iid_entropy_is_bit_identical_to_nybble_entropy(v in any::<u64>()) {
+            assert_entropy_is_the_general_definition(v);
+        }
+    }
+
+    #[test]
+    fn iid_entropy_is_bit_identical_on_edge_patterns() {
+        assert_entropy_is_the_general_definition(0);
+        assert_entropy_is_the_general_definition(u64::MAX);
+        // One nybble set, every value at every position.
+        for pos in 0..16 {
+            for nybble in 1..16u64 {
+                assert_entropy_is_the_general_definition(nybble << (4 * pos));
+            }
+        }
+        // One more distinct nybble at a time walks the entropy up
+        // through both bucket thresholds.
+        let (mut v, mut prev, mut crossed) = (0u64, 0.0, [false; 2]);
+        for nybble in 1..16 {
+            v = v << 4 | nybble;
+            assert_entropy_is_the_general_definition(v);
+            let h = iid_entropy(v);
+            crossed[0] |= prev < LOW_ENTROPY_THRESHOLD && LOW_ENTROPY_THRESHOLD <= h;
+            crossed[1] |= prev < HIGH_ENTROPY_THRESHOLD && HIGH_ENTROPY_THRESHOLD <= h;
+            prev = h;
+        }
+        assert_eq!(crossed, [true; 2], "patterns straddle both thresholds");
+    }
 
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()

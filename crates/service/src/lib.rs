@@ -18,9 +18,8 @@
 //! * **Shared segments** — sealed compact sets from completed studies
 //!   are frozen into a content-addressed [`SegmentPool`]; identical
 //!   sets (e.g. the hitlist baseline of every study over one world)
-//!   converge on one file and one resident copy — served zero-copy from
-//!   the mmap'd sealed file — and seed the derived cells of later
-//!   studies so they are never rebuilt.
+//!   converge on one file and one resident copy, and seed the derived
+//!   cells of later studies so they are never rebuilt.
 //! * **Deterministic parallel scheduling** — each [`StudyService::tick`]
 //!   admits queued studies in id order up to the admission budget, fans
 //!   active [`StudySession`]s out over a pool of
@@ -276,8 +275,8 @@ impl QueryClient {
     }
 
     /// A completed study's compact set, served from the shared segment
-    /// pool (resident mmap-backed `Arc` when cached, re-mapped from
-    /// disk otherwise).
+    /// pool (the resident `Arc` when cached, read back from disk and
+    /// re-validated otherwise).
     pub fn set(&self, id: StudyId, kind: SetKind) -> Result<Option<Arc<CompactSet>>, StoreError> {
         let seg = self
             .state
@@ -290,10 +289,8 @@ impl QueryClient {
             self.state.count(false);
             return Ok(None);
         };
-        let hits_before = self.state.segments.stats().cache_hits;
-        let set = self.state.segments.open(seg)?;
-        self.state
-            .count(self.state.segments.stats().cache_hits > hits_before);
+        let (set, hit) = self.state.segments.open_with_hit(seg)?;
+        self.state.count(hit);
         Ok(Some(set))
     }
 
@@ -686,8 +683,8 @@ impl StudyService {
     }
 
     /// A completed study's compact set, served from the shared segment
-    /// pool (resident `Arc` when cached, re-mapped from disk
-    /// otherwise).
+    /// pool (the resident `Arc` when cached, read back from disk and
+    /// re-validated otherwise).
     pub fn set(&self, id: StudyId, kind: SetKind) -> Result<Option<Arc<CompactSet>>, StoreError> {
         self.queries().set(id, kind)
     }

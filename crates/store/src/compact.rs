@@ -12,7 +12,7 @@
 //! at most one block, and ordered iteration is a straight walk of the
 //! byte stream.
 //!
-//! Because the representation is sorted, set algebra (union, intersect,
+//! Because the representation is sorted, set algebra (union,
 //! difference, overlap counting) streams over decoded iterators with
 //! two-pointer / k-way merges — no intermediate `HashSet` is ever
 //! materialized. Masked network views (`/48`s, `/64`s, …) fall out of
@@ -21,85 +21,10 @@
 //! stream.
 
 use crate::codec;
-use crate::mmap::Mmap;
 use std::net::Ipv6Addr;
-use std::sync::Arc;
 
 /// Maximum addresses per delta block.
 pub const BLOCK_CAP: usize = 256;
-
-/// The encoded block bytes of a [`CompactSet`]: owned on the build
-/// path, or a zero-copy window into an mmap'd sealed segment file on
-/// the [`segment::map_file`](crate::segment::map_file) path. Both deref
-/// to the same `&[u8]`, so every decoder is backing-agnostic; equality
-/// and hashing are over the bytes, never the backing.
-#[derive(Clone)]
-pub(crate) enum SetBytes {
-    /// Heap-resident encoded blocks.
-    Owned(Vec<u8>),
-    /// `map[offset..offset + len]` of a validated, sealed segment file.
-    /// The `Arc` keeps the mapping alive for as long as any set (or
-    /// clone of it) references the window.
-    Mapped {
-        map: Arc<Mmap>,
-        offset: usize,
-        len: usize,
-    },
-}
-
-impl std::ops::Deref for SetBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            SetBytes::Owned(v) => v,
-            SetBytes::Mapped { map, offset, len } => &map[*offset..*offset + *len],
-        }
-    }
-}
-
-impl Default for SetBytes {
-    fn default() -> SetBytes {
-        SetBytes::Owned(Vec::new())
-    }
-}
-
-impl PartialEq for SetBytes {
-    fn eq(&self, other: &SetBytes) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for SetBytes {}
-
-impl std::fmt::Debug for SetBytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SetBytes")
-            .field("len", &self.len())
-            .field("mapped", &matches!(self, SetBytes::Mapped { .. }))
-            .finish()
-    }
-}
-
-impl SetBytes {
-    /// Private heap bytes: the buffer for owned backings, zero for
-    /// mapped ones (their pages belong to the page cache and are
-    /// reclaimable by the kernel).
-    fn heap_bytes(&self) -> usize {
-        match self {
-            SetBytes::Owned(v) => v.capacity(),
-            SetBytes::Mapped { map, .. } => {
-                // A refused map degrades to an owned read inside `Mmap`;
-                // report it honestly.
-                if map.is_mapped() {
-                    0
-                } else {
-                    map.heap_bytes()
-                }
-            }
-        }
-    }
-}
 
 /// Per-block index entry: everything `contains` needs to decide whether
 /// to decode the block at `offset`.
@@ -115,7 +40,7 @@ pub(crate) struct Fence {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactSet {
     pub(crate) fences: Vec<Fence>,
-    pub(crate) data: SetBytes,
+    pub(crate) data: Vec<u8>,
     pub(crate) len: usize,
 }
 
@@ -187,11 +112,7 @@ impl CompactSet {
         // resident.
         data.shrink_to_fit();
         fences.shrink_to_fit();
-        CompactSet {
-            fences,
-            data: SetBytes::Owned(data),
-            len,
-        }
+        CompactSet { fences, data, len }
     }
 
     /// Number of addresses in the set.
@@ -204,28 +125,10 @@ impl CompactSet {
         self.len == 0
     }
 
-    /// Resident *heap* bytes of the encoded set: data buffer + fence
-    /// index for owned sets; only the fence index for mmap-backed sets,
-    /// whose data pages live in the page cache and are reclaimable by
-    /// the kernel (see [`CompactSet::is_mapped`]).
+    /// Resident heap bytes of the encoded set: data buffer + fence
+    /// index.
     pub fn heap_bytes(&self) -> usize {
-        self.data.heap_bytes() + self.fences.capacity() * std::mem::size_of::<Fence>()
-    }
-
-    /// Total encoded data bytes, regardless of backing — the page-cache
-    /// cost of a mapped set, or part of [`CompactSet::heap_bytes`] for
-    /// an owned one.
-    pub fn data_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the encoded blocks are served zero-copy from an mmap'd
-    /// sealed segment file instead of private heap.
-    pub fn is_mapped(&self) -> bool {
-        matches!(
-            &self.data,
-            SetBytes::Mapped { map, .. } if map.is_mapped()
-        )
+        self.data.capacity() + self.fences.capacity() * std::mem::size_of::<Fence>()
     }
 
     /// Smallest and largest address in the set as raw integers, `None`
@@ -292,13 +195,6 @@ impl CompactSet {
         CompactSet::union_all(&[self, other])
     }
 
-    /// Streaming intersection.
-    pub fn intersect(&self, other: &CompactSet) -> CompactSet {
-        CompactSet::from_sorted(
-            TwoPointer::new(self, other).filter_map(|(a, both)| both.then_some(a)),
-        )
-    }
-
     /// Streaming difference (`self \ other`).
     pub fn difference(&self, other: &CompactSet) -> CompactSet {
         let mut rhs = other.iter_u128().peekable();
@@ -314,11 +210,6 @@ impl CompactSet {
         TwoPointer::new(self, other)
             .filter(|&(_, both)| both)
             .count()
-    }
-
-    /// Distinct masked networks (e.g. `len = 48` for /48s).
-    pub fn network_count(&self, len: u8) -> usize {
-        self.masked_counts(len).count()
     }
 
     /// Number of masked networks that appear in both sets — the
@@ -605,10 +496,6 @@ mod tests {
             vec![1, 2, 3, 4, 10, 20, 30]
         );
         assert_eq!(
-            a.intersect(&b).iter_u128().collect::<Vec<_>>(),
-            vec![2, 3, 20]
-        );
-        assert_eq!(
             a.difference(&b).iter_u128().collect::<Vec<_>>(),
             vec![1, 10]
         );
@@ -657,13 +544,12 @@ mod tests {
         let p48 = |hi: u128, lo: u128| (hi << 80) | lo;
         let a = set_of(&[p48(1, 1), p48(1, 2), p48(2, 1), p48(3, 1)]);
         let b = set_of(&[p48(2, 7), p48(3, 9), p48(4, 1)]);
-        assert_eq!(a.network_count(48), 3);
         assert_eq!(a.network_overlap(&b, 48), 2);
         assert_eq!(a.network_overlap(&b, 128), 0);
         let counts: Vec<u64> = a.masked_counts(48).map(|(_, c)| c).collect();
         assert_eq!(counts, vec![2, 1, 1]);
         // len = 0 masks everything into one network.
-        assert_eq!(a.network_count(0), 1);
+        assert_eq!(a.masked_counts(0).count(), 1);
     }
 
     /// The collected population in miniature (Figure 1): 30 % privacy

@@ -9,8 +9,8 @@
 //! * [`CompactSet`] — an immutable, sorted set of IPv6 addresses encoded
 //!   as ≈256-address delta blocks (raw 16-byte first address + LEB128
 //!   varint deltas) behind a fence-pointer index. Supports `contains`,
-//!   ordered iteration, and streaming set algebra (union / intersect /
-//!   difference / overlap counting) without materializing hash sets.
+//!   ordered iteration, and streaming set algebra (union / difference /
+//!   overlap counting) without materializing hash sets.
 //! * [`Archive`] — an LSM-lite mutable set: a `HashSet` memtable that
 //!   spills into frozen [`CompactSet`] segments with deterministic
 //!   compaction, plus a canonical little-endian on-disk segment format
@@ -23,22 +23,19 @@
 //! * [`shared`] — a content-addressed [`SegmentPool`] where sealed
 //!   segments from completed collections are opened once and shared
 //!   behind `Arc`s across every study that references them.
-//! * [`mmap`] — read-only memory maps (direct-syscall on Linux, owned
-//!   fallback elsewhere) backing zero-copy frozen segments: a pool
-//!   segment served from an mmap costs O(page cache) instead of
-//!   O(segment bytes) of private heap, checksum-verified once at open.
 //!
 //! Everything here is deterministic: the observable state of an
 //! [`Archive`] (membership, length, iteration order) is a pure function
 //! of the inserted addresses, independent of when memtables froze or
 //! segments compacted.
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod bloom;
 pub mod codec;
 pub mod compact;
 pub mod error;
-pub mod mmap;
 pub mod segment;
 pub mod shared;
 
@@ -46,5 +43,4 @@ pub use archive::{Archive, BloomStats};
 pub use bloom::Bloom;
 pub use compact::{CompactSet, BLOCK_CAP};
 pub use error::StoreError;
-pub use mmap::Mmap;
 pub use shared::{PoolStats, SegmentId, SegmentPool};

@@ -19,19 +19,21 @@
 //! ascent, fence agreement) before handing out a set — after a
 //! successful decode the in-memory iterators may trust the bytes.
 //! Truncation and corruption surface as typed [`StoreError`]s, never
-//! panics.
+//! panics. A segment *file* goes through the same checks: it is read
+//! whole and decoded from the buffer.
 
-use crate::codec::{fnv1a, Reader, Writer};
-use crate::compact::{CompactSet, Fence, SetBytes, BLOCK_CAP};
+use crate::codec::{fnv1a, fnv1a_extend, Reader, Writer};
+use crate::compact::{CompactSet, Fence, BLOCK_CAP};
 use crate::error::StoreError;
-use crate::mmap::Mmap;
+use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Segment file magic bytes.
 pub const MAGIC: [u8; 8] = *b"NTP6SEG\0";
 /// Current segment format version.
 pub const VERSION: u16 = 1;
+/// Encoded size of one fence-table entry.
+const FENCE_BYTES: usize = 16 + 16 + 4 + 4 + 8;
 
 /// Encodes a set into the canonical segment byte form.
 pub fn encode(set: &CompactSet) -> Vec<u8> {
@@ -58,20 +60,19 @@ pub fn encode(set: &CompactSet) -> Vec<u8> {
 }
 
 /// The parsed header of a segment byte stream: everything but the
-/// block data, plus the data's byte range within the full file bytes
-/// (so a zero-copy backing can window straight into a mapping).
-struct Parsed {
+/// block data, which stays where it is at `data`.
+struct Header {
     fences: Vec<Fence>,
     /// Per-block `(data_len, fnv)` from the fence table.
     sums: Vec<(usize, u64)>,
     len: usize,
-    data_start: usize,
-    data_len: usize,
+    /// Where the concatenated block bytes sit in the stream.
+    data: Range<usize>,
 }
 
 /// Verifies the seal and parses the header; block-level validation
-/// happens in [`validate`] once a set is constructed over the data.
-fn parse(bytes: &[u8]) -> Result<Parsed, StoreError> {
+/// happens in [`Header::into_set`] once the data is in hand.
+fn parse(bytes: &[u8]) -> Result<Header, StoreError> {
     let payload = Reader::verify_seal(bytes, "segment")?;
     let mut r = Reader::new(payload);
     if r.take(8)? != MAGIC {
@@ -83,6 +84,15 @@ fn parse(bytes: &[u8]) -> Result<Parsed, StoreError> {
     }
     let blocks = r.u32()? as usize;
     let len = r.u64()? as usize;
+    // The count sizes two allocations: refuse one the rest of the
+    // stream could not hold before making them.
+    let needed = blocks.saturating_mul(FENCE_BYTES);
+    if needed > r.remaining() {
+        return Err(StoreError::Truncated {
+            needed,
+            available: r.remaining(),
+        });
+    }
     let mut fences = Vec::with_capacity(blocks);
     let mut sums = Vec::with_capacity(blocks);
     let mut offset = 0usize;
@@ -110,49 +120,54 @@ fn parse(bytes: &[u8]) -> Result<Parsed, StoreError> {
     if data.len() != offset {
         return Err(StoreError::Corrupt("data length disagrees with fences"));
     }
-    let data_start = data.as_ptr() as usize - bytes.as_ptr() as usize;
-    Ok(Parsed {
+    Ok(Header {
         fences,
         sums,
         len,
-        data_start,
-        data_len: data.len(),
+        // The data is the last thing before the seal.
+        data: payload.len() - data.len()..payload.len(),
     })
 }
 
-/// Decodes and fully validates a segment into an owned set.
-pub fn decode(bytes: &[u8]) -> Result<CompactSet, StoreError> {
-    let p = parse(bytes)?;
-    let set = CompactSet {
-        fences: p.fences,
-        data: SetBytes::Owned(bytes[p.data_start..p.data_start + p.data_len].to_vec()),
-        len: p.len,
-    };
-    validate(&set, &p.sums)?;
-    Ok(set)
+impl Header {
+    /// The set over `data` — this header's block bytes — once every
+    /// block has passed [`validate`].
+    fn into_set(self, data: Vec<u8>) -> Result<CompactSet, StoreError> {
+        let set = CompactSet {
+            fences: self.fences,
+            data,
+            len: self.len,
+        };
+        validate(&set, &self.sums)?;
+        Ok(set)
+    }
 }
 
-/// Memory-maps a sealed segment file and fully validates it **once at
-/// open** (seal, magic/version, every per-block checksum, full decode
-/// walk), then hands out a [`CompactSet`] whose block data is served
-/// zero-copy from the mapping: resident heap cost is the fence index
-/// only, the data pages belong to the page cache. Corruption surfaces
-/// here as a typed [`StoreError`] — a set that validates never reads
-/// bytes outside its checked window.
-pub fn map_file(path: &Path) -> Result<CompactSet, StoreError> {
-    let map = Arc::new(Mmap::open(path)?);
-    let p = parse(&map)?;
-    let set = CompactSet {
-        fences: p.fences,
-        data: SetBytes::Mapped {
-            map,
-            offset: p.data_start,
-            len: p.data_len,
-        },
-        len: p.len,
-    };
-    validate(&set, &p.sums)?;
-    Ok(set)
+/// Decodes and fully validates a segment into a set.
+pub fn decode(bytes: &[u8]) -> Result<CompactSet, StoreError> {
+    let header = parse(bytes)?;
+    let data = bytes[header.data.clone()].to_vec();
+    header.into_set(data)
+}
+
+/// Reads a sealed segment file and [`decode`]s it — the file's own
+/// buffer, cut down to the data section, becomes the set's. Also
+/// returns the FNV-1a-64 of the whole file, the content hash a
+/// [`SegmentId`](crate::SegmentId) names.
+pub(crate) fn read_file(path: &Path) -> Result<(CompactSet, u64), StoreError> {
+    let mut bytes = std::fs::read(path)?;
+    let header = parse(&bytes)?;
+    // The verified seal *is* the hash of everything before it:
+    // extending it over its own eight bytes hashes the whole file
+    // without a second pass.
+    let seal: [u8; 8] = bytes[header.data.end..]
+        .try_into()
+        .expect("a parsed segment ends in its 8-byte seal");
+    let content_hash = fnv1a_extend(u64::from_le_bytes(seal), &seal);
+    bytes.truncate(header.data.end);
+    bytes.drain(..header.data.start);
+    bytes.shrink_to_fit();
+    Ok((header.into_set(bytes)?, content_hash))
 }
 
 /// Structural validation: per-block checksums, then a full decode pass
@@ -282,79 +297,19 @@ mod tests {
     }
 
     #[test]
-    fn map_file_roundtrip_is_zero_copy() {
-        let dir = std::env::temp_dir().join("store-segment-map-test");
+    fn read_file_roundtrip() {
+        let dir = std::env::temp_dir().join("store-segment-file-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mapped.seg");
-        let set = sample();
-        std::fs::write(&path, encode(&set)).unwrap();
-        let mapped = map_file(&path).unwrap();
-        // Same observable set, different backing.
-        assert_eq!(mapped, set);
-        assert_eq!(
-            mapped.iter_u128().collect::<Vec<_>>(),
-            set.iter_u128().collect::<Vec<_>>()
-        );
-        for a in set.iter_u128() {
-            assert!(mapped.contains_u128(a));
-        }
-        // On platforms with a real mapping the data bytes cost no heap.
-        if mapped.is_mapped() {
-            assert!(
-                mapped.heap_bytes() < set.heap_bytes(),
-                "mapped {} B vs owned {} B",
-                mapped.heap_bytes(),
-                set.heap_bytes()
-            );
-            assert_eq!(mapped.data_bytes(), set.data_bytes());
-        }
-        // Set algebra works straight off the mapping.
-        assert_eq!(mapped.overlap_count(&set), set.len());
-        // A clone shares the mapping (cheap) and stays equal.
-        let clone = mapped.clone();
-        drop(mapped);
-        assert_eq!(clone, set);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// The satellite requirement: a corrupted mmap'd segment must yield
-    /// a typed [`StoreError`] at open — never a panic or UB later.
-    #[test]
-    fn corrupted_mapped_segment_is_a_typed_error() {
-        let dir = std::env::temp_dir().join("store-segment-map-corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("whole.seg");
         let set = sample();
         let bytes = encode(&set);
-        // Flip one bit at a spread of positions: seal, magic, fence
-        // table, block data, trailing checksum — every one must be
-        // caught by the open-time validation pass.
-        for (i, pos) in (0..bytes.len()).step_by(101).enumerate() {
-            let path = dir.join(format!("bad-{i}.seg"));
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x20;
-            std::fs::write(&path, &bad).unwrap();
-            let err = map_file(&path).expect_err("corruption must be detected");
-            assert!(
-                matches!(
-                    err,
-                    StoreError::Checksum(_)
-                        | StoreError::Corrupt(_)
-                        | StoreError::Truncated { .. }
-                        | StoreError::BadMagic
-                        | StoreError::BadVersion(_)
-                ),
-                "flip at {pos}: unexpected error {err}"
-            );
-            std::fs::remove_file(&path).unwrap();
-        }
-        // Truncation (file shorter than the header claims) is typed too.
-        let path = dir.join("truncated.seg");
-        std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        assert!(map_file(&path).is_err());
-        // A missing file surfaces as Io.
-        assert!(matches!(
-            map_file(&dir.join("missing.seg")),
-            Err(StoreError::Io(_))
-        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let (read, content_hash) = read_file(&path).unwrap();
+        assert_eq!(content_hash, fnv1a(&bytes));
+        // The same fences over the same bytes at the same cost,
+        // whichever way the set was built.
+        assert_eq!(read, set);
+        assert_eq!(read.heap_bytes(), set.heap_bytes());
+        std::fs::remove_file(&path).unwrap();
     }
 }

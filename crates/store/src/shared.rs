@@ -13,12 +13,10 @@
 //! [`SegmentPool::evict`]) loses only resident copies, never files, and
 //! a later [`SegmentPool::open`] re-reads and re-validates from disk.
 //!
-//! Opens are **mmap-backed** ([`segment::map_file`]): the returned set's
-//! block data is a zero-copy window into the sealed file, validated once
-//! at open, so its resident heap cost is the fence index only — the
-//! data pages belong to the page cache and the kernel reclaims them
-//! under pressure. [`PoolStats::resident_bytes`] counts heap only;
-//! [`PoolStats::mapped_bytes`] reports the page-cache-backed remainder.
+//! A resident copy is an ordinary heap-owned [`CompactSet`]: a freeze
+//! caches the set it was handed, an open reads the file whole and
+//! validates it once (seal, content id, every block), and
+//! [`PoolStats::resident_bytes`] counts data and fence index alike.
 
 use crate::compact::CompactSet;
 use crate::error::StoreError;
@@ -60,13 +58,11 @@ pub struct PoolStats {
     pub freeze_dedups: u64,
     /// Segments currently resident.
     pub resident_segments: usize,
-    /// Heap bytes of the resident segments (shared, counted once each).
-    /// Mmap-backed segments contribute only their fence index here.
+    /// Heap bytes of the resident segments — block data and fence
+    /// index — shared, counted once each.
     pub resident_bytes: usize,
-    /// Resident segments whose data is served from a live mapping.
-    pub mapped_segments: usize,
-    /// Encoded data bytes of the mapped segments — page-cache cost, not
-    /// private heap.
+    /// Always 0: every resident segment is heap-owned. Kept because the
+    /// frozen benchmark reads the field.
     pub mapped_bytes: usize,
 }
 
@@ -105,9 +101,7 @@ impl SegmentPool {
 
     /// Freezes `set` into the pool: encodes it, derives its content id,
     /// writes the file if this content was never frozen before, and
-    /// caches a resident copy served **from the mapped file** — the
-    /// heap copy the caller froze can be dropped, leaving the fence
-    /// index as the segment's only resident cost. Freezing equal sets —
+    /// caches a copy of `set` as the resident one. Freezing equal sets —
     /// from any number of studies — converges on one file and one `Arc`.
     ///
     /// The bytes are made durable under a scratch name in the pool
@@ -134,19 +128,25 @@ impl SegmentPool {
                 std::fs::rename(&scratch, &path)?;
             }
         }
-        let mut cache = self.cache.lock().expect("segment pool cache poisoned");
-        if let std::collections::hash_map::Entry::Vacant(slot) = cache.entry(id) {
-            // Map the just-written file rather than cloning the caller's
-            // heap copy. This is part of the freeze, not a cache miss, so
-            // it does not count toward `file_opens`.
-            slot.insert(Arc::new(segment::map_file(&path)?));
-        }
+        self.cache
+            .lock()
+            .expect("segment pool cache poisoned")
+            .entry(id)
+            .or_insert_with(|| Arc::new(set.clone()));
         Ok(id)
     }
 
     /// The shared resident copy of segment `id`: from cache if resident,
-    /// otherwise mapped and fully validated from the pool directory.
+    /// otherwise read from the pool directory, fully validated and
+    /// checked to hash to `id`.
     pub fn open(&self, id: SegmentId) -> Result<Arc<CompactSet>, StoreError> {
+        Ok(self.open_with_hit(id)?.0)
+    }
+
+    /// [`SegmentPool::open`], plus whether the resident cache served it
+    /// — this call's own hit, which a before/after comparison of
+    /// [`SegmentPool::stats`] cannot tell from another thread's.
+    pub fn open_with_hit(&self, id: SegmentId) -> Result<(Arc<CompactSet>, bool), StoreError> {
         if let Some(set) = self
             .cache
             .lock()
@@ -154,17 +154,21 @@ impl SegmentPool {
             .get(&id)
         {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(set));
+            return Ok((Arc::clone(set), true));
         }
-        let set = Arc::new(segment::map_file(&self.dir.join(id.file_name()))?);
+        let (set, content_hash) = segment::read_file(&self.dir.join(id.file_name()))?;
+        if content_hash != id.0 {
+            return Err(StoreError::Checksum("segment id"));
+        }
         self.file_opens.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(
+        let set = Arc::clone(
             self.cache
                 .lock()
                 .expect("segment pool cache poisoned")
                 .entry(id)
-                .or_insert(set),
-        ))
+                .or_insert(Arc::new(set)),
+        );
+        Ok((set, false))
     }
 
     /// Drops the resident copy of `id` (the file stays). Returns `true`
@@ -180,15 +184,13 @@ impl SegmentPool {
     /// Current usage counters and resident footprint.
     pub fn stats(&self) -> PoolStats {
         let cache = self.cache.lock().expect("segment pool cache poisoned");
-        let mapped: Vec<&Arc<CompactSet>> = cache.values().filter(|s| s.is_mapped()).collect();
         PoolStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             file_opens: self.file_opens.load(Ordering::Relaxed),
             freeze_dedups: self.freeze_dedups.load(Ordering::Relaxed),
             resident_segments: cache.len(),
             resident_bytes: cache.values().map(|s| s.heap_bytes()).sum(),
-            mapped_segments: mapped.len(),
-            mapped_bytes: mapped.iter().map(|s| s.data_bytes()).sum(),
+            mapped_bytes: 0,
         }
     }
 }
@@ -260,23 +262,20 @@ mod tests {
     }
 
     #[test]
-    fn frozen_segments_are_served_from_the_mapping() {
-        let p = pool("mapped");
+    fn resident_bytes_count_data_and_fences() {
+        let p = pool("resident");
         let set = sample(4000, 31);
         let id = p.freeze(&set).unwrap();
-        let shared = p.open(id).unwrap();
-        assert_eq!(*shared, set);
-        let stats = p.stats();
-        // On Linux the resident copy is mmap-backed: its data bytes are
-        // page-cache, not private heap, so the pool's resident_bytes is
-        // just the fence index — strictly below the owned encoding.
-        if shared.is_mapped() {
-            assert_eq!(stats.mapped_segments, 1);
-            assert!(stats.mapped_bytes > 0);
-            assert!(stats.resident_bytes < set.heap_bytes());
-        } else {
-            assert_eq!(stats.mapped_segments, 0);
-        }
+        // The frozen copy and the one read back cost what the set does.
+        let check = || {
+            assert_eq!(*p.open(id).unwrap(), set);
+            let stats = p.stats();
+            assert_eq!(stats.resident_bytes, set.heap_bytes());
+            assert_eq!(stats.mapped_bytes, 0);
+        };
+        check();
+        assert!(p.evict(id));
+        check();
     }
 
     /// A freeze that died before its rename leaves a scratch file behind

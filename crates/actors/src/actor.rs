@@ -1,9 +1,9 @@
-//! Scripted third-party NTP-sourcing actors (paper §5.2).
+//! The paper's two NTP-sourcing actors (§5.2): who they are, which pool
+//! servers they run and where their scans come from. What they *emit*
+//! is [`SourcingMachine`](crate::SourcingMachine)'s schedule.
 
-use crate::capture::{CaptureLog, CapturedPacket};
-use crate::vantage::Vantage;
 use netsim::time::Duration;
-use netsim::{mix2, OrgId};
+use netsim::OrgId;
 use ntppool::{Operator, Pool, PoolServer, ServerId};
 use std::net::Ipv6Addr;
 use v6addr::Prefix;
@@ -74,55 +74,6 @@ impl Actor {
         }
     }
 
-    /// Runs the actor's scanning campaign against every address it
-    /// sourced (here: the telescope's vantage addresses that queried its
-    /// servers), emitting probes into the capture log.
-    ///
-    /// Everything is deterministic: delays and port subsets derive from
-    /// hashes of `(actor, address, port)`.
-    pub fn scan_sourced(&self, vantage: &Vantage, capture: &mut CaptureLog) {
-        for &server in &self.servers {
-            // A query that never reached the server leaves nothing in its
-            // log: the actor cannot scan an address it never sourced.
-            if !vantage.was_sourced(server) {
-                continue;
-            }
-            let Some(dst) = vantage.addr_of(server) else {
-                continue;
-            };
-            let Some(seen) = vantage.query_time(server) else {
-                continue;
-            };
-            let (dmin, dmax) = self.profile.reaction_delay;
-            let bits = u128::from(dst);
-            // Mix the whole address: vantage IIDs are identical across
-            // /64s, so the low half alone would correlate every target.
-            let salt = mix2(
-                u64::from(self.id.0) << 32,
-                (bits >> 64) as u64 ^ bits as u64,
-            );
-            let span = dmax.as_secs().saturating_sub(dmin.as_secs()).max(1);
-            let start = seen + dmin + Duration::secs(mix2(salt, 1) % span);
-            let n_ports = self.profile.ports.len().max(1) as u64;
-            for (k, &port) in self.profile.ports.iter().enumerate() {
-                let h = mix2(salt, 100 + k as u64);
-                if (h as f64 / u64::MAX as f64) > self.profile.port_coverage {
-                    continue;
-                }
-                let offset = self.profile.campaign_duration.as_secs() * k as u64 / n_ports;
-                let src_net = &self.profile.scan_sources
-                    [(mix2(salt, k as u64) % self.profile.scan_sources.len() as u64) as usize];
-                let src = src_net.0.host(u128::from(mix2(salt, 7 + k as u64)));
-                capture.record(CapturedPacket {
-                    dst,
-                    src,
-                    port,
-                    time: start + Duration::secs(offset),
-                });
-            }
-        }
-    }
-
     /// The organisation behind a scan-source address, if it is one of
     /// this actor's.
     pub fn source_org(&self, src: Ipv6Addr) -> Option<OrgId> {
@@ -186,7 +137,10 @@ pub fn covert_actor() -> Actor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Machine, SourcingMachine, TickCtx, ECO_TICK};
+    use netsim::bgp::BgpFeed;
     use netsim::time::SimTime;
+    use telescope::{CapturedPacket, Vantage};
 
     #[test]
     fn gt_profile_matches_paper() {
@@ -214,57 +168,53 @@ mod tests {
         assert_eq!(orgs.len(), 2);
     }
 
+    /// Registers `actor`, sweeps its servers from one vantage starting
+    /// at `SimTime(0)` and drives its machine to the end.
+    fn campaign(actor: &mut Actor, prefix: &str) -> Vec<CapturedPacket> {
+        let mut pool = Pool::new();
+        actor.register(&mut pool);
+        let mut vantage = Vantage::new(prefix.parse().unwrap());
+        vantage.query_all(&pool, SimTime(0), Duration::secs(1));
+        let mut machine = SourcingMachine::new("test", actor, &[vantage]);
+        let feed = BgpFeed::new();
+        let mut probes = Vec::new();
+        let mut now = SimTime(0);
+        while !machine.finished() {
+            let ctx = TickCtx {
+                now,
+                tick: ECO_TICK,
+                feed: &feed,
+            };
+            machine.tick(&ctx, &mut probes);
+            now += ECO_TICK;
+        }
+        probes
+    }
+
     #[test]
     fn registration_and_scanning() {
-        let mut pool = Pool::new();
         let mut gt = gt_actor();
-        gt.register(&mut pool);
+        let probes = campaign(&mut gt, "2001:db8:bb::/48");
         assert_eq!(gt.servers.len(), 15);
-
-        let mut vantage = Vantage::new("2001:db8:bb::/48".parse().unwrap());
-        vantage.query_all(&pool, SimTime(0), Duration::secs(1));
-        let mut log = CaptureLog::new();
-        gt.scan_sourced(&vantage, &mut log);
         // 15 servers × 1011 ports, full coverage.
-        assert_eq!(log.len(), 15 * 1011);
+        assert_eq!(probes.len(), 15 * 1011);
         // All probes arrive within reaction window + campaign duration.
-        for p in log.sorted() {
-            assert!(p.time >= SimTime(0));
+        for p in &probes {
             assert!(p.time <= SimTime(15 + 3600 + 600));
             assert_eq!(gt.source_org(p.src), Some(OrgId::GEORGIA_TECH));
-            assert_eq!(
-                gt.source_org(p.src).unwrap().name(),
-                "Georgia Institute of Technology"
-            );
         }
+        assert_eq!(
+            OrgId::GEORGIA_TECH.name(),
+            "Georgia Institute of Technology"
+        );
     }
 
     #[test]
     fn covert_coverage_is_partial() {
-        let mut pool = Pool::new();
         let mut c = covert_actor();
-        c.register(&mut pool);
-        let mut vantage = Vantage::new("2001:db8:cc::/48".parse().unwrap());
-        vantage.query_all(&pool, SimTime(0), Duration::secs(1));
-        let mut log = CaptureLog::new();
-        c.scan_sourced(&vantage, &mut log);
+        let probes = campaign(&mut c, "2001:db8:cc::/48");
         let full = c.servers.len() * c.profile.ports.len();
-        assert!(log.len() < full, "covert actor probed every port");
-        assert!(log.len() > full / 3);
-    }
-
-    #[test]
-    fn scanning_is_deterministic() {
-        let mut pool = Pool::new();
-        let mut c = covert_actor();
-        c.register(&mut pool);
-        let mut vantage = Vantage::new("2001:db8:cc::/48".parse().unwrap());
-        vantage.query_all(&pool, SimTime(0), Duration::secs(1));
-        let run = |actor: &Actor| {
-            let mut log = CaptureLog::new();
-            actor.scan_sourced(&vantage, &mut log);
-            log.sorted()
-        };
-        assert_eq!(run(&c), run(&c));
+        assert!(probes.len() < full, "covert actor probed every port");
+        assert!(probes.len() > full / 3);
     }
 }

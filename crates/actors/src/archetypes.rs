@@ -1,17 +1,18 @@
 //! The scanner archetypes: four per-tick state machines.
 //!
-//! Two port the paper's §5.2 actors (identified research + covert
-//! cloud) onto the tick clock; three are new behaviours from the
+//! One family runs the paper's §5.2 actors (identified research +
+//! covert cloud) on the tick clock; three are new behaviours from the
 //! related literature: prefix walking, stale-hitlist replay, and
 //! BGP-signal-adaptive targeting.
 
+use crate::actor::Actor;
 use crate::machine::{Machine, Phase, TickCtx};
 use netsim::bgp::BgpFeed;
 use netsim::time::{Duration, SimTime};
 use netsim::{mix2, OrgId};
 use std::collections::VecDeque;
 use std::net::Ipv6Addr;
-use telescope::{Actor, CaptureLog, CapturedPacket, Vantage};
+use telescope::{CapturedPacket, Vantage};
 use v6addr::Prefix;
 
 /// Domain separator: prefix-walk scheduling.
@@ -37,7 +38,7 @@ pub fn bgp_source() -> Prefix {
 }
 
 /// Source-prefix → organisation directory for attribution joins: the
-/// telescope actors' published sources plus the three ecosystem
+/// sourcing actors' published sources plus the three other
 /// archetypes' hosting ranges, keyed by interned [`OrgId`].
 pub fn org_directory(actors: &[Actor]) -> Vec<(Prefix, OrgId)> {
     let mut dir: Vec<(Prefix, OrgId)> = actors
@@ -52,13 +53,14 @@ pub fn org_directory(actors: &[Actor]) -> Vec<(Prefix, OrgId)> {
     dir
 }
 
-// --- NTP-sourcing pair (research + covert), ported to the tick clock ---
+// --- NTP-sourcing pair (research + covert) ---
 
-/// The paper's NTP-sourcing actors as tick machines. The probe set is
-/// produced by the same per-`(actor, address, port)` hash schedule as
-/// [`Actor::scan_sourced`] — byte-identical to the legacy one-shot
-/// script for any given vantage — but emission is driven by the tick
-/// clock through the four phases.
+/// The paper's NTP-sourcing actors as tick machines: every vantage
+/// address one of the actor's pool servers sourced is probed on the
+/// actor's ports, with reaction delay, port subset and source address
+/// drawn from hashes of `(actor, address, port)`. The schedule is fixed
+/// at construction; emission is driven by the tick clock through the
+/// four phases.
 pub struct SourcingMachine {
     label: &'static str,
     /// Earliest moment any of the actor's servers sourced an address.
@@ -69,15 +71,60 @@ pub struct SourcingMachine {
     phase: Phase,
 }
 
-impl SourcingMachine {
-    /// Builds the machine from a registered telescope actor and the
-    /// vantages whose queries it may have sourced.
-    pub fn new(label: &'static str, actor: &Actor, vantages: &[Vantage]) -> SourcingMachine {
-        let mut log = CaptureLog::new();
-        for v in vantages {
-            actor.scan_sourced(v, &mut log);
+/// Appends the probes `actor` sends to the addresses its servers
+/// sourced from `vantage`.
+fn sourced_schedule(actor: &Actor, vantage: &Vantage, out: &mut Vec<CapturedPacket>) {
+    let profile = &actor.profile;
+    for &server in &actor.servers {
+        // A query that never reached the server leaves nothing in its
+        // log: the actor cannot scan an address it never sourced.
+        if !vantage.was_sourced(server) {
+            continue;
         }
-        let mut schedule = log.sorted();
+        let Some(dst) = vantage.addr_of(server) else {
+            continue;
+        };
+        let Some(seen) = vantage.query_time(server) else {
+            continue;
+        };
+        let (dmin, dmax) = profile.reaction_delay;
+        let bits = u128::from(dst);
+        // Mix the whole address: vantage IIDs are identical across
+        // /64s, so the low half alone would correlate every target.
+        let salt = mix2(
+            u64::from(actor.id.0) << 32,
+            (bits >> 64) as u64 ^ bits as u64,
+        );
+        let span = dmax.as_secs().saturating_sub(dmin.as_secs()).max(1);
+        let start = seen + dmin + Duration::secs(mix2(salt, 1) % span);
+        let n_ports = profile.ports.len().max(1) as u64;
+        for (k, &port) in profile.ports.iter().enumerate() {
+            let h = mix2(salt, 100 + k as u64);
+            if (h as f64 / u64::MAX as f64) > profile.port_coverage {
+                continue;
+            }
+            let offset = profile.campaign_duration.as_secs() * k as u64 / n_ports;
+            let src_net = &profile.scan_sources
+                [(mix2(salt, k as u64) % profile.scan_sources.len() as u64) as usize];
+            let src = src_net.0.host(u128::from(mix2(salt, 7 + k as u64)));
+            out.push(CapturedPacket {
+                dst,
+                src,
+                port,
+                time: start + Duration::secs(offset),
+            });
+        }
+    }
+}
+
+impl SourcingMachine {
+    /// Builds the machine from a registered actor and the vantages
+    /// whose queries it may have sourced.
+    pub fn new(label: &'static str, actor: &Actor, vantages: &[Vantage]) -> SourcingMachine {
+        let mut schedule = Vec::new();
+        for v in vantages {
+            sourced_schedule(actor, v, &mut schedule);
+        }
         schedule.sort_by_key(|p| (p.time, p.dst, p.src, p.port));
         let first_seen = vantages
             .iter()

@@ -1,12 +1,11 @@
 //! Scan → query matching and actor characterisation (paper §5.2).
 
-use crate::actors::Actor;
-use crate::capture::CaptureLog;
-use crate::vantage::Vantage;
+use crate::actor::Actor;
 use netsim::time::{Duration, SimTime};
 use netsim::OrgId;
 use ntppool::{Operator, Pool, ServerId};
 use std::collections::{BTreeSet, HashMap};
+use telescope::{CaptureLog, Vantage};
 
 /// Classification of a detected actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,8 +192,9 @@ pub fn match_captures(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actors::{covert_actor, gt_actor};
-    use netsim::time::SimTime;
+    use crate::{covert_actor, gt_actor, ActorRoster, Ecosystem};
+    use netsim::bgp::BgpFeed;
+    use telescope::CapturedPacket;
 
     fn full_run() -> (Vantage, Pool, CaptureLog, Vec<Actor>) {
         let mut pool = Pool::with_background();
@@ -202,12 +202,24 @@ mod tests {
         gt.register(&mut pool);
         let mut covert = covert_actor();
         covert.register(&mut pool);
+        let actors = vec![gt, covert];
         let mut vantage = Vantage::new("2001:db8:aa::/48".parse().unwrap());
         vantage.query_all(&pool, SimTime(0), Duration::secs(3));
-        let mut log = CaptureLog::new();
-        gt.scan_sourced(&vantage, &mut log);
-        covert.scan_sourced(&vantage, &mut log);
-        (vantage, pool, log, vec![gt, covert])
+        let vantages = [vantage];
+        let feed = BgpFeed::new();
+        let log = Ecosystem::assemble(
+            ActorRoster::BASELINE,
+            &actors,
+            &vantages,
+            &pool,
+            &[],
+            &feed,
+            SimTime(0),
+        )
+        .run(SimTime(0), &feed, &[vantages[0].prefix])
+        .capture_within(vantages[0].prefix);
+        let [vantage] = vantages;
+        (vantage, pool, log, actors)
     }
 
     #[test]
@@ -260,7 +272,7 @@ mod tests {
     fn scatter_and_unmatched_accounting() {
         let (vantage, pool, mut log, actors) = full_run();
         // A random scan that happens to hit the monitored space.
-        log.record(crate::capture::CapturedPacket {
+        log.record(CapturedPacket {
             dst: vantage.scatter_neighbor(ServerId(0)),
             src: "2600:dead::1".parse().unwrap(),
             port: 23,
@@ -268,7 +280,7 @@ mod tests {
         });
         // A packet to a vantage address of a *background* server: not
         // NTP-sourced (background servers don't record addresses).
-        log.record(crate::capture::CapturedPacket {
+        log.record(CapturedPacket {
             dst: vantage.addr_for(ServerId(0)),
             src: "2600:dead::2".parse().unwrap(),
             port: 23,

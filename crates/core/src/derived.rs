@@ -446,21 +446,6 @@ impl<'a> Derived<'a> {
         )
     }
 
-    /// Exports the memoization counters into `registry` as **volatile**
-    /// metrics: they depend on which experiments were rendered since the
-    /// study ran, not on the run itself, so they never enter the
-    /// deterministic [`crate::Study::run_report`].
-    pub fn export_into(&self, registry: &mut telemetry::Registry) {
-        registry.vol_add(crate::metrics::DERIVED_MEMO_HITS, self.memo_hits());
-        registry.vol_add(crate::metrics::DERIVED_MEMO_MISSES, self.memo_misses());
-        let cells = self.study.derived_cells.stats();
-        registry.vol_add(crate::metrics::DERIVED_MEMO_SEEDED, u64::from(cells.seeded));
-        registry.vol_add(
-            crate::metrics::DERIVED_MEMO_REBUILDS,
-            u64::from(cells.rebuilds),
-        );
-    }
-
     /// Snapshot of the build counters.
     pub fn stats(&self) -> DerivedStats {
         let c = &self.counters;
@@ -529,26 +514,6 @@ mod tests {
         assert_eq!(s.compact_set_builds, 4);
     }
 
-    #[test]
-    fn memo_hits_and_misses_export_as_volatile() {
-        let study = Study::run(StudyConfig::tiny(3));
-        let d = study.derived();
-        assert_eq!(d.memo_hits(), 0);
-        assert_eq!(d.memo_misses(), 0);
-        d.title_clusters();
-        d.title_clusters();
-        d.title_clusters();
-        assert_eq!(d.memo_misses(), 1);
-        assert_eq!(d.memo_hits(), 2);
-        let mut reg = telemetry::Registry::new();
-        d.export_into(&mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_total("derived_memo_hits"), 2);
-        assert_eq!(snap.counter_total("derived_memo_misses"), 1);
-        // Volatile: excluded from deterministic reports.
-        assert!(snap.deterministic().is_empty());
-    }
-
     /// The bug this layer fixes: a second wrapper over the same study
     /// (or a service re-wrapping a resident one) used to rebuild every
     /// compact set from scratch. The cells now live on the study.
@@ -604,12 +569,8 @@ mod tests {
         assert!(!other.derived_cells.built(SetKind::Ours));
         d.compact_set(SetKind::Ours);
         let cells = other.derived_cells.stats();
+        assert_eq!(cells.seeded, 1);
         assert_eq!(cells.rebuilds, 1);
-        let mut reg = telemetry::Registry::new();
-        d.export_into(&mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_total("derived_memo_seeded"), 1);
-        assert_eq!(snap.counter_total("derived_memo_rebuilds"), 1);
     }
 
     #[test]

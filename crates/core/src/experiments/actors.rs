@@ -2,7 +2,7 @@
 
 use crate::report::{fmt_int, TextTable};
 use crate::Derived;
-use telescope::{ActorCharacter, TelescopeReport};
+use ::actors::{ActorCharacter, TelescopeReport};
 
 /// Computes (returns) the telescope report.
 pub fn compute<'a>(study: &'a Derived<'_>) -> Option<&'a TelescopeReport> {

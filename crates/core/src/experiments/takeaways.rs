@@ -47,7 +47,7 @@ pub fn render(study: &Derived) -> String {
         let research = t
             .actors
             .iter()
-            .filter(|a| a.character() == telescope::ActorCharacter::Research)
+            .filter(|a| a.character() == ::actors::ActorCharacter::Research)
             .count();
         let covert = t.actors.len() - research;
         out.push_str(&format!(

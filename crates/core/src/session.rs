@@ -39,7 +39,7 @@ use crate::metrics;
 use crate::study::{
     build_pool, build_transport, rl_window, stale_hitlist, study_start, PoolSetup, Study,
 };
-use actors::{attribute, org_directory, ActorRoster, Ecosystem};
+use actors::{attribute, match_captures, org_directory, ActorRoster, Ecosystem};
 use hitlist::{Hitlist, HitlistConfig};
 use netsim::time::{Duration, SimTime};
 use netsim::transport::Transport;
@@ -50,7 +50,7 @@ use scanner::{BatchScan, RealTimeScanner, ScanPolicy};
 use std::sync::Arc;
 use store::StoreError;
 use telemetry::{Registry, SpanTimer};
-use telescope::{match_captures, Vantage};
+use telescope::Vantage;
 use v6addr::{OuiDb, Prefix};
 
 /// Approximate heap bytes per entry of a `u128` hash set (value plus
@@ -401,7 +401,6 @@ impl StudySession {
             hitlist_scan,
             telescope,
             attribution,
-            actors,
             run_stats,
             tuning,
             oui_db: OuiDb::builtin(),

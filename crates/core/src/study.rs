@@ -14,7 +14,7 @@
 use crate::checkpoint;
 use crate::config::StudyConfig;
 use crate::session::StudySession;
-use actors::{sourced_intel, AttributionTable};
+use actors::{covert_actor, gt_actor, sourced_intel, Actor, AttributionTable, TelescopeReport};
 use hitlist::{Hitlist, HitlistConfig};
 use netsim::country::{Country, COLLECTOR_LOCATIONS};
 use netsim::mix2;
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use store::codec::{fnv1a, fnv1a_extend};
 use store::StoreError;
 use telemetry::{RunReport, Snapshot};
-use telescope::{covert_actor, gt_actor, Actor, TelescopeReport, Vantage};
+use telescope::Vantage;
 use v6addr::{AddrSet, OuiDb};
 
 /// Gap between the R&L emulation window and the study window (the real
@@ -72,8 +72,6 @@ pub struct Study {
     /// fingerprints, archetype verdicts, and the ground-truth confusion
     /// matrix (when the telescope is enabled).
     pub attribution: Option<AttributionTable>,
-    /// The simulated actors (for §5 reporting).
-    pub actors: Vec<Actor>,
     /// Collection run statistics.
     pub run_stats: RunStats,
     /// Netspeed tuning outcomes.
@@ -81,9 +79,8 @@ pub struct Study {
     /// OUI registry used by the vendor analyses.
     pub oui_db: OuiDb,
     /// Telemetry from the whole run: every stage's metrics, stamped with
-    /// a `stage` label. Deterministic entries are bit-identical for
-    /// equal configs; volatile ones (memo hit counts) are excluded
-    /// from [`Study::run_report`].
+    /// a `stage` label; bit-identical for equal configs. This is what
+    /// [`Study::run_report`] serializes.
     pub telemetry: Snapshot,
     /// Study-scoped memo cells for the derived compact sets — shared by
     /// every [`Study::derived`] wrapper, seedable by a serving layer
@@ -244,8 +241,8 @@ impl Study {
         (s, s + self.config.collection)
     }
 
-    /// The canonical deterministic run report: the study's metadata plus
-    /// every *deterministic* metric, serializing to canonical JSON.
+    /// The canonical run report: the study's metadata plus every
+    /// metric, serializing to canonical JSON.
     ///
     /// Byte-identical for equal configs, however the run was sliced,
     /// suspended or scheduled.
@@ -319,7 +316,7 @@ mod tests {
     #[test]
     fn telemetry_reconciles_with_legacy_accounting() {
         let study = Study::run(StudyConfig::tiny(7));
-        let det = study.telemetry.deterministic();
+        let det = &study.telemetry;
         // Collection: the registry is the same accounting path RunStats
         // is derived from, so the two agree exactly.
         assert_eq!(det.counter_total("ntp_polls"), study.run_stats.polls);

@@ -180,13 +180,6 @@ impl WorldConfig {
             ..WorldConfig::tiny(seed)
         }
     }
-
-    /// The same world with `pct`% (clamped to 100) of eligible IoT
-    /// devices running fixed-interval SNTP clients.
-    pub fn with_sntp_iot_pct(mut self, pct: u8) -> WorldConfig {
-        self.sntp_iot_pct = pct.min(100);
-        self
-    }
 }
 
 /// An aliased region: a whole prefix that answers on every address

@@ -720,7 +720,10 @@ mod tests {
         let ours = c.into_global().to_compact();
         let rl: store::CompactSet = rl.iter().collect();
         // Same world ⇒ heavy /32 (AS-level) overlap…
-        assert!(ours.network_overlap(&rl, 32) > 0);
+        let nets32 = |s: &store::CompactSet| -> std::collections::BTreeSet<u128> {
+            s.iter_u128().map(|a| a >> 96).collect()
+        };
+        assert!(nets32(&ours).intersection(&nets32(&rl)).next().is_some());
         // …but dynamic prefixes+IIDs make address-level overlap tiny.
         let addr_overlap_rate = ours.overlap_count(&rl) as f64 / ours.len().max(1) as f64;
         assert!(addr_overlap_rate < 0.2, "rate {addr_overlap_rate}");
@@ -977,11 +980,7 @@ mod tests {
             let mut reg = Registry::new();
             assert_eq!(ckpt.finish(&mut reg), base_stats, "{ctx}");
             assert_eq!(feed, base_feed, "{ctx}");
-            assert_eq!(
-                reg.snapshot().deterministic(),
-                base_reg.snapshot().deterministic(),
-                "{ctx}"
-            );
+            assert_eq!(reg.snapshot(), base_reg.snapshot(), "{ctx}");
         }
     }
 

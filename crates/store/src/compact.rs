@@ -212,27 +212,6 @@ impl CompactSet {
             .count()
     }
 
-    /// Number of masked networks that appear in both sets — the
-    /// sorted-merge replacement for building two masked `HashSet`s.
-    pub fn network_overlap(&self, other: &CompactSet, len: u8) -> usize {
-        let m = mask(len);
-        let mut rhs = other.iter_u128().map(|a| a & m).peekable();
-        let mut lhs = self.iter_u128().map(|a| a & m).peekable();
-        let mut shared = 0usize;
-        while let (Some(&a), Some(&b)) = (lhs.peek(), rhs.peek()) {
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => while lhs.next_if(|&x| x == a).is_some() {},
-                std::cmp::Ordering::Greater => while rhs.next_if(|&x| x == b).is_some() {},
-                std::cmp::Ordering::Equal => {
-                    shared += 1;
-                    while lhs.next_if(|&x| x == a).is_some() {}
-                    while rhs.next_if(|&x| x == a).is_some() {}
-                }
-            }
-        }
-        shared
-    }
-
     /// Run-length group-by over the masked sorted stream: one
     /// `(network, address count)` pair per distinct masked network, in
     /// ascending network order.
@@ -543,9 +522,6 @@ mod tests {
     fn network_views() {
         let p48 = |hi: u128, lo: u128| (hi << 80) | lo;
         let a = set_of(&[p48(1, 1), p48(1, 2), p48(2, 1), p48(3, 1)]);
-        let b = set_of(&[p48(2, 7), p48(3, 9), p48(4, 1)]);
-        assert_eq!(a.network_overlap(&b, 48), 2);
-        assert_eq!(a.network_overlap(&b, 128), 0);
         let counts: Vec<u64> = a.masked_counts(48).map(|(_, c)| c).collect();
         assert_eq!(counts, vec![2, 1, 1]);
         // len = 0 masks everything into one network.

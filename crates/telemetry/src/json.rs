@@ -288,7 +288,7 @@ impl Parser<'_> {
 
 // --- Snapshot <-> JSON -------------------------------------------------
 
-fn entry_json(value: &Value, volatile: bool) -> Json {
+fn entry_json(value: &Value) -> Json {
     let mut map = BTreeMap::new();
     match value {
         Value::Counter(v) => {
@@ -317,15 +317,16 @@ fn entry_json(value: &Value, volatile: bool) -> Json {
             map.insert("sum".to_string(), Json::Num(h.sum()));
         }
     }
-    if volatile {
-        map.insert("volatile".to_string(), Json::Bool(true));
-    }
     Json::Obj(map)
 }
 
-fn entry_from_json(j: &Json) -> Option<(Value, bool)> {
+fn entry_from_json(j: &Json) -> Option<Value> {
     let obj = j.as_obj()?;
-    let volatile = matches!(obj.get("volatile"), Some(Json::Bool(true)));
+    // Formats up to ISSUE 23 could mark an entry scheduling-dependent;
+    // nothing here can hold such a value, so the input is refused.
+    if obj.contains_key("volatile") {
+        return None;
+    }
     let value = match obj.get("type")?.as_str()? {
         "counter" => Value::Counter(u64::try_from(obj.get("value")?.as_num()?).ok()?),
         "gauge" => Value::Gauge(u64::try_from(obj.get("value")?.as_num()?).ok()?),
@@ -354,7 +355,7 @@ fn entry_from_json(j: &Json) -> Option<(Value, bool)> {
         }
         _ => return None,
     };
-    Some((value, volatile))
+    Some(value)
 }
 
 /// Serializes a snapshot as one canonical JSON object keyed by rendered
@@ -368,7 +369,7 @@ pub fn snapshot_to_json(snap: &Snapshot) -> String {
         }
         write_str(&key.render(), &mut out);
         out.push(':');
-        write_value(&entry_json(&entry.value, entry.volatile), &mut out);
+        write_value(&entry_json(&entry.value), &mut out);
     }
     out.push('}');
     out
@@ -386,8 +387,7 @@ pub fn snapshot_from_value(j: &Json) -> Option<Snapshot> {
     let mut snap = Snapshot::new();
     for (rendered, entry) in obj {
         let key = OwnedKey::parse(rendered)?;
-        let (value, volatile) = entry_from_json(entry)?;
-        snap.record(key, value, volatile);
+        snap.record(key, entry_from_json(entry)?);
     }
     Some(snap)
 }
@@ -446,9 +446,8 @@ mod tests {
         snap.record(
             OwnedKey::with_labels("scan_attempts", &[("protocol", "NTP")]),
             Value::Counter(42),
-            false,
         );
-        snap.record(OwnedKey::with_labels("depth", &[]), Value::Gauge(17), true);
+        snap.record(OwnedKey::with_labels("depth", &[]), Value::Gauge(17));
         let mut h = Histogram::new();
         for v in [0, 1, 5, u64::MAX] {
             h.observe(v);
@@ -456,12 +455,23 @@ mod tests {
         snap.record(
             OwnedKey::with_labels("rtt", &[("stage", "ntp_scan")]),
             Value::Hist(Box::new(h)),
-            false,
         );
         let json = snapshot_to_json(&snap);
         let back = snapshot_from_json(&json).unwrap();
         assert_eq!(back, snap);
         // Canonical: re-serializing the parsed form is byte-identical.
         assert_eq!(snapshot_to_json(&back), json);
+    }
+
+    #[test]
+    fn an_entry_with_a_volatile_member_is_refused() {
+        let plain = r#"{"depth":{"type":"gauge","value":4}}"#;
+        assert!(snapshot_from_json(plain).is_some());
+        for flag in ["true", "false"] {
+            let marked = format!(r#"{{"depth":{{"type":"gauge","value":4,"volatile":{flag}}}}}"#);
+            assert_eq!(snapshot_from_json(&marked), None);
+            let report = format!(r#"{{"meta":{{}},"metrics":{marked}}}"#);
+            assert_eq!(crate::RunReport::from_json(&report), None);
+        }
     }
 }

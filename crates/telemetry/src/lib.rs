@@ -10,15 +10,14 @@
 //!
 //! 1. **Determinism.** A [`Snapshot`] taken from the same simulated run
 //!    is *byte-identical* regardless of how the run was spread over
-//!    threads. Three rules make that hold:
-//!    * deterministic metrics never read the wall clock — every duration
-//!      is simulation time ([`SpanTimer`] takes explicit instants);
+//!    threads. Two rules make that hold:
+//!    * no metric reads the wall clock — every duration is simulation
+//!      time ([`SpanTimer`] takes explicit instants), and anything
+//!      scheduling-dependent (memo hit rates, wall-clock profiles) is a
+//!      plain value its owner returns, never a registry entry;
 //!    * every aggregation is **commutative** (counters add, gauges take
 //!      the max, histograms add bucket-wise), so per-shard
-//!      [`Registry`] sinks merge to the same totals in any order;
-//!    * anything scheduling-dependent (wall-clock spans, memo
-//!      hit rates) is recorded as a **volatile** metric and excluded
-//!      from the deterministic snapshot and the [`RunReport`].
+//!      [`Registry`] sinks merge to the same totals in any order.
 //! 2. **Lock-cheap.** The hot path ([`Registry::inc`]) is a `HashMap`
 //!    bump keyed by a fully-`'static` [`Key`] — no locks, no label
 //!    allocation. Each thread/shard owns its registry; merging happens
@@ -31,8 +30,8 @@
 //!    where cold-path insertion (e.g. per-actor telescope counts) and
 //!    stage relabelling happen.
 //!
-//! A [`RunReport`] bundles run metadata with the deterministic snapshot
-//! and serializes to a canonical JSON form (sorted keys, integers only)
+//! A [`RunReport`] bundles run metadata with the snapshot and
+//! serializes to a canonical JSON form (sorted keys, integers only)
 //! that round-trips through [`Snapshot::from_json`].
 
 #![forbid(unsafe_code)]
@@ -48,7 +47,7 @@ pub mod snapshot;
 
 pub use hist::Histogram;
 pub use key::{Key, OwnedKey};
-pub use registry::{Bank, Registry, SpanTimer};
+pub use registry::{Registry, SpanTimer};
 pub use report::RunReport;
 pub use shared::AtomicHistogram;
 pub use snapshot::{Snapshot, Value};

@@ -1,12 +1,11 @@
 //! The hot-path metrics registry.
 //!
-//! A [`Registry`] is a pair of [`Bank`]s — one for deterministic
-//! metrics, one for volatile (scheduling-dependent) ones. Each bank is
-//! plain `HashMap` state keyed by fully-`'static` [`Key`]s whose content
-//! hash was folded at const time ([`crate::key::KeyHasher`]), so a bump
-//! is one `u64` move, a table probe, and an integer add: no locks, no
-//! allocation, no string hashing. Every thread or shard owns its
-//! registry and merging happens once, at the end, commutatively.
+//! A [`Registry`] is plain `HashMap` state keyed by fully-`'static`
+//! [`Key`]s whose content hash was folded at const time
+//! ([`crate::key::KeyHasher`]), so a bump is one `u64` move, a table
+//! probe, and an integer add: no locks, no allocation, no string
+//! hashing. Every thread or shard owns its registry and merging happens
+//! once, at the end, commutatively.
 
 use std::collections::BTreeMap;
 
@@ -14,18 +13,30 @@ use crate::hist::Histogram;
 use crate::key::{Key, KeyHashMap, OwnedKey};
 use crate::snapshot::{Snapshot, Value};
 
-/// One class of metric storage: counters, gauges, histograms keyed by
-/// static [`Key`]s, plus a cold-path map for dynamically-labelled
-/// counters (e.g. per-actor telescope hits).
+/// A per-thread/per-shard metrics registry: counters, gauges and
+/// histograms keyed by static [`Key`]s, plus a cold-path map for
+/// dynamically-labelled counters (e.g. per-actor telescope hits). See
+/// the crate docs for the determinism rules.
 #[derive(Debug, Clone, Default)]
-pub struct Bank {
+pub struct Registry {
     counters: KeyHashMap<u64>,
     gauges: KeyHashMap<u64>,
     hists: KeyHashMap<Histogram>,
     dyn_counters: BTreeMap<OwnedKey, u64>,
 }
 
-impl Bank {
+impl Registry {
+    /// An empty registry.
+    pub fn new() -> Registry {
+        Registry::default()
+    }
+
+    /// Increments the counter under `key`.
+    #[inline]
+    pub fn inc(&mut self, key: Key) {
+        self.add(key, 1);
+    }
+
     /// Adds `n` to the counter under `key`.
     #[inline]
     pub fn add(&mut self, key: Key, n: u64) {
@@ -40,7 +51,8 @@ impl Bank {
         *g = (*g).max(v);
     }
 
-    /// Records a histogram sample under `key`.
+    /// Records a histogram sample under `key`. Durations must come from
+    /// simulation time, never the wall clock.
     #[inline]
     pub fn observe(&mut self, key: Key, v: u64) {
         self.hists.entry(key).or_default().observe(v);
@@ -72,8 +84,9 @@ impl Bank {
         self.hists.get(&key)
     }
 
-    /// Folds every metric of `other` into `self` (commutative).
-    pub fn merge(&mut self, other: &Bank) {
+    /// Folds every metric of `other` into `self`. Commutative — shard
+    /// registries merge to the same totals in any order.
+    pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.counters {
             self.add(*k, *v);
         }
@@ -88,150 +101,32 @@ impl Bank {
         }
     }
 
-    /// Is every map empty?
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.dyn_counters.is_empty()
+    /// Exports every metric into an owned [`Snapshot`].
+    pub fn snapshot(&self) -> Snapshot {
+        self.snapshot_with(&[])
     }
 
-    fn export_into(&self, out: &mut Snapshot, extra: &[(&str, &str)], volatile: bool) {
+    /// [`Registry::snapshot`] with `extra` labels stamped onto every key
+    /// — how stage-agnostic registries get their `stage` label at merge
+    /// time without paying for it on the hot path.
+    pub fn snapshot_with(&self, extra: &[(&str, &str)]) -> Snapshot {
+        let mut out = Snapshot::new();
         for (k, v) in &self.counters {
-            out.record(k.to_owned_with(extra), Value::Counter(*v), volatile);
+            out.record(k.to_owned_with(extra), Value::Counter(*v));
         }
         for (k, v) in &self.gauges {
-            out.record(k.to_owned_with(extra), Value::Gauge(*v), volatile);
+            out.record(k.to_owned_with(extra), Value::Gauge(*v));
         }
         for (k, h) in &self.hists {
-            out.record(
-                k.to_owned_with(extra),
-                Value::Hist(Box::new(h.clone())),
-                volatile,
-            );
+            out.record(k.to_owned_with(extra), Value::Hist(Box::new(h.clone())));
         }
         for (k, v) in &self.dyn_counters {
             let mut key = k.clone();
             for (name, value) in extra {
                 key.labels.insert((*name).to_string(), (*value).to_string());
             }
-            out.record(key, Value::Counter(*v), volatile);
+            out.record(key, Value::Counter(*v));
         }
-    }
-}
-
-/// A per-thread/per-shard metrics registry: a deterministic bank and a
-/// volatile bank. See the crate docs for the determinism rules.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    det: Bank,
-    vol: Bank,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Increments the deterministic counter under `key`.
-    #[inline]
-    pub fn inc(&mut self, key: Key) {
-        self.det.add(key, 1);
-    }
-
-    /// Adds `n` to the deterministic counter under `key`.
-    #[inline]
-    pub fn add(&mut self, key: Key, n: u64) {
-        self.det.add(key, n);
-    }
-
-    /// Raises the deterministic gauge under `key` to at least `v`.
-    #[inline]
-    pub fn gauge_max(&mut self, key: Key, v: u64) {
-        self.det.gauge_max(key, v);
-    }
-
-    /// Records a deterministic histogram sample under `key`. Durations
-    /// must come from simulation time, never the wall clock.
-    #[inline]
-    pub fn observe(&mut self, key: Key, v: u64) {
-        self.det.observe(key, v);
-    }
-
-    /// Merges a whole histogram into the deterministic bank.
-    pub fn merge_hist(&mut self, key: Key, h: &Histogram) {
-        self.det.merge_hist(key, h);
-    }
-
-    /// Adds `n` to a dynamically-labelled deterministic counter.
-    pub fn add_dyn(&mut self, key: OwnedKey, n: u64) {
-        self.det.add_dyn(key, n);
-    }
-
-    /// Adds `n` to the volatile counter under `key`.
-    #[inline]
-    pub fn vol_add(&mut self, key: Key, n: u64) {
-        self.vol.add(key, n);
-    }
-
-    /// Raises the volatile gauge under `key` to at least `v`.
-    #[inline]
-    pub fn vol_gauge_max(&mut self, key: Key, v: u64) {
-        self.vol.gauge_max(key, v);
-    }
-
-    /// Records a volatile histogram sample under `key`. Wall-clock
-    /// durations are allowed here and only here.
-    #[inline]
-    pub fn vol_observe(&mut self, key: Key, v: u64) {
-        self.vol.observe(key, v);
-    }
-
-    /// Deterministic counter value under `key` (0 when absent).
-    pub fn counter(&self, key: Key) -> u64 {
-        self.det.counter(key)
-    }
-
-    /// Deterministic gauge value under `key` (0 when absent).
-    pub fn gauge(&self, key: Key) -> u64 {
-        self.det.gauge(key)
-    }
-
-    /// Deterministic histogram under `key`, if recorded.
-    pub fn hist(&self, key: Key) -> Option<&Histogram> {
-        self.det.hist(key)
-    }
-
-    /// Read access to the deterministic bank.
-    pub fn deterministic_bank(&self) -> &Bank {
-        &self.det
-    }
-
-    /// Read access to the volatile bank.
-    pub fn volatile_bank(&self) -> &Bank {
-        &self.vol
-    }
-
-    /// Folds every metric of `other` into `self`. Commutative — shard
-    /// registries merge to the same totals in any order.
-    pub fn merge(&mut self, other: &Registry) {
-        self.det.merge(&other.det);
-        self.vol.merge(&other.vol);
-    }
-
-    /// Exports both banks into an owned [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        self.snapshot_with(&[])
-    }
-
-    /// Exports both banks with `extra` labels stamped onto every key —
-    /// how stage-agnostic registries get their `stage` label at merge
-    /// time without paying for it on the hot path.
-    pub fn snapshot_with(&self, extra: &[(&str, &str)]) -> Snapshot {
-        let mut out = Snapshot::new();
-        self.det.export_into(&mut out, extra, false);
-        self.vol.export_into(&mut out, extra, true);
         out
     }
 }
@@ -253,15 +148,9 @@ impl SpanTimer {
     }
 
     /// Ends the span at instant `now`, recording the elapsed time as a
-    /// deterministic histogram sample.
+    /// histogram sample.
     pub fn finish(self, registry: &mut Registry, now: u64) {
         registry.observe(self.key, now.saturating_sub(self.start));
-    }
-
-    /// Ends the span at instant `now`, recording into the volatile bank
-    /// (for wall-clock spans such as thread stalls).
-    pub fn finish_volatile(self, registry: &mut Registry, now: u64) {
-        registry.vol_observe(self.key, now.saturating_sub(self.start));
     }
 }
 
@@ -316,16 +205,6 @@ mod tests {
         let snap = r.snapshot_with(&[("stage", "hitlist_scan")]);
         let key = OwnedKey::with_labels("reqs", &[("protocol", "NTP"), ("stage", "hitlist_scan")]);
         assert_eq!(snap.counter(&key), 1);
-    }
-
-    #[test]
-    fn volatile_metrics_separate_from_deterministic() {
-        let mut r = Registry::new();
-        r.inc(A);
-        r.vol_add(G, 3);
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.deterministic().len(), 1);
     }
 
     #[test]

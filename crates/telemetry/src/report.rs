@@ -1,4 +1,4 @@
-//! Run reports: run metadata plus the deterministic metric snapshot.
+//! Run reports: run metadata plus the metric snapshot.
 
 use std::collections::BTreeMap;
 
@@ -6,8 +6,7 @@ use crate::json;
 use crate::snapshot::Snapshot;
 
 /// The end-of-run artifact: string metadata describing the run (seed,
-/// fault profile, scale) and the deterministic subset of the merged
-/// metric snapshot.
+/// fault profile, scale) and the merged metric snapshot.
 ///
 /// Serializes to canonical JSON — two equal reports are byte-identical,
 /// which is what the golden-digest and resume tests compare.
@@ -15,21 +14,19 @@ use crate::snapshot::Snapshot;
 pub struct RunReport {
     /// Run metadata, sorted by key.
     pub meta: BTreeMap<String, String>,
-    /// Deterministic metrics only.
+    /// Every metric of the run.
     pub metrics: Snapshot,
 }
 
 impl RunReport {
-    /// Builds a report from metadata pairs and a full snapshot; volatile
-    /// entries are filtered out here so a report can never carry
-    /// scheduling-dependent values.
+    /// Builds a report from metadata pairs and a snapshot.
     pub fn new(meta: &[(&str, &str)], snapshot: &Snapshot) -> RunReport {
         RunReport {
             meta: meta
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
-            metrics: snapshot.deterministic(),
+            metrics: snapshot.clone(),
         }
     }
 
@@ -61,11 +58,6 @@ impl RunReport {
             meta.insert(k.clone(), v.as_str()?.to_string());
         }
         let metrics = json::snapshot_from_value(obj.get("metrics")?)?;
-        // A report only ever holds deterministic entries; reject input
-        // claiming otherwise.
-        if metrics.iter().any(|(_, e)| e.volatile) {
-            return None;
-        }
         Some(RunReport { meta, metrics })
     }
 
@@ -106,16 +98,15 @@ mod tests {
     use crate::snapshot::Value;
 
     #[test]
-    fn report_filters_volatile_and_roundtrips() {
+    fn report_roundtrips() {
         let mut snap = Snapshot::new();
         snap.record(
             OwnedKey::with_labels("scan_attempts", &[("protocol", "NTP")]),
             Value::Counter(9),
-            false,
         );
-        snap.record(OwnedKey::with_labels("depth", &[]), Value::Gauge(4), true);
+        snap.record(OwnedKey::with_labels("depth", &[]), Value::Gauge(4));
         let report = RunReport::new(&[("seed", "2024"), ("fault", "lossy_1pct")], &snap);
-        assert_eq!(report.metrics.len(), 1);
+        assert_eq!(report.metrics.len(), 2);
 
         let json = report.to_json();
         let back = RunReport::from_json(&json).unwrap();
@@ -136,10 +127,10 @@ mod tests {
         let mut a = Snapshot::new();
         let mut b = Snapshot::new();
         // Record in different orders; BTreeMap canonicalizes.
-        a.record(OwnedKey::with_labels("x", &[]), Value::Counter(1), false);
-        a.record(OwnedKey::with_labels("y", &[]), Value::Counter(2), false);
-        b.record(OwnedKey::with_labels("y", &[]), Value::Counter(2), false);
-        b.record(OwnedKey::with_labels("x", &[]), Value::Counter(1), false);
+        a.record(OwnedKey::with_labels("x", &[]), Value::Counter(1));
+        a.record(OwnedKey::with_labels("y", &[]), Value::Counter(2));
+        b.record(OwnedKey::with_labels("y", &[]), Value::Counter(2));
+        b.record(OwnedKey::with_labels("x", &[]), Value::Counter(1));
         let ra = RunReport::new(&[("seed", "1")], &a);
         let rb = RunReport::new(&[("seed", "1")], &b);
         assert_eq!(ra.to_json(), rb.to_json());

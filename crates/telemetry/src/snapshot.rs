@@ -33,14 +33,11 @@ impl Value {
     }
 }
 
-/// One snapshot entry: the value plus its determinism class.
+/// One snapshot entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// The metric value.
     pub value: Value,
-    /// Volatile metrics depend on scheduling (channel depth, stall
-    /// times) and are excluded from deterministic reports.
-    pub volatile: bool,
 }
 
 /// An ordered map from [`OwnedKey`] to [`Entry`]. Snapshots are the
@@ -58,16 +55,11 @@ impl Snapshot {
     }
 
     /// Records a value under a key, folding into any existing entry.
-    /// The volatile flag of the first writer wins (and must agree —
-    /// asserted in debug builds).
-    pub fn record(&mut self, key: OwnedKey, value: Value, volatile: bool) {
+    pub fn record(&mut self, key: OwnedKey, value: Value) {
         match self.entries.get_mut(&key) {
-            Some(e) => {
-                debug_assert_eq!(e.volatile, volatile, "determinism class flip for {key}");
-                e.value.fold(&value);
-            }
+            Some(e) => e.value.fold(&value),
             None => {
-                self.entries.insert(key, Entry { value, volatile });
+                self.entries.insert(key, Entry { value });
             }
         }
     }
@@ -76,20 +68,7 @@ impl Snapshot {
     /// `a.merge(b)` and `b.merge(a)` produce equal snapshots.
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, e) in &other.entries {
-            self.record(k.clone(), e.value.clone(), e.volatile);
-        }
-    }
-
-    /// The deterministic subset: volatile entries dropped. This is what
-    /// a [`crate::RunReport`] serializes.
-    pub fn deterministic(&self) -> Snapshot {
-        Snapshot {
-            entries: self
-                .entries
-                .iter()
-                .filter(|(_, e)| !e.volatile)
-                .map(|(k, e)| (k.clone(), e.clone()))
-                .collect(),
+            self.record(k.clone(), e.value.clone());
         }
     }
 
@@ -102,7 +81,7 @@ impl Snapshot {
             for (name, value) in extra {
                 key.labels.insert((*name).to_string(), (*value).to_string());
             }
-            out.record(key, e.value.clone(), e.volatile);
+            out.record(key, e.value.clone());
         }
         out
     }
@@ -191,14 +170,14 @@ mod tests {
     #[test]
     fn record_folds_per_kind() {
         let mut s = Snapshot::new();
-        s.record(k("c", &[]), Value::Counter(2), false);
-        s.record(k("c", &[]), Value::Counter(3), false);
-        s.record(k("g", &[]), Value::Gauge(7), false);
-        s.record(k("g", &[]), Value::Gauge(4), false);
+        s.record(k("c", &[]), Value::Counter(2));
+        s.record(k("c", &[]), Value::Counter(3));
+        s.record(k("g", &[]), Value::Gauge(7));
+        s.record(k("g", &[]), Value::Gauge(4));
         let mut h = Histogram::new();
         h.observe(9);
-        s.record(k("h", &[]), Value::Hist(Box::new(h.clone())), false);
-        s.record(k("h", &[]), Value::Hist(Box::new(h)), false);
+        s.record(k("h", &[]), Value::Hist(Box::new(h.clone())));
+        s.record(k("h", &[]), Value::Hist(Box::new(h)));
         assert_eq!(s.counter(&k("c", &[])), 5);
         assert_eq!(s.gauge(&k("g", &[])), 7);
         assert_eq!(s.hist(&k("h", &[])).unwrap().count(), 2);
@@ -207,12 +186,12 @@ mod tests {
     #[test]
     fn merge_is_commutative() {
         let mut a = Snapshot::new();
-        a.record(k("x", &[("p", "1")]), Value::Counter(10), false);
-        a.record(k("d", &[]), Value::Gauge(3), true);
+        a.record(k("x", &[("p", "1")]), Value::Counter(10));
+        a.record(k("d", &[]), Value::Gauge(3));
         let mut b = Snapshot::new();
-        b.record(k("x", &[("p", "1")]), Value::Counter(5), false);
-        b.record(k("x", &[("p", "2")]), Value::Counter(1), false);
-        b.record(k("d", &[]), Value::Gauge(8), true);
+        b.record(k("x", &[("p", "1")]), Value::Counter(5));
+        b.record(k("x", &[("p", "2")]), Value::Counter(1));
+        b.record(k("d", &[]), Value::Gauge(8));
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
@@ -223,20 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_drops_volatile_entries() {
-        let mut s = Snapshot::new();
-        s.record(k("keep", &[]), Value::Counter(1), false);
-        s.record(k("drop", &[]), Value::Counter(1), true);
-        let det = s.deterministic();
-        assert_eq!(det.len(), 1);
-        assert_eq!(det.counter(&k("keep", &[])), 1);
-    }
-
-    #[test]
     fn relabel_stamps_every_key() {
         let mut s = Snapshot::new();
-        s.record(k("x", &[("p", "1")]), Value::Counter(2), false);
-        s.record(k("y", &[]), Value::Counter(3), false);
+        s.record(k("x", &[("p", "1")]), Value::Counter(2));
+        s.record(k("y", &[]), Value::Counter(3));
         let tagged = s.relabeled(&[("stage", "ntp_scan")]);
         assert_eq!(
             tagged.counter(&k("x", &[("p", "1"), ("stage", "ntp_scan")])),

@@ -7,26 +7,20 @@
 //! it at the queried NTP server. Monitoring the surrounding address space
 //! rules out coincidental scans.
 //!
-//! * [`vantage`] — unique-source query generation and the address ↔
-//!   server ledger;
+//! * [`vantage`] — unique-source query generation, the address ↔
+//!   server ledger and the scatter monitor;
 //! * [`capture`] — the packet capture at the vantage prefix;
-//! * [`actors`] — scripted third-party actors: a Georgia-Tech-like
-//!   research scanner (overt: identifies itself, reacts within the hour,
-//!   scans 1011 ports for ~10 minutes) and a covert cloud-hosted actor
-//!   (anonymous, Amazon/Linode-style ASes, remote-access/database ports,
-//!   multi-day spread, partial port coverage);
-//! * [`matching`] — scan → query attribution and actor characterisation.
+//! * [`metrics`] — the sweep's metric keys.
+//!
+//! This crate is the instrument only: who scans it, and what the
+//! capture says about them, is the `actors` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actors;
 pub mod capture;
-pub mod matching;
 pub mod metrics;
 pub mod vantage;
 
-pub use actors::{covert_actor, gt_actor, Actor, ActorId, ActorProfile};
 pub use capture::{CaptureLog, CapturedPacket};
-pub use matching::{match_captures, ActorCharacter, ActorReport, TelescopeReport};
 pub use vantage::Vantage;

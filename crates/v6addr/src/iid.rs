@@ -202,15 +202,6 @@ impl IidDistribution {
         self.total += 1;
     }
 
-    /// Builds a distribution from an iterator of addresses.
-    pub fn from_addrs<I: IntoIterator<Item = Ipv6Addr>>(iter: I) -> Self {
-        let mut d = Self::new();
-        for a in iter {
-            d.add(a);
-        }
-        d
-    }
-
     /// Count for one class.
     pub fn count(&self, class: IidClass) -> u64 {
         self.counts[class as usize]

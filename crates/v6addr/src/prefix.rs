@@ -60,12 +60,6 @@ impl Prefix {
         self.len
     }
 
-    /// `true` only for `::/0`.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The raw network bits.
     #[inline]
     pub fn bits(&self) -> u128 {

@@ -1,4 +1,4 @@
-//! A deduplicating hash set of addresses, with overlap counts.
+//! A deduplicating hash set of addresses.
 //!
 //! [`AddrSet`] is the mutable set collection inserts into (per-server
 //! address sets, the R&L sample, hitlist sources). Dataset-level
@@ -6,7 +6,6 @@
 //! between datasets (the paper's Table 1) — are computed on
 //! `store::CompactSet`, which every analysis converts to.
 
-use crate::prefix::Prefix;
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
@@ -63,50 +62,6 @@ impl AddrSet {
         let mut v: Vec<u128> = self.addrs.iter().copied().collect();
         v.sort_unstable();
         v.into_iter().map(Ipv6Addr::from).collect()
-    }
-
-    /// Number of addresses shared with `other`.
-    pub fn overlap(&self, other: &AddrSet) -> usize {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small
-            .addrs
-            .iter()
-            .filter(|b| large.addrs.contains(b))
-            .count()
-    }
-
-    /// Number of /`len` networks shared with `other`.
-    ///
-    /// A single sorted-merge pass over two flat, deduplicated vectors —
-    /// the old implementation materialized two full masked `HashSet`s
-    /// per call, which dominated the allocation profile of Table 1's
-    /// overlap rows.
-    pub fn network_overlap(&self, other: &AddrSet, len: u8) -> usize {
-        let mask = Prefix::netmask(len);
-        let masked = |s: &AddrSet| {
-            let mut v: Vec<u128> = s.addrs.iter().map(|&b| b & mask).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let (mine, theirs) = (masked(self), masked(other));
-        let (mut i, mut j, mut shared) = (0, 0, 0);
-        while i < mine.len() && j < theirs.len() {
-            match mine[i].cmp(&theirs[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    shared += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        shared
     }
 
     /// Union in place.
@@ -180,54 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn overlap_counts() {
-        let x = set(&["2001:db8:1::1", "2001:db8:2::1", "2001:db8:3::1"]);
-        let y = set(&["2001:db8:2::1", "2001:db8:3::2", "2001:db8:4::1"]);
-        assert_eq!(x.overlap(&y), 1);
-        assert_eq!(y.overlap(&x), 1); // symmetric
-        assert_eq!(x.network_overlap(&y, 48), 2); // db8:2 and db8:3
-        assert_eq!(x.network_overlap(&y, 128), 1);
-    }
-
-    #[test]
     fn iter_is_ordered() {
         let s = set(&["2001:db8::3", "2001:db8::1", "ff::", "::1", "2001:db8::2"]);
         let via_iter: Vec<Ipv6Addr> = s.iter().collect();
         assert_eq!(via_iter, s.sorted());
-    }
-
-    /// Equivalence of the sorted-merge `network_overlap` against the
-    /// old two-`HashSet` implementation, across prefix lengths and a
-    /// pseudo-random workload.
-    #[test]
-    fn network_overlap_matches_hashset_reference() {
-        let reference = |x: &AddrSet, y: &AddrSet, len: u8| {
-            let mask = Prefix::netmask(len);
-            let a: HashSet<u128> = x.iter().map(|v| u128::from(v) & mask).collect();
-            let b: HashSet<u128> = y.iter().map(|v| u128::from(v) & mask).collect();
-            a.intersection(&b).count()
-        };
-        let mut state = 0x9e37_79b9_u128;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1);
-            state
-        };
-        let x: AddrSet = (0..300)
-            .map(|_| Ipv6Addr::from(next() >> 40 << 30))
-            .collect();
-        let y: AddrSet = (0..300)
-            .map(|_| Ipv6Addr::from(next() >> 40 << 30))
-            .collect();
-        for len in [0u8, 16, 32, 48, 64, 96, 128] {
-            assert_eq!(
-                x.network_overlap(&y, len),
-                reference(&x, &y, len),
-                "len {len}"
-            );
-            assert_eq!(x.network_overlap(&x, len), reference(&x, &x, len));
-        }
     }
 
     #[test]
@@ -254,6 +165,6 @@ mod tests {
     fn empty_set_stats() {
         let s = AddrSet::new();
         assert!(s.is_empty());
-        assert_eq!(s.overlap(&s.clone()), 0);
+        assert_eq!(s.iter().count(), 0);
     }
 }

@@ -6,9 +6,11 @@
 //! cargo run --release --example covert_actor_hunt
 //! ```
 
+use actors::{covert_actor, gt_actor, match_captures, ActorCharacter, ActorRoster, Ecosystem};
+use netsim::bgp::BgpFeed;
 use netsim::time::{Duration, SimTime};
 use ntppool::Pool;
-use telescope::{covert_actor, gt_actor, match_captures, ActorCharacter, CaptureLog, Vantage};
+use telescope::Vantage;
 
 fn main() {
     // A pool with the world's background servers plus two NTP-sourcing
@@ -30,13 +32,23 @@ fn main() {
     );
 
     // The actors scan whatever they sourced; the telescope captures it.
-    let mut log = CaptureLog::new();
-    for actor in &actors {
-        actor.scan_sourced(&vantage, &mut log);
-    }
+    let vantages = [vantage];
+    let vantage = &vantages[0];
+    let feed = BgpFeed::new();
+    let log = Ecosystem::assemble(
+        ActorRoster::BASELINE,
+        &actors,
+        &vantages,
+        &pool,
+        &[],
+        &feed,
+        SimTime(0),
+    )
+    .run(SimTime(0), &feed, &[vantage.prefix])
+    .capture_within(vantage.prefix);
     println!("captured {} scan packets at the vantage prefix", log.len());
 
-    let report = match_captures(&vantage, &pool, &log, &actors);
+    let report = match_captures(vantage, &pool, &log, &actors);
     assert_eq!(
         report.unmatched_packets, 0,
         "every packet must trace to a query"

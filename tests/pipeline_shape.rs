@@ -232,7 +232,7 @@ fn takeaway_two_actors_detected() {
     assert_eq!(report.unmatched_packets, 0);
     assert_eq!(report.scatter_packets, 0);
     assert_eq!(report.actors.len(), 2);
-    use telescope::ActorCharacter;
+    use actors::ActorCharacter;
     assert_eq!(report.actors[0].character(), ActorCharacter::Research);
     assert_eq!(report.actors[0].ports.len(), 1011);
     assert_eq!(report.actors[1].character(), ActorCharacter::Covert);

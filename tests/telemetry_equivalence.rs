@@ -20,11 +20,6 @@ fn run_report_is_byte_identical_across_pipeline_modes() {
     let a = first.run_report().to_json();
     assert_eq!(a, second.run_report().to_json());
     assert!(a.contains("\"fault_profile\":\"lossy_1pct\""));
-    // A flat run has nothing scheduling-dependent to count.
-    assert!(!first
-        .telemetry
-        .iter()
-        .any(|(_, e)| e.volatile && matches!(&e.value, telemetry::Value::Counter(_))));
 }
 
 #[test]
@@ -41,7 +36,7 @@ fn run_report_roundtrips_and_renders() {
 #[test]
 fn report_counters_reconcile_with_legacy_values() {
     let study = lossy(42);
-    let det = study.telemetry.deterministic();
+    let det = &study.telemetry;
     // Collection: RunStats is *derived from* these counters, so they
     // agree by construction — this asserts the wiring kept it that way.
     assert_eq!(det.counter_total("ntp_polls"), study.run_stats.polls);

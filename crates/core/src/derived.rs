@@ -1,24 +1,22 @@
 //! Lazily-memoized derived analyses shared across experiments.
 //!
 //! Several expensive artifacts — HTTPS title clustering, SSH host-key
-//! parsing, broker extraction, fingerprint indexes, network groupings —
-//! are consumed by more than one experiment module. Recomputing them per
-//! table/figure dominated `render_all`'s runtime. [`Derived`] wraps a
-//! [`Study`] and computes each artifact **exactly once**, on first use,
-//! via [`OnceLock`] cells; every experiment's `compute`/`render` takes
-//! `&Derived`, which [derefs](std::ops::Deref) to `&Study` for raw
+//! parsing, broker extraction, fingerprint indexes, network groupings,
+//! the four [`CompactSet`]s and the [`SetProfile`] next to each (the
+//! per-/48, per-AS, AS-type and IID group-bys of one decode pass, which
+//! Table 1, Figure 1 and the takeaways are arithmetic on) — are consumed
+//! by more than one experiment module. Recomputing them per table/figure
+//! dominated `render_all`'s runtime. Every one of them lives in a
+//! [`OnceLock`] cell of the study's own [`DerivedCells`] and is computed
+//! **exactly once per study**, on first use, through whichever
+//! [`Derived`] view asks first; every experiment's `compute`/`render`
+//! takes `&Derived`, which [derefs](std::ops::Deref) to `&Study` for raw
 //! access.
 //!
-//! Two kinds of cell are not the wrapper's but the study's own
-//! ([`DerivedCells`], shared by every wrapper): the four [`CompactSet`]s
-//! and, next to each, its [`SetProfile`] — the per-/48, per-AS, AS-type
-//! and IID group-bys of one decode pass, which Table 1, Figure 1 and the
-//! takeaways are arithmetic on.
-//!
-//! The exactly-once contract is observable: [`Derived::stats`] and
-//! [`DerivedCells::stats`] return build counters, and
-//! `crates/core/tests/experiments.rs` asserts that rendering the full
-//! report twice still builds each artifact once.
+//! The exactly-once contract is observable: [`DerivedCells::stats`]
+//! returns the build counters, and `crates/core/tests/experiments.rs`
+//! asserts that rendering the full report twice, through two views,
+//! still builds each artifact once.
 
 use crate::Study;
 use analysis::access_control::{amqp_brokers, mqtt_brokers, Broker};
@@ -34,7 +32,7 @@ use scanner::ScanStore;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv6Addr;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use store::CompactSet;
 
@@ -96,11 +94,8 @@ impl SetKind {
 /// One memoization cell per source.
 type PerSource<T> = [OnceLock<T>; 2];
 
-fn cells<T>() -> PerSource<T> {
-    [OnceLock::new(), OnceLock::new()]
-}
-
-/// Build counters (how many times each artifact kind was computed).
+/// Build counters: how many times each artifact kind was computed for
+/// one study, snapshot via [`DerivedCells::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DerivedStats {
     /// Dual (our vs hitlist) HTTPS title clusterings. At most 1.
@@ -117,8 +112,15 @@ pub struct DerivedStats {
     pub fingerprint_builds: u32,
     /// Per-store network groupings (per-protocol /32../64, AS, country).
     pub network_grouping_builds: u32,
-    /// Per-[`SetKind`] compact-set materializations. At most 4.
+    /// Per-[`SetKind`] compact sets materialized from study data. At
+    /// most 4.
     pub compact_set_builds: u32,
+    /// [`SetProfile`]s computed (one decode pass each). At most 4; not
+    /// counted by [`Derived::memo_misses`].
+    pub profile_builds: u32,
+    /// Set cells pre-populated with an already-materialized set (e.g. one
+    /// reopened from a shared segment pool) instead of being built.
+    pub seeded: u32,
 }
 
 #[derive(Default)]
@@ -131,118 +133,23 @@ struct Counters {
     fingerprint: AtomicU32,
     network_grouping: AtomicU32,
     compact_set: AtomicU32,
-    /// Total accessor calls across all memoized artifacts; accesses
-    /// minus builds = cache hits.
-    accesses: AtomicU32,
+    profile: AtomicU32,
+    seeded: AtomicU32,
 }
 
-impl Counters {
-    fn bump(counter: &AtomicU32) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+fn bump(counter: &AtomicU32) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Study-scoped counters for the compact-set and profile cells,
-/// snapshot via [`DerivedCells::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DerivedCellStats {
-    /// Sets materialized from study data.
-    pub builds: u32,
-    /// [`SetProfile`]s computed (one decode pass each). At most 4.
-    pub profile_builds: u32,
-    /// Cells pre-populated with an already-materialized set (e.g. one
-    /// reopened from a shared segment pool) instead of being rebuilt.
-    pub seeded: u32,
-    /// Builds of a kind that was already built in a previous life of
-    /// this study (marked via [`DerivedCells::mark_prior_built`]) —
-    /// work the memo layer failed to carry across a restore.
-    pub rebuilds: u32,
-}
-
-/// The four [`SetKind`] compact-set memo cells and, next to each, the
-/// [`SetProfile`] that is a pure function of it — owned by the [`Study`]
-/// itself rather than by any one [`Derived`] wrapper.
-///
-/// Historically the cells lived inside `Derived`, so every
-/// `study.derived()` call started empty and silently re-materialized
-/// sets an earlier wrapper had already built — invisible except as lost
-/// time, and unavoidable for a study restored from a checkpoint. Owning
-/// them here (behind an `Arc`, shared by every wrapper) makes the
-/// exactly-once contract study-scoped, lets a service seed cells from
-/// its shared segment cache, and counts any rebuild that does happen.
-///
-/// A profile is filled on first use by [`Derived::set_profile`] from
-/// whatever set its cell holds (built or seeded). Being study-scoped it
-/// is not a wrapper artifact: it appears in [`DerivedCellStats`], never
-/// in [`DerivedStats`] or [`Derived::memo_misses`].
+/// Every derived-artifact memo cell of one [`Study`], owned by the study
+/// itself (behind an `Arc`) and shared by every [`Derived`] view of it,
+/// so an artifact one view built is never built again by another. A
+/// serving layer can also [`seed`](DerivedCells::seed) the set cells from
+/// its shared segment cache.
 #[derive(Default)]
 pub struct DerivedCells {
     sets: [OnceLock<Arc<CompactSet>>; 4],
     profiles: [OnceLock<SetProfile>; 4],
-    builds: AtomicU32,
-    profile_builds: AtomicU32,
-    seeded: AtomicU32,
-    rebuilds: AtomicU32,
-    prior_built: [AtomicBool; 4],
-}
-
-impl DerivedCells {
-    /// Empty cells.
-    pub fn new() -> DerivedCells {
-        DerivedCells::default()
-    }
-
-    /// Whether `kind` is currently materialized.
-    pub fn built(&self, kind: SetKind) -> bool {
-        self.sets[kind.idx()].get().is_some()
-    }
-
-    /// Records that `kind` was built in a previous life of this study —
-    /// before a checkpoint/restore or an eviction — so a later build of
-    /// it is counted as a rebuild rather than a first build.
-    pub fn mark_prior_built(&self, kind: SetKind) {
-        self.prior_built[kind.idx()].store(true, Ordering::Relaxed);
-    }
-
-    /// Pre-populates `kind` with an already-materialized set. Returns
-    /// `true` (and counts a seed) if the cell was empty; a cell that
-    /// already holds a set is left untouched.
-    pub fn seed(&self, kind: SetKind, set: Arc<CompactSet>) -> bool {
-        let seeded = self.sets[kind.idx()].set(set).is_ok();
-        if seeded {
-            self.seeded.fetch_add(1, Ordering::Relaxed);
-        }
-        seeded
-    }
-
-    fn get_or_build(&self, kind: SetKind, build: impl FnOnce() -> CompactSet) -> &Arc<CompactSet> {
-        self.sets[kind.idx()].get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            if self.prior_built[kind.idx()].load(Ordering::Relaxed) {
-                self.rebuilds.fetch_add(1, Ordering::Relaxed);
-            }
-            Arc::new(build())
-        })
-    }
-
-    /// Snapshot of the study-scoped cell counters.
-    pub fn stats(&self) -> DerivedCellStats {
-        DerivedCellStats {
-            builds: self.builds.load(Ordering::Relaxed),
-            profile_builds: self.profile_builds.load(Ordering::Relaxed),
-            seeded: self.seeded.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A [`Study`] plus its memoized derived analyses.
-///
-/// Construct with [`Study::derived`] (or [`Derived::new`]); pass
-/// `&Derived` to every experiment. Direct `Study` fields remain
-/// reachable through `Deref`: `derived.ntp_scan`, `derived.world`, …
-pub struct Derived<'a> {
-    study: &'a Study,
     titles: OnceLock<Vec<DualTitleGroup>>,
     addr_titles: PerSource<Vec<(String, Vec<Ipv6Addr>)>>,
     ssh_hosts: PerSource<Vec<SshHost>>,
@@ -254,6 +161,52 @@ pub struct Derived<'a> {
     counters: Counters,
 }
 
+impl DerivedCells {
+    /// Empty cells.
+    pub fn new() -> DerivedCells {
+        DerivedCells::default()
+    }
+
+    /// Pre-populates `kind` with an already-materialized set. Returns
+    /// `true` (and counts a seed) if the cell was empty; a cell that
+    /// already holds a set is left untouched.
+    pub fn seed(&self, kind: SetKind, set: Arc<CompactSet>) -> bool {
+        let seeded = self.sets[kind.idx()].set(set).is_ok();
+        if seeded {
+            bump(&self.counters.seeded);
+        }
+        seeded
+    }
+
+    /// Snapshot of the build counters.
+    pub fn stats(&self) -> DerivedStats {
+        let c = &self.counters;
+        let load = |a: &AtomicU32| a.load(Ordering::Relaxed);
+        DerivedStats {
+            title_cluster_builds: load(&c.title_cluster),
+            addr_title_builds: load(&c.addr_title),
+            ssh_parse_builds: load(&c.ssh_parse),
+            coap_builds: load(&c.coap),
+            broker_builds: load(&c.broker),
+            fingerprint_builds: load(&c.fingerprint),
+            network_grouping_builds: load(&c.network_grouping),
+            compact_set_builds: load(&c.compact_set),
+            profile_builds: load(&c.profile),
+            seeded: load(&c.seeded),
+        }
+    }
+}
+
+/// A view of a [`Study`] whose accessors return its memoized derived
+/// analyses, built on first use into the study's [`DerivedCells`].
+///
+/// Construct with [`Study::derived`] (or [`Derived::new`]); pass
+/// `&Derived` to every experiment. Direct `Study` fields remain
+/// reachable through `Deref`: `derived.ntp_scan`, `derived.world`, …
+pub struct Derived<'a> {
+    study: &'a Study,
+}
+
 impl<'a> Deref for Derived<'a> {
     type Target = Study;
 
@@ -263,24 +216,17 @@ impl<'a> Deref for Derived<'a> {
 }
 
 impl<'a> Derived<'a> {
-    /// Wraps a study with empty (not-yet-computed) cells.
+    /// A view of `study`.
     pub fn new(study: &'a Study) -> Derived<'a> {
-        Derived {
-            study,
-            titles: OnceLock::new(),
-            addr_titles: cells(),
-            ssh_hosts: cells(),
-            coap: cells(),
-            mqtt: cells(),
-            amqp: cells(),
-            fingerprints: cells(),
-            networks: cells(),
-            counters: Counters::default(),
-        }
+        Derived { study }
+    }
+
+    fn cells(&self) -> &'a DerivedCells {
+        &self.study.derived_cells
     }
 
     /// The scan store behind a [`Source`].
-    pub fn store(&self, src: Source) -> &ScanStore {
+    pub fn store(&self, src: Source) -> &'a ScanStore {
         match src {
             Source::Ntp => &self.study.ntp_scan,
             Source::Hitlist => &self.study.hitlist_scan,
@@ -288,10 +234,10 @@ impl<'a> Derived<'a> {
     }
 
     /// Dual HTTPS title clusters over both sources (Tables 3 and 8).
-    pub fn title_clusters(&self) -> &[DualTitleGroup] {
-        Counters::bump(&self.counters.accesses);
-        self.titles.get_or_init(|| {
-            Counters::bump(&self.counters.title_cluster);
+    pub fn title_clusters(&self) -> &'a [DualTitleGroup] {
+        let c = self.cells();
+        c.titles.get_or_init(|| {
+            bump(&c.counters.title_cluster);
             https_title_groups_dual(&self.study.ntp_scan, &self.study.hitlist_scan)
         })
     }
@@ -299,10 +245,10 @@ impl<'a> Derived<'a> {
     /// Combined HTTP+HTTPS title groups with their addresses — the
     /// Appendix C (Table 6) per-network view, where plain-HTTP hosts
     /// (no certificate to dedup on) count too.
-    pub fn addr_title_groups(&self, src: Source) -> &[(String, Vec<Ipv6Addr>)] {
-        Counters::bump(&self.counters.accesses);
-        self.addr_titles[src.idx()].get_or_init(|| {
-            Counters::bump(&self.counters.addr_title);
+    pub fn addr_title_groups(&self, src: Source) -> &'a [(String, Vec<Ipv6Addr>)] {
+        let c = self.cells();
+        c.addr_titles[src.idx()].get_or_init(|| {
+            bump(&c.counters.addr_title);
             let store = self.store(src);
             let mut obs = unique_https_titles(store);
             obs.extend(http_titles_by_addr(store));
@@ -314,46 +260,46 @@ impl<'a> Derived<'a> {
     }
 
     /// Unique SSH hosts (deduped by host key) for one source.
-    pub fn ssh_hosts(&self, src: Source) -> &[SshHost] {
-        Counters::bump(&self.counters.accesses);
-        self.ssh_hosts[src.idx()].get_or_init(|| {
-            Counters::bump(&self.counters.ssh_parse);
+    pub fn ssh_hosts(&self, src: Source) -> &'a [SshHost] {
+        let c = self.cells();
+        c.ssh_hosts[src.idx()].get_or_init(|| {
+            bump(&c.counters.ssh_parse);
             unique_ssh_hosts(self.store(src))
         })
     }
 
     /// CoAP devices (parsed resource lists) for one source.
-    pub fn coap_devices(&self, src: Source) -> &[CoapDevice] {
-        Counters::bump(&self.counters.accesses);
-        self.coap[src.idx()].get_or_init(|| {
-            Counters::bump(&self.counters.coap);
+    pub fn coap_devices(&self, src: Source) -> &'a [CoapDevice] {
+        let c = self.cells();
+        c.coap[src.idx()].get_or_init(|| {
+            bump(&c.counters.coap);
             coap_devices(self.store(src))
         })
     }
 
     /// MQTT brokers (plain + TLS listeners) for one source.
-    pub fn mqtt_brokers(&self, src: Source) -> &[Broker] {
-        Counters::bump(&self.counters.accesses);
-        self.mqtt[src.idx()].get_or_init(|| {
-            Counters::bump(&self.counters.broker);
+    pub fn mqtt_brokers(&self, src: Source) -> &'a [Broker] {
+        let c = self.cells();
+        c.mqtt[src.idx()].get_or_init(|| {
+            bump(&c.counters.broker);
             mqtt_brokers(self.store(src))
         })
     }
 
     /// AMQP brokers (plain + TLS listeners) for one source.
-    pub fn amqp_brokers(&self, src: Source) -> &[Broker] {
-        Counters::bump(&self.counters.accesses);
-        self.amqp[src.idx()].get_or_init(|| {
-            Counters::bump(&self.counters.broker);
+    pub fn amqp_brokers(&self, src: Source) -> &'a [Broker] {
+        let c = self.cells();
+        c.amqp[src.idx()].get_or_init(|| {
+            bump(&c.counters.broker);
             amqp_brokers(self.store(src))
         })
     }
 
     /// Certificate/host-key fingerprints per protocol for one source.
-    pub fn fingerprints(&self, src: Source, p: Protocol) -> &HashSet<[u8; 32]> {
-        Counters::bump(&self.counters.accesses);
-        let map = self.fingerprints[src.idx()].get_or_init(|| {
-            Counters::bump(&self.counters.fingerprint);
+    pub fn fingerprints(&self, src: Source, p: Protocol) -> &'a HashSet<[u8; 32]> {
+        let c = self.cells();
+        let map = c.fingerprints[src.idx()].get_or_init(|| {
+            bump(&c.counters.fingerprint);
             let store = self.store(src);
             Protocol::ALL
                 .iter()
@@ -364,10 +310,10 @@ impl<'a> Derived<'a> {
     }
 
     /// Per-protocol network/AS/country counts for one source (Table 5).
-    pub fn network_counts(&self, src: Source) -> &[(Protocol, NetworkCounts)] {
-        Counters::bump(&self.counters.accesses);
-        self.networks[src.idx()].get_or_init(|| {
-            Counters::bump(&self.counters.network_grouping);
+    pub fn network_counts(&self, src: Source) -> &'a [(Protocol, NetworkCounts)] {
+        let c = self.cells();
+        c.networks[src.idx()].get_or_init(|| {
+            bump(&c.counters.network_grouping);
             let store = self.store(src);
             let topo = &self.study.world.topology;
             Protocol::ALL
@@ -381,59 +327,48 @@ impl<'a> Derived<'a> {
     }
 
     /// One of the study's address sets in sorted delta-block form,
-    /// materialized once **per study** (the cells live on the study,
-    /// see [`DerivedCells`]) and shared by every overlap/structure
-    /// analysis (Table 1, Figures 1 and 4).
-    pub fn compact_set(&self, kind: SetKind) -> &CompactSet {
-        Counters::bump(&self.counters.accesses);
-        self.study
-            .derived_cells
-            .get_or_build(kind, || self.build_set(kind))
+    /// shared by every overlap/structure analysis (Table 1, Figures 1
+    /// and 4).
+    pub fn compact_set(&self, kind: SetKind) -> &'a CompactSet {
+        self.compact_set_cell(kind)
     }
 
     /// [`Derived::compact_set`] returning the shared handle — what a
     /// long-lived cache (the study service) holds so the set outlives
-    /// this wrapper and even the study itself.
+    /// this view and even the study itself.
     pub fn compact_set_shared(&self, kind: SetKind) -> Arc<CompactSet> {
-        Counters::bump(&self.counters.accesses);
-        Arc::clone(
-            self.study
-                .derived_cells
-                .get_or_build(kind, || self.build_set(kind)),
-        )
+        Arc::clone(self.compact_set_cell(kind))
+    }
+
+    fn compact_set_cell(&self, kind: SetKind) -> &'a Arc<CompactSet> {
+        let c = self.cells();
+        c.sets[kind.idx()].get_or_init(|| {
+            bump(&c.counters.compact_set);
+            Arc::new(match kind {
+                SetKind::Ours => self.study.collector.global().to_compact(),
+                SetKind::Rl => self.study.rl_set.iter().collect(),
+                SetKind::HitlistFull => self.study.hitlist.full.iter().collect(),
+                SetKind::HitlistPublic => self.study.hitlist.public.iter().collect(),
+            })
+        })
     }
 
     /// The per-/48, per-AS, AS-type and IID group-bys of one address set
     /// — what Table 1, Figure 1 and the takeaways are arithmetic on —
-    /// from one decode pass over [`Derived::compact_set`], computed once
-    /// **per study** like the set itself.
-    pub fn set_profile(&self, kind: SetKind) -> &SetProfile {
-        let cells = &self.study.derived_cells;
-        cells.profiles[kind.idx()].get_or_init(|| {
-            Counters::bump(&cells.profile_builds);
+    /// from one decode pass over [`Derived::compact_set`] (built or
+    /// seeded).
+    pub fn set_profile(&self, kind: SetKind) -> &'a SetProfile {
+        let c = self.cells();
+        c.profiles[kind.idx()].get_or_init(|| {
+            bump(&c.counters.profile);
             SetProfile::build(self.compact_set(kind), &self.study.world.topology)
         })
     }
 
-    fn build_set(&self, kind: SetKind) -> CompactSet {
-        Counters::bump(&self.counters.compact_set);
-        match kind {
-            SetKind::Ours => self.study.collector.global().to_compact(),
-            SetKind::Rl => self.study.rl_set.iter().collect(),
-            SetKind::HitlistFull => self.study.hitlist.full.iter().collect(),
-            SetKind::HitlistPublic => self.study.hitlist.public.iter().collect(),
-        }
-    }
-
-    /// Total memoized-accessor calls served from an already-built cell.
-    pub fn memo_hits(&self) -> u64 {
-        let accesses = self.counters.accesses.load(Ordering::Relaxed) as u64;
-        accesses.saturating_sub(self.memo_misses())
-    }
-
-    /// Total artifact builds (accessor calls that found an empty cell).
+    /// Total artifact builds of the study (every accessor call that
+    /// found an empty cell), [`SetProfile`]s and seeded sets excepted.
     pub fn memo_misses(&self) -> u64 {
-        let s = self.stats();
+        let s = self.cells().stats();
         u64::from(
             s.title_cluster_builds
                 + s.addr_title_builds
@@ -445,29 +380,12 @@ impl<'a> Derived<'a> {
                 + s.compact_set_builds,
         )
     }
-
-    /// Snapshot of the build counters.
-    pub fn stats(&self) -> DerivedStats {
-        let c = &self.counters;
-        DerivedStats {
-            title_cluster_builds: c.title_cluster.load(Ordering::Relaxed),
-            addr_title_builds: c.addr_title.load(Ordering::Relaxed),
-            ssh_parse_builds: c.ssh_parse.load(Ordering::Relaxed),
-            coap_builds: c.coap.load(Ordering::Relaxed),
-            broker_builds: c.broker.load(Ordering::Relaxed),
-            fingerprint_builds: c.fingerprint.load(Ordering::Relaxed),
-            network_grouping_builds: c.network_grouping.load(Ordering::Relaxed),
-            compact_set_builds: c.compact_set.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl Study {
-    /// Wraps this study in a fresh [`Derived`] cache. Scan-artifact
-    /// cells start empty per wrapper; the compact-set cells are the
-    /// study's own [`DerivedCells`], so a second wrapper (or a service
-    /// re-wrapping a resident study) never rebuilds an
-    /// already-materialized set.
+    /// A [`Derived`] view of this study. Its cells are the study's own
+    /// [`DerivedCells`], so a second view (or a service re-wrapping a
+    /// resident study) never rebuilds an artifact an earlier one built.
     pub fn derived(&self) -> Derived<'_> {
         Derived::new(self)
     }
@@ -482,7 +400,7 @@ mod tests {
     fn cells_memoize_and_count_once() {
         let study = Study::run(StudyConfig::tiny(3));
         let d = study.derived();
-        assert_eq!(d.stats(), DerivedStats::default());
+        assert_eq!(study.derived_cells.stats(), DerivedStats::default());
 
         let first = d.title_clusters().len();
         let again = d.title_clusters().len();
@@ -503,7 +421,7 @@ mod tests {
             let n = d.compact_set(kind).len();
             assert_eq!(d.compact_set(kind).len(), n);
         }
-        let s = d.stats();
+        let s = study.derived_cells.stats();
         assert_eq!(s.title_cluster_builds, 1);
         assert_eq!(s.addr_title_builds, 2);
         assert_eq!(s.ssh_parse_builds, 2);
@@ -512,36 +430,31 @@ mod tests {
         assert_eq!(s.fingerprint_builds, 2);
         assert_eq!(s.network_grouping_builds, 2);
         assert_eq!(s.compact_set_builds, 4);
+        assert_eq!(d.memo_misses(), 19);
     }
 
-    /// The bug this layer fixes: a second wrapper over the same study
-    /// (or a service re-wrapping a resident one) used to rebuild every
-    /// compact set from scratch. The cells now live on the study.
+    /// One memo scope: what an earlier view built is neither built again
+    /// nor missing from the tally a later view prints, so the rendered
+    /// tables do not depend on which views came before.
     #[test]
-    fn second_wrapper_reuses_study_scoped_compact_sets() {
-        let study = Study::run(StudyConfig::tiny(3));
-        {
-            let d1 = study.derived();
-            for kind in SetKind::ALL {
-                d1.compact_set(kind);
-            }
-            assert_eq!(d1.stats().compact_set_builds, 4);
-        }
-        let d2 = study.derived();
-        for kind in SetKind::ALL {
-            d2.compact_set(kind);
-        }
-        // No wrapper-local builds: every access hit the study's cells.
-        assert_eq!(d2.stats().compact_set_builds, 0);
-        assert_eq!(d2.memo_misses(), 0);
-        assert_eq!(d2.memo_hits(), 4);
-        let cells = study.derived_cells.stats();
-        assert_eq!(cells.builds, 4);
-        assert_eq!(cells.rebuilds, 0);
+    fn digest_does_not_depend_on_earlier_views() {
+        let fresh = Study::run(StudyConfig::tiny(3));
+        let want = fresh.digest();
+        let built = fresh.derived_cells.stats();
+        // `digest` rendered every table through a view of its own; a
+        // second full render through another view builds nothing.
+        assert_eq!(fresh.digest(), want);
+        assert_eq!(fresh.derived_cells.stats(), built);
+        assert_eq!(fresh.derived().memo_misses(), 19);
+
+        let touched = Study::run(StudyConfig::tiny(3));
+        touched.derived().compact_set(SetKind::Ours);
+        assert_eq!(touched.digest(), want);
+        assert_eq!(touched.derived_cells.stats(), built);
     }
 
     #[test]
-    fn seeded_cells_skip_builds_and_rebuilds_are_counted() {
+    fn seeded_cells_skip_builds() {
         let study = Study::run(StudyConfig::tiny(3));
         let shared = study.derived().compact_set_shared(SetKind::HitlistFull);
 
@@ -555,22 +468,13 @@ mod tests {
         });
         let cells = other.derived_cells.stats();
         assert_eq!(cells.seeded, 1);
-        assert_eq!(cells.builds, 0);
+        assert_eq!(cells.compact_set_builds, 0);
         // Seeding an occupied cell is a no-op.
         assert!(!other.derived_cells.seed(
             SetKind::HitlistFull,
             d.compact_set_shared(SetKind::HitlistFull)
         ));
         assert_eq!(other.derived_cells.stats().seeded, 1);
-
-        // A kind known built in a previous life that gets built again
-        // counts as a rebuild — the silent-rebuild telemetry signal.
-        other.derived_cells.mark_prior_built(SetKind::Ours);
-        assert!(!other.derived_cells.built(SetKind::Ours));
-        d.compact_set(SetKind::Ours);
-        let cells = other.derived_cells.stats();
-        assert_eq!(cells.seeded, 1);
-        assert_eq!(cells.rebuilds, 1);
     }
 
     #[test]

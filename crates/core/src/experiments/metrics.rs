@@ -1,6 +1,6 @@
 //! The run's telemetry report — not a paper artefact, but the
 //! reproduction's own accounting: every metric the pipeline recorded
-//! (stage-labelled counters, gauges, and histograms), plus the
+//! (stage-labelled counters and histograms), plus the
 //! derived-layer memoization tally. Like every other experiment it is
 //! byte-identical across runs of one config.
 
@@ -11,10 +11,9 @@ use telemetry::Value;
 /// Renders the deterministic metrics table.
 pub fn render(study: &Derived) -> String {
     let mut t = TextTable::new(vec!["metric", "value"]);
-    for (key, entry) in study.telemetry.iter() {
-        let v = match &entry.value {
+    for (key, value) in study.telemetry.iter() {
+        let v = match value {
             Value::Counter(n) => fmt_int(*n),
-            Value::Gauge(n) => format!("max {}", fmt_int(*n)),
             Value::Hist(h) => format!(
                 "n={} mean={:.1} min={} max={}",
                 fmt_int(h.count()),
@@ -26,8 +25,7 @@ pub fn render(study: &Derived) -> String {
         t.row(vec![key.render(), v]);
     }
     // Builds only: each cell builds at most once per study, so this line
-    // is stable across repeated renders (hit counts keep growing, which
-    // is why `Derived::memo_hits` is not printed here).
+    // is the same on every render of the study, through any view.
     format!(
         "== Run telemetry (deterministic metrics) ==\n{}\nderived memoization: {} artifact builds\n",
         t.render(),

@@ -39,7 +39,7 @@ pub mod study;
 pub use actors::ActorRoster;
 pub use checkpoint::CheckpointData;
 pub use config::StudyConfig;
-pub use derived::{Derived, DerivedCellStats, DerivedCells, SetKind, Source};
+pub use derived::{Derived, DerivedCells, DerivedStats, SetKind, Source};
 pub use netsim::transport::FaultProfile;
 pub use session::StudySession;
 pub use store::StoreError;

@@ -46,7 +46,7 @@ use netsim::transport::Transport;
 use netsim::world::World;
 use netsim::{Asn, BgpEvent, BgpFeed, DeviceId, Instrumented, TransportTotals};
 use ntppool::{AddressCollector, CollectionRun, Observation, ServerId};
-use scanner::{BatchScan, RealTimeScanner, ScanPolicy};
+use scanner::{BatchScan, Engine, ScanPolicy};
 use std::sync::Arc;
 use store::StoreError;
 use telemetry::{Registry, SpanTimer};
@@ -148,7 +148,7 @@ impl StudySession {
             return true;
         }
         let stop = self.data.collection.cursor + slice;
-        let (coll_transport, coll_stats) = Instrumented::new(self.transport.clone_box());
+        let (coll_transport, coll_totals) = Instrumented::new(self.transport.clone_box());
         let run = CollectionRun::with_transport(
             &self.world,
             &self.setup.pool,
@@ -163,7 +163,9 @@ impl StudySession {
             &mut self.data.collector,
             &mut self.data.feed_prefix,
         );
-        self.data.transport.merge(&coll_stats.totals());
+        self.data
+            .transport
+            .merge(&TransportTotals::snapshot(&coll_totals));
         self.done()
     }
 
@@ -255,10 +257,12 @@ impl StudySession {
         SpanTimer::start(metrics::SPAN_COLLECTION, start.as_secs())
             .finish(&mut study_reg, end.as_secs());
         study_reg.add(metrics::PIPELINE_FEED_OBSERVATIONS, feed.len() as u64);
-        let (scan_transport, scan_stats) = Instrumented::new(transport.clone_box());
-        let ntp_scan =
-            RealTimeScanner::with_transport(ScanPolicy::default(), Box::new(scan_transport))
-                .run(&world, &feed);
+        let (scan_transport, scan_totals) = Instrumented::new(transport.clone_box());
+        let mut scanner = Engine::with_transport(ScanPolicy::default(), Box::new(scan_transport));
+        for obs in &feed {
+            scanner.scan_target(&world, obs.addr, obs.seen);
+        }
+        let ntp_scan = scanner.into_store();
         // The first deterministic accounting of the stage: totals and
         // transport counters summed over every slice, persisted ones
         // included, equal a single-slice run's.
@@ -268,7 +272,7 @@ impl StudySession {
         coll_transport.export_into(&mut coll_reg);
         let mut scan_reg = Registry::new();
         scan_reg.merge(ntp_scan.telemetry());
-        scan_stats.export_into(&mut scan_reg);
+        TransportTotals::snapshot(&scan_totals).export_into(&mut scan_reg);
         let mut telemetry = coll_reg.snapshot_with(&[("stage", "collection")]);
         telemetry.merge(&scan_reg.snapshot_with(&[("stage", "ntp_scan")]));
 
@@ -282,20 +286,20 @@ impl StudySession {
         // Scan in sorted address order: the token bucket turns submission
         // order into probe times, so sorting keeps the store bit-identical
         // across runs.
-        let (hl_transport, hl_stats) = Instrumented::new(transport.clone_box());
+        let (hl_transport, hl_totals) = Instrumented::new(transport.clone_box());
         let hitlist_scan = BatchScan::with_transport(ScanPolicy::default(), Box::new(hl_transport))
             .run(&world, hitlist.full.sorted(), hitlist_t);
         span.finish(&mut study_reg, end.as_secs());
         study_reg.add(metrics::HITLIST_ADDRESSES, hitlist.full.len() as u64);
         let mut hl_reg = Registry::new();
         hl_reg.merge(hitlist_scan.telemetry());
-        hl_stats.export_into(&mut hl_reg);
+        TransportTotals::snapshot(&hl_totals).export_into(&mut hl_reg);
         telemetry.merge(&hl_reg.snapshot_with(&[("stage", "hitlist_scan")]));
 
         // --- Telescope + adversarial ecosystem (§5). ---
         let telescope_run = config.telescope.then(|| {
             let mut tel_reg = Registry::new();
-            let (tel_transport, tel_stats) = Instrumented::new(transport.clone_box());
+            let (tel_transport, tel_totals) = Instrumented::new(transport.clone_box());
             let sweep_start = start + config.telescope_offset;
             let gap = Duration::secs(7);
             let span = SpanTimer::start(metrics::SPAN_TELESCOPE, sweep_start.as_secs());
@@ -378,7 +382,7 @@ impl StudySession {
             outcome.export_into(&mut tel_reg);
             table.export_into(&mut tel_reg);
 
-            tel_stats.export_into(&mut tel_reg);
+            TransportTotals::snapshot(&tel_totals).export_into(&mut tel_reg);
             telemetry.merge(&tel_reg.snapshot_with(&[("stage", "telescope")]));
             (report, table)
         });

@@ -82,9 +82,9 @@ pub struct Study {
     /// a `stage` label; bit-identical for equal configs. This is what
     /// [`Study::run_report`] serializes.
     pub telemetry: Snapshot,
-    /// Study-scoped memo cells for the derived compact sets — shared by
-    /// every [`Study::derived`] wrapper, seedable by a serving layer
-    /// (see [`crate::derived::DerivedCells`]).
+    /// The study's derived-artifact memo cells — shared by every
+    /// [`Study::derived`] view, seedable by a serving layer (see
+    /// [`crate::derived::DerivedCells`]).
     pub derived_cells: Arc<crate::derived::DerivedCells>,
 }
 

@@ -173,13 +173,13 @@ fn renders_embed_computed_numbers() {
 
 #[test]
 fn render_all_builds_shared_artifacts_once() {
-    // A study of its own: the set and profile cells are study-scoped, so
-    // on the shared one another test's wrapper may have filled them.
+    // A study of its own: the memo cells are study-scoped, so on the
+    // shared one another test's view may have filled them.
     let study = Study::run(StudyConfig::tiny(31));
     let d = study.derived();
     let report = render_all(&d);
     assert!(!report.is_empty());
-    let first = d.stats();
+    let first = study.derived_cells.stats();
     // The full report touches every derived artifact; each is built
     // exactly once per study despite its many consumers.
     assert_eq!(first.title_cluster_builds, 1, "dual title clustering");
@@ -195,22 +195,13 @@ fn render_all_builds_shared_artifacts_once() {
     assert_eq!(first.coap_builds, 2, "CoAP extraction per store");
     assert_eq!(first.broker_builds, 4, "MQTT+AMQP brokers per store");
     assert_eq!(first.fingerprint_builds, 2, "fingerprint index per store");
-    // A second full render reuses every cell — and reproduces the text.
-    let again = render_all(&d);
-    assert_eq!(report, again);
-    assert_eq!(d.stats(), first);
-    // Table 1, Figure 1 and the takeaways share one profile per dataset,
-    // and a second wrapper finds all four on the study.
-    let second = study.derived();
-    assert_eq!(table1::compute(&second), table1::compute(&d));
-    assert_eq!(fig1::compute(&second), fig1::compute(&d));
-    assert_eq!(takeaways::render(&second), takeaways::render(&d));
-    let cells = study.derived_cells.stats();
-    assert_eq!(cells.profile_builds, 4, "one decode pass per dataset");
-    assert_eq!(cells.builds, 4);
-    // Profiles are the study's, not the wrapper's: the tally of wrapper
-    // artifacts the report prints does not count them.
-    assert_eq!(d.stats(), first);
     assert_eq!(first.compact_set_builds, 4);
+    // Table 1, Figure 1 and the takeaways share one profile per dataset.
+    assert_eq!(first.profile_builds, 4, "one decode pass per dataset");
+    // A second full render, through a second view, reuses every cell —
+    // and reproduces the text, build tally included.
+    let again = render_all(&study.derived());
+    assert_eq!(report, again);
+    assert_eq!(study.derived_cells.stats(), first);
     assert!(report.ends_with("derived memoization: 19 artifact builds\n"));
 }

@@ -18,17 +18,16 @@ fn registry_traffic_costs_under_five_percent_of_the_study() {
 
     // Only the scanner's `scan_*` metrics and the per-KoD backoff samples
     // go through the Registry API once per event. Everything else in the
-    // snapshot arrives in bulk — `transport_*` rides relaxed atomics
-    // drained at export, the `ntp_*` poll counters are loop locals
+    // snapshot arrives in bulk — `transport_*` is one `TransportTotals`
+    // exported per stage, the `ntp_*` poll counters are loop locals
     // flushed once per run, collector/telescope/span entries are single
     // adds at stage boundaries — and costs O(1) calls at any volume.
     let ops: u64 = study
         .telemetry
         .iter()
         .filter(|(key, _)| key.name.starts_with("scan_") || key.name == "ntp_kod_backoff_seconds")
-        .map(|(_, entry)| match &entry.value {
+        .map(|(_, value)| match value {
             Value::Counter(n) => *n,
-            Value::Gauge(_) => 1,
             Value::Hist(h) => h.count(),
         })
         .sum();

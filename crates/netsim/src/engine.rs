@@ -40,24 +40,24 @@ fn slot_of(at: SimTime) -> u64 {
 /// max-heap surfaces the earliest; the payload never takes part
 /// (`(at, seq)` is unique), so `E` needs no `Ord`.
 #[derive(Debug, Clone)]
-struct Entry<E> {
+struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
@@ -69,16 +69,16 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// The ordered part: every pending event of slot `cur` or earlier.
-    due: BinaryHeap<Entry<E>>,
+    due: BinaryHeap<Scheduled<E>>,
     /// The slot `due` covers. Only ever moves forward.
     cur: u64,
     /// `ring[s % RING]` holds, unordered, the pending events of every
     /// slot `s > cur` that maps there.
-    ring: Vec<Vec<Entry<E>>>,
+    ring: Vec<Vec<Scheduled<E>>>,
     /// Emptied bucket allocations, handed to the next bucket that opens
     /// so a steady run neither allocates per bucket nor strands capacity
     /// behind the cursor.
-    spare: Vec<Vec<Entry<E>>>,
+    spare: Vec<Vec<Scheduled<E>>>,
     seq: u64,
     len: usize,
 }
@@ -104,7 +104,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let entry = Entry {
+        let entry = Scheduled {
             at,
             seq: self.seq,
             event,

@@ -2,22 +2,21 @@
 //! every exchange crossing any [`Transport`] without changing its
 //! behaviour.
 //!
-//! The stats sink is an `Arc` of relaxed atomics shared across
-//! [`Transport::clone_box`], so threads cloning the transport
-//! all account into the same totals — and because every atomic op is
-//! commutative (add / min / max), those totals are identical to a
-//! sequential run's. Exchange *outcomes* themselves are decided by the
-//! wrapped transport's stateless hash, so wrapping never perturbs fates.
+//! The sink is one [`TransportTotals`] behind an `Arc<Mutex<_>>`, shared
+//! across [`Transport::clone_box`] and locked once per exchange, after
+//! the inner exchange has returned. It is the same value a study merges
+//! across slices, stores in its checkpoint and exports into a
+//! [`Registry`]. Exchange *outcomes* are decided by the wrapped
+//! transport's stateless hash, so wrapping never perturbs fates.
 //!
 //! Truncation is invisible in a [`Delivery`] alone — the sender only
 //! sees short bytes. The wrapper recovers it by observing the responder
 //! closure: it records how many bytes the destination produced and
 //! compares with how many were delivered.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use telemetry::{AtomicHistogram, Key, Registry};
+use telemetry::{Histogram, Key, Registry};
 
 use crate::transport::{Delivery, Link, Responder, Transport};
 
@@ -36,74 +35,7 @@ pub const TRANSPORT_DELIVERED: Key = Key::bare("transport_delivered");
 /// Deterministic: histogram of injected round-trip times, in sim seconds.
 pub const TRANSPORT_RTT_SECONDS: Key = Key::bare("transport_rtt_seconds");
 
-/// Shared exchange totals. All fields are relaxed atomics; see the
-/// module docs for why totals stay scheduling-independent.
-#[derive(Debug, Default)]
-pub struct TransportStats {
-    exchanges: AtomicU64,
-    answered: AtomicU64,
-    unanswered: AtomicU64,
-    lost: AtomicU64,
-    truncated: AtomicU64,
-    delivered: AtomicU64,
-    rtt_seconds: AtomicHistogram,
-}
-
-impl TransportStats {
-    /// A zeroed stats sink.
-    pub fn new() -> TransportStats {
-        TransportStats::default()
-    }
-
-    /// Exchanges attempted so far.
-    pub fn exchanges(&self) -> u64 {
-        self.exchanges.load(Ordering::Relaxed)
-    }
-
-    /// Exchanges answered so far.
-    pub fn answered(&self) -> u64 {
-        self.answered.load(Ordering::Relaxed)
-    }
-
-    /// Exchanges lost so far.
-    pub fn lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed)
-    }
-
-    /// Answered exchanges whose bytes were truncated in flight.
-    pub fn truncated(&self) -> u64 {
-        self.truncated.load(Ordering::Relaxed)
-    }
-
-    /// Responder invocations (probes that arrived at the destination).
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Exports the totals into `registry`'s deterministic bank under
-    /// the `transport_*` keys. Call once the recording threads have
-    /// quiesced.
-    pub fn export_into(&self, registry: &mut Registry) {
-        self.totals().export_into(registry);
-    }
-
-    /// A plain-value snapshot of the totals, for checkpointing. A saved
-    /// snapshot exported alongside a live sink's totals accounts to the
-    /// same registry values as one uninterrupted sink would.
-    pub fn totals(&self) -> TransportTotals {
-        TransportTotals {
-            exchanges: self.exchanges.load(Ordering::Relaxed),
-            answered: self.answered.load(Ordering::Relaxed),
-            unanswered: self.unanswered.load(Ordering::Relaxed),
-            lost: self.lost.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            rtt_seconds: self.rtt_seconds.snapshot(),
-        }
-    }
-}
-
-/// Plain-value transport totals, detached from the atomic sink — what a
+/// Exchange totals: what an [`Instrumented`] sink accumulates and what a
 /// study checkpoint persists for each instrumented stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportTotals {
@@ -120,7 +52,7 @@ pub struct TransportTotals {
     /// Responder invocations.
     pub delivered: u64,
     /// Round-trip-time histogram, sim seconds.
-    pub rtt_seconds: telemetry::Histogram,
+    pub rtt_seconds: Histogram,
 }
 
 impl TransportTotals {
@@ -133,8 +65,13 @@ impl TransportTotals {
             lost: 0,
             truncated: 0,
             delivered: 0,
-            rtt_seconds: telemetry::Histogram::new(),
+            rtt_seconds: Histogram::new(),
         }
+    }
+
+    /// A copy of the totals a sink from [`Instrumented::new`] holds.
+    pub fn snapshot(sink: &Mutex<TransportTotals>) -> TransportTotals {
+        lock(sink).clone()
     }
 
     /// Accumulates `other` into `self`: counters add, the RTT histogram
@@ -166,56 +103,62 @@ impl TransportTotals {
     }
 }
 
+/// Locks a sink. Its critical section is plain adds that cannot leave
+/// an exchange half-counted, so a lock poisoned by a panic elsewhere is
+/// recovered rather than propagated.
+fn lock(sink: &Mutex<TransportTotals>) -> MutexGuard<'_, TransportTotals> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Wraps any transport, accounting every exchange into a shared
-/// [`TransportStats`]. Behaviour-transparent: the inner transport makes
+/// [`TransportTotals`]. Behaviour-transparent: the inner transport makes
 /// every decision; the wrapper only observes.
 pub struct Instrumented {
     inner: Box<dyn Transport>,
-    stats: Arc<TransportStats>,
+    totals: Arc<Mutex<TransportTotals>>,
 }
 
 impl Instrumented {
-    /// Wraps `inner`, returning the wrapper and the shared stats handle
-    /// (which survives `clone_box`, so clones share it).
-    pub fn new(inner: Box<dyn Transport>) -> (Instrumented, Arc<TransportStats>) {
-        let stats = Arc::new(TransportStats::new());
+    /// Wraps `inner`, returning the wrapper and the shared sink (which
+    /// survives `clone_box`, so clones share it).
+    pub fn new(inner: Box<dyn Transport>) -> (Instrumented, Arc<Mutex<TransportTotals>>) {
+        let totals = Arc::new(Mutex::new(TransportTotals::zero()));
         (
             Instrumented {
                 inner,
-                stats: Arc::clone(&stats),
+                totals: Arc::clone(&totals),
             },
-            stats,
+            totals,
         )
     }
 }
 
 impl Transport for Instrumented {
     fn exchange(&self, link: Link, probe: &[u8], respond: &mut Responder<'_>) -> Delivery {
-        self.stats.exchanges.fetch_add(1, Ordering::Relaxed);
         // Observe the responder to learn (a) whether the probe arrived
         // and (b) how long the un-truncated response was.
+        let mut delivered = 0;
         let mut produced: Option<usize> = None;
         let mut wrapped = |probe: &[u8]| {
-            self.stats.delivered.fetch_add(1, Ordering::Relaxed);
+            delivered += 1;
             let out = respond(probe);
             produced = out.as_ref().map(Vec::len);
             out
         };
         let delivery = self.inner.exchange(link, probe, &mut wrapped);
+        let mut totals = lock(&self.totals);
+        totals.exchanges += 1;
+        totals.delivered += delivered;
         match &delivery {
             Delivery::Answered { bytes, rtt } => {
-                self.stats.answered.fetch_add(1, Ordering::Relaxed);
-                self.stats.rtt_seconds.observe(rtt.as_secs());
+                totals.answered += 1;
+                totals.rtt_seconds.observe(rtt.as_secs());
                 if produced.is_some_and(|n| bytes.len() < n) {
-                    self.stats.truncated.fetch_add(1, Ordering::Relaxed);
+                    totals.truncated += 1;
                 }
             }
-            Delivery::Unanswered => {
-                self.stats.unanswered.fetch_add(1, Ordering::Relaxed);
-            }
-            Delivery::Lost => {
-                self.stats.lost.fetch_add(1, Ordering::Relaxed);
-            }
+            Delivery::Unanswered => totals.unanswered += 1,
+            Delivery::Lost => totals.lost += 1,
         }
         delivery
     }
@@ -223,7 +166,7 @@ impl Transport for Instrumented {
     fn clone_box(&self) -> Box<dyn Transport> {
         Box::new(Instrumented {
             inner: self.inner.clone_box(),
-            stats: Arc::clone(&self.stats),
+            totals: Arc::clone(&self.totals),
         })
     }
 }
@@ -247,7 +190,7 @@ mod tests {
     #[test]
     fn wrapper_is_behaviour_transparent() {
         let plain = Faulty::new(FaultConfig::congested(21));
-        let (wrapped, _stats) = Instrumented::new(Box::new(plain));
+        let (wrapped, _sink) = Instrumented::new(Box::new(plain));
         for a in 0..128 {
             let d1 = plain.exchange(link(a), b"x", &mut |_| Some(b"0123456789".to_vec()));
             let d2 = wrapped.exchange(link(a), b"x", &mut |_| Some(b"0123456789".to_vec()));
@@ -257,7 +200,7 @@ mod tests {
 
     #[test]
     fn counts_classify_every_exchange() {
-        let (t, stats) = Instrumented::new(Box::new(Faulty::new(FaultConfig::loss_only(5, 0.3))));
+        let (t, sink) = Instrumented::new(Box::new(Faulty::new(FaultConfig::loss_only(5, 0.3))));
         let n = 500;
         let mut silent = 0;
         for a in 0..n {
@@ -269,17 +212,15 @@ mod tests {
                 t.exchange(link(a), b"x", &mut |_| Some(b"y".to_vec()));
             }
         }
-        assert_eq!(stats.exchanges(), n);
+        let stats = TransportTotals::snapshot(&sink);
+        assert_eq!(stats.exchanges, n);
         // Every exchange lands in exactly one outcome bucket.
-        assert_eq!(
-            stats.answered() + stats.lost() + stats.unanswered.load(Ordering::Relaxed),
-            n
-        );
-        assert!(stats.lost() > 0);
-        assert!(stats.answered() > 0);
-        assert!(stats.unanswered.load(Ordering::Relaxed) <= silent);
+        assert_eq!(stats.answered + stats.lost + stats.unanswered, n);
+        assert!(stats.lost > 0);
+        assert!(stats.answered > 0);
+        assert!(stats.unanswered <= silent);
         // Delivered (responder ran) ≥ answered (response also survived).
-        assert!(stats.delivered() >= stats.answered());
+        assert!(stats.delivered >= stats.answered);
     }
 
     #[test]
@@ -291,36 +232,38 @@ mod tests {
             max_rtt: Duration::ZERO,
             truncation: 1.0,
         };
-        let (t, stats) = Instrumented::new(Box::new(Faulty::new(cfg)));
+        let (t, sink) = Instrumented::new(Box::new(Faulty::new(cfg)));
         for a in 0..50 {
             t.exchange(link(a), b"x", &mut |_| Some(b"0123456789".to_vec()));
         }
-        assert_eq!(stats.truncated(), 50);
+        assert_eq!(TransportTotals::snapshot(&sink).truncated, 50);
         // Ideal never truncates.
-        let (t, stats) = Instrumented::new(Box::new(Ideal));
+        let (t, sink) = Instrumented::new(Box::new(Ideal));
         t.exchange(link(0), b"x", &mut |_| Some(b"0123456789".to_vec()));
-        assert_eq!(stats.truncated(), 0);
-        assert_eq!(stats.answered(), 1);
+        let stats = TransportTotals::snapshot(&sink);
+        assert_eq!(stats.truncated, 0);
+        assert_eq!(stats.answered, 1);
     }
 
     #[test]
     fn clone_box_shares_the_stats_sink() {
-        let (t, stats) = Instrumented::new(Box::new(Ideal));
+        let (t, sink) = Instrumented::new(Box::new(Ideal));
         let c = t.clone_box();
         t.exchange(link(0), b"x", &mut |_| Some(b"y".to_vec()));
         c.exchange(link(1), b"x", &mut |_| None);
-        assert_eq!(stats.exchanges(), 2);
-        assert_eq!(stats.answered(), 1);
+        let stats = TransportTotals::snapshot(&sink);
+        assert_eq!(stats.exchanges, 2);
+        assert_eq!(stats.answered, 1);
     }
 
     #[test]
     fn export_writes_deterministic_transport_metrics() {
-        let (t, stats) = Instrumented::new(Box::new(Ideal));
+        let (t, sink) = Instrumented::new(Box::new(Ideal));
         for a in 0..3 {
             t.exchange(link(a), b"x", &mut |_| Some(b"y".to_vec()));
         }
         let mut reg = Registry::new();
-        stats.export_into(&mut reg);
+        TransportTotals::snapshot(&sink).export_into(&mut reg);
         assert_eq!(reg.counter(TRANSPORT_EXCHANGES), 3);
         assert_eq!(reg.counter(TRANSPORT_ANSWERED), 3);
         assert_eq!(reg.hist(TRANSPORT_RTT_SECONDS).unwrap().count(), 3);

@@ -42,8 +42,8 @@
 //!   latency, and truncation.
 //! * [`instrument`] — the [`instrument::Instrumented`] transport wrapper
 //!   accounting every exchange (sends, losses, truncations, injected
-//!   RTTs) into a shared [`instrument::TransportStats`] sink that
-//!   exports into a `telemetry::Registry`.
+//!   RTTs) into one shared [`instrument::TransportTotals`], which exports
+//!   into a `telemetry::Registry`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +68,7 @@ pub use archetype::DeviceKind;
 pub use bgp::{BgpEvent, BgpFeed};
 pub use country::Country;
 pub use device::{Device, DeviceId, DeviceMeta};
-pub use instrument::{Instrumented, TransportStats, TransportTotals};
+pub use instrument::{Instrumented, TransportTotals};
 pub use peeringdb::OrgId;
 pub use time::{Duration, SimTime};
 pub use topology::{AsInfo, Asn, Topology};

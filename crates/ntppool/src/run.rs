@@ -255,7 +255,7 @@ impl RpsWindows {
 /// Run-level outcome counters, accumulated in plain locals and flushed
 /// into the registry once per run — the poll loop is the hottest path in
 /// the study, and a batched flush keeps telemetry off it (same pattern
-/// as the transport's atomic sinks).
+/// as the transport's `TransportTotals`, exported once per stage).
 #[derive(Default)]
 struct Totals {
     polls: u64,

@@ -1,8 +1,8 @@
 //! The shared probing core: policy, cooldown, rate limit, probe, record.
 //!
-//! Both front-ends — the real-time scheduler fed by the collector and the
-//! batch hitlist scan — drive one [`Engine`], so cooldown and budget
-//! semantics cannot drift between them. Policy knobs follow Appendix
+//! Both scans — the real-time one replaying the collector's feed and the
+//! batch hitlist scan ([`crate::BatchScan`]) — drive one [`Engine`], so
+//! cooldown and budget semantics cannot drift between them. Policy knobs follow Appendix
 //! A.2.1: a global 100 kpps budget, 10 s to 10 min of spacing between the
 //! per-protocol probes of one target, and a 3-day per-address cooldown.
 //!
@@ -271,6 +271,26 @@ mod tests {
         let store = engine.into_store();
         assert_eq!(store.targets(), 2);
         assert_eq!(store.attempts(Protocol::Http), 2);
+    }
+
+    /// The real-time scan: one `scan_target` per feed observation at its
+    /// `seen` instant, in feed order.
+    #[test]
+    fn realtime_scan_finds_exposed_devices() {
+        let w = World::generate(WorldConfig::tiny(33));
+        let t = SimTime(1_000);
+        let feed: Vec<(Ipv6Addr, SimTime)> =
+            w.metas().map(|d| (w.address_of_meta(&d, t), t)).collect();
+        let mut engine = Engine::new(ScanPolicy::default());
+        for &(addr, seen) in &feed {
+            engine.scan_target(&w, addr, seen);
+        }
+        let store = engine.into_store();
+        assert_eq!(store.targets(), feed.len() as u64);
+        assert!(!store.records().is_empty());
+        // Every record's address belongs to the feed.
+        let feed_addrs: std::collections::HashSet<_> = feed.iter().map(|&(a, _)| a).collect();
+        assert!(store.records().iter().all(|r| feed_addrs.contains(&r.addr)));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! protocol probers (HTTP, HTTPS, SSH, MQTT, MQTTS, AMQP, AMQPS, CoAP)
 //! built on the [`wire`] formats, a token-bucket rate limiter capped at
 //! the study's 100 000 packets/second, per-protocol probe delays and a
-//! 3-day re-scan cooldown (Appendix A.2.1), a real-time scheduler fed by
-//! the NTP collector's first-sight feed ([`RealTimeScanner`]), and a
+//! 3-day re-scan cooldown (Appendix A.2.1), one probing [`Engine`] the
+//! real-time scan drives with the NTP collector's first-sight feed, and a
 //! batch mode for hitlist scans ([`BatchScan`]).
 //!
 //! Everything operates in simulation time against a [`netsim::World`];
@@ -25,5 +25,5 @@ pub mod store;
 
 pub use engine::{Engine, RetryPolicy, ScanPolicy};
 pub use result::{CertMeta, FailureCause, ProbeOutcome, Protocol, ScanRecord, ServiceResult};
-pub use scheduler::{BatchScan, RealTimeScanner};
+pub use scheduler::BatchScan;
 pub use store::ScanStore;

@@ -1,57 +1,17 @@
-//! Scan scheduling front-ends over the shared [`Engine`]: the real-time
-//! NTP-fed scanner and the batch hitlist scan.
+//! The batch front-end over the shared [`Engine`]: the hitlist scan.
 //!
-//! The policy and probing core live in [`crate::engine`]. "Real time"
-//! is simulated time: each probe is scheduled relative to its
-//! observation's `seen` instant, so replaying a recorded feed probes
-//! exactly what a scanner running beside the collector would.
+//! The policy and probing core live in [`crate::engine`]. The real-time
+//! scan needs no front-end of its own: a study replays the collector's
+//! first-sight feed through [`Engine::scan_target`], one call per
+//! observation at its `seen` instant, so it probes exactly what a
+//! scanner running beside the collector would.
 
 use crate::engine::{Engine, ScanPolicy};
 use crate::store::ScanStore;
 use netsim::time::SimTime;
 use netsim::transport::Transport;
 use netsim::world::World;
-use ntppool::Observation;
 use std::net::Ipv6Addr;
-
-/// The real-time scanner: consumes the collector's first-sight feed.
-pub struct RealTimeScanner {
-    engine: Engine,
-}
-
-impl RealTimeScanner {
-    /// Scanner with a policy over the ideal transport.
-    pub fn new(policy: ScanPolicy) -> RealTimeScanner {
-        RealTimeScanner {
-            engine: Engine::new(policy),
-        }
-    }
-
-    /// Scanner probing through an explicit transport.
-    pub fn with_transport(policy: ScanPolicy, transport: Box<dyn Transport>) -> RealTimeScanner {
-        RealTimeScanner {
-            engine: Engine::with_transport(policy, transport),
-        }
-    }
-
-    /// Feeds one observation (call in feed order).
-    pub fn feed(&mut self, world: &World, obs: Observation) {
-        self.engine.scan_target(world, obs.addr, obs.seen);
-    }
-
-    /// Runs over a whole feed, in feed order.
-    pub fn run(mut self, world: &World, feed: &[Observation]) -> ScanStore {
-        for obs in feed {
-            self.feed(world, *obs);
-        }
-        self.finish()
-    }
-
-    /// Finishes and returns the result store.
-    pub fn finish(self) -> ScanStore {
-        self.engine.into_store()
-    }
-}
 
 /// The batch scanner used for the TUM hitlist (paper §4.1: full list,
 /// scanned during the last collection week).
@@ -98,18 +58,9 @@ mod tests {
     use crate::result::Protocol;
     use netsim::time::Duration;
     use netsim::world::{World, WorldConfig};
-    use ntppool::ServerId;
 
     fn world() -> World {
         World::generate(WorldConfig::tiny(33))
-    }
-
-    fn obs(addr: Ipv6Addr, seen: SimTime) -> Observation {
-        Observation {
-            addr,
-            seen,
-            server: ServerId(0),
-        }
     }
 
     #[test]
@@ -118,35 +69,6 @@ mod tests {
         assert_eq!(p.delay_of(0), Duration::secs(10));
         let last = p.delay_of(p.protocols.len() - 1);
         assert!(last.as_secs() >= 595 && last.as_secs() <= 610, "{last}");
-    }
-
-    #[test]
-    fn realtime_scan_finds_exposed_devices() {
-        let w = world();
-        let t = SimTime(1_000);
-        let feed: Vec<Observation> = w
-            .metas()
-            .map(|d| obs(w.address_of_meta(&d, t), t))
-            .collect();
-        let store = RealTimeScanner::new(ScanPolicy::default()).run(&w, &feed);
-        assert_eq!(store.targets(), feed.len() as u64);
-        assert!(!store.records().is_empty());
-        // Every record's address belongs to the feed.
-        let feed_addrs: std::collections::HashSet<_> = feed.iter().map(|o| o.addr).collect();
-        assert!(store.records().iter().all(|r| feed_addrs.contains(&r.addr)));
-    }
-
-    #[test]
-    fn cooldown_suppresses_rescan() {
-        let w = world();
-        let t = SimTime(1_000);
-        let addr = w.address_of(w.household_members(0)[0], t);
-        let mut scanner = RealTimeScanner::new(ScanPolicy::default());
-        scanner.feed(&w, obs(addr, t));
-        scanner.feed(&w, obs(addr, t + Duration::hours(1))); // within cooldown
-        scanner.feed(&w, obs(addr, t + Duration::days(4))); // past cooldown
-        let store = scanner.finish();
-        assert_eq!(store.targets(), 2);
     }
 
     #[test]

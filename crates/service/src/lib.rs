@@ -648,11 +648,9 @@ impl StudyService {
                 }
             }
         }
-        let cells = study.derived_cells.stats();
+        let seeded = study.derived_cells.stats().seeded;
         self.reg
-            .add(metrics::SERVICE_SETS_SEEDED, u64::from(cells.seeded));
-        self.reg
-            .add(metrics::SERVICE_SET_REBUILDS, u64::from(cells.rebuilds));
+            .add(metrics::SERVICE_SETS_SEEDED, u64::from(seeded));
         self.reg.add(metrics::SERVICE_COMPLETIONS, 1);
         let report = study.run_report();
         let report_json = report.to_json();
@@ -670,34 +668,10 @@ impl StudyService {
         Ok(())
     }
 
-    /// The completed study's canonical run report, if it has finished.
-    /// (Convenience for [`StudyService::queries`]`().report(..)`.)
-    pub fn report(&self, id: StudyId) -> Option<RunReport> {
-        self.queries().report(id)
-    }
-
     /// The completed study's report as canonical JSON — byte-identical
     /// to `Study::run(config).run_report().to_json()`.
     pub fn report_json(&self, id: StudyId) -> Option<String> {
         self.queries().report_json(id)
-    }
-
-    /// A completed study's compact set, served from the shared segment
-    /// pool (the resident `Arc` when cached, read back from disk and
-    /// re-validated otherwise).
-    pub fn set(&self, id: StudyId, kind: SetKind) -> Result<Option<Arc<CompactSet>>, StoreError> {
-        self.queries().set(id, kind)
-    }
-
-    /// Overlap count between two completed studies' sets of `kind`,
-    /// memoized service-side (symmetric in the ids).
-    pub fn overlap(
-        &self,
-        a: StudyId,
-        b: StudyId,
-        kind: SetKind,
-    ) -> Result<Option<u64>, StoreError> {
-        self.queries().overlap(a, b, kind)
     }
 
     /// The service's own canonical telemetry report: admission,

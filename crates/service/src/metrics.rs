@@ -40,6 +40,3 @@ pub const SERVICE_CACHE_MISSES: Key = Key::bare("service_cache_misses");
 /// Derived compact-set cells seeded from another completed study's
 /// frozen segment instead of being rebuilt.
 pub const SERVICE_SETS_SEEDED: Key = Key::bare("service_sets_seeded");
-/// Derived compact-set rebuilds the memo layer failed to avoid
-/// (see [`timetoscan::DerivedCells`]). Should stay 0.
-pub const SERVICE_SET_REBUILDS: Key = Key::bare("service_set_rebuilds");

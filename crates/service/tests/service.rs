@@ -35,12 +35,13 @@ fn concurrent_studies_over_one_world_match_standalone() {
     let ids: Vec<_> = configs.iter().map(|c| svc.submit(c.clone())).collect();
     svc.run_to_completion().expect("run to completion");
     assert!(svc.idle());
+    let q = svc.queries();
 
     // Byte-identical canonical reports for every study in the matrix.
     for (id, baseline) in ids.iter().zip(&baselines) {
         let expected = baseline.run_report().to_json();
         assert_eq!(svc.report_json(*id).as_deref(), Some(expected.as_str()));
-        assert_eq!(svc.report(*id), Some(baseline.run_report()));
+        assert_eq!(q.report(*id), Some(baseline.run_report()));
     }
 
     // One world config means exactly one generated snapshot; the other
@@ -55,9 +56,8 @@ fn concurrent_studies_over_one_world_match_standalone() {
     // World-determined sets (Rl + both hitlist kinds) are pure
     // functions of the shared world, so studies 2..4 seed them from
     // study 1's frozen segments instead of rebuilding: 3 kinds × 3
-    // later studies. The memo layer never rebuilds a built cell.
+    // later studies.
     assert_eq!(report.metrics.counter_total("service_sets_seeded"), 9);
-    assert_eq!(report.metrics.counter_total("service_set_rebuilds"), 0);
 
     // Identical sets converge on one segment in the pool: freezing
     // 4 studies × 4 kinds hits dedup for every shared world set.
@@ -67,7 +67,7 @@ fn concurrent_studies_over_one_world_match_standalone() {
     for (id, baseline) in ids.iter().zip(&baselines) {
         let derived = baseline.derived();
         for kind in SetKind::ALL {
-            let served = svc.set(*id, kind).expect("segment io").expect("completed");
+            let served = q.set(*id, kind).expect("segment io").expect("completed");
             assert_eq!(served.len(), derived.compact_set(kind).len());
         }
     }
@@ -80,12 +80,12 @@ fn concurrent_studies_over_one_world_match_standalone() {
         .overlap_count(baselines[2].derived().compact_set(SetKind::Ours))
         as u64;
     assert_eq!(
-        svc.overlap(ids[0], ids[2], SetKind::Ours).expect("io"),
+        q.overlap(ids[0], ids[2], SetKind::Ours).expect("io"),
         Some(expected_overlap)
     );
     let hits_before = svc.run_report().metrics.counter_total("service_cache_hits");
     assert_eq!(
-        svc.overlap(ids[2], ids[0], SetKind::Ours).expect("io"),
+        q.overlap(ids[2], ids[0], SetKind::Ours).expect("io"),
         Some(expected_overlap)
     );
     let hits_after = svc.run_report().metrics.counter_total("service_cache_hits");
@@ -98,10 +98,10 @@ fn concurrent_studies_over_one_world_match_standalone() {
         for (i, &a) in ids.iter().enumerate() {
             svc.report_json(a).expect("completed");
             for kind in SetKind::ALL {
-                svc.set(a, kind).expect("io").expect("completed");
+                q.set(a, kind).expect("io").expect("completed");
             }
             for &b in &ids[i + 1..] {
-                svc.overlap(a, b, SetKind::Ours)
+                q.overlap(a, b, SetKind::Ours)
                     .expect("io")
                     .expect("completed");
             }
@@ -188,13 +188,14 @@ fn run_matrix(
     let ids: Vec<_> = matrix().iter().map(|c| svc.submit(c.clone())).collect();
     svc.run_to_completion().expect("run to completion");
     let reports: Vec<Option<String>> = ids.iter().map(|id| svc.report_json(*id)).collect();
+    let q = svc.queries();
     let mut lens = Vec::new();
     for id in &ids {
         for kind in SetKind::ALL {
-            lens.push(svc.set(*id, kind).expect("io").expect("completed").len());
+            lens.push(q.set(*id, kind).expect("io").expect("completed").len());
         }
     }
-    let overlap = svc.overlap(ids[0], ids[2], SetKind::Ours).expect("io");
+    let overlap = q.overlap(ids[0], ids[2], SetKind::Ours).expect("io");
     let service_report = svc.run_report().to_json();
     let _ = std::fs::remove_dir_all(&dir);
     (reports, lens, overlap, service_report)
@@ -235,6 +236,7 @@ fn queries_serve_concurrently_with_ticks() {
     }
     let first_json = svc.report_json(ids[0]).expect("study 0 completed");
     let first_len = svc
+        .queries()
         .set(ids[0], SetKind::Ours)
         .expect("io")
         .expect("completed")
@@ -285,7 +287,7 @@ fn service_report_is_canonical_and_deterministic() {
         svc.run_to_completion().expect("run to completion");
         if queries {
             let _ = svc.report_json(a);
-            let _ = svc.set(b, SetKind::Rl);
+            let _ = svc.queries().set(b, SetKind::Rl);
         }
         let json = svc.run_report().to_json();
         let _ = std::fs::remove_dir_all(&dir);

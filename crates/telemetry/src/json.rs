@@ -295,10 +295,6 @@ fn entry_json(value: &Value) -> Json {
             map.insert("type".to_string(), Json::Str("counter".to_string()));
             map.insert("value".to_string(), Json::Num(u128::from(*v)));
         }
-        Value::Gauge(v) => {
-            map.insert("type".to_string(), Json::Str("gauge".to_string()));
-            map.insert("value".to_string(), Json::Num(u128::from(*v)));
-        }
         Value::Hist(h) => {
             map.insert("type".to_string(), Json::Str("hist".to_string()));
             map.insert(
@@ -329,7 +325,6 @@ fn entry_from_json(j: &Json) -> Option<Value> {
     }
     let value = match obj.get("type")?.as_str()? {
         "counter" => Value::Counter(u64::try_from(obj.get("value")?.as_num()?).ok()?),
-        "gauge" => Value::Gauge(u64::try_from(obj.get("value")?.as_num()?).ok()?),
         "hist" => {
             let buckets = obj
                 .get("buckets")?
@@ -363,13 +358,13 @@ fn entry_from_json(j: &Json) -> Option<Value> {
 pub fn snapshot_to_json(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push('{');
-    for (i, (key, entry)) in snap.iter().enumerate() {
+    for (i, (key, value)) in snap.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         write_str(&key.render(), &mut out);
         out.push(':');
-        write_value(&entry_json(&entry.value), &mut out);
+        write_value(&entry_json(value), &mut out);
     }
     out.push('}');
     out
@@ -381,12 +376,18 @@ pub fn snapshot_from_json(s: &str) -> Option<Snapshot> {
     snapshot_from_value(&parsed)
 }
 
-/// Converts an already-parsed JSON object into a snapshot.
+/// Converts an already-parsed JSON object into a snapshot. Every member
+/// name must be the canonical rendering of the key it parses to:
+/// otherwise two spellings (`a{x=1,y=2}`, `a{y=2,x=1}`) could name one
+/// key and be folded together.
 pub fn snapshot_from_value(j: &Json) -> Option<Snapshot> {
     let obj = j.as_obj()?;
     let mut snap = Snapshot::new();
     for (rendered, entry) in obj {
         let key = OwnedKey::parse(rendered)?;
+        if key.render() != *rendered {
+            return None;
+        }
         snap.record(key, entry_from_json(entry)?);
     }
     Some(snap)
@@ -447,7 +448,7 @@ mod tests {
             OwnedKey::with_labels("scan_attempts", &[("protocol", "NTP")]),
             Value::Counter(42),
         );
-        snap.record(OwnedKey::with_labels("depth", &[]), Value::Gauge(17));
+        snap.record(OwnedKey::with_labels("depth", &[]), Value::Counter(17));
         let mut h = Histogram::new();
         for v in [0, 1, 5, u64::MAX] {
             h.observe(v);
@@ -465,10 +466,10 @@ mod tests {
 
     #[test]
     fn an_entry_with_a_volatile_member_is_refused() {
-        let plain = r#"{"depth":{"type":"gauge","value":4}}"#;
+        let plain = r#"{"depth":{"type":"counter","value":4}}"#;
         assert!(snapshot_from_json(plain).is_some());
         for flag in ["true", "false"] {
-            let marked = format!(r#"{{"depth":{{"type":"gauge","value":4,"volatile":{flag}}}}}"#);
+            let marked = format!(r#"{{"depth":{{"type":"counter","value":4,"volatile":{flag}}}}}"#);
             assert_eq!(snapshot_from_json(&marked), None);
             let report = format!(r#"{{"meta":{{}},"metrics":{marked}}}"#);
             assert_eq!(crate::RunReport::from_json(&report), None);

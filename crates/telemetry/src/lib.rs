@@ -15,20 +15,20 @@
 //!      time ([`SpanTimer`] takes explicit instants), and anything
 //!      scheduling-dependent (memo hit rates, wall-clock profiles) is a
 //!      plain value its owner returns, never a registry entry;
-//!    * every aggregation is **commutative** (counters add, gauges take
-//!      the max, histograms add bucket-wise), so per-shard
-//!      [`Registry`] sinks merge to the same totals in any order.
+//!    * every aggregation is **commutative** (counters add, histograms
+//!      add bucket-wise), so [`Registry`] sinks merge to the same
+//!      totals in any order.
 //! 2. **Lock-cheap.** The hot path ([`Registry::inc`]) is a `HashMap`
 //!    bump keyed by a fully-`'static` [`Key`] — no locks, no label
-//!    allocation. Each thread/shard owns its registry; merging happens
-//!    once, at the end. The [`shared`] module provides the one
-//!    cross-thread sink (an atomic histogram) the transport wrappers
-//!    need.
+//!    allocation. Each stage owns its registry; merging happens once,
+//!    at the end. A value kept outside a registry (the transport's
+//!    exchange totals, the collection loop's outcome counts) is plain
+//!    data its owner exports in one call.
 //! 3. **Static label sets.** Hot-path keys carry
 //!    `&'static [("label", "value")]` slices (stage × protocol ×
-//!    fault-cause). Owned labels exist only on [`Snapshot`] entries,
-//!    where cold-path insertion (e.g. per-actor telescope counts) and
-//!    stage relabelling happen.
+//!    fault-cause). Owned labels exist only on [`Snapshot`] keys, where
+//!    cold-path insertion (e.g. per-actor telescope counts) and the
+//!    `stage` label of [`Registry::snapshot_with`] land.
 //!
 //! A [`RunReport`] bundles run metadata with the snapshot and
 //! serializes to a canonical JSON form (sorted keys, integers only)
@@ -42,12 +42,10 @@ pub mod json;
 pub mod key;
 pub mod registry;
 pub mod report;
-pub mod shared;
 pub mod snapshot;
 
 pub use hist::Histogram;
 pub use key::{Key, OwnedKey};
 pub use registry::{Registry, SpanTimer};
 pub use report::RunReport;
-pub use shared::AtomicHistogram;
 pub use snapshot::{Snapshot, Value};

@@ -4,8 +4,8 @@
 //! [`Key`]s whose content hash was folded at const time
 //! ([`crate::key::KeyHasher`]), so a bump is one `u64` move, a table
 //! probe, and an integer add: no locks, no allocation, no string
-//! hashing. Every thread or shard owns its registry and merging happens
-//! once, at the end, commutatively.
+//! hashing. Every stage owns its registry and merging happens once, at
+//! the end, commutatively.
 
 use std::collections::BTreeMap;
 
@@ -13,14 +13,13 @@ use crate::hist::Histogram;
 use crate::key::{Key, KeyHashMap, OwnedKey};
 use crate::snapshot::{Snapshot, Value};
 
-/// A per-thread/per-shard metrics registry: counters, gauges and
-/// histograms keyed by static [`Key`]s, plus a cold-path map for
+/// A per-stage metrics registry: counters and histograms keyed by
+/// static [`Key`]s, plus a cold-path map for
 /// dynamically-labelled counters (e.g. per-actor telescope hits). See
 /// the crate docs for the determinism rules.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: KeyHashMap<u64>,
-    gauges: KeyHashMap<u64>,
     hists: KeyHashMap<Histogram>,
     dyn_counters: BTreeMap<OwnedKey, u64>,
 }
@@ -43,14 +42,6 @@ impl Registry {
         *self.counters.entry(key).or_insert(0) += n;
     }
 
-    /// Raises the gauge under `key` to at least `v` (high-watermark
-    /// semantics — the only gauge fold that merges commutatively).
-    #[inline]
-    pub fn gauge_max(&mut self, key: Key, v: u64) {
-        let g = self.gauges.entry(key).or_insert(0);
-        *g = (*g).max(v);
-    }
-
     /// Records a histogram sample under `key`. Durations must come from
     /// simulation time, never the wall clock.
     #[inline]
@@ -58,8 +49,9 @@ impl Registry {
         self.hists.entry(key).or_default().observe(v);
     }
 
-    /// Merges a whole histogram under `key` (used when draining shared
-    /// atomic sinks).
+    /// Merges a whole histogram under `key` — how a value kept outside
+    /// the registry (the transport's RTT totals, the collection loop's
+    /// KoD back-offs) is exported in one call.
     pub fn merge_hist(&mut self, key: Key, h: &Histogram) {
         self.hists.entry(key).or_default().merge(h);
     }
@@ -74,11 +66,6 @@ impl Registry {
         self.counters.get(&key).copied().unwrap_or(0)
     }
 
-    /// Current gauge value under `key` (0 when absent).
-    pub fn gauge(&self, key: Key) -> u64 {
-        self.gauges.get(&key).copied().unwrap_or(0)
-    }
-
     /// Histogram under `key`, if any sample was recorded.
     pub fn hist(&self, key: Key) -> Option<&Histogram> {
         self.hists.get(&key)
@@ -89,9 +76,6 @@ impl Registry {
     pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.counters {
             self.add(*k, *v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauge_max(*k, *v);
         }
         for (k, h) in &other.hists {
             self.merge_hist(*k, h);
@@ -113,9 +97,6 @@ impl Registry {
         let mut out = Snapshot::new();
         for (k, v) in &self.counters {
             out.record(k.to_owned_with(extra), Value::Counter(*v));
-        }
-        for (k, v) in &self.gauges {
-            out.record(k.to_owned_with(extra), Value::Gauge(*v));
         }
         for (k, h) in &self.hists {
             out.record(k.to_owned_with(extra), Value::Hist(Box::new(h.clone())));
@@ -160,7 +141,6 @@ mod tests {
 
     const A: Key = Key::new("reqs", &[("protocol", "NTP")]);
     const B: Key = Key::new("reqs", &[("protocol", "SSH")]);
-    const G: Key = Key::bare("depth");
     const H: Key = Key::bare("rtt");
 
     #[test]
@@ -174,16 +154,14 @@ mod tests {
             for j in 0..5u64 {
                 r.inc(A);
                 r.add(B, j);
-                r.gauge_max(G, i as u64 * 10 + j);
-                r.observe(H, j * 100);
+                r.observe(H, i as u64 * 1000 + j * 100);
             }
         }
         for i in 0..2u64 {
             for j in 0..5u64 {
                 one.inc(A);
                 one.add(B, j);
-                one.gauge_max(G, i * 10 + j);
-                one.observe(H, j * 100);
+                one.observe(H, i * 1000 + j * 100);
             }
         }
         let mut lr = left.clone();
@@ -194,7 +172,6 @@ mod tests {
         assert_eq!(lr.snapshot(), one.snapshot());
         assert_eq!(lr.counter(A), 10);
         assert_eq!(lr.counter(B), 20);
-        assert_eq!(lr.gauge(G), 14);
         assert_eq!(lr.hist(H).unwrap().count(), 10);
     }
 

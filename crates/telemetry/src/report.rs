@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::json;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, Value};
 
 /// The end-of-run artifact: string metadata describing the run (seed,
 /// fault profile, scale) and the merged metric snapshot.
@@ -68,15 +68,12 @@ impl RunReport {
         for (k, v) in &self.meta {
             out.push_str(&format!("# {k} = {v}\n"));
         }
-        for (key, entry) in self.metrics.iter() {
-            match &entry.value {
-                crate::snapshot::Value::Counter(v) => {
+        for (key, value) in self.metrics.iter() {
+            match value {
+                Value::Counter(v) => {
                     out.push_str(&format!("{key} {v}\n"));
                 }
-                crate::snapshot::Value::Gauge(v) => {
-                    out.push_str(&format!("{key} {v} (gauge)\n"));
-                }
-                crate::snapshot::Value::Hist(h) => {
+                Value::Hist(h) => {
                     out.push_str(&format!(
                         "{key} count={} sum={} min={} max={}\n",
                         h.count(),
@@ -94,8 +91,8 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::Histogram;
     use crate::key::OwnedKey;
-    use crate::snapshot::Value;
 
     #[test]
     fn report_roundtrips() {
@@ -104,7 +101,12 @@ mod tests {
             OwnedKey::with_labels("scan_attempts", &[("protocol", "NTP")]),
             Value::Counter(9),
         );
-        snap.record(OwnedKey::with_labels("depth", &[]), Value::Gauge(4));
+        let mut rtt = Histogram::new();
+        rtt.observe(4);
+        snap.record(
+            OwnedKey::with_labels("rtt", &[]),
+            Value::Hist(Box::new(rtt)),
+        );
         let report = RunReport::new(&[("seed", "2024"), ("fault", "lossy_1pct")], &snap);
         assert_eq!(report.metrics.len(), 2);
 

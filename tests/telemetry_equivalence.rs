@@ -66,7 +66,7 @@ fn report_counters_reconcile_with_legacy_values() {
             .sum();
         // Per-cause keys are stage-labelled in the study snapshot;
         // counter_total with the raw key misses the stage label, so sum
-        // over the relabeled forms instead.
+        // over the stage-labelled forms instead.
         let staged: u64 = ["collection", "ntp_scan", "hitlist_scan", "telescope"]
             .iter()
             .map(|s| {

@@ -31,7 +31,7 @@
 //!
 //! Every emission is a pure function of construction inputs and the
 //! tick clock — no wall-clock, no global RNG — so an ecosystem run is
-//! bit-identical at any service worker count.
+//! bit-identical however the collection before it was sliced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

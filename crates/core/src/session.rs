@@ -253,7 +253,8 @@ impl StudySession {
         // --- Four weeks of collection, then the real-time scan as a
         // replay of its feed: "real time" is *simulated* time (a probe
         // 10 s … 10 min after each observation's `seen` instant), so a
-        // second host thread buys nothing (DESIGN.md §3). ---
+        // second host thread buys nothing (DESIGN.md "Paths not
+        // taken"). ---
         SpanTimer::start(metrics::SPAN_COLLECTION, start.as_secs())
             .finish(&mut study_reg, end.as_secs());
         study_reg.add(metrics::PIPELINE_FEED_OBSERVATIONS, feed.len() as u64);
@@ -453,19 +454,6 @@ impl StudySession {
         tables + engine + feed
     }
 }
-
-/// The study service's worker pool moves whole sessions onto scoped
-/// worker threads for a slice and back; that is only sound if every
-/// field — including the boxed `dyn Transport`, whose trait bound is
-/// `Send + Sync` — travels. Assert it at compile time so a future field
-/// (an `Rc`, a raw pointer, a non-`Send` trait object) fails here, with
-/// a readable error, rather than deep inside the service's
-/// `thread::scope`.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<StudySession>();
-    assert_send::<CheckpointData>();
-};
 
 impl std::fmt::Debug for StudySession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -5,8 +5,8 @@
 //! collectors and re-target freshly announced space within minutes.
 //! This module gives the adversarial-scanner ecosystem the signal side
 //! of that loop: a reproducible event stream derived purely from
-//! `(seed, AS, allocation)` coordinates, so every run — at any
-//! worker or thread count — sees the same announcements at the same
+//! `(seed, AS, allocation)` coordinates, so every run — sliced,
+//! resumed or uninterrupted — sees the same announcements at the same
 //! simulated times.
 //!
 //! The feed covers a *window* of simulated time. A deterministic subset

@@ -239,8 +239,9 @@ pub struct World {
     pub topology: Topology,
     layout: Layout,
     aliased: Vec<AliasedRegion>,
-    /// Shared by every reader of the world (service workers included):
-    /// derive outside the lock, insert under it.
+    /// Filled through `&World` by every reader; a `Mutex`, not a
+    /// `RefCell`, so that `World` stays `Sync`: derive outside the
+    /// lock, insert under it.
     cache: Mutex<DeviceCache>,
 }
 

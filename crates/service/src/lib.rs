@@ -20,15 +20,13 @@
 //!   sets (e.g. the hitlist baseline of every study over one world)
 //!   converge on one file and one resident copy, and seed the derived
 //!   cells of later studies so they are never rebuilt.
-//! * **Deterministic parallel scheduling** — each [`StudyService::tick`]
-//!   admits queued studies in id order up to the admission budget, fans
-//!   active [`StudySession`]s out over a pool of
-//!   [`ServiceConfig::workers`] scoped threads for their slice, then
-//!   applies every result (telemetry, completion, segment-pool
-//!   contributions) *sequentially in study-id order*. Sessions never
-//!   share mutable state while advancing and the apply order is fixed,
-//!   so every observable — study reports, set contents, service
-//!   telemetry — is byte-identical at any worker count.
+//! * **One scheduling loop** — each [`StudyService::tick`] admits
+//!   queued studies in id order up to the admission budget, then
+//!   advances every active [`StudySession`] in place by one slice, in
+//!   ascending study id, on the calling thread. A session that finished
+//!   is completed there (report published, sets frozen into the pool),
+//!   in the same id order, so every observable — study reports, set
+//!   contents, service telemetry — is a function of the submissions.
 //! * **Cost-aware eviction** — after each tick the resident-bytes
 //!   budget is enforced by suspending the session with the highest
 //!   *eviction score*: [`StudySession::resident_bytes`] × (remaining
@@ -40,9 +38,9 @@
 //!   resumes byte-identically — eviction is checkpoint/resume used as
 //!   admission control — and each victim's size lands in the
 //!   `service_evicted_bytes` counter.
-//! * **Idle-slot compaction** — after advancing its slice, each tick
-//!   worker runs [`StudySession::maintain`] on the sessions it was
-//!   handed, merging any dedup archive that fragmented past
+//! * **Idle-slot compaction** — a session still running after its
+//!   slice gets [`StudySession::maintain`], merging any dedup archive
+//!   that fragmented past
 //!   [`COMPACTION_SEGMENT_THRESHOLD`] sealed segments. Compaction
 //!   changes archive *layout*, never membership, so it is invisible in
 //!   every study report; the count lands in the
@@ -57,8 +55,7 @@
 //! Everything observable is bit-identical to standalone runs: every
 //! completed study's [`Study::run_report`](timetoscan::Study::run_report) equals the report an
 //! uninterrupted `Study::run` of the same config produces, across
-//! any number of forced evictions and any worker count
-//! (enforced by `tests/service.rs`). The
+//! any number of forced evictions (enforced by `tests/service.rs`). The
 //! service's own telemetry — admissions, evictions, resumes,
 //! completions, query and cache counters — is itself deterministic and
 //! exported as a canonical [`RunReport`].
@@ -73,7 +70,7 @@ use netsim::world::{World, WorldConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use store::{CompactSet, SegmentId, SegmentPool, StoreError};
 use telemetry::{Registry, RunReport};
 use timetoscan::checkpoint;
@@ -89,15 +86,14 @@ pub struct ServiceConfig {
     /// Budget for the summed *marginal* resident bytes of active
     /// sessions ([`StudySession::resident_bytes`] — the shared world is
     /// deliberately outside it). When exceeded after a tick's advances,
-    /// the largest sessions are evicted to disk until the total fits
-    /// (at least one session always stays resident so the service makes
-    /// progress).
+    /// sessions are evicted to disk, highest cost-aware score first
+    /// (resident bytes × (remaining window + 1), ties to the higher id),
+    /// until the total fits (at least one session always stays resident
+    /// so the service makes progress).
     pub max_resident_bytes: usize,
-    /// Worker threads a tick fans active sessions over. `1` advances
-    /// inline on the caller's thread; higher counts use scoped threads.
-    /// Results are applied sequentially in study-id order either way,
-    /// so the worker count is *never observable* in any report — it
-    /// only changes wall-clock time.
+    /// Ignored. A tick advances its sessions in place on the calling
+    /// thread, in ascending id; the field stays so that configs built
+    /// as struct literals (the frozen benchmark builds one) compile.
     pub workers: usize,
     /// Root directory: `segments/` holds the shared segment pool,
     /// `study-<id>/` the eviction checkpoints.
@@ -106,31 +102,20 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A config with effectively unbounded budgets — scheduling without
-    /// eviction pressure — and the default worker pool.
+    /// eviction pressure.
     pub fn unbounded(dir: impl Into<PathBuf>, slice: Duration) -> ServiceConfig {
         ServiceConfig {
             slice,
             max_active: usize::MAX,
             max_resident_bytes: usize::MAX,
-            workers: default_workers(),
+            workers: 1,
             dir: dir.into(),
         }
     }
-
-    /// The same config with `workers` worker threads per tick.
-    pub fn with_workers(mut self, workers: usize) -> ServiceConfig {
-        self.workers = workers.max(1);
-        self
-    }
 }
 
-/// The default tick worker count: the host's available parallelism.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Sealed-segment count past which a tick worker compacts a session's
-/// dedup archive ([`StudySession::maintain`]).
+/// Sealed-segment count past which a tick compacts a session's dedup
+/// archive ([`StudySession::maintain`]).
 pub const COMPACTION_SEGMENT_THRESHOLD: usize = 6;
 
 /// Handle to a submitted study. Ids are assigned in submission order
@@ -224,6 +209,18 @@ struct QueryState {
     cache_misses: AtomicU64,
 }
 
+/// Read-locks one query-state map. Every critical section is a
+/// whole-entry `get` or `insert`, so a map whose lock a panic elsewhere
+/// poisoned is still consistent: the lock is recovered, not propagated.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks one query-state map; see [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl QueryState {
     fn count(&self, hit: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -249,42 +246,27 @@ pub struct QueryClient {
 impl QueryClient {
     /// The completed study's canonical run report, if it has finished.
     pub fn report(&self, id: StudyId) -> Option<RunReport> {
-        let got = self
-            .state
-            .completed
-            .read()
-            .expect("query state poisoned")
-            .get(&id.0)
-            .cloned();
-        self.state.count(got.is_some());
-        got.map(|c| c.report.clone())
+        self.completed(id).map(|c| c.report.clone())
     }
 
     /// The completed study's report as canonical JSON — byte-identical
     /// to `Study::run(config).run_report().to_json()`.
     pub fn report_json(&self, id: StudyId) -> Option<String> {
-        let got = self
-            .state
-            .completed
-            .read()
-            .expect("query state poisoned")
-            .get(&id.0)
-            .cloned();
+        self.completed(id).map(|c| c.report_json.clone())
+    }
+
+    /// The completed study's cached artifacts, counted as a hit or miss.
+    fn completed(&self, id: StudyId) -> Option<Arc<Completed>> {
+        let got = read(&self.state.completed).get(&id.0).cloned();
         self.state.count(got.is_some());
-        got.map(|c| c.report_json.clone())
+        got
     }
 
     /// A completed study's compact set, served from the shared segment
     /// pool (the resident `Arc` when cached, read back from disk and
     /// re-validated otherwise).
     pub fn set(&self, id: StudyId, kind: SetKind) -> Result<Option<Arc<CompactSet>>, StoreError> {
-        let seg = self
-            .state
-            .sets
-            .read()
-            .expect("query state poisoned")
-            .get(&(id.0, kind))
-            .copied();
+        let seg = read(&self.state.sets).get(&(id.0, kind)).copied();
         let Some(seg) = seg else {
             self.state.count(false);
             return Ok(None);
@@ -307,19 +289,13 @@ impl QueryClient {
         } else {
             (b.0, a.0, kind)
         };
-        if let Some(&n) = self
-            .state
-            .overlaps
-            .read()
-            .expect("query state poisoned")
-            .get(&key)
-        {
+        if let Some(&n) = read(&self.state.overlaps).get(&key) {
             self.state.count(true);
             return Ok(Some(n));
         }
         self.state.count(false);
         let (sa, sb) = {
-            let sets = self.state.sets.read().expect("query state poisoned");
+            let sets = read(&self.state.sets);
             match (sets.get(&(key.0, kind)), sets.get(&(key.1, kind))) {
                 (Some(&sa), Some(&sb)) => (sa, sb),
                 _ => return Ok(None),
@@ -327,11 +303,7 @@ impl QueryClient {
         };
         let (set_a, set_b) = (self.state.segments.open(sa)?, self.state.segments.open(sb)?);
         let n = set_a.overlap_count(&set_b) as u64;
-        self.state
-            .overlaps
-            .write()
-            .expect("query state poisoned")
-            .insert(key, n);
+        write(&self.state.overlaps).insert(key, n);
         Ok(Some(n))
     }
 }
@@ -339,15 +311,7 @@ impl QueryClient {
 impl std::fmt::Debug for QueryClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryClient")
-            .field(
-                "completed",
-                &self
-                    .state
-                    .completed
-                    .read()
-                    .expect("query state poisoned")
-                    .len(),
-            )
+            .field("completed", &read(&self.state.completed).len())
             .finish()
     }
 }
@@ -448,19 +412,12 @@ impl StudyService {
         self.query.segments.stats()
     }
 
-    /// One deterministic scheduling round: admit (ascending id, up to
-    /// `max_active`), fan every active session out over the worker pool
-    /// for one slice, apply the results in ascending id order
-    /// (telemetry, completions, segment freezes), then enforce the
-    /// resident-bytes budget by evicting the largest session until the
-    /// total fits.
-    ///
-    /// The fan-out is a pure plan/apply split: workers only ever touch
-    /// the one session they were handed (sessions are `Send` and share
-    /// no mutable state), and every side effect on the service — the
-    /// registry, the pool, the query state — happens on the calling
-    /// thread afterwards, in id order. Observable state is therefore
-    /// independent of [`ServiceConfig::workers`].
+    /// One deterministic scheduling round, all on the calling thread:
+    /// admit (ascending id, up to `max_active`); advance every active
+    /// session in place by one slice, in ascending id, completing each
+    /// one that finished and compacting each one that did not; then
+    /// enforce the resident-bytes budget by evicting the session with
+    /// the highest cost-aware score until the total fits.
     pub fn tick(&mut self) -> Result<TickStats, StoreError> {
         let mut stats = TickStats::default();
 
@@ -490,71 +447,32 @@ impl StudyService {
             }
         }
 
-        // --- Plan: pull every active session out of its slot. ---
-        let mut work: Vec<(usize, Box<StudySession>, bool, u32)> = Vec::new();
+        // --- Advance in place, ascending id: one slice each; a finished
+        // session is completed, a running one gets its idle-slot
+        // maintenance (archive compaction — layout only). ---
         for i in 0..self.slots.len() {
-            if matches!(self.slots[i], Slot::Active(_)) {
-                let slot = std::mem::replace(&mut self.slots[i], Slot::Queued(placeholder()));
-                let Slot::Active(session) = slot else {
-                    unreachable!("slot was Active above")
-                };
-                work.push((i, session, false, 0));
-            }
-        }
-
-        // --- Advance: fan out over the worker pool. Each worker owns
-        // its chunk of sessions exclusively; nothing else is shared.
-        // After its slice, each surviving session gets its idle-slot
-        // maintenance (archive compaction) on the same worker — layout
-        // only, so the work split is never observable. ---
-        let slice = self.config.slice;
-        let advance = |session: &mut StudySession, done: &mut bool, compacted: &mut u32| {
-            *done = session.advance(slice);
-            if !*done {
-                *compacted = session.maintain(COMPACTION_SEGMENT_THRESHOLD);
-            }
-        };
-        let workers = self.config.workers.clamp(1, work.len().max(1));
-        if workers <= 1 {
-            for (_, session, done, compacted) in &mut work {
-                advance(session, done, compacted);
-            }
-        } else {
-            let chunk = work.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for part in work.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for (_, session, done, compacted) in part {
-                            advance(session, done, compacted);
-                        }
-                    });
-                }
-            });
-        }
-
-        // --- Apply, ascending id (`work` is id-sorted by build order):
-        // counters, completions, and pool contributions land in the
-        // same sequence regardless of which worker ran what. ---
-        for (i, session, done, compacted) in work {
+            let Slot::Active(session) = &mut self.slots[i] else {
+                continue;
+            };
+            let done = session.advance(self.config.slice);
+            let compacted = if done {
+                0
+            } else {
+                session.maintain(COMPACTION_SEGMENT_THRESHOLD)
+            };
             self.reg.add(metrics::SERVICE_SLICES, 1);
             self.reg
                 .add(metrics::SERVICE_COMPACTIONS, u64::from(compacted));
             stats.advanced += 1;
             if done {
+                let session = self.take_active(i, Slot::Done);
                 self.complete(i as u32, *session)?;
-                self.slots[i] = Slot::Done;
                 stats.completed += 1;
-            } else {
-                self.slots[i] = Slot::Active(session);
             }
         }
 
-        // --- Budget: evict the session with the highest cost-aware
-        // score — resident bytes × (remaining window + 1), ties broken
-        // toward the higher id — keep at least one. Weighting by the
-        // remaining window steers eviction away from nearly-finished
-        // sessions, whose checkpoint round-trip buys almost no
-        // breathing room before they are readmitted. ---
+        // --- Budget: evict by cost-aware score (see `victim`) until
+        // the total fits, keeping at least one session resident. ---
         loop {
             let active: Vec<(usize, usize, u64)> = self
                 .slots
@@ -569,22 +487,15 @@ impl StudyService {
                 })
                 .collect();
             let total: usize = active.iter().map(|(_, b, _)| b).sum();
-            if active.len() <= 1 || total <= self.config.max_resident_bytes {
+            if total <= self.config.max_resident_bytes {
                 break;
             }
-            let (victim, bytes) = active
-                .iter()
-                .map(|&(i, b, remaining)| ((b as u128) * (u128::from(remaining) + 1), i, b))
-                .max_by_key(|&(score, i, _)| (score, i))
-                .map(|(_, i, b)| (i, b))
-                .expect("len > 1");
-            let slot = std::mem::replace(&mut self.slots[victim], Slot::Queued(placeholder()));
-            let Slot::Active(session) = slot else {
-                unreachable!("victim was Active above")
+            let Some((i, bytes)) = victim(&active) else {
+                break;
             };
-            let cfg = session.config().clone();
-            checkpoint::write(&session.into_checkpoint(), &self.study_dir(victim as u32))?;
-            self.slots[victim] = Slot::Evicted(cfg);
+            let data = self.take_active(i, Slot::Done).into_checkpoint();
+            self.slots[i] = Slot::Evicted(data.config.clone());
+            checkpoint::write(&data, &self.study_dir(i as u32))?;
             self.reg.add(metrics::SERVICE_EVICTIONS, 1);
             self.reg.add(metrics::SERVICE_EVICTED_BYTES, bytes as u64);
             stats.evicted += 1;
@@ -636,36 +547,41 @@ impl StudyService {
                 }
             }
         }
+        // Build and freeze (each freeze a `sync_all`) before taking the
+        // write lock, so queries wait only for the four inserts.
         let derived = study.derived();
-        {
-            let mut sets = self.query.sets.write().expect("query state poisoned");
-            for kind in SetKind::ALL {
-                let set = derived.compact_set_shared(kind);
-                let seg = self.query.segments.freeze(&set)?;
-                sets.insert((id, kind), seg);
-                if let Some(key) = shared_set_key(&study.config, kind) {
-                    self.shared_sets.entry(key).or_insert(seg);
-                }
+        let mut frozen = Vec::with_capacity(SetKind::ALL.len());
+        for kind in SetKind::ALL {
+            let seg = self
+                .query
+                .segments
+                .freeze(&derived.compact_set_shared(kind))?;
+            if let Some(key) = shared_set_key(&study.config, kind) {
+                self.shared_sets.entry(key).or_insert(seg);
             }
+            frozen.push(((id, kind), seg));
         }
+        write(&self.query.sets).extend(frozen);
         let seeded = study.derived_cells.stats().seeded;
         self.reg
             .add(metrics::SERVICE_SETS_SEEDED, u64::from(seeded));
         self.reg.add(metrics::SERVICE_COMPLETIONS, 1);
         let report = study.run_report();
         let report_json = report.to_json();
-        self.query
-            .completed
-            .write()
-            .expect("query state poisoned")
-            .insert(
-                id,
-                Arc::new(Completed {
-                    report,
-                    report_json,
-                }),
-            );
+        let completed = Arc::new(Completed {
+            report,
+            report_json,
+        });
+        write(&self.query.completed).insert(id, completed);
         Ok(())
+    }
+
+    /// Takes the active session out of slot `i`, leaving `next` there.
+    fn take_active(&mut self, i: usize, next: Slot) -> Box<StudySession> {
+        match std::mem::replace(&mut self.slots[i], next) {
+            Slot::Active(session) => session,
+            _ => unreachable!("slot {i} holds no active session"),
+        }
     }
 
     /// The completed study's report as canonical JSON — byte-identical
@@ -676,9 +592,7 @@ impl StudyService {
 
     /// The service's own canonical telemetry report: admission,
     /// eviction, resume, completion, slice, query, and cache counters.
-    /// Deterministic for a given submission and query sequence — and
-    /// independent of [`ServiceConfig::workers`], which deliberately
-    /// appears nowhere in the meta or counters.
+    /// Deterministic for a given submission and query sequence.
     pub fn run_report(&self) -> RunReport {
         let studies = self.slots.len().to_string();
         let max_active = if self.config.max_active == usize::MAX {
@@ -715,10 +629,21 @@ impl StudyService {
     }
 }
 
-/// Placeholder config for `mem::replace` on a slot about to be
-/// overwritten — never observed.
-fn placeholder() -> StudyConfig {
-    StudyConfig::tiny(0)
+/// The session the budget evicts next, from `(slot, resident bytes,
+/// remaining window secs)` of every active session: the highest
+/// cost-aware score, resident bytes × (remaining window + 1), ties to
+/// the higher slot. Returns `(slot, resident bytes)`, or `None` below
+/// two sessions — the last one always stays. Weighting by the remaining
+/// window spares nearly-finished sessions, whose checkpoint round-trip
+/// buys almost no room before they are readmitted.
+fn victim(active: &[(usize, usize, u64)]) -> Option<(usize, usize)> {
+    if active.len() < 2 {
+        return None;
+    }
+    active
+        .iter()
+        .max_by_key(|&&(i, bytes, remaining)| ((bytes as u128) * (u128::from(remaining) + 1), i))
+        .map(|&(i, bytes, _)| (i, bytes))
 }
 
 impl std::fmt::Debug for StudyService {
@@ -726,9 +651,66 @@ impl std::fmt::Debug for StudyService {
         f.debug_struct("StudyService")
             .field("studies", &self.slots.len())
             .field("active", &self.active_count())
-            .field("workers", &self.config.workers)
             .field("resident_bytes", &self.resident_bytes())
             .field("worlds", &self.worlds.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn victim_weighs_bytes_by_remaining_window() {
+        // Slot 0 is four times larger but nearly finished: 400 × 1
+        // against 100 × 11 — the smaller session with more window
+        // left goes.
+        assert_eq!(victim(&[(0, 400, 0), (1, 100, 10)]), Some((1, 100)));
+    }
+
+    #[test]
+    fn victim_breaks_ties_toward_the_higher_id() {
+        // 100 × 4 = 200 × 2 = 400 × 1.
+        assert_eq!(
+            victim(&[(0, 100, 3), (2, 400, 0), (5, 200, 1)]),
+            Some((5, 200))
+        );
+    }
+
+    #[test]
+    fn victim_never_evicts_the_last_session() {
+        assert_eq!(victim(&[(3, usize::MAX, u64::MAX)]), None);
+        assert_eq!(victim(&[]), None);
+    }
+
+    /// A panic while a query-state lock is held must not take the query
+    /// path down with it. The panic is caught on this thread: poisoning
+    /// needs an unwind through the guard, not a second thread.
+    #[test]
+    fn poisoned_query_state_still_serves() {
+        let dir = std::env::temp_dir().join(format!("service-poison-{}", std::process::id()));
+        let svc =
+            StudyService::new(ServiceConfig::unbounded(&dir, Duration::days(1))).expect("service");
+        let report = RunReport::new(&[("component", "poison_test")], &Registry::new().snapshot());
+        let json = report.to_json();
+        let completed = Arc::new(Completed {
+            report,
+            report_json: json.clone(),
+        });
+        write(&svc.query.completed).insert(7, completed);
+
+        let q = svc.queries();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = q.state.completed.write();
+            panic!("poisoning the report table");
+        }));
+        assert!(unwound.is_err());
+        assert!(q.state.completed.is_poisoned());
+
+        assert_eq!(q.report_json(StudyId(7)), Some(json));
+        assert_eq!(q.report_json(StudyId(8)), None);
+        assert!(format!("{q:?}").contains("completed: 1"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,8 +18,8 @@ pub const SERVICE_EVICTIONS: Key = Key::bare("service_evictions");
 /// victims at the moment they were suspended — the budget pressure the
 /// cost-aware (bytes × remaining-window) policy relieved.
 pub const SERVICE_EVICTED_BYTES: Key = Key::bare("service_evicted_bytes");
-/// Dedup archives compacted ([`store::Archive::optimize`]) by the tick
-/// workers' idle-slot maintenance.
+/// Dedup archives compacted ([`store::Archive::optimize`]) by the tick's
+/// idle-slot maintenance.
 pub const SERVICE_COMPACTIONS: Key = Key::bare("service_compactions");
 /// Studies run to completion (report extracted, sets frozen).
 pub const SERVICE_COMPLETIONS: Key = Key::bare("service_completions");

@@ -9,8 +9,8 @@
 //! Design constraints, in order:
 //!
 //! 1. **Determinism.** A [`Snapshot`] taken from the same simulated run
-//!    is *byte-identical* regardless of how the run was spread over
-//!    threads. Two rules make that hold:
+//!    is *byte-identical* regardless of how the run was sliced,
+//!    suspended and resumed. Two rules make that hold:
 //!    * no metric reads the wall clock — every duration is simulation
 //!      time ([`SpanTimer`] takes explicit instants), and anything
 //!      scheduling-dependent (memo hit rates, wall-clock profiles) is a

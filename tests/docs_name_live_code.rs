@@ -20,13 +20,16 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 6] = [
+const HISTORICAL: [&str; 9] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
     "telescope::actors",
     "Actor::scan_sourced",
     "Snapshot::deterministic()",
+    "PipelineMode::Streaming",
+    "ServiceConfig::with_workers",
+    "Slot::Queued(placeholder())",
 ];
 
 fn root() -> PathBuf {

@@ -23,8 +23,12 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/digests.
 /// Every key a test asks for. [`check_golden`] refuses any other, and
 /// `golden_digests::golden_file_holds_no_key_no_test_asks_for` refuses a
 /// file holding one, so a re-bless cannot leave a stale golden behind.
-pub const KEYS: [&str; 9] = [
+pub const KEYS: [&str; 13] = [
     "ckpt/tiny/23/3d",
+    "hitlist/small/42/hitlist",
+    "hitlist/small/42/start",
+    "hitlist/tiny/23/hitlist",
+    "hitlist/tiny/23/start",
     "small/42/ideal",
     "tiny/23/congested",
     "tiny/23/ideal",

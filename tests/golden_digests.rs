@@ -5,9 +5,13 @@
 
 mod golden;
 
+use hitlist::{Hitlist, HitlistConfig};
 use netsim::time::Duration;
+use netsim::World;
 use store::codec::fnv1a;
+use timetoscan::study::study_start;
 use timetoscan::{FaultProfile, Study, StudyConfig};
+use v6addr::AddrSet;
 
 #[test]
 fn tiny_ideal_matches_its_golden_at_1_and_4_shards() {
@@ -45,6 +49,43 @@ fn tiny_checkpoint_bytes_match_their_goldens_at_1_2_and_4_shards() {
     .map(|(k, v)| (k.to_owned(), v))
     .collect();
     golden::check_golden("ckpt/tiny/23/3d", &got);
+}
+
+/// The hitlist itself, not only what the batch scan and Table 1 make of
+/// it: the lengths and FNV-1a of the sorted `full` and `public` sets and
+/// the aliased prefixes, at the two instants a study builds one — its
+/// hitlist time, and its window start (the stale snapshot).
+#[test]
+fn hitlist_matches_its_golden() {
+    let digest = |set: &AddrSet| {
+        let bytes: Vec<u8> = set.sorted().iter().flat_map(|a| a.octets()).collect();
+        format!("{:016x}", fnv1a(&bytes))
+    };
+    for (name, config) in [
+        ("tiny/23", StudyConfig::tiny(23)),
+        ("small/42", StudyConfig::small(42)),
+    ] {
+        let world = World::generate(config.world.clone());
+        let start = study_start(&config);
+        for (at, t) in [
+            ("hitlist", start + config.hitlist_scan_offset),
+            ("start", start),
+        ] {
+            let h = Hitlist::build(&world, t, &HitlistConfig::for_world(&world));
+            let aliased: Vec<String> = h.aliased_prefixes.iter().map(|p| p.to_string()).collect();
+            let got = [
+                ("full", h.full.len().to_string()),
+                ("full_fnv1a", digest(&h.full)),
+                ("public", h.public.len().to_string()),
+                ("public_fnv1a", digest(&h.public)),
+                ("aliased", aliased.join(" ")),
+            ]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
+            golden::check_golden(&format!("hitlist/{name}/{at}"), &got);
+        }
+    }
 }
 
 /// Every golden in the file is one a test asks for: a key that lost its

@@ -38,4 +38,3 @@ pub mod security;
 pub mod set_profile;
 pub mod ssh_os;
 pub mod title_cluster;
-pub mod tls_posture;

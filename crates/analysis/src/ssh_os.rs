@@ -89,14 +89,6 @@ pub fn os_distribution(hosts: &[SshHost]) -> Vec<(String, u64)> {
     v
 }
 
-/// Count for one OS label.
-pub fn os_count(dist: &[(String, u64)], os: &str) -> u64 {
-    dist.iter()
-        .find(|(k, _)| k == os)
-        .map(|(_, n)| *n)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,10 +135,11 @@ mod tests {
         assert_eq!(reused.addrs.len(), 2);
 
         let dist = os_distribution(&hosts);
-        assert_eq!(os_count(&dist, "Debian"), 1);
-        assert_eq!(os_count(&dist, "Raspbian"), 1);
-        assert_eq!(os_count(&dist, EMPTY_OS), 1);
-        assert_eq!(os_count(&dist, "FreeBSD"), 0);
+        let count = |os: &str| dist.iter().find(|(k, _)| k == os).map_or(0, |(_, n)| *n);
+        assert_eq!(count("Debian"), 1);
+        assert_eq!(count("Raspbian"), 1);
+        assert_eq!(count(EMPTY_OS), 1);
+        assert_eq!(count("FreeBSD"), 0);
     }
 
     #[test]

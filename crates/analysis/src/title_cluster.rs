@@ -110,12 +110,6 @@ pub fn group_titles(observations: Vec<(String, Ipv6Addr)>) -> Vec<TitleGroup> {
     groups
 }
 
-/// Convenience: the unique-host title groups of a store (the paper's main
-/// Table 3 view).
-pub fn https_title_groups(store: &ScanStore) -> Vec<TitleGroup> {
-    group_titles(unique_https_titles(store))
-}
-
 /// A title group counted per address source. Clustering the *union* of
 /// both sources keeps groups aligned across the paper's side-by-side
 /// columns even when titles embed per-host variation (vhost numbers, IP
@@ -181,18 +175,6 @@ pub fn https_title_groups_dual(ours: &ScanStore, tum: &ScanStore) -> Vec<DualTit
     group_titles_dual(unique_https_titles(ours), unique_https_titles(tum))
 }
 
-/// Looks up the group count for a label (exact representative match or
-/// member containment by distance).
-pub fn group_count(groups: &[TitleGroup], label: &str) -> u64 {
-    groups
-        .iter()
-        .find(|g| {
-            g.label == label || crate::levenshtein::normalized(&g.label, label) <= TITLE_THRESHOLD
-        })
-        .map(|g| g.hosts)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,14 +234,14 @@ mod tests {
         for i in 30..34u8 {
             store.push(https_rec(u128::from(i), i, 200, Some("D-LINK")));
         }
-        let groups = https_title_groups(&store);
+        let groups = group_titles(unique_https_titles(&store));
         assert_eq!(groups.len(), 2);
+        // Both FRITZ!Box models fall into the first group.
         assert_eq!(groups[0].label, "FRITZ!Box 7590");
         assert_eq!(groups[0].hosts, 30);
         assert!((groups[0].share - 30.0 / 34.0).abs() < 1e-9);
-        assert_eq!(group_count(&groups, "FRITZ!Box 7530"), 30);
-        assert_eq!(group_count(&groups, "D-LINK"), 4);
-        assert_eq!(group_count(&groups, "absent product"), 0);
+        assert_eq!(groups[1].label, "D-LINK");
+        assert_eq!(groups[1].hosts, 4);
     }
 
     #[test]
@@ -285,7 +267,7 @@ mod tests {
     #[test]
     fn empty_store() {
         let store = ScanStore::new();
-        assert!(https_title_groups(&store).is_empty());
+        assert!(group_titles(unique_https_titles(&store)).is_empty());
         assert!(https_title_groups_dual(&store, &store).is_empty());
     }
 

@@ -40,7 +40,7 @@ use actors::ActorRoster;
 use netsim::transport::FaultProfile;
 use netsim::world::WorldConfig;
 use netsim::{DeviceId, Duration, SimTime, TransportTotals};
-use ntppool::{AddressCollector, CollectionCheckpoint, Observation, ServerId};
+use ntppool::{AddressCollector, CollectionCheckpoint, Observation, RunStats, ServerId};
 use std::fs::File;
 use std::io::Write;
 use std::net::Ipv6Addr;
@@ -247,7 +247,8 @@ fn put_collection(w: &mut Writer, c: &CollectionCheckpoint) {
             None => w.put_u8(0),
         }
     }
-    for v in c.totals {
+    let t = &c.totals;
+    for v in [t.polls, t.responses, t.kod, t.lost, t.observed] {
         w.put_u64(v);
     }
     put_hist(w, &c.kod_backoff);
@@ -269,10 +270,13 @@ fn read_collection(r: &mut Reader<'_>) -> Result<CollectionCheckpoint, StoreErro
             _ => return Err(StoreError::Corrupt("unknown rps slot tag")),
         });
     }
-    let mut totals = [0u64; 5];
-    for v in &mut totals {
-        *v = r.u64()?;
-    }
+    let totals = RunStats {
+        polls: r.u64()?,
+        responses: r.u64()?,
+        kod: r.u64()?,
+        lost: r.u64()?,
+        observed: r.u64()?,
+    };
     Ok(CollectionCheckpoint {
         cursor,
         pending,
@@ -412,7 +416,13 @@ mod tests {
                     (SimTime(12_401), DeviceId(2), 7),
                 ],
                 rps: vec![None, Some((12, 40)), Some((13, 2))],
-                totals: [100, 90, 3, 7, 88],
+                totals: RunStats {
+                    polls: 100,
+                    responses: 90,
+                    kod: 3,
+                    lost: 7,
+                    observed: 88,
+                },
                 kod_backoff: kod,
             },
             collector,

@@ -317,8 +317,8 @@ mod tests {
     fn telemetry_reconciles_with_legacy_accounting() {
         let study = Study::run(StudyConfig::tiny(7));
         let det = &study.telemetry;
-        // Collection: the registry is the same accounting path RunStats
-        // is derived from, so the two agree exactly.
+        // Collection: the `ntp_*` counters are the RunStats tally
+        // exported once, so the two agree exactly.
         assert_eq!(det.counter_total("ntp_polls"), study.run_stats.polls);
         assert_eq!(
             det.counter_total("ntp_responses"),

@@ -2,7 +2,7 @@
 //! list.
 
 use crate::apd;
-use crate::sources::{AliasedSource, DnsSource, RdnsSource, Source, TgaSource, TracerouteSource};
+use crate::sources::{aliased_sample, archive_sample, in_dns, in_rdns, on_traceroute, TgaSource};
 use netsim::time::SimTime;
 use netsim::world::World;
 use std::net::Ipv6Addr;
@@ -55,16 +55,16 @@ pub struct Hitlist {
 impl Hitlist {
     /// Builds the hitlist against the world as of `t`.
     pub fn build(world: &World, t: SimTime, cfg: &HitlistConfig) -> Hitlist {
-        // 1. DNS-centric, topology and archive sources.
+        // 1. One walk over the world for the artefact channels (a device
+        //    any of DNS/CT, rDNS or traceroute names enters at its
+        //    address as of `t`), then the archive sample.
         let mut full = AddrSet::new();
-        let archive = crate::sources::ArchiveSource {
-            per_as: cfg.archive_per_as,
-            max_age: netsim::time::Duration::days(90),
-        };
-        let sources: [&dyn Source; 4] = [&DnsSource, &RdnsSource, &TracerouteSource, &archive];
-        for s in sources {
-            s.collect(world, t, &mut full);
+        for dev in world.metas() {
+            if in_dns(world, &dev) || in_rdns(world, &dev) || on_traceroute(world, &dev) {
+                full.insert(world.address_of_meta(&dev, t));
+            }
         }
+        archive_sample(world, t, cfg.archive_per_as, &mut full);
 
         // 2. Target generation from the seeds found so far.
         let seeds: Vec<Ipv6Addr> = full.sorted();
@@ -107,10 +107,7 @@ impl Hitlist {
 
         // 4. The full list keeps a sample inside aliased space (as the
         //    study's scanned variant did).
-        AliasedSource {
-            per_region: cfg.aliased_per_region,
-        }
-        .collect(world, t, &mut full);
+        aliased_sample(world, cfg.aliased_per_region, &mut full);
 
         // 5. Public list: responsive and outside aliased prefixes.
         let mut public = AddrSet::new();

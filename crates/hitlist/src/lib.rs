@@ -7,12 +7,15 @@
 //! *public* variant. This crate rebuilds that pipeline against
 //! [`netsim::World`]:
 //!
-//! * [`sources`] — forward DNS / CT logs, reverse-DNS zone walking,
-//!   traceroute, and an Entropy/IP-style target-generation algorithm
+//! * [`sources`] — forward DNS / CT logs, reverse-DNS zone walking and
+//!   traceroute as predicates on a device, the archive and aliased-region
+//!   samples, and an Entropy/IP-style target-generation algorithm
 //!   ([`sources::TgaSource`]) extrapolating new candidates from seeds;
 //! * [`apd`] — aliased-prefix detection by multi-address probing;
 //! * [`build`] — assembly into [`Hitlist`] (full + public + aliased
-//!   prefixes).
+//!   prefixes): one walk over the world's devices inserts every address
+//!   an artefact predicate names, then the archive sample, target
+//!   generation, detection and the aliased sample follow.
 //!
 //! The bias the paper measures — hitlists overrepresent servers and
 //! infrastructure, underrepresent eyeball devices — emerges here for the

@@ -1,12 +1,15 @@
 //! Hitlist address sources.
 //!
 //! Each source mirrors one of the acquisition channels the TUM hitlist
-//! combines (paper §2.1.1). Sources see the world only through artefacts
-//! a real source would see — DNS names, certificates, router interfaces —
-//! modelled as per-archetype inclusion probabilities.
+//! combines (paper §2.1.1). The artefact channels — DNS names and
+//! certificates, reverse-DNS zones, router interfaces — are predicates
+//! on a device ([`in_dns`], [`in_rdns`], [`on_traceroute`]), modelled as
+//! per-archetype inclusion probabilities that [`crate::Hitlist::build`]
+//! evaluates in one walk over the world. The archive and aliased-region
+//! samples and the target generator ([`TgaSource`]) see no device.
 
 use netsim::device::{Attachment, DeviceMeta};
-use netsim::time::SimTime;
+use netsim::time::{Duration, SimTime};
 use netsim::world::World;
 use netsim::{mix2, DeviceKind};
 use rand::rngs::StdRng;
@@ -14,14 +17,6 @@ use rand::{Rng, SeedableRng};
 use std::net::Ipv6Addr;
 use v6addr::entropy::NybbleModel;
 use v6addr::{AddrSet, Iid, Prefix};
-
-/// A hitlist source.
-pub trait Source {
-    /// Source name (provenance tag).
-    fn name(&self) -> &'static str;
-    /// Contributes addresses as of `t` (list build time).
-    fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet);
-}
 
 /// Probability that a device of this kind has a forward-DNS-visible name
 /// (A/AAAA record, CT-logged certificate hostname, …).
@@ -67,61 +62,24 @@ fn stable_coin(world: &World, dev: &DeviceMeta, salt: u64, p: f64) -> bool {
     (h as f64 / u64::MAX as f64) < p
 }
 
-/// Forward DNS / certificate-transparency source.
-pub struct DnsSource;
-
-impl Source for DnsSource {
-    fn name(&self) -> &'static str {
-        "dns/ct"
-    }
-
-    fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet) {
-        for dev in world.metas() {
-            if stable_coin(world, &dev, 0xD45, dns_probability(dev.kind)) {
-                // Dynamic-DNS names resolve to the *current* address; the
-                // daily hitlist build snapshots it at t.
-                out.insert(world.address_of_meta(&dev, t));
-            }
-        }
-    }
+/// Forward DNS / certificate transparency: the device has a name that
+/// resolves to it. Dynamic-DNS names resolve to the *current* address,
+/// which the daily build snapshots.
+pub fn in_dns(world: &World, dev: &DeviceMeta) -> bool {
+    stable_coin(world, dev, 0xD45, dns_probability(dev.kind))
 }
 
-/// Reverse-DNS zone-walking source (NSEC/NSEC3-style enumeration).
-pub struct RdnsSource;
-
-impl Source for RdnsSource {
-    fn name(&self) -> &'static str {
-        "rdns"
-    }
-
-    fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet) {
-        for dev in world.metas() {
-            // Zone walking only covers statically numbered space; a
-            // household device's PTR (if any) churns with its prefix.
-            if matches!(dev.attachment, Attachment::Static { .. })
-                && stable_coin(world, &dev, 0x12d5, rdns_probability(dev.kind))
-            {
-                out.insert(world.address_of_meta(&dev, t));
-            }
-        }
-    }
+/// Reverse-DNS zone walking (NSEC/NSEC3-style enumeration). It only
+/// covers statically numbered space; a household device's PTR (if any)
+/// churns with its prefix.
+pub fn in_rdns(world: &World, dev: &DeviceMeta) -> bool {
+    matches!(dev.attachment, Attachment::Static { .. })
+        && stable_coin(world, dev, 0x12d5, rdns_probability(dev.kind))
 }
 
-/// Traceroute-derived source (CAIDA-style topology probing).
-pub struct TracerouteSource;
-
-impl Source for TracerouteSource {
-    fn name(&self) -> &'static str {
-        "traceroute"
-    }
-
-    fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet) {
-        for dev in world.metas() {
-            if dev.kind == DeviceKind::CoreRouter && stable_coin(world, &dev, 0x7124, 0.9) {
-                out.insert(world.address_of_meta(&dev, t));
-            }
-        }
-    }
+/// Traceroute (CAIDA-style topology probing): core-router interfaces.
+pub fn on_traceroute(world: &World, dev: &DeviceMeta) -> bool {
+    dev.kind == DeviceKind::CoreRouter && stable_coin(world, dev, 0x7124, 0.9)
 }
 
 /// Entropy/IP-style target generation: learn the nybble distribution of
@@ -206,75 +164,55 @@ impl TgaSource {
     }
 }
 
-/// Archive source: addresses from older DNS snapshots, historical scans
-/// and zone files. Eyeball addresses gathered this way are usually
-/// *stale* by list-build time (the delegated prefix rotated away), which
-/// is why the full hitlist spans nearly every AS (Table 1) while its
-/// responsive core stays server-heavy — and why the paper's §6 warns
-/// that static lists of end-user addresses "would be outdated almost
-/// immediately".
-pub struct ArchiveSource {
-    /// Historical addresses per eyeball AS.
-    pub per_as: usize,
-    /// How far back the archive reaches.
-    pub max_age: netsim::time::Duration,
-}
+/// How far back the archive sample reaches.
+const ARCHIVE_MAX_AGE: Duration = Duration::days(90);
 
-impl Source for ArchiveSource {
-    fn name(&self) -> &'static str {
-        "archive"
+/// Archive sample: addresses from older DNS snapshots, historical scans
+/// and zone files, `per_as` per eyeball AS, up to 90 days old. Eyeball
+/// addresses gathered this way are usually *stale* by list-build time
+/// `t` (the delegated prefix rotated away), which is why the full
+/// hitlist spans nearly every AS (Table 1) while its responsive core
+/// stays server-heavy — and why the paper's §6 warns that static lists
+/// of end-user addresses "would be outdated almost immediately".
+pub fn archive_sample(world: &World, t: SimTime, per_as: usize, out: &mut AddrSet) {
+    let households = world.household_count();
+    if households == 0 {
+        return;
     }
-
-    fn collect(&self, world: &World, t: SimTime, out: &mut AddrSet) {
-        let households = world.household_count();
-        if households == 0 {
-            return;
-        }
-        for (i, _) in world
-            .topology
-            .ases()
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.kind.is_eyeball())
-        {
-            for k in 0..self.per_as {
-                let h = mix2(world.config.seed ^ 0xa5c1, (i as u64) << 24 | k as u64);
-                let members = world.household_members((h % u64::from(households)) as u32);
-                let member = members[(mix2(h, 2) % members.len() as u64) as usize];
-                // Archive entries are at least a few days stale — fresher
-                // data would still be in the live DNS sources, not the
-                // archive.
-                let min_age = netsim::time::Duration::days(3).as_secs();
-                let span = self.max_age.as_secs().saturating_sub(min_age).max(1);
-                let age = min_age + mix2(h, 3) % span;
-                let past = SimTime(t.as_secs().saturating_sub(age));
-                out.insert(world.address_of(member, past));
-            }
+    for (i, _) in world
+        .topology
+        .ases()
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.kind.is_eyeball())
+    {
+        for k in 0..per_as {
+            let h = mix2(world.config.seed ^ 0xa5c1, (i as u64) << 24 | k as u64);
+            let members = world.household_members((h % u64::from(households)) as u32);
+            let member = members[(mix2(h, 2) % members.len() as u64) as usize];
+            // Archive entries are at least a few days stale — fresher
+            // data would still be in the live DNS sources, not the
+            // archive.
+            let min_age = Duration::days(3).as_secs();
+            let span = ARCHIVE_MAX_AGE.as_secs().saturating_sub(min_age).max(1);
+            let age = min_age + mix2(h, 3) % span;
+            let past = SimTime(t.as_secs().saturating_sub(age));
+            out.insert(world.address_of(member, past));
         }
     }
 }
 
-/// Aliased-region sampling: the TUM *full* list retains addresses inside
-/// prefixes later flagged as aliased; the study's hitlist scan therefore
-/// hits the CDN front-end hundreds of millions of times (§4.2).
-pub struct AliasedSource {
-    /// Addresses to sample per aliased region.
-    pub per_region: usize,
-}
-
-impl Source for AliasedSource {
-    fn name(&self) -> &'static str {
-        "aliased"
-    }
-
-    fn collect(&self, world: &World, _t: SimTime, out: &mut AddrSet) {
-        for (i, region) in world.aliased_regions().iter().enumerate() {
-            for k in 0..self.per_region {
-                let h = mix2(world.config.seed ^ 0xa11a5, (i as u64) << 32 | k as u64);
-                // Spread over /64s with low IIDs, as CDN mappings do.
-                let host = (u128::from(h) << 64) | u128::from(h % 7 + 1);
-                out.insert(region.prefix.host(host));
-            }
+/// Aliased-region sample, `per_region` addresses each: the TUM *full*
+/// list retains addresses inside prefixes later flagged as aliased; the
+/// study's hitlist scan therefore hits the CDN front-end hundreds of
+/// millions of times (§4.2).
+pub fn aliased_sample(world: &World, per_region: usize, out: &mut AddrSet) {
+    for (i, region) in world.aliased_regions().iter().enumerate() {
+        for k in 0..per_region {
+            let h = mix2(world.config.seed ^ 0xa11a5, (i as u64) << 32 | k as u64);
+            // Spread over /64s with low IIDs, as CDN mappings do.
+            let host = (u128::from(h) << 64) | u128::from(h % 7 + 1);
+            out.insert(region.prefix.host(host));
         }
     }
 }
@@ -288,11 +226,19 @@ mod tests {
         World::generate(WorldConfig::tiny(44))
     }
 
+    /// The addresses at time 0 of the devices `channel` names — what the
+    /// build's one walk inserts for that channel alone.
+    fn named(w: &World, channel: fn(&World, &DeviceMeta) -> bool) -> AddrSet {
+        w.metas()
+            .filter(|d| channel(w, d))
+            .map(|d| w.address_of_meta(&d, SimTime(0)))
+            .collect()
+    }
+
     #[test]
     fn dns_source_prefers_servers() {
         let w = world();
-        let mut out = AddrSet::new();
-        DnsSource.collect(&w, SimTime(0), &mut out);
+        let out = named(&w, in_dns);
         assert!(!out.is_empty());
         let mut servers = 0;
         let mut eyeball = 0;
@@ -311,22 +257,24 @@ mod tests {
     #[test]
     fn sources_are_deterministic() {
         let w = world();
-        let collect = |s: &dyn Source| {
+        for channel in [in_dns, in_rdns, on_traceroute] {
+            let a = named(&w, channel);
+            let b = named(&w, channel);
+            assert!(!a.is_empty());
+            assert_eq!(a.sorted(), b.sorted());
+        }
+        let archive = || {
             let mut out = AddrSet::new();
-            s.collect(&w, SimTime(0), &mut out);
-            out
+            archive_sample(&w, SimTime(0), 16, &mut out);
+            out.sorted()
         };
-        let a = collect(&DnsSource);
-        let b = collect(&DnsSource);
-        assert_eq!(a.len(), b.len());
-        assert!(a.iter().all(|x| b.contains(x)));
+        assert_eq!(archive(), archive());
     }
 
     #[test]
     fn traceroute_source_finds_only_routers() {
         let w = world();
-        let mut out = AddrSet::new();
-        TracerouteSource.collect(&w, SimTime(0), &mut out);
+        let out = named(&w, on_traceroute);
         assert!(!out.is_empty());
         for a in out.iter() {
             let d = w
@@ -339,8 +287,8 @@ mod tests {
     #[test]
     fn rdns_source_skips_dynamic_hosts() {
         let w = world();
-        let mut out = AddrSet::new();
-        RdnsSource.collect(&w, SimTime(0), &mut out);
+        let out = named(&w, in_rdns);
+        assert!(!out.is_empty());
         for a in out.iter() {
             let d = w.device_at(a, SimTime(0)).unwrap();
             assert!(matches!(d.attachment, Attachment::Static { .. }));
@@ -391,10 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn aliased_source_samples_inside_region() {
+    fn aliased_sample_stays_inside_region() {
         let w = world();
         let mut out = AddrSet::new();
-        AliasedSource { per_region: 64 }.collect(&w, SimTime(0), &mut out);
+        aliased_sample(&w, 64, &mut out);
         assert_eq!(out.len(), 64);
         let region = &w.aliased_regions()[0];
         for a in out.iter() {

@@ -121,11 +121,6 @@ pub fn background_servers(c: Country) -> u32 {
     info(c).map(|(_, _, _, _, s)| *s).unwrap_or(0)
 }
 
-/// Total client weight across the world.
-pub fn total_client_weight() -> u64 {
-    COUNTRY_TABLE.iter().map(|(_, _, _, w, _)| *w).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,10 +164,5 @@ mod tests {
         assert_eq!(name(Country::new(b"XX")), "unknown");
         assert_eq!(DE.code(), "DE");
         assert_eq!(DE.to_string(), "DE");
-    }
-
-    #[test]
-    fn total_weight_positive() {
-        assert!(total_client_weight() > 40_000);
     }
 }

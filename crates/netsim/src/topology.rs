@@ -116,16 +116,6 @@ impl Topology {
     pub fn is_empty(&self) -> bool {
         self.ases.is_empty()
     }
-
-    /// ASes registered in `country`.
-    pub fn ases_in(&self, country: Country) -> impl Iterator<Item = &AsInfo> + '_ {
-        self.ases.iter().filter(move |a| a.country == country)
-    }
-
-    /// ASes with a given PeeringDB type.
-    pub fn ases_of_type(&self, kind: AsType) -> impl Iterator<Item = &AsInfo> + '_ {
-        self.ases.iter().filter(move |a| a.kind == kind)
-    }
 }
 
 #[cfg(test)]
@@ -181,10 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn filters() {
+    fn len_counts_registered_ases() {
         let t = sample();
-        assert_eq!(t.ases_in(country::DE).count(), 1);
-        assert_eq!(t.ases_of_type(AsType::Hosting).count(), 1);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }

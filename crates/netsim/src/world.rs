@@ -32,7 +32,7 @@
 //! the device's addressing. A scan sends all of a target's probes back
 //! to back, so every attempt after the first is a cache hit.
 
-use crate::device::{Attachment, Device, DeviceId, DeviceMeta, NtpClientCfg};
+use crate::device::{Device, DeviceId, DeviceMeta, NtpClientCfg};
 use crate::procgen::{
     Layout, HOUSEHOLD_STRIDE, MAX_ASES_PER_TYPE, MAX_HOUSEHOLDS_PER_AS, MAX_STATIC_PER_AS,
 };
@@ -404,81 +404,13 @@ impl World {
     pub fn client_count_estimate(&self) -> usize {
         self.layout.client_count_estimate()
     }
-
-    /// A fresh [`AddrResolver`] over this world.
-    pub fn addr_resolver(&self) -> AddrResolver<'_> {
-        AddrResolver {
-            world: self,
-            epoch: None,
-            shifts: Vec::new(),
-        }
-    }
-}
-
-/// A read-through cache for [`World::address_of`] on the collection hot
-/// path.
-///
-/// Resolving a household address redoes the rotation-slot arithmetic on
-/// every call, even though the per-AS rotation shift only changes once
-/// per rotation *epoch*. The resolver caches all per-AS shifts for the
-/// current epoch (O(#ASes), recomputed on epoch change), so a run of
-/// same-epoch polls pays one multiply-mod per AS instead of one per
-/// poll. Addresses are **bit-identical** to [`World::address_of`] for
-/// every device and time (enforced by tests).
-pub struct AddrResolver<'w> {
-    world: &'w World,
-    /// Rotation epoch the cached shifts were computed for.
-    epoch: Option<u64>,
-    /// Per-eyeball-plan rotation shift `(epoch*step) % space` at `epoch`,
-    /// indexed like [`Layout::eyeball_plans`].
-    shifts: Vec<u32>,
-}
-
-impl AddrResolver<'_> {
-    /// The device's global address at `t`; same value as
-    /// [`World::address_of`], amortizing the per-(AS, epoch) work.
-    pub fn address_of(&mut self, id: DeviceId, t: SimTime) -> Ipv6Addr {
-        self.address_of_meta(&self.world.meta(id), t)
-    }
-
-    /// Like [`address_of`](AddrResolver::address_of) for a meta already
-    /// in hand — the collection engine derives the meta once per event
-    /// and addresses it here without a second lookup.
-    pub fn address_of_meta(&mut self, meta: &DeviceMeta, t: SimTime) -> Ipv6Addr {
-        let layout = &self.world.layout;
-        let net64 = match meta.attachment {
-            Attachment::Static { net64 } => net64,
-            Attachment::Household { household, member } => {
-                let epoch = layout.epoch(t);
-                if self.epoch != Some(epoch) {
-                    self.shifts.clear();
-                    self.shifts.extend(
-                        layout
-                            .eyeball_plans()
-                            .iter()
-                            .map(|p| (epoch * u64::from(p.step) % u64::from(p.space)) as u32),
-                    );
-                    self.epoch = Some(epoch);
-                }
-                let (plan, plan_idx) = layout.eyeball_of_house(household);
-                // Same arithmetic as `EyeballPlan::slot_at`, with the
-                // epoch-dependent term folded into the cached shift:
-                // (idx + epoch*step) mod m == ((idx mod m) + shift) mod m
-                // (idx ≤ count ≤ space, so idx mod m = idx).
-                let slot = (household - plan.base + self.shifts[plan_idx as usize]) % plan.space;
-                plan.alloc
-                    .subnet(48, u128::from(crate::procgen::POOL_BASE + slot))
-                    .subnet(64, u128::from(member))
-            }
-        };
-        net64.host(u128::from(meta.iid_at(t).0))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::archetype::DeviceKind;
+    use crate::device::Attachment;
 
     fn tiny() -> World {
         World::generate(WorldConfig::tiny(11))
@@ -649,35 +581,6 @@ mod tests {
             nets.windows(2).all(|w| w[0] == w[1]),
             "members scattered: {nets:?}"
         );
-    }
-
-    #[test]
-    fn addr_resolver_matches_address_of_across_epochs() {
-        let w = tiny();
-        let mut resolver = w.addr_resolver();
-        // Sweep times within an epoch, across epoch boundaries, and far
-        // out — including going *backwards*, which must invalidate the
-        // cached epoch view just like going forwards.
-        let day = Duration::days(1).as_secs();
-        let times = [
-            SimTime(0),
-            SimTime(day / 2),
-            SimTime(day - 1),
-            SimTime(day),
-            SimTime(3 * day + 17),
-            SimTime(day + 1),
-            SimTime(40 * day),
-        ];
-        for t in times {
-            for dev in w.metas() {
-                assert_eq!(
-                    resolver.address_of(dev.id, t),
-                    w.address_of(dev.id, t),
-                    "device {:?} at {t}",
-                    dev.id
-                );
-            }
-        }
     }
 
     /// Eyeball /64s past the household's member count — and past the

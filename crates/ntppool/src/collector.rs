@@ -140,11 +140,6 @@ impl AddressCollector {
             registry.add_dyn(crate::metrics::server_distinct(server.0), set.len() as u64);
         }
     }
-
-    /// Consumes the collector, returning the global archive.
-    pub fn into_global(self) -> Archive {
-        self.global
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Static metric keys for the collection path.
 //!
 //! The five poll-outcome counters are, deliberately, a one-to-one image
-//! of the legacy [`crate::run::RunStats`] fields: `RunStats` is now
-//! *derived from* these counters at the end of a run, so the two can
-//! never disagree.
+//! of the [`crate::run::RunStats`] fields: the run's `RunStats` tally is
+//! exported to these counters once, at the end of the run, so the two
+//! can never disagree.
 
 use telemetry::{Key, OwnedKey};
 

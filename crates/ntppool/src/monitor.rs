@@ -59,7 +59,6 @@ pub fn tune_collecting_servers(
     for id in ids {
         // Iterate: share depends on our own netspeed.
         for _ in 0..24 {
-            let rps = expected_rps(pool, &rates, id);
             let c = pool.server(id).country;
             let zone_rate = rates.get(&c).copied().unwrap_or(0.0);
             if zone_rate <= 0.0 {
@@ -77,7 +76,6 @@ pub fn tune_collecting_servers(
                 break;
             }
             pool.server_mut(id).netspeed = new_speed;
-            let _ = rps;
         }
         outcomes.push(TuneOutcome {
             server: id,

@@ -160,7 +160,13 @@ pub fn next_poll(t: SimTime, poll_interval: Duration, reply: PollReply) -> SimTi
     }
 }
 
-/// Statistics from one collection run.
+/// Statistics from one collection run: the five poll-outcome counters.
+///
+/// This is the run's one tally. The poll loop — the hottest path in the
+/// study — counts into it as plain fields, a [`CollectionCheckpoint`]
+/// carries it between slices, and [`CollectionCheckpoint::finish`]
+/// exports it to the `ntp_*` registry keys once and returns it, so report
+/// totals and these fields cannot disagree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Client polls simulated.
@@ -177,16 +183,11 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Derives the legacy stats view from the `ntp_*` counters of a
-    /// registry. This is the only way a run produces stats — the
-    /// registry is the accounting path, so the two cannot diverge.
-    pub fn from_registry(registry: &Registry) -> RunStats {
-        RunStats {
-            polls: registry.counter(metrics::NTP_POLLS),
-            responses: registry.counter(metrics::NTP_RESPONSES),
-            observed: registry.counter(metrics::NTP_OBSERVED),
-            kod: registry.counter(metrics::NTP_KOD),
-            lost: registry.counter(metrics::NTP_LOST),
+    fn count_reply(&mut self, reply: PollReply) {
+        match reply {
+            PollReply::Time => self.responses += 1,
+            PollReply::RateKod => self.kod += 1,
+            PollReply::None => self.lost += 1,
         }
     }
 }
@@ -252,68 +253,6 @@ impl RpsWindows {
     }
 }
 
-/// Run-level outcome counters, accumulated in plain locals and flushed
-/// into the registry once per run — the poll loop is the hottest path in
-/// the study, and a batched flush keeps telemetry off it (same pattern
-/// as the transport's `TransportTotals`, exported once per stage).
-#[derive(Default)]
-struct Totals {
-    polls: u64,
-    responses: u64,
-    kod: u64,
-    lost: u64,
-    observed: u64,
-}
-
-impl Totals {
-    fn count_reply(&mut self, reply: PollReply) {
-        match reply {
-            PollReply::Time => self.responses += 1,
-            PollReply::RateKod => self.kod += 1,
-            PollReply::None => self.lost += 1,
-        }
-    }
-
-    fn into_array(self) -> [u64; 5] {
-        [
-            self.polls,
-            self.responses,
-            self.kod,
-            self.lost,
-            self.observed,
-        ]
-    }
-
-    fn from_array(a: [u64; 5]) -> Totals {
-        Totals {
-            polls: a[0],
-            responses: a[1],
-            kod: a[2],
-            lost: a[3],
-            observed: a[4],
-        }
-    }
-
-    /// Accounts a whole window into `registry`: the five outcome
-    /// counters plus the KoD-backoff histogram. Outcomes land in a
-    /// run-local registry first so the derived [`RunStats`] cannot pick
-    /// up counts from other stages sharing `registry`.
-    fn flush(self, kod_backoff: &Histogram, registry: &mut Registry) -> RunStats {
-        let mut local = Registry::new();
-        local.add(metrics::NTP_POLLS, self.polls);
-        local.add(metrics::NTP_RESPONSES, self.responses);
-        local.add(metrics::NTP_KOD, self.kod);
-        local.add(metrics::NTP_LOST, self.lost);
-        local.add(metrics::NTP_OBSERVED, self.observed);
-        if !kod_backoff.is_empty() {
-            local.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, kod_backoff);
-        }
-        let stats = RunStats::from_registry(&local);
-        registry.merge(&local);
-        stats
-    }
-}
-
 /// The collection engine's state at an instant of the window: what
 /// [`CollectionRun::begin`] produces, [`CollectionRun::advance`] moves
 /// forward, and a study checkpoint persists.
@@ -332,22 +271,31 @@ pub struct CollectionCheckpoint {
     pub pending: Vec<(SimTime, DeviceId, u64)>,
     /// Per-server RPS windows (`(second, count)` per pool slot).
     pub rps: Vec<Option<(u64, u64)>>,
-    /// Outcome counters so far: polls, responses, kod, lost, observed.
-    pub totals: [u64; 5],
+    /// Outcome counters so far.
+    pub totals: RunStats,
     /// KoD-backoff observations so far.
     pub kod_backoff: Histogram,
 }
 
 impl CollectionCheckpoint {
     /// Ends the run: accounts every poll outcome since
-    /// [`CollectionRun::begin`] into `registry` under the `ntp_*` keys
-    /// (counters plus the KoD-backoff histogram). Nothing is flushed
-    /// before this call, so a run sliced and suspended any number of
-    /// times leaves the same registry as an uninterrupted one. The
-    /// returned [`RunStats`] is *derived from* those counters, so report
-    /// totals and legacy stats reconcile exactly.
+    /// [`CollectionRun::begin`] into `registry` under the `ntp_*` keys —
+    /// all five counters, zeros included so a report keeps every key,
+    /// plus the KoD-backoff histogram — and returns the same counts.
+    /// Nothing is exported before this call, so a run sliced and
+    /// suspended any number of times leaves the same registry as an
+    /// uninterrupted one.
     pub fn finish(self, registry: &mut Registry) -> RunStats {
-        Totals::from_array(self.totals).flush(&self.kod_backoff, registry)
+        let t = self.totals;
+        registry.add(metrics::NTP_POLLS, t.polls);
+        registry.add(metrics::NTP_RESPONSES, t.responses);
+        registry.add(metrics::NTP_KOD, t.kod);
+        registry.add(metrics::NTP_LOST, t.lost);
+        registry.add(metrics::NTP_OBSERVED, t.observed);
+        if !self.kod_backoff.is_empty() {
+            registry.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, &self.kod_backoff);
+        }
+        t
     }
 
     /// Checks a checkpoint that came from outside the program against
@@ -368,13 +316,13 @@ impl CollectionCheckpoint {
 }
 
 /// The live form of a [`CollectionCheckpoint`]: the event queue,
-/// per-server RPS windows, outcome totals and the KoD histogram.
-/// Everything else the engine touches (request memo, address resolver)
-/// is recomputable and lives on the stack of one `drive` call.
+/// per-server RPS windows, the [`RunStats`] tally and the KoD histogram.
+/// Everything else the engine touches (the request memo) is
+/// recomputable and lives on the stack of one `drive` call.
 struct EngineState {
     queue: EventQueue<(DeviceId, u64)>,
     rps: RpsWindows,
-    totals: Totals,
+    totals: RunStats,
     kod_backoff: Histogram,
 }
 
@@ -393,7 +341,7 @@ impl EngineState {
             rps: RpsWindows {
                 windows: std::mem::take(&mut ckpt.rps),
             },
-            totals: Totals::from_array(ckpt.totals),
+            totals: ckpt.totals,
             kod_backoff: std::mem::take(&mut ckpt.kod_backoff),
         }
     }
@@ -407,7 +355,7 @@ impl EngineState {
             cursor,
             pending,
             rps: self.rps.windows,
-            totals: self.totals.into_array(),
+            totals: self.totals,
             kod_backoff: self.kod_backoff,
         }
     }
@@ -457,7 +405,7 @@ impl<'w> CollectionRun<'w> {
         EngineState {
             queue,
             rps: RpsWindows::for_pool(self.pool),
-            totals: Totals::default(),
+            totals: RunStats::default(),
             kod_backoff: Histogram::new(),
         }
     }
@@ -509,7 +457,7 @@ impl<'w> CollectionRun<'w> {
     pub fn run<F: FnMut(ServerId, Ipv6Addr, SimTime)>(&self, mut observe: F) -> RunStats {
         let mut st = self.fresh_state();
         self.drive(&mut st, self.end, &mut observe);
-        st.totals.flush(&st.kod_backoff, &mut Registry::new())
+        st.totals
     }
 
     /// The poll loop: one pop per event, everything inline.
@@ -526,7 +474,6 @@ impl<'w> CollectionRun<'w> {
             kod_backoff,
         } = st;
         let mut memo = RequestMemo::new();
-        let mut resolver = self.world.addr_resolver();
         // The queue pops in time order, so the first event at or past
         // `stop` means every remaining event is too — they stay queued
         // (for a checkpoint) instead of being drained.
@@ -536,7 +483,7 @@ impl<'w> CollectionRun<'w> {
             let cfg = dev.ntp.expect("scheduled device has NTP config");
             totals.polls += 1;
 
-            let addr = resolver.address_of_meta(&dev, t);
+            let addr = self.world.address_of_meta(&dev, t);
             let mut reply = PollReply::None;
             if let Some(server_id) = self.pool.select(dev.country, u64::from(id.0), seq) {
                 let server = self.pool.server(server_id);
@@ -601,11 +548,6 @@ pub fn sample_addresses(
     set
 }
 
-/// Convenience: the study's standard four-week window starting at `start`.
-pub fn study_window(start: SimTime) -> (SimTime, SimTime) {
-    (start, start + Duration::days(28))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,7 +608,7 @@ mod tests {
             run.run(|s, a, t| {
                 c.record(s, a, t);
             });
-            c.into_global().to_compact()
+            c.global().to_compact()
         };
         let a = collect();
         let b = collect();
@@ -717,7 +659,7 @@ mod tests {
         run.run(|s, a, t| {
             c.record(s, a, t);
         });
-        let ours = c.into_global().to_compact();
+        let ours = c.global().to_compact();
         let rl: store::CompactSet = rl.iter().collect();
         // Same world ⇒ heavy /32 (AS-level) overlap…
         let nets32 = |s: &store::CompactSet| -> std::collections::BTreeSet<u128> {
@@ -730,12 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn study_window_is_28_days() {
-        let (s, e) = study_window(SimTime(100));
-        assert_eq!(e.as_secs() - s.as_secs(), 28 * 86_400);
-    }
-
-    #[test]
     fn ideal_transport_run_matches_direct_run() {
         let world = World::generate(WorldConfig::tiny(9));
         let pool = study_pool();
@@ -745,7 +681,7 @@ mod tests {
             let stats = run.run(|s, a, t| {
                 c.record(s, a, t);
             });
-            (stats, c.into_global().to_compact())
+            (stats, c.global().to_compact())
         };
         let (direct_stats, direct) = collect(CollectionRun::new(&world, &pool, SimTime(0), window));
         let (ideal_stats, ideal) = collect(CollectionRun::with_transport(
@@ -780,7 +716,7 @@ mod tests {
             let stats = run.run(|s, a, t| {
                 c.record(s, a, t);
             });
-            (stats, c.into_global().to_compact())
+            (stats, c.global().to_compact())
         };
         let (stats, addrs) = collect();
         assert!(stats.lost > 0);

@@ -58,14 +58,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A single-attempt policy (no retries).
-    pub fn single() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// A policy with `attempts` total attempts.
     pub fn with_attempts(attempts: u32) -> RetryPolicy {
         RetryPolicy {
@@ -402,6 +394,6 @@ mod tests {
         assert_eq!(r.backoff_after(2), Duration::secs(8));
         assert!(r.timeout_for(Protocol::Https) > r.timeout_for(Protocol::Http));
         assert!(r.timeout_for(Protocol::Coap) < r.timeout_for(Protocol::Http));
-        assert_eq!(RetryPolicy::single().attempts, 1);
+        assert_eq!(RetryPolicy::with_attempts(1).attempts, 1);
     }
 }

@@ -205,10 +205,14 @@ impl CompactSet {
     }
 
     /// Number of addresses present in both sets, without materializing
-    /// the intersection.
+    /// the intersection: the mirror of [`difference`](CompactSet::difference).
     pub fn overlap_count(&self, other: &CompactSet) -> usize {
-        TwoPointer::new(self, other)
-            .filter(|&(_, both)| both)
+        let mut rhs = other.iter_u128().peekable();
+        self.iter_u128()
+            .filter(|&a| {
+                while rhs.next_if(|&b| b < a).is_some() {}
+                rhs.peek() == Some(&a)
+            })
             .count()
     }
 
@@ -279,55 +283,6 @@ impl Iterator for BlockIter<'_> {
     }
 }
 
-/// Two-pointer walk over a pair of sorted streams, yielding every
-/// distinct address with a flag for "present in both".
-struct TwoPointer<'a> {
-    a: std::iter::Peekable<BlockIter<'a>>,
-    b: std::iter::Peekable<BlockIter<'a>>,
-}
-
-impl<'a> TwoPointer<'a> {
-    fn new(a: &'a CompactSet, b: &'a CompactSet) -> TwoPointer<'a> {
-        TwoPointer {
-            a: a.iter_u128().peekable(),
-            b: b.iter_u128().peekable(),
-        }
-    }
-}
-
-impl Iterator for TwoPointer<'_> {
-    type Item = (u128, bool);
-
-    fn next(&mut self) -> Option<(u128, bool)> {
-        match (self.a.peek().copied(), self.b.peek().copied()) {
-            (None, None) => None,
-            (Some(x), None) => {
-                self.a.next();
-                Some((x, false))
-            }
-            (None, Some(y)) => {
-                self.b.next();
-                Some((y, false))
-            }
-            (Some(x), Some(y)) => match x.cmp(&y) {
-                std::cmp::Ordering::Less => {
-                    self.a.next();
-                    Some((x, false))
-                }
-                std::cmp::Ordering::Greater => {
-                    self.b.next();
-                    Some((y, false))
-                }
-                std::cmp::Ordering::Equal => {
-                    self.a.next();
-                    self.b.next();
-                    Some((x, true))
-                }
-            },
-        }
-    }
-}
-
 /// Streaming k-way merge of sorted streams. Each distinct value is
 /// yielded once: streams tied at the minimum all advance together
 /// (every input is a set, so duplicates only occur *across* streams).
@@ -382,9 +337,49 @@ impl Iterator for KWayMerge<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn set_of(addrs: &[u128]) -> CompactSet {
         addrs.iter().copied().collect()
+    }
+
+    /// `overlap_count` against the `BTreeSet` intersection and against
+    /// what `difference` leaves out, both ways round.
+    fn check_overlap(a: &BTreeSet<u128>, b: &BTreeSet<u128>) {
+        let (ca, cb): (CompactSet, CompactSet) =
+            (a.iter().copied().collect(), b.iter().copied().collect());
+        let want = a.intersection(b).count();
+        assert_eq!(ca.overlap_count(&cb), want);
+        assert_eq!(cb.overlap_count(&ca), want);
+        assert_eq!(ca.overlap_count(&cb), ca.len() - ca.difference(&cb).len());
+    }
+
+    proptest! {
+        #[test]
+        fn overlap_count_matches_btreeset_intersection(
+            a in proptest::collection::btree_set(0u128..600, 0..400),
+            b in proptest::collection::btree_set(0u128..600, 0..400),
+        ) {
+            check_overlap(&a, &b);
+        }
+    }
+
+    #[test]
+    fn overlap_count_of_empty_disjoint_and_equal_sets() {
+        let empty = BTreeSet::new();
+        let some: BTreeSet<u128> = edge_addresses().into_iter().collect();
+        let shifted: BTreeSet<u128> = some.iter().map(|a| a ^ (1 << 70)).collect();
+        assert!(some.is_disjoint(&shifted));
+        for (a, b) in [
+            (&empty, &empty),
+            (&some, &empty),
+            (&empty, &some),
+            (&some, &shifted),
+            (&some, &some),
+        ] {
+            check_overlap(a, b);
+        }
     }
 
     #[test]

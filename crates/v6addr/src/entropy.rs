@@ -1,4 +1,4 @@
-//! Entropy measures over address bytes and nybbles.
+//! Entropy over address nybbles, and a per-position nybble model.
 //!
 //! The paper (following Rye & Levin) buckets non-trivial interface
 //! identifiers by their entropy: manually configured or sequential IIDs have
@@ -32,33 +32,12 @@ pub fn nybble_entropy(data: &[u8]) -> f64 {
     (h / 4.0).clamp(0.0, 1.0)
 }
 
-/// Shannon entropy of the byte histogram, normalised to `0.0..=1.0`
-/// (log base 256). Used for coarser payload measures.
-pub fn byte_entropy(data: &[u8]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let mut hist = [0usize; 256];
-    for &b in data {
-        hist[b as usize] += 1;
-    }
-    let total = data.len() as f64;
-    let mut h = 0.0;
-    for &c in hist.iter() {
-        if c > 0 {
-            let p = c as f64 / total;
-            h -= p * p.log2();
-        }
-    }
-    (h / 8.0).clamp(0.0, 1.0)
-}
-
 /// Per-position nybble frequency model over a corpus of equal-length byte
 /// strings — the core of the Entropy/IP-style target-generation baseline.
 ///
 /// For each nybble position it tracks how often each of the 16 values
-/// occurred, allowing (a) per-position entropy reports and (b) sampling of
-/// new strings from the empirical marginal distributions.
+/// occurred, so new strings can be sampled from the empirical marginal
+/// distributions.
 #[derive(Debug, Clone)]
 pub struct NybbleModel {
     /// `counts[pos][value]`
@@ -75,18 +54,13 @@ impl NybbleModel {
         }
     }
 
-    /// Number of nybble positions tracked.
-    pub fn positions(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Number of strings observed.
     pub fn samples(&self) -> u64 {
         self.samples
     }
 
-    /// Feeds one observation. `data` must have exactly `positions() / 2`
-    /// bytes.
+    /// Feeds one observation. `data` must have exactly the `bytes` the
+    /// model was created for.
     ///
     /// # Panics
     /// Panics on length mismatch.
@@ -97,23 +71,6 @@ impl NybbleModel {
             self.counts[i * 2 + 1][(b & 0xf) as usize] += 1;
         }
         self.samples += 1;
-    }
-
-    /// Normalised entropy of one nybble position (`0.0..=1.0`).
-    pub fn position_entropy(&self, pos: usize) -> f64 {
-        let hist = &self.counts[pos];
-        let total: u64 = hist.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut h = 0.0;
-        for &c in hist {
-            if c > 0 {
-                let p = c as f64 / total as f64;
-                h -= p * p.log2();
-            }
-        }
-        (h / 4.0).clamp(0.0, 1.0)
     }
 
     /// The most frequent value at a position (ties broken by lowest value).
@@ -158,13 +115,11 @@ mod tests {
     #[test]
     fn empty_input_is_zero() {
         assert_eq!(nybble_entropy(&[]), 0.0);
-        assert_eq!(byte_entropy(&[]), 0.0);
     }
 
     #[test]
     fn constant_input_is_zero() {
         assert_eq!(nybble_entropy(&[0u8; 8]), 0.0);
-        assert_eq!(byte_entropy(&[7u8; 64]), 0.0);
     }
 
     #[test]
@@ -193,17 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn model_observe_and_entropy() {
+    fn model_observe_and_mode() {
         let mut m = NybbleModel::new(2);
-        assert_eq!(m.positions(), 4);
         m.observe(&[0x12, 0x34]);
         m.observe(&[0x12, 0x3f]);
         assert_eq!(m.samples(), 2);
         // Positions 0..=2 constant, position 3 varies.
-        assert_eq!(m.position_entropy(0), 0.0);
-        assert_eq!(m.position_entropy(2), 0.0);
-        assert!(m.position_entropy(3) > 0.0);
         assert_eq!(m.mode(0), 1);
+        assert_eq!(m.mode(2), 3);
         assert_eq!(m.mode(3), 4); // ties broken low: 0x4 and 0xf once each
     }
 

@@ -11,15 +11,6 @@
 use crate::mac::Oui;
 use std::collections::HashMap;
 
-/// One registry entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OuiEntry {
-    /// The assigned OUI.
-    pub oui: Oui,
-    /// Organisation name as it appears in the registry.
-    pub organisation: String,
-}
-
 /// An OUI registry with vendor lookup.
 #[derive(Debug, Clone, Default)]
 pub struct OuiDb {

@@ -88,7 +88,5 @@ proptest! {
     fn entropy_bounds(data in proptest::collection::vec(any::<u8>(), 0..64)) {
         let h = v6addr::entropy::nybble_entropy(&data);
         prop_assert!((0.0..=1.0).contains(&h));
-        let h = v6addr::entropy::byte_entropy(&data);
-        prop_assert!((0.0..=1.0).contains(&h));
     }
 }

@@ -20,7 +20,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 9] = [
+const HISTORICAL: [&str; 19] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -30,6 +30,16 @@ const HISTORICAL: [&str; 9] = [
     "PipelineMode::Streaming",
     "ServiceConfig::with_workers",
     "Slot::Queued(placeholder())",
+    "trait Source",
+    "DnsSource",
+    "RdnsSource",
+    "TracerouteSource",
+    "ArchiveSource",
+    "AliasedSource",
+    "AddrResolver",
+    "World::addr_resolver",
+    "Totals",
+    "RunStats::from_registry",
 ];
 
 fn root() -> PathBuf {

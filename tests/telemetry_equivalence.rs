@@ -37,8 +37,9 @@ fn run_report_roundtrips_and_renders() {
 fn report_counters_reconcile_with_legacy_values() {
     let study = lossy(42);
     let det = &study.telemetry;
-    // Collection: RunStats is *derived from* these counters, so they
-    // agree by construction — this asserts the wiring kept it that way.
+    // Collection: these counters are the RunStats tally exported once,
+    // so they agree by construction — this asserts the wiring kept it
+    // that way.
     assert_eq!(det.counter_total("ntp_polls"), study.run_stats.polls);
     assert_eq!(
         det.counter_total("ntp_responses"),

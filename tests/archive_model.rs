@@ -1,0 +1,160 @@
+//! Model test for `store::Archive`: random interleavings of `insert`,
+//! `contains`, `freeze`, `optimize`, clone and checkpoint restore,
+//! checked after every step against a `BTreeSet<u128>`.
+//!
+//! The archive's observable state (membership, `len`, ordered
+//! iteration) must not depend on where the memtable spilled, how the
+//! size tiers compacted, or whether the archive came back from encoded
+//! segments. Memtable caps of 1..=8 put many spills and cascading
+//! compactions inside one case; the adaptive `Archive::new()` spills
+//! only when a step freezes it. Keys are dense inside a few /64s (the
+//! shape a collection feed has), plus both ends of the address space
+//! and uniform draws. A filter that rules out a stored key shows up as
+//! a `contains` or `insert` answer the model disagrees with.
+
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::net::Ipv6Addr;
+use store::{segment, Archive, CompactSet};
+
+/// The /64s dense draws land in: two neighbours, one far away, and the
+/// last /64 of the space.
+const PREFIXES: [u128; 4] = [
+    0x2001_0db8_0000_0001,
+    0x2001_0db8_0000_0002,
+    0x2a02_1234_5678_9abc,
+    0xffff_ffff_ffff_ffff,
+];
+
+/// A key from two random words: mostly dense inside a /64, sometimes
+/// 0, `u128::MAX`, or uniform.
+fn pick_key(a: u64, b: u64) -> u128 {
+    match a % 8 {
+        0 => 0,
+        1 => u128::MAX,
+        2 => (u128::from(a) << 64) | u128::from(b),
+        _ => (PREFIXES[(b % 4) as usize] << 64) | u128::from(a % 97),
+    }
+}
+
+/// The memtable cap a draw selects: 0 is the adaptive `Archive::new()`.
+fn archive_with(cap: u64) -> Archive {
+    match cap {
+        0 => Archive::new(),
+        c => Archive::with_memtable_cap(c as usize),
+    }
+}
+
+/// The archive as a checkpoint writes and reads it back: frozen, every
+/// segment (or the whole archive as one, the way `core::checkpoint`
+/// stores it) through `segment::encode` → `decode`, then
+/// `Archive::from_segments`.
+fn restore(archive: &mut Archive, whole: bool, cap: usize) -> Archive {
+    archive.freeze();
+    let sets: Vec<CompactSet> = if whole {
+        vec![archive.to_compact()]
+    } else {
+        archive.segments().to_vec()
+    };
+    let decoded = sets
+        .iter()
+        .map(|s| segment::decode(&segment::encode(s)).expect("a fresh encoding decodes"))
+        .collect();
+    Archive::from_segments(decoded, cap)
+}
+
+/// Every observable of `archive` against `model`, plus one stored and
+/// one absent key picked by `b`.
+fn check(archive: &Archive, model: &BTreeSet<u128>, b: u64, ctx: &str) {
+    assert_eq!(archive.len(), model.len(), "{ctx}: len");
+    assert_eq!(archive.is_empty(), model.is_empty(), "{ctx}: is_empty");
+    if !model.is_empty() {
+        let present = *model
+            .iter()
+            .nth((b % model.len() as u64) as usize)
+            .expect("index below len");
+        assert!(
+            archive.contains(Ipv6Addr::from(present)),
+            "{ctx}: stored key {present:#x} reported absent"
+        );
+    }
+    let absent = (0..)
+        .map(|i| pick_key(b.rotate_left(i), b ^ u64::from(i)).wrapping_add(u128::from(i)))
+        .find(|k| !model.contains(k))
+        .expect("the model holds few keys");
+    assert!(
+        !archive.contains(Ipv6Addr::from(absent)),
+        "{ctx}: absent key {absent:#x} reported present"
+    );
+    assert!(
+        archive.iter().map(u128::from).eq(model.iter().copied()),
+        "{ctx}: iteration differs from the model"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn archive_matches_the_btreeset_model(
+        cap in 0u64..9,
+        ops in proptest::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..300),
+    ) {
+        let mut archive = archive_with(cap);
+        let mut model = BTreeSet::new();
+        for (step, &(op, a, b)) in ops.iter().enumerate() {
+            let ctx = format!("cap {cap}, step {step}, op {op}");
+            match op {
+                0..=4 => {
+                    let k = pick_key(a, b);
+                    assert_eq!(
+                        archive.insert(Ipv6Addr::from(k)),
+                        model.insert(k),
+                        "{ctx}: insert {k:#x}"
+                    );
+                }
+                5 => {
+                    // A run of neighbours: the dense shape that fills
+                    // one segment's block with small deltas.
+                    let base = pick_key(a, b);
+                    for i in 0..1 + a % 24 {
+                        let k = base.wrapping_add(u128::from(i));
+                        assert_eq!(
+                            archive.insert(Ipv6Addr::from(k)),
+                            model.insert(k),
+                            "{ctx}: run insert {k:#x}"
+                        );
+                    }
+                }
+                6 => {
+                    let k = pick_key(a, b);
+                    assert_eq!(
+                        archive.contains(Ipv6Addr::from(k)),
+                        model.contains(&k),
+                        "{ctx}: contains {k:#x}"
+                    );
+                }
+                7 => archive.freeze(),
+                8 => archive.optimize(),
+                9 => {
+                    let copy = archive.clone();
+                    check(&copy, &model, b, &format!("{ctx}: clone"));
+                    archive = copy;
+                }
+                10 => archive = restore(&mut archive, a % 2 == 0, 1 + (b % 8) as usize),
+                _ => {
+                    // Re-inserting a stored key is never a first sight.
+                    if let Some(&k) = model.iter().nth((a % (model.len() as u64).max(1)) as usize) {
+                        assert!(!archive.insert(Ipv6Addr::from(k)), "{ctx}: re-insert {k:#x}");
+                    }
+                }
+            }
+            check(&archive, &model, b, &ctx);
+        }
+        // Every stored key, once more, wherever it ended up.
+        for &k in &model {
+            assert!(archive.contains(Ipv6Addr::from(k)), "final: {k:#x} absent");
+        }
+        assert_eq!(archive.to_compact().len(), model.len());
+    }
+}

@@ -19,11 +19,12 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Width of a calendar slot in seconds. At 64 s a bucket of the 1:100
-/// world (10.4 M clients spread over a 6 h poll interval) holds ~31 k
-/// events ≈ 1 MB, which heapifies and pops inside L2; a `small` study
-/// puts ~6 events in a bucket, so narrower slots would only add empty
-/// buckets to step over.
+/// Width of a calendar slot in seconds. The 1:100 world spreads 10.4 M
+/// clients' polls over a 6 h interval, so at 64 s a bucket holds ~31 k
+/// events ≈ 1 MB, which heapifies and pops inside L2 — also in a short
+/// window, whose run queues only the first polls it can fire (the same
+/// density over fewer slots); a `small` study puts ~6 events in a
+/// bucket, so narrower slots would only add empty buckets to step over.
 const SLOT_SECS: u64 = 64;
 
 /// Buckets in the ring: one lap is 36 h of simulated time, past the
@@ -130,8 +131,8 @@ impl<E> EventQueue<E> {
 
     /// Schedules a batch of `(at, event)` pairs in iteration order —
     /// equivalent to calling [`schedule`](EventQueue::schedule) per pair
-    /// (same sequence numbers, same FIFO ties): how a run queues every
-    /// client's first poll and re-queues a checkpoint's pending events.
+    /// (same sequence numbers, same FIFO ties): how a run queues its
+    /// clients' first polls and re-queues a checkpoint's pending events.
     pub fn schedule_batch(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
         for (at, event) in events {
             self.schedule(at, event);

@@ -393,14 +393,23 @@ impl<'w> CollectionRun<'w> {
         }
     }
 
-    /// Engine state at the start of the window: every client's first
-    /// poll queued, fresh RPS windows, zero totals.
+    /// Engine state at the start of the window: the first poll of every
+    /// client whose first poll falls before `end` queued, fresh RPS
+    /// windows, zero totals.
+    ///
+    /// A first poll at or past `end` could never pop. Leaving it out
+    /// keeps the `(time, seq)` order of every event that stays, so runs
+    /// and checkpoints are unchanged, and the queue holds what the
+    /// window can fire rather than one entry per declared client: a
+    /// 45-minute window of the 1:100 world queues 1.3 M of its 10.4 M
+    /// clients. A window of a poll interval or longer queues them all.
     fn fresh_state(&self) -> EngineState {
         let mut queue = EventQueue::new();
         queue.schedule_batch(
             self.world
                 .ntp_clients()
-                .map(|(dev, cfg)| (self.start + cfg.phase, (dev.id, 0))),
+                .map(|(dev, cfg)| (self.start + cfg.phase, (dev.id, 0)))
+                .filter(|&(first, _)| first < self.end),
         );
         EngineState {
             queue,
@@ -411,7 +420,7 @@ impl<'w> CollectionRun<'w> {
     }
 
     /// The engine state at the window start, nothing processed yet:
-    /// cursor = `start`, every client's first poll pending.
+    /// cursor = `start`, every first poll before `end` pending.
     pub fn begin(&self) -> CollectionCheckpoint {
         self.fresh_state().into_checkpoint(self.start)
     }

@@ -8,11 +8,13 @@ use netsim::time::{Duration, SimTime};
 use netsim::world::{World, WorldConfig};
 use ntppool::{CollectionRun, Operator, Pool, PoolServer};
 
-/// Ceiling on the process's peak resident set. The run peaks near a
-/// third of it (the event queue holds one entry per NTP client); a
-/// world that stored an entry per declared device would add more than
-/// the whole bound before collection starts.
-const PEAK_RESIDENT_BOUND: u64 = 1 << 30;
+/// Ceiling on the process's peak resident set. The two-minute window
+/// fires the first polls of a few tens of thousands of clients and the
+/// run peaks near a fifth of the bound, because the event queue holds
+/// only those. A queue entry per declared NTP client (10.4 M × 32 B)
+/// would take five times the bound, and an entry per declared device
+/// more still, before the first poll.
+const PEAK_RESIDENT_BOUND: u64 = 64 << 20;
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or
 /// `None` where `/proc` is unavailable.

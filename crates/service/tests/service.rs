@@ -176,7 +176,7 @@ fn evict_config(dir: &std::path::Path) -> ServiceConfig {
 const UNBOUNDED_REPORT: &str = r#"{"meta":{"component":"study_service","max_active":"unbounded","slice_secs":"129600","studies":"4"},"metrics":{"service_admissions":{"type":"counter","value":4},"service_cache_hits":{"type":"counter","value":20},"service_cache_misses":{"type":"counter","value":1},"service_compactions":{"type":"counter","value":0},"service_completions":{"type":"counter","value":4},"service_queries":{"type":"counter","value":21},"service_sets_seeded":{"type":"counter","value":9},"service_slices":{"type":"counter","value":20},"service_world_builds":{"type":"counter","value":1},"service_world_shares":{"type":"counter","value":3}}}"#;
 
 /// The same under [`evict_config`].
-const EVICT_REPORT: &str = r#"{"meta":{"component":"study_service","max_active":"2","slice_secs":"108000","studies":"4"},"metrics":{"service_admissions":{"type":"counter","value":4},"service_cache_hits":{"type":"counter","value":20},"service_cache_misses":{"type":"counter","value":1},"service_compactions":{"type":"counter","value":0},"service_completions":{"type":"counter","value":4},"service_evicted_bytes":{"type":"counter","value":3029080},"service_evictions":{"type":"counter","value":10},"service_queries":{"type":"counter","value":21},"service_resumes":{"type":"counter","value":10},"service_sets_seeded":{"type":"counter","value":9},"service_slices":{"type":"counter","value":24},"service_world_builds":{"type":"counter","value":1},"service_world_shares":{"type":"counter","value":13}}}"#;
+const EVICT_REPORT: &str = r#"{"meta":{"component":"study_service","max_active":"2","slice_secs":"108000","studies":"4"},"metrics":{"service_admissions":{"type":"counter","value":4},"service_cache_hits":{"type":"counter","value":20},"service_cache_misses":{"type":"counter","value":1},"service_compactions":{"type":"counter","value":0},"service_completions":{"type":"counter","value":4},"service_evicted_bytes":{"type":"counter","value":3053656},"service_evictions":{"type":"counter","value":10},"service_queries":{"type":"counter","value":21},"service_resumes":{"type":"counter","value":10},"service_sets_seeded":{"type":"counter","value":9},"service_slices":{"type":"counter","value":24},"service_world_builds":{"type":"counter","value":1},"service_world_shares":{"type":"counter","value":13}}}"#;
 
 /// The scheduler's whole trace — admissions, slices, evictions and
 /// their bytes, resumes, seeded sets, world shares — is held to the

@@ -12,14 +12,23 @@
 //! deterministic, so the segment list after any insert sequence is a
 //! pure function of that sequence.
 //!
-//! Lookups go memtable first (the hot set: recently inserted addresses
-//! repeat far more often than archived ones), then prune segments by
-//! their O(1) min/max bounds, then by a per-segment [`Bloom`] filter —
-//! only segments the bloom cannot rule out pay the fence binary search.
-//! Blooms are a pure function of segment contents (rebuilt on freeze,
-//! compaction, and checkpoint restore), so they never perturb
-//! observable state; the prune effectiveness is tracked in relaxed
-//! counters surfaced by [`Archive::bloom_stats`].
+//! A lookup goes memtable first (the hot set: recently inserted
+//! addresses repeat far more often than archived ones; hashed with the
+//! address fold of [`crate::bloom`], not SipHash), then asks one
+//! archive-wide front [`Bloom`] over every frozen address, and only on
+//! a maybe walks the segments: O(1) min/max bounds, the segment's own
+//! bloom, and the fence binary search for segments neither rules out.
+//! The key is hashed once for every filter. On a first sight — nearly
+//! every poll of a collection feed — the front filter's one probe
+//! replaces a probe per segment.
+//!
+//! The front filter is sized for the smallest power of two covering the
+//! frozen length; each spill extends it, and it is rebuilt from the
+//! segments when that power of two grows. Every filter is a pure
+//! function of frozen contents (segment blooms are rebuilt on freeze
+//! and compaction, all of them on checkpoint restore), so none perturbs
+//! observable state; prune effectiveness is counted in
+//! [`Archive::bloom_stats`].
 //!
 //! More importantly for the determinism contract: the *observable* state
 //! (membership, `len`, ordered iteration) is content-based and therefore
@@ -27,9 +36,10 @@
 //! pairwise disjoint and disjoint from the memtable (an address is only
 //! inserted once), so `len` is a plain sum.
 
-use crate::bloom::Bloom;
+use crate::bloom::{self, Bloom, FoldHasher};
 use crate::compact::CompactSet;
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,19 +65,23 @@ fn size_class(len: usize) -> u32 {
     len.max(1).next_power_of_two().trailing_zeros()
 }
 
+/// The memtable: a hash set keyed by the address fold.
+type Memtable = HashSet<u128, BuildHasherDefault<FoldHasher>>;
+
 /// Bloom prune effectiveness counters for one [`Archive`], snapshot via
 /// [`Archive::bloom_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BloomStats {
-    /// Segment probes that passed the min/max bounds prune (and so would
-    /// have paid a fence search without the bloom).
+    /// Filter probes that, without the filter, would have led to a
+    /// fence search: one per front-filter verdict, plus one per segment
+    /// that passed the min/max bounds prune.
     pub candidates: u64,
-    /// Of those, probes the bloom ruled out without a fence search.
+    /// Of those, probes the filter ruled out without a fence search.
     pub pruned: u64,
 }
 
 impl BloomStats {
-    /// Fraction of bounds-surviving segment probes the bloom skipped.
+    /// Fraction of filter probes that skipped a fence search.
     pub fn prune_ratio(&self) -> f64 {
         if self.candidates == 0 {
             0.0
@@ -80,11 +94,16 @@ impl BloomStats {
 /// A mutable IPv6 address set backed by a memtable plus frozen
 /// [`CompactSet`] segments.
 pub struct Archive {
-    memtable: HashSet<u128>,
+    memtable: Memtable,
     segments: Vec<CompactSet>,
     /// Per-segment bloom filters, parallel to `segments`; a pure
     /// function of each segment's contents.
     blooms: Vec<Bloom>,
+    /// One filter over every frozen address, asked before any segment:
+    /// sized for the smallest power of two covering the frozen length,
+    /// `None` while nothing is frozen. A pure function of the frozen
+    /// contents.
+    front: Option<Bloom>,
     memtable_cap: usize,
     /// Whether the cap grows with sustained ingest. Fixed-cap archives
     /// ([`Archive::with_memtable_cap`]) keep their exact spill schedule.
@@ -92,8 +111,9 @@ pub struct Archive {
     /// Spills since the cap last grew (adaptive mode only).
     spills_at_cap: u32,
     fanout: usize,
-    /// Lookup accounting (relaxed: counters only, never observable in
-    /// deterministic state).
+    /// Lookup accounting, never observable in deterministic state.
+    /// Atomic only so that `contains(&self)` can count; `insert` adds
+    /// through `get_mut`, without an atomic instruction.
     bloom_candidates: AtomicU64,
     bloom_pruned: AtomicU64,
 }
@@ -104,6 +124,7 @@ impl Clone for Archive {
             memtable: self.memtable.clone(),
             segments: self.segments.clone(),
             blooms: self.blooms.clone(),
+            front: self.front.clone(),
             memtable_cap: self.memtable_cap,
             adaptive: self.adaptive,
             spills_at_cap: self.spills_at_cap,
@@ -137,9 +158,10 @@ impl Archive {
     /// the cap is fixed, so the spill schedule is exact.
     pub fn with_memtable_cap(cap: usize) -> Archive {
         Archive {
-            memtable: HashSet::new(),
+            memtable: Memtable::default(),
             segments: Vec::new(),
             blooms: Vec::new(),
+            front: None,
             memtable_cap: cap.max(1),
             adaptive: false,
             spills_at_cap: 0,
@@ -156,10 +178,12 @@ impl Archive {
     /// like the one that was flushed.
     pub fn from_segments(segments: Vec<CompactSet>, cap: usize) -> Archive {
         let blooms = segments.iter().map(Bloom::for_segment).collect();
+        let front = front_filter(&segments);
         Archive {
-            memtable: HashSet::new(),
+            memtable: Memtable::default(),
             segments,
             blooms,
+            front,
             memtable_cap: cap.max(1),
             adaptive: false,
             spills_at_cap: 0,
@@ -182,21 +206,40 @@ impl Archive {
     /// Membership test across the memtable and every segment.
     pub fn contains(&self, addr: Ipv6Addr) -> bool {
         let a = u128::from(addr);
-        self.memtable.contains(&a) || self.in_segments(a)
+        if self.memtable.contains(&a) {
+            return true;
+        }
+        let mut probes = BloomStats::default();
+        let found = self.in_segments(a, &mut probes);
+        self.bloom_candidates
+            .fetch_add(probes.candidates, Ordering::Relaxed);
+        self.bloom_pruned
+            .fetch_add(probes.pruned, Ordering::Relaxed);
+        found
     }
 
-    /// Segment-side membership: prune by O(1) min/max bounds, then by
-    /// the per-segment bloom filter, and only pay the fence binary
-    /// search on segments neither could rule out.
-    fn in_segments(&self, a: u128) -> bool {
+    /// Segment-side membership, counting filter verdicts into `probes`:
+    /// the front filter first, then per segment the O(1) min/max
+    /// bounds and the segment's bloom; only a segment none of them rules
+    /// out pays the fence binary search. The key is hashed once.
+    fn in_segments(&self, a: u128, probes: &mut BloomStats) -> bool {
+        let Some(front) = &self.front else {
+            return false;
+        };
+        let h = bloom::hashes(a);
+        probes.candidates += 1;
+        if !front.may_contain_hashed(h) {
+            probes.pruned += 1;
+            return false;
+        }
         self.segments.iter().zip(&self.blooms).any(|(s, b)| {
             let in_bounds = s.bounds_u128().is_some_and(|(lo, hi)| lo <= a && a <= hi);
             if !in_bounds {
                 return false;
             }
-            self.bloom_candidates.fetch_add(1, Ordering::Relaxed);
-            if !b.may_contain(a) {
-                self.bloom_pruned.fetch_add(1, Ordering::Relaxed);
+            probes.candidates += 1;
+            if !b.may_contain_hashed(h) {
+                probes.pruned += 1;
                 return false;
             }
             s.contains_u128(a)
@@ -217,7 +260,14 @@ impl Archive {
         // Memtable first: on collection workloads a re-seen address is
         // overwhelmingly likely to be a *recent* one still in the hot
         // set, and the hash probe is far cheaper than segment searches.
-        if self.memtable.contains(&a) || self.in_segments(a) {
+        if self.memtable.contains(&a) {
+            return false;
+        }
+        let mut probes = BloomStats::default();
+        let archived = self.in_segments(a, &mut probes);
+        *self.bloom_candidates.get_mut() += probes.candidates;
+        *self.bloom_pruned.get_mut() += probes.pruned;
+        if archived {
             return false;
         }
         self.memtable.insert(a);
@@ -231,7 +281,10 @@ impl Archive {
     /// compaction. Idempotent on an empty memtable.
     ///
     /// The spill path emits one pre-sorted run — the drained memtable,
-    /// sorted once — and leaves every existing segment untouched.
+    /// sorted once — and leaves every existing segment untouched. The
+    /// run is added to the front filter, unless the frozen length
+    /// crossed a power of two: then the filter is rebuilt at the new
+    /// size from every segment (amortized O(1) per address).
     /// Compaction then merges only a *full size class*: segments are
     /// bucketed by the power of two covering their length, and when a
     /// class holds `fanout` segments they are k-way merged into one
@@ -243,11 +296,17 @@ impl Archive {
     /// schedule depends only on the insert sequence.
     pub fn freeze(&mut self) {
         if !self.memtable.is_empty() {
+            let frozen: usize = self.segments.iter().map(CompactSet::len).sum();
             let mut v: Vec<u128> = self.memtable.drain().collect();
             v.sort_unstable();
-            let seg = CompactSet::from_sorted(v);
+            let same_size = frozen.next_power_of_two() == (frozen + v.len()).next_power_of_two();
+            let seg = CompactSet::from_sorted(v.iter().copied());
             self.blooms.push(Bloom::for_segment(&seg));
             self.segments.push(seg);
+            match &mut self.front {
+                Some(front) if same_size => v.iter().for_each(|&a| front.insert(a)),
+                _ => self.front = front_filter(&self.segments),
+            }
             if self.adaptive && self.memtable_cap < MAX_MEMTABLE_CAP {
                 self.spills_at_cap += 1;
                 if self.spills_at_cap >= SPILLS_PER_GROWTH {
@@ -346,7 +405,7 @@ impl Archive {
     }
 
     /// Resident heap bytes across memtable, segments, and bloom
-    /// filters.
+    /// filters (the front filter included).
     pub fn heap_bytes(&self) -> usize {
         self.memtable.capacity() * (std::mem::size_of::<u128>() + 1)
             + self
@@ -355,7 +414,22 @@ impl Archive {
                 .map(CompactSet::heap_bytes)
                 .sum::<usize>()
             + self.blooms.iter().map(Bloom::heap_bytes).sum::<usize>()
+            + self.front.as_ref().map_or(0, Bloom::heap_bytes)
     }
+}
+
+/// The front filter over `segments`: every address, in a [`Bloom`] sized
+/// for the smallest power of two covering their total length; `None`
+/// when they hold nothing.
+fn front_filter(segments: &[CompactSet]) -> Option<Bloom> {
+    let n: usize = segments.iter().map(CompactSet::len).sum();
+    (n > 0).then(|| {
+        let mut front = Bloom::with_capacity(n.next_power_of_two());
+        for a in segments.iter().flat_map(CompactSet::iter_u128) {
+            front.insert(a);
+        }
+        front
+    })
 }
 
 impl std::fmt::Debug for Archive {
@@ -515,10 +589,28 @@ mod tests {
         for i in 0..5_000u128 {
             assert!(ar.contains(addr(i * 2_654_435_761)));
         }
-        // A restored archive rebuilds identical filters.
+        // A restored archive rebuilds identical filters, the front one
+        // included.
         ar.freeze();
         let restored = Archive::from_segments(ar.segments().to_vec(), 64);
         assert_eq!(restored.blooms, ar.blooms);
+        assert!(ar.front.is_some());
+        assert_eq!(restored.front, ar.front);
+        // The front filter is a function of the frozen contents alone:
+        // extended over many spills (and rebuilt whenever the frozen
+        // length passed a power of two) or built in one spill, it ends
+        // up bit-identical.
+        let mut small = Archive::with_memtable_cap(3);
+        let mut big = Archive::with_memtable_cap(1 << 20);
+        for i in 0..1_000u128 {
+            small.insert(addr(i * 7919));
+            big.insert(addr(i * 7919));
+        }
+        small.freeze();
+        big.freeze();
+        assert!(small.segments().len() > 1);
+        assert_eq!(big.segments().len(), 1);
+        assert_eq!(small.front, big.front);
     }
 
     #[test]

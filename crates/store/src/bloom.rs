@@ -1,11 +1,15 @@
-//! Per-segment bloom filters for [`Archive`](crate::Archive) lookups.
+//! Blocked bloom filters for [`Archive`](crate::Archive) lookups, and
+//! the address fold they and the archive's memtable hash with.
 //!
 //! Min/max bounds pruning helps little once segments span the address
 //! space — a compacted archive's largest segment covers nearly every
-//! probe, so most misses still pay a fence binary search per segment. A
-//! bloom filter answers "definitely not here" in O(1) cache-line probes
-//! with no false negatives, so a negative probe skips the segment
-//! entirely.
+//! probe, so most misses would still pay a fence binary search per
+//! segment. A bloom filter answers "definitely not here" in one
+//! cache-line probe with no false negatives. The archive keeps two
+//! kinds: one per segment, sized for that segment, and one front
+//! filter over every frozen address, sized for the smallest power of
+//! two covering them, so a first sight is usually ruled out by a single
+//! probe however many segments there are.
 //!
 //! The filter is a **blocked** bloom: the table is an array of 512-bit
 //! (cache-line) blocks, a key hashes to exactly one block, and all [`K`]
@@ -18,10 +22,13 @@
 //!   blocked layout stays within one block of the 8-bits/key target,
 //!   because block selection uses a modulo rather than a mask.
 //!
-//! The filter is a pure function of the segment's contents: [`K`] probe
-//! bits derived by double hashing (`h2 >> 9i`) from a splitmix64 fold of
-//! the `u128` address. Deterministic by construction, so archives
-//! rebuilt from checkpointed segments carry bit-identical filters.
+//! The filter is a pure function of the keys inserted and the capacity
+//! it was sized for: [`K`] probe bits derived by double hashing
+//! (`h2 >> 9i`) from a splitmix64 fold of the `u128` address. A lookup
+//! computes that pair once with `hashes` and hands it to every filter it
+//! asks; the memtable hashes with the fold alone, through `FoldHasher`.
+//! Deterministic by construction, so archives rebuilt from checkpointed
+//! segments carry bit-identical filters.
 
 use crate::compact::CompactSet;
 
@@ -50,14 +57,44 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The two hash bases for an address: `h1` picks the block, `h2` yields
-/// the in-block probe bits (9 bits each, shifted out per probe). Both
-/// halves of the `u128` participate.
+/// The address fold: both halves of the `u128` through splitmix64.
 #[inline]
-fn hashes(a: u128) -> (u64, u64) {
-    let h1 = splitmix64(a as u64) ^ splitmix64((a >> 64) as u64).rotate_left(32);
-    let h2 = splitmix64(h1);
-    (h1, h2)
+fn fold(a: u128) -> u64 {
+    splitmix64(a as u64) ^ splitmix64((a >> 64) as u64).rotate_left(32)
+}
+
+/// The two hash bases for an address: `h1` (the fold) picks the block,
+/// `h2` yields the in-block probe bits (9 bits each, shifted out per
+/// probe). A lookup computes them once for every filter it asks.
+#[inline]
+pub(crate) fn hashes(a: u128) -> (u64, u64) {
+    let h1 = fold(a);
+    (h1, splitmix64(h1))
+}
+
+/// A `Hasher` that is the address fold, for `u128`-keyed hash tables
+/// (the archive's memtable): two splitmix64 rounds per key instead of
+/// SipHash over 16 bytes. It is unkeyed, which suits addresses the
+/// simulation generates; a table fed addresses an adversary picks would
+/// want SipHash's keyed collision resistance back.
+#[derive(Debug, Default)]
+pub(crate) struct FoldHasher(u64);
+
+impl std::hash::Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Generic fallback (FNV-1a); a `u128` key only calls `write_u128`.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.0 = fold(v);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The `i`-th probe bit within a block: consecutive 9-bit windows of
@@ -111,7 +148,11 @@ impl Bloom {
     /// `false` means the key is definitely absent; `true` means it may
     /// be present (false positives at the configured rate).
     pub fn may_contain(&self, a: u128) -> bool {
-        let (h1, h2) = hashes(a);
+        self.may_contain_hashed(hashes(a))
+    }
+
+    /// [`Bloom::may_contain`] for a key already hashed with `hashes`.
+    pub(crate) fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
         let base = (h1 % self.nblocks) as usize * WORDS_PER_BLOCK;
         (0..K).all(|i| {
             let bit = probe_bit(h2, i);

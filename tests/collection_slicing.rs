@@ -4,7 +4,9 @@
 //! a single `run` in feed, statistics and KoD histogram; and a
 //! checkpoint pushed through a zero-length `advance` comes back with
 //! its pending events in the same order — the event queue's (time,
-//! insertion order) contract seen from its only production caller.
+//! insertion order) contract seen from its only production caller; and
+//! a window shorter than the poll interval queues only the first polls
+//! it can fire.
 
 use netsim::country::COLLECTOR_LOCATIONS;
 use netsim::time::{Duration, SimTime};
@@ -103,4 +105,47 @@ fn zero_length_advance_keeps_pending_order() {
     );
     assert_eq!(ckpt, begun);
     assert!(feed.is_empty());
+}
+
+#[test]
+fn short_window_queues_only_polls_it_can_fire() {
+    let world = World::generate(WorldConfig::tiny(9));
+    let pool = kod_pool();
+    let start = SimTime(Duration::hours(5).as_secs());
+    let end = start + Duration::mins(45);
+    let run = CollectionRun::new(&world, &pool, start, end);
+
+    // Exactly the clients whose first poll falls inside the window.
+    let begun = run.begin();
+    let firing: Vec<_> = world
+        .ntp_clients()
+        .filter(|(_, cfg)| start + cfg.phase < end)
+        .map(|(dev, _)| dev.id)
+        .collect();
+    let clients = world.ntp_clients().count();
+    assert!(!firing.is_empty() && firing.len() < clients / 2);
+    let mut queued: Vec<_> = begun.pending.iter().map(|&(_, id, _)| id).collect();
+    queued.sort_unstable();
+    assert_eq!(queued, firing, "ntp_clients walks in device order");
+    assert!(begun.pending.iter().all(|&(t, _, seq)| t < end && seq == 0));
+
+    // Leaving the rest out changes nothing the window produces. Every
+    // poll interval is at least an hour, so each queued client polls
+    // once.
+    let mut flat = AddressCollector::new();
+    let mut base_feed = Vec::new();
+    let base_stats = run.run(|s, a, t| base_feed.extend(flat.record(s, a, t)));
+    assert_eq!(base_stats.polls, firing.len() as u64);
+    let mut feed = Vec::new();
+    let mut collector = AddressCollector::new();
+    let mut ckpt = begun;
+    for stop in [start + Duration::mins(17) + Duration::secs(5), end] {
+        run.advance(&mut ckpt, stop, &mut collector, &mut feed);
+    }
+    assert_eq!(ckpt.finish(&mut Registry::new()), base_stats);
+    assert_eq!(feed, base_feed);
+
+    // A window of a poll interval or more still queues every client.
+    let long = CollectionRun::new(&world, &pool, start, start + Duration::days(2));
+    assert_eq!(long.begin().pending.len(), clients);
 }

@@ -313,16 +313,24 @@ fn strictly_ascending<T>(table: &[(ServerId, T)]) -> Result<(), StoreError> {
     }
 }
 
+/// Reads the collector, refusing a per-server set that holds an address
+/// the global set lacks: `AddressCollector::record` skips the archive on
+/// a server's own re-sight, so such an address would never be fed.
 fn read_collector(r: &mut Reader<'_>) -> Result<AddressCollector, StoreError> {
     let global = segment::decode(r.bytes()?)?;
-    let global = Archive::from_segments(vec![global], store::archive::DEFAULT_MEMTABLE_CAP);
     let n = r.u64()?;
     let mut per_server = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
         let server = ServerId(r.u32()?);
-        let set: AddrSet = segment::decode(r.bytes()?)?.iter().collect();
-        per_server.push((server, set));
+        let set = segment::decode(r.bytes()?)?;
+        if set.overlap_count(&global) != set.len() {
+            return Err(StoreError::Corrupt(
+                "per-server address missing from the global set",
+            ));
+        }
+        per_server.push((server, set.iter().collect::<AddrSet>()));
     }
+    let global = Archive::from_segments(vec![global], store::archive::DEFAULT_MEMTABLE_CAP);
     let n = r.u64()?;
     let mut requests = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {

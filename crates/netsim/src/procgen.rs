@@ -15,6 +15,10 @@
 //! * [`Layout::device_from_meta`] — the full [`Device`]: the meta plus
 //!   services, TLS keys and banners from the service RNG domain.
 //!
+//! A client's first-poll phase is a pure hash of its id, apart from
+//! every RNG stream, so a walk can tell which ids could poll inside a
+//! window before deriving them (`Layout::may_poll_within`).
+//!
 //! [`crate::world::World`] is a thin shell over these functions: it
 //! calls them per lookup (behind a bounded cache) or per enumeration
 //! step, and stores no device.
@@ -632,24 +636,51 @@ impl Layout {
             .random_bool(kind.pool_client_probability())
             .then(|| NtpClientCfg {
                 poll_interval: POLL_INTERVAL,
-                phase: Duration::secs(
-                    mix2(self.seed ^ DOM_PHASE, u64::from(id.0)) % POLL_INTERVAL.as_secs(),
-                ),
+                phase: self.daemon_phase(id),
             });
         // SNTP IoT overlay: a hash-selected share of eligible IoT
         // devices runs fixed-interval firmware SNTP instead. Pure mix2,
         // no RNG state — with the knob at 0 the world is bit-identical
         // to the pre-knob derivation.
-        if self.sntp_iot_pct > 0 && kind.is_sntp_iot() {
-            let h = mix2(self.seed ^ DOM_SNTP, u64::from(id.0));
-            if h % 100 < u64::from(self.sntp_iot_pct.min(100)) {
+        if kind.is_sntp_iot() {
+            if let Some(phase) = self.sntp_phase(id) {
                 return Some(NtpClientCfg {
                     poll_interval: SNTP_POLL_INTERVAL,
-                    phase: Duration::secs(mix2(h, 1) % SNTP_POLL_INTERVAL.as_secs()),
+                    phase,
                 });
             }
         }
         base
+    }
+
+    /// The first-poll phase device `id` has if it runs the pool daemon:
+    /// a pure hash of the id, drawn from no RNG stream.
+    fn daemon_phase(&self, id: DeviceId) -> Duration {
+        Duration::secs(mix2(self.seed ^ DOM_PHASE, u64::from(id.0)) % POLL_INTERVAL.as_secs())
+    }
+
+    /// The first-poll phase device `id` has if the SNTP overlay selects
+    /// it, `None` when the overlay passes it over. Whether the device
+    /// is eligible at all depends on its kind, which this does not read.
+    fn sntp_phase(&self, id: DeviceId) -> Option<Duration> {
+        if self.sntp_iot_pct == 0 {
+            return None;
+        }
+        let h = mix2(self.seed ^ DOM_SNTP, u64::from(id.0));
+        (h % 100 < u64::from(self.sntp_iot_pct.min(100)))
+            .then(|| Duration::secs(mix2(h, 1) % SNTP_POLL_INTERVAL.as_secs()))
+    }
+
+    /// Whether device `id`, if it is a pool client at all, could make
+    /// its first poll less than `window` after the start: either phase
+    /// it might have is below `window`. Needs no derivation, so a walk
+    /// can skip a device — or a household all of whose slots fail —
+    /// before deriving anything for it.
+    pub(crate) fn may_poll_within(&self, id: DeviceId, window: Duration) -> bool {
+        // Every phase is below the longest interval: no hash needed.
+        window >= POLL_INTERVAL
+            || self.daemon_phase(id) < window
+            || self.sntp_phase(id).is_some_and(|phase| phase < window)
     }
 
     fn sample_member_addressing(

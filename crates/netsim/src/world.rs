@@ -391,10 +391,53 @@ impl World {
     }
 
     /// Devices that run an NTP pool client, with their configs, in
-    /// ascending-id order (the order is part of feed determinism).
+    /// ascending-id order (the order is part of feed determinism): the
+    /// unbounded [`ntp_clients_within`](World::ntp_clients_within).
     pub fn ntp_clients(&self) -> impl Iterator<Item = (DeviceMeta, NtpClientCfg)> + '_ {
-        self.metas()
-            .filter_map(|meta| meta.ntp.map(|cfg| (meta, cfg)))
+        self.ntp_clients_within(Duration(u64::MAX))
+    }
+
+    /// The pool clients whose first poll falls less than `window` after
+    /// the start (`cfg.phase < window`), in ascending-id order: exactly
+    /// [`ntp_clients`](World::ntp_clients) filtered on the phase, but
+    /// walked phase first. A phase is a hash of the id
+    /// (`Layout::may_poll_within`), so a household is profiled only
+    /// when one of its eight slots could fire, and a member or static
+    /// host is derived only when its own slot could.
+    pub fn ntp_clients_within(
+        &self,
+        window: Duration,
+    ) -> impl Iterator<Item = (DeviceMeta, NtpClientCfg)> + '_ {
+        let layout = &self.layout;
+        let members = self.households_within(window).flat_map(move |(h, slots)| {
+            let profile = layout.household_profile(h);
+            (0..profile.len)
+                .filter(move |m| slots & (1 << m) != 0)
+                .map(move |m| layout.member_meta(&profile, m))
+        });
+        let base = layout.static_base();
+        let statics = (0..layout.servers() + layout.routers())
+            .filter(move |&i| layout.may_poll_within(DeviceId(base + i), window))
+            .map(move |i| layout.static_meta(i));
+        members.chain(statics).filter_map(move |meta| {
+            meta.ntp
+                .filter(|cfg| cfg.phase < window)
+                .map(|cfg| (meta, cfg))
+        })
+    }
+
+    /// The households, ascending, of which some member slot could poll
+    /// within `window`, each with the mask of those slots: the only
+    /// households [`ntp_clients_within`](World::ntp_clients_within)
+    /// derives a profile for, one each.
+    fn households_within(&self, window: Duration) -> impl Iterator<Item = (u32, u8)> + '_ {
+        let layout = &self.layout;
+        (0..layout.households()).filter_map(move |h| {
+            let slots = (0..HOUSEHOLD_STRIDE)
+                .filter(|&m| layout.may_poll_within(DeviceId(h * HOUSEHOLD_STRIDE + m), window))
+                .fold(0u8, |slots, m| slots | (1 << m));
+            (slots != 0).then_some((h, slots))
+        })
     }
 
     /// Deterministic O(1) estimate of the pool-client population. An
@@ -566,6 +609,54 @@ mod tests {
         let server_ntp = w.ntp_clients().count() - eyeball_ntp;
         assert!(eyeball_ntp as f64 / eyeball as f64 > 0.85);
         assert!((server_ntp as f64) < 0.25 * servers as f64);
+    }
+
+    /// The phase-first walk against its definition, at every SNTP share
+    /// and on both sides of each poll interval: the same clients, the
+    /// same configs, the same order — and a 45-minute window leaves
+    /// households unprofiled.
+    #[test]
+    fn ntp_clients_within_is_ntp_clients_filtered_on_phase() {
+        let windows = [
+            Duration::ZERO,
+            Duration::secs(1),
+            Duration::mins(45),
+            Duration::secs(Duration::hours(1).as_secs() - 1),
+            Duration::hours(1),
+            Duration::secs(Duration::hours(6).as_secs() - 1),
+            Duration::hours(6),
+            Duration::days(2),
+        ];
+        for sntp_iot_pct in [0u8, 30, 100] {
+            for seed in [9, 23] {
+                let w = World::generate(WorldConfig {
+                    sntp_iot_pct,
+                    ..WorldConfig::tiny(seed)
+                });
+                let sntp = w
+                    .ntp_clients()
+                    .filter(|(_, cfg)| cfg.poll_interval == crate::procgen::SNTP_POLL_INTERVAL)
+                    .count();
+                assert_eq!(sntp > 0, sntp_iot_pct > 0, "{sntp} SNTP clients");
+                for window in windows {
+                    let ctx = format!("pct {sntp_iot_pct}, seed {seed}, window {window}");
+                    let want: Vec<_> = w
+                        .ntp_clients()
+                        .filter(|(_, cfg)| cfg.phase < window)
+                        .collect();
+                    let got: Vec<_> = w.ntp_clients_within(window).collect();
+                    assert_eq!(got, want, "{ctx}");
+                }
+                // At 100 % every slot's SNTP phase counts, three in four
+                // of which fall inside 45 minutes: every household is
+                // profiled there.
+                let profiled = w.households_within(Duration::mins(45)).count();
+                assert!(
+                    sntp_iot_pct == 100 || (profiled as u32) < w.household_count(),
+                    "pct {sntp_iot_pct}, seed {seed}: {profiled} households profiled"
+                );
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,11 @@ pub struct Observation {
 
 /// The address collector: the dedup state of a collection run. `Clone`
 /// so a suspended study session can snapshot it without tearing it down.
+///
+/// Invariant: every per-server set is contained in `global`. `record`
+/// inserts into both, and relies on it to skip the archive when a
+/// server re-sights its own address; a checkpoint that breaks it is
+/// refused on read, since it would silently drop first sights.
 #[derive(Clone, Default)]
 pub struct AddressCollector {
     /// The global distinct-address archive.
@@ -93,10 +98,14 @@ impl AddressCollector {
     }
 
     /// Records one observed request; returns the observation when it is
-    /// the global first sight of `addr`.
+    /// the global first sight of `addr`. A server's re-sight of its own
+    /// address returns before the archive: every per-server set is a
+    /// subset of the global one, so the archive would say "seen" too.
     pub fn record(&mut self, server: ServerId, addr: Ipv6Addr, at: SimTime) -> Option<Observation> {
         *slot(&mut self.requests, server) += 1;
-        slot(&mut self.per_server, server).insert(addr);
+        if !slot(&mut self.per_server, server).insert(addr) {
+            return None;
+        }
         self.global.insert(addr).then_some(Observation {
             addr,
             seen: at,
@@ -179,6 +188,28 @@ mod tests {
         assert_eq!(feed[0].seen, SimTime(5));
         assert_eq!(feed[0].server, ServerId(0));
         assert_eq!(feed[1].addr, a("2001:db8::2"));
+    }
+
+    /// With every recorded address frozen into a segment, a server's
+    /// re-sight of its own address never asks the archive, while the
+    /// same address at another server still does — and neither feeds.
+    #[test]
+    fn own_resight_skips_the_archive() {
+        let mut c = AddressCollector {
+            global: Archive::with_memtable_cap(1),
+            ..AddressCollector::new()
+        };
+        let (s0, s1) = (ServerId(0), ServerId(1));
+        let addr = a("2001:db8::7");
+        assert!(c.record(s0, addr, SimTime(1)).is_some());
+        assert_eq!(c.global().segments().len(), 1, "the address is frozen");
+        let before = c.global().bloom_stats();
+        assert_eq!(c.record(s0, addr, SimTime(2)), None);
+        assert_eq!(c.global().bloom_stats(), before);
+        assert_eq!(c.record(s1, addr, SimTime(3)), None);
+        assert_ne!(c.global().bloom_stats(), before);
+        assert_eq!((c.requests(s0), c.requests(s1)), (2, 1));
+        assert_eq!(c.global().len(), 1);
     }
 
     #[test]

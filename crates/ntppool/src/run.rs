@@ -402,14 +402,14 @@ impl<'w> CollectionRun<'w> {
     /// and checkpoints are unchanged, and the queue holds what the
     /// window can fire rather than one entry per declared client: a
     /// 45-minute window of the 1:100 world queues 1.3 M of its 10.4 M
-    /// clients. A window of a poll interval or longer queues them all.
+    /// clients, and [`World::ntp_clients_within`] derives little more
+    /// than those. A window of a poll interval or longer queues them all.
     fn fresh_state(&self) -> EngineState {
         let mut queue = EventQueue::new();
         queue.schedule_batch(
             self.world
-                .ntp_clients()
-                .map(|(dev, cfg)| (self.start + cfg.phase, (dev.id, 0)))
-                .filter(|&(first, _)| first < self.end),
+                .ntp_clients_within(self.end.since(self.start))
+                .map(|(dev, cfg)| (self.start + cfg.phase, (dev.id, 0))),
         );
         EngineState {
             queue,
@@ -524,7 +524,11 @@ impl<'w> CollectionRun<'w> {
                 // interval.
                 kod_backoff.observe(next.since(t).as_secs() - cfg.poll_interval.as_secs());
             }
-            queue.schedule(next, (id, seq + 1));
+            // A follow-up at or past `end` never pops, in this slice or
+            // any later one; dropping it keeps the order of the rest.
+            if next < self.end {
+                queue.schedule(next, (id, seq + 1));
+            }
         }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! A lookup goes memtable first (the hot set: recently inserted
 //! addresses repeat far more often than archived ones; hashed with the
-//! address fold of [`crate::bloom`], not SipHash), then asks one
+//! address fold of [`v6addr::hash`], not SipHash), then asks one
 //! archive-wide front [`Bloom`] over every frozen address, and only on
 //! a maybe walks the segments: O(1) min/max bounds, the segment's own
 //! bloom, and the fence binary search for segments neither rules out.
@@ -36,12 +36,12 @@
 //! pairwise disjoint and disjoint from the memtable (an address is only
 //! inserted once), so `len` is a plain sum.
 
-use crate::bloom::{self, Bloom, FoldHasher};
+use crate::bloom::{self, Bloom};
 use crate::compact::CompactSet;
 use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use v6addr::hash::FoldBuildHasher;
 
 /// Default (initial) memtable spill threshold.
 pub const DEFAULT_MEMTABLE_CAP: usize = 1 << 16;
@@ -66,7 +66,7 @@ fn size_class(len: usize) -> u32 {
 }
 
 /// The memtable: a hash set keyed by the address fold.
-type Memtable = HashSet<u128, BuildHasherDefault<FoldHasher>>;
+type Memtable = HashSet<u128, FoldBuildHasher>;
 
 /// Bloom prune effectiveness counters for one [`Archive`], snapshot via
 /// [`Archive::bloom_stats`].

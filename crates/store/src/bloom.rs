@@ -1,5 +1,4 @@
-//! Blocked bloom filters for [`Archive`](crate::Archive) lookups, and
-//! the address fold they and the archive's memtable hash with.
+//! Blocked bloom filters for [`Archive`](crate::Archive) lookups.
 //!
 //! Min/max bounds pruning helps little once segments span the address
 //! space — a compacted archive's largest segment covers nearly every
@@ -24,13 +23,14 @@
 //!
 //! The filter is a pure function of the keys inserted and the capacity
 //! it was sized for: [`K`] probe bits derived by double hashing
-//! (`h2 >> 9i`) from a splitmix64 fold of the `u128` address. A lookup
-//! computes that pair once with `hashes` and hands it to every filter it
-//! asks; the memtable hashes with the fold alone, through `FoldHasher`.
-//! Deterministic by construction, so archives rebuilt from checkpointed
-//! segments carry bit-identical filters.
+//! (`h2 >> 9i`) from the address fold, [`v6addr::hash::fold`] — the
+//! same fold the archive's memtable and every `AddrSet` hash with. A
+//! lookup computes that pair once with `hashes` and hands it to every
+//! filter it asks. Deterministic by construction, so archives rebuilt
+//! from checkpointed segments carry bit-identical filters.
 
 use crate::compact::CompactSet;
+use v6addr::hash::{fold, splitmix64};
 
 /// Target filter density: bits per stored address. The table size is
 /// `ceil(n * BITS_PER_KEY / BLOCK_BITS)` blocks — within one cache line
@@ -47,22 +47,6 @@ pub const K: u32 = 5;
 const BLOCK_BITS: usize = 512;
 const WORDS_PER_BLOCK: usize = BLOCK_BITS / 64;
 
-/// splitmix64: the 64-bit finalizer used to derive probe hashes. Strong
-/// avalanche, cheap, and stable across platforms.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The address fold: both halves of the `u128` through splitmix64.
-#[inline]
-fn fold(a: u128) -> u64 {
-    splitmix64(a as u64) ^ splitmix64((a >> 64) as u64).rotate_left(32)
-}
-
 /// The two hash bases for an address: `h1` (the fold) picks the block,
 /// `h2` yields the in-block probe bits (9 bits each, shifted out per
 /// probe). A lookup computes them once for every filter it asks.
@@ -70,31 +54,6 @@ fn fold(a: u128) -> u64 {
 pub(crate) fn hashes(a: u128) -> (u64, u64) {
     let h1 = fold(a);
     (h1, splitmix64(h1))
-}
-
-/// A `Hasher` that is the address fold, for `u128`-keyed hash tables
-/// (the archive's memtable): two splitmix64 rounds per key instead of
-/// SipHash over 16 bytes. It is unkeyed, which suits addresses the
-/// simulation generates; a table fed addresses an adversary picks would
-/// want SipHash's keyed collision resistance back.
-#[derive(Debug, Default)]
-pub(crate) struct FoldHasher(u64);
-
-impl std::hash::Hasher for FoldHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (FNV-1a); a `u128` key only calls `write_u128`.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        self.0 = fold(v);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The `i`-th probe bit within a block: consecutive 9-bit windows of

@@ -12,7 +12,8 @@
 //!   used by SLAAC hosts (Appendix B of the paper).
 //! * [`ouidb`] — an IEEE-style OUI → manufacturer registry.
 //! * [`set`] — the deduplicating address hash set collection inserts
-//!   into, with address- and network-level overlap counts.
+//!   into.
+//! * [`hash`] — the address fold every address table hashes with.
 //! * [`entropy`] — nybble-entropy measures used for IID classification and
 //!   the entropy-based target-generation baseline.
 //!
@@ -23,6 +24,7 @@
 
 pub mod entropy;
 pub mod eui64;
+pub mod hash;
 pub mod iid;
 pub mod mac;
 pub mod ouidb;

@@ -5,14 +5,25 @@
 //! statistics — distinct /48 networks, per-network density, overlaps
 //! between datasets (the paper's Table 1) — are computed on
 //! `store::CompactSet`, which every analysis converts to.
+//!
+//! The table hashes with the address fold ([`crate::hash`]), not
+//! SipHash: a collection run inserts into a per-server set on every
+//! recorded poll. The fold fixes the table's iteration order as a
+//! function of its contents, but no result depends on that order:
+//! [`iter`] and [`sorted`] sort, and `extend_from` only inserts what it
+//! walks.
+//!
+//! [`iter`]: AddrSet::iter
+//! [`sorted`]: AddrSet::sorted
 
+use crate::hash::FoldBuildHasher;
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 /// A deduplicating set of IPv6 addresses.
 #[derive(Debug, Clone, Default)]
 pub struct AddrSet {
-    addrs: HashSet<u128>,
+    addrs: HashSet<u128, FoldBuildHasher>,
 }
 
 impl AddrSet {
@@ -48,7 +59,7 @@ impl AddrSet {
     /// Iterates addresses in **ascending** order.
     ///
     /// Ordered iteration is the default on purpose: the backing store is
-    /// a `HashSet`, and letting its unspecified order leak made every
+    /// a hash table, and letting its order leak made every
     /// consumer (dataset stats, vendor rankings, hitlist filtering) a
     /// latent determinism hazard. The sort costs `O(n log n)` per call.
     pub fn iter(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {

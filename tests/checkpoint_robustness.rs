@@ -6,6 +6,7 @@
 
 use netsim::time::{Duration, SimTime};
 use netsim::world::World;
+use std::net::Ipv6Addr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use store::codec::fnv1a;
@@ -220,9 +221,12 @@ fn interrupted_write_keeps_the_previous_checkpoint() {
     assert_eq!(back.feed_prefix, later.feed_prefix);
 }
 
-/// Two things a sealed file is not taken at its word for. The
+/// Three things a sealed file is not taken at its word for. The
 /// collector binary-searches its per-server tables, so `read` refuses
-/// any that are not strictly ascending by server id; and every run is a
+/// any that are not strictly ascending by server id; it skips the
+/// global archive on a server's own re-sight, so `read` refuses a
+/// per-server set holding an address the global set lacks (that
+/// address would never be fed); and every run is a
 /// session over the window its config spans, so `from_checkpoint`
 /// refuses a cursor outside it (past the end it would finish a study
 /// that skipped the rest of its collection). Each edit is made on the
@@ -242,12 +246,15 @@ fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
     let clean = rewrite(&|_| {}).expect("an unedited rewrite decodes");
     assert!(clean.collector.per_server.len() >= 2 && clean.collector.requests.len() >= 2);
 
-    let tables: [(&str, Edit); 3] = [
+    let tables: [(&str, Edit); 4] = [
         ("one server twice", &|d| {
             d.collector.per_server[1].0 = d.collector.per_server[0].0;
         }),
         ("sets descending", &|d| d.collector.per_server.swap(0, 1)),
         ("counts descending", &|d| d.collector.requests.swap(0, 1)),
+        ("a per-server address the global set lacks", &|d| {
+            d.collector.per_server[0].1.insert(Ipv6Addr::LOCALHOST);
+        }),
     ];
     for (what, edit) in tables {
         assert!(

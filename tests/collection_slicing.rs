@@ -1,7 +1,8 @@
 //! The collection engine's one resumable step, pinned where Tier-1 runs
 //! it: on a pool that sheds load (so KoD backoff reschedules clients at
 //! 4× their interval), begin → `advance` at uneven stops → finish equals
-//! a single `run` in feed, statistics and KoD histogram; and a
+//! a single `run` in feed, statistics and KoD histogram, with no
+//! follow-up queued at or past the window end; and a
 //! checkpoint pushed through a zero-length `advance` comes back with
 //! its pending events in the same order — the event queue's (time,
 //! insertion order) contract seen from its only production caller; and
@@ -72,6 +73,8 @@ fn sliced_advance_equals_run_under_kod() {
     let mut ckpt = run.begin();
     for stop in stops {
         run.advance(&mut ckpt, stop, &mut collector, &mut feed);
+        // No follow-up is queued that the window could not pop.
+        assert!(ckpt.pending.iter().all(|&(t, ..)| t < end), "at {stop}");
     }
     assert_eq!(ckpt.cursor, end);
     let mut reg = Registry::new();
@@ -107,45 +110,55 @@ fn zero_length_advance_keeps_pending_order() {
     assert!(feed.is_empty());
 }
 
+/// Daemon clients only, and with a share of IoT devices on the
+/// one-hour SNTP interval, whose phases hash differently.
 #[test]
 fn short_window_queues_only_polls_it_can_fire() {
-    let world = World::generate(WorldConfig::tiny(9));
-    let pool = kod_pool();
-    let start = SimTime(Duration::hours(5).as_secs());
-    let end = start + Duration::mins(45);
-    let run = CollectionRun::new(&world, &pool, start, end);
+    for sntp_iot_pct in [0, 30] {
+        let world = World::generate(WorldConfig {
+            sntp_iot_pct,
+            ..WorldConfig::tiny(9)
+        });
+        let pool = kod_pool();
+        let start = SimTime(Duration::hours(5).as_secs());
+        let end = start + Duration::mins(45);
+        let run = CollectionRun::new(&world, &pool, start, end);
 
-    // Exactly the clients whose first poll falls inside the window.
-    let begun = run.begin();
-    let firing: Vec<_> = world
-        .ntp_clients()
-        .filter(|(_, cfg)| start + cfg.phase < end)
-        .map(|(dev, _)| dev.id)
-        .collect();
-    let clients = world.ntp_clients().count();
-    assert!(!firing.is_empty() && firing.len() < clients / 2);
-    let mut queued: Vec<_> = begun.pending.iter().map(|&(_, id, _)| id).collect();
-    queued.sort_unstable();
-    assert_eq!(queued, firing, "ntp_clients walks in device order");
-    assert!(begun.pending.iter().all(|&(t, _, seq)| t < end && seq == 0));
+        // Exactly the clients whose first poll falls inside the window.
+        let begun = run.begin();
+        let firing: Vec<_> = world
+            .ntp_clients()
+            .filter(|(_, cfg)| start + cfg.phase < end)
+            .map(|(dev, _)| dev.id)
+            .collect();
+        let clients = world.ntp_clients().count();
+        assert!(!firing.is_empty() && firing.len() < clients / 2);
+        let mut queued: Vec<_> = begun.pending.iter().map(|&(_, id, _)| id).collect();
+        queued.sort_unstable();
+        assert_eq!(
+            queued, firing,
+            "pct {sntp_iot_pct}: ntp_clients walks in device order"
+        );
+        assert!(begun.pending.iter().all(|&(t, _, seq)| t < end && seq == 0));
 
-    // Leaving the rest out changes nothing the window produces. Every
-    // poll interval is at least an hour, so each queued client polls
-    // once.
-    let mut flat = AddressCollector::new();
-    let mut base_feed = Vec::new();
-    let base_stats = run.run(|s, a, t| base_feed.extend(flat.record(s, a, t)));
-    assert_eq!(base_stats.polls, firing.len() as u64);
-    let mut feed = Vec::new();
-    let mut collector = AddressCollector::new();
-    let mut ckpt = begun;
-    for stop in [start + Duration::mins(17) + Duration::secs(5), end] {
-        run.advance(&mut ckpt, stop, &mut collector, &mut feed);
+        // Leaving the rest out changes nothing the window produces.
+        // Every poll interval is at least an hour, so each queued client
+        // polls once.
+        let mut flat = AddressCollector::new();
+        let mut base_feed = Vec::new();
+        let base_stats = run.run(|s, a, t| base_feed.extend(flat.record(s, a, t)));
+        assert_eq!(base_stats.polls, firing.len() as u64);
+        let mut feed = Vec::new();
+        let mut collector = AddressCollector::new();
+        let mut ckpt = begun;
+        for stop in [start + Duration::mins(17) + Duration::secs(5), end] {
+            run.advance(&mut ckpt, stop, &mut collector, &mut feed);
+        }
+        assert_eq!(ckpt.finish(&mut Registry::new()), base_stats);
+        assert_eq!(feed, base_feed);
+
+        // A window of a poll interval or more still queues every client.
+        let long = CollectionRun::new(&world, &pool, start, start + Duration::days(2));
+        assert_eq!(long.begin().pending.len(), clients);
     }
-    assert_eq!(ckpt.finish(&mut Registry::new()), base_stats);
-    assert_eq!(feed, base_feed);
-
-    // A window of a poll interval or more still queues every client.
-    let long = CollectionRun::new(&world, &pool, start, start + Duration::days(2));
-    assert_eq!(long.begin().pending.len(), clients);
 }

@@ -49,7 +49,7 @@ use ntppool::{AddressCollector, CollectionRun, Observation, ServerId};
 use scanner::{BatchScan, Engine, ScanPolicy};
 use std::sync::Arc;
 use store::StoreError;
-use telemetry::{Registry, SpanTimer};
+use telemetry::Registry;
 use telescope::Vantage;
 use v6addr::{OuiDb, Prefix};
 
@@ -243,11 +243,13 @@ impl StudySession {
         let mut study_reg = Registry::new();
 
         // --- R&L emulation: an earlier, longer collection (Table 1). ---
-        let rl_span = SpanTimer::start(metrics::SPAN_RL, SimTime::EPOCH.as_secs());
         let rl_end = SimTime::EPOCH + rl_window(&config);
         let rl_set =
             ntppool::run::sample_addresses(&world, SimTime::EPOCH, rl_end, config.rl_samples);
-        rl_span.finish(&mut study_reg, rl_end.as_secs());
+        study_reg.observe(
+            metrics::SPAN_RL,
+            rl_end.as_secs().saturating_sub(SimTime::EPOCH.as_secs()),
+        );
         study_reg.add(metrics::RL_SAMPLE_ADDRESSES, rl_set.len() as u64);
 
         // --- Four weeks of collection, then the real-time scan as a
@@ -255,8 +257,10 @@ impl StudySession {
         // 10 s … 10 min after each observation's `seen` instant), so a
         // second host thread buys nothing (DESIGN.md "Paths not
         // taken"). ---
-        SpanTimer::start(metrics::SPAN_COLLECTION, start.as_secs())
-            .finish(&mut study_reg, end.as_secs());
+        study_reg.observe(
+            metrics::SPAN_COLLECTION,
+            end.as_secs().saturating_sub(start.as_secs()),
+        );
         study_reg.add(metrics::PIPELINE_FEED_OBSERVATIONS, feed.len() as u64);
         let (scan_transport, scan_totals) = Instrumented::new(transport.clone_box());
         let mut scanner = Engine::with_transport(ScanPolicy::default(), Box::new(scan_transport));
@@ -272,16 +276,12 @@ impl StudySession {
         collector.export_into(&mut coll_reg);
         coll_transport.export_into(&mut coll_reg);
         let mut scan_reg = Registry::new();
-        scan_reg.merge(ntp_scan.telemetry());
+        ntp_scan.export_into(&mut scan_reg);
         TransportTotals::snapshot(&scan_totals).export_into(&mut scan_reg);
         let mut telemetry = coll_reg.snapshot_with(&[("stage", "collection")]);
         telemetry.merge(&scan_reg.snapshot_with(&[("stage", "ntp_scan")]));
 
         // --- Hitlist build + batch scan in the last week. ---
-        let span = SpanTimer::start(
-            metrics::SPAN_HITLIST,
-            (start + config.hitlist_scan_offset).as_secs(),
-        );
         let hitlist_t = start + config.hitlist_scan_offset;
         let hitlist = Hitlist::build(&world, hitlist_t, &HitlistConfig::for_world(&world));
         // Scan in sorted address order: the token bucket turns submission
@@ -290,10 +290,13 @@ impl StudySession {
         let (hl_transport, hl_totals) = Instrumented::new(transport.clone_box());
         let hitlist_scan = BatchScan::with_transport(ScanPolicy::default(), Box::new(hl_transport))
             .run(&world, hitlist.full.sorted(), hitlist_t);
-        span.finish(&mut study_reg, end.as_secs());
+        study_reg.observe(
+            metrics::SPAN_HITLIST,
+            end.as_secs().saturating_sub(hitlist_t.as_secs()),
+        );
         study_reg.add(metrics::HITLIST_ADDRESSES, hitlist.full.len() as u64);
         let mut hl_reg = Registry::new();
-        hl_reg.merge(hitlist_scan.telemetry());
+        hitlist_scan.export_into(&mut hl_reg);
         TransportTotals::snapshot(&hl_totals).export_into(&mut hl_reg);
         telemetry.merge(&hl_reg.snapshot_with(&[("stage", "hitlist_scan")]));
 
@@ -303,7 +306,6 @@ impl StudySession {
             let (tel_transport, tel_totals) = Instrumented::new(transport.clone_box());
             let sweep_start = start + config.telescope_offset;
             let gap = Duration::secs(7);
-            let span = SpanTimer::start(metrics::SPAN_TELESCOPE, sweep_start.as_secs());
             // Two vantages: the paper's single telescope plus a second
             // sweeping 12 h later, giving the attribution pass a
             // vantage-overlap feature.
@@ -317,7 +319,10 @@ impl StudySession {
                 sweep_start + Duration::hours(12),
                 gap,
             );
-            span.finish(&mut tel_reg, sweep_end.as_secs());
+            tel_reg.observe(
+                metrics::SPAN_TELESCOPE,
+                sweep_end.as_secs().saturating_sub(sweep_start.as_secs()),
+            );
             let vantages = [primary, secondary];
 
             // The route-event feed the BGP-adaptive archetype watches:

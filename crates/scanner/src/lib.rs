@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod metrics;
 pub mod probers;
 pub mod ratelimit;
 pub mod result;

@@ -1,22 +1,26 @@
 //! The scan-result store and hit-rate accounting.
 //!
-//! Counting goes through an embedded [`telemetry::Registry`] — the same
-//! accounting path the end-of-run report reads — instead of the
-//! parallel `HashMap` bookkeeping the store once kept. The accessor API
-//! is unchanged; the counters are now *derived from* the registry, so
-//! legacy totals and report totals cannot disagree.
+//! The store counts like every other stage: plain fields per protocol
+//! and failure cause, bumped once per event, and exported into a
+//! [`telemetry::Registry`] once, by [`ScanStore::export_into`], at the
+//! stage's end. The accessors read the same fields, so store totals and
+//! report totals cannot disagree.
 
-use crate::metrics;
 use crate::result::{FailureCause, Protocol, ScanRecord};
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
-use telemetry::Registry;
+use telemetry::{Histogram, Key, OwnedKey, Registry};
 
 /// Collected scan results for one address source (NTP feed or hitlist).
+/// The per-protocol tallies are indexed in [`Protocol::ALL`] order, the
+/// per-cause ones in [`FailureCause::ALL`] order.
 #[derive(Debug, Clone, Default)]
 pub struct ScanStore {
     records: Vec<ScanRecord>,
-    registry: Registry,
+    targets: u64,
+    attempts: [u64; 8],
+    failures: [[u64; 3]; 8],
+    backoff: [Histogram; 8],
 }
 
 impl ScanStore {
@@ -27,32 +31,28 @@ impl ScanStore {
 
     /// Notes that one target address entered the pipeline.
     pub fn note_target(&mut self) {
-        self.registry.inc(metrics::SCAN_TARGETS);
+        self.targets += 1;
     }
 
     /// Notes a probe attempt.
     pub fn note_attempt(&mut self, protocol: Protocol) {
-        self.registry.inc(metrics::attempts(protocol));
+        self.attempts[protocol as usize] += 1;
     }
 
     /// Notes that a whole probe train failed, and why.
     pub fn note_failure(&mut self, protocol: Protocol, cause: FailureCause) {
-        self.registry.inc(metrics::failures(protocol, cause));
+        self.failures[protocol as usize][cause as usize] += 1;
     }
 
     /// Notes an exponential-backoff wait of `secs` simulation seconds
     /// applied before retrying a probe.
     pub fn note_backoff(&mut self, protocol: Protocol, secs: u64) {
-        self.registry
-            .observe(metrics::backoff_seconds(protocol), secs);
+        self.backoff[protocol as usize].observe(secs);
     }
 
-    /// Adds a successful record (and its per-protocol counter + RTT
-    /// sample).
+    /// Adds a successful record. Its per-protocol count and RTT sample
+    /// are derived from the records at export.
     pub fn push(&mut self, record: ScanRecord) {
-        self.registry.inc(metrics::records(record.protocol));
-        self.registry
-            .observe(metrics::rtt_seconds(record.protocol), record.rtt.as_secs());
         self.records.push(record);
     }
 
@@ -103,7 +103,7 @@ impl ScanStore {
 
     /// Probe attempts per protocol.
     pub fn attempts(&self, p: Protocol) -> u64 {
-        self.registry.counter(metrics::attempts(p))
+        self.attempts[p as usize]
     }
 
     /// Failed probe trains with the given cause, across protocols.
@@ -116,21 +116,17 @@ impl ScanStore {
 
     /// Failed probe trains for one `(protocol, cause)` pair.
     pub fn failures_for(&self, protocol: Protocol, cause: FailureCause) -> u64 {
-        self.registry.counter(metrics::failures(protocol, cause))
+        self.failures[protocol as usize][cause as usize]
     }
 
     /// All failed probe trains.
     pub fn failures_total(&self) -> u64 {
-        Protocol::ALL
-            .iter()
-            .flat_map(|p| FailureCause::ALL.iter().map(move |c| (*p, *c)))
-            .map(|(p, c)| self.failures_for(p, c))
-            .sum()
+        self.failures.iter().flatten().sum()
     }
 
     /// Target addresses fed into the pipeline.
     pub fn targets(&self) -> u64 {
-        self.registry.counter(metrics::SCAN_TARGETS)
+        self.targets
     }
 
     /// Overall hit rate: distinct responsive addresses on any protocol
@@ -144,10 +140,46 @@ impl ScanStore {
         responsive.len() as f64 / targets as f64
     }
 
-    /// The store's metrics registry (the one accounting path — every
-    /// accessor above reads it).
-    pub fn telemetry(&self) -> &Registry {
-        &self.registry
+    /// Exports the store's metrics into `registry`: `scan_targets`,
+    /// per-protocol `scan_attempts`, `scan_records`,
+    /// `scan_backoff_seconds` and `scan_rtt_seconds`, and
+    /// `scan_failures` per `(cause, protocol)`. Zero counters and empty
+    /// histograms are left out.
+    pub fn export_into(&self, registry: &mut Registry) {
+        if self.targets > 0 {
+            registry.add(Key::bare("scan_targets"), self.targets);
+        }
+        let mut records = [0u64; 8];
+        let mut rtt: [Histogram; 8] = Default::default();
+        for r in &self.records {
+            records[r.protocol as usize] += 1;
+            rtt[r.protocol as usize].observe(r.rtt.as_secs());
+        }
+        for (i, p) in Protocol::ALL.into_iter().enumerate() {
+            let key = |name: &str| OwnedKey::with_labels(name, &[("protocol", p.name())]);
+            for (name, n) in [
+                ("scan_attempts", self.attempts[i]),
+                ("scan_records", records[i]),
+            ] {
+                if n > 0 {
+                    registry.add_dyn(key(name), n);
+                }
+            }
+            for (name, h) in [
+                ("scan_backoff_seconds", &self.backoff[i]),
+                ("scan_rtt_seconds", &rtt[i]),
+            ] {
+                if !h.is_empty() {
+                    registry.merge_hist(key(name), h);
+                }
+            }
+            for (c, &n) in FailureCause::ALL.into_iter().zip(&self.failures[i]) {
+                if n > 0 {
+                    let labels = [("cause", c.name()), ("protocol", p.name())];
+                    registry.add_dyn(OwnedKey::with_labels("scan_failures", &labels), n);
+                }
+            }
+        }
     }
 }
 
@@ -240,10 +272,16 @@ mod tests {
         assert!((s.hit_rate() - 0.001).abs() < 1e-9);
     }
 
+    fn exported(s: &ScanStore) -> telemetry::Snapshot {
+        let mut reg = Registry::new();
+        s.export_into(&mut reg);
+        reg.snapshot()
+    }
+
     #[test]
     fn accessors_and_registry_are_one_accounting_path() {
-        // The store's legacy accessors read the embedded registry, so
-        // they reconcile with a report snapshot by construction.
+        // The accessors and the export read the same tallies, so they
+        // reconcile with a report snapshot by construction.
         let mut s = ScanStore::new();
         s.note_target();
         s.note_attempt(Protocol::Http);
@@ -251,14 +289,53 @@ mod tests {
         s.note_failure(Protocol::Ssh, FailureCause::Timeout);
         s.note_backoff(Protocol::Ssh, 2);
         s.push(rec("2001:db8::1", Protocol::Https, https_ok(1)));
-        let snap = s.telemetry().snapshot();
+        let snap = exported(&s);
         assert_eq!(snap.counter_total("scan_targets"), s.targets());
         assert_eq!(snap.counter_total("scan_attempts"), 2);
         assert_eq!(snap.counter_total("scan_failures"), s.failures_total());
         assert_eq!(snap.counter_total("scan_records"), s.records().len() as u64);
-        let backoff =
-            telemetry::OwnedKey::with_labels("scan_backoff_seconds", &[("protocol", "SSH")]);
+        let backoff = OwnedKey::with_labels("scan_backoff_seconds", &[("protocol", "SSH")]);
         assert_eq!(snap.hist(&backoff).unwrap().sum(), 2);
+    }
+
+    #[test]
+    fn congested_export_matches_the_accessors_and_holds_no_empty_entry() {
+        use crate::engine::{Engine, ScanPolicy};
+        use netsim::transport::{FaultConfig, Faulty};
+        use netsim::world::{World, WorldConfig};
+
+        let w = World::generate(WorldConfig::tiny(33));
+        let t = SimTime(1_000);
+        let transport = Box::new(Faulty::new(FaultConfig::congested(5)));
+        let mut engine = Engine::with_transport(ScanPolicy::default(), transport);
+        for d in w.metas().take(200) {
+            engine.scan_target(&w, w.address_of_meta(&d, t), t);
+        }
+        let s = engine.into_store();
+        assert!(!s.records().is_empty() && s.failures_total() > 0);
+        let snap = exported(&s);
+        for (key, value) in snap.iter() {
+            match value {
+                telemetry::Value::Counter(n) => assert!(*n > 0, "zero counter {key}"),
+                telemetry::Value::Hist(h) => assert!(!h.is_empty(), "empty histogram {key}"),
+            }
+        }
+        assert_eq!(snap.counter_total("scan_targets"), s.targets());
+        assert_eq!(snap.counter_total("scan_records"), s.records().len() as u64);
+        assert_eq!(snap.counter_total("scan_failures"), s.failures_total());
+        for p in Protocol::ALL {
+            let key = |name: &str| OwnedKey::with_labels(name, &[("protocol", p.name())]);
+            assert_eq!(snap.counter(&key("scan_attempts")), s.attempts(p));
+            let records = s.by_protocol(p).count() as u64;
+            assert_eq!(snap.counter(&key("scan_records")), records);
+            let rtt = snap.hist(&key("scan_rtt_seconds"));
+            assert_eq!(rtt.map_or(0, |h| h.count()), records, "{p}");
+            for c in FailureCause::ALL {
+                let labels = [("cause", c.name()), ("protocol", p.name())];
+                let key = OwnedKey::with_labels("scan_failures", &labels);
+                assert_eq!(snap.counter(&key), s.failures_for(p, c));
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::hist::Histogram;
+use crate::hist::{Histogram, BUCKETS};
 use crate::key::OwnedKey;
 use crate::snapshot::{Snapshot, Value};
 
@@ -118,7 +118,7 @@ pub fn write_value(j: &Json, out: &mut String) {
 }
 
 /// Parses a complete JSON document. Returns `None` on any malformed
-/// input or trailing garbage.
+/// input, a repeated member name, or trailing garbage.
 pub fn parse(s: &str) -> Option<Json> {
     let mut p = Parser {
         bytes: s.as_bytes(),
@@ -198,7 +198,10 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             let val = self.value()?;
-            map.insert(key, val);
+            // A repeated member name is refused, not overwritten.
+            if map.insert(key, val).is_some() {
+                return None;
+            }
             self.skip_ws();
             match self.peek()? {
                 b',' => self.pos += 1,
@@ -326,6 +329,8 @@ fn entry_from_json(j: &Json) -> Option<Value> {
     let value = match obj.get("type")?.as_str()? {
         "counter" => Value::Counter(u64::try_from(obj.get("value")?.as_num()?).ok()?),
         "hist" => {
+            // Every bucket index names a real bucket, once.
+            let mut seen = [false; BUCKETS];
             let buckets = obj
                 .get("buckets")?
                 .as_arr()?
@@ -337,6 +342,9 @@ fn entry_from_json(j: &Json) -> Option<Value> {
                     }
                     let i = usize::try_from(pair[0].as_num()?).ok()?;
                     let c = u64::try_from(pair[1].as_num()?).ok()?;
+                    if std::mem::replace(seen.get_mut(i)?, true) {
+                        return None;
+                    }
                     Some((i, c))
                 })
                 .collect::<Option<Vec<_>>>()?;
@@ -416,6 +424,7 @@ mod tests {
             "1 2",
             "\"unterminated",
             "-5",
+            "{\"a\":1,\"a\":1}",
         ] {
             assert_eq!(parse(bad), None, "accepted {bad:?}");
         }

@@ -1,148 +1,35 @@
-//! Metric identity: hot-path static keys and owned snapshot keys.
+//! Metric identity: static keys and owned snapshot keys.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A fully-static metric key: a name plus a label set whose names *and*
-/// values live in the binary. Copyable, hashable, comparable — the hot
-/// path constructs these for free.
-///
-/// The content hash is folded at **const time** (FNV-1a over the name
-/// and every label pair), so runtime hashing is a single `u64` write —
-/// see [`KeyHasher`] — and a counter bump stays in the low nanoseconds.
-///
-/// Label slices must be sorted by label name (asserted in debug builds
-/// when converting to an [`OwnedKey`]); the stage/protocol/cause tables
-/// in the consuming crates are laid out sorted.
-#[derive(Debug, Clone, Copy, Eq)]
+/// values live in the binary, so a stage declares its keys as `const`s.
+/// A [`Registry`](crate::Registry) stores it as the [`OwnedKey`] it
+/// converts to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Key {
     /// Metric name, e.g. `"scan_attempts"`.
     pub name: &'static str,
-    /// Sorted `(label, value)` pairs, e.g. `[("protocol", "HTTP")]`.
+    /// `(label, value)` pairs, e.g. `[("protocol", "HTTP")]`.
     pub labels: &'static [(&'static str, &'static str)],
-    /// Const-folded FNV-1a of name + labels. Equal contents always get
-    /// equal hashes (same const fn), so `Eq` stays content-based.
-    hash: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-const fn fnv_str(mut h: u64, s: &str) -> u64 {
-    let b = s.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        h ^= b[i] as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-        i += 1;
-    }
-    // A terminator so ("ab","c") and ("a","bc") fold differently.
-    h ^= 0xff;
-    h.wrapping_mul(FNV_PRIME)
 }
 
 impl Key {
     /// A key with the given name and label set.
     pub const fn new(name: &'static str, labels: &'static [(&'static str, &'static str)]) -> Key {
-        let mut hash = fnv_str(FNV_OFFSET, name);
-        let mut i = 0;
-        while i < labels.len() {
-            hash = fnv_str(hash, labels[i].0);
-            hash = fnv_str(hash, labels[i].1);
-            i += 1;
-        }
-        Key { name, labels, hash }
+        Key { name, labels }
     }
 
     /// A label-free key.
     pub const fn bare(name: &'static str) -> Key {
         Key::new(name, &[])
     }
-
-    /// The owned form of this key, optionally extended with extra labels
-    /// (used to stamp a `stage` onto stage-agnostic registries at merge
-    /// time). Extra labels override same-named static ones.
-    pub fn to_owned_with(&self, extra: &[(&str, &str)]) -> OwnedKey {
-        debug_assert!(
-            self.labels.windows(2).all(|w| w[0].0 < w[1].0),
-            "label set for {} not sorted/unique",
-            self.name
-        );
-        let mut labels: BTreeMap<String, String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        for (k, v) in extra {
-            labels.insert(k.to_string(), v.to_string());
-        }
-        OwnedKey {
-            name: self.name.to_string(),
-            labels,
-        }
-    }
 }
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Key) -> bool {
-        if self.hash != other.hash {
-            return false;
-        }
-        // Hot-path keys come from `'static` tables, so both fat
-        // pointers usually match and the string compares never run.
-        (std::ptr::eq(self.name, other.name) || self.name == other.name)
-            && (std::ptr::eq(self.labels, other.labels) || self.labels == other.labels)
-    }
-}
-
-impl std::hash::Hash for Key {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Key) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Key) -> std::cmp::Ordering {
-        (self.name, self.labels).cmp(&(other.name, other.labels))
-    }
-}
-
-/// Pass-through hasher for [`Key`]-keyed maps: the key's content hash
-/// was folded at const time, so hashing is a single `u64` move instead
-/// of SipHash over the full name + label strings.
-#[derive(Debug, Default)]
-pub struct KeyHasher(u64);
-
-impl std::hash::Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback; [`Key::hash`] only ever calls `write_u64`.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` keyed by [`Key`] using the precomputed content hash.
-pub type KeyHashMap<V> =
-    std::collections::HashMap<Key, V, std::hash::BuildHasherDefault<KeyHasher>>;
 
 impl From<Key> for OwnedKey {
     fn from(k: Key) -> OwnedKey {
-        k.to_owned_with(&[])
+        OwnedKey::with_labels(k.name, k.labels)
     }
 }
 
@@ -157,8 +44,8 @@ pub struct OwnedKey {
 }
 
 impl OwnedKey {
-    /// An owned key from runtime strings (cold path — per-actor counts
-    /// and other dynamic labels).
+    /// An owned key from runtime strings (per-actor counts and other
+    /// dynamic labels).
     pub fn with_labels<S: Into<String>>(name: S, labels: &[(&str, &str)]) -> OwnedKey {
         OwnedKey {
             name: name.into(),
@@ -239,19 +126,6 @@ mod tests {
 
         assert_eq!(OwnedKey::parse("broken{"), None);
         assert_eq!(OwnedKey::parse("broken{novalue}"), None);
-    }
-
-    #[test]
-    fn static_key_to_owned_with_extra_labels() {
-        const K: Key = Key::new("scan_attempts", &[("protocol", "HTTP")]);
-        let owned = K.to_owned_with(&[("stage", "ntp_scan")]);
-        assert_eq!(
-            owned.render(),
-            "scan_attempts{protocol=HTTP,stage=ntp_scan}"
-        );
-        // Extra labels override static ones with the same name.
-        let overridden = K.to_owned_with(&[("protocol", "SSH")]);
-        assert_eq!(overridden.render(), "scan_attempts{protocol=SSH}");
     }
 
     #[test]

@@ -12,23 +12,22 @@
 //!    is *byte-identical* regardless of how the run was sliced,
 //!    suspended and resumed. Two rules make that hold:
 //!    * no metric reads the wall clock — every duration is simulation
-//!      time ([`SpanTimer`] takes explicit instants), and anything
+//!      time (a stage span is the difference of two instants the caller
+//!      passes to [`Registry::observe`]), and anything
 //!      scheduling-dependent (memo hit rates, wall-clock profiles) is a
 //!      plain value its owner returns, never a registry entry;
 //!    * every aggregation is **commutative** (counters add, histograms
 //!      add bucket-wise), so [`Registry`] sinks merge to the same
 //!      totals in any order.
-//! 2. **Lock-cheap.** The hot path ([`Registry::inc`]) is a `HashMap`
-//!    bump keyed by a fully-`'static` [`Key`] — no locks, no label
-//!    allocation. Each stage owns its registry; merging happens once,
-//!    at the end. A value kept outside a registry (the transport's
-//!    exchange totals, the collection loop's outcome counts) is plain
-//!    data its owner exports in one call.
-//! 3. **Static label sets.** Hot-path keys carry
-//!    `&'static [("label", "value")]` slices (stage × protocol ×
-//!    fault-cause). Owned labels exist only on [`Snapshot`] keys, where
-//!    cold-path insertion (e.g. per-actor telescope counts) and the
-//!    `stage` label of [`Registry::snapshot_with`] land.
+//! 2. **Plain tallies, one export.** No stage writes a registry per
+//!    event: the collection loop, the transport and the scanner count
+//!    into plain fields (`RunStats`, `TransportTotals`, `ScanStore`) and
+//!    export them once, at the stage's end. A [`Registry`] is therefore
+//!    one ordered map, the same [`Snapshot`] a report serializes.
+//! 3. **Static keys where they are known.** A stage declares its fixed
+//!    metrics as `const` [`Key`]s; dynamic labels (per-actor telescope
+//!    counts, per-protocol scan counts) are [`OwnedKey`]s, and the
+//!    `stage` label lands through [`Registry::snapshot_with`].
 //!
 //! A [`RunReport`] bundles run metadata with the snapshot and
 //! serializes to a canonical JSON form (sorted keys, integers only)
@@ -46,6 +45,6 @@ pub mod snapshot;
 
 pub use hist::Histogram;
 pub use key::{Key, OwnedKey};
-pub use registry::{Registry, SpanTimer};
+pub use registry::Registry;
 pub use report::RunReport;
 pub use snapshot::{Snapshot, Value};

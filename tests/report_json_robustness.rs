@@ -17,7 +17,7 @@ const RTT: Key = Key::bare("transport_rtt_seconds");
 fn fixture() -> RunReport {
     let mut reg = Registry::new();
     reg.add(POLLS, 7);
-    reg.inc(ATTEMPTS);
+    reg.add(ATTEMPTS, 1);
     reg.add_dyn(
         OwnedKey::with_labels("telescope_actor_hits", &[("actor", "research")]),
         3,
@@ -75,6 +75,13 @@ fn member_names_that_are_not_canonical_keys_are_refused() {
         format!(r#""a{{}}":{counter}"#),
         // A kind no snapshot holds.
         r#""a":{"type":"gauge","value":1}"#.to_string(),
+        // One member name twice: used to keep the last, `a = 2`.
+        r#""a":{"type":"counter","value":1},"a":{"type":"counter","value":2}"#.to_string(),
+        // A bucket index past the last bucket: used to be dropped.
+        r#""a":{"type":"hist","buckets":[[65,1]],"count":1,"sum":0,"min":0,"max":0}"#.to_string(),
+        // One bucket index twice: used to keep the last count.
+        r#""a":{"type":"hist","buckets":[[1,1],[1,2]],"count":3,"sum":3,"min":1,"max":1}"#
+            .to_string(),
     ] {
         assert_eq!(RunReport::from_json(&report(&metrics)), None, "{metrics}");
     }

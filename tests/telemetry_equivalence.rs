@@ -7,6 +7,7 @@
 
 use netsim::transport::FaultProfile;
 use scanner::result::{FailureCause, Protocol};
+use telemetry::OwnedKey;
 use timetoscan::{Study, StudyConfig};
 
 fn lossy(seed: u64) -> Study {
@@ -49,8 +50,8 @@ fn report_counters_reconcile_with_legacy_values() {
     assert_eq!(det.counter_total("ntp_lost"), study.run_stats.lost);
     assert_eq!(det.counter_total("ntp_observed"), study.run_stats.observed);
     // Scan failure map: the per-cause/per-protocol counters sum to the
-    // stores' legacy failure totals (which themselves now read the same
-    // registry — one accounting path).
+    // stores' failure totals (which the stores export once — one
+    // accounting path).
     assert_eq!(
         det.counter_total("scan_failures"),
         study.ntp_scan.failures_total() + study.hitlist_scan.failures_total()
@@ -61,9 +62,14 @@ fn report_counters_reconcile_with_legacy_values() {
         FailureCause::Malformed,
     ] {
         let legacy = study.ntp_scan.failures(cause) + study.hitlist_scan.failures(cause);
+        let key = |p: &Protocol, stage: Option<&str>| {
+            let mut labels = vec![("cause", cause.name()), ("protocol", p.name())];
+            labels.extend(stage.map(|s| ("stage", s)));
+            OwnedKey::with_labels("scan_failures", &labels)
+        };
         let metric: u64 = Protocol::ALL
             .iter()
-            .map(|p| det.counter(&scanner::metrics::failures(*p, cause).to_owned_with(&[])))
+            .map(|p| det.counter(&key(p, None)))
             .sum();
         // Per-cause keys are stage-labelled in the study snapshot;
         // counter_total with the raw key misses the stage label, so sum
@@ -73,11 +79,7 @@ fn report_counters_reconcile_with_legacy_values() {
             .map(|s| {
                 Protocol::ALL
                     .iter()
-                    .map(|p| {
-                        det.counter(
-                            &scanner::metrics::failures(*p, cause).to_owned_with(&[("stage", s)]),
-                        )
-                    })
+                    .map(|p| det.counter(&key(p, Some(s))))
                     .sum::<u64>()
             })
             .sum();

@@ -396,7 +396,9 @@ fn read_hist(r: &mut Reader<'_>) -> Result<Histogram, StoreError> {
             .map_err(|_| StoreError::Corrupt("bucket index exceeds usize"))?;
         buckets.push((i, r.u64()?));
     }
-    Ok(Histogram::from_parts(buckets, count, sum, min, max))
+    Histogram::from_parts(buckets, count, sum, min, max).ok_or(StoreError::Corrupt(
+        "histogram bucket index out of range or repeated",
+    ))
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 use std::net::Ipv6Addr;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use store::CompactSet;
 
 /// Which address source a per-store artifact is derived from.
@@ -118,9 +118,6 @@ pub struct DerivedStats {
     /// [`SetProfile`]s computed (one decode pass each). At most 4; not
     /// counted by [`Derived::memo_misses`].
     pub profile_builds: u32,
-    /// Set cells pre-populated with an already-materialized set (e.g. one
-    /// reopened from a shared segment pool) instead of being built.
-    pub seeded: u32,
 }
 
 #[derive(Default)]
@@ -134,7 +131,6 @@ struct Counters {
     network_grouping: AtomicU32,
     compact_set: AtomicU32,
     profile: AtomicU32,
-    seeded: AtomicU32,
 }
 
 fn bump(counter: &AtomicU32) {
@@ -143,12 +139,10 @@ fn bump(counter: &AtomicU32) {
 
 /// Every derived-artifact memo cell of one [`Study`], owned by the study
 /// itself (behind an `Arc`) and shared by every [`Derived`] view of it,
-/// so an artifact one view built is never built again by another. A
-/// serving layer can also [`seed`](DerivedCells::seed) the set cells from
-/// its shared segment cache.
+/// so an artifact one view built is never built again by another.
 #[derive(Default)]
 pub struct DerivedCells {
-    sets: [OnceLock<Arc<CompactSet>>; 4],
+    sets: [OnceLock<CompactSet>; 4],
     profiles: [OnceLock<SetProfile>; 4],
     titles: OnceLock<Vec<DualTitleGroup>>,
     addr_titles: PerSource<Vec<(String, Vec<Ipv6Addr>)>>,
@@ -167,17 +161,6 @@ impl DerivedCells {
         DerivedCells::default()
     }
 
-    /// Pre-populates `kind` with an already-materialized set. Returns
-    /// `true` (and counts a seed) if the cell was empty; a cell that
-    /// already holds a set is left untouched.
-    pub fn seed(&self, kind: SetKind, set: Arc<CompactSet>) -> bool {
-        let seeded = self.sets[kind.idx()].set(set).is_ok();
-        if seeded {
-            bump(&self.counters.seeded);
-        }
-        seeded
-    }
-
     /// Snapshot of the build counters.
     pub fn stats(&self) -> DerivedStats {
         let c = &self.counters;
@@ -192,7 +175,6 @@ impl DerivedCells {
             network_grouping_builds: load(&c.network_grouping),
             compact_set_builds: load(&c.compact_set),
             profile_builds: load(&c.profile),
-            seeded: load(&c.seeded),
         }
     }
 }
@@ -330,33 +312,21 @@ impl<'a> Derived<'a> {
     /// shared by every overlap/structure analysis (Table 1, Figures 1
     /// and 4).
     pub fn compact_set(&self, kind: SetKind) -> &'a CompactSet {
-        self.compact_set_cell(kind)
-    }
-
-    /// [`Derived::compact_set`] returning the shared handle — what a
-    /// long-lived cache (the study service) holds so the set outlives
-    /// this view and even the study itself.
-    pub fn compact_set_shared(&self, kind: SetKind) -> Arc<CompactSet> {
-        Arc::clone(self.compact_set_cell(kind))
-    }
-
-    fn compact_set_cell(&self, kind: SetKind) -> &'a Arc<CompactSet> {
         let c = self.cells();
         c.sets[kind.idx()].get_or_init(|| {
             bump(&c.counters.compact_set);
-            Arc::new(match kind {
+            match kind {
                 SetKind::Ours => self.study.collector.global().to_compact(),
                 SetKind::Rl => self.study.rl_set.iter().collect(),
                 SetKind::HitlistFull => self.study.hitlist.full.iter().collect(),
                 SetKind::HitlistPublic => self.study.hitlist.public.iter().collect(),
-            })
+            }
         })
     }
 
     /// The per-/48, per-AS, AS-type and IID group-bys of one address set
     /// — what Table 1, Figure 1 and the takeaways are arithmetic on —
-    /// from one decode pass over [`Derived::compact_set`] (built or
-    /// seeded).
+    /// from one decode pass over [`Derived::compact_set`].
     pub fn set_profile(&self, kind: SetKind) -> &'a SetProfile {
         let c = self.cells();
         c.profiles[kind.idx()].get_or_init(|| {
@@ -366,7 +336,7 @@ impl<'a> Derived<'a> {
     }
 
     /// Total artifact builds of the study (every accessor call that
-    /// found an empty cell), [`SetProfile`]s and seeded sets excepted.
+    /// found an empty cell), [`SetProfile`]s excepted.
     pub fn memo_misses(&self) -> u64 {
         let s = self.cells().stats();
         u64::from(
@@ -451,30 +421,6 @@ mod tests {
         touched.derived().compact_set(SetKind::Ours);
         assert_eq!(touched.digest(), want);
         assert_eq!(touched.derived_cells.stats(), built);
-    }
-
-    #[test]
-    fn seeded_cells_skip_builds() {
-        let study = Study::run(StudyConfig::tiny(3));
-        let shared = study.derived().compact_set_shared(SetKind::HitlistFull);
-
-        // A second study (same config, fresh cells) seeded with the
-        // already-materialized set never rebuilds it.
-        let other = Study::run(StudyConfig::tiny(3));
-        assert!(other.derived_cells.seed(SetKind::HitlistFull, shared));
-        let d = other.derived();
-        assert_eq!(d.compact_set(SetKind::HitlistFull).len(), {
-            other.hitlist.full.len()
-        });
-        let cells = other.derived_cells.stats();
-        assert_eq!(cells.seeded, 1);
-        assert_eq!(cells.compact_set_builds, 0);
-        // Seeding an occupied cell is a no-op.
-        assert!(!other.derived_cells.seed(
-            SetKind::HitlistFull,
-            d.compact_set_shared(SetKind::HitlistFull)
-        ));
-        assert_eq!(other.derived_cells.stats().seeded, 1);
     }
 
     #[test]

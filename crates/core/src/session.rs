@@ -419,22 +419,6 @@ impl StudySession {
         }
     }
 
-    /// Background maintenance between slices: compacts the collector's
-    /// dedup archive into a single merged segment
-    /// ([`store::Archive::optimize`]) once it has fragmented past
-    /// `max_segments` sealed segments. Membership is untouched — only
-    /// layout changes — so observables stay bit-identical; the payoff
-    /// is fewer segments to probe per lookup and a smaller resident
-    /// footprint. Returns the number of archives compacted (0 or 1).
-    pub fn maintain(&mut self, max_segments: usize) -> u32 {
-        let global = &mut self.data.collector.global;
-        if global.segments().len() <= max_segments {
-            return 0;
-        }
-        global.optimize();
-        1
-    }
-
     /// Approximate heap bytes of the session's *marginal* state — the
     /// dedup archive, pending events, RPS windows, and buffered feed
     /// this study adds on top of the shared world snapshot (which is

@@ -18,8 +18,7 @@
 //! * **Shared segments** — sealed compact sets from completed studies
 //!   are frozen into a content-addressed [`SegmentPool`]; identical
 //!   sets (e.g. the hitlist baseline of every study over one world)
-//!   converge on one file and one resident copy, and seed the derived
-//!   cells of later studies so they are never rebuilt.
+//!   converge on one file and one resident copy.
 //! * **One scheduling loop** — each [`StudyService::tick`] admits
 //!   queued studies in id order up to the admission budget, then
 //!   advances every active [`StudySession`] in place by one slice, in
@@ -38,13 +37,6 @@
 //!   resumes byte-identically — eviction is checkpoint/resume used as
 //!   admission control — and each victim's size lands in the
 //!   `service_evicted_bytes` counter.
-//! * **Idle-slot compaction** — a session still running after its
-//!   slice gets [`StudySession::maintain`], merging any dedup archive
-//!   that fragmented past
-//!   [`COMPACTION_SEGMENT_THRESHOLD`] sealed segments. Compaction
-//!   changes archive *layout*, never membership, so it is invisible in
-//!   every study report; the count lands in the
-//!   `service_compactions` counter.
 //! * **Concurrent memoized queries** — completed-study state (reports,
 //!   frozen set ids, overlap memos) lives behind an `Arc`-shared
 //!   [`QueryClient`]: [`StudyService::queries`] hands out cheap clones
@@ -114,10 +106,6 @@ impl ServiceConfig {
     }
 }
 
-/// Sealed-segment count past which a tick compacts a session's dedup
-/// archive ([`StudySession::maintain`]).
-pub const COMPACTION_SEGMENT_THRESHOLD: usize = 6;
-
 /// Handle to a submitted study. Ids are assigned in submission order
 /// and double as the scheduler's priority (lower id first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -156,35 +144,6 @@ enum Slot {
     Done,
 }
 
-/// Cache key for derived sets that are pure functions of the world and
-/// window geometry — identical across studies that differ only in
-/// fault profile or engine knobs — so a later study's
-/// cells can be seeded from an earlier study's frozen segment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SharedSetKey {
-    world: WorldConfig,
-    collection_secs: u64,
-    /// `rl_samples` for the R&L set, the hitlist offset for hitlist
-    /// kinds — the remaining input of each build.
-    param: u64,
-    kind: SetKind,
-}
-
-fn shared_set_key(config: &StudyConfig, kind: SetKind) -> Option<SharedSetKey> {
-    let param = match kind {
-        // "Ours" depends on the whole collection run — never shared.
-        SetKind::Ours => return None,
-        SetKind::Rl => u64::from(config.rl_samples),
-        SetKind::HitlistFull | SetKind::HitlistPublic => config.hitlist_scan_offset.as_secs(),
-    };
-    Some(SharedSetKey {
-        world: config.world.clone(),
-        collection_secs: config.collection.as_secs(),
-        param,
-        kind,
-    })
-}
-
 /// Immutable-once-published completed-study state, shared between the
 /// service and every [`QueryClient`]. Entries are only ever *added*
 /// (by [`StudyService::tick`], under short write locks); queries take
@@ -199,12 +158,12 @@ struct QueryState {
     sets: RwLock<HashMap<(u32, SetKind), SegmentId>>,
     /// Memoized overlap counts, keyed `(low id, high id, kind)`.
     overlaps: RwLock<HashMap<(u32, u32, SetKind), u64>>,
-    /// Query accounting. Kept in atomics (not the registry) so `&self`
-    /// queries work from any thread; folded into the deterministic
-    /// registry snapshot by [`StudyService::run_report`]. A *sum* of
-    /// increments is order-independent, so the fold is deterministic
-    /// for a given query multiset.
-    queries: AtomicU64,
+    /// Query accounting: every query is exactly one hit or one miss.
+    /// Kept in atomics (not the registry) so `&self` queries work from
+    /// any thread; folded into the deterministic registry snapshot by
+    /// [`StudyService::run_report`]. A *sum* of increments is
+    /// order-independent, so the fold is deterministic for a given
+    /// query multiset.
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
 }
@@ -223,7 +182,6 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 impl QueryState {
     fn count(&self, hit: bool) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
         let c = if hit {
             &self.cache_hits
         } else {
@@ -323,8 +281,6 @@ pub struct StudyService {
     worlds: HashMap<WorldConfig, Arc<World>>,
     /// Completed-study state shared with every [`QueryClient`].
     query: Arc<QueryState>,
-    /// World-determined sets already frozen by an earlier study.
-    shared_sets: HashMap<SharedSetKey, SegmentId>,
     reg: Registry,
 }
 
@@ -341,11 +297,9 @@ impl StudyService {
                 completed: RwLock::new(HashMap::new()),
                 sets: RwLock::new(HashMap::new()),
                 overlaps: RwLock::new(HashMap::new()),
-                queries: AtomicU64::new(0),
                 cache_hits: AtomicU64::new(0),
                 cache_misses: AtomicU64::new(0),
             }),
-            shared_sets: HashMap::new(),
             reg: Registry::new(),
         })
     }
@@ -415,9 +369,9 @@ impl StudyService {
     /// One deterministic scheduling round, all on the calling thread:
     /// admit (ascending id, up to `max_active`); advance every active
     /// session in place by one slice, in ascending id, completing each
-    /// one that finished and compacting each one that did not; then
-    /// enforce the resident-bytes budget by evicting the session with
-    /// the highest cost-aware score until the total fits.
+    /// one that finished; then enforce the resident-bytes budget by
+    /// evicting the session with the highest cost-aware score until the
+    /// total fits.
     pub fn tick(&mut self) -> Result<TickStats, StoreError> {
         let mut stats = TickStats::default();
 
@@ -448,21 +402,13 @@ impl StudyService {
         }
 
         // --- Advance in place, ascending id: one slice each; a finished
-        // session is completed, a running one gets its idle-slot
-        // maintenance (archive compaction — layout only). ---
+        // session is completed. ---
         for i in 0..self.slots.len() {
             let Slot::Active(session) = &mut self.slots[i] else {
                 continue;
             };
             let done = session.advance(self.config.slice);
-            let compacted = if done {
-                0
-            } else {
-                session.maintain(COMPACTION_SEGMENT_THRESHOLD)
-            };
             self.reg.add(metrics::SERVICE_SLICES, 1);
-            self.reg
-                .add(metrics::SERVICE_COMPACTIONS, u64::from(compacted));
             stats.advanced += 1;
             if done {
                 let session = self.take_active(i, Slot::Done);
@@ -532,39 +478,21 @@ impl StudyService {
     }
 
     /// Finishes a completed session: runs the pipeline remainder over
-    /// the shared world, seeds world-determined derived sets from
-    /// earlier studies' frozen segments, freezes all four compact sets
-    /// into the pool, and publishes the canonical report to the shared
-    /// query state.
+    /// the shared world, freezes all four compact sets into the pool
+    /// (whose content addressing gives a set equal to an earlier
+    /// study's the same segment and resident copy), and publishes the
+    /// canonical report to the shared query state.
     fn complete(&mut self, id: u32, session: StudySession) -> Result<(), StoreError> {
         let study = session.finish();
-        for kind in SetKind::ALL {
-            if let Some(key) = shared_set_key(&study.config, kind) {
-                if let Some(&seg) = self.shared_sets.get(&key) {
-                    study
-                        .derived_cells
-                        .seed(kind, self.query.segments.open(seg)?);
-                }
-            }
-        }
         // Build and freeze (each freeze a `sync_all`) before taking the
         // write lock, so queries wait only for the four inserts.
         let derived = study.derived();
         let mut frozen = Vec::with_capacity(SetKind::ALL.len());
         for kind in SetKind::ALL {
-            let seg = self
-                .query
-                .segments
-                .freeze(&derived.compact_set_shared(kind))?;
-            if let Some(key) = shared_set_key(&study.config, kind) {
-                self.shared_sets.entry(key).or_insert(seg);
-            }
+            let seg = self.query.segments.freeze(derived.compact_set(kind))?;
             frozen.push(((id, kind), seg));
         }
         write(&self.query.sets).extend(frozen);
-        let seeded = study.derived_cells.stats().seeded;
-        self.reg
-            .add(metrics::SERVICE_SETS_SEEDED, u64::from(seeded));
         self.reg.add(metrics::SERVICE_COMPLETIONS, 1);
         let report = study.run_report();
         let report_json = report.to_json();
@@ -603,20 +531,14 @@ impl StudyService {
         let slice = self.config.slice.as_secs().to_string();
         // Fold the query-path atomics into a snapshot of the scheduler
         // registry: sums are order-independent, so the folded counters
-        // depend only on the multiset of queries served.
+        // depend only on the multiset of queries served. Every query is
+        // one hit or one miss, so the query count is their sum.
+        let hits = self.query.cache_hits.load(Ordering::Relaxed);
+        let misses = self.query.cache_misses.load(Ordering::Relaxed);
         let mut reg = self.reg.clone();
-        reg.add(
-            metrics::SERVICE_QUERIES,
-            self.query.queries.load(Ordering::Relaxed),
-        );
-        reg.add(
-            metrics::SERVICE_CACHE_HITS,
-            self.query.cache_hits.load(Ordering::Relaxed),
-        );
-        reg.add(
-            metrics::SERVICE_CACHE_MISSES,
-            self.query.cache_misses.load(Ordering::Relaxed),
-        );
+        reg.add(metrics::SERVICE_QUERIES, hits + misses);
+        reg.add(metrics::SERVICE_CACHE_HITS, hits);
+        reg.add(metrics::SERVICE_CACHE_MISSES, misses);
         RunReport::new(
             &[
                 ("component", "study_service"),

@@ -18,9 +18,6 @@ pub const SERVICE_EVICTIONS: Key = Key::bare("service_evictions");
 /// victims at the moment they were suspended — the budget pressure the
 /// cost-aware (bytes × remaining-window) policy relieved.
 pub const SERVICE_EVICTED_BYTES: Key = Key::bare("service_evicted_bytes");
-/// Dedup archives compacted ([`store::Archive::optimize`]) by the tick's
-/// idle-slot maintenance.
-pub const SERVICE_COMPACTIONS: Key = Key::bare("service_compactions");
 /// Studies run to completion (report extracted, sets frozen).
 pub const SERVICE_COMPLETIONS: Key = Key::bare("service_completions");
 /// Cooperative slices executed across all sessions.
@@ -29,7 +26,8 @@ pub const SERVICE_SLICES: Key = Key::bare("service_slices");
 pub const SERVICE_WORLD_BUILDS: Key = Key::bare("service_world_builds");
 /// Admissions that shared an already-resident world snapshot.
 pub const SERVICE_WORLD_SHARES: Key = Key::bare("service_world_shares");
-/// Query API calls (reports, sets, overlaps).
+/// Query API calls (reports, sets, overlaps): the sum of the hits and
+/// misses below.
 pub const SERVICE_QUERIES: Key = Key::bare("service_queries");
 /// Queries answered from a resident cache (report table, memoized
 /// overlap, or a resident segment).
@@ -37,6 +35,3 @@ pub const SERVICE_CACHE_HITS: Key = Key::bare("service_cache_hits");
 /// Queries that had to read a segment, compute an overlap, or came up
 /// empty.
 pub const SERVICE_CACHE_MISSES: Key = Key::bare("service_cache_misses");
-/// Derived compact-set cells seeded from another completed study's
-/// frozen segment instead of being rebuilt.
-pub const SERVICE_SETS_SEEDED: Key = Key::bare("service_sets_seeded");

@@ -5,6 +5,7 @@
 
 use netsim::time::Duration;
 use service::{ServiceConfig, StudyService};
+use std::sync::Arc;
 use timetoscan::{ActorRoster, FaultProfile, SetKind, Study, StudyConfig};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -54,14 +55,13 @@ fn concurrent_studies_over_one_world_match_standalone() {
     assert_eq!(report.metrics.counter_total("service_evictions"), 0);
 
     // World-determined sets (Rl + both hitlist kinds) are pure
-    // functions of the shared world, so studies 2..4 seed them from
-    // study 1's frozen segments instead of rebuilding: 3 kinds × 3
-    // later studies.
-    assert_eq!(report.metrics.counter_total("service_sets_seeded"), 9);
-
-    // Identical sets converge on one segment in the pool: freezing
-    // 4 studies × 4 kinds hits dedup for every shared world set.
+    // functions of the shared world, so identical sets converge on one
+    // segment in the pool: freezing 4 studies × 4 kinds dedups at least
+    // 3 kinds × 3 later studies, and one world's set has one resident
+    // copy whichever study it is asked through.
     assert!(svc.segment_stats().freeze_dedups >= 9);
+    let rl = |id| q.set(id, SetKind::Rl).expect("io").expect("completed");
+    assert!(Arc::ptr_eq(&rl(ids[0]), &rl(ids[1])));
 
     // Served sets match what the standalone studies derive.
     for (id, baseline) in ids.iter().zip(&baselines) {
@@ -173,13 +173,13 @@ fn evict_config(dir: &std::path::Path) -> ServiceConfig {
 
 /// The service's own report for the matrix, unbounded, after every
 /// report, every set and one overlap were queried once.
-const UNBOUNDED_REPORT: &str = r#"{"meta":{"component":"study_service","max_active":"unbounded","slice_secs":"129600","studies":"4"},"metrics":{"service_admissions":{"type":"counter","value":4},"service_cache_hits":{"type":"counter","value":20},"service_cache_misses":{"type":"counter","value":1},"service_compactions":{"type":"counter","value":0},"service_completions":{"type":"counter","value":4},"service_queries":{"type":"counter","value":21},"service_sets_seeded":{"type":"counter","value":9},"service_slices":{"type":"counter","value":20},"service_world_builds":{"type":"counter","value":1},"service_world_shares":{"type":"counter","value":3}}}"#;
+const UNBOUNDED_REPORT: &str = r#"{"meta":{"component":"study_service","max_active":"unbounded","slice_secs":"129600","studies":"4"},"metrics":{"service_admissions":{"type":"counter","value":4},"service_cache_hits":{"type":"counter","value":20},"service_cache_misses":{"type":"counter","value":1},"service_completions":{"type":"counter","value":4},"service_queries":{"type":"counter","value":21},"service_slices":{"type":"counter","value":20},"service_world_builds":{"type":"counter","value":1},"service_world_shares":{"type":"counter","value":3}}}"#;
 
 /// The same under [`evict_config`].
-const EVICT_REPORT: &str = r#"{"meta":{"component":"study_service","max_active":"2","slice_secs":"108000","studies":"4"},"metrics":{"service_admissions":{"type":"counter","value":4},"service_cache_hits":{"type":"counter","value":20},"service_cache_misses":{"type":"counter","value":1},"service_compactions":{"type":"counter","value":0},"service_completions":{"type":"counter","value":4},"service_evicted_bytes":{"type":"counter","value":3053656},"service_evictions":{"type":"counter","value":10},"service_queries":{"type":"counter","value":21},"service_resumes":{"type":"counter","value":10},"service_sets_seeded":{"type":"counter","value":9},"service_slices":{"type":"counter","value":24},"service_world_builds":{"type":"counter","value":1},"service_world_shares":{"type":"counter","value":13}}}"#;
+const EVICT_REPORT: &str = r#"{"meta":{"component":"study_service","max_active":"2","slice_secs":"108000","studies":"4"},"metrics":{"service_admissions":{"type":"counter","value":4},"service_cache_hits":{"type":"counter","value":20},"service_cache_misses":{"type":"counter","value":1},"service_completions":{"type":"counter","value":4},"service_evicted_bytes":{"type":"counter","value":3053656},"service_evictions":{"type":"counter","value":10},"service_queries":{"type":"counter","value":21},"service_resumes":{"type":"counter","value":10},"service_slices":{"type":"counter","value":24},"service_world_builds":{"type":"counter","value":1},"service_world_shares":{"type":"counter","value":13}}}"#;
 
 /// The scheduler's whole trace — admissions, slices, evictions and
-/// their bytes, resumes, seeded sets, world shares — is held to the
+/// their bytes, resumes, world shares — is held to the
 /// text the multi-threaded tick produced, with and without
 /// budget-forced evictions.
 #[test]

@@ -5,10 +5,10 @@
 //! (sort the drained memtable once, delta-encode it) and touches no
 //! existing segment. Compaction is size-tiered: segments are bucketed
 //! into power-of-two size classes, and only when a class accumulates
-//! `fanout` segments are *those* merged (cascading upward if the
+//! [`DEFAULT_FANOUT`] segments are *those* merged (cascading upward if the
 //! result fills its own class). Each address is therefore re-encoded
 //! once per tier level — `O(log spills)` — instead of the whole
-//! archive being re-encoded every `fanout` spills. The rule is
+//! archive being re-encoded every [`DEFAULT_FANOUT`] spills. The rule is
 //! deterministic, so the segment list after any insert sequence is a
 //! pure function of that sequence.
 //!
@@ -37,7 +37,7 @@
 //! inserted once), so `len` is a plain sum.
 
 use crate::bloom::{self, Bloom};
-use crate::compact::CompactSet;
+use crate::compact::{CompactSet, KWayMerge};
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +53,7 @@ pub const MAX_MEMTABLE_CAP: usize = 1 << 20;
 /// often is ingesting fast enough that a bigger memtable pays for
 /// itself in fewer, larger, better-packed segments.
 const SPILLS_PER_GROWTH: u32 = 4;
-/// Default per-size-class fanout before tiered compaction merges the
+/// Segments a size class holds before tiered compaction merges the
 /// class.
 pub const DEFAULT_FANOUT: usize = 8;
 
@@ -110,7 +110,6 @@ pub struct Archive {
     adaptive: bool,
     /// Spills since the cap last grew (adaptive mode only).
     spills_at_cap: u32,
-    fanout: usize,
     /// Lookup accounting, never observable in deterministic state.
     /// Atomic only so that `contains(&self)` can count; `insert` adds
     /// through `get_mut`, without an atomic instruction.
@@ -128,7 +127,6 @@ impl Clone for Archive {
             memtable_cap: self.memtable_cap,
             adaptive: self.adaptive,
             spills_at_cap: self.spills_at_cap,
-            fanout: self.fanout,
             bloom_candidates: AtomicU64::new(self.bloom_candidates.load(Ordering::Relaxed)),
             bloom_pruned: AtomicU64::new(self.bloom_pruned.load(Ordering::Relaxed)),
         }
@@ -165,7 +163,6 @@ impl Archive {
             memtable_cap: cap.max(1),
             adaptive: false,
             spills_at_cap: 0,
-            fanout: DEFAULT_FANOUT,
             bloom_candidates: AtomicU64::new(0),
             bloom_pruned: AtomicU64::new(0),
         }
@@ -187,7 +184,6 @@ impl Archive {
             memtable_cap: cap.max(1),
             adaptive: false,
             spills_at_cap: 0,
-            fanout: DEFAULT_FANOUT,
             bloom_candidates: AtomicU64::new(0),
             bloom_pruned: AtomicU64::new(0),
         }
@@ -287,11 +283,11 @@ impl Archive {
     /// size from every segment (amortized O(1) per address).
     /// Compaction then merges only a *full size class*: segments are
     /// bucketed by the power of two covering their length, and when a
-    /// class holds `fanout` segments they are k-way merged into one
+    /// class holds [`DEFAULT_FANOUT`] segments they are k-way merged into one
     /// (which lands in a higher class and may cascade). Each address is
-    /// re-encoded once per tier level rather than on every `fanout`-th
+    /// re-encoded once per tier level rather than on every fanout-th
     /// spill, at the cost of keeping `O(fanout · log n)` resident
-    /// segments instead of `fanout`. Segments remain pairwise disjoint
+    /// segments instead of fanout. Segments remain pairwise disjoint
     /// (a merge of disjoint sets is disjoint from the rest), and the
     /// schedule depends only on the insert sequence.
     pub fn freeze(&mut self) {
@@ -330,32 +326,8 @@ impl Archive {
         }
     }
 
-    /// Merges the memtable and every frozen segment into one segment
-    /// with one rebuilt bloom filter, and releases the memtable's spare
-    /// capacity.
-    ///
-    /// The heavy-hammer maintenance move for a long-lived archive at a
-    /// quiet point (end of a sustained ingest, before serving a query
-    /// burst): one k-way merge re-encodes each address exactly once,
-    /// after which the resident footprint is a single densely
-    /// delta-packed segment and lookups probe a single bounds check,
-    /// bloom, and fence search. Size-tiered [`Archive::freeze`] deliberately
-    /// tolerates `O(fanout · log n)` overlapping segments to amortize
-    /// writes; `optimize` trades one full rewrite to drop that
-    /// fragmentation.
-    pub fn optimize(&mut self) {
-        self.freeze();
-        if self.segments.len() > 1 {
-            let refs: Vec<&CompactSet> = self.segments.iter().collect();
-            let merged = CompactSet::union_all(&refs);
-            self.blooms = vec![Bloom::for_segment(&merged)];
-            self.segments = vec![merged];
-        }
-        self.memtable.shrink_to_fit();
-    }
-
-    /// The smallest size class currently holding at least `fanout`
-    /// segments, if any.
+    /// The smallest size class currently holding at least
+    /// [`DEFAULT_FANOUT`] segments, if any.
     fn full_size_class(&self) -> Option<u32> {
         let mut counts = std::collections::BTreeMap::<u32, usize>::new();
         for s in &self.segments {
@@ -363,7 +335,7 @@ impl Archive {
         }
         counts
             .into_iter()
-            .find(|&(_, n)| n >= self.fanout)
+            .find(|&(_, n)| n >= DEFAULT_FANOUT)
             .map(|(class, _)| class)
     }
 
@@ -377,26 +349,13 @@ impl Archive {
     pub fn iter(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
         let mut mem: Vec<u128> = self.memtable.iter().copied().collect();
         mem.sort_unstable();
-        // Segments and memtable are pairwise disjoint, so a merge of
-        // their sorted streams is already duplicate-free.
         let mut streams: Vec<Box<dyn Iterator<Item = u128> + '_>> = self
             .segments
             .iter()
             .map(|s| Box::new(s.iter_u128()) as Box<dyn Iterator<Item = u128> + '_>)
             .collect();
         streams.push(Box::new(mem.into_iter()));
-        let mut peeked: Vec<(Option<u128>, Box<dyn Iterator<Item = u128> + '_>)> =
-            streams.into_iter().map(|mut it| (it.next(), it)).collect();
-        std::iter::from_fn(move || {
-            let min = peeked.iter().filter_map(|(h, _)| *h).min()?;
-            for (head, it) in &mut peeked {
-                if *head == Some(min) {
-                    *head = it.next();
-                }
-            }
-            Some(min)
-        })
-        .map(Ipv6Addr::from)
+        KWayMerge::new(streams).map(Ipv6Addr::from)
     }
 
     /// A single [`CompactSet`] with the archive's full contents.
@@ -439,22 +398,6 @@ impl std::fmt::Debug for Archive {
             .field("segments", &self.segments.len())
             .field("memtable", &self.memtable.len())
             .finish()
-    }
-}
-
-impl Extend<Ipv6Addr> for Archive {
-    fn extend<T: IntoIterator<Item = Ipv6Addr>>(&mut self, iter: T) {
-        for a in iter {
-            self.insert(a);
-        }
-    }
-}
-
-impl FromIterator<Ipv6Addr> for Archive {
-    fn from_iter<T: IntoIterator<Item = Ipv6Addr>>(iter: T) -> Archive {
-        let mut ar = Archive::new();
-        ar.extend(iter);
-        ar
     }
 }
 
@@ -504,39 +447,13 @@ mod tests {
     }
 
     /// The compaction invariant: after a freeze, every power-of-two
-    /// size class holds fewer than `fanout` segments.
+    /// size class holds fewer than [`DEFAULT_FANOUT`] segments.
     fn no_size_class_is_full(ar: &Archive) -> bool {
         let mut counts = std::collections::BTreeMap::<u32, usize>::new();
         for s in ar.segments() {
             *counts.entry(size_class(s.len())).or_insert(0) += 1;
         }
         counts.values().all(|&n| n < DEFAULT_FANOUT)
-    }
-
-    #[test]
-    fn optimize_collapses_to_one_segment_without_changing_observables() {
-        let mut ar = Archive::with_memtable_cap(16);
-        for i in 0..2000u128 {
-            ar.insert(addr(i * 2_654_435_761));
-        }
-        let before: Vec<u128> = ar.iter().map(u128::from).collect();
-        let fragmented = ar.heap_bytes();
-        assert!(ar.segments().len() > 1);
-        ar.optimize();
-        assert_eq!(ar.segments().len(), 1);
-        assert!(
-            ar.heap_bytes() < fragmented,
-            "optimize must shrink resident bytes"
-        );
-        assert_eq!(ar.iter().map(u128::from).collect::<Vec<_>>(), before);
-        for &a in &before {
-            assert!(ar.contains(Ipv6Addr::from(a)));
-        }
-        assert!(!ar.contains(addr(1)));
-        // The archive stays usable: further inserts dedup correctly.
-        assert!(!ar.insert(addr(0)));
-        assert!(ar.insert(addr(3)));
-        assert_eq!(ar.len(), before.len() + 1);
     }
 
     #[test]

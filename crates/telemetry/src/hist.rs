@@ -133,26 +133,30 @@ impl Histogram {
             .map(|(i, c)| (i, *c))
     }
 
-    /// Rebuilds a histogram from its serialized parts. Used by the JSON
-    /// reader; trusts the parts to be mutually consistent.
+    /// Rebuilds a histogram from its serialized parts (the JSON report
+    /// and the study checkpoint). `None` when a bucket index is out of
+    /// range or given twice; otherwise the parts are trusted to be
+    /// mutually consistent.
     pub fn from_parts(
         buckets: impl IntoIterator<Item = (usize, u64)>,
         count: u64,
         sum: u128,
         min: u64,
         max: u64,
-    ) -> Histogram {
+    ) -> Option<Histogram> {
         let mut h = Histogram::new();
+        let mut seen = [false; BUCKETS];
         for (i, c) in buckets {
-            if i < BUCKETS {
-                h.buckets[i] = c;
+            if std::mem::replace(seen.get_mut(i)?, true) {
+                return None;
             }
+            h.buckets[i] = c;
         }
         h.count = count;
         h.sum = sum;
         h.min = if count == 0 { u64::MAX } else { min };
         h.max = max;
-        h
+        Some(h)
     }
 }
 
@@ -254,9 +258,16 @@ mod tests {
             h.min(),
             h.max(),
         );
-        assert_eq!(rebuilt, h);
+        assert_eq!(rebuilt, Some(h));
         // Empty round-trip keeps the empty sentinel state.
         let empty = Histogram::from_parts([], 0, 0, 0, 0);
-        assert_eq!(empty, Histogram::new());
+        assert_eq!(empty, Some(Histogram::new()));
+    }
+
+    #[test]
+    fn parts_refuse_an_out_of_range_or_repeated_bucket() {
+        assert_eq!(Histogram::from_parts([(BUCKETS, 1)], 1, 1, 1, 1), None);
+        assert_eq!(Histogram::from_parts([(3, 1), (3, 2)], 3, 12, 4, 4), None);
+        assert!(Histogram::from_parts([(BUCKETS - 1, 1)], 1, 1, 1, 1).is_some());
     }
 }

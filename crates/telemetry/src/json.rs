@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::hist::{Histogram, BUCKETS};
+use crate::hist::Histogram;
 use crate::key::OwnedKey;
 use crate::snapshot::{Snapshot, Value};
 
@@ -329,8 +329,6 @@ fn entry_from_json(j: &Json) -> Option<Value> {
     let value = match obj.get("type")?.as_str()? {
         "counter" => Value::Counter(u64::try_from(obj.get("value")?.as_num()?).ok()?),
         "hist" => {
-            // Every bucket index names a real bucket, once.
-            let mut seen = [false; BUCKETS];
             let buckets = obj
                 .get("buckets")?
                 .as_arr()?
@@ -342,9 +340,6 @@ fn entry_from_json(j: &Json) -> Option<Value> {
                     }
                     let i = usize::try_from(pair[0].as_num()?).ok()?;
                     let c = u64::try_from(pair[1].as_num()?).ok()?;
-                    if std::mem::replace(seen.get_mut(i)?, true) {
-                        return None;
-                    }
                     Some((i, c))
                 })
                 .collect::<Option<Vec<_>>>()?;
@@ -354,7 +349,7 @@ fn entry_from_json(j: &Json) -> Option<Value> {
                 obj.get("sum")?.as_num()?,
                 u64::try_from(obj.get("min")?.as_num()?).ok()?,
                 u64::try_from(obj.get("max")?.as_num()?).ok()?,
-            )))
+            )?))
         }
         _ => return None,
     };

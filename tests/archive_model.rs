@@ -1,5 +1,5 @@
 //! Model test for `store::Archive`: random interleavings of `insert`,
-//! `contains`, `freeze`, `optimize`, clone and checkpoint restore,
+//! `contains`, `freeze`, clone and checkpoint restore,
 //! checked after every step against a `BTreeSet<u128>`.
 //!
 //! The archive's observable state (membership, `len`, ordered
@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn archive_matches_the_btreeset_model(
         cap in 0u64..9,
-        ops in proptest::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..300),
+        ops in proptest::collection::vec((0u8..11, any::<u64>(), any::<u64>()), 1..300),
     ) {
         let mut archive = archive_with(cap);
         let mut model = BTreeSet::new();
@@ -135,13 +135,12 @@ proptest! {
                     );
                 }
                 7 => archive.freeze(),
-                8 => archive.optimize(),
-                9 => {
+                8 => {
                     let copy = archive.clone();
                     check(&copy, &model, b, &format!("{ctx}: clone"));
                     archive = copy;
                 }
-                10 => archive = restore(&mut archive, a % 2 == 0, 1 + (b % 8) as usize),
+                9 => archive = restore(&mut archive, a % 2 == 0, 1 + (b % 8) as usize),
                 _ => {
                     // Re-inserting a stored key is never a first sight.
                     if let Some(&k) = model.iter().nth((a % (model.len() as u64).max(1)) as usize) {

@@ -10,6 +10,7 @@ use std::net::Ipv6Addr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use store::codec::fnv1a;
+use telemetry::Histogram;
 use timetoscan::checkpoint::{self, CHECKPOINT_FILE};
 use timetoscan::{StoreError, Study, StudyConfig, StudySession};
 
@@ -293,4 +294,55 @@ fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
             ));
         }
     }
+}
+
+/// A histogram's bucket indexes are not taken at their word either: a
+/// re-sealed KoD-backoff histogram that names bucket 65 (there are 65,
+/// numbered from 0) or gives one index twice is
+/// [`StoreError::Corrupt`], while moving an index to another free bucket
+/// is a different but readable histogram.
+#[test]
+fn resealed_histogram_buckets_out_of_range_or_repeated_are_refused() {
+    let fx = Fixture::new("hist");
+    let mut data = fx.read(&fx.clean).expect("clean checkpoint decodes");
+    let mut kod = Histogram::new();
+    kod.observe(4);
+    kod.observe(900);
+    data.collection.kod_backoff = kod;
+    let path = checkpoint::write(&data, &fx.dir).expect("writes");
+    let clean = std::fs::read(path).expect("reads");
+
+    // The collection section: cursor, pending events (20 bytes each),
+    // RPS slots (a tag byte, 16 more when occupied), five totals, then
+    // the histogram's count, sum, min, max and bucket count before its
+    // (index, count) pairs.
+    let c = &data.collection;
+    let rps: usize = c.rps.iter().map(|s| if s.is_some() { 17 } else { 1 }).sum();
+    let hist = CONFIG_END + 8 + 8 + 20 * c.pending.len() + 8 + rps + 5 * 8;
+    let first = hist + 8 + 16 + 8 + 8 + 8;
+    let second = first + 16;
+    assert_eq!(clean[hist..][..8], 2u64.to_le_bytes(), "count");
+    assert_eq!(clean[first - 8..][..8], 2u64.to_le_bytes(), "two buckets");
+    assert_eq!(clean[first..][..8], 3u64.to_le_bytes(), "bucket of 4");
+    assert_eq!(clean[second..][..8], 10u64.to_le_bytes(), "bucket of 900");
+
+    let edit = |at: usize, index: u64| {
+        let mut bytes = clean.clone();
+        bytes[at..][..8].copy_from_slice(&index.to_le_bytes());
+        reseal(&mut bytes);
+        fx.read(&bytes)
+    };
+    for (what, at, index) in [("bucket 65", first, 65), ("index 3 twice", second, 3)] {
+        assert!(
+            matches!(edit(at, index), Err(StoreError::Corrupt(_))),
+            "{what}: decoded"
+        );
+        assert!(
+            matches!(Study::resume(&fx.dir), Err(StoreError::Corrupt(_))),
+            "{what}: resumed"
+        );
+    }
+    let moved = edit(second, 64).expect("a free bucket decodes");
+    assert_eq!(moved.collection.kod_backoff.bucket(64), 1);
+    assert_eq!(moved.collection.kod_backoff.bucket(10), 0);
 }

@@ -20,7 +20,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 21] = [
+const HISTORICAL: [&str; 24] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -42,6 +42,9 @@ const HISTORICAL: [&str; 21] = [
     "RunStats::from_registry",
     "Registry::inc",
     "scanner::metrics",
+    "Archive::optimize",
+    "StudySession::maintain",
+    "DerivedCells::seed",
 ];
 
 fn root() -> PathBuf {

@@ -7,14 +7,13 @@
 //! * the full [`StudyConfig`] — a resumed run re-derives the world, the
 //!   pool, tuning, and every post-collection stage from it;
 //! * the collection engine's [`CollectionCheckpoint`] — cursor, pending
-//!   events in pop order, per-server RPS windows, outcome counters, and
-//!   the KoD-backoff histogram;
+//!   events in pop order, per-server RPS windows, outcome counters, the
+//!   KoD-backoff histogram, and the polls' [`TransportTotals`], written
+//!   last so `transport_*` metrics of a resumed run add up exactly;
 //! * the [`AddressCollector`] itself — the global [`store::Archive`]
 //!   and per-server dedup sets, serialized as compact segments;
 //! * the first-sight feed so far, which the rest of the window is
-//!   appended to and the scanner replays whole;
-//! * the instrumented transport's [`TransportTotals`], exported next to
-//!   the post-resume remainder so `transport_*` metrics add up exactly.
+//!   appended to and the scanner replays whole.
 //!
 //! [`write()`] replaces the file atomically (scratch file, then rename),
 //! so an interrupted write never costs the previous checkpoint.
@@ -80,8 +79,6 @@ pub struct CheckpointData {
     pub collector: AddressCollector,
     /// First-sight observations emitted before the stop, in feed order.
     pub feed_prefix: Vec<Observation>,
-    /// Transport counters/histograms accumulated before the stop.
-    pub transport: TransportTotals,
 }
 
 /// Writes `data` to `dir/study.ckpt`, creating `dir` if needed.
@@ -103,7 +100,9 @@ pub fn write(data: &CheckpointData, dir: &Path) -> Result<PathBuf, StoreError> {
         w.put_u64(obs.seen.0);
         w.put_u32(obs.server.0);
     }
-    put_transport(&mut w, &data.transport);
+    // The collection's transport tally goes last, after the feed, where
+    // format version 8 has always kept it.
+    put_transport(&mut w, &data.collection.transport);
     w.seal();
     std::fs::create_dir_all(dir)?;
     let path = dir.join(CHECKPOINT_FILE);
@@ -131,7 +130,7 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
         return Err(StoreError::BadVersion(version));
     }
     let config = read_config(&mut r)?;
-    let collection = read_collection(&mut r)?;
+    let mut collection = read_collection(&mut r)?;
     let collector = read_collector(&mut r)?;
     let n = r.u64()?;
     let mut feed_prefix = Vec::with_capacity(n.min(1 << 20) as usize);
@@ -142,7 +141,7 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
             server: ServerId(r.u32()?),
         });
     }
-    let transport = read_transport(&mut r)?;
+    collection.transport = read_transport(&mut r)?;
     if !r.is_done() {
         return Err(StoreError::Corrupt("trailing bytes after checkpoint"));
     }
@@ -151,7 +150,6 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
         collection,
         collector,
         feed_prefix,
-        transport,
     })
 }
 
@@ -283,6 +281,8 @@ fn read_collection(r: &mut Reader<'_>) -> Result<CollectionCheckpoint, StoreErro
         rps,
         totals,
         kod_backoff: read_hist(r)?,
+        // Read after the feed, by `read`.
+        transport: TransportTotals::default(),
     })
 }
 
@@ -434,6 +434,15 @@ mod tests {
                     observed: 88,
                 },
                 kod_backoff: kod,
+                transport: TransportTotals {
+                    exchanges: 100,
+                    answered: 90,
+                    unanswered: 2,
+                    lost: 8,
+                    truncated: 1,
+                    delivered: 95,
+                    rtt_seconds: rtt,
+                },
             },
             collector,
             feed_prefix: vec![Observation {
@@ -441,15 +450,6 @@ mod tests {
                 seen: SimTime(60),
                 server: ServerId(1),
             }],
-            transport: TransportTotals {
-                exchanges: 100,
-                answered: 90,
-                unanswered: 2,
-                lost: 8,
-                truncated: 1,
-                delivered: 95,
-                rtt_seconds: rtt,
-            },
         }
     }
 
@@ -474,6 +474,7 @@ mod tests {
         assert_eq!(back.collection.rps, data.collection.rps);
         assert_eq!(back.collection.totals, data.collection.totals);
         assert_eq!(back.collection.kod_backoff, data.collection.kod_backoff);
+        assert_eq!(back.collection.transport, data.collection.transport);
         assert_eq!(back.collector.global.len(), data.collector.global.len());
         assert_eq!(
             back.collector.global.to_compact(),
@@ -492,7 +493,6 @@ mod tests {
         }
         assert_eq!(back.collector.requests, data.collector.requests);
         assert_eq!(back.feed_prefix, data.feed_prefix);
-        assert_eq!(back.transport, data.transport);
         std::fs::remove_dir_all(&dir).ok();
     }
 

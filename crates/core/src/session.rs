@@ -10,10 +10,9 @@
 //! resident between bucket-sized slices.
 //!
 //! The session holds exactly one [`CheckpointData`] — the engine's
-//! [`CollectionCheckpoint`](ntppool::CollectionCheckpoint), the
-//! collector, the feed so far and the
-//! accumulated transport totals — so suspending one
-//! ([`StudySession::suspend`]) *is* cloning a checkpoint. Next to it
+//! [`CollectionCheckpoint`](ntppool::CollectionCheckpoint) with its
+//! transport tally, the collector and the feed so far — so suspending
+//! one ([`StudySession::suspend`]) *is* cloning a checkpoint. Next to it
 //! sits what every session rebuilds from the config instead of
 //! persisting: the shared world, the tuned pool with its actors, the
 //! fault transport and the window. They are built once, by the
@@ -21,8 +20,11 @@
 //!
 //! Slicing changes nothing observable: each `advance` moves the one
 //! engine step ([`CollectionRun::advance`]) from the saved cursor to the
-//! next stop, and per-slice transport totals merge into one running
-//! [`TransportTotals`]. Composing any sequence of slices — interleaved
+//! next stop, counting poll exchanges into the checkpoint's one running
+//! [`TransportTotals`](netsim::TransportTotals). Every later stage
+//! counts into its own tally the same way (a scan's store, a telescope
+//! vantage) and exports it with its other counters. Composing any
+//! sequence of slices — interleaved
 //! with suspends, restores, and a final [`StudySession::finish`] —
 //! yields a [`Study`] whose [`crate::Study::run_report`] is
 //! byte-identical to a single-slice run of the same config (enforced
@@ -44,7 +46,7 @@ use hitlist::{Hitlist, HitlistConfig};
 use netsim::time::{Duration, SimTime};
 use netsim::transport::Transport;
 use netsim::world::World;
-use netsim::{Asn, BgpEvent, BgpFeed, DeviceId, Instrumented, TransportTotals};
+use netsim::{Asn, BgpEvent, BgpFeed, DeviceId};
 use ntppool::{AddressCollector, CollectionRun, Observation, ServerId};
 use scanner::{BatchScan, Engine, ScanPolicy};
 use std::sync::Arc;
@@ -65,9 +67,9 @@ pub struct StudySession {
     data: CheckpointData,
     world: Arc<World>,
     setup: PoolSetup,
-    /// The config's fault transport — the prototype each stage wraps in
-    /// a fresh [`Instrumented`] sink. Stateless across exchanges, so
-    /// re-wrapping per slice changes no behaviour.
+    /// The config's fault transport, handed to each stage as it runs.
+    /// Stateless across exchanges, so a fresh copy per slice changes no
+    /// behaviour.
     transport: Box<dyn Transport>,
     start: SimTime,
     end: SimTime,
@@ -91,7 +93,6 @@ impl StudySession {
             collection: run.begin(),
             collector: AddressCollector::new(),
             feed_prefix: Vec::new(),
-            transport: TransportTotals::zero(),
             config,
         };
         StudySession::over(data, world, setup)
@@ -148,13 +149,12 @@ impl StudySession {
             return true;
         }
         let stop = self.data.collection.cursor + slice;
-        let (coll_transport, coll_totals) = Instrumented::new(self.transport.clone_box());
         let run = CollectionRun::with_transport(
             &self.world,
             &self.setup.pool,
             self.start,
             self.end,
-            Box::new(coll_transport),
+            self.transport.clone_box(),
         );
         // First sights land behind the feed so far, in the same buffer.
         run.advance(
@@ -163,9 +163,6 @@ impl StudySession {
             &mut self.data.collector,
             &mut self.data.feed_prefix,
         );
-        self.data
-            .transport
-            .merge(&TransportTotals::snapshot(&coll_totals));
         self.done()
     }
 
@@ -229,7 +226,6 @@ impl StudySession {
             collection,
             collector,
             feed_prefix: feed,
-            transport: coll_transport,
         } = data;
         let PoolSetup {
             pool,
@@ -262,8 +258,7 @@ impl StudySession {
             end.as_secs().saturating_sub(start.as_secs()),
         );
         study_reg.add(metrics::PIPELINE_FEED_OBSERVATIONS, feed.len() as u64);
-        let (scan_transport, scan_totals) = Instrumented::new(transport.clone_box());
-        let mut scanner = Engine::with_transport(ScanPolicy::default(), Box::new(scan_transport));
+        let mut scanner = Engine::with_transport(ScanPolicy::default(), transport.clone_box());
         for obs in &feed {
             scanner.scan_target(&world, obs.addr, obs.seen);
         }
@@ -274,10 +269,8 @@ impl StudySession {
         let mut coll_reg = Registry::new();
         let run_stats = collection.finish(&mut coll_reg);
         collector.export_into(&mut coll_reg);
-        coll_transport.export_into(&mut coll_reg);
         let mut scan_reg = Registry::new();
         ntp_scan.export_into(&mut scan_reg);
-        TransportTotals::snapshot(&scan_totals).export_into(&mut scan_reg);
         let mut telemetry = coll_reg.snapshot_with(&[("stage", "collection")]);
         telemetry.merge(&scan_reg.snapshot_with(&[("stage", "ntp_scan")]));
 
@@ -287,8 +280,7 @@ impl StudySession {
         // Scan in sorted address order: the token bucket turns submission
         // order into probe times, so sorting keeps the store bit-identical
         // across runs.
-        let (hl_transport, hl_totals) = Instrumented::new(transport.clone_box());
-        let hitlist_scan = BatchScan::with_transport(ScanPolicy::default(), Box::new(hl_transport))
+        let hitlist_scan = BatchScan::with_transport(ScanPolicy::default(), transport.clone_box())
             .run(&world, hitlist.full.sorted(), hitlist_t);
         study_reg.observe(
             metrics::SPAN_HITLIST,
@@ -297,28 +289,28 @@ impl StudySession {
         study_reg.add(metrics::HITLIST_ADDRESSES, hitlist.full.len() as u64);
         let mut hl_reg = Registry::new();
         hitlist_scan.export_into(&mut hl_reg);
-        TransportTotals::snapshot(&hl_totals).export_into(&mut hl_reg);
         telemetry.merge(&hl_reg.snapshot_with(&[("stage", "hitlist_scan")]));
 
         // --- Telescope + adversarial ecosystem (§5). ---
         let telescope_run = config.telescope.then(|| {
             let mut tel_reg = Registry::new();
-            let (tel_transport, tel_totals) = Instrumented::new(transport.clone_box());
             let sweep_start = start + config.telescope_offset;
             let gap = Duration::secs(7);
             // Two vantages: the paper's single telescope plus a second
             // sweeping 12 h later, giving the attribution pass a
             // vantage-overlap feature.
             let mut primary = Vantage::new("3fff:909::/48".parse().unwrap());
-            primary.query_all_instrumented(&pool, &tel_transport, sweep_start, gap, &mut tel_reg);
+            primary.query_all_via(&pool, transport.as_ref(), sweep_start, gap);
+            primary.export_into(&mut tel_reg);
             let sweep_end = sweep_start + Duration::secs(gap.as_secs() * primary.queried() as u64);
             let mut secondary = Vantage::new("3fff:90a::/48".parse().unwrap());
             secondary.query_all_via(
                 &pool,
-                &tel_transport,
+                transport.as_ref(),
                 sweep_start + Duration::hours(12),
                 gap,
             );
+            secondary.transport().export_into(&mut tel_reg);
             tel_reg.observe(
                 metrics::SPAN_TELESCOPE,
                 sweep_end.as_secs().saturating_sub(sweep_start.as_secs()),
@@ -387,8 +379,6 @@ impl StudySession {
             let table = attribute(&outcome, &prefixes, &feed, &org_directory(&actors));
             outcome.export_into(&mut tel_reg);
             table.export_into(&mut tel_reg);
-
-            TransportTotals::snapshot(&tel_totals).export_into(&mut tel_reg);
             telemetry.merge(&tel_reg.snapshot_with(&[("stage", "telescope")]));
             (report, table)
         });

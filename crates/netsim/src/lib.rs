@@ -40,10 +40,9 @@
 //!   world: an [`transport::Ideal`] pass-through and a
 //!   [`transport::Faulty`] implementation with stateless-hash loss,
 //!   latency, and truncation.
-//! * [`instrument`] — the [`instrument::Instrumented`] transport wrapper
-//!   accounting every exchange (sends, losses, truncations, injected
-//!   RTTs) into one shared [`instrument::TransportTotals`], which exports
-//!   into a `telemetry::Registry`.
+//! * [`instrument`] — [`instrument::TransportTotals`], the plain tally
+//!   each stage counts its exchanges into (sends, losses, truncations,
+//!   injected RTTs) and exports into a `telemetry::Registry`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +67,7 @@ pub use archetype::DeviceKind;
 pub use bgp::{BgpEvent, BgpFeed};
 pub use country::Country;
 pub use device::{Device, DeviceId, DeviceMeta};
-pub use instrument::{Instrumented, TransportTotals};
+pub use instrument::TransportTotals;
 pub use peeringdb::OrgId;
 pub use time::{Duration, SimTime};
 pub use topology::{AsInfo, Asn, Topology};

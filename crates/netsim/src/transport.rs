@@ -84,12 +84,6 @@ pub trait Transport: Send + Sync {
     fn clone_box(&self) -> Box<dyn Transport>;
 }
 
-impl Clone for Box<dyn Transport> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
 /// The perfect transport: every probe arrives, every answer returns
 /// instantly and intact. Bit-identical to calling the responder directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,11 +179,6 @@ impl Faulty {
     /// A faulty transport with the given parameters.
     pub fn new(cfg: FaultConfig) -> Faulty {
         Faulty { cfg }
-    }
-
-    /// The fault parameters.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// The stateless per-link hash, domain-separated per decision.
@@ -414,7 +403,7 @@ mod tests {
         assert_eq!(FaultProfile::Lossy1Pct.name(), "lossy_1pct");
         // clone_box preserves behaviour.
         let t = FaultProfile::Congested.build(9);
-        let c = t.clone();
+        let c = t.clone_box();
         for a in 0..32 {
             assert_eq!(
                 t.exchange(link(a), b"x", &mut echo(b"abcdef")),

@@ -44,7 +44,7 @@ use netsim::engine::EventQueue;
 use netsim::time::{Duration, SimTime};
 use netsim::transport::{Delivery, Ideal, Link, Transport};
 use netsim::world::World;
-use netsim::DeviceId;
+use netsim::{DeviceId, TransportTotals};
 use std::net::Ipv6Addr;
 use telemetry::{Histogram, Registry};
 use wire::ntp::{NtpTimestamp, Packet};
@@ -99,30 +99,40 @@ pub fn poll_once(
     current_rps: u64,
 ) -> PollOutcome {
     let request = Packet::client_request(NtpTimestamp::from_unix_secs(t.to_unix())).emit();
-    poll_once_with_request(server, transport, src, dst, t, current_rps, &request)
-}
-
-/// [`poll_once`] with pre-encoded request bytes. The request depends
-/// only on the transmit timestamp, so callers polling many clients in
-/// the same simulated second (see [`RequestMemo`]) emit it once and
-/// reuse the bytes — the exchange is bit-identical to [`poll_once`].
-pub fn poll_once_with_request(
-    server: &PoolServer,
-    transport: &dyn Transport,
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    t: SimTime,
-    current_rps: u64,
-    request: &[u8],
-) -> PollOutcome {
-    let mut server_saw = false;
     let link = Link {
         src,
         dst,
         port: NTP_PORT,
         attempt: 0,
     };
-    let delivery = transport.exchange(link, request, &mut |bytes| {
+    let mut totals = TransportTotals::default();
+    poll_once_with_request(
+        server,
+        transport,
+        &mut totals,
+        link,
+        t,
+        current_rps,
+        &request,
+    )
+}
+
+/// [`poll_once`] with pre-encoded request bytes, counting the exchange
+/// into `totals`. The request depends only on the transmit timestamp,
+/// so callers polling many clients in the same simulated second (see
+/// [`RequestMemo`]) emit it once and reuse the bytes — the exchange is
+/// bit-identical to [`poll_once`].
+pub fn poll_once_with_request(
+    server: &PoolServer,
+    transport: &dyn Transport,
+    totals: &mut TransportTotals,
+    link: Link,
+    t: SimTime,
+    current_rps: u64,
+    request: &[u8],
+) -> PollOutcome {
+    let mut server_saw = false;
+    let delivery = totals.exchange(transport, link, request, &mut |bytes| {
         let r = server.handle_at_rate(bytes, t, current_rps);
         server_saw = r.is_some();
         r
@@ -275,13 +285,16 @@ pub struct CollectionCheckpoint {
     pub totals: RunStats,
     /// KoD-backoff observations so far.
     pub kod_backoff: Histogram,
+    /// Transport exchanges so far, one per poll that selected a server.
+    pub transport: TransportTotals,
 }
 
 impl CollectionCheckpoint {
     /// Ends the run: accounts every poll outcome since
     /// [`CollectionRun::begin`] into `registry` under the `ntp_*` keys —
     /// all five counters, zeros included so a report keeps every key,
-    /// plus the KoD-backoff histogram — and returns the same counts.
+    /// plus the KoD-backoff histogram — and the poll exchanges under
+    /// the `transport_*` keys, and returns the poll counts.
     /// Nothing is exported before this call, so a run sliced and
     /// suspended any number of times leaves the same registry as an
     /// uninterrupted one.
@@ -295,6 +308,7 @@ impl CollectionCheckpoint {
         if !self.kod_backoff.is_empty() {
             registry.merge_hist(metrics::NTP_KOD_BACKOFF_SECONDS, &self.kod_backoff);
         }
+        self.transport.export_into(registry);
         t
     }
 
@@ -316,7 +330,8 @@ impl CollectionCheckpoint {
 }
 
 /// The live form of a [`CollectionCheckpoint`]: the event queue,
-/// per-server RPS windows, the [`RunStats`] tally and the KoD histogram.
+/// per-server RPS windows, the [`RunStats`] tally, the KoD histogram
+/// and the transport tally.
 /// Everything else the engine touches (the request memo) is
 /// recomputable and lives on the stack of one `drive` call.
 struct EngineState {
@@ -324,6 +339,7 @@ struct EngineState {
     rps: RpsWindows,
     totals: RunStats,
     kod_backoff: Histogram,
+    transport: TransportTotals,
 }
 
 impl EngineState {
@@ -343,6 +359,7 @@ impl EngineState {
             },
             totals: ckpt.totals,
             kod_backoff: std::mem::take(&mut ckpt.kod_backoff),
+            transport: std::mem::take(&mut ckpt.transport),
         }
     }
 
@@ -357,6 +374,7 @@ impl EngineState {
             rps: self.rps.windows,
             totals: self.totals,
             kod_backoff: self.kod_backoff,
+            transport: self.transport,
         }
     }
 }
@@ -416,6 +434,7 @@ impl<'w> CollectionRun<'w> {
             rps: RpsWindows::for_pool(self.pool),
             totals: RunStats::default(),
             kod_backoff: Histogram::new(),
+            transport: TransportTotals::default(),
         }
     }
 
@@ -481,6 +500,7 @@ impl<'w> CollectionRun<'w> {
             rps,
             totals,
             kod_backoff,
+            transport,
         } = st;
         let mut memo = RequestMemo::new();
         // The queue pops in time order, so the first event at or past
@@ -497,11 +517,17 @@ impl<'w> CollectionRun<'w> {
             if let Some(server_id) = self.pool.select(dev.country, u64::from(id.0), seq) {
                 let server = self.pool.server(server_id);
                 let current_rps = rps.ordinal(server_id, t.as_secs());
+                let link = Link {
+                    src: addr,
+                    dst: server_addr(server_id),
+                    port: NTP_PORT,
+                    attempt: 0,
+                };
                 let outcome = poll_once_with_request(
                     server,
                     self.transport.as_ref(),
-                    addr,
-                    server_addr(server_id),
+                    transport,
+                    link,
                     t,
                     current_rps,
                     memo.request(t),

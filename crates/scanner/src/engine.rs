@@ -186,6 +186,7 @@ impl Engine {
         let port = proto.port();
         let timeout = self.policy.retry.timeout_for(proto);
         let attempts = self.policy.retry.attempts.max(1);
+        let transport = self.transport.as_ref();
         let mut submit = want;
         for attempt in 0..attempts {
             let t = self.bucket.admit(submit);
@@ -196,9 +197,12 @@ impl Engine {
                 port,
                 attempt: u64::from(attempt),
             };
-            let delivery = self.transport.exchange(link, probe, &mut |bytes| {
-                world.respond(addr, port, bytes, t)
-            });
+            let delivery = self
+                .store
+                .transport
+                .exchange(transport, link, probe, &mut |bytes| {
+                    world.respond(addr, port, bytes, t)
+                });
             match delivery {
                 Delivery::Answered { bytes, rtt } if rtt <= timeout => {
                     match probers::parse_response(proto, &bytes) {

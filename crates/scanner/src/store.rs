@@ -7,6 +7,7 @@
 //! report totals cannot disagree.
 
 use crate::result::{FailureCause, Protocol, ScanRecord};
+use netsim::TransportTotals;
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 use telemetry::{Histogram, Key, OwnedKey, Registry};
@@ -21,6 +22,8 @@ pub struct ScanStore {
     attempts: [u64; 8],
     failures: [[u64; 3]; 8],
     backoff: [Histogram; 8],
+    /// Every probe attempt's transport exchange, counted by the engine.
+    pub(crate) transport: TransportTotals,
 }
 
 impl ScanStore {
@@ -144,8 +147,10 @@ impl ScanStore {
     /// per-protocol `scan_attempts`, `scan_records`,
     /// `scan_backoff_seconds` and `scan_rtt_seconds`, and
     /// `scan_failures` per `(cause, protocol)`. Zero counters and empty
-    /// histograms are left out.
+    /// histograms are left out, except the `transport_*` keys, which
+    /// are written whole.
     pub fn export_into(&self, registry: &mut Registry) {
+        self.transport.export_into(registry);
         if self.targets > 0 {
             registry.add(Key::bare("scan_targets"), self.targets);
         }

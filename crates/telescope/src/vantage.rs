@@ -1,7 +1,8 @@
 //! Vantage addresses: one distinct source address per queried server.
 
 use netsim::time::{Duration, SimTime};
-use netsim::transport::{Ideal, Transport};
+use netsim::transport::{Delivery, Ideal, Link, Transport};
+use netsim::TransportTotals;
 use ntppool::{Pool, ServerId};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv6Addr;
@@ -28,6 +29,8 @@ pub struct Vantage {
     /// can have learned the vantage address. Under the ideal transport
     /// this is every queried server.
     sourced: HashSet<ServerId>,
+    /// Every query's transport exchange.
+    transport: TransportTotals,
 }
 
 impl Vantage {
@@ -38,6 +41,7 @@ impl Vantage {
             by_server: HashMap::new(),
             query_times: HashMap::new(),
             sourced: HashSet::new(),
+            transport: TransportTotals::default(),
         }
     }
 
@@ -80,18 +84,20 @@ impl Vantage {
             let src = self.addr_for(id);
             let req = Packet::client_request(NtpTimestamp::from_unix_secs(t.to_unix())).emit();
             let mut saw = false;
-            let link = netsim::transport::Link {
+            let link = Link {
                 src,
                 dst: ntppool::run::server_addr(id),
                 port: ntppool::run::NTP_PORT,
                 attempt: 0,
             };
-            let delivery = transport.exchange(link, &req, &mut |bytes| {
-                let r = server.handle(bytes, t);
-                saw = r.is_some();
-                r
-            });
-            if matches!(delivery, netsim::transport::Delivery::Answered { .. }) {
+            let delivery = self
+                .transport
+                .exchange(transport, link, &req, &mut |bytes| {
+                    let r = server.handle(bytes, t);
+                    saw = r.is_some();
+                    r
+                });
+            if matches!(delivery, Delivery::Answered { .. }) {
                 answered += 1;
             }
             if saw {
@@ -104,31 +110,20 @@ impl Vantage {
         answered
     }
 
-    /// [`query_all_via`](Vantage::query_all_via), accounting the sweep
-    /// into `registry`: queries issued, replies that came back, and
-    /// servers actually sourced. All three are deterministic — the query
-    /// schedule and the fault transport are.
-    pub fn query_all_instrumented(
-        &mut self,
-        pool: &Pool,
-        transport: &dyn Transport,
-        start: SimTime,
-        gap: Duration,
-        registry: &mut telemetry::Registry,
-    ) -> u64 {
-        let before = self.sourced.len() as u64;
-        let queried_before = self.by_server.len() as u64;
-        let answered = self.query_all_via(pool, transport, start, gap);
-        registry.add(
-            crate::metrics::TELESCOPE_QUERIES,
-            self.by_server.len() as u64 - queried_before,
-        );
-        registry.add(crate::metrics::TELESCOPE_ANSWERED, answered);
-        registry.add(
-            crate::metrics::TELESCOPE_SOURCED,
-            self.sourced.len() as u64 - before,
-        );
-        answered
+    /// Exports the vantage's sweeps into `registry`: queries issued,
+    /// replies that came back and servers actually sourced
+    /// (`telescope_*`), and their exchanges (`transport_*`). All are
+    /// deterministic — the query schedule and the fault transport are.
+    pub fn export_into(&self, registry: &mut telemetry::Registry) {
+        registry.add(crate::metrics::TELESCOPE_QUERIES, self.queried() as u64);
+        registry.add(crate::metrics::TELESCOPE_ANSWERED, self.transport.answered);
+        registry.add(crate::metrics::TELESCOPE_SOURCED, self.sourced.len() as u64);
+        self.transport.export_into(registry);
+    }
+
+    /// The transport exchanges of every sweep so far.
+    pub fn transport(&self) -> &TransportTotals {
+        &self.transport
     }
 
     /// Did `server` actually receive this telescope's query? Only sourced
@@ -254,19 +249,22 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_query_accounts_the_sweep() {
+    fn export_accounts_the_sweep() {
         use netsim::transport::{FaultConfig, Faulty};
         let p = pool(100);
         let transport = Faulty::new(FaultConfig::loss_only(13, 0.3));
         let mut v = Vantage::new("2001:db8:aa::/48".parse().unwrap());
+        let answered = v.query_all_via(&p, &transport, SimTime(0), Duration::secs(1));
         let mut reg = telemetry::Registry::new();
-        let answered =
-            v.query_all_instrumented(&p, &transport, SimTime(0), Duration::secs(1), &mut reg);
+        v.export_into(&mut reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter_total("telescope_queries"), v.queried() as u64);
         assert_eq!(snap.counter_total("telescope_answered"), answered);
         let sourced = (0..100).filter(|i| v.was_sourced(ServerId(*i))).count();
         assert_eq!(snap.counter_total("telescope_sourced"), sourced as u64);
+        assert_eq!(snap.counter_total("transport_exchanges"), 100);
+        assert_eq!(snap.counter_total("transport_answered"), answered);
+        assert_eq!(v.transport().delivered, sourced as u64);
     }
 
     /// The arithmetic `server_of` must agree with what a literal

@@ -1,7 +1,8 @@
 //! The documents may only name code that exists. Plain text search, no
 //! parser: every backticked source path in the four documents below
 //! must be a file, and the last segment of every backticked
-//! `crate::path::Item` / `Type::method` must occur as a word in some
+//! `crate::path::Item` / `Type::method`, and every bare backticked
+//! CamelCase name, must occur as a word outside the comments of some
 //! `.rs` file of the tree. A sentence that names a deleted thing on
 //! purpose (a "Paths not taken" row) lists the name in [`HISTORICAL`].
 
@@ -20,7 +21,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 24] = [
+const HISTORICAL: [&str; 36] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -45,6 +46,18 @@ const HISTORICAL: [&str; 24] = [
     "Archive::optimize",
     "StudySession::maintain",
     "DerivedCells::seed",
+    "PipelineMode",
+    "StreamingScanner",
+    "Bank",
+    "AtomicHistogram",
+    "TransportStats",
+    "KeyHasher",
+    "KeyHashMap",
+    "SpanTimer",
+    "SharedSetKey",
+    "netsim::Instrumented",
+    "Vantage::query_all_instrumented",
+    "TransportTotals::snapshot",
 ];
 
 fn root() -> PathBuf {
@@ -71,7 +84,53 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every identifier-shaped word of every `.rs` file under the roots.
+/// `text` with its `//` and `/* */` comments blanked out. String and
+/// character literals are skipped whole, so a `//` inside one stays.
+fn strip_comments(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let rest = &chars[i..];
+        let skip = match rest {
+            ['/', '/', ..] => rest.iter().position(|&c| c == '\n').unwrap_or(rest.len()),
+            ['/', '*', ..] => rest
+                .windows(2)
+                .position(|w| w == ['*', '/'])
+                .map_or(rest.len(), |end| end + 2),
+            _ => 0,
+        };
+        if skip > 0 {
+            out.push(' ');
+            i += skip;
+            continue;
+        }
+        // A literal is copied through to its closing quote.
+        let literal = match rest {
+            ['"', ..] => rest[1..]
+                .iter()
+                .scan(false, |escaped, &c| {
+                    let close = c == '"' && !*escaped;
+                    *escaped = c == '\\' && !*escaped;
+                    Some(close)
+                })
+                .position(|close| close)
+                .map_or(rest.len(), |end| end + 2),
+            ['\'', '\\', _, ..] => rest[3..]
+                .iter()
+                .position(|&c| c == '\'')
+                .map_or(rest.len(), |end| end + 4),
+            ['\'', _, '\'', ..] => 3,
+            _ => 1,
+        };
+        out.extend(&rest[..literal]);
+        i += literal;
+    }
+    out
+}
+
+/// Every identifier-shaped word outside the comments of every `.rs`
+/// file under the roots.
 fn code_words() -> HashSet<String> {
     let mut files = Vec::new();
     for dir in CODE_ROOTS {
@@ -81,7 +140,8 @@ fn code_words() -> HashSet<String> {
     for file in files {
         let text = fs::read_to_string(&file).expect("source files are UTF-8");
         words.extend(
-            text.split(|c| !is_ident_char(c))
+            strip_comments(&text)
+                .split(|c| !is_ident_char(c))
                 .filter(|w| !w.is_empty())
                 .map(str::to_owned),
         );
@@ -122,8 +182,12 @@ fn named_file(span: &str) -> Option<&str> {
 }
 
 /// The item names a `a::b::Item`, `Type::method(..)` or
-/// `a::b::{x, y}` span ends in; empty when the span is no such path.
+/// `a::b::{x, y}` span ends in, or the span itself when it is a bare
+/// CamelCase name (`Ideal`, `TransportTotals`); empty otherwise.
 fn named_items(span: &str) -> Vec<&str> {
+    if is_camel_case(span) {
+        return vec![span];
+    }
     let head_len = span
         .find(|c| !is_ident_char(c) && c != ':')
         .unwrap_or(span.len());
@@ -151,6 +215,14 @@ fn named_items(span: &str) -> Vec<&str> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// An identifier that starts with a capital and has a lower-case letter:
+/// a type, trait or variant name, not a constant or an acronym.
+fn is_camel_case(span: &str) -> bool {
+    span.starts_with(|c: char| c.is_ascii_uppercase())
+        && span.chars().any(|c| c.is_ascii_lowercase())
+        && span.chars().all(|c| c.is_ascii_alphanumeric())
 }
 
 #[test]
@@ -208,7 +280,17 @@ fn extraction_reads_the_forms_the_documents_use() {
     assert_eq!(named_items("ntppool::PoolServer::handle"), ["handle"]);
     assert_eq!(named_items("Vantage::query_all_via(..)"), ["query_all_via"]);
     assert_eq!(named_items("Study::{run, resume()}"), ["run", "resume"]);
+    assert_eq!(named_items("TransportTotals"), ["TransportTotals"]);
+    assert!(named_items("NTP_PORT").is_empty());
+    assert!(named_items("FRITZ!Box").is_empty());
     assert!(named_items("Vec<u8>").is_empty());
     assert!(named_items("10::20").is_empty());
     assert!(named_items("a:::b").is_empty());
+    let code = "let a = \"x // y\"; // Gone\nlet b = '\"'; /* Gone */ let c = '\\''; // Gone";
+    let stripped = strip_comments(code);
+    let words: Vec<&str> = stripped
+        .split(|c| !is_ident_char(c))
+        .filter(|w| !w.is_empty())
+        .collect();
+    assert_eq!(words, ["let", "a", "x", "y", "let", "b", "let", "c"]);
 }

@@ -96,4 +96,38 @@ fn report_counters_reconcile_with_legacy_values() {
             + det.counter_total("transport_unanswered")
             + det.counter_total("transport_lost")
     );
+    // Each stage counts its own exchanges, and they balance per stage.
+    let staged =
+        |name: &str, stage: &str| det.counter(&OwnedKey::with_labels(name, &[("stage", stage)]));
+    for stage in ["collection", "ntp_scan", "hitlist_scan", "telescope"] {
+        let n = staged("transport_exchanges", stage);
+        assert!(n > 0, "{stage}");
+        assert_eq!(
+            n,
+            staged("transport_answered", stage)
+                + staged("transport_unanswered", stage)
+                + staged("transport_lost", stage),
+            "{stage}"
+        );
+    }
+    // One exchange per scan attempt, per poll, and per vantage query —
+    // both vantages sweep the whole pool.
+    for stage in ["ntp_scan", "hitlist_scan"] {
+        let attempts: u64 = Protocol::ALL
+            .iter()
+            .map(|p| {
+                let labels = [("protocol", p.name()), ("stage", stage)];
+                det.counter(&OwnedKey::with_labels("scan_attempts", &labels))
+            })
+            .sum();
+        assert_eq!(staged("transport_exchanges", stage), attempts, "{stage}");
+    }
+    assert_eq!(
+        staged("transport_exchanges", "telescope"),
+        2 * staged("telescope_queries", "telescope")
+    );
+    assert_eq!(
+        staged("transport_exchanges", "collection"),
+        study.run_stats.polls
+    );
 }

@@ -105,7 +105,6 @@ mod tests {
         for i in 0..n {
             t.register(AsInfo {
                 asn: Asn(i + 1),
-                name: format!("as{i}"),
                 kind: AsType::Hosting,
                 country: country::DE,
                 allocations: vec![format!("2a{i:02x}::/32").parse().unwrap()],

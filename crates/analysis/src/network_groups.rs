@@ -123,14 +123,12 @@ mod tests {
         let mut t = Topology::new();
         t.register(AsInfo {
             asn: Asn(1),
-            name: "a".into(),
             kind: AsType::CableDslIsp,
             country: country::DE,
             allocations: vec!["2a00::/32".parse().unwrap()],
         });
         t.register(AsInfo {
             asn: Asn(2),
-            name: "b".into(),
             kind: AsType::Hosting,
             country: country::US,
             allocations: vec!["2600::/32".parse().unwrap()],

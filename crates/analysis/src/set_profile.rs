@@ -172,7 +172,6 @@ mod tests {
         ] {
             t.register(AsInfo {
                 asn: Asn(asn),
-                name: format!("as{asn}"),
                 kind,
                 country: country::DE,
                 allocations: allocs.iter().map(|p| p.parse().unwrap()).collect(),

@@ -39,7 +39,6 @@ mod tests {
         let mut t = Topology::new();
         t.register(AsInfo {
             asn: Asn(64500),
-            name: "JP ISP".into(),
             kind: AsType::CableDslIsp,
             country: country::JP,
             allocations: vec!["2400:1000::/32".parse().unwrap()],

@@ -72,7 +72,7 @@ pub use peeringdb::OrgId;
 pub use time::{Duration, SimTime};
 pub use topology::{AsInfo, Asn, Topology};
 pub use transport::{Delivery, FaultConfig, FaultProfile, Faulty, Ideal, Link, Transport};
-pub use world::{World, WorldConfig};
+pub use world::{Resolution, World, WorldConfig};
 
 /// Deterministic 64-bit mix used everywhere the simulation needs a
 /// pseudo-random but reproducible value derived from identifiers

@@ -36,8 +36,17 @@
 //!
 //! Households, servers, and routers are assigned to ASes in **contiguous
 //! global ranges** via largest-remainder quotas over the country client
-//! weights, so `id -> AS` is a binary search over O(#ASes) plan bases and
-//! `address -> id` is pure arithmetic (no per-device maps).
+//! weights, so `id -> AS` is a binary search over O(#ASes) plan bases.
+//!
+//! ## AS by /32 offset
+//!
+//! Each AS type numbers its /32 allocations upward from its own base
+//! (`EYEBALL_BASE32`, `HOSTING_BASE32`, `NSP_BASE32`), so
+//! `address -> id` is pure arithmetic: the /32's offset from a base names
+//! the plan, the /48 and /64 indices name the host. No map is consulted,
+//! and the topology is not read. [`Layout::locate`] also returns the
+//! [`Span`] over which its answer holds: the rotation epoch in eyeball
+//! space, all time for static and unrouted space.
 
 use crate::archetype::{build_services, BuildCtx, DeviceKind, KeyPools};
 use crate::country::{self, Continent, Country};
@@ -45,12 +54,11 @@ use crate::device::{Addressing, Attachment, Device, DeviceId, DeviceMeta, NtpCli
 use crate::mix2;
 use crate::peeringdb::AsType;
 use crate::services::{HttpService, ServiceSet, TlsEndpoint};
-use crate::time::{Duration, SimTime};
+use crate::time::{Duration, SimTime, Span};
 use crate::topology::{AsInfo, Asn, Topology};
 use crate::world::{AliasedRegion, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use v6addr::{Mac, Oui, Prefix};
 
@@ -80,6 +88,18 @@ pub const SNTP_POLL_INTERVAL: Duration = Duration::hours(1);
 /// must stay apart: the hosting range would reach the CDN's /32 at
 /// index 378 624.
 pub(crate) const MAX_ASES_PER_TYPE: u32 = 1 << 16;
+
+/// Top 32 bits of eyeball AS 0's allocation; AS `i` holds base + `i`.
+const EYEBALL_BASE32: u32 = 0x2a00_0000;
+
+/// Top 32 bits of hosting AS 0's allocation; AS `i` holds base + `i`.
+const HOSTING_BASE32: u32 = 0x2600_8000;
+
+/// Top 32 bits of NSP AS 0's allocation; AS `i` holds base + `i`.
+const NSP_BASE32: u32 = 0x2001_4000;
+
+/// Top 32 bits of the CDN's allocation, outside every type's range.
+const CDN_BASE32: u32 = 0x2606_4700;
 
 /// Households per eyeball AS cap: keeps the delegation-pool slot space
 /// `(count*4).clamp(8, 0xffff - POOL_BASE)` collision-free.
@@ -162,6 +182,13 @@ impl StaticPlan {
             .subnet(48, u128::from(idx / 4))
             .subnet(64, u128::from(idx % 4))
     }
+
+    /// Inverse of [`net64`](StaticPlan::net64): the local host whose /64
+    /// is subnet `sub64` of /48 `slot48`, if the plan holds one.
+    fn host_at(&self, slot48: u32, sub64: u32) -> Option<u32> {
+        let idx = slot48 * 4 + sub64;
+        (sub64 < 4 && idx < self.count).then_some(idx)
+    }
 }
 
 /// The archetype plan of one household, derived from the household RNG
@@ -199,9 +226,6 @@ pub struct Layout {
     eyeball: Vec<EyeballPlan>,
     hosting: Vec<StaticPlan>,
     nsp: Vec<StaticPlan>,
-    eyeball_index: HashMap<Asn, u32>,
-    hosting_index: HashMap<Asn, u32>,
-    nsp_index: HashMap<Asn, u32>,
     households: u32,
     servers: u32,
     routers: u32,
@@ -215,22 +239,18 @@ impl Layout {
         let mut topology = Topology::new();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut next_asn = 64_500u32;
-        let mut register = |topology: &mut Topology,
-                            name: String,
-                            kind: AsType,
-                            country: Country,
-                            alloc: Prefix| {
-            let asn = Asn(next_asn);
-            next_asn += 1;
-            topology.register(AsInfo {
-                asn,
-                name,
-                kind,
-                country,
-                allocations: vec![alloc],
-            });
-            asn
-        };
+        let mut register =
+            |topology: &mut Topology, kind: AsType, country: Country, alloc: Prefix| {
+                let asn = Asn(next_asn);
+                next_asn += 1;
+                topology.register(AsInfo {
+                    asn,
+                    kind,
+                    country,
+                    allocations: vec![alloc],
+                });
+                asn
+            };
         let alloc_prefix =
             |base: u32, idx: u32| Prefix::new(Ipv6Addr::from(u128::from(base + idx) << 96), 32);
 
@@ -242,14 +262,8 @@ impl Layout {
         let mut eyeball_as = Vec::new();
         for i in 0..config.eyeball_ases {
             let c = weighted_pick(&mut rng, &weights);
-            let alloc = alloc_prefix(0x2a00_0000, i);
-            let asn = register(
-                &mut topology,
-                format!("{} Broadband {}", country::name(c), i),
-                AsType::CableDslIsp,
-                c,
-                alloc,
-            );
+            let alloc = alloc_prefix(EYEBALL_BASE32, i);
+            let asn = register(&mut topology, AsType::CableDslIsp, c, alloc);
             eyeball_as.push((asn, c, alloc));
         }
         // Hosting ASes, concentrated in DE/US/NL/FR/GB.
@@ -267,14 +281,8 @@ impl Layout {
         let mut hosting_as = Vec::new();
         for i in 0..config.hosting_ases {
             let c = weighted_pick(&mut rng, &hosting_weights);
-            let alloc = alloc_prefix(0x2600_8000, i);
-            let asn = register(
-                &mut topology,
-                format!("Hosting {} {}", c.code(), i),
-                AsType::Hosting,
-                c,
-                alloc,
-            );
+            let alloc = alloc_prefix(HOSTING_BASE32, i);
+            let asn = register(&mut topology, AsType::Hosting, c, alloc);
             hosting_as.push((asn, c, alloc));
         }
         // NSPs.
@@ -291,14 +299,8 @@ impl Layout {
         let mut nsp_as = Vec::new();
         for i in 0..config.nsp_ases {
             let c = weighted_pick(&mut rng, &nsp_weights);
-            let alloc = alloc_prefix(0x2001_4000, i);
-            let asn = register(
-                &mut topology,
-                format!("Transit {} {}", c.code(), i),
-                AsType::Nsp,
-                c,
-                alloc,
-            );
+            let alloc = alloc_prefix(NSP_BASE32, i);
+            let asn = register(&mut topology, AsType::Nsp, c, alloc);
             nsp_as.push((asn, c, alloc));
         }
 
@@ -306,14 +308,8 @@ impl Layout {
         // address; TLS demands SNI (the Cloudfront effect of §4.2).
         let mut aliased = Vec::new();
         if config.cdn {
-            let alloc = alloc_prefix(0x2606_4700, 0);
-            register(
-                &mut topology,
-                "EdgeCloud CDN".into(),
-                AsType::Content,
-                country::US,
-                alloc,
-            );
+            let alloc = alloc_prefix(CDN_BASE32, 0);
+            register(&mut topology, AsType::Content, country::US, alloc);
             let prefix = Prefix::new(alloc.network(), 36);
             let services = ServiceSet {
                 http: Some(HttpService {
@@ -397,21 +393,11 @@ impl Layout {
         let hosting = static_plans(&hosting_as, &server_quota);
         let nsp = static_plans(&nsp_as, &router_quota);
 
-        let index_of = |plans: &[(Asn, Country, Prefix)]| -> HashMap<Asn, u32> {
-            plans
-                .iter()
-                .enumerate()
-                .map(|(i, &(asn, ..))| (asn, i as u32))
-                .collect()
-        };
         let layout = Layout {
             seed,
             rotation_secs: config.rotation.as_secs().max(1),
             privacy_regen: config.privacy_regen,
             keys: KeyPools::new(seed ^ 0x6b65_7970_6f6f_6c73),
-            eyeball_index: index_of(&eyeball_as),
-            hosting_index: index_of(&hosting_as),
-            nsp_index: index_of(&nsp_as),
             eyeball,
             hosting,
             nsp,
@@ -742,38 +728,48 @@ impl Layout {
     }
 
     /// Structural inverse of the address plan, pure arithmetic: the
-    /// *candidate* device id whose /64 contains `addr` at `t`. In
-    /// eyeball space the candidate may name a member slot its household
-    /// does not fill ([`try_device_meta`](Layout::try_device_meta) says
-    /// so), and the caller still has to verify the interface identifier
-    /// — a stale or never-assigned IID resolves to nothing.
-    pub fn locate(&self, topology: &Topology, addr: Ipv6Addr, t: SimTime) -> Option<DeviceId> {
+    /// *candidate* device id whose /64 contains `addr` at `t`, and the
+    /// span over which that answer holds — `t`'s rotation epoch in
+    /// eyeball space, [`Span::ALL`] elsewhere. The AS is the /32's
+    /// offset from its type's base (the ranges never meet, see
+    /// `MAX_ASES_PER_TYPE`). In eyeball space the candidate may name a
+    /// member slot its household does not fill
+    /// ([`try_device_meta`](Layout::try_device_meta) says so), and the
+    /// caller still has to verify the interface identifier — a stale or
+    /// never-assigned IID resolves to nothing.
+    ///
+    /// `t` is read only through [`epoch`](Layout::epoch), so every
+    /// instant of the returned span gets the same candidate.
+    pub fn locate(&self, addr: Ipv6Addr, t: SimTime) -> (Option<DeviceId>, Span) {
         let bits = u128::from(addr);
-        let asn = topology.origin(addr)?;
+        let alloc = (bits >> 96) as u32;
         let slot48 = ((bits >> 80) & 0xffff) as u32;
         let sub64 = ((bits >> 64) & 0xffff) as u32;
-        if let Some(&i) = self.hosting_index.get(&asn) {
-            let plan = &self.hosting[i as usize];
-            let idx = slot48.checked_mul(4)?.checked_add(sub64)?;
-            return (sub64 < 4 && idx < plan.count)
-                .then(|| DeviceId(self.static_base() + plan.base + idx));
+        if let Some(plan) = plan_at(&self.hosting, HOSTING_BASE32, alloc) {
+            let id = plan.host_at(slot48, sub64);
+            return (
+                id.map(|idx| DeviceId(self.static_base() + plan.base + idx)),
+                Span::ALL,
+            );
         }
-        if let Some(&i) = self.nsp_index.get(&asn) {
-            let plan = &self.nsp[i as usize];
-            let idx = slot48.checked_mul(4)?.checked_add(sub64)?;
-            return (sub64 < 4 && idx < plan.count)
-                .then(|| DeviceId(self.static_base() + self.servers + plan.base + idx));
+        if let Some(plan) = plan_at(&self.nsp, NSP_BASE32, alloc) {
+            let id = plan.host_at(slot48, sub64);
+            return (
+                id.map(|idx| DeviceId(self.static_base() + self.servers + plan.base + idx)),
+                Span::ALL,
+            );
         }
-        if let Some(&i) = self.eyeball_index.get(&asn) {
-            let plan = &self.eyeball[i as usize];
-            if slot48 < POOL_BASE {
-                return None;
-            }
-            let idx = plan.house_at(slot48 - POOL_BASE, self.epoch(t))?;
-            return (sub64 < HOUSEHOLD_STRIDE)
-                .then(|| DeviceId((plan.base + idx) * HOUSEHOLD_STRIDE + sub64));
+        if let Some(plan) = plan_at(&self.eyeball, EYEBALL_BASE32, alloc) {
+            let epoch = Span::window(t, Duration::secs(self.rotation_secs));
+            let idx = slot48
+                .checked_sub(POOL_BASE)
+                .and_then(|slot| plan.house_at(slot, self.epoch(t)));
+            let id = idx
+                .filter(|_| sub64 < HOUSEHOLD_STRIDE)
+                .map(|idx| DeviceId((plan.base + idx) * HOUSEHOLD_STRIDE + sub64));
+            return (id, epoch);
         }
-        None
+        (None, Span::ALL)
     }
 
     /// Deterministic O(1) estimate of the pool-client population —
@@ -784,6 +780,12 @@ impl Layout {
         // servers/routers almost never are.
         (self.households as usize) * 9 / 2 + (self.servers as usize) / 32 + 1
     }
+}
+
+/// The plan whose /32 is `alloc`, in a type whose AS 0 holds `base`.
+fn plan_at<P>(plans: &[P], base: u32, alloc: u32) -> Option<&P> {
+    let i = alloc.wrapping_sub(base);
+    (i < plans.len() as u32).then(|| &plans[i as usize])
 }
 
 /// Largest-remainder quotas of `total` over `weights`, capped at `cap`
@@ -1033,6 +1035,89 @@ mod tests {
             let (p, _) = layout.eyeball_of_house(h);
             assert!(p.base <= h && h < p.base + p.count);
         }
+    }
+
+    /// `locate` by /32 offset against the path it replaced: the
+    /// topology's origin AS, then that AS's plan by index. Every type's
+    /// first and last plan, one /32 past each type's last plan, the CDN
+    /// /32 and unrouted space, over a grid of /48s and /64s and two
+    /// rotation epochs.
+    #[test]
+    fn locate_by_offset_matches_the_origin_lookup() {
+        let cfg = WorldConfig::tiny(3);
+        let (layout, topology, _) = Layout::build(&cfg);
+        let rotation = Duration::secs(layout.rotation_secs);
+        let reference = |addr: Ipv6Addr, t: SimTime| -> (Option<DeviceId>, Span) {
+            let bits = u128::from(addr);
+            let slot48 = ((bits >> 80) & 0xffff) as u32;
+            let sub64 = ((bits >> 64) & 0xffff) as u32;
+            let Some(asn) = topology.origin(addr) else {
+                return (None, Span::ALL);
+            };
+            let statics = [(&layout.hosting, 0), (&layout.nsp, layout.servers)];
+            for (plans, offset) in statics {
+                if let Some(plan) = plans.iter().find(|p| p.asn == asn) {
+                    let idx = slot48 * 4 + sub64;
+                    let id = (sub64 < 4 && idx < plan.count)
+                        .then(|| DeviceId(layout.static_base() + offset + plan.base + idx));
+                    return (id, Span::ALL);
+                }
+            }
+            let Some(plan) = layout.eyeball.iter().find(|p| p.asn == asn) else {
+                return (None, Span::ALL);
+            };
+            let idx = if slot48 < POOL_BASE {
+                None
+            } else {
+                plan.house_at(slot48 - POOL_BASE, layout.epoch(t))
+            };
+            let id = idx
+                .filter(|_| sub64 < HOUSEHOLD_STRIDE)
+                .map(|idx| DeviceId((plan.base + idx) * HOUSEHOLD_STRIDE + sub64));
+            (id, Span::window(t, rotation))
+        };
+        let allocs = [
+            (EYEBALL_BASE32, cfg.eyeball_ases),
+            (HOSTING_BASE32, cfg.hosting_ases),
+            (NSP_BASE32, cfg.nsp_ases),
+        ]
+        .into_iter()
+        .flat_map(|(base, n)| [base, base + n - 1, base + n])
+        .chain([CDN_BASE32, 0x3fff_0000]);
+        let slots48 = [
+            0,
+            1,
+            2,
+            POOL_BASE - 1,
+            POOL_BASE,
+            POOL_BASE + 1,
+            POOL_BASE + 9,
+        ]
+        .into_iter()
+        .chain((POOL_BASE..POOL_BASE + 600).step_by(37))
+        .chain([0xfffe, 0xffff]);
+        let (mut found, mut past) = (0, 0);
+        for alloc in allocs {
+            for slot48 in slots48.clone() {
+                for sub64 in [0u32, 1, 3, 4, 7, 8, 0xffff] {
+                    let bits = u128::from(alloc) << 96
+                        | u128::from(slot48) << 80
+                        | u128::from(sub64) << 64
+                        | 0x1234;
+                    let addr = Ipv6Addr::from(bits);
+                    for t in [SimTime(5), SimTime(3 * 86_400 + 7)] {
+                        let want = reference(addr, t);
+                        assert_eq!(layout.locate(addr, t), want, "{addr} at {t}");
+                        found += usize::from(want.0.is_some());
+                        past += usize::from(topology.origin(addr).is_none());
+                    }
+                }
+            }
+        }
+        assert!(
+            found > 50 && past > 100,
+            "{found} candidates, {past} unrouted"
+        );
     }
 
     #[test]

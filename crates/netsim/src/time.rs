@@ -4,7 +4,8 @@
 //! 2024 in the paper). [`SimTime`] counts seconds since the *study epoch*
 //! (the moment the pool configuration was finalised); negative times never
 //! occur. Conversions to Unix time use [`STUDY_EPOCH_UNIX`] so NTP
-//! timestamps on the simulated wire are era-correct.
+//! timestamps on the simulated wire are era-correct. A [`Span`] is the
+//! stretch of time over which some time-dependent answer holds.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -72,6 +73,49 @@ impl SimTime {
     /// Elapsed time since `earlier` (saturating).
     pub fn since(&self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
+    }
+}
+
+/// A half-open stretch of simulated time `[from, until)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// First instant inside.
+    pub from: SimTime,
+    /// First instant past the end.
+    pub until: SimTime,
+}
+
+impl Span {
+    /// Every instant a study can name (`SimTime(u64::MAX)` aside).
+    pub const ALL: Span = Span {
+        from: SimTime(0),
+        until: SimTime(u64::MAX),
+    };
+
+    /// The window of length `len` (taken as at least 1 s) that contains
+    /// `t`, aligned to multiples of `len`: the instants `t'` with
+    /// `t' / len == t / len`.
+    pub fn window(t: SimTime, len: Duration) -> Span {
+        let len = len.as_secs().max(1);
+        let from = t.as_secs() / len * len;
+        Span {
+            from: SimTime(from),
+            until: SimTime(from.saturating_add(len)),
+        }
+    }
+
+    /// Whether `t` lies inside.
+    pub fn contains(&self, t: SimTime) -> bool {
+        self.from <= t && t < self.until
+    }
+
+    /// The instants inside both (empty, `from >= until`, when they do
+    /// not overlap).
+    pub fn intersect(&self, other: Span) -> Span {
+        Span {
+            from: self.from.max(other.from),
+            until: self.until.min(other.until),
+        }
     }
 }
 
@@ -158,6 +202,25 @@ mod tests {
         assert_eq!(Duration::hours(1).as_secs(), 3600);
         assert_eq!(Duration::days(28).as_secs(), 2_419_200);
         assert_eq!(Duration::secs(1) + Duration::secs(2), Duration(3));
+    }
+
+    #[test]
+    fn spans_are_half_open_aligned_windows() {
+        let w = Span::window(SimTime(90_061), Duration::days(1));
+        assert_eq!((w.from, w.until), (SimTime(86_400), SimTime(172_800)));
+        assert!(w.contains(SimTime(86_400)) && w.contains(SimTime(172_799)));
+        assert!(!w.contains(SimTime(86_399)) && !w.contains(SimTime(172_800)));
+        // A zero length is one second, and the last window saturates.
+        assert_eq!(Span::window(SimTime(7), Duration::ZERO).until, SimTime(8));
+        assert_eq!(
+            Span::window(SimTime(u64::MAX - 1), Duration::days(1)).until,
+            SimTime(u64::MAX)
+        );
+        let six = Span::window(SimTime(90_061), Duration::hours(6));
+        assert_eq!(w.intersect(six), six);
+        assert_eq!(Span::ALL.intersect(w), w);
+        let next = Span::window(SimTime(172_800), Duration::days(1));
+        assert!(!(0..4).any(|s| w.intersect(next).contains(SimTime(172_798 + s))));
     }
 
     #[test]

@@ -29,8 +29,6 @@ impl fmt::Display for Asn {
 pub struct AsInfo {
     /// The AS number.
     pub asn: Asn,
-    /// Organisation name.
-    pub name: String,
     /// PeeringDB type label.
     pub kind: AsType,
     /// Registered country.
@@ -127,14 +125,12 @@ mod tests {
         let mut t = Topology::new();
         t.register(AsInfo {
             asn: Asn(64500),
-            name: "Eyeball GmbH".into(),
             kind: AsType::CableDslIsp,
             country: country::DE,
             allocations: vec!["2001:4d00::/32".parse().unwrap()],
         });
         t.register(AsInfo {
             asn: Asn(64501),
-            name: "Hoster BV".into(),
             kind: AsType::Hosting,
             country: country::NL,
             allocations: vec![
@@ -183,7 +179,6 @@ mod tests {
         let mut t = sample();
         t.register(AsInfo {
             asn: Asn(64500),
-            name: "dup".into(),
             kind: AsType::Nsp,
             country: country::US,
             allocations: vec![],
@@ -196,7 +191,6 @@ mod tests {
         let mut t = sample();
         t.register(AsInfo {
             asn: Asn(64502),
-            name: "overlap".into(),
             kind: AsType::Nsp,
             country: country::US,
             allocations: vec!["2001:4d00::/32".parse().unwrap()],
@@ -209,7 +203,6 @@ mod tests {
         let mut t = Topology::new();
         t.register(AsInfo {
             asn: Asn(1),
-            name: "bad".into(),
             kind: AsType::Nsp,
             country: country::US,
             allocations: vec!["2001:db8::/48".parse().unwrap()],

@@ -14,7 +14,9 @@
 //!   but failing TLS without SNI (the Cloudfront effect of §4.2).
 //!
 //! The world resolves an address *at a time* to a device and dispatches
-//! probe bytes to its service stack.
+//! probe bytes to its service stack. A [`Resolution`] also says how long
+//! that answer holds, so a scanner probing one address many times
+//! resolves it once per span, not once per probe.
 //!
 //! ## One representation
 //!
@@ -29,15 +31,16 @@
 //! candidate device id, the cache returns that device (deriving it on a
 //! miss; a member slot its household does not fill derives to nothing
 //! and is not cached), and the interface identifier is checked against
-//! the device's addressing. A scan sends all of a target's probes back
-//! to back, so every attempt after the first is a cache hit.
+//! the device's addressing. [`World::resolve`] keeps the span each step
+//! holds over: the rotation epoch in eyeball space, cut to the
+//! regeneration window when the candidate uses privacy IIDs.
 
-use crate::device::{Device, DeviceId, DeviceMeta, NtpClientCfg};
+use crate::device::{Addressing, Device, DeviceId, DeviceMeta, NtpClientCfg};
 use crate::procgen::{
     Layout, HOUSEHOLD_STRIDE, MAX_ASES_PER_TYPE, MAX_HOUSEHOLDS_PER_AS, MAX_STATIC_PER_AS,
 };
 use crate::services::ServiceSet;
-use crate::time::{Duration, SimTime};
+use crate::time::{Duration, SimTime, Span};
 use crate::topology::Topology;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -190,6 +193,56 @@ pub struct AliasedRegion {
     pub prefix: Prefix,
     /// Shared service surface of every address inside.
     pub services: ServiceSet,
+}
+
+/// What answers an address, and the span of time over which it does:
+/// [`World::resolve`]'s result. Inside [`span`](Resolution::span) the
+/// answer is the one a fresh resolution would give, so a caller may keep
+/// it while [`holds_at`](Resolution::holds_at) says so.
+#[derive(Debug, Clone)]
+pub struct Resolution<'w> {
+    answer: Answer<'w>,
+    span: Span,
+}
+
+#[derive(Debug, Clone)]
+enum Answer<'w> {
+    Aliased(&'w ServiceSet),
+    Device(Arc<Device>),
+    Silent,
+}
+
+impl Resolution<'_> {
+    /// Whether the answer still holds at `t` — on either side of the
+    /// instant it was resolved at.
+    pub fn holds_at(&self, t: SimTime) -> bool {
+        self.span.contains(t)
+    }
+
+    /// The span the answer holds over.
+    pub fn span(&self) -> Span {
+        self.span
+    }
+
+    /// The device holding the address (`None` for an aliased region, or
+    /// where nothing answers).
+    pub fn device(&self) -> Option<&Arc<Device>> {
+        match &self.answer {
+            Answer::Device(dev) => Some(dev),
+            Answer::Aliased(_) | Answer::Silent => None,
+        }
+    }
+
+    /// Dispatches probe bytes to whatever answers. `None` models silence:
+    /// unrouted space, firewalled device, closed port, stale address, or
+    /// a host that rejected the bytes.
+    pub fn respond(&self, port: u16, probe: &[u8]) -> Option<Vec<u8>> {
+        match &self.answer {
+            Answer::Aliased(services) => services.respond(port, probe),
+            Answer::Device(dev) => dev.services.respond(port, probe),
+            Answer::Silent => None,
+        }
+    }
 }
 
 /// Bounded memoization for derived devices: two generational banks; when
@@ -374,20 +427,55 @@ impl World {
     /// interface identifier verified (a stale address resolves to
     /// nothing — exactly the staleness the paper's §6 warns about).
     pub fn device_at(&self, addr: Ipv6Addr, t: SimTime) -> Option<Arc<Device>> {
-        let dev = self.lookup(self.layout.locate(&self.topology, addr, t)?)?;
-        (dev.iid_at(t) == Iid(u128::from(addr) as u64)).then_some(dev)
+        self.holder(addr, t).0
+    }
+
+    /// What answers `addr` at `t` — an aliased region, the device
+    /// [`device_at`](World::device_at) names, or nothing — and the span
+    /// over which that answer holds.
+    ///
+    /// The span is exact, not a guess. [`Layout::locate`] reads `t` only
+    /// through the rotation epoch, so the candidate is fixed over the
+    /// epoch (over all time outside eyeball space). The candidate's
+    /// interface identifier reads `t` only as `t / regen` for privacy
+    /// addressing — the span is cut to that window, static privacy hosts
+    /// included — and not at all otherwise. A service stack's answer to
+    /// probe bytes does not read `t`, and an aliased region answers
+    /// always. So every instant inside the span resolves the same way.
+    pub fn resolve(&self, addr: Ipv6Addr, t: SimTime) -> Resolution<'_> {
+        if let Some(region) = self.aliased.iter().find(|r| r.prefix.contains(addr)) {
+            return Resolution {
+                answer: Answer::Aliased(&region.services),
+                span: Span::ALL,
+            };
+        }
+        let (dev, span) = self.holder(addr, t);
+        Resolution {
+            answer: dev.map_or(Answer::Silent, Answer::Device),
+            span,
+        }
+    }
+
+    /// [`device_at`](World::device_at) with the span its answer holds
+    /// over (see [`resolve`](World::resolve)).
+    fn holder(&self, addr: Ipv6Addr, t: SimTime) -> (Option<Arc<Device>>, Span) {
+        let (id, span) = self.layout.locate(addr, t);
+        let Some(dev) = id.and_then(|id| self.lookup(id)) else {
+            return (None, span);
+        };
+        let span = match dev.addressing {
+            Addressing::Privacy { regen } => span.intersect(Span::window(t, regen)),
+            Addressing::Eui64(_) | Addressing::Structured(_) | Addressing::Zero => span,
+        };
+        let held = dev.iid_at(t) == Iid(u128::from(addr) as u64);
+        (held.then_some(dev), span)
     }
 
     /// Dispatches probe bytes to whatever answers `addr:port` at `t`.
     /// `None` models silence: unrouted space, firewalled device, closed
     /// port, stale address, or a host that rejected the bytes.
     pub fn respond(&self, addr: Ipv6Addr, port: u16, probe: &[u8], t: SimTime) -> Option<Vec<u8>> {
-        for region in &self.aliased {
-            if region.prefix.contains(addr) {
-                return region.services.respond(port, probe);
-            }
-        }
-        self.device_at(addr, t)?.services.respond(port, probe)
+        self.resolve(addr, t).respond(port, probe)
     }
 
     /// Devices that run an NTP pool client, with their configs, in

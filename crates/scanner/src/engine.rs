@@ -12,6 +12,11 @@
 //! deployment: per-protocol timeouts, a bounded number of retries with
 //! exponential backoff, and a typed [`FailureCause`] when a train gives
 //! up.
+//!
+//! A target is resolved once per address span, not once per attempt: the
+//! engine keeps the [`Resolution`] it got at the first delivered probe
+//! and reuses it while it [holds](Resolution::holds_at) at the admitted
+//! time. Every attempt still crosses the transport.
 
 use crate::probers;
 use crate::ratelimit::TokenBucket;
@@ -19,7 +24,7 @@ use crate::result::{FailureCause, Protocol, ScanRecord};
 use crate::store::ScanStore;
 use netsim::time::{Duration, SimTime};
 use netsim::transport::{Delivery, Ideal, Link, Transport};
-use netsim::world::World;
+use netsim::world::{Resolution, World};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
@@ -161,7 +166,9 @@ impl Engine {
     }
 
     /// Probes one target with every configured protocol, unless it is
-    /// still in its cooldown window.
+    /// still in its cooldown window. The target is resolved at the first
+    /// probe the transport delivers, and again only at a delivery its
+    /// resolution no longer holds at.
     pub fn scan_target(&mut self, world: &World, addr: Ipv6Addr, at: SimTime) {
         let key = u128::from(addr);
         if let Some(&prev) = self.last_scan.get(&key) {
@@ -171,16 +178,25 @@ impl Engine {
         }
         self.last_scan.insert(key, at);
         self.store.note_target();
+        let mut held = None;
         for i in 0..self.probes.len() {
             let want = at + self.policy.delay_of(i);
-            self.probe_train(world, addr, i, want);
+            self.probe_train(world, &mut held, addr, i, want);
         }
     }
 
     /// Runs one probe train: up to `retry.attempts` sends of protocol
     /// `i`'s prebuilt probe, spaced by timeout + exponential backoff,
-    /// recording either a [`ScanRecord`] or a [`FailureCause`].
-    fn probe_train(&mut self, world: &World, addr: Ipv6Addr, i: usize, want: SimTime) {
+    /// recording either a [`ScanRecord`] or a [`FailureCause`]. `held` is
+    /// the target's last resolution, kept across trains.
+    fn probe_train<'w>(
+        &mut self,
+        world: &'w World,
+        held: &mut Option<Resolution<'w>>,
+        addr: Ipv6Addr,
+        i: usize,
+        want: SimTime,
+    ) {
         let (proto, probe) = &self.probes[i];
         let proto = *proto;
         let port = proto.port();
@@ -201,7 +217,13 @@ impl Engine {
                 .store
                 .transport
                 .exchange(transport, link, probe, &mut |bytes| {
-                    world.respond(addr, port, bytes, t)
+                    // Two-sided: nothing here leans on admitted times
+                    // rising from one attempt to the next.
+                    let current = match held.take() {
+                        Some(r) if r.holds_at(t) => r,
+                        _ => world.resolve(addr, t),
+                    };
+                    held.insert(current).respond(port, bytes)
                 });
             match delivery {
                 Delivery::Answered { bytes, rtt } if rtt <= timeout => {
@@ -388,6 +410,52 @@ mod tests {
         for cause in FailureCause::ALL {
             assert_eq!(a.failures(cause), b.failures(cause));
         }
+    }
+
+    /// Targets whose trains straddle a prefix rotation, scanned at the
+    /// address a device has before it and at the one it has after: every
+    /// record is what a fresh probe sees at its admitted time, on both
+    /// sides. One engine per target, so each train is admitted at the
+    /// time it asks for.
+    #[test]
+    fn trains_straddling_a_rotation_see_what_a_fresh_probe_sees() {
+        let w = World::generate(WorldConfig::tiny(33));
+        let policy = ScanPolicy::default();
+        let rotation = SimTime(Duration::days(1).as_secs());
+        // HTTP and HTTPS go before the rotation, SSH onwards after it.
+        let at = rotation - Duration::secs(100);
+        let (mut before, mut after) = (0, 0);
+        for meta in w.metas() {
+            for addr in [
+                w.address_of_meta(&meta, at),
+                w.address_of_meta(&meta, rotation),
+            ] {
+                let mut engine = Engine::new(policy.clone());
+                engine.scan_target(&w, addr, at);
+                let fresh: Vec<ScanRecord> = (0..policy.protocols.len())
+                    .filter_map(|i| {
+                        let (protocol, t) = (policy.protocols[i], at + policy.delay_of(i));
+                        let probe = probers::build_probe(protocol);
+                        let bytes = w.respond(addr, protocol.port(), &probe, t)?;
+                        Some(ScanRecord {
+                            addr,
+                            time: t,
+                            protocol,
+                            result: probers::parse_response(protocol, &bytes)?,
+                            attempts: 1,
+                            rtt: Duration::ZERO,
+                        })
+                    })
+                    .collect();
+                assert_eq!(engine.into_store().records(), fresh, "{addr} from {at}");
+                before += fresh.iter().filter(|r| r.time < rotation).count();
+                after += fresh.iter().filter(|r| r.time >= rotation).count();
+            }
+        }
+        assert!(
+            before > 0 && after > 0,
+            "{before} records before, {after} after"
+        );
     }
 
     #[test]

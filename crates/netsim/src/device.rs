@@ -7,6 +7,7 @@
 //! the NTP servers observe (3 B addresses from far fewer devices) and the
 //! staleness that makes NTP-sourced hitlists decay (paper §6).
 
+use crate::procgen::{POLL_INTERVAL, SNTP_POLL_INTERVAL};
 use crate::time::{Duration, SimTime};
 use crate::topology::Asn;
 use crate::{archetype::DeviceKind, country::Country, mix2, services::ServiceSet};
@@ -140,6 +141,81 @@ impl DeviceMeta {
     /// The interface identifier at time `t`.
     pub fn iid_at(&self, t: SimTime) -> Iid {
         iid_at(self.id, self.addressing, t)
+    }
+}
+
+/// What a poll needs of a pool client that only a derivation can
+/// produce, in 8 bytes: the rule its interface identifier forms by and
+/// whether it runs bare SNTP firmware. The rest of what a poll reads —
+/// country, /64 and the instant the IID is taken at — follows from the
+/// id and `t` ([`crate::World::poll_view`]), so a collection queue
+/// carries the card instead of re-deriving the meta at every poll.
+/// Built by [`crate::World::poll_card`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PollCard {
+    rule: CardRule,
+    sntp: bool,
+    mac: Mac,
+}
+
+/// How a [`PollCard`] rebuilds its client's interface identifier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CardRule {
+    /// A household member with EUI-64 addressing from the card's MAC.
+    Eui64,
+    /// A household member with privacy IIDs at the world's
+    /// `privacy_regen`.
+    Privacy,
+    /// A card that cannot hold the meta (a static host: structured,
+    /// zero, or long-lived privacy IIDs in a fixed /64). Its poll
+    /// derives the meta.
+    DeriveMeta,
+}
+
+impl PollCard {
+    /// The card of pool client `meta` in a world whose members
+    /// regenerate privacy IIDs every `privacy_regen`.
+    pub(crate) fn of(meta: &DeviceMeta, privacy_regen: Duration) -> PollCard {
+        let sntp = meta
+            .ntp
+            .is_some_and(|cfg| cfg.poll_interval == SNTP_POLL_INTERVAL);
+        let (rule, mac) = match (meta.attachment, meta.addressing) {
+            (Attachment::Household { .. }, Addressing::Eui64(mac)) => (CardRule::Eui64, mac),
+            (Attachment::Household { .. }, Addressing::Privacy { regen })
+                if regen == privacy_regen =>
+            {
+                (CardRule::Privacy, Mac([0; 6]))
+            }
+            _ => (CardRule::DeriveMeta, Mac([0; 6])),
+        };
+        PollCard { rule, sntp, mac }
+    }
+
+    /// Whether a poll with this card derives its client's meta: true
+    /// only for a card that cannot hold it.
+    pub fn derives_meta(&self) -> bool {
+        self.rule == CardRule::DeriveMeta
+    }
+
+    /// A household member's addressing, its privacy IIDs regenerating
+    /// every `privacy_regen`; `None` for a card that derives the meta.
+    pub(crate) fn addressing(&self, privacy_regen: Duration) -> Option<Addressing> {
+        match self.rule {
+            CardRule::Eui64 => Some(Addressing::Eui64(self.mac)),
+            CardRule::Privacy => Some(Addressing::Privacy {
+                regen: privacy_regen,
+            }),
+            CardRule::DeriveMeta => None,
+        }
+    }
+
+    /// The client's poll interval.
+    pub(crate) fn poll_interval(&self) -> Duration {
+        if self.sntp {
+            SNTP_POLL_INTERVAL
+        } else {
+            POLL_INTERVAL
+        }
     }
 }
 

@@ -66,7 +66,7 @@ pub mod world;
 pub use archetype::DeviceKind;
 pub use bgp::{BgpEvent, BgpFeed};
 pub use country::Country;
-pub use device::{Device, DeviceId, DeviceMeta};
+pub use device::{Device, DeviceId, DeviceMeta, PollCard};
 pub use instrument::TransportTotals;
 pub use peeringdb::OrgId;
 pub use time::{Duration, SimTime};

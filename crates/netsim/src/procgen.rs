@@ -50,7 +50,7 @@
 
 use crate::archetype::{build_services, BuildCtx, DeviceKind, KeyPools};
 use crate::country::{self, Continent, Country};
-use crate::device::{Addressing, Attachment, Device, DeviceId, DeviceMeta, NtpClientCfg};
+use crate::device::{iid_at, Addressing, Attachment, Device, DeviceId, DeviceMeta, NtpClientCfg};
 use crate::mix2;
 use crate::peeringdb::AsType;
 use crate::services::{HttpService, ServiceSet, TlsEndpoint};
@@ -714,17 +714,39 @@ impl Layout {
             Attachment::Static { net64 } => net64,
             Attachment::Household { household, member } => {
                 let (plan, _) = self.eyeball_of_house(household);
-                let slot = plan.slot_at(household - plan.base, self.epoch(t));
-                plan.alloc
-                    .subnet(48, u128::from(POOL_BASE + slot))
-                    .subnet(64, u128::from(member))
+                self.member_net64(plan, household, member, t)
             }
         }
     }
 
+    /// The /64 of member `member` of household `h`, which `plan` owns,
+    /// at `t`.
+    fn member_net64(&self, plan: &EyeballPlan, h: u32, member: u8, t: SimTime) -> Prefix {
+        let slot = plan.slot_at(h - plan.base, self.epoch(t));
+        plan.alloc
+            .subnet(48, u128::from(POOL_BASE + slot))
+            .subnet(64, u128::from(member))
+    }
+
     /// The device's global address at `t`.
     pub fn address_of(&self, meta: &DeviceMeta, t: SimTime) -> Ipv6Addr {
-        self.net64_of(meta, t).host(u128::from(meta.iid_at(t).0))
+        host_in(self.net64_of(meta, t), meta.id, meta.addressing, t)
+    }
+
+    /// Country and address at `t` of household member `id`, whose
+    /// interface identifier forms by `addressing`, read off the id
+    /// without deriving the member: the plan owning household `id / 8`,
+    /// and the /64 and host [`address_of`](Layout::address_of) computes.
+    pub(crate) fn member_view(
+        &self,
+        id: DeviceId,
+        addressing: Addressing,
+        t: SimTime,
+    ) -> (Country, Ipv6Addr) {
+        let (h, member) = (id.0 / HOUSEHOLD_STRIDE, (id.0 % HOUSEHOLD_STRIDE) as u8);
+        let (plan, _) = self.eyeball_of_house(h);
+        let net64 = self.member_net64(plan, h, member, t);
+        (plan.country, host_in(net64, id, addressing, t))
     }
 
     /// Structural inverse of the address plan, pure arithmetic: the
@@ -780,6 +802,12 @@ impl Layout {
         // servers/routers almost never are.
         (self.households as usize) * 9 / 2 + (self.servers as usize) / 32 + 1
     }
+}
+
+/// The address of device `id` in `net64` at `t`: its interface
+/// identifier by `addressing` as the host part.
+fn host_in(net64: Prefix, id: DeviceId, addressing: Addressing, t: SimTime) -> Ipv6Addr {
+    net64.host(u128::from(iid_at(id, addressing, t).0))
 }
 
 /// The plan whose /32 is `alloc`, in a type whose AS 0 holds `base`.

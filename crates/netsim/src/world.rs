@@ -35,7 +35,8 @@
 //! holds over: the rotation epoch in eyeball space, cut to the
 //! regeneration window when the candidate uses privacy IIDs.
 
-use crate::device::{Addressing, Device, DeviceId, DeviceMeta, NtpClientCfg};
+use crate::country::Country;
+use crate::device::{Addressing, Device, DeviceId, DeviceMeta, NtpClientCfg, PollCard};
 use crate::procgen::{
     Layout, HOUSEHOLD_STRIDE, MAX_ASES_PER_TYPE, MAX_HOUSEHOLDS_PER_AS, MAX_STATIC_PER_AS,
 };
@@ -415,6 +416,41 @@ impl World {
     /// (skips the id lookup).
     pub fn address_of_meta(&self, meta: &DeviceMeta, t: SimTime) -> Ipv6Addr {
         self.layout.address_of(meta, t)
+    }
+
+    /// The [`PollCard`] of pool client `meta`: what a poll of it needs
+    /// beyond its id and the instant.
+    pub fn poll_card(&self, meta: &DeviceMeta) -> PollCard {
+        PollCard::of(meta, self.config.privacy_regen)
+    }
+
+    /// What a poll of client `id` at `t` reads — its country, its
+    /// address at `t` and its poll interval — from the id and the
+    /// client's [`poll_card`](World::poll_card), with no RNG draw: equal
+    /// to `(meta.country, address_of_meta(&meta, t), poll_interval)`.
+    /// A household member's address comes from the same address plan as
+    /// [`address_of_meta`](World::address_of_meta); a card that cannot
+    /// hold its client (a static host) derives the meta as
+    /// [`meta`](World::meta) does.
+    ///
+    /// The card must be `id`'s own; nothing checks that here.
+    ///
+    /// # Panics
+    /// On an id outside the world when the card derives the meta.
+    pub fn poll_view(
+        &self,
+        id: DeviceId,
+        card: PollCard,
+        t: SimTime,
+    ) -> (Country, Ipv6Addr, Duration) {
+        let (country, addr) = match card.addressing(self.config.privacy_regen) {
+            Some(addressing) => self.layout.member_view(id, addressing, t),
+            None => {
+                let meta = self.meta(id);
+                (meta.country, self.layout.address_of(&meta, t))
+            }
+        };
+        (country, addr, card.poll_interval())
     }
 
     /// The /64 the device lives in at `t`.

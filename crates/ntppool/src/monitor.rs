@@ -75,7 +75,7 @@ pub fn tune_collecting_servers(
             if new_speed == pool.server(id).netspeed {
                 break;
             }
-            pool.server_mut(id).netspeed = new_speed;
+            pool.set_netspeed(id, new_speed);
         }
         outcomes.push(TuneOutcome {
             server: id,

@@ -44,7 +44,7 @@ use netsim::engine::EventQueue;
 use netsim::time::{Duration, SimTime};
 use netsim::transport::{Delivery, Ideal, Link, Transport};
 use netsim::world::World;
-use netsim::{DeviceId, TransportTotals};
+use netsim::{DeviceId, PollCard, TransportTotals};
 use std::net::Ipv6Addr;
 use telemetry::{Histogram, Registry};
 use wire::ntp::{NtpTimestamp, Packet};
@@ -314,12 +314,22 @@ impl CollectionCheckpoint {
 
     /// Checks a checkpoint that came from outside the program against
     /// the world and pool it is about to be advanced over: the engine
-    /// indexes `rps` by server id and expects every pending device to
-    /// be a pool client of the world, so a mismatch must be refused
-    /// here, not met as a panic inside the poll loop.
+    /// indexes `rps` by server id, expects every pending device to be a
+    /// pool client of the world, and queues a poll number in 32 bits,
+    /// so a mismatch must be refused here, not met as a panic inside
+    /// the poll loop. A real run numbers at most one poll per
+    /// [`netsim::procgen::SNTP_POLL_INTERVAL`] of its window per client;
+    /// a pending poll whose follow-up would not fit is refused.
     pub fn validate(&self, world: &World, pool: &Pool) -> Result<(), &'static str> {
         if self.rps.len() != pool.len() {
             return Err("rps table does not match the pool");
+        }
+        if self
+            .pending
+            .iter()
+            .any(|&(_, _, seq)| seq >= u64::from(u32::MAX))
+        {
+            return Err("pending poll number past what the queue holds");
         }
         let is_client = |id| world.try_meta(id).is_some_and(|dev| dev.ntp.is_some());
         if !self.pending.iter().all(|&(_, id, _)| is_client(id)) {
@@ -329,13 +339,19 @@ impl CollectionCheckpoint {
     }
 }
 
+/// One queued poll: the client, its poll number and its [`PollCard`]
+/// — 16 bytes, so an event-queue entry stays the 32 bytes a
+/// `(DeviceId, u64)` payload with its padding took. The card is what
+/// lets a poll skip deriving the client's meta.
+type Poll = (DeviceId, u32, PollCard);
+
 /// The live form of a [`CollectionCheckpoint`]: the event queue,
 /// per-server RPS windows, the [`RunStats`] tally, the KoD histogram
 /// and the transport tally.
 /// Everything else the engine touches (the request memo) is
 /// recomputable and lives on the stack of one `drive` call.
 struct EngineState {
-    queue: EventQueue<(DeviceId, u64)>,
+    queue: EventQueue<Poll>,
     rps: RpsWindows,
     totals: RunStats,
     kod_backoff: Histogram,
@@ -344,13 +360,19 @@ struct EngineState {
 
 impl EngineState {
     /// Takes the engine state out of `ckpt` (the caller writes the
-    /// advanced state back with [`EngineState::into_checkpoint`]).
-    fn thaw(ckpt: &mut CollectionCheckpoint) -> EngineState {
+    /// advanced state back with [`EngineState::into_checkpoint`]). A
+    /// checkpoint holds no cards: each pending client's is derived here,
+    /// one meta per client per slice.
+    fn thaw(ckpt: &mut CollectionCheckpoint, world: &World) -> EngineState {
         let mut queue = EventQueue::new();
         queue.schedule_batch(
             std::mem::take(&mut ckpt.pending)
                 .into_iter()
-                .map(|(t, id, seq)| (t, (id, seq))),
+                .map(|(t, id, seq)| {
+                    let seq =
+                        u32::try_from(seq).expect("a validated checkpoint's poll number fits");
+                    (t, (id, seq, world.poll_card(&world.meta(id))))
+                }),
         );
         EngineState {
             queue,
@@ -365,8 +387,8 @@ impl EngineState {
 
     fn into_checkpoint(mut self, cursor: SimTime) -> CollectionCheckpoint {
         let mut pending = Vec::with_capacity(self.queue.len());
-        while let Some((t, (id, seq))) = self.queue.pop() {
-            pending.push((t, id, seq));
+        while let Some((t, (id, seq, _))) = self.queue.pop() {
+            pending.push((t, id, u64::from(seq)));
         }
         CollectionCheckpoint {
             cursor,
@@ -422,12 +444,18 @@ impl<'w> CollectionRun<'w> {
     /// 45-minute window of the 1:100 world queues 1.3 M of its 10.4 M
     /// clients, and [`World::ntp_clients_within`] derives little more
     /// than those. A window of a poll interval or longer queues them all.
+    /// Each client's card comes from the meta that walk derived.
     fn fresh_state(&self) -> EngineState {
         let mut queue = EventQueue::new();
         queue.schedule_batch(
             self.world
                 .ntp_clients_within(self.end.since(self.start))
-                .map(|(dev, cfg)| (self.start + cfg.phase, (dev.id, 0))),
+                .map(|(dev, cfg)| {
+                    (
+                        self.start + cfg.phase,
+                        (dev.id, 0, self.world.poll_card(&dev)),
+                    )
+                }),
         );
         EngineState {
             queue,
@@ -465,7 +493,7 @@ impl<'w> CollectionRun<'w> {
         feed: &mut Vec<Observation>,
     ) {
         let stop = stop.min(self.end).max(ckpt.cursor);
-        let mut st = EngineState::thaw(ckpt);
+        let mut st = EngineState::thaw(ckpt, self.world);
         self.drive(&mut st, stop, &mut |server, addr, t| {
             if self.pool.server(server).operator.is_study() {
                 feed.extend(collector.record(server, addr, t));
@@ -488,7 +516,9 @@ impl<'w> CollectionRun<'w> {
         st.totals
     }
 
-    /// The poll loop: one pop per event, everything inline.
+    /// The poll loop: one pop per event, everything inline. A poll reads
+    /// its client through the queued card ([`World::poll_view`]), not a
+    /// derived meta.
     fn drive<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
         &self,
         st: &mut EngineState,
@@ -507,14 +537,12 @@ impl<'w> CollectionRun<'w> {
         // `stop` means every remaining event is too — they stay queued
         // (for a checkpoint) instead of being drained.
         while queue.peek_time().is_some_and(|t0| t0 < stop) {
-            let (t, (id, seq)) = queue.pop().expect("peeked event pops");
-            let dev = self.world.meta(id);
-            let cfg = dev.ntp.expect("scheduled device has NTP config");
+            let (t, (id, seq, card)) = queue.pop().expect("peeked event pops");
+            let (country, addr, poll_interval) = self.world.poll_view(id, card, t);
             totals.polls += 1;
 
-            let addr = self.world.address_of_meta(&dev, t);
             let mut reply = PollReply::None;
-            if let Some(server_id) = self.pool.select(dev.country, u64::from(id.0), seq) {
+            if let Some(server_id) = self.pool.select(country, u64::from(id.0), u64::from(seq)) {
                 let server = self.pool.server(server_id);
                 let current_rps = rps.ordinal(server_id, t.as_secs());
                 let link = Link {
@@ -544,16 +572,16 @@ impl<'w> CollectionRun<'w> {
             } else {
                 totals.lost += 1;
             }
-            let next = next_poll(t, cfg.poll_interval, reply);
+            let next = next_poll(t, poll_interval, reply);
             if reply == PollReply::RateKod {
                 // The extra sim-time wait KoD imposed beyond the normal
                 // interval.
-                kod_backoff.observe(next.since(t).as_secs() - cfg.poll_interval.as_secs());
+                kod_backoff.observe(next.since(t).as_secs() - poll_interval.as_secs());
             }
             // A follow-up at or past `end` never pops, in this slice or
             // any later one; dropping it keeps the order of the rest.
             if next < self.end {
-                queue.schedule(next, (id, seq + 1));
+                queue.schedule(next, (id, seq + 1, card));
             }
         }
     }

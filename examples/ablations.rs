@@ -83,7 +83,7 @@ fn ablation_netspeed(study: &timetoscan::Study) {
         ..ntppool::PoolServer::background(netsim::country::IN)
     });
     for netspeed in [250u64, 1_000, 10_000, 100_000, 1_000_000] {
-        pool.server_mut(id).netspeed = netspeed;
+        pool.set_netspeed(id, netspeed);
         println!(
             "netspeed {netspeed:8}: zone share {:6.2}%  expected {:9.3} req/s (India zone)",
             pool.zone_share(id) * 100.0,

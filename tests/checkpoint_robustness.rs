@@ -296,6 +296,45 @@ fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
     }
 }
 
+/// The collection queue numbers a client's polls in 32 bits: a
+/// re-sealed pending poll whose number, or its follow-up's, does not
+/// fit is [`StoreError::Corrupt`] at restore and at resume, never a
+/// panic in the poll loop. One below that restores.
+#[test]
+fn resealed_poll_numbers_past_the_queue_are_refused() {
+    let fx = Fixture::new("seq");
+    let world = Arc::new(World::generate(config().world));
+    let rewrite = |seq: u64| {
+        let mut data = fx.read(&fx.clean).expect("clean checkpoint decodes");
+        assert!(!data.collection.pending.is_empty());
+        data.collection.pending[0].2 = seq;
+        checkpoint::write(&data, &fx.dir).expect("edited checkpoint writes");
+        checkpoint::read(&fx.dir).expect("any poll number decodes")
+    };
+    let max = u64::from(u32::MAX);
+    for (seq, restores) in [
+        (max - 1, true),
+        (max, false),
+        (max + 1, false),
+        (u64::MAX, false),
+    ] {
+        let restored = StudySession::from_checkpoint(rewrite(seq), Arc::clone(&world));
+        match restored {
+            Ok(_) => assert!(restores, "poll {seq} restored"),
+            Err(e) => {
+                assert!(
+                    !restores && matches!(e, StoreError::Corrupt(_)),
+                    "{seq}: {e}"
+                );
+                assert!(
+                    matches!(Study::resume(&fx.dir), Err(StoreError::Corrupt(_))),
+                    "poll {seq}: resumed"
+                );
+            }
+        }
+    }
+}
+
 /// A histogram's bucket indexes are not taken at their word either: a
 /// re-sealed KoD-backoff histogram that names bucket 65 (there are 65,
 /// numbered from 0) or gives one index twice is

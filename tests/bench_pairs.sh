@@ -13,10 +13,19 @@
 #
 # One line per run: the five end-to-end metrics, sim_digest and
 # ops_failed. Then, per metric: each side's median, Q1 and Q3, whether
-# the medians differ by more than the parent's Q3-Q1, the change's win
-# count over the pairs, and FENCE where the change's median is worse
-# than the parent's by more than that metric's BENCHMARK.json bound. Exits non-zero on a sim_digest that differs from the first
-# run's, on a failed op, or on a run that does not finish.
+# the medians differ by more than the parent's Q3-Q1, the median, Q1
+# and Q3 of the per-pair ratio change / parent, the change's win count
+# over the pairs, and FENCE where the change's median is worse than the
+# parent's by more than that metric's BENCHMARK.json bound. Exits
+# non-zero on a sim_digest that differs from the first run's, on a
+# failed op, or on a run that does not finish.
+#
+# A gain is RESOLVED when the change wins at least 9 pairs in 10, and
+# either the per-pair ratio's Q3 is below 1 (Q1 above 1 for a metric
+# where higher is better) or the medians differ by more than the
+# parent's Q3-Q1. The ratio is what survives a host that changes speed
+# part way through: each pair runs back to back, so both sides of a
+# pair share the phase, while the parent's own quartiles span both.
 #
 # Scratch space is $BENCH_PAIRS_DIR, or a fresh temporary directory; a
 # revision already built there is reused.
@@ -118,9 +127,12 @@ summary='
     $1 == "parent" { p[$2] = $col; ps[np++] = $col + 0 }
     $1 == "change" { c[$2] = $col; cs[nc++] = $col + 0 }
     END {
-        wins = 0
-        for (k in p) if ((better == "lower" && c[k] + 0 < p[k] + 0) || (better == "higher" && c[k] + 0 > p[k] + 0)) wins++
-        sort(ps, np); sort(cs, nc)
+        wins = 0; nr = 0
+        for (k in p) {
+            if ((better == "lower" && c[k] + 0 < p[k] + 0) || (better == "higher" && c[k] + 0 > p[k] + 0)) wins++
+            if (p[k] + 0 != 0) rs[nr++] = c[k] / p[k]
+        }
+        sort(ps, np); sort(cs, nc); sort(rs, nr)
         pm = quart(ps, np, 0.5); cm = quart(cs, nc, 0.5)
         delta = pm == 0 ? 0 : (cm - pm) / pm
         worse = better == "lower" ? delta : -delta
@@ -128,7 +140,10 @@ summary='
         pq1 = quart(ps, np, 0.25); pq3 = quart(ps, np, 0.75)
         gap = cm > pm ? cm - pm : pm - cm
         spread = gap > pq3 - pq1 ? "beyond" : "within"
-        printf "%-15s parent median %.6g (Q1 %.6g, Q3 %.6g)  change median %.6g (Q1 %.6g, Q3 %.6g)  %+.1f%%, %s the parent Q3-Q1  wins %d/%d%s\n", m, pm, pq1, pq3, cm, quart(cs, nc, 0.25), quart(cs, nc, 0.75), 100 * delta, spread, wins, np, fence
+        rq1 = nr ? quart(rs, nr, 0.25) : 1; rq3 = nr ? quart(rs, nr, 0.75) : 1
+        ratio_clear = better == "lower" ? rq3 < 1 : rq1 > 1
+        resolved = 10 * wins >= 9 * np && (ratio_clear || spread == "beyond") ? "  RESOLVED" : ""
+        printf "%-15s parent median %.6g (Q1 %.6g, Q3 %.6g)  change median %.6g (Q1 %.6g, Q3 %.6g)  %+.1f%%, %s the parent Q3-Q1  ratio median %.3f (Q1 %.3f, Q3 %.3f)  wins %d/%d%s%s\n", m, pm, pq1, pq3, cm, quart(cs, nc, 0.25), quart(cs, nc, 0.75), 100 * delta, spread, nr ? quart(rs, nr, 0.5) : 1, rq1, rq3, wins, np, resolved, fence
     }'
 column=3
 for m in $metrics; do

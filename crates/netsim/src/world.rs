@@ -34,6 +34,12 @@
 //! the device's addressing. [`World::resolve`] keeps the span each step
 //! holds over: the rotation epoch in eyeball space, cut to the
 //! regeneration window when the candidate uses privacy IIDs.
+//!
+//! A poll of a client runs the plan forward instead: a [`PollCard`]
+//! ([`World::poll_card`]) keeps the part of the client's meta only a
+//! derivation produces, and [`World::poll_view`] rebuilds country,
+//! address and poll interval from the id, the card and the instant, on
+//! the address plan's own code path.
 
 use crate::country::Country;
 use crate::device::{Addressing, Device, DeviceId, DeviceMeta, NtpClientCfg, PollCard};

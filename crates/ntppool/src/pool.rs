@@ -78,10 +78,11 @@ fn zone_entry<K: Ord + Copy>(zones: &mut Vec<(K, Zone)>, key: K) -> &mut Zone {
     &mut zones[i].1
 }
 
-/// The non-empty zone of `key` in a list sorted by key.
+/// The zone of `key` in a list sorted by key. Only [`Pool::add`]
+/// creates a zone, so one that exists is not empty.
 fn zone_get<K: Ord + Copy>(zones: &[(K, Zone)], key: K) -> Option<&Zone> {
     let i = zones.binary_search_by_key(&key, |(k, _)| *k).ok()?;
-    Some(&zones[i].1).filter(|z| !z.ids.is_empty())
+    Some(&zones[i].1)
 }
 
 /// The pool.

@@ -30,6 +30,12 @@
 //! for a caller that consumes raw observations through a closure. Both
 //! run the one poll loop there is: single-threaded, one pop per event.
 //!
+//! A queued poll carries its client's [`PollCard`], so a poll reads its
+//! client's country, address and interval through [`World::poll_view`]
+//! and draws no RNG: a run derives a client's meta once per slice, when
+//! [`CollectionRun::begin`] walks the clients or a slice thaws the
+//! pending queue, not once per poll.
+//!
 //! The only order-dependent state of that loop is the per-server RPS
 //! ordinal that decides a `RATE` KoD: it is assigned in per-server
 //! event order, and transport fates are stateless hashes of the link.

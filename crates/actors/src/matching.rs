@@ -91,23 +91,15 @@ pub fn match_captures(
     let mut unmatched = 0u64;
     let mut scatter = 0u64;
 
-    // Nearly every captured packet targets a sourced vantage address, so
-    // one probe of this sorted compact set answers the common case; only
-    // misses fall through to the full scatter/ledger classification.
-    let sourced_addrs = vantage.sourced_compact();
-
     for pkt in log.sorted() {
-        let server = if sourced_addrs.contains(pkt.dst) {
-            vantage
-                .server_of(pkt.dst)
-                .expect("sourced vantage addresses decode")
-        } else if vantage.is_scatter(pkt.dst) {
-            scatter += 1;
-            continue;
-        } else if let Some(server) = vantage.server_of(pkt.dst) {
-            server // queried but never sourced: classify by operator below
-        } else {
-            unmatched += 1;
+        // A queried server, sourced or not, is classified by operator
+        // below; `server_of` is `Some` only inside the prefix.
+        let Some(server) = vantage.server_of(pkt.dst) else {
+            if vantage.prefix.contains(pkt.dst) {
+                scatter += 1;
+            } else {
+                unmatched += 1;
+            }
             continue;
         };
         let Operator::Actor { actor_id } = pool.server(server).operator else {
@@ -286,8 +278,16 @@ mod tests {
             port: 23,
             time: SimTime(60),
         });
+        // A packet outside the vantage prefix: neither scatter nor
+        // NTP-sourced.
+        log.record(CapturedPacket {
+            dst: "2600:beef::1".parse().unwrap(),
+            src: "2600:dead::3".parse().unwrap(),
+            port: 23,
+            time: SimTime(70),
+        });
         let report = match_captures(&vantage, &pool, &log, &actors);
         assert_eq!(report.scatter_packets, 1);
-        assert_eq!(report.unmatched_packets, 1);
+        assert_eq!(report.unmatched_packets, 2);
     }
 }

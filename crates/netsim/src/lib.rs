@@ -30,10 +30,9 @@
 //!   scanners consume.
 //! * [`procgen`] — pure per-coordinate derivation of households, devices
 //!   and prefixes from `(seed, AS, index, member)`.
-//! * [`world`] — the assembled world: the O(#ASes) layout plus a bounded
-//!   cache of derived devices, reverse address lookup at a point in
-//!   time, and the probe dispatcher that parses scanner bytes and
-//!   produces response bytes.
+//! * [`world`] — the assembled world: the O(#ASes) layout, reverse
+//!   address lookup at a point in time, and the probe dispatcher that
+//!   parses scanner bytes and produces response bytes.
 //! * [`engine`] — a calendar-queue discrete-event scheduler used to drive NTP
 //!   polling chronologically.
 //! * [`transport`] — the byte-exchange layer between any client and the

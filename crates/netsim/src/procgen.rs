@@ -20,8 +20,7 @@
 //! window before deriving them (`Layout::may_poll_within`).
 //!
 //! [`crate::world::World`] is a thin shell over these functions: it
-//! calls them per lookup (behind a bounded cache) or per enumeration
-//! step, and stores no device.
+//! calls them per lookup or per enumeration step, and stores no device.
 //!
 //! ## Coordinate scheme
 //!

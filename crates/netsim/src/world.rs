@@ -22,18 +22,18 @@
 //!
 //! A world stores nothing per device. Every household, device and
 //! prefix is a pure function of its coordinates ([`crate::procgen`]);
-//! the world holds the O(#ASes) [`Layout`] plus a small bounded cache of
-//! derived devices, so its memory is bounded by what a study *observes*,
-//! not by what the config *declares*.
+//! the world holds only the O(#ASes) [`Layout`], topology and aliased
+//! regions: plain data, shared between threads without a lock.
 //!
-//! Resolving an address is **locate → cache → verify**:
+//! Resolving an address is **locate → verify → derive**:
 //! [`Layout::locate`] inverts the address plan arithmetically to a
-//! candidate device id, the cache returns that device (deriving it on a
-//! miss; a member slot its household does not fill derives to nothing
-//! and is not cached), and the interface identifier is checked against
-//! the device's addressing. [`World::resolve`] keeps the span each step
-//! holds over: the rotation epoch in eyeball space, cut to the
-//! regeneration window when the candidate uses privacy IIDs.
+//! candidate device id, the candidate's [`DeviceMeta`] is derived (a
+//! member slot its household does not fill derives to nothing) and its
+//! interface identifier checked against the address, and only a device
+//! that still holds the address gets its service stack derived. A stale
+//! address costs one meta, not a device. [`World::resolve`] keeps the
+//! span each step holds over: the rotation epoch in eyeball space, cut
+//! to the regeneration window when the candidate uses privacy IIDs.
 //!
 //! A poll of a client runs the plan forward instead: a [`PollCard`]
 //! ([`World::poll_card`]) keeps the part of the client's meta only a
@@ -49,9 +49,7 @@ use crate::procgen::{
 use crate::services::ServiceSet;
 use crate::time::{Duration, SimTime, Span};
 use crate::topology::Topology;
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
-use std::sync::{Arc, Mutex};
 use v6addr::{Iid, Prefix};
 
 /// Size/behaviour preset for world generation.
@@ -212,10 +210,12 @@ pub struct Resolution<'w> {
     span: Span,
 }
 
+/// A `Device` is some 640 bytes against the other variants' 8: boxed, so a
+/// kept `Resolution` moves as one pointer.
 #[derive(Debug, Clone)]
 enum Answer<'w> {
     Aliased(&'w ServiceSet),
-    Device(Arc<Device>),
+    Device(Box<Device>),
     Silent,
 }
 
@@ -233,7 +233,7 @@ impl Resolution<'_> {
 
     /// The device holding the address (`None` for an aliased region, or
     /// where nothing answers).
-    pub fn device(&self) -> Option<&Arc<Device>> {
+    pub fn device(&self) -> Option<&Device> {
         match &self.answer {
             Answer::Device(dev) => Some(dev),
             Answer::Aliased(_) | Answer::Silent => None,
@@ -252,45 +252,6 @@ impl Resolution<'_> {
     }
 }
 
-/// Bounded memoization for derived devices: two generational banks; when
-/// the current bank fills, it becomes the previous one and the oldest
-/// entries drop. O(1) amortized, at most [`DeviceCache::CAP`] entries.
-struct DeviceCache {
-    cur: HashMap<DeviceId, Arc<Device>>,
-    prev: HashMap<DeviceId, Arc<Device>>,
-}
-
-impl DeviceCache {
-    /// Total bound: at most this many devices resident (~a few MB).
-    const CAP: usize = 4096;
-
-    fn new() -> DeviceCache {
-        DeviceCache {
-            cur: HashMap::new(),
-            prev: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, id: DeviceId) -> Option<Arc<Device>> {
-        if let Some(d) = self.cur.get(&id) {
-            return Some(Arc::clone(d));
-        }
-        if let Some(d) = self.prev.remove(&id) {
-            // Promote: recently used entries survive the next rotation.
-            self.insert(id, Arc::clone(&d));
-            return Some(d);
-        }
-        None
-    }
-
-    fn insert(&mut self, id: DeviceId, dev: Arc<Device>) {
-        if self.cur.len() >= Self::CAP / 2 {
-            self.prev = std::mem::take(&mut self.cur);
-        }
-        self.cur.insert(id, dev);
-    }
-}
-
 /// The simulated Internet.
 pub struct World {
     /// Generation config.
@@ -299,10 +260,6 @@ pub struct World {
     pub topology: Topology,
     layout: Layout,
     aliased: Vec<AliasedRegion>,
-    /// Filled through `&World` by every reader; a `Mutex`, not a
-    /// `RefCell`, so that `World` stays `Sync`: derive outside the
-    /// lock, insert under it.
-    cache: Mutex<DeviceCache>,
 }
 
 impl World {
@@ -315,7 +272,6 @@ impl World {
             topology,
             layout,
             aliased,
-            cache: Mutex::new(DeviceCache::new()),
         }
     }
 
@@ -362,30 +318,16 @@ impl World {
         self.layout.household_profile(h).member_ids().collect()
     }
 
-    /// The cached device `id`, derived (and cached) on a miss; `None`,
-    /// with the cache untouched, for an id outside the world.
-    fn lookup(&self, id: DeviceId) -> Option<Arc<Device>> {
-        if let Some(d) = self.cache.lock().expect("device cache poisoned").get(id) {
-            return Some(d);
-        }
-        // Derive outside the lock; a concurrent double-derive is benign
-        // (both derive the identical device).
-        let dev = Arc::new(self.layout.device_from_meta(self.try_meta(id)?));
-        self.cache
-            .lock()
-            .expect("device cache poisoned")
-            .insert(id, Arc::clone(&dev));
-        Some(dev)
-    }
-
-    /// A device by id, with its full service stack, derived on demand
-    /// (memoized, bounded).
+    /// A device by id, with its full service stack, derived afresh on
+    /// every call.
     ///
     /// # Panics
     /// On an id outside the world.
-    pub fn device(&self, id: DeviceId) -> Arc<Device> {
-        self.lookup(id)
-            .unwrap_or_else(|| panic!("device id {} outside the world", id.0))
+    pub fn device(&self, id: DeviceId) -> Device {
+        let meta = self
+            .try_meta(id)
+            .unwrap_or_else(|| panic!("device id {} outside the world", id.0));
+        self.layout.device_from_meta(meta)
     }
 
     /// A device's cheap summary (no service stack); allocates nothing.
@@ -465,10 +407,10 @@ impl World {
     }
 
     /// The device holding `addr` at `t`: the address plan inverted to a
-    /// candidate id, that device fetched through the cache, and the
-    /// interface identifier verified (a stale address resolves to
+    /// candidate id, the interface identifier verified on its meta, and
+    /// only then the device derived (a stale address resolves to
     /// nothing — exactly the staleness the paper's §6 warns about).
-    pub fn device_at(&self, addr: Ipv6Addr, t: SimTime) -> Option<Arc<Device>> {
+    pub fn device_at(&self, addr: Ipv6Addr, t: SimTime) -> Option<Device> {
         self.holder(addr, t).0
     }
 
@@ -493,24 +435,24 @@ impl World {
         }
         let (dev, span) = self.holder(addr, t);
         Resolution {
-            answer: dev.map_or(Answer::Silent, Answer::Device),
+            answer: dev.map_or(Answer::Silent, |dev| Answer::Device(Box::new(dev))),
             span,
         }
     }
 
     /// [`device_at`](World::device_at) with the span its answer holds
     /// over (see [`resolve`](World::resolve)).
-    fn holder(&self, addr: Ipv6Addr, t: SimTime) -> (Option<Arc<Device>>, Span) {
+    fn holder(&self, addr: Ipv6Addr, t: SimTime) -> (Option<Device>, Span) {
         let (id, span) = self.layout.locate(addr, t);
-        let Some(dev) = id.and_then(|id| self.lookup(id)) else {
+        let Some(meta) = id.and_then(|id| self.try_meta(id)) else {
             return (None, span);
         };
-        let span = match dev.addressing {
+        let span = match meta.addressing {
             Addressing::Privacy { regen } => span.intersect(Span::window(t, regen)),
             Addressing::Eui64(_) | Addressing::Structured(_) | Addressing::Zero => span,
         };
-        let held = dev.iid_at(t) == Iid(u128::from(addr) as u64);
-        (held.then_some(dev), span)
+        let held = meta.iid_at(t) == Iid(u128::from(addr) as u64);
+        (held.then(|| self.layout.device_from_meta(meta)), span)
     }
 
     /// Dispatches probe bytes to whatever answers `addr:port` at `t`.
@@ -805,8 +747,7 @@ mod tests {
     }
 
     /// Eyeball /64s past the household's member count — and past the
-    /// eight slots a household can have — hold nobody, and asking does
-    /// not spend a cache entry on them.
+    /// eight slots a household can have — hold nobody.
     #[test]
     fn unfilled_member_slots_resolve_to_nothing_and_stay_uncached() {
         let w = tiny();
@@ -817,50 +758,11 @@ mod tests {
             .expect("a household with a free slot");
         let cpe = u128::from(w.address_of(members[0], t));
         assert!(w.device_at(Ipv6Addr::from(cpe), t).is_some());
-        let cached = |w: &World| {
-            let cache = w.cache.lock().unwrap();
-            cache.cur.len() + cache.prev.len()
-        };
-        let before = cached(&w);
         let probe = wire::http::Request::scanner_get("t").emit();
         for sub64 in [members.len() as u128, 7, 8, 9, 0xffff] {
             let addr = Ipv6Addr::from((cpe & !(0xffff << 64)) | (sub64 << 64));
             assert!(w.device_at(addr, t).is_none(), "{addr} resolved");
             assert!(w.respond(addr, 80, &probe, t).is_none());
-        }
-        assert_eq!(cached(&w), before);
-    }
-
-    #[test]
-    fn device_cache_is_bounded() {
-        let w = World::generate(WorldConfig::tiny(7));
-        let mut seen = 0;
-        for meta in w.metas() {
-            w.device(meta.id);
-            seen += 1;
-        }
-        assert!(seen > 500);
-        let cache = w.cache.lock().unwrap();
-        assert!(cache.cur.len() + cache.prev.len() <= DeviceCache::CAP);
-    }
-
-    /// A device revisited after more than [`DeviceCache::CAP`] other
-    /// lookups has left the cache, and what is derived for it the second
-    /// time equals both the first and an uncached derivation.
-    #[test]
-    fn an_evicted_device_derives_identically() {
-        let w = World::generate(WorldConfig::small(5));
-        let mut ids = w.metas().map(|m| m.id);
-        let id = ids.next().unwrap();
-        let first = w.device(id);
-        let others = ids.take(DeviceCache::CAP + 1).map(|o| w.device(o));
-        assert!(others.count() > DeviceCache::CAP, "world too small");
-        let again = w.device(id);
-        assert!(!Arc::ptr_eq(&first, &again), "never left the cache");
-        let fresh = w.layout.device_from_meta(w.meta(id));
-        for dev in [&first, &again] {
-            assert_eq!(dev.meta(), fresh.meta());
-            assert_eq!(dev.services, fresh.services);
         }
     }
 }

@@ -5,9 +5,11 @@
 //! services, addressing, NTP config, addresses, reverse resolution) is
 //! identical between the two.
 //!
-//! The last test pins a case the locate → cache → verify resolution
-//! order creates; those that need the private cache sit in
-//! `world::tests`, the closed port in `proptests::respond_is_total`.
+//! The last test pins a case the locate → verify → derive resolution
+//! order must get right: the interface identifier is checked on the
+//! candidate's meta, so a stale address whose /64 now belongs to
+//! another device resolves to nothing. The closed port is pinned in
+//! `proptests::respond_is_total`.
 
 use netsim::device::{Attachment, Device, DeviceId};
 use netsim::time::{Duration, SimTime};
@@ -19,8 +21,8 @@ use std::sync::OnceLock;
 use v6addr::Prefix;
 
 /// A world and its eagerly enumerated device table. Each seed's is
-/// built once and shared by every case (which therefore also run against
-/// whatever earlier cases left in the cache).
+/// built once and shared by every case; the world keeps no state
+/// between lookups, so the order of cases does not matter.
 fn tiny(seed: u64) -> &'static (World, Vec<Device>) {
     static TINY: [OnceLock<(World, Vec<Device>)>; 8] = [const { OnceLock::new() }; 8];
     TINY[seed as usize].get_or_init(|| {
@@ -107,9 +109,9 @@ proptest! {
 }
 
 /// After a rotation, the /64 a household device held may belong to a
-/// neighbour household. With that neighbour resident in the cache, the
-/// stale address must still resolve to nothing: the interface
-/// identifier is verified against the cached device.
+/// neighbour household. Even with the neighbour just resolved at its own
+/// address, the stale address must resolve to nothing: the interface
+/// identifier is verified on the candidate's meta.
 #[test]
 fn a_stale_address_does_not_resolve_to_the_cached_neighbour() {
     let (world, table) = tiny(3);
@@ -130,7 +132,7 @@ fn a_stale_address_does_not_resolve_to_the_cached_neighbour() {
         };
         assert_ne!(neighbour.id, dev.id, "prefix did not rotate");
         let live = world.address_of(neighbour.id, t1);
-        // Resolving the neighbour's own address leaves it cached.
+        // The neighbour holds the /64 at its own address.
         assert_eq!(world.device_at(live, t1).map(|d| d.id), Some(neighbour.id));
         assert!(
             world.device_at(stale, t1).is_none(),

@@ -90,8 +90,7 @@ proptest! {
     }
 
     /// The probe dispatcher is silent for closed ports regardless of
-    /// payload — of a device already in the cache too, which this one is
-    /// — and total (never panics) on arbitrary bytes.
+    /// payload, and total (never panics) on arbitrary bytes.
     #[test]
     fn respond_is_total(seed in 0u64..8, t in 0u64..1_000_000, port in any::<u16>(),
                         payload in proptest::collection::vec(any::<u8>(), 0..64), pick in any::<u16>()) {
@@ -99,7 +98,6 @@ proptest! {
         let dev = w.device(pick_device(&w, pick).id);
         let addr = w.address_of(dev.id, SimTime(t));
         let resp = w.respond(addr, port, &payload, SimTime(t));
-        prop_assert!(std::sync::Arc::ptr_eq(&dev, &w.device(dev.id)), "not cached");
         if !dev.services.listens_on(port) {
             prop_assert!(resp.is_none());
         }

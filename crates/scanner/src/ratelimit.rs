@@ -30,11 +30,6 @@ impl TokenBucket {
         }
     }
 
-    /// The study's limiter: 100 kpps with one second of burst.
-    pub fn study() -> TokenBucket {
-        TokenBucket::new(STUDY_PPS, STUDY_PPS)
-    }
-
     fn refill(&mut self, now: SimTime) {
         if now > self.updated {
             let dt = (now.as_secs() - self.updated.as_secs()) as f64;

@@ -6,7 +6,6 @@ use netsim::TransportTotals;
 use ntppool::{Pool, ServerId};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv6Addr;
-use store::CompactSet;
 use v6addr::Prefix;
 use wire::ntp::{NtpTimestamp, Packet};
 
@@ -148,13 +147,6 @@ impl Vantage {
         (self.by_server.get(&id) == Some(&addr)).then_some(id)
     }
 
-    /// The vantage addresses of all *sourced* servers as a sorted
-    /// [`CompactSet`] — the membership structure the capture matcher
-    /// probes once per packet.
-    pub fn sourced_compact(&self) -> CompactSet {
-        self.sourced.iter().map(|id| self.addr_for(*id)).collect()
-    }
-
     /// The address used to query `server`.
     pub fn addr_of(&self, server: ServerId) -> Option<Ipv6Addr> {
         self.by_server.get(&server).copied()
@@ -288,12 +280,6 @@ mod tests {
         // Subnet 0 (no server maps there — indexes start at 1).
         assert_eq!(v.server_of("2001:db8:aa::1".parse().unwrap()), None);
         assert_eq!(v.server_of("2600::1".parse().unwrap()), None);
-        // The sourced compact set is exactly the sourced addresses.
-        let compact = v.sourced_compact();
-        assert_eq!(compact.len(), 10);
-        for i in 0..10 {
-            assert!(compact.contains(v.addr_for(ServerId(i))));
-        }
     }
 
     #[test]

@@ -277,9 +277,9 @@ impl StudySession {
         // --- Hitlist build + batch scan in the last week. ---
         let hitlist_t = start + config.hitlist_scan_offset;
         let hitlist = Hitlist::build(&world, hitlist_t, &HitlistConfig::for_world(&world));
-        // Scan in sorted address order: the token bucket turns submission
-        // order into probe times, so sorting keeps the store bit-identical
-        // across runs.
+        // Scan in sorted address order: every probe's time comes from its
+        // own target's schedule, and sorting fixes the order the store
+        // holds the records in, so the store is bit-identical across runs.
         let hitlist_scan = BatchScan::with_transport(ScanPolicy::default(), transport.clone_box())
             .run(&world, hitlist.full.sorted(), hitlist_t);
         study_reg.observe(

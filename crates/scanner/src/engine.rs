@@ -19,7 +19,7 @@
 //! time. Every attempt still crosses the transport.
 
 use crate::probers;
-use crate::ratelimit::TokenBucket;
+use crate::ratelimit::{Ledger, STUDY_PPS};
 use crate::result::{FailureCause, Protocol, ScanRecord};
 use crate::store::ScanStore;
 use netsim::time::{Duration, SimTime};
@@ -114,7 +114,7 @@ impl Default for ScanPolicy {
             base_delay: Duration::secs(10),
             protocol_spacing: Duration::secs(85),
             cooldown: Duration::days(3),
-            rate_pps: crate::ratelimit::STUDY_PPS,
+            rate_pps: STUDY_PPS,
             retry: RetryPolicy::default(),
         }
     }
@@ -129,10 +129,10 @@ impl ScanPolicy {
 
 /// The probing core shared by every scan front-end: applies the
 /// per-address cooldown, schedules the per-protocol probe train through
-/// the token bucket and the transport, and records results.
+/// the per-second admission ledger and the transport, and records results.
 pub struct Engine {
     policy: ScanPolicy,
-    bucket: TokenBucket,
+    ledger: Ledger,
     last_scan: HashMap<u128, SimTime>,
     store: ScanStore,
     transport: Box<dyn Transport>,
@@ -149,15 +149,14 @@ impl Engine {
 
     /// Engine probing through an explicit transport.
     pub fn with_transport(policy: ScanPolicy, transport: Box<dyn Transport>) -> Engine {
-        let bucket = TokenBucket::new(policy.rate_pps, policy.rate_pps);
         let probes = policy
             .protocols
             .iter()
             .map(|&p| (p, probers::build_probe(p)))
             .collect();
         Engine {
+            ledger: Ledger::new(policy.rate_pps),
             policy,
-            bucket,
             last_scan: HashMap::new(),
             store: ScanStore::new(),
             transport,
@@ -168,8 +167,10 @@ impl Engine {
     /// Probes one target with every configured protocol, unless it is
     /// still in its cooldown window. The target is resolved at the first
     /// probe the transport delivers, and again only at a delivery its
-    /// resolution no longer holds at.
+    /// resolution no longer holds at. Targets arrive in `at` order (the
+    /// feed by `seen`, a batch all at its start): seconds below `at` are released.
     pub fn scan_target(&mut self, world: &World, addr: Ipv6Addr, at: SimTime) {
+        self.ledger.release_before(at);
         let key = u128::from(addr);
         if let Some(&prev) = self.last_scan.get(&key) {
             if at.since(prev) < self.policy.cooldown {
@@ -205,7 +206,7 @@ impl Engine {
         let transport = self.transport.as_ref();
         let mut submit = want;
         for attempt in 0..attempts {
-            let t = self.bucket.admit(submit);
+            let t = self.ledger.admit(submit);
             self.store.note_attempt(proto);
             let link = Link {
                 src: SCANNER_SRC,

@@ -2,7 +2,7 @@
 //!
 //! Reproduces the scanning half of the study (paper §4.1): eight
 //! protocol probers (HTTP, HTTPS, SSH, MQTT, MQTTS, AMQP, AMQPS, CoAP)
-//! built on the [`wire`] formats, a token-bucket rate limiter capped at
+//! built on the [`wire`] formats, a per-second admission ledger capped at
 //! the study's 100 000 packets/second, per-protocol probe delays and a
 //! 3-day re-scan cooldown (Appendix A.2.1), one probing [`Engine`] the
 //! real-time scan drives with the NTP collector's first-sight feed, and a
@@ -17,7 +17,7 @@
 
 pub mod engine;
 pub mod probers;
-pub mod ratelimit;
+mod ratelimit;
 pub mod result;
 pub mod scheduler;
 pub mod store;

@@ -35,10 +35,10 @@ impl BatchScan {
     }
 
     /// Scans every address, nominally starting at `start`. The engine's
-    /// token bucket alone paces the batch: every target is *submitted* at
-    /// `start` and the bucket pushes actual probe times out as the budget
-    /// fills, so batch duration emerges from `rate_pps` rather than any
-    /// per-target spacing constant.
+    /// admission ledger alone paces the batch: every target is *submitted*
+    /// at `start`, and a probe whose second is full goes out in the next
+    /// second with room, so batch duration emerges from `rate_pps` rather
+    /// than any per-target spacing constant.
     pub fn run(
         mut self,
         world: &World,
@@ -55,6 +55,7 @@ impl BatchScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probers::probe;
     use crate::result::Protocol;
     use netsim::time::Duration;
     use netsim::world::{World, WorldConfig};
@@ -94,18 +95,28 @@ mod tests {
             rate_pps: 5,
             ..ScanPolicy::default()
         };
+        // Twenty targets that answer some protocol, so records show the
+        // admitted times.
         let addrs: Vec<Ipv6Addr> = w
             .metas()
-            .take(20)
             .map(|d| w.address_of_meta(&d, t))
+            .filter(|&a| Protocol::ALL.iter().any(|&p| probe(&w, a, p, t).is_some()))
+            .take(20)
             .collect();
-        let store = BatchScan::new(policy).run(&w, addrs, t);
+        let store = BatchScan::new(policy).run(&w, addrs.iter().copied(), t);
         // All 20×8 probes attempted despite the 5 pps budget.
         let total: u64 = Protocol::ALL.iter().map(|p| store.attempts(*p)).sum();
         assert_eq!(total, 160);
-        // Probe timestamps must stretch far beyond the start.
-        if let Some(max_t) = store.records().iter().map(|r| r.time).max() {
-            assert!(max_t > t + Duration::secs(10));
+        // Each protocol's 20 probes fill the 4 seconds from its own
+        // delay, 5 a second in submission order.
+        let p = ScanPolicy::default();
+        let mut last_second = 0;
+        for r in store.records() {
+            let i = p.protocols.iter().position(|&q| q == r.protocol).unwrap();
+            let k = addrs.iter().position(|&a| a == r.addr).unwrap() as u64;
+            assert_eq!(r.time, t + p.delay_of(i) + Duration::secs(k / 5), "{r:?}");
+            last_second = last_second.max(k / 5);
         }
+        assert_eq!(last_second, 3, "records reach the fourth second");
     }
 }

@@ -48,7 +48,7 @@ impl Ledger {
     /// Forgets the seconds below `t`.
     pub(crate) fn release_before(&mut self, t: SimTime) {
         let gone = t.as_secs().saturating_sub(self.base);
-        self.used.drain(..(gone as usize).min(self.used.len()));
+        self.used.drain(..gone.min(self.used.len() as u64) as usize);
         self.base += gone;
     }
 }

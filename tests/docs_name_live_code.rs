@@ -21,7 +21,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 36] = [
+const HISTORICAL: [&str; 37] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -58,6 +58,7 @@ const HISTORICAL: [&str; 36] = [
     "netsim::Instrumented",
     "Vantage::query_all_instrumented",
     "TransportTotals::snapshot",
+    "TokenBucket",
 ];
 
 fn root() -> PathBuf {

@@ -1,5 +1,6 @@
 //! Adversarial-ecosystem scenarios: every actor roster's study is held
-//! to its golden digest (plus a fault-profile cross-check), and the
+//! to its golden digest (plus a fault-profile cross-check), every probe
+//! of a standalone ecosystem run is held to its own golden, and the
 //! blind attribution pass must separate the archetypes it saw.
 //!
 //! The ecosystem runs after collection on its own tick clock, a pure
@@ -10,11 +11,20 @@
 
 mod golden;
 
-use actors::ActorRoster;
+use actors::{covert_actor, gt_actor, ActorRoster, Ecosystem};
+use netsim::bgp::{BgpEvent, BgpFeed};
+use netsim::time::{Duration, SimTime};
+use netsim::topology::Asn;
 use netsim::transport::FaultProfile;
+use ntppool::Pool;
+use std::collections::BTreeMap;
+use std::net::Ipv6Addr;
 use std::sync::OnceLock;
+use store::codec::fnv1a;
 use telemetry::OwnedKey;
+use telescope::{CapturedPacket, Vantage};
 use timetoscan::{Study, StudyConfig};
+use v6addr::Prefix;
 
 const SEED: u64 = 31;
 
@@ -49,6 +59,89 @@ fn reports_are_byte_identical_across_engine_shapes() {
 fn reports_are_byte_identical_under_faults() {
     let lossy = Study::run(cfg(ActorRoster::ALL).with_fault(FaultProfile::Lossy1Pct));
     golden::check_study(&format!("tiny/{SEED}/lossy_1pct/all"), &lossy);
+}
+
+/// Every probe of the full roster, outside any study: the pool's
+/// background servers plus the paper's pair, two vantages swept half a
+/// day either side of the campaign start (so the walker starts with a
+/// backlog and later takes fresh intel), a stale list of eight addresses
+/// inside the primary vantage, and a feed that announces both vantage
+/// prefixes, once before the start. Every archetype's probes all land
+/// inside a vantage, so the capture is the whole campaign; each
+/// archetype's count and the FNV-1a of its probes sorted by
+/// `(time, dst, src, port)` are held to the golden.
+#[test]
+fn campaigns_match_their_golden() {
+    let mut pool = Pool::with_background();
+    let mut gt = gt_actor();
+    gt.register(&mut pool);
+    let mut covert = covert_actor();
+    covert.register(&mut pool);
+    let actors = [gt, covert];
+    let mut primary = Vantage::new("3fff:909::/48".parse().unwrap());
+    primary.query_all(&pool, SimTime(0), Duration::secs(1));
+    let mut secondary = Vantage::new("3fff:90a::/48".parse().unwrap());
+    secondary.query_all(&pool, SimTime(86_400), Duration::secs(1));
+    let start = SimTime(43_200);
+
+    let mut feed = BgpFeed::new();
+    for (time, prefix, announce) in [
+        (0, primary.prefix, true),
+        (50_000, primary.prefix, true),
+        (86_400, secondary.prefix, true),
+        (90_000, secondary.prefix, false),
+    ] {
+        feed.push(BgpEvent {
+            time: SimTime(time),
+            prefix,
+            asn: Asn(0),
+            announce,
+        });
+    }
+    feed.seal();
+    let stale: Vec<Ipv6Addr> = (0..8u128)
+        .map(|i| primary.prefix.subnet(64, 0x100 + i).host(1))
+        .collect();
+    let vantages = [primary, secondary];
+    let prefixes: Vec<Prefix> = vantages.iter().map(|v| v.prefix).collect();
+
+    let outcome = Ecosystem::assemble(
+        ActorRoster::ALL,
+        &actors,
+        &vantages,
+        &pool,
+        &stale,
+        &feed,
+        start,
+    )
+    .run(start, &feed, &prefixes);
+
+    assert_eq!(outcome.emitted.len(), 5, "{:?}", outcome.emitted);
+    assert_eq!(
+        outcome.captured, outcome.emitted,
+        "a probe left the vantages"
+    );
+    let mut probes: BTreeMap<&str, Vec<CapturedPacket>> = BTreeMap::new();
+    for (pkt, label) in &outcome.records {
+        probes.entry(label).or_default().push(*pkt);
+    }
+    let mut got = BTreeMap::new();
+    for (label, mut list) in probes {
+        list.sort_by_key(|p| (p.time, p.dst, p.src, p.port));
+        let bytes: Vec<u8> = list
+            .iter()
+            .flat_map(|p| {
+                let mut b = p.time.as_secs().to_le_bytes().to_vec();
+                b.extend(p.dst.octets());
+                b.extend(p.src.octets());
+                b.extend(p.port.to_le_bytes());
+                b
+            })
+            .collect();
+        got.insert(label.to_owned(), list.len().to_string());
+        got.insert(format!("{label}_fnv1a"), format!("{:016x}", fnv1a(&bytes)));
+    }
+    golden::check_golden("eco/fixture/all", &got);
 }
 
 #[test]

@@ -23,8 +23,9 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/digests.
 /// Every key a test asks for. [`check_golden`] refuses any other, and
 /// `golden_digests::golden_file_holds_no_key_no_test_asks_for` refuses a
 /// file holding one, so a re-bless cannot leave a stale golden behind.
-pub const KEYS: [&str; 13] = [
+pub const KEYS: [&str; 14] = [
     "ckpt/tiny/23/3d",
+    "eco/fixture/all",
     "hitlist/small/42/hitlist",
     "hitlist/small/42/start",
     "hitlist/tiny/23/hitlist",

@@ -1,6 +1,6 @@
 //! The paper's two NTP-sourcing actors (§5.2): who they are, which pool
 //! servers they run and where their scans come from. What they *emit*
-//! is [`SourcingMachine`](crate::SourcingMachine)'s schedule.
+//! is their [`sourced_campaign`](crate::archetypes::sourced_campaign).
 
 use netsim::time::Duration;
 use netsim::OrgId;
@@ -137,8 +137,7 @@ pub fn covert_actor() -> Actor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Machine, SourcingMachine, TickCtx, ECO_TICK};
-    use netsim::bgp::BgpFeed;
+    use crate::archetypes::sourced_campaign;
     use netsim::time::SimTime;
     use telescope::{CapturedPacket, Vantage};
 
@@ -169,26 +168,13 @@ mod tests {
     }
 
     /// Registers `actor`, sweeps its servers from one vantage starting
-    /// at `SimTime(0)` and drives its machine to the end.
+    /// at `SimTime(0)` and returns its campaign.
     fn campaign(actor: &mut Actor, prefix: &str) -> Vec<CapturedPacket> {
         let mut pool = Pool::new();
         actor.register(&mut pool);
         let mut vantage = Vantage::new(prefix.parse().unwrap());
         vantage.query_all(&pool, SimTime(0), Duration::secs(1));
-        let mut machine = SourcingMachine::new("test", actor, &[vantage]);
-        let feed = BgpFeed::new();
-        let mut probes = Vec::new();
-        let mut now = SimTime(0);
-        while !machine.finished() {
-            let ctx = TickCtx {
-                now,
-                tick: ECO_TICK,
-                feed: &feed,
-            };
-            machine.tick(&ctx, &mut probes);
-            now += ECO_TICK;
-        }
-        probes
+        sourced_campaign(actor, &[vantage])
     }
 
     #[test]

@@ -1,26 +1,16 @@
-//! The ecosystem driver: runs every machine on a shared tick clock and
-//! captures what lands inside the telescope's vantage prefixes.
+//! The ecosystem run: every rostered archetype's campaign, and the
+//! part of it that lands inside the telescope's vantage prefixes.
 
 use crate::actor::{Actor, ActorId};
-use crate::archetypes::{
-    BgpAdaptiveMachine, HitlistReuseMachine, PrefixWalkMachine, SourcingMachine,
-};
-use crate::machine::{Machine, TickCtx};
+use crate::archetypes::{bgp_adaptive, hitlist_reuse, prefix_walk, sourced_campaign};
 use crate::roster::ActorRoster;
 use netsim::bgp::BgpFeed;
-use netsim::time::{Duration, SimTime};
+use netsim::time::SimTime;
 use ntppool::{Operator, Pool};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
-use telescope::{CaptureLog, CapturedPacket, Vantage};
+use telescope::{CapturedPacket, Vantage};
 use v6addr::Prefix;
-
-/// Tick length of the ecosystem clock.
-pub const ECO_TICK: Duration = Duration::secs(60);
-
-/// Safety cap on driver ticks (~70 simulated days) — a machine that
-/// never finishes cannot hang a study.
-const MAX_TICKS: u64 = 100_000;
 
 /// NTP-sourced intel for the data-buying archetypes: every vantage
 /// address sourced by an *actor-operated* pool server, with the time the
@@ -49,137 +39,82 @@ pub fn sourced_intel(pool: &Pool, vantages: &[Vantage]) -> Vec<(Ipv6Addr, SimTim
 pub struct EcosystemOutcome {
     /// Probes that landed inside a vantage prefix — the telescope's
     /// capture — each paired with the emitting archetype's label
-    /// (ground truth, unknown to the attribution layer).
+    /// (ground truth, unknown to the attribution layer), one archetype
+    /// after another.
     pub records: Vec<(CapturedPacket, &'static str)>,
-    /// Probes emitted per archetype (captured or not).
+    /// Probes emitted per archetype that ran (captured or not; 0 for an
+    /// empty campaign).
     pub emitted: BTreeMap<&'static str, u64>,
     /// Probes captured per archetype.
     pub captured: BTreeMap<&'static str, u64>,
-    /// Ticks the driver ran.
-    pub ticks: u64,
 }
 
 impl EcosystemOutcome {
     /// The capture restricted to one vantage prefix — what a
     /// single-telescope observer (the paper's §5 matcher) sees.
-    pub fn capture_within(&self, prefix: Prefix) -> CaptureLog {
-        let mut log = CaptureLog::new();
-        for (pkt, _) in &self.records {
-            if prefix.contains(pkt.dst) {
-                log.record(*pkt);
-            }
-        }
-        log
+    pub fn capture_within(&self, prefix: Prefix) -> Vec<CapturedPacket> {
+        self.records
+            .iter()
+            .map(|(pkt, _)| *pkt)
+            .filter(|pkt| prefix.contains(pkt.dst))
+            .collect()
     }
 }
 
-/// The adversarial-scanner ecosystem: a roster of machines sharing one
-/// tick clock.
-pub struct Ecosystem {
-    machines: Vec<Box<dyn Machine>>,
-}
-
-impl Ecosystem {
-    /// Assembles the roster's machines.
-    ///
-    /// * `actors` — the pool-registered sourcing actors (research is
-    ///   [`ActorId`]\(1\), covert `ActorId(2)`); their machines run
-    ///   the paper's §5.2 campaigns.
-    /// * `vantages` — every telescope vantage that swept the pool.
-    /// * `stale_hitlist` — the snapshot the hitlist-reuse actor bought.
-    /// * `feed` — the sealed route-event feed.
-    pub fn assemble(
-        roster: ActorRoster,
-        actors: &[Actor],
-        vantages: &[Vantage],
-        pool: &Pool,
-        stale_hitlist: &[Ipv6Addr],
-        feed: &BgpFeed,
-        campaign_start: SimTime,
-    ) -> Ecosystem {
-        let mut machines: Vec<Box<dyn Machine>> = Vec::new();
-        let by_id = |id: u8| actors.iter().find(|a| a.id == ActorId(id));
-        if roster.contains(ActorRoster::RESEARCH) {
-            if let Some(gt) = by_id(1) {
-                machines.push(Box::new(SourcingMachine::new("research", gt, vantages)));
+/// Runs every rostered archetype's campaign from `start` and captures
+/// the probes that land inside any vantage's prefix.
+///
+/// * `actors` — the pool-registered sourcing actors (research is
+///   [`ActorId`]\(1\), covert `ActorId(2)`); they run the paper's §5.2
+///   campaigns, and a rostered one missing here does not run.
+/// * `vantages` — every telescope vantage that swept the pool.
+/// * `stale_hitlist` — the snapshot the hitlist-reuse actor bought.
+/// * `feed` — the sealed route-event feed.
+///
+/// Every archetype that runs has an `emitted` entry, 0 for an empty
+/// campaign.
+pub fn run(
+    roster: ActorRoster,
+    actors: &[Actor],
+    vantages: &[Vantage],
+    pool: &Pool,
+    stale_hitlist: &[Ipv6Addr],
+    feed: &BgpFeed,
+    start: SimTime,
+) -> EcosystemOutcome {
+    let sourced = |id: u8| {
+        let actor = actors.iter().find(|a| a.id == ActorId(id))?;
+        Some(sourced_campaign(actor, vantages))
+    };
+    let mut outcome = EcosystemOutcome::default();
+    for (flag, label) in roster.flags() {
+        let campaign = match flag {
+            ActorRoster::RESEARCH => sourced(1),
+            ActorRoster::COVERT => sourced(2),
+            ActorRoster::PREFIX_WALK => Some(prefix_walk(&sourced_intel(pool, vantages), start)),
+            ActorRoster::HITLIST_REUSE => Some(hitlist_reuse(stale_hitlist, start)),
+            ActorRoster::BGP_ADAPTIVE => Some(bgp_adaptive(feed, start)),
+            _ => None,
+        };
+        let Some(probes) = campaign else {
+            continue;
+        };
+        outcome.emitted.insert(label, probes.len() as u64);
+        for pkt in probes {
+            if vantages.iter().any(|v| v.prefix.contains(pkt.dst)) {
+                *outcome.captured.entry(label).or_insert(0) += 1;
+                outcome.records.push((pkt, label));
             }
         }
-        if roster.contains(ActorRoster::COVERT) {
-            if let Some(covert) = by_id(2) {
-                machines.push(Box::new(SourcingMachine::new("covert", covert, vantages)));
-            }
-        }
-        if roster.contains(ActorRoster::PREFIX_WALK) {
-            let intel = sourced_intel(pool, vantages);
-            machines.push(Box::new(PrefixWalkMachine::new(&intel)));
-        }
-        if roster.contains(ActorRoster::HITLIST_REUSE) {
-            machines.push(Box::new(HitlistReuseMachine::new(
-                stale_hitlist.to_vec(),
-                campaign_start,
-            )));
-        }
-        if roster.contains(ActorRoster::BGP_ADAPTIVE) {
-            machines.push(Box::new(BgpAdaptiveMachine::new(feed)));
-        }
-        Ecosystem { machines }
     }
-
-    /// Number of assembled machines.
-    pub fn len(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Is the roster empty?
-    pub fn is_empty(&self) -> bool {
-        self.machines.is_empty()
-    }
-
-    /// Drives every machine tick by tick from `start` until all reach
-    /// their terminal phase, recording probes that land inside any of
-    /// `vantage_prefixes`. Machines run in fixed assembly order each
-    /// tick, so the outcome is bit-deterministic.
-    pub fn run(
-        mut self,
-        start: SimTime,
-        feed: &BgpFeed,
-        vantage_prefixes: &[Prefix],
-    ) -> EcosystemOutcome {
-        let mut outcome = EcosystemOutcome::default();
-        let mut now = start;
-        let mut buf = Vec::new();
-        while outcome.ticks < MAX_TICKS && self.machines.iter().any(|m| !m.finished()) {
-            let ctx = TickCtx {
-                now,
-                tick: ECO_TICK,
-                feed,
-            };
-            for m in &mut self.machines {
-                if m.finished() {
-                    continue;
-                }
-                buf.clear();
-                m.tick(&ctx, &mut buf);
-                let label = m.label();
-                *outcome.emitted.entry(label).or_insert(0) += buf.len() as u64;
-                for pkt in &buf {
-                    if vantage_prefixes.iter().any(|p| p.contains(pkt.dst)) {
-                        *outcome.captured.entry(label).or_insert(0) += 1;
-                        outcome.records.push((*pkt, label));
-                    }
-                }
-            }
-            now += ECO_TICK;
-            outcome.ticks += 1;
-        }
-        outcome
-    }
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actor::{covert_actor, gt_actor};
+    use netsim::time::Duration;
 
     fn scenario() -> (Pool, Vec<Actor>, Vec<Vantage>) {
         let mut pool = Pool::with_background();
@@ -208,8 +143,7 @@ mod tests {
         }
         feed.seal();
         let stale: Vec<Ipv6Addr> = vec!["2001:db8:77::1".parse().unwrap()];
-        let prefixes: Vec<Prefix> = vantages.iter().map(|v| v.prefix).collect();
-        let outcome = Ecosystem::assemble(
+        let outcome = run(
             ActorRoster::ALL,
             &actors,
             &vantages,
@@ -217,8 +151,7 @@ mod tests {
             &stale,
             &feed,
             SimTime(1_000),
-        )
-        .run(SimTime(1_000), &feed, &prefixes);
+        );
         assert_eq!(outcome.emitted.len(), 5, "{:?}", outcome.emitted);
         // The stale-list entry is outside the vantages: emitted > captured.
         assert!(
@@ -229,16 +162,61 @@ mod tests {
         assert!(outcome.captured.get("bgp-adaptive").copied().unwrap_or(0) > 0);
         // The walker fanned out into sourced /64s.
         assert!(outcome.captured.get("prefix-walk").copied().unwrap_or(0) > 0);
-        assert!(outcome.ticks < 100_000);
+    }
+
+    #[test]
+    fn every_archetype_that_runs_has_an_emitted_entry() {
+        let (pool, actors, vantages) = scenario();
+        let empty = BgpFeed::new();
+        // An empty feed and an empty stale list run empty campaigns;
+        // without the research actor, its archetype does not run.
+        let outcome = run(
+            ActorRoster::ALL,
+            &actors[1..],
+            &vantages,
+            &pool,
+            &[],
+            &empty,
+            SimTime(1_000),
+        );
+        let emitted: Vec<(&str, bool)> =
+            outcome.emitted.iter().map(|(l, n)| (*l, *n > 0)).collect();
+        assert_eq!(
+            emitted,
+            [
+                ("bgp-adaptive", false),
+                ("covert", true),
+                ("hitlist-reuse", false),
+                ("prefix-walk", true),
+            ]
+        );
+        // `captured` lists only archetypes that landed a probe.
+        let captured: Vec<&str> = outcome.captured.keys().copied().collect();
+        assert_eq!(captured, ["covert", "prefix-walk"]);
+        // With no vantage nothing was sourced: both campaigns are
+        // empty, and both are listed.
+        let none = run(
+            ActorRoster::BASELINE,
+            &actors,
+            &[],
+            &pool,
+            &[],
+            &empty,
+            SimTime(1_000),
+        );
+        assert_eq!(
+            none.emitted,
+            BTreeMap::from([("covert", 0), ("research", 0)])
+        );
+        assert!(none.records.is_empty());
     }
 
     #[test]
     fn outcome_is_deterministic() {
         let (pool, actors, vantages) = scenario();
         let feed = BgpFeed::new();
-        let prefixes: Vec<Prefix> = vantages.iter().map(|v| v.prefix).collect();
-        let run = || {
-            Ecosystem::assemble(
+        let go = || {
+            run(
                 ActorRoster::BASELINE.with(ActorRoster::PREFIX_WALK),
                 &actors,
                 &vantages,
@@ -247,13 +225,11 @@ mod tests {
                 &feed,
                 SimTime(1_000),
             )
-            .run(SimTime(1_000), &feed, &prefixes)
         };
-        let a = run();
-        let b = run();
+        let a = go();
+        let b = go();
         assert_eq!(a.records, b.records);
         assert_eq!(a.emitted, b.emitted);
-        assert_eq!(a.ticks, b.ticks);
         // The paper's pair probes nothing but addresses it sourced, and
         // every one of those lies inside a vantage prefix.
         for label in ["research", "covert"] {

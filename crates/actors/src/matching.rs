@@ -5,7 +5,7 @@ use netsim::time::{Duration, SimTime};
 use netsim::OrgId;
 use ntppool::{Operator, Pool, ServerId};
 use std::collections::{BTreeSet, HashMap};
-use telescope::{CaptureLog, Vantage};
+use telescope::{CapturedPacket, Vantage};
 
 /// Classification of a detected actor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,12 +69,13 @@ pub struct TelescopeReport {
     pub actors: Vec<ActorReport>,
 }
 
-/// Matches the capture log against the vantage ledger and characterises
-/// every actor whose pool servers triggered scans.
+/// Matches the capture against the vantage ledger and characterises
+/// every actor whose pool servers triggered scans. The capture's order
+/// does not matter.
 pub fn match_captures(
     vantage: &Vantage,
     pool: &Pool,
-    log: &CaptureLog,
+    capture: &[CapturedPacket],
     actors: &[Actor],
 ) -> TelescopeReport {
     struct Acc {
@@ -91,7 +92,7 @@ pub fn match_captures(
     let mut unmatched = 0u64;
     let mut scatter = 0u64;
 
-    for pkt in log.sorted() {
+    for pkt in capture {
         // A queried server, sourced or not, is classified by operator
         // below; `server_of` is `Some` only inside the prefix.
         let Some(server) = vantage.server_of(pkt.dst) else {
@@ -184,11 +185,10 @@ pub fn match_captures(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{covert_actor, gt_actor, ActorRoster, Ecosystem};
+    use crate::{covert_actor, ecosystem, gt_actor, ActorRoster};
     use netsim::bgp::BgpFeed;
-    use telescope::CapturedPacket;
 
-    fn full_run() -> (Vantage, Pool, CaptureLog, Vec<Actor>) {
+    fn full_run() -> (Vantage, Pool, Vec<CapturedPacket>, Vec<Actor>) {
         let mut pool = Pool::with_background();
         let mut gt = gt_actor();
         gt.register(&mut pool);
@@ -199,7 +199,7 @@ mod tests {
         vantage.query_all(&pool, SimTime(0), Duration::secs(3));
         let vantages = [vantage];
         let feed = BgpFeed::new();
-        let log = Ecosystem::assemble(
+        let log = ecosystem::run(
             ActorRoster::BASELINE,
             &actors,
             &vantages,
@@ -208,7 +208,6 @@ mod tests {
             &feed,
             SimTime(0),
         )
-        .run(SimTime(0), &feed, &[vantages[0].prefix])
         .capture_within(vantages[0].prefix);
         let [vantage] = vantages;
         (vantage, pool, log, actors)
@@ -264,7 +263,7 @@ mod tests {
     fn scatter_and_unmatched_accounting() {
         let (vantage, pool, mut log, actors) = full_run();
         // A random scan that happens to hit the monitored space.
-        log.record(CapturedPacket {
+        log.push(CapturedPacket {
             dst: vantage.scatter_neighbor(ServerId(0)),
             src: "2600:dead::1".parse().unwrap(),
             port: 23,
@@ -272,7 +271,7 @@ mod tests {
         });
         // A packet to a vantage address of a *background* server: not
         // NTP-sourced (background servers don't record addresses).
-        log.record(CapturedPacket {
+        log.push(CapturedPacket {
             dst: vantage.addr_for(ServerId(0)),
             src: "2600:dead::2".parse().unwrap(),
             port: 23,
@@ -280,7 +279,7 @@ mod tests {
         });
         // A packet outside the vantage prefix: neither scatter nor
         // NTP-sourced.
-        log.record(CapturedPacket {
+        log.push(CapturedPacket {
             dst: "2600:beef::1".parse().unwrap(),
             src: "2600:dead::3".parse().unwrap(),
             port: 23,

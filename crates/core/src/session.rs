@@ -41,7 +41,7 @@ use crate::metrics;
 use crate::study::{
     build_pool, build_transport, rl_window, stale_hitlist, study_start, PoolSetup, Study,
 };
-use actors::{attribute, match_captures, org_directory, ActorRoster, Ecosystem};
+use actors::{attribute, ecosystem, match_captures, org_directory, ActorRoster};
 use hitlist::{Hitlist, HitlistConfig};
 use netsim::time::{Duration, SimTime};
 use netsim::transport::Transport;
@@ -348,9 +348,9 @@ impl StudySession {
                 Vec::new()
             };
 
-            // Drive every rostered machine on the shared tick clock.
-            let prefixes: Vec<Prefix> = vantages.iter().map(|v| v.prefix).collect();
-            let outcome = Ecosystem::assemble(
+            // Every rostered archetype's campaign, captured inside the
+            // vantage prefixes.
+            let outcome = ecosystem::run(
                 config.actors,
                 &actors,
                 &vantages,
@@ -358,13 +358,12 @@ impl StudySession {
                 &stale,
                 &feed,
                 sweep_start,
-            )
-            .run(sweep_start, &feed, &prefixes);
+            );
 
             // The paper's §5 matcher sees the primary telescope's slice
             // of the capture, exactly as before the ecosystem existed.
-            let log = outcome.capture_within(vantages[0].prefix);
-            let report = match_captures(&vantages[0], &pool, &log, &actors);
+            let capture = outcome.capture_within(vantages[0].prefix);
+            let report = match_captures(&vantages[0], &pool, &capture, &actors);
             tel_reg.add(
                 telescope::metrics::TELESCOPE_CAPTURES,
                 outcome.records.len() as u64,
@@ -375,7 +374,8 @@ impl StudySession {
             );
 
             // Blind attribution over the combined capture, scored
-            // against the emitting machines.
+            // against the emitting archetypes.
+            let prefixes: Vec<Prefix> = vantages.iter().map(|v| v.prefix).collect();
             let table = attribute(&outcome, &prefixes, &feed, &org_directory(&actors));
             outcome.export_into(&mut tel_reg);
             table.export_into(&mut tel_reg);

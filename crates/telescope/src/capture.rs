@@ -15,62 +15,3 @@ pub struct CapturedPacket {
     /// Arrival time.
     pub time: SimTime,
 }
-
-/// The capture log, ordered by arrival.
-#[derive(Debug, Clone, Default)]
-pub struct CaptureLog {
-    packets: Vec<CapturedPacket>,
-}
-
-impl CaptureLog {
-    /// Empty log.
-    pub fn new() -> CaptureLog {
-        CaptureLog::default()
-    }
-
-    /// Records a packet.
-    pub fn record(&mut self, pkt: CapturedPacket) {
-        self.packets.push(pkt);
-    }
-
-    /// All packets, sorted by time (stable for equal stamps).
-    pub fn sorted(&self) -> Vec<CapturedPacket> {
-        let mut v = self.packets.clone();
-        v.sort_by_key(|p| p.time);
-        v
-    }
-
-    /// Raw packet count.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_and_sort() {
-        let mut log = CaptureLog::new();
-        let mk = |t: u64, port: u16| CapturedPacket {
-            dst: "2001:db8::1".parse().unwrap(),
-            src: "2600::1".parse().unwrap(),
-            port,
-            time: SimTime(t),
-        };
-        log.record(mk(30, 443));
-        log.record(mk(10, 22));
-        log.record(mk(20, 80));
-        assert_eq!(log.len(), 3);
-        let sorted = log.sorted();
-        assert_eq!(sorted[0].port, 22);
-        assert_eq!(sorted[2].port, 443);
-        assert!(!log.is_empty());
-    }
-}

@@ -9,7 +9,7 @@
 //!
 //! * [`vantage`] — unique-source query generation, the address ↔
 //!   server ledger and the scatter monitor;
-//! * [`capture`] — the packet capture at the vantage prefix;
+//! * [`capture`] — one captured packet at the vantage prefix;
 //! * [`metrics`] — the sweep's metric keys.
 //!
 //! This crate is the instrument only: who scans it, and what the
@@ -22,5 +22,5 @@ pub mod capture;
 pub mod metrics;
 pub mod vantage;
 
-pub use capture::{CaptureLog, CapturedPacket};
+pub use capture::CapturedPacket;
 pub use vantage::Vantage;

@@ -6,7 +6,7 @@
 //! cargo run --release --example covert_actor_hunt
 //! ```
 
-use actors::{covert_actor, gt_actor, match_captures, ActorCharacter, ActorRoster, Ecosystem};
+use actors::{covert_actor, ecosystem, gt_actor, match_captures, ActorCharacter, ActorRoster};
 use netsim::bgp::BgpFeed;
 use netsim::time::{Duration, SimTime};
 use ntppool::Pool;
@@ -35,7 +35,7 @@ fn main() {
     let vantages = [vantage];
     let vantage = &vantages[0];
     let feed = BgpFeed::new();
-    let log = Ecosystem::assemble(
+    let capture = ecosystem::run(
         ActorRoster::BASELINE,
         &actors,
         &vantages,
@@ -44,11 +44,13 @@ fn main() {
         &feed,
         SimTime(0),
     )
-    .run(SimTime(0), &feed, &[vantage.prefix])
     .capture_within(vantage.prefix);
-    println!("captured {} scan packets at the vantage prefix", log.len());
+    println!(
+        "captured {} scan packets at the vantage prefix",
+        capture.len()
+    );
 
-    let report = match_captures(vantage, &pool, &log, &actors);
+    let report = match_captures(vantage, &pool, &capture, &actors);
     assert_eq!(
         report.unmatched_packets, 0,
         "every packet must trace to a query"

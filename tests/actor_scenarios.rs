@@ -11,7 +11,7 @@
 
 mod golden;
 
-use actors::{covert_actor, gt_actor, ActorRoster, Ecosystem};
+use actors::{covert_actor, ecosystem, gt_actor, ActorRoster};
 use netsim::bgp::{BgpEvent, BgpFeed};
 use netsim::time::{Duration, SimTime};
 use netsim::topology::Asn;
@@ -24,7 +24,6 @@ use store::codec::fnv1a;
 use telemetry::OwnedKey;
 use telescope::{CapturedPacket, Vantage};
 use timetoscan::{Study, StudyConfig};
-use v6addr::Prefix;
 
 const SEED: u64 = 31;
 
@@ -103,9 +102,8 @@ fn campaigns_match_their_golden() {
         .map(|i| primary.prefix.subnet(64, 0x100 + i).host(1))
         .collect();
     let vantages = [primary, secondary];
-    let prefixes: Vec<Prefix> = vantages.iter().map(|v| v.prefix).collect();
 
-    let outcome = Ecosystem::assemble(
+    let outcome = ecosystem::run(
         ActorRoster::ALL,
         &actors,
         &vantages,
@@ -113,8 +111,7 @@ fn campaigns_match_their_golden() {
         &stale,
         &feed,
         start,
-    )
-    .run(start, &feed, &prefixes);
+    );
 
     assert_eq!(outcome.emitted.len(), 5, "{:?}", outcome.emitted);
     assert_eq!(

@@ -21,7 +21,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 37] = [
+const HISTORICAL: [&str; 46] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -59,6 +59,15 @@ const HISTORICAL: [&str; 37] = [
     "Vantage::query_all_instrumented",
     "TransportTotals::snapshot",
     "TokenBucket",
+    "Ecosystem",
+    "Phase",
+    "TickCtx",
+    "SourcingMachine",
+    "PrefixWalkMachine",
+    "HitlistReuseMachine",
+    "BgpAdaptiveMachine",
+    "CaptureLog",
+    "telescope::CaptureLog",
 ];
 
 fn root() -> PathBuf {

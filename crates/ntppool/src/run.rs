@@ -64,9 +64,11 @@ pub const NTP_PORT: u16 = 123;
 pub const KOD_BACKOFF_FACTOR: u64 = 4;
 
 /// Synthetic address of a pool server, for the transport's fault hash
-/// (servers are not world devices; they live in a dedicated /48).
+/// (servers are not world devices; they live in a dedicated /48):
+/// `id + 1` in the interface bits, so every id has its own address.
 pub fn server_addr(id: ServerId) -> Ipv6Addr {
-    Ipv6Addr::new(0x2001, 0xdb8, 0x7e0, 0, 0, 0, 0, id.0 as u16 + 1)
+    const SERVER_NET: u128 = 0x2001_0db8_07e0 << 80;
+    Ipv6Addr::from(SERVER_NET + u128::from(id.0) + 1)
 }
 
 /// What came back to the polling client.
@@ -123,11 +125,10 @@ pub fn poll_once(
     )
 }
 
-/// [`poll_once`] with pre-encoded request bytes, counting the exchange
-/// into `totals`. The request depends only on the transmit timestamp,
-/// so callers polling many clients in the same simulated second (see
-/// [`RequestMemo`]) emit it once and reuse the bytes — the exchange is
-/// bit-identical to [`poll_once`].
+/// [`poll_once`] with the encoded request passed in, counting the
+/// exchange into `totals`. The collection loop encodes each poll's
+/// 48-byte request on the stack ([`Packet::emit`] returns an array), so
+/// the only allocation of a poll is the server's reply.
 pub fn poll_once_with_request(
     server: &PoolServer,
     transport: &dyn Transport,
@@ -205,35 +206,6 @@ impl RunStats {
             PollReply::RateKod => self.kod += 1,
             PollReply::None => self.lost += 1,
         }
-    }
-}
-
-/// Memoizes the emitted mode-3 client request for the current timestamp
-/// second: polls sharing a second reuse one encoded packet instead of
-/// re-emitting 48 bytes per event. The request depends only on the
-/// transmit timestamp, so the cached bytes are identical to a fresh
-/// `Packet::client_request(t).emit()`.
-#[derive(Debug, Default)]
-pub struct RequestMemo {
-    second: Option<u64>,
-    bytes: Vec<u8>,
-}
-
-impl RequestMemo {
-    /// An empty memo.
-    pub fn new() -> RequestMemo {
-        RequestMemo::default()
-    }
-
-    /// The encoded request for transmit time `t`, re-emitting only when
-    /// the second changes.
-    pub fn request(&mut self, t: SimTime) -> &[u8] {
-        let second = t.to_unix();
-        if self.second != Some(second) {
-            self.bytes = Packet::client_request(NtpTimestamp::from_unix_secs(second)).emit();
-            self.second = Some(second);
-        }
-        &self.bytes
     }
 }
 
@@ -354,8 +326,6 @@ type Poll = (DeviceId, u32, PollCard);
 /// The live form of a [`CollectionCheckpoint`]: the event queue,
 /// per-server RPS windows, the [`RunStats`] tally, the KoD histogram
 /// and the transport tally.
-/// Everything else the engine touches (the request memo) is
-/// recomputable and lives on the stack of one `drive` call.
 struct EngineState {
     queue: EventQueue<Poll>,
     rps: RpsWindows,
@@ -538,7 +508,6 @@ impl<'w> CollectionRun<'w> {
             kod_backoff,
             transport,
         } = st;
-        let mut memo = RequestMemo::new();
         // The queue pops in time order, so the first event at or past
         // `stop` means every remaining event is too — they stay queued
         // (for a checkpoint) instead of being drained.
@@ -557,6 +526,7 @@ impl<'w> CollectionRun<'w> {
                     port: NTP_PORT,
                     attempt: 0,
                 };
+                let request = Packet::client_request(NtpTimestamp::from_unix_secs(t.to_unix()));
                 let outcome = poll_once_with_request(
                     server,
                     self.transport.as_ref(),
@@ -564,7 +534,7 @@ impl<'w> CollectionRun<'w> {
                     link,
                     t,
                     current_rps,
-                    memo.request(t),
+                    &request.emit(),
                 );
                 reply = outcome.reply;
                 totals.count_reply(reply);
@@ -885,18 +855,15 @@ mod tests {
     }
 
     #[test]
-    fn request_memo_matches_fresh_emit() {
-        let mut memo = RequestMemo::new();
-        for t in [
-            SimTime(0),
-            SimTime(0),
-            SimTime(1),
-            SimTime(86_400),
-            SimTime(1),
-        ] {
-            let fresh = Packet::client_request(NtpTimestamp::from_unix_secs(t.to_unix())).emit();
-            assert_eq!(memo.request(t), &fresh[..], "at {t}");
+    fn server_addresses_are_distinct_past_sixteen_bits() {
+        let addrs = [0, 65_534, 65_535, 65_536].map(|id| server_addr(ServerId(id)));
+        for (i, a) in addrs.iter().enumerate() {
+            assert!(!addrs[i + 1..].contains(a), "{a} repeats");
         }
+        assert_eq!(
+            server_addr(ServerId(2)),
+            "2001:db8:7e0::3".parse::<Ipv6Addr>().unwrap()
+        );
     }
 
     #[test]

@@ -127,20 +127,19 @@ impl PoolServer {
     pub fn handle(&self, request: &[u8], now: SimTime) -> Option<Vec<u8>> {
         let pkt = Packet::parse(request).ok()?;
         let rx = NtpTimestamp::from_unix_secs(now.to_unix());
-        match pkt.mode {
+        let resp = match pkt.mode {
             wire::ntp::Mode::Client => {
-                let resp =
-                    Packet::server_response(&pkt, self.stratum, *b"\xc6\x33\x64\x0a", rx, rx);
-                Some(resp.emit())
+                Packet::server_response(&pkt, self.stratum, *b"\xc6\x33\x64\x0a", rx, rx)
             }
             wire::ntp::Mode::Control if self.daemon.answers_mode6() => {
-                Some(Packet::control_response(&pkt, self.daemon.banner(), rx).emit())
+                Packet::control_response(&pkt, self.daemon.banner(), rx)
             }
             wire::ntp::Mode::Private if self.daemon.answers_mode7() => {
-                Some(Packet::private_response(self.daemon.banner(), 0, rx).emit())
+                Packet::private_response(self.daemon.banner(), 0, rx)
             }
-            _ => None,
-        }
+            _ => return None,
+        };
+        Some(resp.emit().to_vec())
     }
 
     /// Handles a request under load: above `max_rps` the server sheds
@@ -156,7 +155,7 @@ impl PoolServer {
             if pkt.mode != wire::ntp::Mode::Client {
                 return None;
             }
-            return Some(Packet::kiss_of_death(&pkt, *b"RATE").emit());
+            return Some(Packet::kiss_of_death(&pkt, *b"RATE").emit().to_vec());
         }
         self.handle(request, now)
     }

@@ -11,8 +11,7 @@
 //! (type/channel/size/payload/frame-end 0xCE), `Connection.Start` and
 //! `Connection.Close` with the field subset the probe reads.
 
-use crate::{WireError, WireResult};
-use bytes::{BufMut, BytesMut};
+use crate::{put_u16, put_u32, WireError, WireResult};
 
 /// The AMQP 0-9-1 protocol header.
 pub const PROTOCOL_HEADER: [u8; 8] = *b"AMQP\x00\x00\x09\x01";
@@ -74,9 +73,9 @@ impl ConnectionStart {
 
     /// Serialises as a full method frame on channel 0.
     pub fn emit(&self) -> Vec<u8> {
-        let mut args = BytesMut::new();
-        args.put_u8(self.version_major);
-        args.put_u8(self.version_minor);
+        let mut args = Vec::new();
+        args.push(self.version_major);
+        args.push(self.version_minor);
         put_longstr(&mut args, self.product.as_bytes()); // stand-in for the server-properties table
         put_longstr(&mut args, self.mechanisms.as_bytes());
         put_longstr(&mut args, self.locales.as_bytes());
@@ -126,11 +125,11 @@ impl ConnectionClose {
 
     /// Serialises as a method frame.
     pub fn emit(&self) -> Vec<u8> {
-        let mut args = BytesMut::new();
-        args.put_u16(self.reply_code);
+        let mut args = Vec::new();
+        put_u16(&mut args, self.reply_code);
         put_shortstr(&mut args, &self.reply_text);
-        args.put_u16(0); // failing class id
-        args.put_u16(0); // failing method id
+        put_u16(&mut args, 0); // failing class id
+        put_u16(&mut args, 0); // failing method id
         emit_method_frame(class::CONNECTION, class::METHOD_CLOSE, &args)
     }
 
@@ -173,17 +172,17 @@ pub fn parse_broker_answer(buf: &[u8]) -> WireResult<BrokerAnswer> {
 }
 
 fn emit_method_frame(class_id: u16, method_id: u16, args: &[u8]) -> Vec<u8> {
-    let mut payload = BytesMut::with_capacity(4 + args.len());
-    payload.put_u16(class_id);
-    payload.put_u16(method_id);
-    payload.put_slice(args);
-    let mut out = BytesMut::with_capacity(8 + payload.len());
-    out.put_u8(frame_type::METHOD);
-    out.put_u16(0); // channel 0
-    out.put_u32(payload.len() as u32);
-    out.put_slice(&payload);
-    out.put_u8(FRAME_END);
-    out.to_vec()
+    let mut payload = Vec::with_capacity(4 + args.len());
+    put_u16(&mut payload, class_id);
+    put_u16(&mut payload, method_id);
+    payload.extend_from_slice(args);
+    let mut out = Vec::with_capacity(8 + payload.len());
+    out.push(frame_type::METHOD);
+    put_u16(&mut out, 0); // channel 0
+    put_u32(&mut out, payload.len() as u32);
+    out.extend_from_slice(&payload);
+    out.push(FRAME_END);
+    out
 }
 
 fn open_method_frame(buf: &[u8]) -> WireResult<(u16, u16, &[u8])> {
@@ -211,9 +210,9 @@ fn open_method_frame(buf: &[u8]) -> WireResult<(u16, u16, &[u8])> {
     ))
 }
 
-fn put_longstr(buf: &mut BytesMut, s: &[u8]) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s);
+fn put_longstr(buf: &mut Vec<u8>, s: &[u8]) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s);
 }
 
 fn get_longstr(buf: &[u8], off: &mut usize) -> WireResult<Vec<u8>> {
@@ -230,9 +229,9 @@ fn get_longstr(buf: &[u8], off: &mut usize) -> WireResult<Vec<u8>> {
     Ok(out)
 }
 
-fn put_shortstr(buf: &mut BytesMut, s: &str) {
-    buf.put_u8(s.len() as u8);
-    buf.put_slice(s.as_bytes());
+fn put_shortstr(buf: &mut Vec<u8>, s: &str) {
+    buf.push(s.len() as u8);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn get_shortstr(buf: &[u8], off: &mut usize) -> WireResult<String> {

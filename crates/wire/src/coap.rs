@@ -10,8 +10,7 @@
 //! byte, code, message id, token, delta-encoded options (incl. extended
 //! deltas/lengths), and the 0xFF payload marker.
 
-use crate::{WireError, WireResult};
-use bytes::{BufMut, BytesMut};
+use crate::{put_u16, WireError, WireResult};
 
 /// CoAP message types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,11 +170,11 @@ impl Message {
     /// Serialises per RFC 7252 §3.
     pub fn emit(&self) -> Vec<u8> {
         assert!(self.token.len() <= 8, "token too long");
-        let mut buf = BytesMut::new();
-        buf.put_u8((1 << 6) | (self.mtype.bits() << 4) | self.token.len() as u8);
-        buf.put_u8(self.code.0);
-        buf.put_u16(self.message_id);
-        buf.put_slice(&self.token);
+        let mut buf = Vec::new();
+        buf.push((1 << 6) | (self.mtype.bits() << 4) | self.token.len() as u8);
+        buf.push(self.code.0);
+        put_u16(&mut buf, self.message_id);
+        buf.extend_from_slice(&self.token);
         let mut opts = self.options.clone();
         opts.sort_by_key(|o| o.number);
         let mut last = 0u16;
@@ -183,13 +182,13 @@ impl Message {
             let delta = opt.number - last;
             last = opt.number;
             put_option_header(&mut buf, delta, opt.value.len());
-            buf.put_slice(&opt.value);
+            buf.extend_from_slice(&opt.value);
         }
         if !self.payload.is_empty() {
-            buf.put_u8(0xff);
-            buf.put_slice(&self.payload);
+            buf.push(0xff);
+            buf.extend_from_slice(&self.payload);
         }
-        buf.to_vec()
+        buf
     }
 
     /// Parses per RFC 7252 §3.
@@ -258,18 +257,18 @@ fn option_nibble(v: usize) -> u8 {
     }
 }
 
-fn put_option_header(buf: &mut BytesMut, delta: u16, len: usize) {
+fn put_option_header(buf: &mut Vec<u8>, delta: u16, len: usize) {
     let dn = option_nibble(delta as usize);
     let ln = option_nibble(len);
-    buf.put_u8((dn << 4) | ln);
+    buf.push((dn << 4) | ln);
     emit_extended(buf, dn, delta as usize);
     emit_extended(buf, ln, len);
 }
 
-fn emit_extended(buf: &mut BytesMut, nibble: u8, v: usize) {
+fn emit_extended(buf: &mut Vec<u8>, nibble: u8, v: usize) {
     match nibble {
-        13 => buf.put_u8((v - 13) as u8),
-        14 => buf.put_u16((v - 269) as u16),
+        13 => buf.push((v - 13) as u8),
+        14 => put_u16(buf, (v - 269) as u16),
         _ => {}
     }
 }

@@ -33,6 +33,24 @@ pub mod tls;
 
 use std::fmt;
 
+/// Appends `v` big-endian, as every encoder here writes its integers.
+#[inline]
+pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends `v` big-endian.
+#[inline]
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends `v` big-endian.
+#[inline]
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
 /// A common parse error for all wire modules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {

@@ -6,8 +6,7 @@
 //! `BadUserNameOrPassword` (access-controlled). The fixed header with its
 //! variable-length "remaining length" encoding is implemented per spec.
 
-use crate::{WireError, WireResult};
-use bytes::{BufMut, BytesMut};
+use crate::{put_u16, WireError, WireResult};
 
 /// MQTT control packet types (high nybble of the fixed header).
 pub mod packet_type {
@@ -100,9 +99,9 @@ impl Connect {
 
     /// Serialises fixed header + variable header + payload.
     pub fn emit(&self) -> Vec<u8> {
-        let mut var = BytesMut::new();
+        let mut var = Vec::new();
         put_utf8(&mut var, "MQTT");
-        var.put_u8(4); // protocol level 4 = MQTT 3.1.1
+        var.push(4); // protocol level 4 = MQTT 3.1.1
         let mut flags = 0u8;
         if self.clean_session {
             flags |= 0x02;
@@ -113,21 +112,21 @@ impl Connect {
         if self.password.is_some() {
             flags |= 0x40;
         }
-        var.put_u8(flags);
-        var.put_u16(self.keep_alive);
+        var.push(flags);
+        put_u16(&mut var, self.keep_alive);
         put_utf8(&mut var, &self.client_id);
         if let Some(u) = &self.username {
             put_utf8(&mut var, u);
         }
         if let Some(p) = &self.password {
-            var.put_u16(p.len() as u16);
-            var.put_slice(p);
+            put_u16(&mut var, p.len() as u16);
+            var.extend_from_slice(p);
         }
-        let mut out = BytesMut::new();
-        out.put_u8(packet_type::CONNECT << 4);
+        let mut out = Vec::new();
+        out.push(packet_type::CONNECT << 4);
         put_remaining_length(&mut out, var.len());
-        out.put_slice(&var);
-        out.to_vec()
+        out.extend_from_slice(&var);
+        out
     }
 
     /// Parses a CONNECT packet.
@@ -211,7 +210,7 @@ impl ConnAck {
 }
 
 /// Encodes the MQTT variable-length "remaining length" (up to 4 bytes).
-pub fn put_remaining_length(buf: &mut BytesMut, mut len: usize) {
+pub fn put_remaining_length(buf: &mut Vec<u8>, mut len: usize) {
     assert!(len <= 268_435_455, "remaining length overflow");
     loop {
         let mut byte = (len % 128) as u8;
@@ -219,7 +218,7 @@ pub fn put_remaining_length(buf: &mut BytesMut, mut len: usize) {
         if len > 0 {
             byte |= 0x80;
         }
-        buf.put_u8(byte);
+        buf.push(byte);
         if len == 0 {
             break;
         }
@@ -256,9 +255,9 @@ fn open_packet(buf: &[u8]) -> WireResult<(u8, &[u8])> {
     Ok((ptype, &buf[start..start + len]))
 }
 
-fn put_utf8(buf: &mut BytesMut, s: &str) {
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+fn put_utf8(buf: &mut Vec<u8>, s: &str) {
+    put_u16(buf, s.len() as u16);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn get_u16(buf: &[u8], off: &mut usize) -> WireResult<u16> {
@@ -347,7 +346,7 @@ mod tests {
             (268_435_455, &[0xff, 0xff, 0xff, 0x7f]),
         ];
         for &(v, bytes) in cases {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_remaining_length(&mut buf, v);
             assert_eq!(&buf[..], bytes, "encode {v}");
             assert_eq!(get_remaining_length(bytes).unwrap(), (v, bytes.len()));

@@ -11,7 +11,6 @@
 //! indistinguishable from real ones.
 
 use crate::{WireError, WireResult};
-use bytes::{BufMut, BytesMut};
 use std::fmt;
 
 /// Length of the NTP header (no extensions / MAC).
@@ -312,22 +311,23 @@ impl Packet {
         }
     }
 
-    /// Serialises the 48-byte header.
-    pub fn emit(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN);
-        buf.put_u8((self.leap.bits() << 6) | ((self.version & 0b111) << 3) | self.mode.bits());
-        buf.put_u8(self.stratum);
-        buf.put_i8(self.poll);
-        buf.put_i8(self.precision);
-        buf.put_u32(self.root_delay);
-        buf.put_u32(self.root_dispersion);
-        buf.put_slice(&self.reference_id);
-        buf.put_u64(self.reference_ts.0);
-        buf.put_u64(self.origin_ts.0);
-        buf.put_u64(self.receive_ts.0);
-        buf.put_u64(self.transmit_ts.0);
-        debug_assert_eq!(buf.len(), HEADER_LEN);
-        buf.to_vec()
+    /// Serialises the 48-byte header, each field big-endian at its
+    /// RFC 5905 offset. The header lives on the stack; a caller that
+    /// needs an owned buffer takes one `.to_vec()`.
+    pub fn emit(&self) -> [u8; HEADER_LEN] {
+        let mut buf = [0u8; HEADER_LEN];
+        buf[0] = (self.leap.bits() << 6) | ((self.version & 0b111) << 3) | self.mode.bits();
+        buf[1] = self.stratum;
+        buf[2] = self.poll as u8;
+        buf[3] = self.precision as u8;
+        buf[4..8].copy_from_slice(&self.root_delay.to_be_bytes());
+        buf[8..12].copy_from_slice(&self.root_dispersion.to_be_bytes());
+        buf[12..16].copy_from_slice(&self.reference_id);
+        buf[16..24].copy_from_slice(&self.reference_ts.0.to_be_bytes());
+        buf[24..32].copy_from_slice(&self.origin_ts.0.to_be_bytes());
+        buf[32..40].copy_from_slice(&self.receive_ts.0.to_be_bytes());
+        buf[40..48].copy_from_slice(&self.transmit_ts.0.to_be_bytes());
+        buf
     }
 
     /// Parses a header from the front of `buf`. Trailing bytes (extension
@@ -413,6 +413,34 @@ mod tests {
         assert_eq!(parsed, resp);
     }
 
+    /// The roundtrip tests pass for any field order `emit` and `parse`
+    /// share; this pins the RFC 5905 Figure 8 layout itself, with every
+    /// timestamp, both short-format words and the refid distinct.
+    #[test]
+    fn server_response_bytes_follow_rfc5905() {
+        let req = Packet::client_request(NtpTimestamp::new(0xeaaa_0002, 0x20));
+        let mut resp = Packet::server_response(
+            &req,
+            2,
+            *b"GPS\0",
+            NtpTimestamp::new(0xeaaa_0003, 0x30),
+            NtpTimestamp::new(0xeaaa_0004, 0x40),
+        );
+        resp.reference_ts = NtpTimestamp::new(0xeaaa_0001, 0x10);
+        let expected: [u8; HEADER_LEN] = [
+            0x24, 0x02, 0x06, 0xe9, // LI 0 VN 4 mode 4, stratum, poll, precision
+            0x00, 0x00, 0x08, 0x00, // root delay
+            0x00, 0x00, 0x04, 0x00, // root dispersion
+            b'G', b'P', b'S', 0x00, // reference id
+            0xea, 0xaa, 0x00, 0x01, 0x00, 0x00, 0x00, 0x10, // reference
+            0xea, 0xaa, 0x00, 0x02, 0x00, 0x00, 0x00, 0x20, // origin
+            0xea, 0xaa, 0x00, 0x03, 0x00, 0x00, 0x00, 0x30, // receive
+            0xea, 0xaa, 0x00, 0x04, 0x00, 0x00, 0x00, 0x40, // transmit
+        ];
+        assert_eq!(resp.emit(), expected);
+        assert_eq!(Packet::parse(&expected).unwrap(), resp);
+    }
+
     #[test]
     fn kiss_of_death_rate() {
         let req = Packet::client_request(NtpTimestamp::ZERO);
@@ -434,7 +462,7 @@ mod tests {
     #[test]
     fn trailing_bytes_ignored() {
         let req = Packet::client_request(NtpTimestamp::ZERO);
-        let mut bytes = req.emit();
+        let mut bytes = req.emit().to_vec();
         bytes.extend_from_slice(&[0xaa; 20]); // fake extension field
         assert_eq!(Packet::parse(&bytes).unwrap(), req);
     }

@@ -16,8 +16,7 @@
 //! KEXDH_REPLY that carries only the key blob, since no cryptography is
 //! analysed (DESIGN.md, substitutions table).
 
-use crate::{WireError, WireResult};
-use bytes::{BufMut, BytesMut};
+use crate::{put_u32, WireError, WireResult};
 
 /// Maximum identification-string length RFC 4253 allows (255 incl. CRLF).
 pub const MAX_ID_LEN: usize = 255;
@@ -103,12 +102,12 @@ pub fn frame_packet(payload: &[u8]) -> Vec<u8> {
     let min = payload.len() + 1 + 4;
     let padded = min.div_ceil(8) * 8;
     let padding = padded - payload.len() - 1;
-    let mut buf = BytesMut::with_capacity(4 + padded);
-    buf.put_u32((padded) as u32);
-    buf.put_u8(padding as u8);
-    buf.put_slice(payload);
-    buf.put_bytes(0, padding);
-    buf.to_vec()
+    let mut buf = Vec::with_capacity(4 + padded);
+    put_u32(&mut buf, padded as u32);
+    buf.push(padding as u8);
+    buf.extend_from_slice(payload);
+    buf.resize(buf.len() + padding, 0);
+    buf
 }
 
 /// Unframes one binary packet; returns (payload, bytes consumed).
@@ -162,9 +161,9 @@ impl KexInit {
     /// Serialises the KEXINIT payload (message type + cookie + name-lists;
     /// the remaining RFC 4253 name-lists are emitted empty).
     pub fn emit(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(msg::KEXINIT);
-        buf.put_slice(&self.cookie);
+        let mut buf = Vec::new();
+        buf.push(msg::KEXINIT);
+        buf.extend_from_slice(&self.cookie);
         put_name_list(&mut buf, &self.kex_algorithms);
         put_name_list(&mut buf, &self.host_key_algorithms);
         put_name_list(&mut buf, &self.ciphers);
@@ -173,9 +172,9 @@ impl KexInit {
         for _ in 0..6 {
             put_name_list(&mut buf, &[] as &[&str]);
         }
-        buf.put_u8(0); // first_kex_packet_follows
-        buf.put_u32(0); // reserved
-        buf.to_vec()
+        buf.push(0); // first_kex_packet_follows
+        put_u32(&mut buf, 0); // reserved
+        buf
     }
 
     /// Parses a KEXINIT payload.
@@ -214,11 +213,11 @@ pub struct HostKeyReply {
 impl HostKeyReply {
     /// Serialises the payload.
     pub fn emit(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(msg::KEXDH_REPLY);
+        let mut buf = Vec::new();
+        buf.push(msg::KEXDH_REPLY);
         put_string(&mut buf, self.key_type.as_bytes());
         put_string(&mut buf, &self.key_blob);
-        buf.to_vec()
+        buf
     }
 
     /// Parses the payload.
@@ -260,9 +259,9 @@ pub fn fingerprint_bytes(data: &[u8]) -> [u8; 32] {
     out
 }
 
-fn put_string(buf: &mut BytesMut, s: &[u8]) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s);
+fn put_string(buf: &mut Vec<u8>, s: &[u8]) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s);
 }
 
 fn get_string(buf: &[u8], off: &mut usize) -> WireResult<Vec<u8>> {
@@ -279,7 +278,7 @@ fn get_string(buf: &[u8], off: &mut usize) -> WireResult<Vec<u8>> {
     Ok(out)
 }
 
-fn put_name_list(buf: &mut BytesMut, names: &[impl AsRef<str>]) {
+fn put_name_list(buf: &mut Vec<u8>, names: &[impl AsRef<str>]) {
     let joined = names
         .iter()
         .map(|n| n.as_ref())

@@ -14,8 +14,7 @@
 //! ClientHello without SNI with an `unrecognized_name` alert.
 
 use crate::ssh::fingerprint_bytes;
-use crate::{WireError, WireResult};
-use bytes::{BufMut, BytesMut};
+use crate::{put_u16, put_u64, WireError, WireResult};
 
 /// TLS record content types.
 pub mod content {
@@ -139,12 +138,12 @@ impl Certificate {
         fingerprint_bytes(&data)
     }
 
-    fn emit_into(&self, buf: &mut BytesMut) {
+    fn emit_into(&self, buf: &mut Vec<u8>) {
         put_str16(buf, &self.subject);
         put_str16(buf, &self.issuer);
-        buf.put_u64(self.serial);
-        buf.put_u64(self.not_before);
-        buf.put_u64(self.not_after);
+        put_u64(buf, self.serial);
+        put_u64(buf, self.not_before);
+        put_u64(buf, self.not_after);
         put_bytes16(buf, &self.key_blob);
     }
 
@@ -178,15 +177,15 @@ pub struct ClientHello {
 impl ClientHello {
     /// Serialises as a handshake record.
     pub fn emit(&self) -> Vec<u8> {
-        let mut body = BytesMut::new();
-        body.put_u8(1); // handshake type: client_hello
-        body.put_u16(self.version.to_u16());
+        let mut body = Vec::new();
+        body.push(1); // handshake type: client_hello
+        put_u16(&mut body, self.version.to_u16());
         match &self.server_name {
             Some(name) => {
-                body.put_u8(1);
+                body.push(1);
                 put_str16(&mut body, name);
             }
-            None => body.put_u8(0),
+            None => body.push(0),
         }
         record(content::HANDSHAKE, self.version, &body)
     }
@@ -235,9 +234,9 @@ impl ServerResponse {
                 version,
                 certificate,
             } => {
-                let mut body = BytesMut::new();
-                body.put_u8(2); // handshake type: server_hello
-                body.put_u16(version.to_u16());
+                let mut body = Vec::new();
+                body.push(2); // handshake type: server_hello
+                put_u16(&mut body, version.to_u16());
                 certificate.emit_into(&mut body);
                 record(content::HANDSHAKE, *version, &body)
             }
@@ -276,12 +275,12 @@ impl ServerResponse {
 }
 
 fn record(ctype: u8, version: Version, body: &[u8]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(5 + body.len());
-    buf.put_u8(ctype);
-    buf.put_u16(version.to_u16());
-    buf.put_u16(body.len() as u16);
-    buf.put_slice(body);
-    buf.to_vec()
+    let mut buf = Vec::with_capacity(5 + body.len());
+    buf.push(ctype);
+    put_u16(&mut buf, version.to_u16());
+    put_u16(&mut buf, body.len() as u16);
+    buf.extend_from_slice(body);
+    buf
 }
 
 fn open_record(buf: &[u8]) -> WireResult<(u8, u16, &[u8])> {
@@ -299,13 +298,13 @@ fn open_record(buf: &[u8]) -> WireResult<(u8, u16, &[u8])> {
     ))
 }
 
-fn put_str16(buf: &mut BytesMut, s: &str) {
+fn put_str16(buf: &mut Vec<u8>, s: &str) {
     put_bytes16(buf, s.as_bytes());
 }
 
-fn put_bytes16(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u16(b.len() as u16);
-    buf.put_slice(b);
+fn put_bytes16(buf: &mut Vec<u8>, b: &[u8]) {
+    put_u16(buf, b.len() as u16);
+    buf.extend_from_slice(b);
 }
 
 fn get_u16(buf: &[u8], off: &mut usize) -> WireResult<u16> {

@@ -110,7 +110,7 @@ proptest! {
 
     #[test]
     fn mqtt_remaining_length_roundtrip(v in 0usize..268_435_455) {
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         mqtt::put_remaining_length(&mut buf, v);
         let (got, used) = mqtt::get_remaining_length(&buf).unwrap();
         prop_assert_eq!(got, v);

@@ -21,7 +21,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 46] = [
+const HISTORICAL: [&str; 47] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -68,6 +68,7 @@ const HISTORICAL: [&str; 46] = [
     "BgpAdaptiveMachine",
     "CaptureLog",
     "telescope::CaptureLog",
+    "RequestMemo",
 ];
 
 fn root() -> PathBuf {

@@ -20,7 +20,7 @@ const MASKS: [u8; 3] = [0x01, 0x80, 0xff];
 const NOW: SimTime = SimTime(1_000);
 const CURRENT_RPS: u64 = 2;
 
-fn requests() -> [Vec<u8>; 3] {
+fn requests() -> [[u8; HEADER_LEN]; 3] {
     [
         Packet::client_request(NtpTimestamp::from_unix_secs(1_721_500_000)).emit(),
         Packet::control_request(1).emit(),

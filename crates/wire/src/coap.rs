@@ -170,13 +170,24 @@ impl Message {
     /// Serialises per RFC 7252 §3.
     pub fn emit(&self) -> Vec<u8> {
         assert!(self.token.len() <= 8, "token too long");
-        let mut buf = Vec::new();
+        let mut opts = self.options.clone();
+        opts.sort_by_key(|o| o.number);
+        // Sized before writing: a response is one allocation of exactly
+        // its length, not a buffer that grew by doubling.
+        let mut len = 4 + self.token.len();
+        let mut last = 0u16;
+        for opt in &opts {
+            len += option_header_len(opt.number - last, opt.value.len()) + opt.value.len();
+            last = opt.number;
+        }
+        if !self.payload.is_empty() {
+            len += 1 + self.payload.len();
+        }
+        let mut buf = Vec::with_capacity(len);
         buf.push((1 << 6) | (self.mtype.bits() << 4) | self.token.len() as u8);
         buf.push(self.code.0);
         put_u16(&mut buf, self.message_id);
         buf.extend_from_slice(&self.token);
-        let mut opts = self.options.clone();
-        opts.sort_by_key(|o| o.number);
         let mut last = 0u16;
         for opt in &opts {
             let delta = opt.number - last;
@@ -188,6 +199,7 @@ impl Message {
             buf.push(0xff);
             buf.extend_from_slice(&self.payload);
         }
+        debug_assert_eq!(buf.len(), len);
         buf
     }
 
@@ -263,6 +275,16 @@ fn put_option_header(buf: &mut Vec<u8>, delta: u16, len: usize) {
     buf.push((dn << 4) | ln);
     emit_extended(buf, dn, delta as usize);
     emit_extended(buf, ln, len);
+}
+
+/// Bytes [`put_option_header`] writes for `delta` and `len`.
+fn option_header_len(delta: u16, len: usize) -> usize {
+    let extended = |v: usize| match option_nibble(v) {
+        13 => 1,
+        14 => 2,
+        _ => 0,
+    };
+    1 + extended(delta as usize) + extended(len)
 }
 
 fn emit_extended(buf: &mut Vec<u8>, nibble: u8, v: usize) {

@@ -264,7 +264,7 @@ mod tests {
         let (vantage, pool, mut log, actors) = full_run();
         // A random scan that happens to hit the monitored space.
         log.push(CapturedPacket {
-            dst: vantage.scatter_neighbor(ServerId(0)),
+            dst: vantage.prefix.subnet(64, 1).host(0x2222),
             src: "2600:dead::1".parse().unwrap(),
             port: 23,
             time: SimTime(50),

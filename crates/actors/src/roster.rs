@@ -51,7 +51,8 @@ impl ActorRoster {
     }
 
     /// Union of two rosters.
-    pub fn with(&self, other: ActorRoster) -> ActorRoster {
+    #[cfg(test)]
+    pub(crate) fn with(&self, other: ActorRoster) -> ActorRoster {
         ActorRoster(self.0 | other.0)
     }
 

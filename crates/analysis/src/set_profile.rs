@@ -212,7 +212,11 @@ mod tests {
                 *n.per_as.entry(asn.0).or_insert(0) += 1;
             }
             *n.per_48.entry((a >> 80) as u64).or_insert(0) += 1;
-            if topo.as_type_of(addr) == AsType::CableDslIsp {
+            let kind = topo
+                .origin(addr)
+                .and_then(|asn| topo.info(asn))
+                .map(|i| i.kind);
+            if kind == Some(AsType::CableDslIsp) {
                 n.eyeball += 1;
             }
             n.iid.add(addr);

@@ -46,9 +46,6 @@ pub enum Source {
 }
 
 impl Source {
-    /// Both sources, in the paper's our-then-hitlist order.
-    pub const BOTH: [Source; 2] = [Source::Ntp, Source::Hitlist];
-
     fn idx(self) -> usize {
         match self {
             Source::Ntp => 0,
@@ -375,7 +372,7 @@ mod tests {
         let first = d.title_clusters().len();
         let again = d.title_clusters().len();
         assert_eq!(first, again);
-        for src in Source::BOTH {
+        for src in [Source::Ntp, Source::Hitlist] {
             let hosts = d.ssh_hosts(src).len();
             assert_eq!(d.ssh_hosts(src).len(), hosts);
             d.coap_devices(src);

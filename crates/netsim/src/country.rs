@@ -116,11 +116,6 @@ pub fn client_weight(c: Country) -> u64 {
     info(c).map(|(_, _, _, w, _)| *w).unwrap_or(0)
 }
 
-/// Background (non-study) pool servers in the country zone.
-pub fn background_servers(c: Country) -> u32 {
-    info(c).map(|(_, _, _, _, s)| *s).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +136,11 @@ mod tests {
                 "collector location {c} missing from table"
             );
         }
+    }
+
+    /// Background (non-study) pool servers in the country zone.
+    fn background_servers(c: Country) -> u32 {
+        info(c).map(|(_, _, _, _, s)| *s).unwrap_or(0)
     }
 
     #[test]

@@ -87,9 +87,6 @@ impl OrgId {
     /// DigitalOcean (hitlist-reuse actor source).
     pub const DIGITAL_OCEAN: OrgId = OrgId(5);
 
-    /// Number of interned organisations.
-    pub const COUNT: usize = ORG_NAMES.len();
-
     /// The organisation's display name.
     pub fn name(self) -> &'static str {
         ORG_NAMES
@@ -122,7 +119,7 @@ mod tests {
         assert_eq!(OrgId::AMAZON.name(), "Amazon");
         assert_eq!(OrgId::lookup("Amazon"), Some(OrgId::AMAZON));
         assert_eq!(OrgId::lookup("Nonexistent Org"), None);
-        for i in 0..OrgId::COUNT as u16 {
+        for i in 0..ORG_NAMES.len() as u16 {
             let org = OrgId(i);
             assert_eq!(OrgId::lookup(org.name()), Some(org));
         }

@@ -200,7 +200,7 @@ pub struct HouseholdProfile {
     pub country: Country,
     /// Global household index.
     pub house: u32,
-    /// Index of the owning plan in [`Layout::eyeball_plans`].
+    /// Index of the owning plan in the layout's eyeball plans.
     pub plan: u32,
     /// Member archetypes; only the first `len` entries are meaningful.
     pub kinds: [DeviceKind; HOUSEHOLD_STRIDE as usize],
@@ -431,11 +431,6 @@ impl Layout {
     /// First id of the static (server/router) range.
     pub fn static_base(&self) -> u32 {
         self.households * HOUSEHOLD_STRIDE
-    }
-
-    /// Eyeball AS plans, in household-range order.
-    pub fn eyeball_plans(&self) -> &[EyeballPlan] {
-        &self.eyeball
     }
 
     /// Prefix-rotation epoch at `t`.
@@ -1052,7 +1047,7 @@ mod tests {
         let cfg = WorldConfig::tiny(3);
         let (layout, _, _) = Layout::build(&cfg);
         let mut covered = 0u32;
-        for p in layout.eyeball_plans() {
+        for p in &layout.eyeball {
             assert_eq!(p.base, covered);
             covered += p.count;
         }

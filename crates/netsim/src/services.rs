@@ -499,7 +499,7 @@ mod tests {
         };
         let resp = s.respond(5672, &amqp::PROTOCOL_HEADER).unwrap();
         let start = amqp::ConnectionStart::parse(&resp).unwrap();
-        assert!(!start.allows_anonymous());
+        assert_eq!(start.mechanisms, "PLAIN AMQPLAIN");
         // Wrong header → broker echoes its own.
         let resp = s.respond(5672, b"AMQP\x01\x01\x00\x0a").unwrap();
         assert_eq!(resp, amqp::PROTOCOL_HEADER.to_vec());

@@ -84,15 +84,6 @@ impl Topology {
         self.index.get(&asn).map(|&i| &self.ases[i])
     }
 
-    /// The PeeringDB type of the AS owning `addr` ([`AsType::Unlisted`]
-    /// when unrouted).
-    pub fn as_type_of(&self, addr: Ipv6Addr) -> AsType {
-        self.origin(addr)
-            .and_then(|asn| self.info(asn))
-            .map(|i| i.kind)
-            .unwrap_or(AsType::Unlisted)
-    }
-
     /// Country of the AS owning `addr`.
     pub fn country_of(&self, addr: Ipv6Addr) -> Option<Country> {
         self.origin(addr)
@@ -159,10 +150,13 @@ mod tests {
     fn type_and_country_lookup() {
         let t = sample();
         let a: Ipv6Addr = "2001:4d00::1".parse().unwrap();
-        assert_eq!(t.as_type_of(a), AsType::CableDslIsp);
+        assert_eq!(
+            t.info(t.origin(a).unwrap()).unwrap().kind,
+            AsType::CableDslIsp
+        );
         assert_eq!(t.country_of(a), Some(country::DE));
         let unrouted: Ipv6Addr = "2a0f::1".parse().unwrap();
-        assert_eq!(t.as_type_of(unrouted), AsType::Unlisted);
+        assert_eq!(t.origin(unrouted), None);
         assert_eq!(t.country_of(unrouted), None);
     }
 

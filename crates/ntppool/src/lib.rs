@@ -33,4 +33,4 @@ pub use pool::{Pool, ServerId};
 pub use run::{
     next_poll, poll_once, CollectionCheckpoint, CollectionRun, PollOutcome, PollReply, RunStats,
 };
-pub use server::{NtpDaemon, Operator, PoolServer};
+pub use server::{Operator, PoolServer};

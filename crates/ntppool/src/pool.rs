@@ -11,13 +11,9 @@
 //! Each zone keeps the running sum of its servers' netspeeds next to
 //! their ids, so a pick is one binary search, not a walk of the zone.
 
-use crate::server::{NtpDaemon, PoolServer};
+use crate::server::PoolServer;
 use netsim::country::{self, Continent, Country};
 use netsim::mix2;
-
-/// Domain separator for the deterministic daemon draw in
-/// [`Pool::with_background`].
-const DOM_DAEMON: u64 = 0x6461_656d_6f6e;
 
 /// Index of a server in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -101,17 +97,12 @@ impl Pool {
     }
 
     /// A pool pre-populated with every country's background servers (per
-    /// [`netsim::country::background_servers`]). Daemon implementations
-    /// are diversified deterministically by server index, approximating
-    /// the public pool's ntpd/chrony/ntpsec/openntpd mix.
+    /// [`netsim::country::COUNTRY_TABLE`]).
     pub fn with_background() -> Pool {
         let mut pool = Pool::new();
         for (c, _, _, _, n) in country::COUNTRY_TABLE {
             for _ in 0..*n {
-                let idx = pool.len() as u64;
-                let mut s = PoolServer::background(*c);
-                s.daemon = NtpDaemon::from_draw(mix2(DOM_DAEMON, idx));
-                pool.add(s);
+                pool.add(PoolServer::background(*c));
             }
         }
         pool
@@ -180,11 +171,6 @@ impl Pool {
             .unwrap_or(&self.global)
     }
 
-    /// The zone (server list) a client in `c` is served from.
-    pub fn zone_of(&self, c: Country) -> &[ServerId] {
-        &self.zone(c).ids
-    }
-
     /// Total netspeed of a zone.
     pub fn zone_netspeed(&self, c: Country) -> u64 {
         self.zone(c).total()
@@ -213,16 +199,21 @@ mod tests {
     use super::*;
     use netsim::country;
 
+    /// The zone (server list) a client in `c` is served from.
+    fn zone_of(pool: &Pool, c: Country) -> &[ServerId] {
+        &pool.zone(c).ids
+    }
+
     #[test]
     fn background_pool_matches_country_table() {
         let pool = Pool::with_background();
         assert_eq!(
-            pool.zone_of(country::DE).len(),
-            country::background_servers(country::DE) as usize
+            zone_of(&pool, country::DE).len(),
+            country::info(country::DE).unwrap().4 as usize
         );
         assert_eq!(
-            pool.zone_of(country::IN).len(),
-            country::background_servers(country::IN) as usize
+            zone_of(&pool, country::IN).len(),
+            country::info(country::IN).unwrap().4 as usize
         );
     }
 
@@ -231,11 +222,11 @@ mod tests {
         let mut pool = Pool::new();
         let de = pool.add(PoolServer::background(country::DE));
         // Spain has no servers in this pool, but DE shares the continent.
-        assert_eq!(pool.zone_of(country::ES), &[de]);
+        assert_eq!(zone_of(&pool, country::ES), &[de]);
         // India: no Asian servers at all → global.
-        assert_eq!(pool.zone_of(country::IN), &[de]);
+        assert_eq!(zone_of(&pool, country::IN), &[de]);
         let jp = pool.add(PoolServer::background(country::JP));
-        assert_eq!(pool.zone_of(country::IN), &[jp]);
+        assert_eq!(zone_of(&pool, country::IN), &[jp]);
     }
 
     #[test]
@@ -268,7 +259,7 @@ mod tests {
     /// The pick as a walk of the zone that subtracts each netspeed in
     /// turn.
     fn linear_select(pool: &Pool, c: Country, client: u64, seq: u64) -> Option<ServerId> {
-        let zone = pool.zone_of(c);
+        let zone = zone_of(pool, c);
         let total: u64 = zone.iter().map(|id| pool.server(*id).netspeed).sum();
         if total == 0 {
             return zone.first().copied();
@@ -336,18 +327,6 @@ mod tests {
             agree(&pool, ctx);
         }
         assert_eq!(pool.select(country::ES, 1, 1), Some(es[0]));
-    }
-
-    #[test]
-    fn background_daemons_are_diverse_and_deterministic() {
-        let a = Pool::with_background();
-        let b = Pool::with_background();
-        let mut seen = std::collections::HashSet::new();
-        for (id, s) in a.servers() {
-            assert_eq!(s.daemon, b.server(id).daemon);
-            seen.insert(s.daemon);
-        }
-        assert_eq!(seen.len(), 4, "all daemon variants present");
     }
 
     #[test]

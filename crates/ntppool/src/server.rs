@@ -36,55 +36,6 @@ impl Operator {
     }
 }
 
-/// The NTP implementation a server runs. Real pool servers are a mix of
-/// daemons with observably different mode-6/7 surfaces — the behavior
-/// diversity a fingerprinting scanner keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NtpDaemon {
-    /// Classic reference ntpd — answers mode 6 and (monlist-era) mode 7.
-    NtpdClassic,
-    /// NTPsec — answers mode 6, mode 7 removed.
-    Ntpsec,
-    /// chrony — answers its own control protocol, modelled as mode 6.
-    Chrony,
-    /// OpenNTPD — answers neither control surface.
-    Openntpd,
-}
-
-impl NtpDaemon {
-    /// Four-byte version banner returned in mode-6/7 responses.
-    pub fn banner(&self) -> [u8; 4] {
-        match self {
-            NtpDaemon::NtpdClassic => *b"NTDC",
-            NtpDaemon::Ntpsec => *b"NSEC",
-            NtpDaemon::Chrony => *b"CHRN",
-            NtpDaemon::Openntpd => *b"OPEN",
-        }
-    }
-
-    /// Does this daemon answer mode-6 (control) queries?
-    pub fn answers_mode6(&self) -> bool {
-        !matches!(self, NtpDaemon::Openntpd)
-    }
-
-    /// Does this daemon answer mode-7 (private/monlist) queries?
-    pub fn answers_mode7(&self) -> bool {
-        matches!(self, NtpDaemon::NtpdClassic)
-    }
-
-    /// Deterministic daemon choice from a hash draw, weighted roughly
-    /// like the public pool: ntpd-classic heavy, chrony common, ntpsec
-    /// and openntpd rarer.
-    pub fn from_draw(h: u64) -> NtpDaemon {
-        match h % 10 {
-            0..=4 => NtpDaemon::NtpdClassic,
-            5..=7 => NtpDaemon::Chrony,
-            8 => NtpDaemon::Ntpsec,
-            _ => NtpDaemon::Openntpd,
-        }
-    }
-}
-
 /// One server announced in the pool.
 #[derive(Debug, Clone)]
 pub struct PoolServer {
@@ -102,9 +53,6 @@ pub struct PoolServer {
     /// study's collecting servers record the client address either way —
     /// a KoD still proves the client exists.
     pub max_rps: u64,
-    /// NTP implementation the server runs — determines its mode-6/7
-    /// answering surface and version banner.
-    pub daemon: NtpDaemon,
 }
 
 impl PoolServer {
@@ -116,29 +64,19 @@ impl PoolServer {
             operator: Operator::Background,
             stratum: 2,
             max_rps: 0,
-            daemon: NtpDaemon::NtpdClassic,
         }
     }
 
     /// Handles one request at the wire level: parse, validate mode,
-    /// answer. Mode-3 client requests get a time answer; mode-6/7
-    /// control queries are answered (with the daemon's version banner)
-    /// only if the server's daemon exposes that surface.
+    /// answer. A mode-3 client request gets a time answer; anything else
+    /// gets silence.
     pub fn handle(&self, request: &[u8], now: SimTime) -> Option<Vec<u8>> {
         let pkt = Packet::parse(request).ok()?;
+        if pkt.mode != wire::ntp::Mode::Client {
+            return None;
+        }
         let rx = NtpTimestamp::from_unix_secs(now.to_unix());
-        let resp = match pkt.mode {
-            wire::ntp::Mode::Client => {
-                Packet::server_response(&pkt, self.stratum, *b"\xc6\x33\x64\x0a", rx, rx)
-            }
-            wire::ntp::Mode::Control if self.daemon.answers_mode6() => {
-                Packet::control_response(&pkt, self.daemon.banner(), rx)
-            }
-            wire::ntp::Mode::Private if self.daemon.answers_mode7() => {
-                Packet::private_response(self.daemon.banner(), 0, rx)
-            }
-            _ => return None,
-        };
+        let resp = Packet::server_response(&pkt, self.stratum, *b"\xc6\x33\x64\x0a", rx, rx);
         Some(resp.emit().to_vec())
     }
 
@@ -210,45 +148,6 @@ mod tests {
         // Garbage still rejected on the KoD path.
         s.max_rps = 1;
         assert!(s.handle_at_rate(b"junk", SimTime(0), 99).is_none());
-    }
-
-    #[test]
-    fn daemon_surfaces_differ() {
-        let mut s = PoolServer::background(country::DE);
-        let now = SimTime(50);
-        let ctl = Packet::control_request(1).emit();
-        let prv = Packet::private_request().emit();
-
-        // Classic ntpd: answers both, banner in the reference-id word.
-        s.daemon = NtpDaemon::NtpdClassic;
-        let rsp = Packet::parse(&s.handle(&ctl, now).unwrap()).unwrap();
-        assert_eq!(rsp.daemon_banner(), Some(*b"NTDC"));
-        let rsp = Packet::parse(&s.handle(&prv, now).unwrap()).unwrap();
-        assert_eq!(rsp.daemon_banner(), Some(*b"NTDC"));
-
-        // chrony: mode 6 only.
-        s.daemon = NtpDaemon::Chrony;
-        let rsp = Packet::parse(&s.handle(&ctl, now).unwrap()).unwrap();
-        assert_eq!(rsp.daemon_banner(), Some(*b"CHRN"));
-        assert!(s.handle(&prv, now).is_none());
-
-        // OpenNTPD: neither.
-        s.daemon = NtpDaemon::Openntpd;
-        assert!(s.handle(&ctl, now).is_none());
-        assert!(s.handle(&prv, now).is_none());
-
-        // Time service is identical regardless of daemon.
-        let req = Packet::client_request(NtpTimestamp::from_unix_secs(1)).emit();
-        assert!(s.handle(&req, now).is_some());
-    }
-
-    #[test]
-    fn daemon_draw_covers_all_variants() {
-        let mut seen = std::collections::HashSet::new();
-        for h in 0..10u64 {
-            seen.insert(NtpDaemon::from_draw(h));
-        }
-        assert_eq!(seen.len(), 4);
     }
 
     #[test]

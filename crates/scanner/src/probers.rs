@@ -178,32 +178,32 @@ pub fn probe(
     parse_response(protocol, &resp)
 }
 
-/// HTTPS probe carrying an SNI hostname — the counterfactual to the
-/// study's hostname-less scans. Against CDN front-ends this succeeds
-/// where the plain scan fails, confirming the paper's explanation for
-/// the 356 M failed Cloudfront handshakes ("probably due to our requests
-/// missing a hostname").
-pub fn probe_https_with_sni(
-    world: &World,
-    addr: Ipv6Addr,
-    server_name: &str,
-    t: SimTime,
-) -> Option<ServiceResult> {
-    let mut bytes = ClientHello {
-        version: Version::Tls13,
-        server_name: Some(server_name.to_string()),
-    }
-    .emit();
-    bytes.extend(http::Request::scanner_get(SCANNER_ID).emit());
-    let resp = world.respond(addr, Protocol::Https.port(), &bytes, t)?;
-    parse_response(Protocol::Https, &resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::world::{World, WorldConfig};
     use netsim::DeviceKind;
+
+    /// HTTPS probe carrying an SNI hostname — the counterfactual to the
+    /// study's hostname-less scans. Against CDN front-ends this succeeds
+    /// where the plain scan fails, confirming the paper's explanation for
+    /// the 356 M failed Cloudfront handshakes ("probably due to our requests
+    /// missing a hostname").
+    fn probe_https_with_sni(
+        world: &World,
+        addr: Ipv6Addr,
+        server_name: &str,
+        t: SimTime,
+    ) -> Option<ServiceResult> {
+        let mut bytes = ClientHello {
+            version: Version::Tls13,
+            server_name: Some(server_name.to_string()),
+        }
+        .emit();
+        bytes.extend(http::Request::scanner_get(SCANNER_ID).emit());
+        let resp = world.respond(addr, Protocol::Https.port(), &bytes, t)?;
+        parse_response(Protocol::Https, &resp)
+    }
 
     fn world() -> World {
         World::generate(WorldConfig::tiny(21))

@@ -123,7 +123,8 @@ impl ScanStore {
     }
 
     /// All failed probe trains.
-    pub fn failures_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn failures_total(&self) -> u64 {
         self.failures.iter().flatten().sum()
     }
 

@@ -450,33 +450,6 @@ impl StudyService {
         Ok(stats)
     }
 
-    /// Ticks until every submitted study completes.
-    pub fn run_to_completion(&mut self) -> Result<(), StoreError> {
-        // Generous bound: with ≥1 session resident, every tick advances
-        // at least one study by one slice.
-        let slices_per_study = |cfg: &StudyConfig| {
-            (cfg.collection.as_secs() / self.config.slice.as_secs().max(1) + 2) as usize
-        };
-        let budget: usize = self
-            .slots
-            .iter()
-            .map(|s| match s {
-                Slot::Queued(c) | Slot::Evicted(c) => slices_per_study(c),
-                Slot::Active(sess) => slices_per_study(sess.config()),
-                Slot::Done => 0,
-            })
-            .sum::<usize>()
-            * self.slots.len().max(1)
-            + 16;
-        for _ in 0..budget {
-            if self.idle() {
-                return Ok(());
-            }
-            self.tick()?;
-        }
-        panic!("scheduler failed to converge within {budget} ticks");
-    }
-
     /// Finishes a completed session: runs the pipeline remainder over
     /// the shared world, freezes all four compact sets into the pool
     /// (whose content addressing gives a set equal to an earlier

@@ -14,6 +14,19 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Ticks until every submitted study completes. Each tick advances at
+/// least one resident study by one slice, so a scheduler still busy
+/// after 10 000 ticks has stopped converging.
+fn run_to_completion(svc: &mut StudyService) {
+    for _ in 0..10_000 {
+        if svc.idle() {
+            return;
+        }
+        svc.tick().expect("tick");
+    }
+    panic!("scheduler failed to converge within 10 000 ticks");
+}
+
 /// The study matrix: one world (seed 31), varied fault profile and
 /// actor roster — the shape a research group actually submits.
 fn matrix() -> Vec<StudyConfig> {
@@ -34,7 +47,7 @@ fn concurrent_studies_over_one_world_match_standalone() {
     let mut svc =
         StudyService::new(ServiceConfig::unbounded(&dir, Duration::hours(36))).expect("service");
     let ids: Vec<_> = configs.iter().map(|c| svc.submit(c.clone())).collect();
-    svc.run_to_completion().expect("run to completion");
+    run_to_completion(&mut svc);
     assert!(svc.idle());
     let q = svc.queries();
 
@@ -132,7 +145,7 @@ fn tight_budget_evicts_and_restores_bit_identically() {
     let dir = temp_dir("evict");
     let mut svc = StudyService::new(evict_config(&dir)).expect("service");
     let ids: Vec<_> = configs.iter().map(|c| svc.submit(c.clone())).collect();
-    svc.run_to_completion().expect("run to completion");
+    run_to_completion(&mut svc);
 
     let report = svc.run_report();
     let evictions = report.metrics.counter_total("service_evictions");
@@ -193,7 +206,7 @@ fn service_report_matches_the_captured_schedule() {
         };
         let mut svc = StudyService::new(config).expect("service");
         let ids: Vec<_> = matrix().iter().map(|c| svc.submit(c.clone())).collect();
-        svc.run_to_completion().expect("run to completion");
+        run_to_completion(&mut svc);
         let q = svc.queries();
         for &id in &ids {
             q.report_json(id).expect("completed");
@@ -274,7 +287,7 @@ fn service_report_is_canonical_and_deterministic() {
             StudyService::new(ServiceConfig::unbounded(&dir, Duration::days(2))).expect("service");
         let a = svc.submit(StudyConfig::tiny(5));
         let b = svc.submit(StudyConfig::tiny(5).with_fault(FaultProfile::Lossy1Pct));
-        svc.run_to_completion().expect("run to completion");
+        run_to_completion(&mut svc);
         if queries {
             let _ = svc.report_json(a);
             let _ = svc.queries().set(b, SetKind::Rl);

@@ -106,11 +106,14 @@ impl Bloom {
 
     /// `false` means the key is definitely absent; `true` means it may
     /// be present (false positives at the configured rate).
-    pub fn may_contain(&self, a: u128) -> bool {
+    #[cfg(test)]
+    fn may_contain(&self, a: u128) -> bool {
         self.may_contain_hashed(hashes(a))
     }
 
-    /// [`Bloom::may_contain`] for a key already hashed with `hashes`.
+    /// For a key already hashed with `hashes`: `false` means the key is
+    /// definitely absent; `true` means it may be present (false
+    /// positives at the configured rate).
     pub(crate) fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
         let base = (h1 % self.nblocks) as usize * WORDS_PER_BLOCK;
         (0..K).all(|i| {

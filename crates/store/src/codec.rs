@@ -212,7 +212,8 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a LEB128 varint.
-    pub fn varint(&mut self) -> Result<u128, StoreError> {
+    #[cfg(test)]
+    fn varint(&mut self) -> Result<u128, StoreError> {
         read_varint(self.buf, &mut self.pos)
     }
 

@@ -18,18 +18,6 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// The inclusive `(low, high)` value range of bucket `i`.
-pub fn bucket_bounds(i: usize) -> (u64, u64) {
-    assert!(i < BUCKETS, "bucket index {i} out of range");
-    if i == 0 {
-        (0, 0)
-    } else {
-        let low = 1u64 << (i - 1);
-        let high = if i == 64 { u64::MAX } else { (1u64 << i) - 1 };
-        (low, high)
-    }
-}
-
 /// A log2-bucketed histogram: counts per bucket plus exact count, sum,
 /// min and max. The sum is kept in `u128` so even `u64::MAX`-sized
 /// samples cannot overflow it in practice.
@@ -163,6 +151,18 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inclusive `(low, high)` value range of bucket `i`.
+    fn bucket_bounds(i: usize) -> (u64, u64) {
+        assert!(i < BUCKETS, "bucket index {i} out of range");
+        if i == 0 {
+            (0, 0)
+        } else {
+            let low = 1u64 << (i - 1);
+            let high = if i == 64 { u64::MAX } else { (1u64 << i) - 1 };
+            (low, high)
+        }
+    }
 
     #[test]
     fn zero_duration_samples_land_in_the_zero_bucket() {

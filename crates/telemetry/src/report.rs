@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::json;
-use crate::snapshot::{Snapshot, Value};
+use crate::snapshot::Snapshot;
 
 /// The end-of-run artifact: string metadata describing the run (seed,
 /// fault profile, scale) and the merged metric snapshot.
@@ -60,32 +60,6 @@ impl RunReport {
         let metrics = json::snapshot_from_value(obj.get("metrics")?)?;
         Some(RunReport { meta, metrics })
     }
-
-    /// Convenience: a plain-text summary (one metric per line) for logs
-    /// and the metrics experiment table.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.meta {
-            out.push_str(&format!("# {k} = {v}\n"));
-        }
-        for (key, value) in self.metrics.iter() {
-            match value {
-                Value::Counter(v) => {
-                    out.push_str(&format!("{key} {v}\n"));
-                }
-                Value::Hist(h) => {
-                    out.push_str(&format!(
-                        "{key} count={} sum={} min={} max={}\n",
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max()
-                    ));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -93,6 +67,7 @@ mod tests {
     use super::*;
     use crate::hist::Histogram;
     use crate::key::OwnedKey;
+    use crate::snapshot::Value;
 
     #[test]
     fn report_roundtrips() {

@@ -50,14 +50,6 @@ impl Vantage {
         self.prefix.subnet(64, u128::from(server.0) + 1).host(1)
     }
 
-    /// A neighbouring (never-used) address next to a vantage address —
-    /// the scatter monitor.
-    pub fn scatter_neighbor(&self, server: ServerId) -> Ipv6Addr {
-        self.prefix
-            .subnet(64, u128::from(server.0) + 1)
-            .host(0x2222)
-    }
-
     /// Queries every pool server once, spreading queries `gap` apart
     /// starting at `start`. Each query is a full wire-level exchange; the
     /// ledger records the source address used.
@@ -157,12 +149,6 @@ impl Vantage {
         self.query_times.get(&server).copied()
     }
 
-    /// Is `addr` inside the monitored prefix but *not* a vantage address
-    /// (i.e. would a packet there indicate scattering)?
-    pub fn is_scatter(&self, addr: Ipv6Addr) -> bool {
-        self.prefix.contains(addr) && self.server_of(addr).is_none()
-    }
-
     /// Number of queried servers.
     pub fn queried(&self) -> usize {
         self.by_server.len()
@@ -174,6 +160,12 @@ mod tests {
     use super::*;
     use netsim::country;
     use ntppool::PoolServer;
+
+    /// Inside the monitored prefix but *not* a vantage address: a
+    /// packet there indicates scattering.
+    fn is_scatter(v: &Vantage, addr: Ipv6Addr) -> bool {
+        v.prefix.contains(addr) && v.server_of(addr).is_none()
+    }
 
     fn pool(n: u32) -> Pool {
         let mut p = Pool::new();
@@ -276,7 +268,7 @@ mod tests {
         // IID 2 in a queried subnet is not a vantage address.
         let near: Ipv6Addr = "2001:db8:aa:1::2".parse().unwrap();
         assert_eq!(v.server_of(near), None);
-        assert!(v.is_scatter(near));
+        assert!(is_scatter(&v, near));
         // Subnet 0 (no server maps there — indexes start at 1).
         assert_eq!(v.server_of("2001:db8:aa::1".parse().unwrap()), None);
         assert_eq!(v.server_of("2600::1".parse().unwrap()), None);
@@ -288,8 +280,9 @@ mod tests {
         let mut v = Vantage::new("2001:db8:aa::/48".parse().unwrap());
         v.query_all(&p, SimTime(0), Duration::secs(1));
         let vantage = v.addr_for(ServerId(1));
-        assert!(!v.is_scatter(vantage));
-        assert!(v.is_scatter(v.scatter_neighbor(ServerId(1))));
-        assert!(!v.is_scatter("2600::1".parse().unwrap())); // outside prefix
+        assert!(!is_scatter(&v, vantage));
+        let neighbour = v.prefix.subnet(64, 2).host(0x2222);
+        assert!(is_scatter(&v, neighbour));
+        assert!(!is_scatter(&v, "2600::1".parse().unwrap())); // outside prefix
     }
 }

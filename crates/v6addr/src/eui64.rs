@@ -52,16 +52,6 @@ impl Eui64 {
         Some(Mac([b[0] ^ 0x02, b[1], b[2], b[5], b[6], b[7]]))
     }
 
-    /// Was the embedded address universally administered?
-    ///
-    /// In the *modified* EUI-64 encoding the universal/local bit is stored
-    /// inverted: a set bit in the IID means a globally unique MAC. This is
-    /// the "unique bit" the paper's Appendix B filters on.
-    #[inline]
-    pub fn claims_universal_mac(&self) -> bool {
-        (self.0 >> 56) & 0x02 != 0
-    }
-
     /// The interface-identifier half (low 64 bits) of an address.
     #[inline]
     pub fn of_addr(addr: Ipv6Addr) -> Eui64 {
@@ -126,6 +116,12 @@ pub fn classify_embedding<F: Fn(crate::mac::Oui) -> bool>(
 mod tests {
     use super::*;
 
+    /// In the *modified* EUI-64 encoding the universal/local bit is
+    /// stored inverted: a set bit in the IID means a globally unique MAC.
+    fn claims_universal_mac(iid: Eui64) -> bool {
+        (iid.0 >> 56) & 0x02 != 0
+    }
+
     #[test]
     fn rfc4291_example() {
         // RFC 4291 App. A example: MAC 34-56-78-9A-BC-DE →
@@ -134,7 +130,7 @@ mod tests {
         let iid = Eui64::from_mac(mac);
         assert_eq!(iid.0, 0x3656_78ff_fe9a_bcde);
         assert!(iid.has_fffe_marker());
-        assert!(iid.claims_universal_mac());
+        assert!(claims_universal_mac(iid));
         assert_eq!(iid.to_mac(), Some(mac));
     }
 
@@ -144,7 +140,7 @@ mod tests {
         assert!(mac.is_local());
         let iid = Eui64::from_mac(mac);
         // Local bit is stored inverted → cleared in the IID.
-        assert!(!iid.claims_universal_mac());
+        assert!(!claims_universal_mac(iid));
         assert_eq!(iid.to_mac(), Some(mac));
     }
 

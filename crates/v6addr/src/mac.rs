@@ -21,29 +21,10 @@ impl Mac {
         self.0[0] & 0x02 != 0
     }
 
-    /// Globally unique ("universally administered") addresses have the
-    /// local bit clear.
-    #[inline]
-    pub fn is_universal(&self) -> bool {
-        !self.is_local()
-    }
-
-    /// The multicast (group) bit.
-    #[inline]
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// The 24-bit organisationally unique identifier.
     #[inline]
     pub fn oui(&self) -> Oui {
         Oui([self.0[0], self.0[1], self.0[2]])
-    }
-
-    /// The 24-bit NIC-specific tail.
-    #[inline]
-    pub fn nic(&self) -> u32 {
-        u32::from(self.0[3]) << 16 | u32::from(self.0[4]) << 8 | u32::from(self.0[5])
     }
 
     /// Builds a MAC from an OUI and a 24-bit NIC value (upper bits of `nic`
@@ -134,11 +115,6 @@ impl Oui {
     pub fn from_u32(v: u32) -> Oui {
         Oui([(v >> 16) as u8, (v >> 8) as u8, v as u8])
     }
-
-    /// The 24-bit numeric value.
-    pub fn to_u32(&self) -> u32 {
-        u32::from(self.0[0]) << 16 | u32::from(self.0[1]) << 8 | u32::from(self.0[2])
-    }
 }
 
 impl fmt::Display for Oui {
@@ -176,24 +152,16 @@ mod tests {
     #[test]
     fn universal_vs_local_bit() {
         let universal: Mac = "00:1f:3f:00:00:01".parse().unwrap();
-        assert!(universal.is_universal());
         assert!(!universal.is_local());
         let local: Mac = "02:00:00:00:00:01".parse().unwrap();
         assert!(local.is_local());
     }
 
     #[test]
-    fn multicast_bit() {
-        assert!("01:00:5e:00:00:01".parse::<Mac>().unwrap().is_multicast());
-        assert!(!"00:00:5e:00:00:01".parse::<Mac>().unwrap().is_multicast());
-    }
-
-    #[test]
     fn oui_and_nic_split() {
         let m: Mac = "3c:a6:2f:12:34:56".parse().unwrap();
         assert_eq!(m.oui(), Oui([0x3c, 0xa6, 0x2f]));
-        assert_eq!(m.nic(), 0x123456);
-        assert_eq!(Mac::from_parts(m.oui(), m.nic()), m);
+        assert_eq!(Mac::from_parts(m.oui(), 0x123456), m);
     }
 
     #[test]
@@ -204,9 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn oui_u32_roundtrip() {
+    fn oui_from_u32_and_display() {
         let o = Oui::from_u32(0x3ca62f);
-        assert_eq!(o.to_u32(), 0x3ca62f);
+        assert_eq!(o, Oui([0x3c, 0xa6, 0x2f]));
         assert_eq!(o.to_string(), "3C-A6-2F");
     }
 }

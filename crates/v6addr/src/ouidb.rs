@@ -115,18 +115,6 @@ impl OuiDb {
         self.by_oui.is_empty()
     }
 
-    /// All OUIs assigned to an organisation (exact name match), sorted.
-    pub fn ouis_of(&self, organisation: &str) -> Vec<Oui> {
-        let mut v: Vec<Oui> = self
-            .by_oui
-            .iter()
-            .filter(|(_, org)| org.as_str() == organisation)
-            .map(|(o, _)| *o)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Iterates all entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Oui, &str)> + '_ {
         self.by_oui.iter().map(|(o, s)| (*o, s.as_str()))
@@ -137,12 +125,23 @@ impl OuiDb {
 mod tests {
     use super::*;
 
+    /// All OUIs assigned to an organisation (exact name match), sorted.
+    fn ouis_of(db: &OuiDb, organisation: &str) -> Vec<Oui> {
+        let mut v: Vec<Oui> = db
+            .iter()
+            .filter(|(_, org)| *org == organisation)
+            .map(|(o, _)| o)
+            .collect();
+        v.sort();
+        v
+    }
+
     #[test]
     fn builtin_covers_paper_vendors() {
         let db = OuiDb::builtin();
         for (org, _) in BUILTIN_VENDORS {
             assert!(
-                !db.ouis_of(org).is_empty(),
+                !ouis_of(&db, org).is_empty(),
                 "vendor {org} missing from builtin registry"
             );
         }
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn ouis_of_sorted() {
         let db = OuiDb::builtin();
-        let ouis = db.ouis_of("AVM Audiovisuelles Marketing und Computersysteme GmbH");
+        let ouis = ouis_of(&db, "AVM Audiovisuelles Marketing und Computersysteme GmbH");
         assert_eq!(ouis.len(), 5);
         assert!(ouis.windows(2).all(|w| w[0] < w[1]));
     }

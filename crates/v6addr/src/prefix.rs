@@ -21,9 +21,6 @@ pub struct Prefix {
 }
 
 impl Prefix {
-    /// The all-encompassing `::/0` prefix.
-    pub const DEFAULT: Prefix = Prefix { bits: 0, len: 0 };
-
     /// Builds a prefix from any address inside it and a length, truncating
     /// host bits.
     ///
@@ -233,7 +230,7 @@ mod tests {
     fn truncate_to_shorter() {
         let n = p("2001:db8:aaaa:bbbb::/64");
         assert_eq!(n.truncate(48), p("2001:db8:aaaa::/48"));
-        assert_eq!(n.truncate(0), Prefix::DEFAULT);
+        assert_eq!(n.truncate(0), p("::/0"));
     }
 
     #[test]

@@ -47,7 +47,8 @@ proptest! {
         let iid = Eui64::from_mac(mac);
         prop_assert!(iid.has_fffe_marker());
         prop_assert_eq!(iid.to_mac(), Some(mac));
-        prop_assert_eq!(iid.claims_universal_mac(), mac.is_universal());
+        // The modified EUI-64 stores the universal/local bit inverted.
+        prop_assert_eq!((iid.0 >> 56) & 0x02 != 0, !mac.is_local());
     }
 
     /// MAC Display → FromStr round-trips.

@@ -64,13 +64,6 @@ impl ConnectionStart {
         }
     }
 
-    /// Does the broker accept unauthenticated sessions?
-    pub fn allows_anonymous(&self) -> bool {
-        self.mechanisms
-            .split(' ')
-            .any(|m| m.eq_ignore_ascii_case("ANONYMOUS"))
-    }
-
     /// Serialises as a full method frame on channel 0.
     pub fn emit(&self) -> Vec<u8> {
         let mut args = Vec::new();
@@ -115,14 +108,6 @@ pub struct ConnectionClose {
 }
 
 impl ConnectionClose {
-    /// 403 ACCESS_REFUSED.
-    pub fn access_refused() -> ConnectionClose {
-        ConnectionClose {
-            reply_code: 403,
-            reply_text: "ACCESS_REFUSED".into(),
-        }
-    }
-
     /// Serialises as a method frame.
     pub fn emit(&self) -> Vec<u8> {
         let mut args = Vec::new();
@@ -263,6 +248,14 @@ fn get_u16(buf: &[u8], off: &mut usize) -> WireResult<u16> {
 mod tests {
     use super::*;
 
+    /// 403 ACCESS_REFUSED.
+    fn access_refused() -> ConnectionClose {
+        ConnectionClose {
+            reply_code: 403,
+            reply_text: "ACCESS_REFUSED".into(),
+        }
+    }
+
     #[test]
     fn protocol_header_bytes() {
         assert_eq!(&PROTOCOL_HEADER, b"AMQP\x00\x00\x09\x01");
@@ -278,16 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_detection() {
-        assert!(ConnectionStart::new("ANONYMOUS PLAIN", "x").allows_anonymous());
-        assert!(ConnectionStart::new("anonymous", "x").allows_anonymous());
-        assert!(!ConnectionStart::new("PLAIN AMQPLAIN", "x").allows_anonymous());
-        assert!(!ConnectionStart::new("", "x").allows_anonymous());
-    }
-
-    #[test]
     fn connection_close_roundtrip() {
-        let c = ConnectionClose::access_refused();
+        let c = access_refused();
         let parsed = ConnectionClose::parse(&c.emit()).unwrap();
         assert_eq!(parsed.reply_code, 403);
         assert_eq!(parsed.reply_text, "ACCESS_REFUSED");
@@ -300,7 +285,7 @@ mod tests {
             parse_broker_answer(&start).unwrap(),
             BrokerAnswer::Start(_)
         ));
-        let close = ConnectionClose::access_refused().emit();
+        let close = access_refused().emit();
         assert!(matches!(
             parse_broker_answer(&close).unwrap(),
             BrokerAnswer::Close(_)
@@ -333,7 +318,7 @@ mod tests {
 
     #[test]
     fn wrong_method_rejected() {
-        let close = ConnectionClose::access_refused().emit();
+        let close = access_refused().emit();
         assert!(ConnectionStart::parse(&close).is_err());
         let start = ConnectionStart::new("PLAIN", "x").emit();
         assert!(ConnectionClose::parse(&start).is_err());

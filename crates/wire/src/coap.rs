@@ -50,16 +50,12 @@ impl MsgType {
 pub struct Code(pub u8);
 
 impl Code {
-    /// 0.00 Empty
-    pub const EMPTY: Code = Code(0);
     /// 0.01 GET
     pub const GET: Code = Code(1);
     /// 2.05 Content
     pub const CONTENT: Code = Code((2 << 5) | 5);
     /// 4.04 Not Found
     pub const NOT_FOUND: Code = Code((4 << 5) | 4);
-    /// 4.01 Unauthorized
-    pub const UNAUTHORIZED: Code = Code((4 << 5) | 1);
 
     /// The class part (0 request, 2 success, 4 client error, 5 server error).
     pub fn class(self) -> u8 {

@@ -39,27 +39,9 @@ impl NtpTimestamp {
         NtpTimestamp::new((secs + UNIX_TO_NTP_OFFSET) as u32, 0)
     }
 
-    /// Builds from fractional Unix seconds.
-    pub fn from_unix_f64(secs: f64) -> Self {
-        let whole = secs.floor();
-        let frac = ((secs - whole) * (1u64 << 32) as f64) as u32;
-        NtpTimestamp::new((whole as u64 + UNIX_TO_NTP_OFFSET) as u32, frac)
-    }
-
     /// The seconds field.
     pub fn seconds(&self) -> u32 {
         (self.0 >> 32) as u32
-    }
-
-    /// The fraction field.
-    pub fn fraction(&self) -> u32 {
-        self.0 as u32
-    }
-
-    /// Converts back to fractional Unix seconds (valid for era-0 stamps).
-    pub fn to_unix_f64(&self) -> f64 {
-        self.seconds() as f64 - UNIX_TO_NTP_OFFSET as f64
-            + self.fraction() as f64 / (1u64 << 32) as f64
     }
 }
 
@@ -233,70 +215,6 @@ impl Packet {
         p
     }
 
-    /// A mode-6 (control) readvar-style status request — the probe
-    /// daemon-fingerprinting scanners send. `sequence` goes into the
-    /// root-delay word (this minimal model does not carry the full
-    /// RFC 1305 control payload; the 48-byte header is enough for the
-    /// simulation's request/response surface).
-    pub fn control_request(sequence: u16) -> Packet {
-        Packet {
-            mode: Mode::Control,
-            stratum: 0,
-            root_delay: u32::from(sequence),
-            reference_id: *b"RVAR",
-            ..Packet::client_request(NtpTimestamp::ZERO)
-        }
-    }
-
-    /// A mode-6 response advertising the responding daemon's version
-    /// banner in the reference-id word — the observable a
-    /// fingerprinting scanner actually wants.
-    pub fn control_response(request: &Packet, banner: [u8; 4], transmit: NtpTimestamp) -> Packet {
-        Packet {
-            leap: LeapIndicator::NoWarning,
-            mode: Mode::Control,
-            stratum: 2,
-            root_delay: request.root_delay,
-            reference_id: banner,
-            transmit_ts: transmit,
-            ..Packet::client_request(NtpTimestamp::ZERO)
-        }
-    }
-
-    /// A mode-7 (private, monlist-style) request — the implementation-
-    /// specific surface only legacy ntpd answers.
-    pub fn private_request() -> Packet {
-        Packet {
-            mode: Mode::Private,
-            stratum: 0,
-            reference_id: *b"MON\0",
-            ..Packet::client_request(NtpTimestamp::ZERO)
-        }
-    }
-
-    /// A mode-7 response carrying the daemon banner; `entries` (clamped
-    /// to a byte) rides in the root-dispersion word as the monlist
-    /// entry count.
-    pub fn private_response(banner: [u8; 4], entries: u8, transmit: NtpTimestamp) -> Packet {
-        Packet {
-            leap: LeapIndicator::NoWarning,
-            mode: Mode::Private,
-            stratum: 2,
-            root_dispersion: u32::from(entries),
-            reference_id: banner,
-            transmit_ts: transmit,
-            ..Packet::client_request(NtpTimestamp::ZERO)
-        }
-    }
-
-    /// The daemon banner of a mode-6/7 response, if this is one.
-    pub fn daemon_banner(&self) -> Option<[u8; 4]> {
-        match self.mode {
-            Mode::Control | Mode::Private if self.stratum != 0 => Some(self.reference_id),
-            _ => None,
-        }
-    }
-
     /// Is this a KoD packet?
     pub fn is_kiss_of_death(&self) -> bool {
         self.mode == Mode::Server && self.stratum == 0
@@ -399,10 +317,10 @@ mod tests {
 
     #[test]
     fn server_response_echoes_origin() {
-        let t_client = NtpTimestamp::from_unix_f64(1_721_500_000.25);
+        let t_client = NtpTimestamp::new(3_930_488_800, 1 << 30);
         let req = Packet::client_request(t_client);
-        let rx = NtpTimestamp::from_unix_f64(1_721_500_000.30);
-        let tx = NtpTimestamp::from_unix_f64(1_721_500_000.31);
+        let rx = NtpTimestamp::new(3_930_488_800, 1 << 31);
+        let tx = NtpTimestamp::new(3_930_488_801, 0);
         let resp = Packet::server_response(&req, 2, *b"\xc0\x00\x02\x01", rx, tx);
         assert_eq!(resp.mode, Mode::Server);
         assert_eq!(resp.origin_ts, t_client);
@@ -477,10 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn timestamp_unix_roundtrip() {
-        let t = NtpTimestamp::from_unix_f64(1_721_500_123.625);
-        let back = t.to_unix_f64();
-        assert!((back - 1_721_500_123.625).abs() < 1e-6, "{back}");
+    fn unix_secs_start_at_the_ntp_era_offset() {
         assert_eq!(
             NtpTimestamp::from_unix_secs(0).seconds() as u64,
             UNIX_TO_NTP_OFFSET
@@ -491,7 +406,7 @@ mod tests {
     fn timestamp_parts() {
         let t = NtpTimestamp::new(0x1234_5678, 0x9abc_def0);
         assert_eq!(t.seconds(), 0x1234_5678);
-        assert_eq!(t.fraction(), 0x9abc_def0);
+        assert_eq!(t.0 as u32, 0x9abc_def0);
     }
 
     #[test]
@@ -504,41 +419,5 @@ mod tests {
             let leap = LeapIndicator::from_bits(l);
             assert_eq!(leap.bits(), l);
         }
-    }
-
-    #[test]
-    fn control_exchange_carries_banner() {
-        let req = Packet::control_request(7);
-        assert_eq!(req.mode, Mode::Control);
-        assert_eq!(req.root_delay, 7);
-        assert_eq!(req.daemon_banner(), None); // requests carry no banner
-        let rsp = Packet::control_response(&req, *b"CHRN", NtpTimestamp::from_unix_secs(5));
-        assert_eq!(rsp.mode, Mode::Control);
-        assert_eq!(rsp.root_delay, 7);
-        assert_eq!(rsp.daemon_banner(), Some(*b"CHRN"));
-        // and it survives the wire
-        let back = Packet::parse(&rsp.emit()).unwrap();
-        assert_eq!(back.daemon_banner(), Some(*b"CHRN"));
-    }
-
-    #[test]
-    fn private_exchange_carries_banner_and_entries() {
-        let req = Packet::private_request();
-        assert_eq!(req.mode, Mode::Private);
-        assert_eq!(req.daemon_banner(), None);
-        let rsp = Packet::private_response(*b"NTDC", 42, NtpTimestamp::from_unix_secs(9));
-        assert_eq!(rsp.mode, Mode::Private);
-        assert_eq!(rsp.root_dispersion, 42);
-        assert_eq!(rsp.daemon_banner(), Some(*b"NTDC"));
-        let back = Packet::parse(&rsp.emit()).unwrap();
-        assert_eq!(back.root_dispersion, 42);
-    }
-
-    #[test]
-    fn server_responses_have_no_banner() {
-        let req = Packet::client_request(NtpTimestamp::ZERO);
-        let rsp =
-            Packet::server_response(&req, 2, *b"GPS\0", NtpTimestamp::ZERO, NtpTimestamp::ZERO);
-        assert_eq!(rsp.daemon_banner(), None);
     }
 }

@@ -125,11 +125,6 @@ impl Certificate {
         self.subject == self.issuer
     }
 
-    /// Valid at `unix_now`?
-    pub fn is_valid_at(&self, unix_now: u64) -> bool {
-        (self.not_before..=self.not_after).contains(&unix_now)
-    }
-
     /// The certificate fingerprint used as the host-dedup key.
     pub fn fingerprint(&self) -> [u8; 32] {
         let mut data = self.key_blob.clone();
@@ -397,9 +392,6 @@ mod tests {
     fn certificate_properties() {
         let c = cert();
         assert!(c.is_self_signed());
-        assert!(c.is_valid_at(1_730_000_000));
-        assert!(!c.is_valid_at(1_699_999_999));
-        assert!(!c.is_valid_at(1_760_000_001));
         let mut ca_signed = c.clone();
         ca_signed.issuer = "R3".into();
         assert!(!ca_signed.is_self_signed());

@@ -21,7 +21,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 47] = [
+const HISTORICAL: [&str; 49] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -69,6 +69,8 @@ const HISTORICAL: [&str; 47] = [
     "CaptureLog",
     "telescope::CaptureLog",
     "RequestMemo",
+    "ntppool::NtpDaemon",
+    "Packet::{control,private}_{request,response}",
 ];
 
 fn root() -> PathBuf {

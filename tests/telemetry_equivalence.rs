@@ -31,7 +31,7 @@ fn run_report_roundtrips_and_renders() {
     let parsed = telemetry::RunReport::from_json(&json).expect("canonical JSON parses");
     assert_eq!(parsed, report);
     assert_eq!(parsed.to_json(), json);
-    assert!(report.render_text().contains("ntp_polls"));
+    assert!(timetoscan::experiments::metrics::render(&study.derived()).contains("ntp_polls"));
 }
 
 #[test]
@@ -54,7 +54,10 @@ fn report_counters_reconcile_with_legacy_values() {
     // accounting path).
     assert_eq!(
         det.counter_total("scan_failures"),
-        study.ntp_scan.failures_total() + study.hitlist_scan.failures_total()
+        FailureCause::ALL
+            .iter()
+            .map(|c| study.ntp_scan.failures(*c) + study.hitlist_scan.failures(*c))
+            .sum::<u64>()
     );
     for cause in [
         FailureCause::NoListener,

@@ -3,7 +3,8 @@
 //! must be a file, and the last segment of every backticked
 //! `crate::path::Item` / `Type::method`, and every bare backticked
 //! CamelCase name, must occur as a word outside the comments of some
-//! `.rs` file of the tree. A sentence that names a deleted thing on
+//! `.rs` file of the tree. A path that starts with a crate name must
+//! also resolve module by module to a file of that crate. A sentence that names a deleted thing on
 //! purpose (a "Paths not taken" row) lists the name in [`HISTORICAL`].
 
 use std::collections::HashSet;
@@ -21,7 +22,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 49] = [
+const HISTORICAL: [&str; 50] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -69,6 +70,7 @@ const HISTORICAL: [&str; 49] = [
     "CaptureLog",
     "telescope::CaptureLog",
     "RequestMemo",
+    "ntppool::shard",
     "ntppool::NtpDaemon",
     "Packet::{control,private}_{request,response}",
 ];
@@ -194,31 +196,24 @@ fn named_file(span: &str) -> Option<&str> {
     (literal && rooted && (rest.is_empty() || rest.starts_with(':'))).then_some(path)
 }
 
-/// The item names a `a::b::Item`, `Type::method(..)` or
-/// `a::b::{x, y}` span ends in, or the span itself when it is a bare
-/// CamelCase name (`Ideal`, `TransportTotals`); empty otherwise.
-fn named_items(span: &str) -> Vec<&str> {
-    if is_camel_case(span) {
-        return vec![span];
-    }
+/// The `a::b::…` head of a path span and the text after it; `None`
+/// when the span does not start with a path.
+fn path_head(span: &str) -> Option<(&str, &str)> {
     let head_len = span
         .find(|c| !is_ident_char(c) && c != ':')
         .unwrap_or(span.len());
     let (head, rest) = span.split_at(head_len);
-    let Some((_, last)) = head.rsplit_once("::") else {
-        return Vec::new();
-    };
-    let is_path = head
-        .split("::")
-        .enumerate()
-        .all(|(i, seg)| !seg.contains(':') && (!seg.is_empty() || i > 0));
-    if !is_path || head.starts_with(|c: char| c.is_ascii_digit()) {
-        return Vec::new();
-    }
-    if !last.is_empty() {
-        return vec![last];
-    }
-    // `path::{a, b}`: one level of braces, identifiers only.
+    let is_path = head.contains("::")
+        && head
+            .split("::")
+            .enumerate()
+            .all(|(i, seg)| !seg.contains(':') && (!seg.is_empty() || i > 0));
+    (is_path && !head.starts_with(|c: char| c.is_ascii_digit())).then_some((head, rest))
+}
+
+/// The items of a `{a, b()}` list at the front of `rest`: one level of
+/// braces, identifiers only.
+fn braced(rest: &str) -> Vec<&str> {
     rest.strip_prefix('{')
         .and_then(|r| r.split_once('}'))
         .map(|(list, _)| {
@@ -228,6 +223,81 @@ fn named_items(span: &str) -> Vec<&str> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// The item names a `a::b::Item`, `Type::method(..)` or
+/// `a::b::{x, y}` span ends in, or the span itself when it is a bare
+/// CamelCase name (`Ideal`, `TransportTotals`); empty otherwise.
+fn named_items(span: &str) -> Vec<&str> {
+    if is_camel_case(span) {
+        return vec![span];
+    }
+    let Some((head, rest)) = path_head(span) else {
+        return Vec::new();
+    };
+    match head.rsplit_once("::") {
+        Some((_, "")) => braced(rest),
+        Some((_, last)) => vec![last],
+        None => Vec::new(),
+    }
+}
+
+/// The identifier-shaped words outside the comments of one file.
+fn file_words(path: &Path) -> HashSet<String> {
+    let text = fs::read_to_string(path).expect("source files are UTF-8");
+    strip_comments(&text)
+        .split(|c| !is_ident_char(c))
+        .filter(|w| !w.is_empty())
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The file of module `name` inside `dir`: `<name>.rs` or
+/// `<name>/mod.rs`.
+fn module_file(dir: &Path, name: &str) -> Option<PathBuf> {
+    [
+        dir.join(format!("{name}.rs")),
+        dir.join(name).join("mod.rs"),
+    ]
+    .into_iter()
+    .find(|m| m.is_file())
+}
+
+/// Why a `crate::module::…` span does not resolve in the tree, if it
+/// does not. A first segment that names a crate (`timetoscan` is
+/// `crates/core`) starts at its `lib.rs`; each further segment with a
+/// module file descends into it, and the first segment without one, or
+/// each braced item after the last module, must occur as a word in the
+/// module file reached. `None` also for a span that names no crate.
+fn unresolved_module(span: &str) -> Option<String> {
+    let (head, rest) = path_head(span)?;
+    let mut path = head.split("::").filter(|seg| !seg.is_empty());
+    let krate = path.next()?;
+    let krate = if krate == "timetoscan" { "core" } else { krate };
+    let mut dir = root().join("crates").join(krate).join("src");
+    if !dir.is_dir() {
+        return None;
+    }
+    let mut file = dir.join("lib.rs");
+    let missing = |file: &Path, name: &str| {
+        let at = file.strip_prefix(root()).unwrap_or(file).display();
+        Some(format!("no module file for `{name}`, nor the word in {at}"))
+    };
+    for name in path {
+        match module_file(&dir, name) {
+            Some(m) => {
+                file = m;
+                dir = dir.join(name);
+            }
+            None if file_words(&file).contains(name) => return None,
+            None => return missing(&file, name),
+        }
+    }
+    let words = file_words(&file);
+    braced(rest)
+        .into_iter()
+        .find(|name| module_file(&dir, name).is_none() && !words.contains(*name))
+        .and_then(|name| missing(&file, name))
 }
 
 /// An identifier that starts with a capital and has a lower-case letter:
@@ -261,6 +331,9 @@ fn documents_name_only_files_and_items_that_exist() {
                 if !words.contains(item) {
                     stale.push(format!("{doc}: `{span}` — `{item}` occurs in no .rs file"));
                 }
+            }
+            if let Some(why) = unresolved_module(span) {
+                stale.push(format!("{doc}: `{span}` — {why}"));
             }
         }
     }
@@ -299,6 +372,15 @@ fn extraction_reads_the_forms_the_documents_use() {
     assert!(named_items("Vec<u8>").is_empty());
     assert!(named_items("10::20").is_empty());
     assert!(named_items("a:::b").is_empty());
+    assert_eq!(unresolved_module("ntppool::PoolServer::handle"), None);
+    assert_eq!(unresolved_module("wire::ntp::Packet::emit"), None);
+    assert_eq!(unresolved_module("timetoscan::checkpoint"), None);
+    assert_eq!(unresolved_module("netsim::mix2"), None);
+    assert_eq!(unresolved_module("store::{segment, Archive}"), None);
+    assert_eq!(unresolved_module("std::thread::spawn"), None);
+    assert!(unresolved_module("ntppool::shard").is_some());
+    assert!(unresolved_module("ntppool::shard::ShardSet").is_some());
+    assert!(unresolved_module("store::{segment, Gone}").is_some());
     let code = "let a = \"x // y\"; // Gone\nlet b = '\"'; /* Gone */ let c = '\\''; // Gone";
     let stripped = strip_comments(code);
     let words: Vec<&str> = stripped

@@ -13,7 +13,7 @@
 //! model while preserving all the data the study reads.
 
 use wire::http::{Request, Response};
-use wire::ssh::{frame_packet, HostKeyReply, Identification, KexInit};
+use wire::ssh::{frame_packet_into, HostKeyReply, Identification, KexInit};
 use wire::tls::{Alert, Certificate, ClientHello, ServerResponse, Version};
 use wire::{amqp, coap, mqtt};
 
@@ -211,14 +211,12 @@ impl ServiceSet {
                 Identification::parse(split_first_line(probe)?).ok()?;
                 let mut out = Identification::new(&ssh.software, ssh.comment.as_deref()).emit();
                 let cookie = cookie_from(&ssh.host_key_blob);
-                out.extend(frame_packet(&KexInit::modern(cookie).emit()));
-                out.extend(frame_packet(
-                    &HostKeyReply {
-                        key_type: "ssh-ed25519".into(),
-                        key_blob: ssh.host_key_blob.clone(),
-                    }
-                    .emit(),
-                ));
+                frame_packet_into(&mut out, |b| KexInit::modern(cookie).emit_into(b));
+                let key = HostKeyReply {
+                    key_type: "ssh-ed25519".into(),
+                    key_blob: ssh.host_key_blob.clone(),
+                };
+                frame_packet_into(&mut out, |b| key.emit_into(b));
                 Some(out)
             }
             port::MQTT => {

@@ -66,13 +66,13 @@ impl ConnectionStart {
 
     /// Serialises as a full method frame on channel 0.
     pub fn emit(&self) -> Vec<u8> {
-        let mut args = Vec::new();
-        args.push(self.version_major);
-        args.push(self.version_minor);
-        put_longstr(&mut args, self.product.as_bytes()); // stand-in for the server-properties table
-        put_longstr(&mut args, self.mechanisms.as_bytes());
-        put_longstr(&mut args, self.locales.as_bytes());
-        emit_method_frame(class::CONNECTION, class::METHOD_START, &args)
+        emit_method_frame(class::CONNECTION, class::METHOD_START, |args| {
+            args.push(self.version_major);
+            args.push(self.version_minor);
+            put_longstr(args, self.product.as_bytes()); // stand-in for the server-properties table
+            put_longstr(args, self.mechanisms.as_bytes());
+            put_longstr(args, self.locales.as_bytes());
+        })
     }
 
     /// Parses from a full frame.
@@ -110,12 +110,12 @@ pub struct ConnectionClose {
 impl ConnectionClose {
     /// Serialises as a method frame.
     pub fn emit(&self) -> Vec<u8> {
-        let mut args = Vec::new();
-        put_u16(&mut args, self.reply_code);
-        put_shortstr(&mut args, &self.reply_text);
-        put_u16(&mut args, 0); // failing class id
-        put_u16(&mut args, 0); // failing method id
-        emit_method_frame(class::CONNECTION, class::METHOD_CLOSE, &args)
+        emit_method_frame(class::CONNECTION, class::METHOD_CLOSE, |args| {
+            put_u16(args, self.reply_code);
+            put_shortstr(args, &self.reply_text);
+            put_u16(args, 0); // failing class id
+            put_u16(args, 0); // failing method id
+        })
     }
 
     /// Parses from a full frame.
@@ -156,16 +156,22 @@ pub fn parse_broker_answer(buf: &[u8]) -> WireResult<BrokerAnswer> {
     ConnectionClose::parse(buf).map(BrokerAnswer::Close)
 }
 
-fn emit_method_frame(class_id: u16, method_id: u16, args: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(4 + args.len());
-    put_u16(&mut payload, class_id);
-    put_u16(&mut payload, method_id);
-    payload.extend_from_slice(args);
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.push(frame_type::METHOD);
+/// A method frame on channel 0: the frame header, class and method
+/// ids, the arguments `write_args` appends in place, the payload length
+/// patched into the header, then the frame end.
+fn emit_method_frame(
+    class_id: u16,
+    method_id: u16,
+    write_args: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = vec![frame_type::METHOD];
     put_u16(&mut out, 0); // channel 0
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    put_u32(&mut out, 0); // payload length, patched below
+    put_u16(&mut out, class_id);
+    put_u16(&mut out, method_id);
+    write_args(&mut out);
+    let len = (out.len() - 7) as u32;
+    out[3..7].copy_from_slice(&len.to_be_bytes());
     out.push(FRAME_END);
     out
 }

@@ -166,7 +166,7 @@ impl Message {
     /// Serialises per RFC 7252 §3.
     pub fn emit(&self) -> Vec<u8> {
         assert!(self.token.len() <= 8, "token too long");
-        let mut opts = self.options.clone();
+        let mut opts: Vec<_> = self.options.iter().collect();
         opts.sort_by_key(|o| o.number);
         // Sized before writing: a response is one allocation of exactly
         // its length, not a buffer that grew by doubling.

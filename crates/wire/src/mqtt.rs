@@ -99,9 +99,21 @@ impl Connect {
 
     /// Serialises fixed header + variable header + payload.
     pub fn emit(&self) -> Vec<u8> {
-        let mut var = Vec::new();
-        put_utf8(&mut var, "MQTT");
-        var.push(4); // protocol level 4 = MQTT 3.1.1
+        // The remaining length is a varint, so the packet is sized
+        // before it is written: the protocol name, 4 bytes of level,
+        // flags and keep-alive, then each length-prefixed field.
+        let field = |s: &[u8]| 2 + s.len();
+        let remaining = field(b"MQTT")
+            + 4
+            + field(self.client_id.as_bytes())
+            + self.username.as_ref().map_or(0, |u| field(u.as_bytes()))
+            + self.password.as_ref().map_or(0, |p| field(p));
+        let mut out = Vec::with_capacity(5 + remaining);
+        out.push(packet_type::CONNECT << 4);
+        put_remaining_length(&mut out, remaining);
+        let header = out.len();
+        put_utf8(&mut out, "MQTT");
+        out.push(4); // protocol level 4 = MQTT 3.1.1
         let mut flags = 0u8;
         if self.clean_session {
             flags |= 0x02;
@@ -112,20 +124,17 @@ impl Connect {
         if self.password.is_some() {
             flags |= 0x40;
         }
-        var.push(flags);
-        put_u16(&mut var, self.keep_alive);
-        put_utf8(&mut var, &self.client_id);
+        out.push(flags);
+        put_u16(&mut out, self.keep_alive);
+        put_utf8(&mut out, &self.client_id);
         if let Some(u) = &self.username {
-            put_utf8(&mut var, u);
+            put_utf8(&mut out, u);
         }
         if let Some(p) = &self.password {
-            put_u16(&mut var, p.len() as u16);
-            var.extend_from_slice(p);
+            put_u16(&mut out, p.len() as u16);
+            out.extend_from_slice(p);
         }
-        let mut out = Vec::new();
-        out.push(packet_type::CONNECT << 4);
-        put_remaining_length(&mut out, var.len());
-        out.extend_from_slice(&var);
+        debug_assert_eq!(out.len() - header, remaining);
         out
     }
 

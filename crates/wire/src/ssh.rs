@@ -97,17 +97,25 @@ impl Identification {
 /// Unencrypted binary packet framing (RFC 4253 §6, pre-key state):
 /// `uint32 packet_length || byte padding_length || payload || padding`.
 pub fn frame_packet(payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    frame_packet_into(&mut buf, |b| b.extend_from_slice(payload));
+    buf
+}
+
+/// [`frame_packet`] appended to `out`, the payload written in place by
+/// `write_payload` and the two length fields patched after it.
+pub fn frame_packet_into(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 5]); // packet and padding length, patched below
+    write_payload(out);
+    let payload = out.len() - start - 5;
     // Total length (excluding the length field itself) must be a multiple
     // of 8 with at least 4 bytes of padding.
-    let min = payload.len() + 1 + 4;
-    let padded = min.div_ceil(8) * 8;
-    let padding = padded - payload.len() - 1;
-    let mut buf = Vec::with_capacity(4 + padded);
-    put_u32(&mut buf, padded as u32);
-    buf.push(padding as u8);
-    buf.extend_from_slice(payload);
-    buf.resize(buf.len() + padding, 0);
-    buf
+    let padded = (payload + 1 + 4).div_ceil(8) * 8;
+    let padding = padded - payload - 1;
+    out.resize(out.len() + padding, 0);
+    out[start..start + 4].copy_from_slice(&(padded as u32).to_be_bytes());
+    out[start + 4] = padding as u8;
 }
 
 /// Unframes one binary packet; returns (payload, bytes consumed).
@@ -158,23 +166,21 @@ impl KexInit {
         }
     }
 
-    /// Serialises the KEXINIT payload (message type + cookie + name-lists;
-    /// the remaining RFC 4253 name-lists are emitted empty).
-    pub fn emit(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+    /// Appends the KEXINIT payload (message type + cookie + name-lists;
+    /// the remaining RFC 4253 name-lists are emitted empty) to `buf`.
+    pub fn emit_into(&self, buf: &mut Vec<u8>) {
         buf.push(msg::KEXINIT);
         buf.extend_from_slice(&self.cookie);
-        put_name_list(&mut buf, &self.kex_algorithms);
-        put_name_list(&mut buf, &self.host_key_algorithms);
-        put_name_list(&mut buf, &self.ciphers);
+        put_name_list(buf, &self.kex_algorithms);
+        put_name_list(buf, &self.host_key_algorithms);
+        put_name_list(buf, &self.ciphers);
         // ciphers s->c, macs x2, compression x2, languages x2: mirror/empty
-        put_name_list(&mut buf, &self.ciphers);
+        put_name_list(buf, &self.ciphers);
         for _ in 0..6 {
-            put_name_list(&mut buf, &[] as &[&str]);
+            put_name_list(buf, &[] as &[&str]);
         }
         buf.push(0); // first_kex_packet_follows
-        put_u32(&mut buf, 0); // reserved
-        buf
+        put_u32(buf, 0); // reserved
     }
 
     /// Parses a KEXINIT payload.
@@ -214,10 +220,15 @@ impl HostKeyReply {
     /// Serialises the payload.
     pub fn emit(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.push(msg::KEXDH_REPLY);
-        put_string(&mut buf, self.key_type.as_bytes());
-        put_string(&mut buf, &self.key_blob);
+        self.emit_into(&mut buf);
         buf
+    }
+
+    /// Appends the payload to `buf`.
+    pub fn emit_into(&self, buf: &mut Vec<u8>) {
+        buf.push(msg::KEXDH_REPLY);
+        put_string(buf, self.key_type.as_bytes());
+        put_string(buf, &self.key_blob);
     }
 
     /// Parses the payload.
@@ -373,10 +384,16 @@ mod tests {
         );
     }
 
+    fn kexinit_bytes(kex: &KexInit) -> Vec<u8> {
+        let mut buf = Vec::new();
+        kex.emit_into(&mut buf);
+        buf
+    }
+
     #[test]
     fn kexinit_roundtrip() {
         let kex = KexInit::modern([7u8; 16]);
-        let parsed = KexInit::parse(&kex.emit()).unwrap();
+        let parsed = KexInit::parse(&kexinit_bytes(&kex)).unwrap();
         assert_eq!(parsed, kex);
         assert!(parsed
             .host_key_algorithms
@@ -385,7 +402,7 @@ mod tests {
 
     #[test]
     fn kexinit_rejects_wrong_type() {
-        let mut bytes = KexInit::modern([0u8; 16]).emit();
+        let mut bytes = kexinit_bytes(&KexInit::modern([0u8; 16]));
         bytes[0] = 99;
         assert!(KexInit::parse(&bytes).is_err());
     }
@@ -417,8 +434,8 @@ mod tests {
 
     #[test]
     fn full_exchange_over_framing() {
-        // Server side: ID + framed KEXINIT + framed host key, as the
-        // simulated hosts emit it.
+        // Server side: ID + framed KEXINIT + framed host key, each
+        // written in place, as the simulated hosts emit it.
         let id = Identification::new("OpenSSH_8.4p1", Some("Raspbian-5+deb11u3"));
         let kex = KexInit::modern([3u8; 16]);
         let key = HostKeyReply {
@@ -426,8 +443,12 @@ mod tests {
             key_blob: b"blob".to_vec(),
         };
         let mut stream = id.emit();
-        stream.extend(frame_packet(&kex.emit()));
-        stream.extend(frame_packet(&key.emit()));
+        frame_packet_into(&mut stream, |b| kex.emit_into(b));
+        frame_packet_into(&mut stream, |b| key.emit_into(b));
+        let mut copied = id.emit();
+        copied.extend(frame_packet(&kexinit_bytes(&kex)));
+        copied.extend(frame_packet(&key.emit()));
+        assert_eq!(stream, copied);
 
         // Client side: split ID line, then unframe packets.
         let nl = stream.iter().position(|&b| b == b'\n').unwrap();

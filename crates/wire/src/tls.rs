@@ -172,17 +172,17 @@ pub struct ClientHello {
 impl ClientHello {
     /// Serialises as a handshake record.
     pub fn emit(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.push(1); // handshake type: client_hello
-        put_u16(&mut body, self.version.to_u16());
-        match &self.server_name {
-            Some(name) => {
-                body.push(1);
-                put_str16(&mut body, name);
+        record(content::HANDSHAKE, self.version, |body| {
+            body.push(1); // handshake type: client_hello
+            put_u16(body, self.version.to_u16());
+            match &self.server_name {
+                Some(name) => {
+                    body.push(1);
+                    put_str16(body, name);
+                }
+                None => body.push(0),
             }
-            None => body.push(0),
-        }
-        record(content::HANDSHAKE, self.version, &body)
+        })
     }
 
     /// Parses from a full record.
@@ -228,17 +228,14 @@ impl ServerResponse {
             ServerResponse::Hello {
                 version,
                 certificate,
-            } => {
-                let mut body = Vec::new();
+            } => record(content::HANDSHAKE, *version, |body| {
                 body.push(2); // handshake type: server_hello
-                put_u16(&mut body, version.to_u16());
-                certificate.emit_into(&mut body);
-                record(content::HANDSHAKE, *version, &body)
-            }
-            ServerResponse::Alert(a) => {
-                let body = [2u8, a.code()]; // level: fatal
-                record(content::ALERT, Version::Tls12, &body)
-            }
+                put_u16(body, version.to_u16());
+                certificate.emit_into(body);
+            }),
+            ServerResponse::Alert(a) => record(content::ALERT, Version::Tls12, |body| {
+                body.extend_from_slice(&[2, a.code()]); // level: fatal
+            }),
         }
     }
 
@@ -269,12 +266,15 @@ impl ServerResponse {
     }
 }
 
-fn record(ctype: u8, version: Version, body: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(5 + body.len());
-    buf.push(ctype);
+/// One record: the 5-byte header, the body `write_body` appends in
+/// place, then the body's length patched into the header.
+fn record(ctype: u8, version: Version, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = vec![ctype];
     put_u16(&mut buf, version.to_u16());
-    put_u16(&mut buf, body.len() as u16);
-    buf.extend_from_slice(body);
+    put_u16(&mut buf, 0); // body length, patched below
+    write_body(&mut buf);
+    let len = (buf.len() - 5) as u16;
+    buf[3..5].copy_from_slice(&len.to_be_bytes());
     buf
 }
 

@@ -8,7 +8,7 @@
 //! evaluates in one walk over the world. The archive and aliased-region
 //! samples and the target generator ([`TgaSource`]) see no device.
 
-use netsim::device::{Attachment, DeviceMeta};
+use netsim::device::{Attachment, DeviceId, DeviceMeta};
 use netsim::time::{Duration, SimTime};
 use netsim::world::World;
 use netsim::{mix2, DeviceKind};
@@ -188,8 +188,7 @@ pub fn archive_sample(world: &World, t: SimTime, per_as: usize, out: &mut AddrSe
     {
         for k in 0..per_as {
             let h = mix2(world.config.seed ^ 0xa5c1, (i as u64) << 24 | k as u64);
-            let members = world.household_members((h % u64::from(households)) as u32);
-            let member = members[(mix2(h, 2) % members.len() as u64) as usize];
+            let member = archive_member(world, households, h);
             // Archive entries are at least a few days stale — fresher
             // data would still be in the live DNS sources, not the
             // archive.
@@ -199,6 +198,21 @@ pub fn archive_sample(world: &World, t: SimTime, per_as: usize, out: &mut AddrSe
             let past = SimTime(t.as_secs().saturating_sub(age));
             out.insert(world.address_of(member, past));
         }
+    }
+}
+
+/// The household member archive draw `h` records. Archives keep what
+/// DNS snapshots, scans and zone files once named, so a drawn member of
+/// a kind that never has a DNS name (a phone, a cast device) is
+/// recorded as its household's CPE, member 0, instead.
+fn archive_member(world: &World, households: u32, h: u64) -> DeviceId {
+    let members = world.household_members((h % u64::from(households)) as u32);
+    let member = members[(mix2(h, 2) % members.len() as u64) as usize];
+    let kind = world.meta(member).kind;
+    if dns_probability(kind) == 0.0 && !kind.is_cpe() {
+        members[0]
+    } else {
+        member
     }
 }
 
@@ -269,6 +283,26 @@ mod tests {
             out.sorted()
         };
         assert_eq!(archive(), archive());
+    }
+
+    /// Every member the archive records is a CPE or of a kind that can
+    /// have a DNS name, over 2 000 draws in each of sixteen worlds.
+    #[test]
+    fn archive_records_only_cpes_or_dns_visible_kinds() {
+        for seed in 1..=8 {
+            for cfg in [WorldConfig::tiny(seed), WorldConfig::small(seed)] {
+                let w = World::generate(cfg);
+                let households = w.household_count();
+                for k in 0..2_000 {
+                    let h = mix2(seed ^ 0xa5c1, k);
+                    let kind = w.meta(archive_member(&w, households, h)).kind;
+                    assert!(
+                        kind.is_cpe() || dns_probability(kind) > 0.0,
+                        "seed {seed}: archive recorded a {kind:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

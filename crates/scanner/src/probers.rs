@@ -115,20 +115,19 @@ pub fn parse_response(protocol: Protocol, resp: &[u8]) -> Option<ServiceResult> 
             };
             Some(ServiceResult::Mqtts { tls, return_code })
         }
-        Protocol::Amqp => match amqp::parse_broker_answer(resp).ok()? {
-            amqp::BrokerAnswer::Start(s) => Some(ServiceResult::Amqp {
-                mechanisms: s.mechanisms,
-                product: s.product,
-            }),
-            _ => None,
-        },
+        Protocol::Amqp => {
+            let start = amqp::ConnectionStart::parse(resp).ok()?;
+            Some(ServiceResult::Amqp {
+                mechanisms: start.mechanisms,
+                product: start.product,
+            })
+        }
         Protocol::Amqps => {
             let (tls, rest) = parse_tls(resp)?;
             let mechanisms = match &tls {
-                TlsOutcome::Established(_) => match amqp::parse_broker_answer(rest).ok()? {
-                    amqp::BrokerAnswer::Start(s) => Some(s.mechanisms),
-                    _ => return None,
-                },
+                TlsOutcome::Established(_) => {
+                    Some(amqp::ConnectionStart::parse(rest).ok()?.mechanisms)
+                }
                 TlsOutcome::Failed(_) => None,
             };
             Some(ServiceResult::Amqps { tls, mechanisms })

@@ -8,8 +8,8 @@
 //! version answer with their own protocol header instead.
 //!
 //! Implemented: the protocol header, the general frame format
-//! (type/channel/size/payload/frame-end 0xCE), `Connection.Start` and
-//! `Connection.Close` with the field subset the probe reads.
+//! (type/channel/size/payload/frame-end 0xCE), and `Connection.Start`
+//! with the field subset the probe reads.
 
 use crate::{put_u16, put_u32, WireError, WireResult};
 
@@ -31,8 +31,6 @@ pub mod class {
     pub const CONNECTION: u16 = 10;
     /// Connection.Start method id.
     pub const METHOD_START: u16 = 10;
-    /// Connection.Close method id.
-    pub const METHOD_CLOSE: u16 = 50;
 }
 
 /// `Connection.Start`: the broker's greeting.
@@ -96,64 +94,6 @@ impl ConnectionStart {
             locales: String::from_utf8(locales).map_err(|_| WireError::Malformed("utf-8"))?,
         })
     }
-}
-
-/// `Connection.Close`: sent by a broker rejecting the session (e.g. ACCESS_REFUSED).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnectionClose {
-    /// Reply code, e.g. 403 ACCESS_REFUSED.
-    pub reply_code: u16,
-    /// Reply text.
-    pub reply_text: String,
-}
-
-impl ConnectionClose {
-    /// Serialises as a method frame.
-    pub fn emit(&self) -> Vec<u8> {
-        emit_method_frame(class::CONNECTION, class::METHOD_CLOSE, |args| {
-            put_u16(args, self.reply_code);
-            put_shortstr(args, &self.reply_text);
-            put_u16(args, 0); // failing class id
-            put_u16(args, 0); // failing method id
-        })
-    }
-
-    /// Parses from a full frame.
-    pub fn parse(buf: &[u8]) -> WireResult<ConnectionClose> {
-        let (class_id, method_id, args) = open_method_frame(buf)?;
-        if class_id != class::CONNECTION || method_id != class::METHOD_CLOSE {
-            return Err(WireError::Malformed("not Connection.Close"));
-        }
-        let mut off = 0;
-        let reply_code = get_u16(args, &mut off)?;
-        let reply_text = get_shortstr(args, &mut off)?;
-        Ok(ConnectionClose {
-            reply_code,
-            reply_text,
-        })
-    }
-}
-
-/// Either frame a broker may answer the header with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BrokerAnswer {
-    /// Session may proceed (greeting received).
-    Start(ConnectionStart),
-    /// Session rejected.
-    Close(ConnectionClose),
-    /// Broker insisted on another protocol version (echoed its header).
-    VersionMismatch,
-}
-
-/// Classifies a broker's first bytes after the client protocol header.
-pub fn parse_broker_answer(buf: &[u8]) -> WireResult<BrokerAnswer> {
-    if buf.starts_with(b"AMQP") {
-        return Ok(BrokerAnswer::VersionMismatch);
-    }
-    if let Ok(start) = ConnectionStart::parse(buf) {
-        return Ok(BrokerAnswer::Start(start));
-    }
-    ConnectionClose::parse(buf).map(BrokerAnswer::Close)
 }
 
 /// A method frame on channel 0: the frame header, class and method
@@ -220,47 +160,9 @@ fn get_longstr(buf: &[u8], off: &mut usize) -> WireResult<Vec<u8>> {
     Ok(out)
 }
 
-fn put_shortstr(buf: &mut Vec<u8>, s: &str) {
-    buf.push(s.len() as u8);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_shortstr(buf: &[u8], off: &mut usize) -> WireResult<String> {
-    if buf.len() <= *off {
-        return Err(WireError::Truncated);
-    }
-    let len = buf[*off] as usize;
-    *off += 1;
-    if buf.len() < *off + len {
-        return Err(WireError::Truncated);
-    }
-    let s = std::str::from_utf8(&buf[*off..*off + len])
-        .map_err(|_| WireError::Malformed("utf-8"))?
-        .to_string();
-    *off += len;
-    Ok(s)
-}
-
-fn get_u16(buf: &[u8], off: &mut usize) -> WireResult<u16> {
-    if buf.len() < *off + 2 {
-        return Err(WireError::Truncated);
-    }
-    let v = u16::from_be_bytes(buf[*off..*off + 2].try_into().unwrap());
-    *off += 2;
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// 403 ACCESS_REFUSED.
-    fn access_refused() -> ConnectionClose {
-        ConnectionClose {
-            reply_code: 403,
-            reply_text: "ACCESS_REFUSED".into(),
-        }
-    }
 
     #[test]
     fn protocol_header_bytes() {
@@ -274,33 +176,6 @@ mod tests {
         assert_eq!(parsed, s);
         assert_eq!(parsed.version_major, 0);
         assert_eq!(parsed.version_minor, 9);
-    }
-
-    #[test]
-    fn connection_close_roundtrip() {
-        let c = access_refused();
-        let parsed = ConnectionClose::parse(&c.emit()).unwrap();
-        assert_eq!(parsed.reply_code, 403);
-        assert_eq!(parsed.reply_text, "ACCESS_REFUSED");
-    }
-
-    #[test]
-    fn broker_answer_classification() {
-        let start = ConnectionStart::new("PLAIN", "x").emit();
-        assert!(matches!(
-            parse_broker_answer(&start).unwrap(),
-            BrokerAnswer::Start(_)
-        ));
-        let close = access_refused().emit();
-        assert!(matches!(
-            parse_broker_answer(&close).unwrap(),
-            BrokerAnswer::Close(_)
-        ));
-        assert_eq!(
-            parse_broker_answer(&PROTOCOL_HEADER).unwrap(),
-            BrokerAnswer::VersionMismatch
-        );
-        assert!(parse_broker_answer(b"\x02junk").is_err());
     }
 
     #[test]
@@ -322,11 +197,14 @@ mod tests {
         }
     }
 
+    /// What a broker may answer besides its greeting — another method
+    /// (here `Connection.Close`, method 50), its own protocol header, or
+    /// garbage — is not a `Connection.Start`.
     #[test]
     fn wrong_method_rejected() {
-        let close = access_refused().emit();
-        assert!(ConnectionStart::parse(&close).is_err());
-        let start = ConnectionStart::new("PLAIN", "x").emit();
-        assert!(ConnectionClose::parse(&start).is_err());
+        let close = emit_method_frame(class::CONNECTION, 50, |args| put_u16(args, 403));
+        for answer in [&close[..], &PROTOCOL_HEADER, b"\x02junk"] {
+            assert!(ConnectionStart::parse(answer).is_err(), "{answer:?}");
+        }
     }
 }

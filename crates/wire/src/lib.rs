@@ -12,7 +12,7 @@
 //! | [`ssh`] | SSH 2.0 transport | identification exchange, host-key fingerprint handshake (simplified KEX) |
 //! | [`tls`] | TLS (structural) | ClientHello/ServerHello/Certificate records — no cryptography (see DESIGN.md) |
 //! | [`mqtt`] | MQTT 3.1.1 | CONNECT/CONNACK incl. return codes used for access-control probing |
-//! | [`amqp`] | AMQP 0-9-1 | protocol header, Connection.Start / Close frames, SASL mechanisms |
+//! | [`amqp`] | AMQP 0-9-1 | protocol header, Connection.Start frame, SASL mechanisms |
 //! | [`coap`] | CoAP (RFC 7252) | full message codec, options, `/.well-known/core` link format (RFC 6690) |
 //!
 //! What is deliberately **not** implemented: TCP/IP segmentation (the

@@ -133,7 +133,7 @@ proptest! {
 
     #[test]
     fn amqp_parse_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = amqp::parse_broker_answer(&data);
+        let _ = amqp::ConnectionStart::parse(&data);
     }
 
     // ---- CoAP ----

@@ -15,10 +15,11 @@
 //! own events (e.g. a telescope announcing its dark prefix mid-study)
 //! via [`BgpFeed::push`]; [`BgpFeed::seal`] restores time order.
 
+use crate::mix2;
 use crate::time::{Duration, SimTime};
 use crate::topology::Asn;
 use crate::world::World;
-use crate::{mix2, mix64};
+use v6addr::hash::splitmix64;
 use v6addr::Prefix;
 
 /// RNG domain separator for the synthesized feed.
@@ -66,7 +67,7 @@ impl BgpFeed {
             let Some(&alloc) = info.allocations.first() else {
                 continue;
             };
-            let down = start + Duration::secs(mix64(h) % span);
+            let down = start + Duration::secs(splitmix64(h) % span);
             let up = down + Duration::hours(2 + mix2(h, 1) % 7);
             events.push(BgpEvent {
                 time: down,

@@ -537,13 +537,12 @@ mod tests {
         const OUIS: [u64; 8] = [
             0x3c_a62f, 0xcc_ce1e, 0x98_9bcb, 0x00_1f3f, 0xb8_27eb, 0x28_9e97, 0x74_42a1, 0x5c_4979,
         ];
-        // splitmix64 (`store` has no `netsim` to borrow a mixer from).
+        // A splitmix64 stream.
         let mut state = 0x0053_544f_5245_u64;
         let mut next = move || {
+            let x = v6addr::hash::splitmix64(state);
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let x = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
+            x
         };
         (0..100_000)
             .map(|_| {

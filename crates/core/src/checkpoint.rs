@@ -10,15 +10,17 @@
 //!   events in pop order, per-server RPS windows, outcome counters, the
 //!   KoD-backoff histogram, and the polls' [`TransportTotals`], written
 //!   last so `transport_*` metrics of a resumed run add up exactly;
-//! * the [`AddressCollector`] itself — the global [`store::Archive`]
-//!   and per-server dedup sets, serialized as compact segments;
+//! * the [`AddressCollector`]'s per-server dedup sets, serialized as
+//!   compact segments, and its request counts. The global
+//!   [`store::Archive`] is their union, so it is rebuilt on read rather
+//!   than stored;
 //! * the first-sight feed so far, which the rest of the window is
 //!   appended to and the scanner replays whole.
 //!
 //! [`write()`] replaces the file atomically (scratch file, then rename),
 //! so an interrupted write never costs the previous checkpoint.
 //!
-//! There is one format version (8); a file with any other number fails
+//! There is one format version (9); a file with any other number fails
 //! with the typed [`StoreError::BadVersion`] (nothing outside this
 //! repository ever wrote an older one). Nothing in the file describes
 //! how the run was executed, so any build that reads the version can
@@ -58,7 +60,7 @@ const CHECKPOINT_TMP: &str = "study.ckpt.tmp";
 
 const MAGIC: &[u8; 8] = b"TTSCKPT\0";
 /// The one format version this build reads and writes.
-const VERSION: u16 = 8;
+const VERSION: u16 = 9;
 
 /// Longest collection window a checkpoint may name (a century; the
 /// paper's is four weeks). [`crate::study::study_start`] places the
@@ -100,8 +102,7 @@ pub fn write(data: &CheckpointData, dir: &Path) -> Result<PathBuf, StoreError> {
         w.put_u64(obs.seen.0);
         w.put_u32(obs.server.0);
     }
-    // The collection's transport tally goes last, after the feed, where
-    // format version 8 has always kept it.
+    // The collection's transport tally goes last, after the feed.
     put_transport(&mut w, &data.collection.transport);
     w.seal();
     std::fs::create_dir_all(dir)?;
@@ -228,8 +229,9 @@ fn read_config(r: &mut Reader<'_>) -> Result<StudyConfig, StoreError> {
 
 fn put_collection(w: &mut Writer, c: &CollectionCheckpoint) {
     w.put_u64(c.cursor.0);
-    w.put_u64(c.pending.len() as u64);
-    for (t, dev, seq) in &c.pending {
+    let pending = c.pending();
+    w.put_u64(pending.len() as u64);
+    for (t, dev, seq) in &pending {
         w.put_u64(t.0);
         w.put_u32(dev.0);
         w.put_u64(*seq);
@@ -275,19 +277,19 @@ fn read_collection(r: &mut Reader<'_>) -> Result<CollectionCheckpoint, StoreErro
         lost: r.u64()?,
         observed: r.u64()?,
     };
-    Ok(CollectionCheckpoint {
+    CollectionCheckpoint::restore(
         cursor,
         pending,
         rps,
         totals,
-        kod_backoff: read_hist(r)?,
+        read_hist(r)?,
         // Read after the feed, by `read`.
-        transport: TransportTotals::default(),
-    })
+        TransportTotals::default(),
+    )
+    .map_err(StoreError::Corrupt)
 }
 
 fn put_collector(w: &mut Writer, collector: &AddressCollector) {
-    w.put_bytes(&segment::encode(&collector.global.to_compact()));
     w.put_u64(collector.per_server.len() as u64);
     for (server, set) in &collector.per_server {
         w.put_u32(server.0);
@@ -313,24 +315,20 @@ fn strictly_ascending<T>(table: &[(ServerId, T)]) -> Result<(), StoreError> {
     }
 }
 
-/// Reads the collector, refusing a per-server set that holds an address
-/// the global set lacks: `AddressCollector::record` skips the archive on
-/// a server's own re-sight, so such an address would never be fed.
+/// Reads the collector. The global set is not stored: it is the union
+/// of the per-server sets, as `AddressCollector::record` keeps it.
 fn read_collector(r: &mut Reader<'_>) -> Result<AddressCollector, StoreError> {
-    let global = segment::decode(r.bytes()?)?;
     let n = r.u64()?;
-    let mut per_server = Vec::with_capacity(n.min(1 << 20) as usize);
+    let mut sets = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
-        let server = ServerId(r.u32()?);
-        let set = segment::decode(r.bytes()?)?;
-        if set.overlap_count(&global) != set.len() {
-            return Err(StoreError::Corrupt(
-                "per-server address missing from the global set",
-            ));
-        }
-        per_server.push((server, set.iter().collect::<AddrSet>()));
+        sets.push((ServerId(r.u32()?), segment::decode(r.bytes()?)?));
     }
+    let global = CompactSet::union_all(&sets.iter().map(|(_, set)| set).collect::<Vec<_>>());
     let global = Archive::from_segments(vec![global], store::archive::DEFAULT_MEMTABLE_CAP);
+    let per_server: Vec<_> = sets
+        .into_iter()
+        .map(|(server, set)| (server, set.iter().collect::<AddrSet>()))
+        .collect();
     let n = r.u64()?;
     let mut requests = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
@@ -419,22 +417,22 @@ mod tests {
         rtt.observe(3);
         CheckpointData {
             config: StudyConfig::tiny(77).with_fault(FaultProfile::Lossy1Pct),
-            collection: CollectionCheckpoint {
-                cursor: SimTime(12_345),
-                pending: vec![
+            collection: CollectionCheckpoint::restore(
+                SimTime(12_345),
+                vec![
                     (SimTime(12_400), DeviceId(9), 3),
                     (SimTime(12_401), DeviceId(2), 7),
                 ],
-                rps: vec![None, Some((12, 40)), Some((13, 2))],
-                totals: RunStats {
+                vec![None, Some((12, 40)), Some((13, 2))],
+                RunStats {
                     polls: 100,
                     responses: 90,
                     kod: 3,
                     lost: 7,
                     observed: 88,
                 },
-                kod_backoff: kod,
-                transport: TransportTotals {
+                kod,
+                TransportTotals {
                     exchanges: 100,
                     answered: 90,
                     unanswered: 2,
@@ -443,7 +441,8 @@ mod tests {
                     delivered: 95,
                     rtt_seconds: rtt,
                 },
-            },
+            )
+            .expect("poll numbers fit"),
             collector,
             feed_prefix: vec![Observation {
                 addr: "2001:db8::5".parse().unwrap(),
@@ -470,7 +469,7 @@ mod tests {
         let back = read(&dir).unwrap();
         assert_eq!(back.config, data.config);
         assert_eq!(back.collection.cursor, data.collection.cursor);
-        assert_eq!(back.collection.pending, data.collection.pending);
+        assert_eq!(back.collection.pending(), data.collection.pending());
         assert_eq!(back.collection.rps, data.collection.rps);
         assert_eq!(back.collection.totals, data.collection.totals);
         assert_eq!(back.collection.kod_backoff, data.collection.kod_backoff);
@@ -497,7 +496,7 @@ mod tests {
     }
 
     /// One format: the header of every version this repository ever
-    /// wrote before (1–7), of none (0) and of the next (9) is refused
+    /// wrote before (1–8), of none (0) and of the next (10) is refused
     /// with the typed error, on an otherwise valid, sealed file.
     #[test]
     fn any_other_version_is_a_typed_error() {
@@ -506,7 +505,7 @@ mod tests {
         let clean = std::fs::read(&path).unwrap();
         let payload = &clean[..clean.len() - 8];
         assert_eq!(payload[MAGIC.len()..][..2], VERSION.to_le_bytes());
-        for version in [0u16, 1, 2, 3, 4, 5, 6, 7, 9] {
+        for version in [0u16, 1, 2, 3, 4, 5, 6, 7, 8, 10] {
             let mut bad = payload.to_vec();
             bad[MAGIC.len()..][..2].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, resealed(&bad)).unwrap();

@@ -427,7 +427,7 @@ impl StudySession {
                 .map(|(_, set)| set.len() * HASH_SLOT_BYTES)
                 .sum::<usize>()
             + collector.requests.len() * std::mem::size_of::<(ServerId, u64)>();
-        let engine = collection.pending.len() * std::mem::size_of::<(SimTime, DeviceId, u64)>()
+        let engine = collection.pending_len() * std::mem::size_of::<(SimTime, DeviceId, u64)>()
             + collection.rps.len() * std::mem::size_of::<Option<(u64, u64)>>();
         let feed = feed_prefix.len() * std::mem::size_of::<Observation>();
         tables + engine + feed

@@ -155,6 +155,17 @@ impl<E> EventQueue<E> {
         self.due.peek().map(|entry| entry.at)
     }
 
+    /// Every pending event, in the order [`pop`](EventQueue::pop) would
+    /// return them — time, then insertion order — without popping any.
+    pub fn in_pop_order(&self) -> Vec<(SimTime, &E)> {
+        let mut all: Vec<&Scheduled<E>> =
+            self.due.iter().chain(self.ring.iter().flatten()).collect();
+        all.sort_unstable_by_key(|entry| (entry.at, entry.seq));
+        all.into_iter()
+            .map(|entry| (entry.at, &entry.event))
+            .collect()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len

@@ -18,23 +18,25 @@
 //! # One resumable step
 //!
 //! A run is driven through one entry point and its two ends:
-//! [`CollectionRun::begin`] captures the engine state at the window
-//! start as a [`CollectionCheckpoint`], [`CollectionRun::advance`] moves
-//! a checkpoint forward to any stop inside the window, recording into an
-//! [`AddressCollector`] and appending first sights to the caller's feed,
-//! and [`CollectionCheckpoint::finish`] accounts the whole window into a
+//! [`CollectionRun::begin`] seeds the engine state at the window start,
+//! a [`CollectionCheckpoint`] holding the live event queue,
+//! [`CollectionRun::advance`] moves it forward in place to any stop
+//! inside the window, recording into an [`AddressCollector`] and
+//! appending first sights to the caller's feed, and
+//! [`CollectionCheckpoint::finish`] accounts the whole window into a
 //! registry. Any slicing of the window into
 //! `advance` calls — including suspending the checkpoint to disk in
 //! between — yields the same feed, totals and KoD histogram as one call
-//! to the window end. [`CollectionRun::run`] is the same three stages
-//! for a caller that consumes raw observations through a closure. Both
-//! run the one poll loop there is: single-threaded, one pop per event.
+//! to the window end. [`CollectionRun::run`] is `begin` and one step to
+//! the window end for a caller that consumes raw observations through a
+//! closure. Both run the one poll loop there is: single-threaded, one
+//! pop per event.
 //!
 //! A queued poll carries its client's [`PollCard`], so a poll reads its
 //! client's country, address and interval through [`World::poll_view`]
-//! and draws no RNG: a run derives a client's meta once per slice, when
-//! [`CollectionRun::begin`] walks the clients or a slice thaws the
-//! pending queue, not once per poll.
+//! and draws no RNG: a run derives a client's meta once, when
+//! [`CollectionRun::begin`] walks the clients or when a poll re-queued
+//! from a checkpoint file first pops, not once per poll.
 //!
 //! The only order-dependent state of that loop is the per-server RPS
 //! ordinal that decides a `RATE` KoD: it is assigned in per-server
@@ -209,54 +211,42 @@ impl RunStats {
     }
 }
 
-/// Per-server request counts over the current simulated second, feeding
-/// the servers' KoD load shedding. Indexed by `ServerId.0` (pool ids
-/// are dense), with `None` until a server first sees traffic — no
-/// sentinel second needed.
-struct RpsWindows {
-    windows: Vec<Option<(u64, u64)>>,
-}
-
-impl RpsWindows {
-    fn for_pool(pool: &Pool) -> RpsWindows {
-        RpsWindows {
-            windows: vec![None; pool.len()],
+/// Server `server`'s 1-based request ordinal within second `sec`, from
+/// its `(second, count)` window in `rps` (indexed by `ServerId.0`: pool
+/// ids are dense; `None` until the server first sees traffic), advancing
+/// the window and resetting it when the second moves.
+fn rps_ordinal(rps: &mut [Option<(u64, u64)>], server: ServerId, sec: u64) -> u64 {
+    let slot = &mut rps[server.0 as usize];
+    match slot {
+        Some((s, n)) if *s == sec => {
+            *n += 1;
+            *n
         }
-    }
-
-    /// The server's 1-based request ordinal within second `sec`,
-    /// advancing the window (and resetting it when the second moves).
-    fn ordinal(&mut self, server: ServerId, sec: u64) -> u64 {
-        let slot = &mut self.windows[server.0 as usize];
-        match slot {
-            Some((s, n)) if *s == sec => {
-                *n += 1;
-                *n
-            }
-            _ => {
-                *slot = Some((sec, 1));
-                1
-            }
+        _ => {
+            *slot = Some((sec, 1));
+            1
         }
     }
 }
 
 /// The collection engine's state at an instant of the window: what
 /// [`CollectionRun::begin`] produces, [`CollectionRun::advance`] moves
-/// forward, and a study checkpoint persists.
+/// forward in place, and a study checkpoint persists.
 ///
-/// `pending` holds the event queue drained **in pop order**: the next
-/// `advance` re-schedules it as a batch, which assigns the pending
-/// events lower tie-break sequence numbers than any follow-up scheduled
-/// afterwards — exactly the relative order an uninterrupted run would
-/// have used, so a sliced feed is bit-identical.
-#[derive(Debug, Clone, PartialEq)]
+/// The event queue stays live between slices. A checkpoint file holds
+/// it as [`pending`](CollectionCheckpoint::pending), in pop order, and
+/// [`restore`](CollectionCheckpoint::restore) re-queues that list in
+/// order, which gives the pending events lower tie-break sequence
+/// numbers than any follow-up scheduled afterwards — exactly the
+/// relative order an uninterrupted run uses, so a resumed feed is
+/// bit-identical.
+#[derive(Debug, Clone)]
 pub struct CollectionCheckpoint {
     /// The stop bound the prefix ran to (every processed event was
     /// strictly before it).
     pub cursor: SimTime,
-    /// Unprocessed events `(fire time, device, poll seq)` in pop order.
-    pub pending: Vec<(SimTime, DeviceId, u64)>,
+    /// Unprocessed polls.
+    queue: EventQueue<Poll>,
     /// Per-server RPS windows (`(second, count)` per pool slot).
     pub rps: Vec<Option<(u64, u64)>>,
     /// Outcome counters so far.
@@ -268,6 +258,54 @@ pub struct CollectionCheckpoint {
 }
 
 impl CollectionCheckpoint {
+    /// A checkpoint whose unprocessed events `(fire time, device, poll
+    /// number)` are `pending`, in pop order, as
+    /// [`pending`](CollectionCheckpoint::pending) lists them. The queue
+    /// numbers a poll in 32 bits, so a poll number whose follow-up would
+    /// not fit is refused. A real run numbers at most one poll per
+    /// [`netsim::procgen::SNTP_POLL_INTERVAL`] of its window per client.
+    pub fn restore(
+        cursor: SimTime,
+        pending: Vec<(SimTime, DeviceId, u64)>,
+        rps: Vec<Option<(u64, u64)>>,
+        totals: RunStats,
+        kod_backoff: Histogram,
+        transport: TransportTotals,
+    ) -> Result<CollectionCheckpoint, &'static str> {
+        let mut queue = EventQueue::new();
+        for (t, id, seq) in pending {
+            let seq = u32::try_from(seq)
+                .ok()
+                .filter(|&seq| seq < u32::MAX)
+                .ok_or("pending poll number past what the queue holds")?;
+            // The card is derived when the poll first pops.
+            queue.schedule(t, (id, seq, None));
+        }
+        Ok(CollectionCheckpoint {
+            cursor,
+            queue,
+            rps,
+            totals,
+            kod_backoff,
+            transport,
+        })
+    }
+
+    /// The unprocessed events `(fire time, device, poll number)` in pop
+    /// order: what a checkpoint file stores.
+    pub fn pending(&self) -> Vec<(SimTime, DeviceId, u64)> {
+        self.queue
+            .in_pop_order()
+            .into_iter()
+            .map(|(t, &(id, seq, _))| (t, id, u64::from(seq)))
+            .collect()
+    }
+
+    /// How many events are unprocessed.
+    pub fn pending_len(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Ends the run: accounts every poll outcome since
     /// [`CollectionRun::begin`] into `registry` under the `ntp_*` keys —
     /// all five counters, zeros included so a report keeps every key,
@@ -292,25 +330,15 @@ impl CollectionCheckpoint {
 
     /// Checks a checkpoint that came from outside the program against
     /// the world and pool it is about to be advanced over: the engine
-    /// indexes `rps` by server id, expects every pending device to be a
-    /// pool client of the world, and queues a poll number in 32 bits,
-    /// so a mismatch must be refused here, not met as a panic inside
-    /// the poll loop. A real run numbers at most one poll per
-    /// [`netsim::procgen::SNTP_POLL_INTERVAL`] of its window per client;
-    /// a pending poll whose follow-up would not fit is refused.
+    /// indexes `rps` by server id and expects every pending device to be
+    /// a pool client of the world, so a mismatch must be refused here,
+    /// not met as a panic inside the poll loop.
     pub fn validate(&self, world: &World, pool: &Pool) -> Result<(), &'static str> {
         if self.rps.len() != pool.len() {
             return Err("rps table does not match the pool");
         }
-        if self
-            .pending
-            .iter()
-            .any(|&(_, _, seq)| seq >= u64::from(u32::MAX))
-        {
-            return Err("pending poll number past what the queue holds");
-        }
         let is_client = |id| world.try_meta(id).is_some_and(|dev| dev.ntp.is_some());
-        if !self.pending.iter().all(|&(_, id, _)| is_client(id)) {
+        if !self.pending().iter().all(|&(_, id, _)| is_client(id)) {
             return Err("pending event names no pool client of the world");
         }
         Ok(())
@@ -320,62 +348,9 @@ impl CollectionCheckpoint {
 /// One queued poll: the client, its poll number and its [`PollCard`]
 /// — 16 bytes, so an event-queue entry stays the 32 bytes a
 /// `(DeviceId, u64)` payload with its padding took. The card is what
-/// lets a poll skip deriving the client's meta.
-type Poll = (DeviceId, u32, PollCard);
-
-/// The live form of a [`CollectionCheckpoint`]: the event queue,
-/// per-server RPS windows, the [`RunStats`] tally, the KoD histogram
-/// and the transport tally.
-struct EngineState {
-    queue: EventQueue<Poll>,
-    rps: RpsWindows,
-    totals: RunStats,
-    kod_backoff: Histogram,
-    transport: TransportTotals,
-}
-
-impl EngineState {
-    /// Takes the engine state out of `ckpt` (the caller writes the
-    /// advanced state back with [`EngineState::into_checkpoint`]). A
-    /// checkpoint holds no cards: each pending client's is derived here,
-    /// one meta per client per slice.
-    fn thaw(ckpt: &mut CollectionCheckpoint, world: &World) -> EngineState {
-        let mut queue = EventQueue::new();
-        queue.schedule_batch(
-            std::mem::take(&mut ckpt.pending)
-                .into_iter()
-                .map(|(t, id, seq)| {
-                    let seq =
-                        u32::try_from(seq).expect("a validated checkpoint's poll number fits");
-                    (t, (id, seq, world.poll_card(&world.meta(id))))
-                }),
-        );
-        EngineState {
-            queue,
-            rps: RpsWindows {
-                windows: std::mem::take(&mut ckpt.rps),
-            },
-            totals: ckpt.totals,
-            kod_backoff: std::mem::take(&mut ckpt.kod_backoff),
-            transport: std::mem::take(&mut ckpt.transport),
-        }
-    }
-
-    fn into_checkpoint(mut self, cursor: SimTime) -> CollectionCheckpoint {
-        let mut pending = Vec::with_capacity(self.queue.len());
-        while let Some((t, (id, seq, _))) = self.queue.pop() {
-            pending.push((t, id, u64::from(seq)));
-        }
-        CollectionCheckpoint {
-            cursor,
-            pending,
-            rps: self.rps.windows,
-            totals: self.totals,
-            kod_backoff: self.kod_backoff,
-            transport: self.transport,
-        }
-    }
-}
+/// lets a poll skip deriving the client's meta; it is `None` only for
+/// an event re-queued from a checkpoint file, until that event pops.
+type Poll = (DeviceId, u32, Option<PollCard>);
 
 /// A collection run over a time window.
 pub struct CollectionRun<'w> {
@@ -409,9 +384,9 @@ impl<'w> CollectionRun<'w> {
         }
     }
 
-    /// Engine state at the start of the window: the first poll of every
-    /// client whose first poll falls before `end` queued, fresh RPS
-    /// windows, zero totals.
+    /// The engine state at the window start, nothing processed yet:
+    /// cursor = `start`, the first poll of every client whose first poll
+    /// falls before `end` queued, fresh RPS windows, zero totals.
     ///
     /// A first poll at or past `end` could never pop. Leaving it out
     /// keeps the `(time, seq)` order of every event that stays, so runs
@@ -421,7 +396,7 @@ impl<'w> CollectionRun<'w> {
     /// clients, and [`World::ntp_clients_within`] derives little more
     /// than those. A window of a poll interval or longer queues them all.
     /// Each client's card comes from the meta that walk derived.
-    fn fresh_state(&self) -> EngineState {
+    pub fn begin(&self) -> CollectionCheckpoint {
         let mut queue = EventQueue::new();
         queue.schedule_batch(
             self.world
@@ -429,23 +404,18 @@ impl<'w> CollectionRun<'w> {
                 .map(|(dev, cfg)| {
                     (
                         self.start + cfg.phase,
-                        (dev.id, 0, self.world.poll_card(&dev)),
+                        (dev.id, 0, Some(self.world.poll_card(&dev))),
                     )
                 }),
         );
-        EngineState {
+        CollectionCheckpoint {
+            cursor: self.start,
             queue,
-            rps: RpsWindows::for_pool(self.pool),
+            rps: vec![None; self.pool.len()],
             totals: RunStats::default(),
             kod_backoff: Histogram::new(),
             transport: TransportTotals::default(),
         }
-    }
-
-    /// The engine state at the window start, nothing processed yet:
-    /// cursor = `start`, every first poll before `end` pending.
-    pub fn begin(&self) -> CollectionCheckpoint {
-        self.fresh_state().into_checkpoint(self.start)
     }
 
     /// Moves `ckpt` forward until every event before `stop` has been
@@ -469,27 +439,22 @@ impl<'w> CollectionRun<'w> {
         feed: &mut Vec<Observation>,
     ) {
         let stop = stop.min(self.end).max(ckpt.cursor);
-        let mut st = EngineState::thaw(ckpt, self.world);
-        self.drive(&mut st, stop, &mut |server, addr, t| {
+        self.drive(ckpt, stop, &mut |server, addr, t| {
             if self.pool.server(server).operator.is_study() {
                 feed.extend(collector.record(server, addr, t));
             }
         });
-        *ckpt = st.into_checkpoint(stop);
+        ckpt.cursor = stop;
     }
 
     /// Drives the whole window for a closure consumer:
     /// `observe(server, addr, t)` fires for every request that reaches a
     /// *collecting* server, and the caller routes study vs actor
-    /// observations. The same begin → advance → finish as above,
-    /// minus the checkpoint in between: a closure cannot be
-    /// suspended, and a checkpoint nobody reads would put every pending
-    /// event of the world through the queue's ordered part twice more
-    /// (`begin` and `advance` each drain it into pop order).
+    /// observations. The same begin → advance as above, in one step.
     pub fn run<F: FnMut(ServerId, Ipv6Addr, SimTime)>(&self, mut observe: F) -> RunStats {
-        let mut st = self.fresh_state();
-        self.drive(&mut st, self.end, &mut observe);
-        st.totals
+        let mut ckpt = self.begin();
+        self.drive(&mut ckpt, self.end, &mut observe);
+        ckpt.totals
     }
 
     /// The poll loop: one pop per event, everything inline. A poll reads
@@ -497,29 +462,31 @@ impl<'w> CollectionRun<'w> {
     /// derived meta.
     fn drive<F: FnMut(ServerId, Ipv6Addr, SimTime)>(
         &self,
-        st: &mut EngineState,
+        ckpt: &mut CollectionCheckpoint,
         stop: SimTime,
         observe: &mut F,
     ) {
-        let EngineState {
+        let CollectionCheckpoint {
             queue,
             rps,
             totals,
             kod_backoff,
             transport,
-        } = st;
+            ..
+        } = ckpt;
         // The queue pops in time order, so the first event at or past
         // `stop` means every remaining event is too — they stay queued
         // (for a checkpoint) instead of being drained.
         while queue.peek_time().is_some_and(|t0| t0 < stop) {
             let (t, (id, seq, card)) = queue.pop().expect("peeked event pops");
+            let card = card.unwrap_or_else(|| self.world.poll_card(&self.world.meta(id)));
             let (country, addr, poll_interval) = self.world.poll_view(id, card, t);
             totals.polls += 1;
 
             let mut reply = PollReply::None;
             if let Some(server_id) = self.pool.select(country, u64::from(id.0), u64::from(seq)) {
                 let server = self.pool.server(server_id);
-                let current_rps = rps.ordinal(server_id, t.as_secs());
+                let current_rps = rps_ordinal(rps, server_id, t.as_secs());
                 let link = Link {
                     src: addr,
                     dst: server_addr(server_id),
@@ -557,7 +524,7 @@ impl<'w> CollectionRun<'w> {
             // A follow-up at or past `end` never pops, in this slice or
             // any later one; dropping it keeps the order of the rest.
             if next < self.end {
-                queue.schedule(next, (id, seq + 1, card));
+                queue.schedule(next, (id, seq + 1, Some(card)));
             }
         }
     }
@@ -872,15 +839,21 @@ mod tests {
         for _ in 0..3 {
             pool.add(PoolServer::background(country::DE));
         }
-        let mut rps = RpsWindows::for_pool(&pool);
+        let mut rps = vec![None; pool.len()];
         let (a, b) = (ServerId(0), ServerId(2));
-        assert_eq!(rps.ordinal(a, 10), 1);
-        assert_eq!(rps.ordinal(a, 10), 2);
-        assert_eq!(rps.ordinal(b, 10), 1);
+        assert_eq!(rps_ordinal(&mut rps, a, 10), 1);
+        assert_eq!(rps_ordinal(&mut rps, a, 10), 2);
+        assert_eq!(rps_ordinal(&mut rps, b, 10), 1);
         // The window resets when the second moves — including *backwards*
         // (a fresh second is a fresh window either way).
-        assert_eq!(rps.ordinal(a, 11), 1);
-        assert_eq!(rps.ordinal(a, 10), 1);
+        assert_eq!(rps_ordinal(&mut rps, a, 11), 1);
+        assert_eq!(rps_ordinal(&mut rps, a, 10), 1);
+    }
+
+    /// A card, or its absence, costs a queued poll no bytes.
+    #[test]
+    fn a_queued_poll_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Poll>(), 16);
     }
 
     /// A pool whose collecting servers shed load aggressively, so the

@@ -137,7 +137,7 @@ pub struct Engine {
     store: ScanStore,
     transport: Box<dyn Transport>,
     /// Probe bytes are constant per protocol: prebuilt once here instead
-    /// of per target (the SNI counterfactual keeps its dynamic path).
+    /// of per target.
     probes: Vec<(Protocol, Vec<u8>)>,
 }
 

@@ -7,6 +7,7 @@
 use netsim::time::Duration;
 use netsim::transport::FaultProfile;
 use netsim::DeviceId;
+use ntppool::CollectionCheckpoint;
 use timetoscan::{checkpoint, StoreError, Study, StudyConfig};
 
 const SEED: u64 = 31;
@@ -102,7 +103,18 @@ fn resume_rejects_engine_state_that_does_not_fit_pool_or_world() {
     }
 
     data.collection.rps.push(slot);
-    data.collection.pending[0].1 = DeviceId(u32::MAX);
+    let c = &data.collection;
+    let mut pending = c.pending();
+    pending[0].1 = DeviceId(u32::MAX);
+    data.collection = CollectionCheckpoint::restore(
+        c.cursor,
+        pending,
+        c.rps.clone(),
+        c.totals,
+        c.kod_backoff.clone(),
+        c.transport.clone(),
+    )
+    .expect("poll numbers fit");
     checkpoint::write(&data, &dir).expect("tampered checkpoint writes");
     match Study::resume(&dir) {
         Err(StoreError::Corrupt(_)) => {}

@@ -1,4 +1,4 @@
-//! Robustness of the v8 checkpoint file: whatever happens to the bytes
+//! Robustness of the v9 checkpoint file: whatever happens to the bytes
 //! of a valid `study.ckpt` — cut short, a byte flipped, a byte flipped
 //! and the seal recomputed, a write interrupted half way — reading it
 //! back is a typed [`StoreError`] or a usable value, never a panic,
@@ -6,7 +6,6 @@
 
 use netsim::time::{Duration, SimTime};
 use netsim::world::World;
-use std::net::Ipv6Addr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use store::codec::fnv1a;
@@ -222,12 +221,9 @@ fn interrupted_write_keeps_the_previous_checkpoint() {
     assert_eq!(back.feed_prefix, later.feed_prefix);
 }
 
-/// Three things a sealed file is not taken at its word for. The
+/// Two things a sealed file is not taken at its word for. The
 /// collector binary-searches its per-server tables, so `read` refuses
-/// any that are not strictly ascending by server id; it skips the
-/// global archive on a server's own re-sight, so `read` refuses a
-/// per-server set holding an address the global set lacks (that
-/// address would never be fed); and every run is a
+/// any that are not strictly ascending by server id; and every run is a
 /// session over the window its config spans, so `from_checkpoint`
 /// refuses a cursor outside it (past the end it would finish a study
 /// that skipped the rest of its collection). Each edit is made on the
@@ -247,15 +243,12 @@ fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
     let clean = rewrite(&|_| {}).expect("an unedited rewrite decodes");
     assert!(clean.collector.per_server.len() >= 2 && clean.collector.requests.len() >= 2);
 
-    let tables: [(&str, Edit); 4] = [
+    let tables: [(&str, Edit); 3] = [
         ("one server twice", &|d| {
             d.collector.per_server[1].0 = d.collector.per_server[0].0;
         }),
         ("sets descending", &|d| d.collector.per_server.swap(0, 1)),
         ("counts descending", &|d| d.collector.requests.swap(0, 1)),
-        ("a per-server address the global set lacks", &|d| {
-            d.collector.per_server[0].1.insert(Ipv6Addr::LOCALHOST);
-        }),
     ];
     for (what, edit) in tables {
         assert!(
@@ -298,34 +291,41 @@ fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
 
 /// The collection queue numbers a client's polls in 32 bits: a
 /// re-sealed pending poll whose number, or its follow-up's, does not
-/// fit is [`StoreError::Corrupt`] at restore and at resume, never a
-/// panic in the poll loop. One below that restores.
+/// fit is [`StoreError::Corrupt`] at read and at resume, never a panic
+/// in the poll loop. One below that reads and restores.
 #[test]
 fn resealed_poll_numbers_past_the_queue_are_refused() {
     let fx = Fixture::new("seq");
     let world = Arc::new(World::generate(config().world));
-    let rewrite = |seq: u64| {
-        let mut data = fx.read(&fx.clean).expect("clean checkpoint decodes");
-        assert!(!data.collection.pending.is_empty());
-        data.collection.pending[0].2 = seq;
-        checkpoint::write(&data, &fx.dir).expect("edited checkpoint writes");
-        checkpoint::read(&fx.dir).expect("any poll number decodes")
-    };
+    // The collection section opens with the cursor and the pending
+    // count; the first pending event is its time, device and poll
+    // number.
+    let first_seq = CONFIG_END + 8 + 8 + 8 + 4;
+    let clean = fx.read(&fx.clean).expect("clean checkpoint decodes");
+    assert_eq!(
+        fx.clean[first_seq..][..8],
+        clean.collection.pending()[0].2.to_le_bytes(),
+        "the first pending poll number"
+    );
     let max = u64::from(u32::MAX);
-    for (seq, restores) in [
+    for (seq, reads) in [
         (max - 1, true),
         (max, false),
         (max + 1, false),
         (u64::MAX, false),
     ] {
-        let restored = StudySession::from_checkpoint(rewrite(seq), Arc::clone(&world));
-        match restored {
-            Ok(_) => assert!(restores, "poll {seq} restored"),
+        let mut bytes = fx.clean.clone();
+        bytes[first_seq..][..8].copy_from_slice(&seq.to_le_bytes());
+        reseal(&mut bytes);
+        match fx.read(&bytes) {
+            Ok(data) => {
+                assert!(reads, "poll {seq} decoded");
+                assert_eq!(data.collection.pending()[0].2, seq);
+                StudySession::from_checkpoint(data, Arc::clone(&world))
+                    .unwrap_or_else(|e| panic!("poll {seq}: {e}"));
+            }
             Err(e) => {
-                assert!(
-                    !restores && matches!(e, StoreError::Corrupt(_)),
-                    "{seq}: {e}"
-                );
+                assert!(!reads && matches!(e, StoreError::Corrupt(_)), "{seq}: {e}");
                 assert!(
                     matches!(Study::resume(&fx.dir), Err(StoreError::Corrupt(_))),
                     "poll {seq}: resumed"
@@ -357,7 +357,7 @@ fn resealed_histogram_buckets_out_of_range_or_repeated_are_refused() {
     // (index, count) pairs.
     let c = &data.collection;
     let rps: usize = c.rps.iter().map(|s| if s.is_some() { 17 } else { 1 }).sum();
-    let hist = CONFIG_END + 8 + 8 + 20 * c.pending.len() + 8 + rps + 5 * 8;
+    let hist = CONFIG_END + 8 + 8 + 20 * c.pending_len() + 8 + rps + 5 * 8;
     let first = hist + 8 + 16 + 8 + 8 + 8;
     let second = first + 16;
     assert_eq!(clean[hist..][..8], 2u64.to_le_bytes(), "count");

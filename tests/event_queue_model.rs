@@ -1,6 +1,7 @@
 //! Model test for `netsim::engine::EventQueue`: random interleavings of
 //! every public operation, checked after each step against a reference
-//! that is nothing but a `Vec` kept sorted by `(time, insertion seq)`.
+//! that is nothing but a `Vec` kept sorted by `(time, insertion seq)` —
+//! which is also what `in_pop_order` must list.
 //!
 //! The queue's order contract — time, then insertion order — is what
 //! `CollectionCheckpoint::pending`, the first-sight feed and every
@@ -128,6 +129,10 @@ proptest! {
             assert_eq!(queue.len(), model.pending.len(), "step {step}: len");
             assert_eq!(queue.is_empty(), model.pending.is_empty(), "step {step}: is_empty");
             assert_eq!(queue.peek_time(), model.peek_time(), "step {step}: peek after op {op}");
+            let listed: Vec<(SimTime, u32)> =
+                queue.in_pop_order().into_iter().map(|(t, &e)| (t, e)).collect();
+            let want: Vec<(SimTime, u32)> = model.pending.iter().map(|&(t, _, e)| (t, e)).collect();
+            assert_eq!(listed, want, "step {step}: in_pop_order after op {op}");
         }
         // Whatever is left comes out in model order.
         while let Some(want) = model.pop() {

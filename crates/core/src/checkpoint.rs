@@ -26,7 +26,9 @@
 //! how the run was executed, so any build that reads the version can
 //! resume it. Per-server tables whose
 //! server ids are not strictly ascending are [`StoreError::Corrupt`]:
-//! the collector binary-searches them. What a file cannot be checked
+//! the collector binary-searches them. So is a pending poll number the
+//! engine's 32-bit queue cannot hold with its follow-up
+//! ([`CollectionCheckpoint::restore`]). What a file cannot be checked
 //! against by itself — the pool and world its engine state indexes
 //! into, the window its cursor must lie in — is checked when a session
 //! is restored from it ([`crate::StudySession::from_checkpoint`]).

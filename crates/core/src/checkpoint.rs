@@ -26,9 +26,10 @@
 //! how the run was executed, so any build that reads the version can
 //! resume it. Per-server tables whose
 //! server ids are not strictly ascending are [`StoreError::Corrupt`]:
-//! the collector binary-searches them. So is a pending poll number the
-//! engine's 32-bit queue cannot hold with its follow-up
-//! ([`CollectionCheckpoint::restore`]). What a file cannot be checked
+//! the collector binary-searches them. So is a pending poll number past
+//! one per [`SNTP_POLL_INTERVAL`] of the file's collection window, which
+//! keeps every follow-up inside the engine's 32-bit poll numbers. What a
+//! file cannot be checked
 //! against by itself — the pool and world its engine state indexes
 //! into, the window its cursor must lie in — is checked when a session
 //! is restored from it ([`crate::StudySession::from_checkpoint`]).
@@ -40,6 +41,7 @@
 
 use crate::config::StudyConfig;
 use actors::ActorRoster;
+use netsim::procgen::SNTP_POLL_INTERVAL;
 use netsim::transport::FaultProfile;
 use netsim::world::WorldConfig;
 use netsim::{DeviceId, Duration, SimTime, TransportTotals};
@@ -133,7 +135,7 @@ pub fn read(dir: &Path) -> Result<CheckpointData, StoreError> {
         return Err(StoreError::BadVersion(version));
     }
     let config = read_config(&mut r)?;
-    let mut collection = read_collection(&mut r)?;
+    let mut collection = read_collection(&mut r, config.collection)?;
     let collector = read_collector(&mut r)?;
     let n = r.u64()?;
     let mut feed_prefix = Vec::with_capacity(n.min(1 << 20) as usize);
@@ -256,12 +258,25 @@ fn put_collection(w: &mut Writer, c: &CollectionCheckpoint) {
     put_hist(w, &c.kod_backoff);
 }
 
-fn read_collection(r: &mut Reader<'_>) -> Result<CollectionCheckpoint, StoreError> {
+/// A pending poll number past what `window` can number is refused: a
+/// client polls at most once per [`SNTP_POLL_INTERVAL`], so every
+/// follow-up of an accepted number fits the queue's 32 bits too
+/// ([`MAX_COLLECTION`] keeps the quotient far below `u32::MAX`).
+fn read_collection(
+    r: &mut Reader<'_>,
+    window: Duration,
+) -> Result<CollectionCheckpoint, StoreError> {
     let cursor = SimTime(r.u64()?);
     let n = r.u64()?;
     let mut pending = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
-        pending.push((SimTime(r.u64()?), DeviceId(r.u32()?), r.u64()?));
+        let event = (SimTime(r.u64()?), DeviceId(r.u32()?), r.u64()?);
+        if event.2 > window.as_secs() / SNTP_POLL_INTERVAL.as_secs() {
+            return Err(StoreError::Corrupt(
+                "pending poll number past the collection window",
+            ));
+        }
+        pending.push(event);
     }
     let n = r.u64()?;
     let mut rps = Vec::with_capacity(n.min(1 << 20) as usize);

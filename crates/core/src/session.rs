@@ -413,6 +413,8 @@ impl StudySession {
     /// dedup archive, pending events, RPS windows, and buffered feed
     /// this study adds on top of the shared world snapshot (which is
     /// deliberately excluded: it is counted once, not per study).
+    /// A pending event counts at its 24 on-disk bytes, not at what the
+    /// live event queue's entries, ring buckets and spare capacity take.
     pub fn resident_bytes(&self) -> usize {
         let CheckpointData {
             collection,

@@ -155,15 +155,23 @@ impl<E> EventQueue<E> {
         self.due.peek().map(|entry| entry.at)
     }
 
+    /// Every pending event, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.entries().map(|entry| (entry.at, &entry.event))
+    }
+
     /// Every pending event, in the order [`pop`](EventQueue::pop) would
     /// return them — time, then insertion order — without popping any.
     pub fn in_pop_order(&self) -> Vec<(SimTime, &E)> {
-        let mut all: Vec<&Scheduled<E>> =
-            self.due.iter().chain(self.ring.iter().flatten()).collect();
+        let mut all: Vec<&Scheduled<E>> = self.entries().collect();
         all.sort_unstable_by_key(|entry| (entry.at, entry.seq));
         all.into_iter()
             .map(|entry| (entry.at, &entry.event))
             .collect()
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Scheduled<E>> {
+        self.due.iter().chain(self.ring.iter().flatten())
     }
 
     /// Number of pending events.

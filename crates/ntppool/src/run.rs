@@ -261,9 +261,11 @@ impl CollectionCheckpoint {
     /// A checkpoint whose unprocessed events `(fire time, device, poll
     /// number)` are `pending`, in pop order, as
     /// [`pending`](CollectionCheckpoint::pending) lists them. The queue
-    /// numbers a poll in 32 bits, so a poll number whose follow-up would
-    /// not fit is refused. A real run numbers at most one poll per
-    /// [`netsim::procgen::SNTP_POLL_INTERVAL`] of its window per client.
+    /// numbers a poll in 32 bits, so a poll number of `u32::MAX` or more
+    /// is refused. That the follow-ups fit too is the window's bound: a
+    /// real run numbers at most one poll per
+    /// [`netsim::procgen::SNTP_POLL_INTERVAL`] of its window per client,
+    /// and a caller restoring from outside the program checks that.
     pub fn restore(
         cursor: SimTime,
         pending: Vec<(SimTime, DeviceId, u64)>,
@@ -338,7 +340,7 @@ impl CollectionCheckpoint {
             return Err("rps table does not match the pool");
         }
         let is_client = |id| world.try_meta(id).is_some_and(|dev| dev.ntp.is_some());
-        if !self.pending().iter().all(|&(_, id, _)| is_client(id)) {
+        if !self.queue.iter().all(|(_, &(id, ..))| is_client(id)) {
             return Err("pending event names no pool client of the world");
         }
         Ok(())

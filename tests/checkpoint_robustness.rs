@@ -289,10 +289,12 @@ fn resealed_unsorted_server_tables_and_stray_cursors_are_refused() {
     }
 }
 
-/// The collection queue numbers a client's polls in 32 bits: a
-/// re-sealed pending poll whose number, or its follow-up's, does not
-/// fit is [`StoreError::Corrupt`] at read and at resume, never a panic
-/// in the poll loop. One below that reads and restores.
+/// The collection queue numbers a client's polls in 32 bits, and a
+/// client polls at most once an hour: a re-sealed pending poll number
+/// past one per hour of the window — so one whose follow-ups could
+/// outgrow the queue — is [`StoreError::Corrupt`] at read and at
+/// resume, never a panic in the poll loop. The bound itself reads,
+/// restores and runs to the window end.
 #[test]
 fn resealed_poll_numbers_past_the_queue_are_refused() {
     let fx = Fixture::new("seq");
@@ -307,9 +309,12 @@ fn resealed_poll_numbers_past_the_queue_are_refused() {
         clean.collection.pending()[0].2.to_le_bytes(),
         "the first pending poll number"
     );
+    let bound = config().collection.as_secs() / Duration::hours(1).as_secs();
     let max = u64::from(u32::MAX);
     for (seq, reads) in [
-        (max - 1, true),
+        (bound, true),
+        (bound + 1, false),
+        (max - 1, false),
         (max, false),
         (max + 1, false),
         (u64::MAX, false),
@@ -321,8 +326,9 @@ fn resealed_poll_numbers_past_the_queue_are_refused() {
             Ok(data) => {
                 assert!(reads, "poll {seq} decoded");
                 assert_eq!(data.collection.pending()[0].2, seq);
-                StudySession::from_checkpoint(data, Arc::clone(&world))
+                let mut session = StudySession::from_checkpoint(data, Arc::clone(&world))
                     .unwrap_or_else(|e| panic!("poll {seq}: {e}"));
+                assert!(session.advance(config().collection), "poll {seq}: ran out");
             }
             Err(e) => {
                 assert!(!reads && matches!(e, StoreError::Corrupt(_)), "{seq}: {e}");

@@ -110,6 +110,8 @@ fn zero_length_advance_keeps_pending_order() {
     assert_eq!(ckpt.pending(), pending);
     assert_eq!(ckpt.rps, begun.rps);
     assert_eq!(ckpt.totals, begun.totals);
+    assert_eq!(ckpt.kod_backoff, begun.kod_backoff);
+    assert_eq!(ckpt.transport, begun.transport);
     assert!(feed.is_empty());
 }
 

@@ -1,7 +1,8 @@
 //! Model test for `netsim::engine::EventQueue`: random interleavings of
 //! every public operation, checked after each step against a reference
 //! that is nothing but a `Vec` kept sorted by `(time, insertion seq)` —
-//! which is also what `in_pop_order` must list.
+//! which is also what `in_pop_order` must list, and `iter` must hold
+//! in any order.
 //!
 //! The queue's order contract — time, then insertion order — is what
 //! `CollectionCheckpoint::pending`, the first-sight feed and every
@@ -133,6 +134,11 @@ proptest! {
                 queue.in_pop_order().into_iter().map(|(t, &e)| (t, e)).collect();
             let want: Vec<(SimTime, u32)> = model.pending.iter().map(|&(t, _, e)| (t, e)).collect();
             assert_eq!(listed, want, "step {step}: in_pop_order after op {op}");
+            let mut unordered: Vec<(SimTime, u32)> = queue.iter().map(|(t, &e)| (t, e)).collect();
+            unordered.sort_unstable();
+            let mut want = want;
+            want.sort_unstable();
+            assert_eq!(unordered, want, "step {step}: iter after op {op}");
         }
         // Whatever is left comes out in model order.
         while let Some(want) = model.pop() {

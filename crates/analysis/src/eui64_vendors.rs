@@ -50,8 +50,7 @@ where
     I: IntoIterator<Item = Ipv6Addr>,
 {
     let mut stats = Eui64Stats::default();
-    let mut macs_per_vendor: HashMap<String, HashSet<Mac>> = HashMap::new();
-    let mut ips_per_vendor: HashMap<String, u64> = HashMap::new();
+    let mut per_vendor: HashMap<&str, (HashSet<Mac>, u64)> = HashMap::new();
     let mut distinct_eui: HashSet<u64> = HashSet::new();
     let mut distinct_universal: HashSet<Mac> = HashSet::new();
     let mut distinct_listed: HashSet<Mac> = HashSet::new();
@@ -71,27 +70,25 @@ where
         let vendor = match db.lookup(mac.oui()) {
             Some(org) => {
                 distinct_listed.insert(mac);
-                org.to_string()
+                org
             }
-            None => UNLISTED.to_string(),
+            None => UNLISTED,
         };
-        macs_per_vendor
-            .entry(vendor.clone())
-            .or_default()
-            .insert(mac);
-        *ips_per_vendor.entry(vendor).or_insert(0) += 1;
+        let (macs, ips) = per_vendor.entry(vendor).or_default();
+        macs.insert(mac);
+        *ips += 1;
     }
 
     stats.distinct_eui64 = distinct_eui.len() as u64;
     stats.distinct_universal_macs = distinct_universal.len() as u64;
     stats.distinct_listed_macs = distinct_listed.len() as u64;
 
-    let mut rows: Vec<VendorRow> = macs_per_vendor
+    let mut rows: Vec<VendorRow> = per_vendor
         .into_iter()
-        .map(|(manufacturer, macs)| VendorRow {
-            ips: ips_per_vendor.get(&manufacturer).copied().unwrap_or(0),
+        .map(|(manufacturer, (macs, ips))| VendorRow {
+            manufacturer: manufacturer.to_string(),
             macs: macs.len() as u64,
-            manufacturer,
+            ips,
         })
         .collect();
     rows.sort_by(|a, b| {
@@ -103,19 +100,33 @@ where
 }
 
 /// Figure 4: per collecting-server location, the distribution of MAC
-/// embedding classes among collected addresses.
+/// embedding classes among collected addresses. A count does not depend
+/// on the order it is taken in, so each set is read in table order
+/// ([`AddrSet::raw`]); only the classes present get an entry.
 pub fn embedding_by_location(
     per_location: &[(Country, &AddrSet)],
     db: &OuiDb,
 ) -> Vec<(Country, HashMap<MacEmbedding, u64>)> {
+    // In declaration order, so `class as usize` indexes it.
+    const CLASSES: [MacEmbedding; 4] = [
+        MacEmbedding::None,
+        MacEmbedding::UniversalListed,
+        MacEmbedding::UniversalUnlisted,
+        MacEmbedding::Local,
+    ];
     per_location
         .iter()
         .map(|(c, set)| {
-            let mut counts: HashMap<MacEmbedding, u64> = HashMap::new();
-            for addr in set.iter() {
-                let class = classify_embedding(addr, |oui| db.is_listed(oui));
-                *counts.entry(class).or_insert(0) += 1;
+            let mut counts = [0u64; 4];
+            for a in set.raw() {
+                let class = classify_embedding(Ipv6Addr::from(a), |oui| db.is_listed(oui));
+                counts[class as usize] += 1;
             }
+            let counts = CLASSES
+                .into_iter()
+                .zip(counts)
+                .filter(|&(_, n)| n > 0)
+                .collect();
             (*c, counts)
         })
         .collect()

@@ -50,7 +50,7 @@ impl SetProfile {
         };
         // The open /32 run: (top 32 bits, addresses in it).
         let mut run: Option<(u32, u64)> = None;
-        for a in set.iter_u128() {
+        set.iter_u128().for_each(|a| {
             p.total += 1;
             p.iid.add_class(classify_raw(Iid(a as u64)));
             let net48 = (a >> 80) as u64;
@@ -67,7 +67,7 @@ impl SetProfile {
                     }
                 }
             }
-        }
+        });
         if let Some(done) = run {
             p.close_run(done, topology);
         }

@@ -310,8 +310,7 @@ fn put_collector(w: &mut Writer, collector: &AddressCollector) {
     w.put_u64(collector.per_server.len() as u64);
     for (server, set) in &collector.per_server {
         w.put_u32(server.0);
-        let compact: CompactSet = set.iter().collect();
-        w.put_bytes(&segment::encode(&compact));
+        w.put_bytes(&segment::encode(&CompactSet::from(set)));
     }
     w.put_u64(collector.requests.len() as u64);
     for (server, n) in &collector.requests {

@@ -314,9 +314,9 @@ impl<'a> Derived<'a> {
             bump(&c.counters.compact_set);
             match kind {
                 SetKind::Ours => self.study.collector.global().to_compact(),
-                SetKind::Rl => self.study.rl_set.iter().collect(),
-                SetKind::HitlistFull => self.study.hitlist.full.iter().collect(),
-                SetKind::HitlistPublic => self.study.hitlist.public.iter().collect(),
+                SetKind::Rl => CompactSet::from(&self.study.rl_set),
+                SetKind::HitlistFull => CompactSet::from(&self.study.hitlist.full),
+                SetKind::HitlistPublic => CompactSet::from(&self.study.hitlist.public),
             }
         })
     }

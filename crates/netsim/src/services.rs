@@ -211,12 +211,10 @@ impl ServiceSet {
                 Identification::parse(split_first_line(probe)?).ok()?;
                 let mut out = Identification::new(&ssh.software, ssh.comment.as_deref()).emit();
                 let cookie = cookie_from(&ssh.host_key_blob);
-                frame_packet_into(&mut out, |b| KexInit::modern(cookie).emit_into(b));
-                let key = HostKeyReply {
-                    key_type: "ssh-ed25519".into(),
-                    key_blob: ssh.host_key_blob.clone(),
-                };
-                frame_packet_into(&mut out, |b| key.emit_into(b));
+                frame_packet_into(&mut out, |b| KexInit::emit_modern_into(&cookie, b));
+                frame_packet_into(&mut out, |b| {
+                    HostKeyReply::emit_parts_into("ssh-ed25519", &ssh.host_key_blob, b)
+                });
                 Some(out)
             }
             port::MQTT => {

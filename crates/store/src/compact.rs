@@ -22,6 +22,7 @@
 
 use crate::codec;
 use std::net::Ipv6Addr;
+use v6addr::AddrSet;
 
 /// Maximum addresses per delta block.
 pub const BLOCK_CAP: usize = 256;
@@ -160,8 +161,7 @@ impl CompactSet {
         let mut pos = f.offset as usize + 16;
         let mut cur = f.first;
         for _ in 1..f.count {
-            let delta = codec::read_varint(&self.data, &mut pos).expect("validated block decodes");
-            cur += delta;
+            cur += read_delta(&self.data, &mut pos);
             if cur >= a {
                 return cur == a;
             }
@@ -241,6 +241,15 @@ impl FromIterator<u128> for CompactSet {
     }
 }
 
+/// One sort of the table's unordered view, then
+/// [`CompactSet::from_sorted`]: the same bytes as building from
+/// [`AddrSet::iter`], which sorts a copy of its own first.
+impl From<&AddrSet> for CompactSet {
+    fn from(set: &AddrSet) -> CompactSet {
+        set.raw().collect()
+    }
+}
+
 impl FromIterator<Ipv6Addr> for CompactSet {
     fn from_iter<I: IntoIterator<Item = Ipv6Addr>>(iter: I) -> CompactSet {
         iter.into_iter().map(u128::from).collect()
@@ -274,13 +283,72 @@ impl Iterator for BlockIter<'_> {
                 self.emitted = 0;
                 continue;
             }
-            let delta =
-                codec::read_varint(&self.set.data, &mut self.pos).expect("validated block decodes");
-            self.cur += delta;
+            self.cur += read_delta(&self.set.data, &mut self.pos);
             self.emitted += 1;
             return Some(self.cur);
         }
     }
+
+    /// Finishes the open block, then walks whole blocks in a tight loop:
+    /// `count`, `sum`, `for_each` and the adapters built on them skip
+    /// `next`'s per-address state machine.
+    fn fold<B, F: FnMut(B, u128) -> B>(mut self, init: B, mut f: F) -> B {
+        let (fences, data) = (&self.set.fences, &self.set.data[..]);
+        let mut acc = init;
+        if self.emitted > 0 {
+            if let Some(fence) = fences.get(self.block) {
+                for _ in self.emitted..fence.count {
+                    self.cur += read_delta(data, &mut self.pos);
+                    acc = f(acc, self.cur);
+                }
+            }
+            self.block += 1;
+        }
+        for fence in fences.get(self.block..).unwrap_or_default() {
+            let (mut pos, mut cur) = (fence.offset as usize + 16, fence.first);
+            acc = f(acc, cur);
+            for _ in 1..fence.count {
+                cur += read_delta(data, &mut pos);
+                acc = f(acc, cur);
+            }
+        }
+        acc
+    }
+}
+
+/// The continuation bit of each byte lane of a `u128`.
+const CONTINUATION: u128 = 0x8080_8080_8080_8080_8080_8080_8080_8080;
+/// The low half of each 16-, 32- and 64-bit lane of a `u128`.
+const LOW_8_OF_16: u128 = 0x00ff_00ff_00ff_00ff_00ff_00ff_00ff_00ff;
+const LOW_16_OF_32: u128 = 0x0000_ffff_0000_ffff_0000_ffff_0000_ffff;
+const LOW_32_OF_64: u128 = 0x0000_0000_ffff_ffff_0000_0000_ffff_ffff;
+
+/// Decodes the LEB128 delta at `data[*pos..]`, advancing `pos`.
+///
+/// The fast path loads 16 bytes at once, finds the stop byte (the
+/// lowest lane whose continuation bit is clear), drops the bytes past
+/// it and the continuation bits, and squeezes the 7-bit groups together
+/// in four mask-and-shift steps over lanes of 16, 32, 64 and 128 bits.
+/// Fewer than 16 bytes left, or no stop byte among them (a delta above
+/// 112 bits), falls back to the checked [`codec::read_varint`]. Only
+/// validated blocks reach this decoder: untrusted bytes go through
+/// `codec::read_varint` alone.
+#[inline]
+fn read_delta(data: &[u8], pos: &mut usize) -> u128 {
+    if let Some(chunk) = data.get(*pos..*pos + 16) {
+        let w = u128::from_le_bytes(chunk.try_into().expect("a 16-byte chunk"));
+        let stops = !w & CONTINUATION;
+        if stops != 0 {
+            let stop_bit = stops.trailing_zeros();
+            *pos += (stop_bit as usize + 1) / 8;
+            let x = w & u128::MAX >> (127 - stop_bit) & !CONTINUATION;
+            let x = (x & LOW_8_OF_16) | (x & !LOW_8_OF_16) >> 1;
+            let x = (x & LOW_16_OF_32) | (x & !LOW_16_OF_32) >> 2;
+            let x = (x & LOW_32_OF_64) | (x & !LOW_32_OF_64) >> 4;
+            return (x & u128::from(u64::MAX)) | (x >> 64) << 56;
+        }
+    }
+    codec::read_varint(data, pos).expect("validated block decodes")
 }
 
 /// Streaming k-way merge of sorted streams. Each distinct value is
@@ -368,6 +436,100 @@ mod tests {
         ) {
             check_overlap(&a, &b);
         }
+    }
+
+    /// `read_delta` against `codec::read_varint` on one encoding of `v`
+    /// behind `lead` bytes and ahead of `tail` trailing bytes: the same
+    /// value, the same end position.
+    fn check_delta(v: u128, lead: usize, tail: &[u8]) {
+        let mut buf = vec![0xa5; lead];
+        codec::put_varint(&mut buf, v);
+        let end = buf.len();
+        buf.extend_from_slice(tail);
+        let (mut fast, mut checked) = (lead, lead);
+        assert_eq!(read_delta(&buf, &mut fast), v, "{v:#x} tail {}", tail.len());
+        assert_eq!(codec::read_varint(&buf, &mut checked).ok(), Some(v));
+        assert_eq!((fast, checked), (end, end), "{v:#x} tail {}", tail.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        /// Every encoding length from 1 to 19 bytes (the shift spreads
+        /// the values over all bit widths), with 0–20 trailing bytes so
+        /// that varints starting in the buffer's last 15 bytes take the
+        /// fallback and the rest the 16-byte load.
+        #[test]
+        fn fast_delta_decode_matches_read_varint(
+            v in any::<u128>(),
+            shift in 0u32..128,
+            lead in 0usize..24,
+            tail in proptest::collection::vec(any::<u8>(), 0..21),
+        ) {
+            check_delta(v >> shift, lead, &tail);
+        }
+    }
+
+    #[test]
+    fn fast_delta_decode_at_every_width_and_buffer_end() {
+        for bits in 0..=128u32 {
+            let top = u128::MAX >> (128 - bits.max(1));
+            for v in [top, top >> 1, 1u128 << bits.min(127), 0] {
+                for tail in 0..=16 {
+                    check_delta(v, 3, &vec![0xff; tail]);
+                }
+            }
+        }
+    }
+
+    /// `fold` after `nth(k)` yields what `next` would have: from the
+    /// start, mid-block, at either side of a block edge, at the end and
+    /// past it.
+    #[test]
+    fn fold_resumes_where_next_left_off() {
+        let addrs: Vec<u128> = (0..(BLOCK_CAP as u128 * 3 + 7))
+            .map(|i| i * i * 977 + (i << 70))
+            .collect();
+        let set = set_of(&addrs);
+        let cap = BLOCK_CAP;
+        for k in [
+            0,
+            1,
+            100,
+            cap - 2,
+            cap - 1,
+            cap,
+            cap + 1,
+            2 * cap,
+            addrs.len() - 1,
+            addrs.len(),
+            addrs.len() + 5,
+        ] {
+            let mut it = set.iter_u128();
+            assert_eq!(it.nth(k), addrs.get(k).copied(), "nth({k})");
+            let mut by_next = it.clone();
+            let want: Vec<u128> = std::iter::from_fn(|| by_next.next()).collect();
+            let got = it.fold(Vec::new(), |mut v, a| {
+                v.push(a);
+                v
+            });
+            assert_eq!(got, want, "after nth({k})");
+            assert_eq!(
+                got,
+                addrs.get(k + 1..).unwrap_or_default(),
+                "after nth({k})"
+            );
+        }
+        assert_eq!(set.iter_u128().fold(0, |n, _| n + 1), addrs.len());
+    }
+
+    #[test]
+    fn from_addr_set_is_the_sorted_build() {
+        let mut feed = paper_shaped_feed();
+        feed.extend(edge_addresses());
+        let table: AddrSet = feed.iter().map(|&a| Ipv6Addr::from(a)).collect();
+        let want: CompactSet = table.iter().collect();
+        assert_eq!(CompactSet::from(&table), want);
+        assert_eq!(CompactSet::from(&AddrSet::new()), CompactSet::new());
     }
 
     #[test]

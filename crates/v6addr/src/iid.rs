@@ -12,12 +12,16 @@
 //!   entropy: low (sequential/patterned), medium, and high (SLAAC privacy
 //!   extensions, near-uniform random).
 //!
+//! The bucket is decided without floats: a fixed-point `Σ c·log2 c` over
+//! the nybble histogram against two integer bounds, exactly the bucket
+//! of [`nybble_entropy`](crate::entropy::nybble_entropy) (every
+//! histogram of 16 nybbles lies clear of both thresholds).
+//!
 //! The hitlist skews towards Zero/LowByte (infrastructure); NTP-collected
 //! client addresses skew towards Eui64 and high entropy.
 
 use std::fmt;
 use std::net::Ipv6Addr;
-use std::sync::OnceLock;
 
 /// A raw 64-bit interface identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -139,42 +143,66 @@ pub fn classify_raw(iid: Iid) -> IidClass {
     if crate::eui64::Eui64(v).has_fffe_marker() {
         return IidClass::Eui64;
     }
-    let h = iid_entropy(v);
-    if h < LOW_ENTROPY_THRESHOLD {
+    entropy_class(v)
+}
+
+/// `c·log2 c` for the seventeen counts a bin of a 16-nybble histogram
+/// can hold, in units of 2⁻¹⁶ (rounded).
+const XLOGX: [u32; 17] = [
+    0, 0, 131_072, 311_616, 524_288, 760_849, 1_016_449, 1_287_880, 1_572_864, 1_869_698,
+    2_177_059, 2_493_890, 2_819_329, 3_152_656, 3_493_263, 3_840_630, 4_194_304,
+];
+/// The unit of [`XLOGX`].
+const XLOGX_SCALE: f64 = 65_536.0;
+/// With bin counts `c` over 16 nybbles, `p = c/16` and the normalised
+/// entropy is `h = 1 − Σ c·log2 c / 64`, so `h < t` exactly when the
+/// sum exceeds `(1 − t)·64`. In [`XLOGX`] units neither bound is a whole
+/// number, so `>` against the truncated bound is that comparison.
+const LOW_ENTROPY_SUM: u32 = ((1.0 - LOW_ENTROPY_THRESHOLD) * 64.0 * XLOGX_SCALE) as u32;
+/// See [`LOW_ENTROPY_SUM`].
+const HIGH_ENTROPY_SUM: u32 = ((1.0 - HIGH_ENTROPY_THRESHOLD) * 64.0 * XLOGX_SCALE) as u32;
+
+/// A one in byte lane `n` of a `u128`, for each nybble value `n`.
+const LANE: [u128; 16] = {
+    let mut lanes = [0; 16];
+    let mut n = 0;
+    while n < 16 {
+        lanes[n] = 1 << (8 * n);
+        n += 1;
+    }
+    lanes
+};
+
+/// The entropy bucket of an IID, without floats: the nybble histogram
+/// is built in the byte lanes of a `u128` (a bin holds at most 16; a
+/// table lookup instead of a variable 128-bit shift per nybble), and its
+/// `Σ c·log2 c` summed from [`XLOGX`]. The table's rounding moves
+/// the sum by at most 8 units, while every one of the 231 histograms 16
+/// nybbles can form lies at least 0.035 · 2¹⁶ units from either bound,
+/// so the bucket is exactly that of
+/// [`nybble_entropy`](crate::entropy::nybble_entropy).
+fn entropy_class(v: u64) -> IidClass {
+    let mut hist = 0u128;
+    for shift in (0..64).step_by(4) {
+        hist += LANE[(v >> shift & 0xf) as usize];
+    }
+    let sum = hist
+        .to_le_bytes()
+        .iter()
+        .map(|&c| XLOGX[usize::from(c)])
+        .sum();
+    class_of_sum(sum)
+}
+
+/// The bucket of a histogram whose `Σ c·log2 c` is `sum` [`XLOGX`] units.
+fn class_of_sum(sum: u32) -> IidClass {
+    if sum > LOW_ENTROPY_SUM {
         IidClass::LowEntropy
-    } else if h < HIGH_ENTROPY_THRESHOLD {
+    } else if sum > HIGH_ENTROPY_SUM {
         IidClass::MediumEntropy
     } else {
         IidClass::HighEntropy
     }
-}
-
-/// [`nybble_entropy`](crate::entropy::nybble_entropy) of an IID's eight
-/// bytes, bit for bit. Sixteen nybbles leave a histogram bin only the
-/// seventeen values `c / 16`, so the `p·log2 p` terms come from a table
-/// (filled by the general definition's own expression and subtracted in
-/// its bin order) instead of up to sixteen `log2` calls.
-fn iid_entropy(v: u64) -> f64 {
-    static TERMS: OnceLock<[f64; 17]> = OnceLock::new();
-    let terms = TERMS.get_or_init(|| {
-        let mut terms = [0.0; 17];
-        for (c, term) in terms.iter_mut().enumerate().skip(1) {
-            let p = c as f64 / 16.0;
-            *term = p * p.log2();
-        }
-        terms
-    });
-    let mut hist = [0usize; 16];
-    for shift in (0..64).step_by(4) {
-        hist[(v >> shift & 0xf) as usize] += 1;
-    }
-    let mut h = 0.0;
-    for &c in &hist {
-        if c > 0 {
-            h -= terms[c];
-        }
-    }
-    (h / 4.0).clamp(0.0, 1.0)
 }
 
 /// A histogram of IID classes over a collection of addresses; the data
@@ -246,10 +274,21 @@ mod tests {
     use crate::mac::Mac;
     use proptest::prelude::*;
 
-    fn assert_entropy_is_the_general_definition(v: u64) {
+    /// The bucket of a normalised entropy, as the thresholds define it.
+    fn bucket(h: f64) -> IidClass {
+        if h < LOW_ENTROPY_THRESHOLD {
+            IidClass::LowEntropy
+        } else if h < HIGH_ENTROPY_THRESHOLD {
+            IidClass::MediumEntropy
+        } else {
+            IidClass::HighEntropy
+        }
+    }
+
+    fn assert_class_is_the_general_definition(v: u64) {
         assert_eq!(
-            iid_entropy(v).to_bits(),
-            nybble_entropy(&v.to_be_bytes()).to_bits(),
+            entropy_class(v),
+            bucket(nybble_entropy(&v.to_be_bytes())),
             "{v:016x}"
         );
     }
@@ -257,33 +296,91 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
         #[test]
-        fn iid_entropy_is_bit_identical_to_nybble_entropy(v in any::<u64>()) {
-            assert_entropy_is_the_general_definition(v);
+        fn entropy_class_is_the_nybble_entropy_class(v in any::<u64>()) {
+            assert_class_is_the_general_definition(v);
+        }
+    }
+
+    /// Every partition of 16 into bin counts, largest first.
+    fn partitions(n: usize, max: usize, head: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if n == 0 {
+            out.push(head.clone());
+        }
+        for part in (1..=n.min(max)).rev() {
+            head.push(part);
+            partitions(n - part, part, head, out);
+            head.pop();
+        }
+    }
+
+    /// The class depends on the histogram only, and 16 nybbles form 231
+    /// histograms up to relabelling: each, with nybble `i` repeated
+    /// `counts[i]` times, lands in the bucket of its `nybble_entropy`,
+    /// which lies more than 1e-4 from both thresholds.
+    #[test]
+    fn entropy_class_is_exact_on_every_partition_of_16() {
+        let mut all = Vec::new();
+        partitions(16, 16, &mut Vec::new(), &mut all);
+        assert_eq!(all.len(), 231);
+        for counts in all {
+            let v = counts
+                .iter()
+                .enumerate()
+                .flat_map(|(nybble, &c)| std::iter::repeat_n(nybble as u64, c))
+                .fold(0u64, |v, nybble| v << 4 | nybble);
+            let h = nybble_entropy(&v.to_be_bytes());
+            for t in [LOW_ENTROPY_THRESHOLD, HIGH_ENTROPY_THRESHOLD] {
+                assert!((h - t).abs() > 1e-4, "{counts:?}: {h} at {t}");
+            }
+            assert_eq!(entropy_class(v), bucket(h), "{counts:?}");
+        }
+    }
+
+    /// The table is `c·log2 c` in its unit, and each bound splits the
+    /// sums the way the threshold splits `1 − sum / 64`.
+    #[test]
+    fn sum_table_and_bounds_are_the_thresholds() {
+        for (c, &term) in XLOGX.iter().enumerate().skip(1) {
+            let exact = c as f64 * (c as f64).log2() * XLOGX_SCALE;
+            assert_eq!(f64::from(term), exact.round(), "c = {c}");
+        }
+        for bound in [LOW_ENTROPY_SUM, HIGH_ENTROPY_SUM] {
+            for sum in bound - 2..=bound + 2 {
+                let h = 1.0 - f64::from(sum) / (64.0 * XLOGX_SCALE);
+                assert_eq!(class_of_sum(sum), bucket(h), "sum {sum}");
+            }
         }
     }
 
     #[test]
-    fn iid_entropy_is_bit_identical_on_edge_patterns() {
-        assert_entropy_is_the_general_definition(0);
-        assert_entropy_is_the_general_definition(u64::MAX);
+    fn entropy_class_on_edge_patterns() {
+        assert_class_is_the_general_definition(0);
+        assert_class_is_the_general_definition(u64::MAX);
         // One nybble set, every value at every position.
         for pos in 0..16 {
             for nybble in 1..16u64 {
-                assert_entropy_is_the_general_definition(nybble << (4 * pos));
+                assert_class_is_the_general_definition(nybble << (4 * pos));
             }
         }
-        // One more distinct nybble at a time walks the entropy up
-        // through both bucket thresholds.
-        let (mut v, mut prev, mut crossed) = (0u64, 0.0, [false; 2]);
+        // One more distinct nybble at a time walks the class up through
+        // both buckets.
+        let mut v = 0u64;
+        let mut seen = Vec::new();
         for nybble in 1..16 {
             v = v << 4 | nybble;
-            assert_entropy_is_the_general_definition(v);
-            let h = iid_entropy(v);
-            crossed[0] |= prev < LOW_ENTROPY_THRESHOLD && LOW_ENTROPY_THRESHOLD <= h;
-            crossed[1] |= prev < HIGH_ENTROPY_THRESHOLD && HIGH_ENTROPY_THRESHOLD <= h;
-            prev = h;
+            assert_class_is_the_general_definition(v);
+            seen.push(entropy_class(v));
         }
-        assert_eq!(crossed, [true; 2], "patterns straddle both thresholds");
+        seen.dedup();
+        assert_eq!(
+            seen,
+            [
+                IidClass::LowEntropy,
+                IidClass::MediumEntropy,
+                IidClass::HighEntropy
+            ],
+            "patterns straddle both thresholds"
+        );
     }
 
     fn a(s: &str) -> Ipv6Addr {

@@ -10,11 +10,14 @@
 //! SipHash: a collection run inserts into a per-server set on every
 //! recorded poll. The fold fixes the table's iteration order as a
 //! function of its contents, but no result depends on that order:
-//! [`iter`] and [`sorted`] sort, and `extend_from` only inserts what it
-//! walks.
+//! [`iter`] and [`sorted`] sort a copy on every call, [`raw`] is the
+//! unsorted table order for consumers that count or sort for themselves
+//! (`store::CompactSet`'s `From<&AddrSet>` sorts once), and
+//! `extend_from` only inserts what it walks.
 //!
 //! [`iter`]: AddrSet::iter
 //! [`sorted`]: AddrSet::sorted
+//! [`raw`]: AddrSet::raw
 
 use crate::hash::FoldBuildHasher;
 use std::collections::HashSet;
@@ -66,6 +69,15 @@ impl AddrSet {
         let mut v: Vec<u128> = self.addrs.iter().copied().collect();
         v.sort_unstable();
         v.into_iter().map(Ipv6Addr::from)
+    }
+
+    /// The addresses as `u128`, in **table order**: no sort, no copy.
+    ///
+    /// Only for consumers whose result does not depend on the order —
+    /// counting, or collecting to sort once themselves. Everything else
+    /// takes [`iter`](AddrSet::iter).
+    pub fn raw(&self) -> impl ExactSizeIterator<Item = u128> + '_ {
+        self.addrs.iter().copied()
     }
 
     /// Addresses sorted ascending (stable output for reports and tests).
@@ -150,6 +162,15 @@ mod tests {
         let s = set(&["2001:db8::3", "2001:db8::1", "ff::", "::1", "2001:db8::2"]);
         let via_iter: Vec<Ipv6Addr> = s.iter().collect();
         assert_eq!(via_iter, s.sorted());
+    }
+
+    #[test]
+    fn raw_holds_the_same_addresses() {
+        let s = set(&["2001:db8::3", "2001:db8::1", "ff::", "::1"]);
+        let mut raw: Vec<Ipv6Addr> = s.raw().map(Ipv6Addr::from).collect();
+        raw.sort_unstable();
+        assert_eq!(raw, s.sorted());
+        assert_eq!(s.raw().len(), s.len());
     }
 
     #[test]

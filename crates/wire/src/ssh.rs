@@ -152,35 +152,40 @@ pub struct KexInit {
     pub ciphers: Vec<String>,
 }
 
+/// The name-lists of [`KexInit::modern`]: key exchange, host key and
+/// cipher algorithms.
+const MODERN_KEX: [&str; 2] = ["curve25519-sha256", "diffie-hellman-group14-sha256"];
+const MODERN_HOST_KEY: [&str; 2] = ["ssh-ed25519", "rsa-sha2-256"];
+const MODERN_CIPHERS: [&str; 2] = ["chacha20-poly1305@openssh.com", "aes128-ctr"];
+
 impl KexInit {
     /// A typical modern server KEXINIT.
     pub fn modern(cookie: [u8; 16]) -> KexInit {
+        let owned = |names: [&str; 2]| names.map(str::to_string).to_vec();
         KexInit {
             cookie,
-            kex_algorithms: vec![
-                "curve25519-sha256".into(),
-                "diffie-hellman-group14-sha256".into(),
-            ],
-            host_key_algorithms: vec!["ssh-ed25519".into(), "rsa-sha2-256".into()],
-            ciphers: vec!["chacha20-poly1305@openssh.com".into(), "aes128-ctr".into()],
+            kex_algorithms: owned(MODERN_KEX),
+            host_key_algorithms: owned(MODERN_HOST_KEY),
+            ciphers: owned(MODERN_CIPHERS),
         }
     }
 
     /// Appends the KEXINIT payload (message type + cookie + name-lists;
     /// the remaining RFC 4253 name-lists are emitted empty) to `buf`.
     pub fn emit_into(&self, buf: &mut Vec<u8>) {
-        buf.push(msg::KEXINIT);
-        buf.extend_from_slice(&self.cookie);
-        put_name_list(buf, &self.kex_algorithms);
-        put_name_list(buf, &self.host_key_algorithms);
-        put_name_list(buf, &self.ciphers);
-        // ciphers s->c, macs x2, compression x2, languages x2: mirror/empty
-        put_name_list(buf, &self.ciphers);
-        for _ in 0..6 {
-            put_name_list(buf, &[] as &[&str]);
-        }
-        buf.push(0); // first_kex_packet_follows
-        put_u32(buf, 0); // reserved
+        emit_kexinit(
+            buf,
+            &self.cookie,
+            &self.kex_algorithms,
+            &self.host_key_algorithms,
+            &self.ciphers,
+        );
+    }
+
+    /// [`KexInit::modern`]`(cookie)`'s payload appended to `buf`, written
+    /// from the static name-lists without building the message.
+    pub fn emit_modern_into(cookie: &[u8; 16], buf: &mut Vec<u8>) {
+        emit_kexinit(buf, cookie, &MODERN_KEX, &MODERN_HOST_KEY, &MODERN_CIPHERS);
     }
 
     /// Parses a KEXINIT payload.
@@ -205,6 +210,27 @@ impl KexInit {
     }
 }
 
+fn emit_kexinit(
+    buf: &mut Vec<u8>,
+    cookie: &[u8; 16],
+    kex: &[impl AsRef<str>],
+    host_key: &[impl AsRef<str>],
+    ciphers: &[impl AsRef<str>],
+) {
+    buf.push(msg::KEXINIT);
+    buf.extend_from_slice(cookie);
+    put_name_list(buf, kex);
+    put_name_list(buf, host_key);
+    put_name_list(buf, ciphers);
+    // ciphers s->c, macs x2, compression x2, languages x2: mirror/empty
+    put_name_list(buf, ciphers);
+    for _ in 0..6 {
+        put_name_list(buf, &[] as &[&str]);
+    }
+    buf.push(0); // first_kex_packet_follows
+    put_u32(buf, 0); // reserved
+}
+
 /// The simplified KEXDH_REPLY carrying the server host key:
 /// `byte 31 || string key_type || string key_blob`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,9 +252,16 @@ impl HostKeyReply {
 
     /// Appends the payload to `buf`.
     pub fn emit_into(&self, buf: &mut Vec<u8>) {
+        HostKeyReply::emit_parts_into(&self.key_type, &self.key_blob, buf);
+    }
+
+    /// The payload of a reply with these fields appended to `buf`, from
+    /// borrowed parts: a server answers from its own key blob without
+    /// copying it into a `HostKeyReply`.
+    pub fn emit_parts_into(key_type: &str, key_blob: &[u8], buf: &mut Vec<u8>) {
         buf.push(msg::KEXDH_REPLY);
-        put_string(buf, self.key_type.as_bytes());
-        put_string(buf, &self.key_blob);
+        put_string(buf, key_type.as_bytes());
+        put_string(buf, key_blob);
     }
 
     /// Parses the payload.
@@ -289,13 +322,17 @@ fn get_string(buf: &[u8], off: &mut usize) -> WireResult<Vec<u8>> {
     Ok(out)
 }
 
+/// A name-list: the names joined by commas, as one string, written in
+/// place.
 fn put_name_list(buf: &mut Vec<u8>, names: &[impl AsRef<str>]) {
-    let joined = names
-        .iter()
-        .map(|n| n.as_ref())
-        .collect::<Vec<_>>()
-        .join(",");
-    put_string(buf, joined.as_bytes());
+    let len = names.iter().map(|n| n.as_ref().len() + 1).sum::<usize>();
+    put_u32(buf, len.saturating_sub(1) as u32);
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        buf.extend_from_slice(name.as_ref().as_bytes());
+    }
 }
 
 fn get_name_list(buf: &[u8], off: &mut usize) -> WireResult<Vec<String>> {
@@ -398,6 +435,37 @@ mod tests {
         assert!(parsed
             .host_key_algorithms
             .contains(&"ssh-ed25519".to_string()));
+    }
+
+    /// The server's borrowed-parts encoders write what the owned
+    /// messages write.
+    #[test]
+    fn static_and_borrowed_emitters_match_the_messages() {
+        for cookie in [[0u8; 16], [7u8; 16], *b"0123456789abcdef"] {
+            let mut from_static = Vec::new();
+            KexInit::emit_modern_into(&cookie, &mut from_static);
+            assert_eq!(from_static, kexinit_bytes(&KexInit::modern(cookie)));
+        }
+        for blob in [&b""[..], b"blob", &[0xff; 300]] {
+            let reply = HostKeyReply {
+                key_type: "ssh-ed25519".into(),
+                key_blob: blob.to_vec(),
+            };
+            let mut borrowed = Vec::new();
+            HostKeyReply::emit_parts_into("ssh-ed25519", blob, &mut borrowed);
+            assert_eq!(borrowed, reply.emit());
+        }
+    }
+
+    #[test]
+    fn name_lists_join_with_commas() {
+        for names in [&[][..], &["one"], &["a", "bc", "def"]] {
+            let mut buf = Vec::new();
+            put_name_list(&mut buf, names);
+            let joined = names.join(",");
+            assert_eq!(&buf[..4], (joined.len() as u32).to_be_bytes());
+            assert_eq!(&buf[4..], joined.as_bytes());
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl Hitlist {
         //    density, plus the routed space of content ASes. The /48
         //    bases fall out of one run-length pass over the compacted
         //    list, already sorted and deduplicated.
-        let compact: CompactSet = full.iter().collect();
+        let compact = CompactSet::from(&full);
         let mut cand: Vec<Prefix> = compact
             .masked_counts(48)
             .map(|(base, _)| Prefix::new(Ipv6Addr::from(base), 48))

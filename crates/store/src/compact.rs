@@ -341,11 +341,11 @@ fn read_delta(data: &[u8], pos: &mut usize) -> u128 {
         if stops != 0 {
             let stop_bit = stops.trailing_zeros();
             *pos += (stop_bit as usize + 1) / 8;
-            let x = w & u128::MAX >> (127 - stop_bit) & !CONTINUATION;
-            let x = (x & LOW_8_OF_16) | (x & !LOW_8_OF_16) >> 1;
-            let x = (x & LOW_16_OF_32) | (x & !LOW_16_OF_32) >> 2;
-            let x = (x & LOW_32_OF_64) | (x & !LOW_32_OF_64) >> 4;
-            return (x & u128::from(u64::MAX)) | (x >> 64) << 56;
+            let x = w & (u128::MAX >> (127 - stop_bit)) & !CONTINUATION;
+            let x = (x & LOW_8_OF_16) | ((x & !LOW_8_OF_16) >> 1);
+            let x = (x & LOW_16_OF_32) | ((x & !LOW_16_OF_32) >> 2);
+            let x = (x & LOW_32_OF_64) | ((x & !LOW_32_OF_64) >> 4);
+            return (x & u128::from(u64::MAX)) | ((x >> 64) << 56);
         }
     }
     codec::read_varint(data, pos).expect("validated block decodes")

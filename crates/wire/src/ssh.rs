@@ -152,15 +152,16 @@ pub struct KexInit {
     pub ciphers: Vec<String>,
 }
 
-/// The name-lists of [`KexInit::modern`]: key exchange, host key and
-/// cipher algorithms.
+/// The name-lists of [`KexInit::emit_modern_into`]: key exchange, host
+/// key and cipher algorithms.
 const MODERN_KEX: [&str; 2] = ["curve25519-sha256", "diffie-hellman-group14-sha256"];
 const MODERN_HOST_KEY: [&str; 2] = ["ssh-ed25519", "rsa-sha2-256"];
 const MODERN_CIPHERS: [&str; 2] = ["chacha20-poly1305@openssh.com", "aes128-ctr"];
 
 impl KexInit {
-    /// A typical modern server KEXINIT.
-    pub fn modern(cookie: [u8; 16]) -> KexInit {
+    /// The KEXINIT [`KexInit::emit_modern_into`] writes, as a message.
+    #[cfg(test)]
+    fn modern(cookie: [u8; 16]) -> KexInit {
         let owned = |names: [&str; 2]| names.map(str::to_string).to_vec();
         KexInit {
             cookie,
@@ -182,8 +183,8 @@ impl KexInit {
         );
     }
 
-    /// [`KexInit::modern`]`(cookie)`'s payload appended to `buf`, written
-    /// from the static name-lists without building the message.
+    /// Appends a typical modern server's KEXINIT payload to `buf`,
+    /// written from static name-lists without building the message.
     pub fn emit_modern_into(cookie: &[u8; 16], buf: &mut Vec<u8>) {
         emit_kexinit(buf, cookie, &MODERN_KEX, &MODERN_HOST_KEY, &MODERN_CIPHERS);
     }

@@ -173,7 +173,8 @@ impl KexInit {
 
     /// Appends the KEXINIT payload (message type + cookie + name-lists;
     /// the remaining RFC 4253 name-lists are emitted empty) to `buf`.
-    pub fn emit_into(&self, buf: &mut Vec<u8>) {
+    #[cfg(test)]
+    fn emit_into(&self, buf: &mut Vec<u8>) {
         emit_kexinit(
             buf,
             &self.cookie,

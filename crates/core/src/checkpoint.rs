@@ -340,7 +340,7 @@ fn read_collector(r: &mut Reader<'_>) -> Result<AddressCollector, StoreError> {
         sets.push((ServerId(r.u32()?), segment::decode(r.bytes()?)?));
     }
     let global = CompactSet::union_all(&sets.iter().map(|(_, set)| set).collect::<Vec<_>>());
-    let global = Archive::from_segments(vec![global], store::archive::DEFAULT_MEMTABLE_CAP);
+    let global = Archive::from_segments(vec![global]);
     let per_server: Vec<_> = sets
         .into_iter()
         .map(|(server, set)| (server, set.iter().collect::<AddrSet>()))

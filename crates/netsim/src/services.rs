@@ -209,7 +209,14 @@ impl ServiceSet {
                 let ssh = self.ssh.as_ref()?;
                 // A client must open with its identification string.
                 Identification::parse(split_first_line(probe)?).ok()?;
-                let mut out = Identification::new(&ssh.software, ssh.comment.as_deref()).emit();
+                // One allocation: the whole answer is about 330 bytes.
+                let mut out = Vec::with_capacity(512);
+                Identification::emit_parts_into(
+                    "2.0",
+                    &ssh.software,
+                    ssh.comment.as_deref(),
+                    &mut out,
+                );
                 let cookie = cookie_from(&ssh.host_key_blob);
                 frame_packet_into(&mut out, |b| KexInit::emit_modern_into(&cookie, b));
                 frame_packet_into(&mut out, |b| {

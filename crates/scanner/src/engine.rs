@@ -1,10 +1,13 @@
-//! The shared probing core: policy, cooldown, rate limit, probe, record.
+//! The shared probing core: policy, rate limit, probe, record.
 //!
 //! Both scans — the real-time one replaying the collector's feed and the
 //! batch hitlist scan ([`crate::BatchScan`]) — drive one [`Engine`], so
-//! cooldown and budget semantics cannot drift between them. Policy knobs follow Appendix
-//! A.2.1: a global 100 kpps budget, 10 s to 10 min of spacing between the
-//! per-protocol probes of one target, and a 3-day per-address cooldown.
+//! budget and retry semantics cannot drift between them. The schedule
+//! follows Appendix A.2.1: a global 100 kpps budget and 10 s to 10 min
+//! of spacing between the per-protocol probes of one target. Every
+//! target handed to the engine is probed: the feed carries first sights
+//! only and the hitlist is a set, so the paper's 3-day re-scan cooldown
+//! would never fire and the engine keeps none.
 //!
 //! Every probe reaches the world through a [`Transport`]
 //! (default [`netsim::transport::Ideal`], bit-identical to a direct
@@ -25,95 +28,80 @@ use crate::store::ScanStore;
 use netsim::time::{Duration, SimTime};
 use netsim::transport::{Delivery, Ideal, Link, Transport};
 use netsim::world::{Resolution, World};
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 /// The scanner's source address, visible to the transport's fault hash
 /// (the study scanned from one measurement prefix).
 pub const SCANNER_SRC: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0x5ca, 0, 0, 0, 0, 1);
 
-/// Retry/timeout/backoff policy for one probe train, mirroring zgrab2's
-/// connection handling: a per-protocol timeout, a bounded number of
-/// attempts, and exponential backoff between them.
+/// Seconds before the first probe of a target.
+const BASE_DELAY: u64 = 10;
+/// Additional seconds between consecutive protocol probes (base 10 s +
+/// 7 × 85 s ≈ 10 min for the full set).
+const PROTOCOL_SPACING: u64 = 85;
+/// Timeout for plain TCP protocols, in seconds.
+const TCP_TIMEOUT: u64 = 5;
+/// Timeout for TLS-wrapped protocols (handshake on top), in seconds.
+const TLS_TIMEOUT: u64 = 8;
+/// Timeout for UDP protocols (CoAP), in seconds.
+const UDP_TIMEOUT: u64 = 2;
+/// Backoff after the first failed attempt, in seconds; doubles per retry.
+const BACKOFF: u64 = 2;
+
+/// Retry policy for one probe train, mirroring zgrab2's connection
+/// handling: a per-protocol timeout, a bounded number of attempts, and
+/// exponential backoff between them. Only the attempt count is set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per `(target, protocol)` train, including the
     /// first (values < 1 behave as 1).
     pub attempts: u32,
-    /// Timeout for plain TCP protocols.
-    pub tcp_timeout: Duration,
-    /// Timeout for TLS-wrapped protocols (handshake on top).
-    pub tls_timeout: Duration,
-    /// Timeout for UDP protocols (CoAP).
-    pub udp_timeout: Duration,
-    /// Backoff after the first failed attempt; doubles per retry.
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            tcp_timeout: Duration::secs(5),
-            tls_timeout: Duration::secs(8),
-            udp_timeout: Duration::secs(2),
-            backoff: Duration::secs(2),
-        }
+        RetryPolicy { attempts: 3 }
     }
 }
 
 impl RetryPolicy {
     /// A policy with `attempts` total attempts.
     pub fn with_attempts(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            attempts,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { attempts }
     }
 
     /// The per-protocol timeout.
-    pub fn timeout_for(&self, p: Protocol) -> Duration {
-        if p.is_udp() {
-            self.udp_timeout
+    pub fn timeout_for(p: Protocol) -> Duration {
+        Duration::secs(if p.is_udp() {
+            UDP_TIMEOUT
         } else if p.is_tls() {
-            self.tls_timeout
+            TLS_TIMEOUT
         } else {
-            self.tcp_timeout
-        }
+            TCP_TIMEOUT
+        })
     }
 
     /// Backoff after the `attempt`-th failure (0-based): exponential
-    /// doubling, `backoff * 2^attempt`.
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
-        Duration::secs(self.backoff.as_secs() << attempt.min(16))
+    /// doubling, `2 s * 2^attempt`.
+    pub fn backoff_after(attempt: u32) -> Duration {
+        Duration::secs(BACKOFF << attempt.min(16))
     }
 }
 
-/// Scheduling policy.
+/// Scheduling policy: the outgoing budget and the retries. Every target
+/// is probed with [`Protocol::ALL`], in that order, at
+/// [`ScanPolicy::delay_of`] its protocol index.
 #[derive(Debug, Clone)]
 pub struct ScanPolicy {
-    /// Protocols to probe, in probe order.
-    pub protocols: Vec<Protocol>,
-    /// Delay before the first probe of a target.
-    pub base_delay: Duration,
-    /// Additional spacing between consecutive protocol probes
-    /// (base 10 s + 7 × 85 s ≈ 10 min for the full set).
-    pub protocol_spacing: Duration,
-    /// Do-not-rescan window per address.
-    pub cooldown: Duration,
     /// Outgoing probe budget.
     pub rate_pps: u64,
-    /// Retry/timeout/backoff behaviour per probe train.
+    /// Retry behaviour per probe train.
     pub retry: RetryPolicy,
 }
 
 impl Default for ScanPolicy {
     fn default() -> Self {
         ScanPolicy {
-            protocols: Protocol::ALL.to_vec(),
-            base_delay: Duration::secs(10),
-            protocol_spacing: Duration::secs(85),
-            cooldown: Duration::days(3),
             rate_pps: STUDY_PPS,
             retry: RetryPolicy::default(),
         }
@@ -121,24 +109,23 @@ impl Default for ScanPolicy {
 }
 
 impl ScanPolicy {
-    /// The probe time offset of the `i`-th protocol.
-    pub fn delay_of(&self, i: usize) -> Duration {
-        Duration::secs(self.base_delay.as_secs() + i as u64 * self.protocol_spacing.as_secs())
+    /// The probe time offset of the `i`-th protocol of [`Protocol::ALL`].
+    pub fn delay_of(i: usize) -> Duration {
+        Duration::secs(BASE_DELAY + i as u64 * PROTOCOL_SPACING)
     }
 }
 
-/// The probing core shared by every scan front-end: applies the
-/// per-address cooldown, schedules the per-protocol probe train through
-/// the per-second admission ledger and the transport, and records results.
+/// The probing core shared by every scan front-end: schedules the
+/// per-protocol probe train of each target through the per-second
+/// admission ledger and the transport, and records results.
 pub struct Engine {
-    policy: ScanPolicy,
+    attempts: u32,
     ledger: Ledger,
-    last_scan: HashMap<u128, SimTime>,
     store: ScanStore,
     transport: Box<dyn Transport>,
-    /// Probe bytes are constant per protocol: prebuilt once here instead
-    /// of per target.
-    probes: Vec<(Protocol, Vec<u8>)>,
+    /// Probe bytes are constant per protocol: prebuilt once here, in
+    /// [`Protocol::ALL`] order, instead of per target.
+    probes: [Vec<u8>; 8],
 }
 
 impl Engine {
@@ -149,40 +136,27 @@ impl Engine {
 
     /// Engine probing through an explicit transport.
     pub fn with_transport(policy: ScanPolicy, transport: Box<dyn Transport>) -> Engine {
-        let probes = policy
-            .protocols
-            .iter()
-            .map(|&p| (p, probers::build_probe(p)))
-            .collect();
         Engine {
+            attempts: policy.retry.attempts.max(1),
             ledger: Ledger::new(policy.rate_pps),
-            policy,
-            last_scan: HashMap::new(),
             store: ScanStore::new(),
             transport,
-            probes,
+            probes: Protocol::ALL.map(probers::build_probe),
         }
     }
 
-    /// Probes one target with every configured protocol, unless it is
-    /// still in its cooldown window. The target is resolved at the first
-    /// probe the transport delivers, and again only at a delivery its
-    /// resolution no longer holds at. Targets arrive in `at` order (the
-    /// feed by `seen`, a batch all at its start): seconds below `at` are released.
+    /// Probes one target with every protocol; an address handed over
+    /// twice is probed, and counted, twice. The target is resolved at the
+    /// first probe the transport delivers, and again only at a delivery
+    /// its resolution no longer holds at. Targets arrive in `at` order
+    /// (the feed by `seen`, a batch all at its start): seconds below `at`
+    /// are released.
     pub fn scan_target(&mut self, world: &World, addr: Ipv6Addr, at: SimTime) {
         self.ledger.release_before(at);
-        let key = u128::from(addr);
-        if let Some(&prev) = self.last_scan.get(&key) {
-            if at.since(prev) < self.policy.cooldown {
-                return;
-            }
-        }
-        self.last_scan.insert(key, at);
         self.store.note_target();
         let mut held = None;
-        for i in 0..self.probes.len() {
-            let want = at + self.policy.delay_of(i);
-            self.probe_train(world, &mut held, addr, i, want);
+        for i in 0..Protocol::ALL.len() {
+            self.probe_train(world, &mut held, addr, i, at + ScanPolicy::delay_of(i));
         }
     }
 
@@ -198,11 +172,10 @@ impl Engine {
         i: usize,
         want: SimTime,
     ) {
-        let (proto, probe) = &self.probes[i];
-        let proto = *proto;
+        let (proto, probe) = (Protocol::ALL[i], &self.probes[i]);
         let port = proto.port();
-        let timeout = self.policy.retry.timeout_for(proto);
-        let attempts = self.policy.retry.attempts.max(1);
+        let timeout = RetryPolicy::timeout_for(proto);
+        let attempts = self.attempts;
         let transport = self.transport.as_ref();
         let mut submit = want;
         for attempt in 0..attempts {
@@ -250,7 +223,7 @@ impl Engine {
                 // Lost either way, or answered slower than the timeout:
                 // wait out the timeout, back off, try again.
                 Delivery::Answered { .. } | Delivery::Lost => {
-                    let back = self.policy.retry.backoff_after(attempt);
+                    let back = RetryPolicy::backoff_after(attempt);
                     if attempt + 1 < attempts {
                         self.store.note_backoff(proto, back.as_secs());
                     }
@@ -259,11 +232,6 @@ impl Engine {
             }
         }
         self.store.note_failure(proto, FailureCause::Timeout);
-    }
-
-    /// The policy the engine runs.
-    pub fn policy(&self) -> &ScanPolicy {
-        &self.policy
     }
 
     /// Finishes, returning the accumulated result store.
@@ -278,15 +246,15 @@ mod tests {
     use netsim::transport::{FaultConfig, Faulty};
     use netsim::world::{World, WorldConfig};
 
+    /// The engine keeps no dedup: callers hand it each address once.
     #[test]
-    fn engine_respects_cooldown_and_counts_targets() {
+    fn engine_counts_an_address_handed_twice_as_two_targets() {
         let w = World::generate(WorldConfig::tiny(33));
         let t = SimTime(1_000);
         let addr = w.address_of(w.household_members(0)[0], t);
         let mut engine = Engine::new(ScanPolicy::default());
         engine.scan_target(&w, addr, t);
-        engine.scan_target(&w, addr, t + Duration::hours(1)); // in cooldown
-        engine.scan_target(&w, addr, t + Duration::days(4)); // past cooldown
+        engine.scan_target(&w, addr, t + Duration::hours(1));
         let store = engine.into_store();
         assert_eq!(store.targets(), 2);
         assert_eq!(store.attempts(Protocol::Http), 2);
@@ -421,7 +389,6 @@ mod tests {
     #[test]
     fn trains_straddling_a_rotation_see_what_a_fresh_probe_sees() {
         let w = World::generate(WorldConfig::tiny(33));
-        let policy = ScanPolicy::default();
         let rotation = SimTime(Duration::days(1).as_secs());
         // HTTP and HTTPS go before the rotation, SSH onwards after it.
         let at = rotation - Duration::secs(100);
@@ -431,11 +398,11 @@ mod tests {
                 w.address_of_meta(&meta, at),
                 w.address_of_meta(&meta, rotation),
             ] {
-                let mut engine = Engine::new(policy.clone());
+                let mut engine = Engine::new(ScanPolicy::default());
                 engine.scan_target(&w, addr, at);
-                let fresh: Vec<ScanRecord> = (0..policy.protocols.len())
+                let fresh: Vec<ScanRecord> = (0..Protocol::ALL.len())
                     .filter_map(|i| {
-                        let (protocol, t) = (policy.protocols[i], at + policy.delay_of(i));
+                        let (protocol, t) = (Protocol::ALL[i], at + ScanPolicy::delay_of(i));
                         let probe = probers::build_probe(protocol);
                         let bytes = w.respond(addr, protocol.port(), &probe, t)?;
                         Some(ScanRecord {
@@ -461,12 +428,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_timeouts_depend_on_protocol() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_after(0), Duration::secs(2));
-        assert_eq!(r.backoff_after(1), Duration::secs(4));
-        assert_eq!(r.backoff_after(2), Duration::secs(8));
-        assert!(r.timeout_for(Protocol::Https) > r.timeout_for(Protocol::Http));
-        assert!(r.timeout_for(Protocol::Coap) < r.timeout_for(Protocol::Http));
+        assert_eq!(RetryPolicy::backoff_after(0), Duration::secs(2));
+        assert_eq!(RetryPolicy::backoff_after(1), Duration::secs(4));
+        assert_eq!(RetryPolicy::backoff_after(2), Duration::secs(8));
+        let timeout = RetryPolicy::timeout_for;
+        assert!(timeout(Protocol::Https) > timeout(Protocol::Http));
+        assert!(timeout(Protocol::Coap) < timeout(Protocol::Http));
         assert_eq!(RetryPolicy::with_attempts(1).attempts, 1);
     }
 }

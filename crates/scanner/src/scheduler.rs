@@ -66,9 +66,8 @@ mod tests {
 
     #[test]
     fn policy_delays_span_ten_minutes() {
-        let p = ScanPolicy::default();
-        assert_eq!(p.delay_of(0), Duration::secs(10));
-        let last = p.delay_of(p.protocols.len() - 1);
+        assert_eq!(ScanPolicy::delay_of(0), Duration::secs(10));
+        let last = ScanPolicy::delay_of(Protocol::ALL.len() - 1);
         assert!(last.as_secs() >= 595 && last.as_secs() <= 610, "{last}");
     }
 
@@ -109,12 +108,12 @@ mod tests {
         assert_eq!(total, 160);
         // Each protocol's 20 probes fill the 4 seconds from its own
         // delay, 5 a second in submission order.
-        let p = ScanPolicy::default();
         let mut last_second = 0;
         for r in store.records() {
-            let i = p.protocols.iter().position(|&q| q == r.protocol).unwrap();
+            let i = Protocol::ALL.iter().position(|&q| q == r.protocol).unwrap();
             let k = addrs.iter().position(|&a| a == r.addr).unwrap() as u64;
-            assert_eq!(r.time, t + p.delay_of(i) + Duration::secs(k / 5), "{r:?}");
+            let delay = ScanPolicy::delay_of(i);
+            assert_eq!(r.time, t + delay + Duration::secs(k / 5), "{r:?}");
             last_second = last_second.max(k / 5);
         }
         assert_eq!(last_second, 3, "records reach the fourth second");

@@ -45,10 +45,10 @@ use v6addr::hash::FoldBuildHasher;
 
 /// Default (initial) memtable spill threshold.
 pub const DEFAULT_MEMTABLE_CAP: usize = 1 << 16;
-/// Ceiling for the adaptive memtable cap: sustained ingest may grow the
+/// Ceiling for the growing memtable cap: sustained ingest may grow the
 /// memtable to amortize spills, but never past ~1M resident keys.
 pub const MAX_MEMTABLE_CAP: usize = 1 << 20;
-/// Adaptive growth cadence: after this many spills at one cap the cap
+/// Growth cadence: after this many spills at one cap the cap
 /// doubles (bounded by [`MAX_MEMTABLE_CAP`]). A workload that spills
 /// often is ingesting fast enough that a bigger memtable pays for
 /// itself in fewer, larger, better-packed segments.
@@ -105,10 +105,7 @@ pub struct Archive {
     /// contents.
     front: Option<Bloom>,
     memtable_cap: usize,
-    /// Whether the cap grows with sustained ingest. Fixed-cap archives
-    /// ([`Archive::with_memtable_cap`]) keep their exact spill schedule.
-    adaptive: bool,
-    /// Spills since the cap last grew (adaptive mode only).
+    /// Spills since the cap last grew.
     spills_at_cap: u32,
     /// Lookup accounting, never observable in deterministic state.
     /// Atomic only so that `contains(&self)` can count; `insert` adds
@@ -125,7 +122,6 @@ impl Clone for Archive {
             blooms: self.blooms.clone(),
             front: self.front.clone(),
             memtable_cap: self.memtable_cap,
-            adaptive: self.adaptive,
             spills_at_cap: self.spills_at_cap,
             bloom_candidates: AtomicU64::new(self.bloom_candidates.load(Ordering::Relaxed)),
             bloom_pruned: AtomicU64::new(self.bloom_pruned.load(Ordering::Relaxed)),
@@ -140,40 +136,32 @@ impl Default for Archive {
 }
 
 impl Archive {
-    /// An empty archive with an **adaptive** memtable cap: it starts at
-    /// [`DEFAULT_MEMTABLE_CAP`] and doubles after every
+    /// An empty archive whose memtable cap starts at
+    /// [`DEFAULT_MEMTABLE_CAP`].
+    pub fn new() -> Archive {
+        Archive::with_memtable_cap(DEFAULT_MEMTABLE_CAP)
+    }
+
+    /// An empty archive whose memtable cap starts at `cap`. Every
+    /// archive grows its cap the same way: it doubles after every
     /// `SPILLS_PER_GROWTH` spills, bounded by [`MAX_MEMTABLE_CAP`], so
     /// sustained ingest amortizes freeze cost into fewer, larger
     /// segments. The cap schedule is a pure function of the insert
     /// sequence, and observable state never depends on the cap at all.
-    pub fn new() -> Archive {
-        let mut ar = Archive::with_memtable_cap(DEFAULT_MEMTABLE_CAP);
-        ar.adaptive = true;
-        ar
-    }
-
-    /// An empty archive that spills to a segment every `cap` inserts —
-    /// the cap is fixed, so the spill schedule is exact.
     pub fn with_memtable_cap(cap: usize) -> Archive {
         Archive {
-            memtable: Memtable::default(),
-            segments: Vec::new(),
-            blooms: Vec::new(),
-            front: None,
             memtable_cap: cap.max(1),
-            adaptive: false,
-            spills_at_cap: 0,
-            bloom_candidates: AtomicU64::new(0),
-            bloom_pruned: AtomicU64::new(0),
+            ..Archive::from_segments(Vec::new())
         }
     }
 
     /// Rebuilds an archive from frozen segments (e.g. a decoded
-    /// checkpoint). Segments must be pairwise disjoint, as produced by
+    /// checkpoint), its cap starting at [`DEFAULT_MEMTABLE_CAP`].
+    /// Segments must be pairwise disjoint, as produced by
     /// [`Archive::segments`] after a freeze. Bloom filters are rebuilt
     /// from the segment contents, so a restored archive prunes exactly
     /// like the one that was flushed.
-    pub fn from_segments(segments: Vec<CompactSet>, cap: usize) -> Archive {
+    pub fn from_segments(segments: Vec<CompactSet>) -> Archive {
         let blooms = segments.iter().map(Bloom::for_segment).collect();
         let front = front_filter(&segments);
         Archive {
@@ -181,8 +169,7 @@ impl Archive {
             segments,
             blooms,
             front,
-            memtable_cap: cap.max(1),
-            adaptive: false,
+            memtable_cap: DEFAULT_MEMTABLE_CAP,
             spills_at_cap: 0,
             bloom_candidates: AtomicU64::new(0),
             bloom_pruned: AtomicU64::new(0),
@@ -303,7 +290,7 @@ impl Archive {
                 Some(front) if same_size => v.iter().for_each(|&a| front.insert(a)),
                 _ => self.front = front_filter(&self.segments),
             }
-            if self.adaptive && self.memtable_cap < MAX_MEMTABLE_CAP {
+            if self.memtable_cap < MAX_MEMTABLE_CAP {
                 self.spills_at_cap += 1;
                 if self.spills_at_cap >= SPILLS_PER_GROWTH {
                     self.spills_at_cap = 0;
@@ -509,7 +496,7 @@ mod tests {
         // A restored archive rebuilds identical filters, the front one
         // included.
         ar.freeze();
-        let restored = Archive::from_segments(ar.segments().to_vec(), 64);
+        let restored = Archive::from_segments(ar.segments().to_vec());
         assert_eq!(restored.blooms, ar.blooms);
         assert!(ar.front.is_some());
         assert_eq!(restored.front, ar.front);
@@ -548,11 +535,13 @@ mod tests {
             ar.freeze();
         }
         assert_eq!(ar.memtable_cap, MAX_MEMTABLE_CAP);
-        // Fixed-cap archives never adapt.
-        let mut fixed = Archive::with_memtable_cap(8);
-        for i in 0..100u128 {
-            fixed.insert(addr(i));
+        // A restored archive grows the same way: a study's spill
+        // schedule does not depend on whether it was ever checkpointed.
+        let mut restored = Archive::from_segments(ar.segments().to_vec());
+        for s in 0..SPILLS_PER_GROWTH as u128 {
+            restored.memtable.insert(5000 + s);
+            restored.freeze();
         }
-        assert_eq!(fixed.memtable_cap, 8);
+        assert_eq!(restored.memtable_cap, DEFAULT_MEMTABLE_CAP * 2);
     }
 }

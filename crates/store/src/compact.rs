@@ -737,10 +737,7 @@ mod tests {
                 archive.insert(Ipv6Addr::from(a));
             }
             // In the form a checkpoint restores it: one segment.
-            let archive = crate::Archive::from_segments(
-                vec![archive.to_compact()],
-                crate::archive::DEFAULT_MEMTABLE_CAP,
-            );
+            let archive = crate::Archive::from_segments(vec![archive.to_compact()]);
             assert_eq!(archive.len(), hashset.len());
             // The archive adds a bloom byte per address to the set's ~4;
             // against a table this close to its resize point (86 % load

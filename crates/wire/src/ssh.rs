@@ -53,13 +53,29 @@ impl Identification {
 
     /// Serialises including trailing CRLF.
     pub fn emit(&self) -> Vec<u8> {
-        let mut s = format!("SSH-{}-{}", self.proto_version, self.software);
-        if let Some(c) = &self.comment {
-            s.push(' ');
-            s.push_str(c);
+        let mut buf = Vec::new();
+        let comment = self.comment.as_deref();
+        Identification::emit_parts_into(&self.proto_version, &self.software, comment, &mut buf);
+        buf
+    }
+
+    /// The line with these fields, trailing CRLF included, appended to
+    /// `buf` from borrowed parts: a server answers with its own software
+    /// string without copying it into an `Identification`.
+    pub fn emit_parts_into(
+        proto_version: &str,
+        software: &str,
+        comment: Option<&str>,
+        buf: &mut Vec<u8>,
+    ) {
+        for part in ["SSH-", proto_version, "-", software] {
+            buf.extend_from_slice(part.as_bytes());
         }
-        s.push_str("\r\n");
-        s.into_bytes()
+        if let Some(c) = comment {
+            buf.push(b' ');
+            buf.extend_from_slice(c.as_bytes());
+        }
+        buf.extend_from_slice(b"\r\n");
     }
 
     /// Parses an identification line (with or without trailing CR/LF).

@@ -5,9 +5,10 @@
 //! The archive's observable state (membership, `len`, ordered
 //! iteration) must not depend on where the memtable spilled, how the
 //! size tiers compacted, or whether the archive came back from encoded
-//! segments. Memtable caps of 1..=8 put many spills and cascading
-//! compactions inside one case; the adaptive `Archive::new()` spills
-//! only when a step freezes it. Keys are dense inside a few /64s (the
+//! segments. Memtable caps starting at 1..=8 put many spills and
+//! cascading compactions inside one case; `Archive::new()` and a
+//! restored archive, whose caps start at 2^16, spill only when a step
+//! freezes them. Keys are dense inside a few /64s (the
 //! shape a collection feed has), plus both ends of the address space
 //! and uniform draws. A filter that rules out a stored key shows up as
 //! a `contains` or `insert` answer the model disagrees with.
@@ -37,7 +38,7 @@ fn pick_key(a: u64, b: u64) -> u128 {
     }
 }
 
-/// The memtable cap a draw selects: 0 is the adaptive `Archive::new()`.
+/// The starting memtable cap a draw selects: 0 is `Archive::new()`.
 fn archive_with(cap: u64) -> Archive {
     match cap {
         0 => Archive::new(),
@@ -49,7 +50,7 @@ fn archive_with(cap: u64) -> Archive {
 /// segment (or the whole archive as one, the way `core::checkpoint`
 /// stores it) through `segment::encode` → `decode`, then
 /// `Archive::from_segments`.
-fn restore(archive: &mut Archive, whole: bool, cap: usize) -> Archive {
+fn restore(archive: &mut Archive, whole: bool) -> Archive {
     archive.freeze();
     let sets: Vec<CompactSet> = if whole {
         vec![archive.to_compact()]
@@ -60,7 +61,7 @@ fn restore(archive: &mut Archive, whole: bool, cap: usize) -> Archive {
         .iter()
         .map(|s| segment::decode(&segment::encode(s)).expect("a fresh encoding decodes"))
         .collect();
-    Archive::from_segments(decoded, cap)
+    Archive::from_segments(decoded)
 }
 
 /// Every observable of `archive` against `model`, plus one stored and
@@ -140,7 +141,7 @@ proptest! {
                     check(&copy, &model, b, &format!("{ctx}: clone"));
                     archive = copy;
                 }
-                9 => archive = restore(&mut archive, a % 2 == 0, 1 + (b % 8) as usize),
+                9 => archive = restore(&mut archive, a % 2 == 0),
                 _ => {
                     // Re-inserting a stored key is never a first sight.
                     if let Some(&k) = model.iter().nth((a % (model.len() as u64).max(1)) as usize) {

@@ -22,7 +22,7 @@ const DOCS: [&str; 4] = [
 const CODE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Backticked spans that name deleted code on purpose, verbatim.
-const HISTORICAL: [&str; 50] = [
+const HISTORICAL: [&str; 55] = [
     "StudyConfig::collection_shards ≥ 2",
     "store::mmap",
     "SetBytes::{Owned, Mapped}",
@@ -73,6 +73,11 @@ const HISTORICAL: [&str; 50] = [
     "ntppool::shard",
     "ntppool::NtpDaemon",
     "Packet::{control,private}_{request,response}",
+    "Engine::last_scan",
+    "ScanPolicy::cooldown",
+    "ScanPolicy::{protocols, base_delay, protocol_spacing}",
+    "RetryPolicy::{tcp_timeout, tls_timeout, udp_timeout, backoff}",
+    "Engine::policy",
 ];
 
 fn root() -> PathBuf {

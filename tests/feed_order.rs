@@ -31,6 +31,10 @@ fn feed_has_no_duplicate_addresses() {
         assert!(seen.insert(o.addr), "{} fed twice", o.addr);
     }
     assert_eq!(seen.len(), s.collector.global().len());
+    // Each scan is handed each address exactly once: the engine keeps
+    // no dedup of its own.
+    assert_eq!(s.ntp_scan.targets(), s.feed.len() as u64);
+    assert_eq!(s.hitlist_scan.targets(), s.hitlist.full.len() as u64);
 }
 
 #[test]
@@ -38,11 +42,11 @@ fn probes_respect_causality_and_delays() {
     let s = study();
     let by_addr: std::collections::HashMap<_, _> =
         s.feed.iter().map(|o| (o.addr, o.seen)).collect();
-    let policy = scanner::ScanPolicy::default();
+    let base_delay = scanner::ScanPolicy::delay_of(0);
     for r in s.ntp_scan.records() {
         if let Some(&seen) = by_addr.get(&r.addr) {
             assert!(
-                r.time >= seen + policy.base_delay,
+                r.time >= seen + base_delay,
                 "{} probed at {} but first seen {}",
                 r.addr,
                 r.time,

@@ -8,21 +8,19 @@
 //! timeout and backoff, plus the last attempt's timeout.
 
 use netsim::time::{Duration, SimTime};
-use scanner::ScanPolicy;
+use scanner::{Protocol, RetryPolicy, ScanPolicy};
 use std::collections::HashMap;
 use timetoscan::{FaultProfile, Study, StudyConfig};
 
 /// The longest a train can run past its first probe's asked-for time.
 fn retry_budget(policy: &ScanPolicy) -> Duration {
-    let retry = &policy.retry;
-    let timeout = policy
-        .protocols
+    let timeout = Protocol::ALL
         .iter()
-        .map(|&p| retry.timeout_for(p).as_secs())
+        .map(|&p| RetryPolicy::timeout_for(p).as_secs())
         .max()
         .unwrap_or(0);
-    let retries: u64 = (0..retry.attempts.max(1) - 1)
-        .map(|a| timeout + retry.backoff_after(a).as_secs())
+    let retries: u64 = (0..policy.retry.attempts.max(1) - 1)
+        .map(|a| timeout + RetryPolicy::backoff_after(a).as_secs())
         .sum();
     Duration::secs(retries + timeout)
 }
@@ -31,8 +29,8 @@ fn check(profile: FaultProfile) {
     let s = Study::run(StudyConfig::small(42).with_fault(profile));
     let policy = ScanPolicy::default();
     let budget = retry_budget(&policy).as_secs();
-    let last = policy.delay_of(policy.protocols.len() - 1).as_secs();
-    let first = policy.delay_of(0).as_secs();
+    let last = ScanPolicy::delay_of(Protocol::ALL.len() - 1).as_secs();
+    let first = ScanPolicy::delay_of(0).as_secs();
 
     let seen: HashMap<_, SimTime> = s.feed.iter().map(|o| (o.addr, o.seen)).collect();
     let lag = |r: &scanner::ScanRecord| r.time.as_secs() - seen[&r.addr].as_secs();
@@ -45,7 +43,7 @@ fn check(profile: FaultProfile) {
     );
     let max_first = records
         .iter()
-        .filter(|r| r.protocol == policy.protocols[0])
+        .filter(|r| r.protocol == Protocol::ALL[0])
         .map(lag)
         .max()
         .expect("first-protocol records");
@@ -63,7 +61,7 @@ fn check(profile: FaultProfile) {
         .map(|r| r.time)
         .max()
         .expect("hitlist records");
-    let probes = s.hitlist_scan.targets() * policy.protocols.len() as u64;
+    let probes = s.hitlist_scan.targets() * Protocol::ALL.len() as u64;
     let rate_secs = probes.div_ceil(policy.rate_pps);
     let span = end.since(start).as_secs();
     assert!(

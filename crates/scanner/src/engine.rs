@@ -89,8 +89,8 @@ impl RetryPolicy {
 }
 
 /// Scheduling policy: the outgoing budget and the retries. Every target
-/// is probed with [`Protocol::ALL`], in that order, at
-/// [`ScanPolicy::delay_of`] its protocol index.
+/// is probed with [`Protocol::ALL`] in that order, protocol `i` at
+/// [`ScanPolicy::delay_of`]`(i)` after the target's start.
 #[derive(Debug, Clone)]
 pub struct ScanPolicy {
     /// Outgoing probe budget.

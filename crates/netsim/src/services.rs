@@ -212,7 +212,7 @@ impl ServiceSet {
                 // One allocation: the whole answer is about 330 bytes.
                 let mut out = Vec::with_capacity(512);
                 Identification::emit_parts_into(
-                    "2.0",
+                    wire::ssh::PROTO_VERSION,
                     &ssh.software,
                     ssh.comment.as_deref(),
                     &mut out,

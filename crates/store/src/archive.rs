@@ -418,12 +418,18 @@ mod tests {
     fn observable_state_independent_of_cap() {
         // Same inserts through wildly different freeze schedules must
         // agree on every observable.
+        // `small` also freezes after every third insert, so its 166
+        // runs of three fill size classes and cascade.
         let addrs: Vec<Ipv6Addr> = (0..500u128).map(|i| addr(i * 7919)).collect();
         let mut small = Archive::with_memtable_cap(3);
         let mut big = Archive::with_memtable_cap(1 << 20);
-        for &a in &addrs {
+        for (i, &a) in addrs.iter().enumerate() {
             assert_eq!(small.insert(a), big.insert(a));
+            if i % 3 == 2 {
+                small.freeze();
+            }
         }
+        assert!(small.segments().len() < 166 / DEFAULT_FANOUT);
         assert_eq!(small.len(), big.len());
         assert_eq!(
             small.iter().collect::<Vec<_>>(),
@@ -445,16 +451,25 @@ mod tests {
 
     #[test]
     fn tiered_compaction_keeps_segments_bounded_and_disjoint() {
+        // A freeze after every fourth insert: 250 equal runs, whatever
+        // the cap has grown to.
         let mut ar = Archive::with_memtable_cap(4);
         for i in 0..1000u128 {
             assert!(ar.insert(addr(i * 2_654_435_761)));
+            if i % 4 == 3 {
+                ar.freeze();
+            }
         }
-        ar.freeze();
-        assert!(!ar.segments().is_empty());
         // Size-tiered bound: no class full, so the resident count stays
-        // O(fanout · log n) — here 250 runs collapse to a handful.
+        // O(fanout · log n) — here 250 runs collapse to a handful, and
+        // the runs merged into 32s cascade into 256s.
         assert!(no_size_class_is_full(&ar));
-        assert!(ar.segments().len() <= DEFAULT_FANOUT * 4);
+        assert!(ar.segments().len() < 250 / DEFAULT_FANOUT);
+        assert!(ar
+            .segments()
+            .iter()
+            .any(|s| s.len() >= 4 * DEFAULT_FANOUT * DEFAULT_FANOUT));
+        assert_eq!(ar.segments().len(), ar.blooms.len());
         // Disjointness: len is the plain sum and the k-way merged
         // iteration is strictly increasing with no duplicates dropped.
         let total: usize = ar.segments().iter().map(CompactSet::len).sum();
@@ -472,12 +487,24 @@ mod tests {
 
     #[test]
     fn bloom_prunes_misses_without_changing_answers() {
+        // A freeze after every 64th insert: the runs compact, so the
+        // filters are dropped and rebuilt along with their segments.
         let mut ar = Archive::with_memtable_cap(64);
         for i in 0..5_000u128 {
             ar.insert(addr(i * 2_654_435_761));
+            if i % 64 == 63 {
+                ar.freeze();
+            }
         }
         ar.freeze();
+        assert!(ar
+            .segments()
+            .iter()
+            .any(|s| s.len() >= 64 * DEFAULT_FANOUT * DEFAULT_FANOUT));
         assert_eq!(ar.segments().len(), ar.blooms.len());
+        for (seg, bloom) in ar.segments().iter().zip(&ar.blooms) {
+            assert_eq!(*bloom, Bloom::for_segment(seg));
+        }
         // Misses inside the global bounds: the bounds prune can't help,
         // the bloom must carry the load.
         for i in 0..5_000u128 {

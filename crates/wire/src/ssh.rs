@@ -29,6 +29,9 @@ pub mod msg {
     pub const KEXDH_REPLY: u8 = 31;
 }
 
+/// The protocol version a server built here announces.
+pub const PROTO_VERSION: &str = "2.0";
+
 /// A parsed SSH identification string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Identification {
@@ -45,7 +48,7 @@ impl Identification {
     /// Builds an identification line for a server.
     pub fn new(software: &str, comment: Option<&str>) -> Identification {
         Identification {
-            proto_version: "2.0".into(),
+            proto_version: PROTO_VERSION.into(),
             software: software.into(),
             comment: comment.map(str::to_string),
         }
@@ -92,7 +95,7 @@ impl Identification {
         let (proto, swc) = rest
             .split_once('-')
             .ok_or(WireError::Malformed("missing version separator"))?;
-        if proto != "2.0" && proto != "1.99" {
+        if proto != PROTO_VERSION && proto != "1.99" {
             return Err(WireError::UnsupportedVersion);
         }
         let (software, comment) = match swc.split_once(' ') {

@@ -5,10 +5,11 @@
 //! The archive's observable state (membership, `len`, ordered
 //! iteration) must not depend on where the memtable spilled, how the
 //! size tiers compacted, or whether the archive came back from encoded
-//! segments. Memtable caps starting at 1..=8 put many spills and
-//! cascading compactions inside one case; `Archive::new()` and a
-//! restored archive, whose caps start at 2^16, spill only when a step
-//! freezes them. Keys are dense inside a few /64s (the
+//! segments. Every cap doubles after a few spills, so spills alone
+//! seldom fill a size class; a step that freezes after each key of a
+//! short burst makes one-key runs, which fill the lowest class and
+//! cascade, and every case ends with `DEFAULT_FANOUT` one-key freezes
+//! that must merge. Keys are dense inside a few /64s (the
 //! shape a collection feed has), plus both ends of the address space
 //! and uniform draws. A filter that rules out a stored key shows up as
 //! a `contains` or `insert` answer the model disagrees with.
@@ -16,6 +17,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
+use store::archive::DEFAULT_FANOUT;
 use store::{segment, Archive, CompactSet};
 
 /// The /64s dense draws land in: two neighbours, one far away, and the
@@ -64,6 +66,14 @@ fn restore(archive: &mut Archive, whole: bool) -> Archive {
     Archive::from_segments(decoded)
 }
 
+/// A key `model` does not hold, picked by `b`.
+fn absent_key(model: &BTreeSet<u128>, b: u64) -> u128 {
+    (0..)
+        .map(|i| pick_key(b.rotate_left(i), b ^ u64::from(i)).wrapping_add(u128::from(i)))
+        .find(|k| !model.contains(k))
+        .expect("the model holds few keys")
+}
+
 /// Every observable of `archive` against `model`, plus one stored and
 /// one absent key picked by `b`.
 fn check(archive: &Archive, model: &BTreeSet<u128>, b: u64, ctx: &str) {
@@ -79,10 +89,7 @@ fn check(archive: &Archive, model: &BTreeSet<u128>, b: u64, ctx: &str) {
             "{ctx}: stored key {present:#x} reported absent"
         );
     }
-    let absent = (0..)
-        .map(|i| pick_key(b.rotate_left(i), b ^ u64::from(i)).wrapping_add(u128::from(i)))
-        .find(|k| !model.contains(k))
-        .expect("the model holds few keys");
+    let absent = absent_key(model, b);
     assert!(
         !archive.contains(Ipv6Addr::from(absent)),
         "{ctx}: absent key {absent:#x} reported present"
@@ -99,7 +106,7 @@ proptest! {
     #[test]
     fn archive_matches_the_btreeset_model(
         cap in 0u64..9,
-        ops in proptest::collection::vec((0u8..11, any::<u64>(), any::<u64>()), 1..300),
+        ops in proptest::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..300),
     ) {
         let mut archive = archive_with(cap);
         let mut model = BTreeSet::new();
@@ -142,6 +149,20 @@ proptest! {
                     archive = copy;
                 }
                 9 => archive = restore(&mut archive, a % 2 == 0),
+                10 => {
+                    // A burst of one-key runs, each frozen on its own:
+                    // they share the lowest size class, fill it and
+                    // cascade.
+                    for i in 0..1 + a % 8 {
+                        let k = pick_key(a.rotate_left(i as u32), b ^ i);
+                        assert_eq!(
+                            archive.insert(Ipv6Addr::from(k)),
+                            model.insert(k),
+                            "{ctx}: burst insert {k:#x}"
+                        );
+                        archive.freeze();
+                    }
+                }
                 _ => {
                     // Re-inserting a stored key is never a first sight.
                     if let Some(&k) = model.iter().nth((a % (model.len() as u64).max(1)) as usize) {
@@ -151,6 +172,21 @@ proptest! {
             }
             check(&archive, &model, b, &ctx);
         }
+        // One-key runs fill the lowest size class: its eighth run
+        // merges the class, so the count ends below one per run.
+        archive.freeze();
+        let before = archive.segments().len();
+        for i in 0..DEFAULT_FANOUT as u64 {
+            let k = absent_key(&model, i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            assert!(archive.insert(Ipv6Addr::from(k)), "tail: insert {k:#x}");
+            model.insert(k);
+            archive.freeze();
+            check(&archive, &model, i, &format!("cap {cap}, tail {i}"));
+        }
+        assert!(
+            archive.segments().len() < before + DEFAULT_FANOUT,
+            "cap {cap}: {DEFAULT_FANOUT} one-key runs merged nothing"
+        );
         // Every stored key, once more, wherever it ended up.
         for &k in &model {
             assert!(archive.contains(Ipv6Addr::from(k)), "final: {k:#x} absent");
